@@ -391,9 +391,7 @@ def cmd_shock(config: RunConfig, out_dir: Path, strength_override: float | None)
     if pair.strength == 0.0:
         oracle_deviation = 0.0
     else:
-        oracle = gilbarg_oracle(
-            config.gas, pair, tol=config.tol.ode_tol, end_tol=config.tol.end_tol,
-        )
+        oracle = gilbarg_oracle(config.gas, pair, opts)
         oracle_deviation = compare_profiles(profile, oracle, matching="v").sup
 
     res = rh_residual(config.gas, pair)

@@ -34,7 +34,15 @@ class NoConvergenceError(ShockLayerError):
 
 
 class NoConnectionError(ShockLayerError):
-    """Shooting failed to connect the two end states within budget."""
+    """Shooting failed to connect the two end states within budget.
+
+    ``attempts`` lists the shots made, one {sign, eps, termination,
+    mismatch, n_steps} dict each; it is empty when no shot was made.
+    """
+
+    def __init__(self, message: str, attempts: list[dict] | None = None):
+        super().__init__(message)
+        self.attempts = list(attempts or [])
 
 
 class NoDecayingDirectionError(ShockLayerError):

@@ -34,7 +34,6 @@ from .reduction import (
     SINGULARITY_GUARD,
     ExtendedState,
     SingularODE,
-    extended_residual,
     steady_singular_ode,
     tw_singular_ode,
 )
@@ -137,6 +136,18 @@ def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float
     return rho_p, u_p + sigma, theta_p
 
 
+def _family3_strength_bound(gas: GasModel, U_minus: State) -> float:
+    """Supremum of admissible 3-shock strengths from the left state.
+
+    The left state of a 3-shock is downstream, with Mach number
+    (c - strength) / c relative to the shock. That number falls to the
+    infinite-strength limit sqrt((gamma - 1) / (2 gamma)) of a polytropic
+    gas as the strength grows to this bound.
+    """
+    c = sound_speed(gas, U_minus)
+    return c * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
+
+
 def solve_rh(
     gas: GasModel,
     U_minus: State,
@@ -152,7 +163,9 @@ def solve_rh(
     jump-condition residual, seeded with the closed-form conjugate state.
     Family 2 (the contact family) is rejected: it is linearly degenerate
     and admits no compressive connection. Negative strengths are rejected
-    because the resulting pair violates the entropy inequalities.
+    because the resulting pair violates the entropy inequalities, and so
+    are family-3 strengths at or past the infinite-strength bound
+    c (1 - sqrt((gamma - 1) / (2 gamma))), which no finite shock reaches.
     """
     if family == 2:
         raise DomainError("family 2 is the contact family; no shock pair exists")
@@ -164,6 +177,13 @@ def solve_rh(
     lam_minus = char_speed(gas, U_minus, family)
     if strength == 0.0:
         return RHPair(left=U_minus, right=U_minus, sigma=lam_minus, family=family, strength=0.0)
+    if family == 3:
+        bound = _family3_strength_bound(gas, U_minus)
+        if strength >= bound:
+            raise DomainError(
+                f"family-3 strength {strength:g} is at or past the admissible limit "
+                f"{bound:.6g} = c (1 - sqrt((gamma - 1) / (2 gamma)))"
+            )
     sigma = lam_minus - strength
 
     rho, v, theta = _conjugate_state(gas, U_minus, sigma)
@@ -215,7 +235,7 @@ class Profile:
 
 @dataclass(frozen=True)
 class ShootOpts:
-    """Controls for the travelling-wave shooting."""
+    """Controls for the shooting of `shock_profile` and `gilbarg_oracle`."""
 
     tol: float = 1e-10
     end_tol: float = 1e-6
@@ -277,8 +297,8 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory, guard: float = SIN
         if abs(z) <= guard:
             skipped += 1
             continue
-        Uprime = ode.F_eval(V) / z
-        worst = max(worst, _sup(extended_residual(ode, V, Uprime)))
+        Fv = ode.F_eval(V)
+        worst = max(worst, _sup(z * (Fv / z) - Fv))  # zeta U' - F with U' = F / zeta
     return worst, skipped
 
 
@@ -393,16 +413,74 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
     )
 
 
+def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Trajectory, list[dict]]:
+    """Shoot out of plan.start along plan.xi until a run lands on plan.target.
+
+    The perturbation sign with xi . (target - start) >= 0 goes first,
+    since along it a monotone profile heads toward the target; the other
+    sign is the fallback. Each of the opts.retries further rounds shrinks
+    the perturbation 16-fold. A shot connects when it ends within
+    opts.end_tol of the target without halting at the sonic set or by
+    step failure. Every shot is recorded as {sign, eps, termination,
+    mismatch, n_steps}, n_steps counting accepted and rejected steps.
+
+    Returns the connecting trajectory and the attempts, the last of which
+    is that shot; raises NoConnectionError, carrying the attempts,
+    otherwise.
+    """
+    s_meas = max(_sup(plan.target - plan.start), 1e-12)
+    base_eps = opts.eps_rel * s_meas
+    rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
+    L = opts.x_max if opts.x_max is not None else min(400.0 / rate_floor, 1e6)
+    R_div = max(10.0 * s_meas, 0.5)
+    capture = 0.5 * opts.end_tol
+
+    def stop(x, V):
+        d = _sup(V - plan.target)
+        return d <= capture or (d > R_div and _sup(V - plan.start) > R_div)
+
+    toward = 1.0 if float(np.dot(plan.xi, plan.target - plan.start)) >= 0.0 else -1.0
+    attempts: list[dict] = []
+    for attempt in range(opts.retries + 1):
+        eps = base_eps / (16.0 ** attempt)
+        for sgn in (toward, -toward):
+            traj = integrate_direct(
+                ode, plan.start + sgn * eps * plan.xi, (0.0, plan.direction * L), tol=opts.tol,
+                max_steps=opts.max_steps, stop_when=stop,
+            )
+            mismatch = _sup(traj.final_V - plan.target)
+            attempts.append({
+                "sign": sgn,
+                "eps": eps,
+                "termination": traj.termination,
+                "mismatch": mismatch,
+                "n_steps": traj.stats.n_accepted + traj.stats.n_rejected,
+            })
+            if mismatch <= opts.end_tol and traj.termination in (
+                TERM_STOPPED, TERM_EQUILIBRIUM, TERM_REACHED_END,
+            ):
+                return traj, attempts
+    raise NoConnectionError(
+        f"no connection within budget ({ode.label}); attempts (sign, eps, termination, mismatch): "
+        + ", ".join(
+            f"({a['sign']:+g}, {a['eps']:.1e}, {a['termination']}, {a['mismatch']:.2e})" for a in attempts
+        ),
+        attempts,
+    )
+
+
 def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -> Profile:
     """Travelling-wave connection of an admissible pair by shooting.
 
-    Integrates the travelling-wave singular ODE from the left endpoint
-    perturbed along the slowest expanding non-center direction of its
-    linearization (both perturbation signs tried, with a few shrinking
-    retries of the perturbation size). Acoustic profiles stay away from
-    the sonic set, so direct integration applies throughout. Accepts the
-    shot whose trajectory comes within opts.end_tol of the right
-    endpoint; raises NoConnectionError otherwise.
+    Integrates the travelling-wave singular ODE out of the endpoint whose
+    linearization has exactly one direction expanding toward the other
+    endpoint, perturbed along that direction toward the other endpoint
+    first; the opposite sign is the fallback, and a few retries shrink the
+    perturbation (see `_shoot`). Acoustic profiles stay away from the
+    sonic set, so direct integration applies throughout. Accepts the shot
+    whose trajectory comes within opts.end_tol of the far endpoint, with
+    every shot listed in diagnostics["attempts"]; raises
+    NoConnectionError otherwise.
     """
     U_minus = np.array([pair.left.rho, pair.left.v, pair.left.theta, 0.0, 0.0])
     U_plus = np.array([pair.right.rho, pair.right.v, pair.right.theta, 0.0, 0.0])
@@ -425,61 +503,33 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
         return prof
 
     plan = _connection_plan(ode, U_minus, U_plus)
-    s_meas = _sup(U_plus - U_minus)
-    base_eps = opts.eps_rel * s_meas
-    rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
-    L = opts.x_max if opts.x_max is not None else min(400.0 / rate_floor, 1e6)
-    R_div = max(10.0 * s_meas, 0.5)
-    capture = 0.5 * opts.end_tol
-
-    def stop(x, V):
-        d_target = _sup(V - plan.target)
-        if d_target <= capture:
-            return True
-        return d_target > R_div and _sup(V - plan.start) > R_div
-
-    attempts = []
-    for attempt in range(opts.retries + 1):
-        eps = base_eps / (16.0 ** attempt)
-        for sgn in (1.0, -1.0):
-            start = plan.start + sgn * eps * plan.xi
-            traj = integrate_direct(
-                ode, start, (0.0, plan.direction * L), tol=opts.tol,
-                max_steps=opts.max_steps, stop_when=stop,
-            )
-            mismatch = _sup(traj.final_V - plan.target)
-            attempts.append((sgn, eps, traj.termination, mismatch))
-            if mismatch <= opts.end_tol and traj.termination in (
-                TERM_STOPPED, TERM_EQUILIBRIUM, TERM_REACHED_END,
-            ):
-                ext_res, _ = max_extended_residual(ode, traj)
-                prof = Profile(
-                    kind="shock", sigma=pair.sigma,
-                    left=ExtendedState.from_array(U_minus),
-                    right=ExtendedState.from_array(U_plus),
-                    trajectory=traj,
-                    diagnostics={
-                        "strength": pair.strength,
-                        "family": pair.family,
-                        "shoot_from": "left" if plan.direction > 0 else "right",
-                        "sign": sgn,
-                        "eps": eps,
-                        "endpoint_mismatch": mismatch,
-                        "termination": traj.termination,
-                        "rate": plan.rate,
-                        "rates_start": plan.rates_start,
-                        "rates_target": plan.rates_target,
-                        "extended_residual_max": ext_res,
-                        "rh_residual_max": _sup(rh_residual(gas, pair)),
-                        "lax": lax_inequalities(gas, pair)["satisfied"],
-                    },
-                )
-                prof.diagnostics["flux_drift"] = flux_constants(gas, prof).drift
-                return prof
-    raise NoConnectionError(
-        "no connection within budget; attempts (sign, eps, termination, mismatch): "
-        + ", ".join(f"({s:+g}, {e:.1e}, {t}, {m:.2e})" for s, e, t, m in attempts)
+    traj, attempts = _shoot(ode, plan, opts)
+    shot = attempts[-1]
+    ext_res, _ = max_extended_residual(ode, traj)
+    prof = Profile(
+        kind="shock", sigma=pair.sigma,
+        left=ExtendedState.from_array(U_minus),
+        right=ExtendedState.from_array(U_plus),
+        trajectory=traj,
+        diagnostics={
+            "strength": pair.strength,
+            "family": pair.family,
+            "shoot_from": "left" if plan.direction > 0 else "right",
+            "sign": shot["sign"],
+            "eps": shot["eps"],
+            "endpoint_mismatch": shot["mismatch"],
+            "termination": traj.termination,
+            "rate": plan.rate,
+            "rates_start": plan.rates_start,
+            "rates_target": plan.rates_target,
+            "extended_residual_max": ext_res,
+            "rh_residual_max": _sup(rh_residual(gas, pair)),
+            "lax": lax_inequalities(gas, pair)["satisfied"],
+            "attempts": attempts,
+        },
     )
+    prof.diagnostics["flux_drift"] = flux_constants(gas, prof).drift
+    return prof
 
 
 @dataclass(frozen=True)
@@ -496,6 +546,7 @@ class OracleTrajectory:
     Pi: float
     Eflux: float
     trajectory: Trajectory
+    attempts: list[dict] = field(default_factory=list)  # the shots, as in Profile diagnostics
 
     def rhs(self, v: float, theta: float) -> tuple[float, float]:
         """Right-hand sides (v_x, theta_x) of the flux-form system."""
@@ -559,22 +610,16 @@ class OracleTrajectory:
         return xs, U, Uprime
 
 
-def gilbarg_oracle(
-    gas: GasModel,
-    pair: RHPair,
-    tol: float = 1e-10,
-    end_tol: float = 1e-6,
-    eps_rel: float = 1e-7,
-    x_max: float | None = None,
-    max_steps: int = 500_000,
-    retries: int = 2,
-) -> OracleTrajectory:
+def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -> OracleTrajectory:
     """Shock profile from the once-integrated conservation laws.
 
     nu v' = m v + p - Pi and k theta' = m (e + v^2/2) + v p - nu v v' - E
     with the three constants fixed by the left state. This route never
     touches the symmetrized matrices, so it can serve as an independent
-    check on the singular-ODE profile.
+    check on the singular-ODE profile. The (v, theta) connection is found
+    by the same shooting as `shock_profile`, with the same controls: the
+    sign heading toward the far state first, the other as the fallback,
+    every shot listed in ``attempts``.
     """
     U_m = pair.left
     sigma = pair.sigma
@@ -609,35 +654,8 @@ def gilbarg_oracle(
         return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj)
 
     plan = _connection_plan(ode2, left, right)
-    s_meas = max(_sup(right - left), 1e-12)
-    base_eps = eps_rel * s_meas
-    rate_floor = min(abs(r) for r in plan.rates_start + plan.rates_target)
-    L = x_max if x_max is not None else min(400.0 / rate_floor, 1e6)
-    R_div = max(10.0 * s_meas, 0.5)
-    capture = 0.5 * end_tol
-
-    def stop(x, V):
-        d = _sup(V - plan.target)
-        return d <= capture or (d > R_div and _sup(V - plan.start) > R_div)
-
-    attempts = []
-    for attempt in range(retries + 1):
-        eps = base_eps / (16.0 ** attempt)
-        for sgn in (1.0, -1.0):
-            traj = integrate_direct(
-                ode2, plan.start + sgn * eps * plan.xi, (0.0, plan.direction * L), tol=tol,
-                max_steps=max_steps, stop_when=stop,
-            )
-            mismatch = _sup(traj.final_V - plan.target)
-            attempts.append((sgn, eps, traj.termination, mismatch))
-            if mismatch <= end_tol and traj.termination in (
-                TERM_STOPPED, TERM_EQUILIBRIUM, TERM_REACHED_END,
-            ):
-                return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj)
-    raise NoConnectionError(
-        "flux-form shooting found no connection; attempts: "
-        + ", ".join(f"({s:+g}, {e:.1e}, {t}, {d:.2e})" for s, e, t, d in attempts)
-    )
+    traj, attempts = _shoot(ode2, plan, opts)
+    return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=attempts)
 
 
 def _profile_table(obj) -> dict[str, np.ndarray]:

@@ -186,12 +186,13 @@ def _initial_step(f, t0, y0, f0, direction, t_end, tol, rel_floor):
     return min(100 * h0, h1, abs(t_end - t0))
 
 
-def _dp54_step(f, t, y, h):
-    """One embedded step; returns (y_new, err_vec, K) or None on a bad stage."""
+def _dp54_step(f, t, y, h, k0):
+    """One embedded step from (t, y) with k0 = f(t, y) already known.
+
+    Returns (y_new, err_vec, K) or None on a bad stage. The last stage
+    K[6] = f(t + h, y_new) is the next step's k0 (first same as last).
+    """
     K = np.empty((7, y.size))
-    k0 = f(t, y)
-    if k0 is None:
-        return None
     K[0] = k0
     for i in range(1, 6):
         yi = y + h * (_A[i] @ K[:i])
@@ -220,25 +221,28 @@ def _run(
     max_steps: int,
     accept_hook,
     stop_when,
+    f0: np.ndarray,
 ):
     """Shared adaptive loop; mode-specific behavior lives in the hooks.
 
-    f(t, y) returns the RHS or None for an unusable stage. accept_hook is
-    called with (t_new, y_new) before the step is committed and may veto
-    it (forcing a halved retry) or request a halt; it returns one of
+    f(t, y) returns the RHS or None for an unusable stage; f0 = f(t0, y0)
+    comes from the caller, which has evaluated it already, and counts as
+    one evaluation. accept_hook is called with (t_new, y_new, k_new),
+    where k_new = f(t_new, y_new) is the step's last stage and the last
+    call to f, before the step is committed. It may veto the step
+    (forcing a halved retry) or request a halt; it returns one of
     "accept", "reject", or a termination string.
     """
     if t_end == t0:
         raise DomainError("integration span is empty")
     direction = 1.0 if t_end > t0 else -1.0
-    n_fev = [0]
+    n_fev = [1]
 
     def fc(t, y):
         n_fev[0] += 1
         return f(t, y)
 
-    f0 = fc(t0, y0)
-    if f0 is None or not np.all(np.isfinite(f0)):
+    if not np.all(np.isfinite(f0)):
         raise DomainError("right-hand side not finite at the initial point")
     h = _initial_step(fc, t0, y0, f0, direction, t_end, tol, rel_floor)
 
@@ -248,7 +252,7 @@ def _run(
     n_acc = n_rej = 0
     termination = TERM_REACHED_END
 
-    t, y = t0, y0.copy()
+    t, y, k0 = t0, y0.copy(), f0
     steps = 0
     while steps < max_steps:
         steps += 1
@@ -256,7 +260,7 @@ def _run(
         if h <= abs(t) * 1e-16 + 1e-300:
             termination = TERM_STEP_FAILURE
             break
-        result = _dp54_step(fc, t, y, direction * h)
+        result = _dp54_step(fc, t, y, direction * h, k0)
         if result is None:
             n_rej += 1
             h *= 0.5
@@ -267,7 +271,7 @@ def _run(
             n_rej += 1
             h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP)
             continue
-        verdict = accept_hook(t + direction * h, y_new)
+        verdict = accept_hook(t + direction * h, y_new, K[6])
         if verdict == "reject":
             n_rej += 1
             h *= 0.5
@@ -277,7 +281,7 @@ def _run(
         ts.append(t_new)
         ys.append(y_new.copy())
         n_acc += 1
-        t, y = t_new, y_new
+        t, y, k0 = t_new, y_new, K[6]
         if verdict not in ("accept",):
             termination = verdict
             break
@@ -318,30 +322,33 @@ def integrate_direct(
     """
     V0 = np.asarray(V0, dtype=float)
     z0 = ode.zeta_eval(V0)
+    if not np.isfinite(z0):
+        raise DomainError("zeta not finite at the initial point")
     if abs(z0) <= delta:
         raise SingularityError(
             f"initial point has |zeta| = {abs(z0):.3e} <= delta = {delta:g}"
         )
     sign0 = 1.0 if z0 > 0 else -1.0
     min_zeta = [abs(z0)]
-    sign_changes = [0]
-    eq_count = [1 if float(np.max(np.abs(ode.F_eval(V0)))) < tol_eq else 0]
+    F0 = ode.F_eval(V0)
+    eq_count = [1 if float(np.max(np.abs(F0))) < tol_eq else 0]
+    # (F, zeta) of the last usable evaluation; F/zeta does not give F back
+    # bit for bit, so the accept hook reads the pair stored here
+    last = [None]
 
     def rhs(x, V):
         try:
             z = ode.zeta_eval(V)
             if z == 0.0 or not np.isfinite(z):
                 return None
-            return ode.F_eval(V) / z
+            Fv = ode.F_eval(V)
+            last[0] = (Fv, z)
+            return Fv / z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
-    def accept_hook(x, V):
-        try:
-            z = ode.zeta_eval(V)
-            Fv = ode.F_eval(V)
-        except (DomainError, ZeroDivisionError, OverflowError):
-            return "reject"
+    def accept_hook(x, V, k):
+        Fv, z = last[0]  # evaluated at V by the step's last stage
         if not np.isfinite(z) or not np.all(np.isfinite(Fv)):
             return "reject"
         if z != 0.0 and (1.0 if z > 0 else -1.0) != sign0:
@@ -359,14 +366,14 @@ def integrate_direct(
 
     ts, ys, dense, n_acc, n_rej, n_fev, termination, h = _run(
         rhs, float(x_span[0]), V0, float(x_span[1]), tol, rel_floor, max_steps,
-        accept_hook, stop_when,
+        accept_hook, stop_when, F0 / z0,
     )
     stats = TrajectoryStats(
         n_accepted=n_acc,
         n_rejected=n_rej,
         n_fevals=n_fev,
         min_abs_zeta=min_zeta[0],
-        zeta_sign_changes=sign_changes[0],
+        zeta_sign_changes=0,
         h_final=h,
     )
     return Trajectory(
@@ -400,7 +407,8 @@ def integrate_rescaled(
     min_zeta = [abs(z_init)]
     sign_changes = [0]
     last_sign = [np.sign(z_init)]
-    eq_count = [1 if float(np.max(np.abs(ode.F_eval(V0)))) < tol_eq else 0]
+    F0 = ode.F_eval(V0)
+    eq_count = [1 if float(np.max(np.abs(F0))) < tol_eq else 0]
 
     def rhs(tau, y):
         try:
@@ -409,13 +417,8 @@ def integrate_rescaled(
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
-    def accept_hook(tau, y):
-        V = y[:-1]
-        try:
-            z = ode.zeta_eval(V)
-            Fv = ode.F_eval(V)
-        except (DomainError, ZeroDivisionError, OverflowError):
-            return "reject"
+    def accept_hook(tau, y, k):
+        Fv, z = k[:-1], float(k[-1])  # the last stage is (F, zeta) at y
         if not np.isfinite(z) or not np.all(np.isfinite(Fv)):
             return "reject"
         min_zeta[0] = min(min_zeta[0], abs(z))
@@ -437,7 +440,7 @@ def integrate_rescaled(
 
     ts, ys, dense, n_acc, n_rej, n_fev, termination, h = _run(
         rhs, float(tau_span[0]), y0, float(tau_span[1]), tol, rel_floor, max_steps,
-        accept_hook, stop if stop_when is not None else None,
+        accept_hook, stop if stop_when is not None else None, np.append(F0, z_init),
     )
     stats = TrajectoryStats(
         n_accepted=n_acc,
@@ -566,6 +569,7 @@ def trajectory_metadata(traj: Trajectory, tol: float | None = None) -> dict:
         "stats": {
             "n_accepted": traj.stats.n_accepted,
             "n_rejected": traj.stats.n_rejected,
+            "n_fevals": traj.stats.n_fevals,
             "min_abs_zeta": traj.stats.min_abs_zeta,
             "zeta_sign_changes": traj.stats.zeta_sign_changes,
             "h_final": traj.stats.h_final,

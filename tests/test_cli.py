@@ -180,6 +180,23 @@ class TestShock:
         assert main(["shock", "--config", config_path, "--strength", "-0.1"]) == 2
         assert "kind=validation" in capsys.readouterr().err
 
+    def test_family3_past_the_bound_rejected(self, tmp_path, outdir, capsys):
+        cfg = base_config(outdir)
+        cfg["rh"]["family"] = 3
+        path = write_config(tmp_path, cfg)
+        assert main(["shock", "--config", path, "--strength", "0.9"]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2" in err and "admissible limit" in err
+
+    def test_records_attempts_and_evaluations(self, config_path, outdir):
+        assert main(["shock", "--config", config_path]) == 0
+        side = json.loads((outdir / "shock_diagnostics.json").read_text())
+        [shot] = side["details"]["attempts"]
+        assert set(shot) == {"sign", "eps", "termination", "mismatch", "n_steps"}
+        assert shot["sign"] == side["details"]["sign"]
+        stats = side["trajectory"]["stats"]
+        assert 0 < stats["n_fevals"] <= 2 + 6 * (stats["n_accepted"] + stats["n_rejected"])
+
     def test_contact_family_rejected(self, tmp_path, outdir):
         cfg = base_config(outdir)
         cfg["rh"]["family"] = 2

@@ -17,8 +17,10 @@ from shocklayer import (
     NoDecayingDirectionError,
     NonMonotoneError,
     LayerOpts,
+    NoConnectionError,
     Profile,
     RHPair,
+    ShootOpts,
     State,
     Trajectory,
     boundary_layer,
@@ -165,6 +167,17 @@ class TestSolveRH:
         with pytest.raises((NoConvergenceError, DomainError)):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=0.9)
 
+    @pytest.mark.parametrize("strength", [0.9, 1.0, 1.5])
+    def test_family3_past_the_bound_is_a_domain_error(self, gasm, strength):
+        # c (1 - sqrt((gamma - 1) / (2 gamma))) = 0.7360 at (1, 0, 1), gamma 1.4
+        with pytest.raises(DomainError, match=r"admissible limit 0\.73"):
+            solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=strength)
+
+    def test_family3_just_below_the_bound_solves(self, gasm):
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=0.73)
+        assert np.abs(rh_residual(gasm, pair)).max() <= 1e-10
+        assert lax_inequalities(gasm, pair)["satisfied"]
+
 
 class TestShockProfile:
     def test_endpoints_and_diagnostics(self, pair_f1, prof_f1):
@@ -248,6 +261,72 @@ class TestShockProfile:
         assert prof.diagnostics["endpoint_mismatch"] == 0.0
         assert prof.diagnostics["flux_drift"] <= 1e-14
         assert prof.left == prof.right
+
+
+ATTEMPT_KEYS = {"sign", "eps", "termination", "mismatch", "n_steps"}
+
+
+class TestShooting:
+    @pytest.mark.parametrize(
+        "family,strength", [(1, 0.1), (1, 0.5), (1, 2.0), (3, 0.2), (3, 0.5)],
+    )
+    def test_both_routes_connect_on_the_first_shot(self, gasm, family, strength):
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=family, strength=strength)
+        prof = shock_profile(gasm, pair)
+        orc = gilbarg_oracle(gasm, pair)
+        for attempts in (prof.diagnostics["attempts"], orc.attempts):
+            assert len(attempts) == 1
+            [shot] = attempts
+            assert set(shot) == ATTEMPT_KEYS
+            assert shot["mismatch"] <= 1e-6 and shot["n_steps"] > 0
+        shot = prof.diagnostics["attempts"][0]
+        assert (shot["sign"], shot["eps"]) == (prof.diagnostics["sign"], prof.diagnostics["eps"])
+
+    def test_fallback_sign_tried_when_the_first_fails(self, gasm, monkeypatch):
+        import shocklayer.profiles as profiles
+
+        real = profiles.integrate_direct
+        starts = []
+
+        def first_shot_cut_short(ode, V0, x_span, **kw):
+            starts.append(np.array(V0))
+            if len(starts) == 1:
+                x_span = (x_span[0], 1e-3 * x_span[1])  # ends far from the target
+            return real(ode, V0, x_span, **kw)
+
+        monkeypatch.setattr(profiles, "integrate_direct", first_shot_cut_short)
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.5)
+        prof = shock_profile(gasm, pair)
+        attempts = prof.diagnostics["attempts"]
+        assert len(attempts) >= 2
+        assert attempts[0]["mismatch"] > 1e-6
+        assert attempts[1]["sign"] == -attempts[0]["sign"]
+        assert attempts[1]["eps"] == attempts[0]["eps"]
+        # the two shots leave the saddle on opposite sides
+        plan_start = prof.right.to_array()
+        assert np.dot(starts[0] - plan_start, starts[1] - plan_start) < 0.0
+        assert prof.diagnostics["endpoint_mismatch"] <= 1e-6
+
+    def test_failure_carries_the_attempts(self, gasm, monkeypatch):
+        import shocklayer.profiles as profiles
+
+        real = profiles.integrate_direct
+        monkeypatch.setattr(
+            profiles, "integrate_direct",
+            lambda ode, V0, x_span, **kw: real(ode, V0, (x_span[0], 1e-3 * x_span[1]), **kw),
+        )
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.5)
+        for route in (
+            lambda: shock_profile(gasm, pair, ShootOpts(retries=1)),
+            lambda: gilbarg_oracle(gasm, pair, ShootOpts(retries=1)),
+        ):
+            with pytest.raises(NoConnectionError) as info:
+                route()
+            attempts = info.value.attempts
+            assert len(attempts) == 4
+            assert all(set(a) == ATTEMPT_KEYS for a in attempts)
+            assert [a["sign"] for a in attempts[:2]] == [attempts[0]["sign"], -attempts[0]["sign"]]
+            assert attempts[2]["eps"] == attempts[0]["eps"] / 16.0
 
 
 class TestFluxConstants:

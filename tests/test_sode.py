@@ -238,6 +238,50 @@ class TestStopAndFailure:
             integrate_direct(ode, np.array([-1.0, 1.0, 1.0, 0.0, 0.0]), (0.0, 1.0))
 
 
+def counted_ode(ode):
+    """The same ODE with its F evaluations counted in .calls[0]."""
+    calls = [0]
+
+    def F(V):
+        calls[0] += 1
+        return ode.F_eval(V)
+
+    counted = SingularODE(dim=ode.dim, F_eval=F, zeta_eval=ode.zeta_eval, label=ode.label)
+    return counted, calls
+
+
+class TestEvaluationCounts:
+    def _runs(self, gas):
+        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+        return [
+            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10),
+            integrate_direct(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), tol=1e-10),
+            integrate_direct(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8),
+            integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0), tol=1e-10),
+            integrate_rescaled(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8),
+        ]
+
+    def test_six_evaluations_per_step(self, gas):
+        # f0 and the starting-step probe, then six new stages per attempt:
+        # k0 is the previous step's last stage, and is kept after a rejection
+        runs = self._runs(gas)
+        assert any(t.stats.n_rejected > 0 for t in runs)
+        for traj in runs:
+            st = traj.stats
+            assert st.n_fevals <= 2 + 6 * (st.n_accepted + st.n_rejected)
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_F_called_once_per_evaluation(self, gas, mode):
+        # the accept hooks reuse the last stage's (F, zeta) instead of calling F
+        # over this span the run ends in rejections and a step failure
+        ode, calls = counted_ode(steady_singular_ode(gas))
+        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+        run = integrate_direct if mode == "direct" else integrate_rescaled
+        traj = run(ode, U0, (0.0, 10.0), tol=1e-10)
+        assert traj.stats.n_accepted > 100 and traj.stats.n_rejected > 10
+        assert calls[0] == traj.stats.n_fevals
+
+
 class TestLinearize:
     def test_linear_field_recovered(self):
         M = np.array([[0.0, 1.0], [-2.0, -3.0]])
@@ -322,4 +366,5 @@ class TestExportHelpers:
         assert meta["n_samples"] == traj.n
         assert meta["tol"] == 1e-8
         assert meta["stats"]["n_accepted"] == traj.stats.n_accepted
+        assert meta["stats"]["n_fevals"] == traj.stats.n_fevals
         assert np.isfinite(meta["stats"]["min_abs_zeta"])
