@@ -17,15 +17,13 @@ endpoint linearization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     DomainError,
     NoConnectionError,
-    NoConvergenceError,
     NoDecayingDirectionError,
     NonMonotoneError,
 )
@@ -93,34 +91,13 @@ def lax_inequalities(gas: GasModel, pair: RHPair) -> dict:
     }
 
 
-def _flux_jacobian(gas: GasModel, st: State) -> np.ndarray:
-    R, rho, v, theta = gas.R, st.rho, st.v, st.theta
-    e_th = R / (gas.gamma - 1.0)
-    e = e_th * theta
-    H = 0.5 * rho * v * v + rho * e + R * rho * theta
-    return np.array([
-        [v, rho, 0.0],
-        [v * v + R * theta, 2.0 * rho * v, R * rho],
-        [v * (0.5 * v * v + e + R * theta), H + rho * v * v, v * rho * (e_th + R)],
-    ])
-
-
-def _cons_jacobian(gas: GasModel, st: State) -> np.ndarray:
-    R, rho, v, theta = gas.R, st.rho, st.v, st.theta
-    e_th = R / (gas.gamma - 1.0)
-    return np.array([
-        [1.0, 0.0, 0.0],
-        [v, rho, 0.0],
-        [e_th * theta + 0.5 * v * v, rho * v, rho * e_th],
-    ])
-
-
 def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float, float, float]:
     """Closed-form second root of the jump conditions in the shock frame.
 
     With m = rho u and P = m u + p fixed by the left state, the relative
     velocity solves a quadratic whose other root is
-    u+ = 2 gamma P / ((gamma + 1) m) - u-. Used as the Newton seed.
+    u+ = 2 gamma P / ((gamma + 1) m) - u-. For the polytropic gas this is
+    the exact right state of the pair, up to round-off.
     """
     u_m = U_minus.v - sigma
     m = U_minus.rho * u_m
@@ -133,6 +110,8 @@ def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float
         raise DomainError("conjugate state crosses the sonic frame, no admissible root")
     rho_p = m / u_p
     theta_p = u_p * (P / m - u_p) / gas.R
+    if not theta_p > 0.0:
+        raise DomainError("conjugate temperature is not positive; the strength is at the family-3 limit within round-off")
     return rho_p, u_p + sigma, theta_p
 
 
@@ -148,24 +127,17 @@ def _family3_strength_bound(gas: GasModel, U_minus: State) -> float:
     return c * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
 
 
-def solve_rh(
-    gas: GasModel,
-    U_minus: State,
-    family: int,
-    strength: float,
-    tol: float = 1e-13,
-    max_iter: int = 50,
-) -> RHPair:
+def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHPair:
     """Solve the jump conditions for (rho+, v+, theta+, sigma).
 
     The wave speed is pinned by sigma = lambda_family(U-) - strength and
-    the remaining three unknowns are found by Newton iteration on the
-    jump-condition residual, seeded with the closed-form conjugate state.
-    Family 2 (the contact family) is rejected: it is linearly degenerate
-    and admits no compressive connection. Negative strengths are rejected
-    because the resulting pair violates the entropy inequalities, and so
-    are family-3 strengths at or past the infinite-strength bound
-    c (1 - sqrt((gamma - 1) / (2 gamma))), which no finite shock reaches.
+    the right state is the closed-form conjugate state of U- in the frame
+    moving at sigma. Family 2 (the contact family) is rejected: it is
+    linearly degenerate and admits no compressive connection. Negative
+    strengths are rejected because the resulting pair violates the
+    entropy inequalities, and so are family-3 strengths at or past the
+    infinite-strength bound c (1 - sqrt((gamma - 1) / (2 gamma))), which
+    no finite shock reaches.
     """
     if family == 2:
         raise DomainError("family 2 is the contact family; no shock pair exists")
@@ -185,37 +157,12 @@ def solve_rh(
                 f"{bound:.6g} = c (1 - sqrt((gamma - 1) / (2 gamma)))"
             )
     sigma = lam_minus - strength
-
-    rho, v, theta = _conjugate_state(gas, U_minus, sigma)
-    f_m = euler_fluxes(gas, U_minus)
-    g_m = conserved(gas, U_minus)
-    target_sigma = sigma
-    q = np.array([rho, v, theta, sigma])
-    converged = False
-    for _ in range(max_iter):
-        if not (q[0] > 0.0 and q[2] > 0.0):
-            raise NoConvergenceError("Newton iterates left the physical region")
-        st = State(q[0], q[1], q[2])
-        res = np.empty(4)
-        res[:3] = (euler_fluxes(gas, st) - f_m) - q[3] * (conserved(gas, st) - g_m)
-        res[3] = q[3] - target_sigma
-        if _sup(res) <= tol:
-            converged = True
-            break
-        J = np.zeros((4, 4))
-        J[:3, :3] = _flux_jacobian(gas, st) - q[3] * _cons_jacobian(gas, st)
-        J[:3, 3] = -(conserved(gas, st) - g_m)
-        J[3, 3] = 1.0
-        q = q - np.linalg.solve(J, res)
-    if not converged:
-        raise NoConvergenceError(f"jump-condition Newton did not converge in {max_iter} iterations")
-
-    U_plus = State(float(q[0]), float(q[1]), float(q[2]))
+    U_plus = State(*_conjugate_state(gas, U_minus, sigma))
     if U_plus.rho < gas.c_rho:
         raise DomainError(
             f"right state density {U_plus.rho:.6g} fell below the vacuum bound {gas.c_rho:g}"
         )
-    pair = RHPair(left=U_minus, right=U_plus, sigma=float(q[3]), family=family, strength=strength)
+    pair = RHPair(left=U_minus, right=U_plus, sigma=sigma, family=family, strength=strength)
     if not lax_inequalities(gas, pair)["satisfied"]:
         raise DomainError("computed pair violates the entropy (Lax) inequalities")
     return pair
@@ -269,7 +216,10 @@ def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
         taus=None,
         termination=TERM_EQUILIBRIUM,
         stats=stats,
-        dense=[],
+        t0s=np.empty(0),
+        hs=np.empty(0),
+        y0s=np.empty((0, U.size)),
+        Q=np.empty((0, U.size, 4)),
     )
 
 
@@ -285,20 +235,26 @@ def _real_unit_eigenvector(report: LinearizationReport, index: int) -> np.ndarra
 
 
 def max_extended_residual(ode: SingularODE, traj: Trajectory, guard: float = SINGULARITY_GUARD) -> tuple[float, int]:
-    """Worst residual zeta U' - F over samples, U' from the right-hand side.
+    """Worst residual zeta U' - F at the step midpoints, U' from the dense output.
 
-    Samples closer to the sonic set than the guard are skipped (the
-    direct derivative is not defined there); the count is returned.
+    U and U' are the dense output and its derivative halfway through each
+    step (in rescaled mode U' = (dV/dtau) / (dx/dtau)). At the step ends
+    the derivative would be the stage value F/zeta itself, so the check
+    could not fail there. Midpoints closer to the sonic set than the
+    guard are skipped (the direct derivative is not defined there); the
+    count is returned.
     """
+    rescaled = traj.mode == "rescaled"
     worst = 0.0
     skipped = 0
-    for V in traj.Vs:
+    for y, dy in zip(*traj.step_eval(np.arange(traj.hs.size), 0.5)):
+        V = y[:-1] if rescaled else y
         z = ode.zeta_eval(V)
         if abs(z) <= guard:
             skipped += 1
             continue
-        Fv = ode.F_eval(V)
-        worst = max(worst, _sup(z * (Fv / z) - Fv))  # zeta U' - F with U' = F / zeta
+        Uprime = dy[:-1] / dy[-1] if rescaled else dy
+        worst = max(worst, _sup(z * Uprime - ode.F_eval(V)))
     return worst, skipped
 
 
@@ -532,6 +488,22 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     return prof
 
 
+def _flux_form_rhs(
+    gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float, v: float, theta: float,
+) -> tuple[float, float]:
+    """(v_x, theta_x) from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E."""
+    rho = m / (v - sigma)
+    if rho <= 0.0 or theta <= 0.0:
+        raise DomainError("flux-form state left the physical region")
+    p, _, _ = pressure(gas, rho, theta)
+    e, _ = internal_energy(gas, theta)
+    nu, _ = gas.nu_law(rho)
+    k, _ = gas.k_law(rho)
+    v_x = (m * v + p - Pi) / nu
+    th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k
+    return v_x, th_x
+
+
 @dataclass(frozen=True)
 class OracleTrajectory:
     """Flux-form (v, theta) trajectory with its conserved quantities.
@@ -550,27 +522,17 @@ class OracleTrajectory:
 
     def rhs(self, v: float, theta: float) -> tuple[float, float]:
         """Right-hand sides (v_x, theta_x) of the flux-form system."""
-        u = v - self.sigma
-        rho = self.m / u
-        p, _, _ = pressure(self.gas, rho, theta)
-        e, _ = internal_energy(self.gas, theta)
-        nu, _ = self.gas.nu_law(rho)
-        k, _ = self.gas.k_law(rho)
-        v_x = (self.m * v + p - self.Pi) / nu
-        th_x = (self.m * (e + 0.5 * v * v) + v * p - nu * v * v_x - self.Eflux) / k
-        return v_x, th_x
+        return _flux_form_rhs(self.gas, self.sigma, self.m, self.Pi, self.Eflux, v, theta)
+
+    def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
+        """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
+        vs, ths = V[:, 0], V[:, 1]
+        z = np.array([self.rhs(float(v), float(th)) for v, th in zip(vs, ths)]).reshape(-1, 2)
+        return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z[:, 0], "z2": z[:, 1]}
 
     def table(self) -> dict[str, np.ndarray]:
         """Columns x, rho, v, theta, z1, z2 with z from the flux form."""
-        xs = self.trajectory.xs
-        vs = self.trajectory.Vs[:, 0]
-        ths = self.trajectory.Vs[:, 1]
-        rhos = self.m / (vs - self.sigma)
-        z1 = np.empty_like(vs)
-        z2 = np.empty_like(vs)
-        for i in range(len(vs)):
-            z1[i], z2[i] = self.rhs(float(vs[i]), float(ths[i]))
-        return {"x": xs.copy(), "rho": rhos, "v": vs.copy(), "theta": ths.copy(), "z1": z1, "z2": z2}
+        return {"x": self.trajectory.xs.copy(), **self._columns(self.trajectory.Vs)}
 
     def extended_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, (n,5) extended states) for residual cross-checks."""
@@ -632,18 +594,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     Eflux = m * (e_m + 0.5 * U_m.v ** 2) + U_m.v * p_m
 
     def rhs2(V: np.ndarray) -> np.ndarray:
-        v, theta = float(V[0]), float(V[1])
-        u = v - sigma
-        rho = m / u
-        if rho <= 0.0 or theta <= 0.0:
-            raise DomainError("flux-form state left the physical region")
-        p, _, _ = pressure(gas, rho, theta)
-        e, _ = internal_energy(gas, theta)
-        nu, _ = gas.nu_law(rho)
-        k, _ = gas.k_law(rho)
-        v_x = (m * v + p - Pi) / nu
-        th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k
-        return np.array([v_x, th_x])
+        return np.array(_flux_form_rhs(gas, sigma, m, Pi, Eflux, float(V[0]), float(V[1])))
 
     ode2 = SingularODE(dim=2, F_eval=rhs2, zeta_eval=lambda V: 1.0, label="flux form")
     left = np.array([U_m.v, U_m.theta])
@@ -658,22 +609,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=attempts)
 
 
-def _profile_table(obj) -> dict[str, np.ndarray]:
-    if isinstance(obj, OracleTrajectory):
-        return obj.table()
-    if isinstance(obj, Profile):
-        traj = obj.trajectory
-        return {
-            "x": traj.xs.copy(),
-            "rho": traj.Vs[:, 0].copy(),
-            "v": traj.Vs[:, 1].copy(),
-            "theta": traj.Vs[:, 2].copy(),
-            "z1": traj.Vs[:, 3].copy(),
-            "z2": traj.Vs[:, 4].copy(),
-        }
-    if isinstance(obj, dict):
-        return {k: np.asarray(v, dtype=float) for k, v in obj.items()}
-    raise TypeError(f"cannot tabulate {type(obj).__name__}")
+_COLUMNS = ("rho", "v", "theta", "z1", "z2")
 
 
 @dataclass(frozen=True)
@@ -686,74 +622,73 @@ class CompareReport:
     n_points: int
 
 
+def _integrated_columns(obj) -> tuple[str, ...]:
+    if isinstance(obj, Profile):
+        return _COLUMNS
+    if isinstance(obj, OracleTrajectory):
+        return ("v", "theta")
+    raise TypeError(f"cannot compare {type(obj).__name__}; expected a Profile or an OracleTrajectory")
+
+
+def _columns_at(obj, states: np.ndarray) -> dict[str, np.ndarray]:
+    if isinstance(obj, OracleTrajectory):
+        return obj._columns(states)
+    return dict(zip(_COLUMNS, states.T))
+
+
 def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     """Reparametrize two profiles by a shared monotone component.
 
-    Both profiles are interpolated (shape-preserving cubic) as functions
-    of the matching component on the overlap of their ranges, and the sup
-    deviation of the remaining state components is returned. x never
+    Each profile (a `Profile` or an `OracleTrajectory`) is evaluated
+    through the dense output of its integration at the points where the
+    matching component takes the grid values: the samples of both
+    profiles inside the overlap of their ranges, plus the overlap's ends
+    (see `Trajectory.eval_where`). The matching component must be one the
+    profile integrates (rho, v, theta, z1, z2 for a Profile; v, theta for
+    the oracle, whose rho, z1 and z2 follow from the flux form). The sup
+    deviation of the remaining components is returned. x never
     participates: profiles are translation invariant.
     """
-    from scipy.interpolate import PchipInterpolator
-
-    ta, tb = _profile_table(a), _profile_table(b)
-    for t in (ta, tb):
-        if matching not in t:
-            raise DomainError(f"matching column {matching!r} missing")
-    columns = [c for c in ("rho", "theta", "z1", "z2", "v") if c != matching and c in ta and c in tb]
-
-    def prepared(t):
-        mvals = t[matching]
-        d = np.diff(mvals)
-        if len(mvals) < 2 or not (np.all(d > 0) or np.all(d < 0)):
+    names = [_integrated_columns(obj) for obj in (a, b)]
+    for obj, cols in zip((a, b), names):
+        if matching not in cols:
+            raise DomainError(f"matching column {matching!r} missing from {type(obj).__name__}")
+    idx = [cols.index(matching) for cols in names]
+    samples = []
+    for obj, j in zip((a, b), idx):
+        s = obj.trajectory.Vs[:, j]
+        d = np.diff(s)
+        if len(s) < 2 or not (np.all(d > 0) or np.all(d < 0)):
             raise NonMonotoneError(f"matching column {matching!r} is not strictly monotone")
-        order = np.argsort(mvals)
-        return mvals[order], {c: t[c][order] for c in columns}
-
-    ma, cols_a = prepared(ta)
-    mb, cols_b = prepared(tb)
-    lo = max(ma[0], mb[0])
-    hi = min(ma[-1], mb[-1])
+        samples.append(s)
+    ma, mb = samples
+    lo = max(ma.min(), mb.min())
+    hi = min(ma.max(), mb.max())
     if not (lo < hi):
         raise DomainError("profiles do not overlap in the matching component")
     grid = np.unique(np.concatenate([
         ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),
     ]))
-    per_column = {}
-    worst = 0.0
-    for c in columns:
-        fa = PchipInterpolator(ma, cols_a[c])
-        fb = PchipInterpolator(mb, cols_b[c])
-        dev = float(np.max(np.abs(fa(grid) - fb(grid))))
-        per_column[c] = dev
-        worst = max(worst, dev)
-    return CompareReport(sup=worst, per_column=per_column, overlap=(float(lo), float(hi)), n_points=len(grid))
+    ca, cb = (_columns_at(obj, obj.trajectory.eval_where(j, grid)) for obj, j in zip((a, b), idx))
+    per_column = {c: float(np.max(np.abs(ca[c] - cb[c]))) for c in _COLUMNS if c != matching}
+    return CompareReport(
+        sup=max(per_column.values()), per_column=per_column, overlap=(float(lo), float(hi)), n_points=len(grid),
+    )
 
 
 def _shift_trajectory(traj: Trajectory, dt: float, dx: float) -> Trajectory:
     """Translate a trajectory in its independent variable and in x."""
-    from dataclasses import replace as dc_replace
-
-    from .sode import _DenseStep
-
-    dense = [
-        _DenseStep(
-            t0=st.t0 + dt,
-            h=st.h,
-            y0=(np.concatenate([st.y0[:-1], [st.y0[-1] + dx]]) if traj.mode == "rescaled" else st.y0),
-            Q=st.Q,
-        )
-        for st in traj.dense
-    ]
-    return Trajectory(
-        mode=traj.mode,
+    y0s = traj.y0s
+    if traj.mode == "rescaled":
+        y0s = y0s.copy()
+        y0s[:, -1] += dx
+    return replace(
+        traj,
         ts=traj.ts + dt,
-        Vs=traj.Vs,
         xs=traj.xs + dx,
         taus=None if traj.taus is None else traj.taus + dt,
-        termination=traj.termination,
-        stats=traj.stats,
-        dense=dense,
+        t0s=traj.t0s + dt,
+        y0s=y0s,
     )
 
 

@@ -84,22 +84,33 @@ class TrajectoryStats:
     h_final: float
 
 
-@dataclass(frozen=True)
-class _DenseStep:
-    t0: float
-    h: float
-    y0: np.ndarray
-    Q: np.ndarray  # (d, 4) interpolation coefficients
+_MAX_INVERT_ITER = 60  # bisection alone shrinks [0, 1] to round-off in 53 rounds
+
+
+def _quartic(q: np.ndarray, theta):
+    """q1 theta + q2 theta^2 + q3 theta^3 + q4 theta^4 and its theta-derivative.
+
+    q holds (q1, q2, q3, q4) along its last axis; theta broadcasts against
+    the other axes.
+    """
+    q1, q2, q3, q4 = np.moveaxis(q, -1, 0)
+    value = theta * (q1 + theta * (q2 + theta * (q3 + theta * q4)))
+    return value, q1 + theta * (2.0 * q2 + theta * (3.0 * q3 + theta * 4.0 * q4))
 
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one integration run.
+    """Sampled solution of one integration run, with its dense output.
 
     ts is the independent variable (x in direct mode, tau in rescaled
     mode) and is strictly monotone. xs is the spatial coordinate per
     sample; in rescaled mode it is recovered from dx/dtau = zeta and need
     not be monotone. taus is None in direct mode.
+
+    The dense output is the quartic continuous extension of each
+    accepted step i: y(t0s[i] + theta hs[i]) = y0s[i] + hs[i] Q[i] @
+    (theta, theta^2, theta^3, theta^4) for theta in [0, 1], where y is
+    the integrated vector (V in direct mode, (V, x) in rescaled mode).
     """
 
     mode: str
@@ -109,7 +120,10 @@ class Trajectory:
     taus: np.ndarray | None
     termination: str
     stats: TrajectoryStats
-    dense: list[_DenseStep] = field(default_factory=list, repr=False)
+    t0s: np.ndarray = field(repr=False)  # (n - 1,) step start points
+    hs: np.ndarray = field(repr=False)  # (n - 1,) signed step sizes
+    y0s: np.ndarray = field(repr=False)  # (n - 1, d) integrated vector at step starts
+    Q: np.ndarray = field(repr=False)  # (n - 1, d, 4) interpolation coefficients
 
     @property
     def n(self) -> int:
@@ -119,42 +133,78 @@ class Trajectory:
     def final_V(self) -> np.ndarray:
         return self.Vs[-1]
 
-    def eval(self, t: float) -> np.ndarray:
+    def step_eval(self, i, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Dense output y and its derivative dy/dt in steps i at fractions theta."""
+        p, dp = _quartic(self.Q[i], np.asarray(theta, dtype=float)[..., None])
+        return self.y0s[i] + self.hs[i][..., None] * p, dp
+
+    def eval(self, t) -> np.ndarray:
         """Dense-output value of the integrated vector at independent t.
 
-        In rescaled mode the integrated vector is (V, x), so the last
-        component is the spatial coordinate.
+        t may be a scalar or an array; the result gains a last axis of
+        the state dimension. In rescaled mode the integrated vector is
+        (V, x), so the last component is the spatial coordinate.
         """
-        if not self.dense:
+        if self.hs.size == 0:
             raise ValueError("trajectory carries no dense output")
-        lo, hi = self.ts[0], self.ts[-1]
-        fwd = hi >= lo
-        if not (min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12):
+        t = np.asarray(t, dtype=float)
+        lo, hi = sorted((self.ts[0], self.ts[-1]))
+        if np.any((t < lo - 1e-12) | (t > hi + 1e-12)):
             raise ValueError(f"t={t} outside the covered span [{lo}, {hi}]")
-        steps = self.dense
-        # binary search over steps, ordered along the integration direction
-        a, b = 0, len(steps) - 1
-        while a < b:
-            m = (a + b) // 2
-            t_end = steps[m].t0 + steps[m].h
-            if (t_end < t) if fwd else (t_end > t):
-                a = m + 1
-            else:
-                b = m
-        st = steps[a]
-        theta = (t - st.t0) / st.h
-        theta = min(max(theta, 0.0), 1.0)
-        powers = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-        return st.y0 + st.h * (st.Q @ powers)
+        # first step whose end reaches t, along the integration direction
+        sgn = 1.0 if self.hs[0] > 0 else -1.0
+        i = np.minimum(np.searchsorted(sgn * self.ts[1:], sgn * t), self.hs.size - 1)
+        theta = np.clip((t - self.t0s[i]) / self.hs[i], 0.0, 1.0)
+        return self.step_eval(i, theta)[0]
 
-    def eval_V(self, t: float) -> np.ndarray:
+    def eval_V(self, t) -> np.ndarray:
         y = self.eval(t)
-        return y[:-1] if self.mode == "rescaled" else y
+        return y[..., :-1] if self.mode == "rescaled" else y
 
-    def eval_x(self, t: float) -> float:
+    def eval_x(self, t):
         if self.mode == "rescaled":
-            return float(self.eval(t)[-1])
-        return float(t)
+            return self.eval(t)[..., -1]
+        return t
+
+    def eval_where(self, j: int, values) -> np.ndarray:
+        """Dense-output integrated vectors where component j equals each value.
+
+        Component j must be strictly monotone over the samples. Each value
+        is bracketed between two samples, and the t inside that step where
+        the quartic takes the value is found by Newton's method, falling
+        back to bisection whenever a Newton iterate leaves the bracket; the
+        iteration stops once the residual is at round-off level. Returns
+        an array of shape values.shape + (d,).
+        """
+        c = np.asarray(values, dtype=float)
+        nodes = self.Vs if self.mode == "direct" else np.column_stack([self.Vs, self.xs])
+        s = nodes[:, j]
+        d = np.diff(s)
+        if s.size < 2 or not (np.all(d > 0) or np.all(d < 0)):
+            raise NonMonotoneError(f"component {j} is not strictly monotone along the trajectory")
+        lo, hi = sorted((s[0], s[-1]))
+        if np.any((c < lo - 1e-12) | (c > hi + 1e-12)):
+            raise ValueError(f"value outside the covered range [{lo}, {hi}]")
+        # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step
+        sgn = 1.0 if d[0] > 0 else -1.0
+        i = np.clip(np.searchsorted(sgn * s, sgn * c, side="right") - 1, 0, d.size - 1)
+        y0, h, q = self.y0s[i, j], self.hs[i], self.Q[i, j]
+        tol = 4.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
+        a, b = np.zeros_like(c), np.ones_like(c)
+        theta = np.clip((c - s[i]) / d[i], 0.0, 1.0)
+        for _ in range(_MAX_INVERT_ITER):
+            p, dp = _quartic(q, theta)
+            f = sgn * (y0 + h * p - c)
+            done = np.abs(f) <= tol
+            if np.all(done):
+                break
+            a = np.where(f < 0.0, theta, a)
+            b = np.where(f > 0.0, theta, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = theta - f / (sgn * h * dp)
+            inside = (newton > a) & (newton < b)
+            theta = np.where(done, theta, np.where(inside, newton, 0.5 * (a + b)))
+        return self.step_eval(i, theta)[0]
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float, rel_floor: float) -> float:
@@ -248,7 +298,8 @@ def _run(
 
     ts = [t0]
     ys = [y0.copy()]
-    dense: list[_DenseStep] = []
+    hs: list[float] = []
+    Ks: list[np.ndarray] = []
     n_acc = n_rej = 0
     termination = TERM_REACHED_END
 
@@ -277,7 +328,8 @@ def _run(
             h *= 0.5
             continue
         t_new = t + direction * h
-        dense.append(_DenseStep(t0=t, h=direction * h, y0=y.copy(), Q=K.T @ _P))
+        hs.append(direction * h)
+        Ks.append(K)
         ts.append(t_new)
         ys.append(y_new.copy())
         n_acc += 1
@@ -298,7 +350,11 @@ def _run(
     else:
         raise StepFailureError(f"step budget {max_steps} exhausted")
 
-    return np.array(ts), np.array(ys), dense, n_acc, n_rej, n_fev[0], termination, h
+    ts_arr, ys_arr = np.array(ts), np.array(ys)
+    # dense output of every accepted step, Q[i] = K[i]^T P
+    Q = np.array(Ks).reshape(-1, 7, y0.size).transpose(0, 2, 1) @ _P
+    dense = dict(t0s=ts_arr[:-1], hs=np.array(hs), y0s=ys_arr[:-1], Q=Q)
+    return ts_arr, ys_arr, dense, n_acc, n_rej, n_fev[0], termination, h
 
 
 def integrate_direct(
@@ -378,7 +434,7 @@ def integrate_direct(
     )
     return Trajectory(
         mode="direct", ts=ts, Vs=ys, xs=ts, taus=None,
-        termination=termination, stats=stats, dense=dense,
+        termination=termination, stats=stats, **dense,
     )
 
 
@@ -452,7 +508,7 @@ def integrate_rescaled(
     )
     return Trajectory(
         mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts,
-        termination=termination, stats=stats, dense=dense,
+        termination=termination, stats=stats, **dense,
     )
 
 
@@ -460,31 +516,13 @@ def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
     """Evaluate a trajectory at given spatial points via its dense output.
 
     Rescaled trajectories must have strictly monotone x for the
-    reparametrization to be well defined.
+    reparametrization to be well defined; the tau of each point is found
+    by `Trajectory.eval_where` on the x component.
     """
     xs = np.asarray(xs, dtype=float)
     if traj.mode == "direct":
-        return np.array([traj.eval_V(x) for x in xs])
-    dx = np.diff(traj.xs)
-    if not (np.all(dx > 0) or np.all(dx < 0)):
-        raise NonMonotoneError("x is not strictly monotone along the trajectory")
-    from scipy.optimize import brentq
-
-    out = np.empty((len(xs), traj.Vs.shape[1]))
-    for i, x_t in enumerate(xs):
-        lo, hi = sorted((traj.xs[0], traj.xs[-1]))
-        if not (lo - 1e-12 <= x_t <= hi + 1e-12):
-            raise ValueError(f"x={x_t} outside the covered range [{lo}, {hi}]")
-        j = int(np.searchsorted(traj.xs, x_t) if dx[0] > 0 else np.searchsorted(-traj.xs, -x_t))
-        j = min(max(j, 1), traj.n - 1)
-        ta, tb = traj.ts[j - 1], traj.ts[j]
-        fa = traj.eval_x(ta) - x_t
-        if abs(fa) < 1e-14:
-            tau_star = ta
-        else:
-            tau_star = brentq(lambda s: traj.eval_x(s) - x_t, ta, tb, xtol=1e-15, rtol=8.9e-16)
-        out[i] = traj.eval_V(tau_star)
-    return out
+        return traj.eval_V(xs)
+    return traj.eval_where(-1, xs)[..., :-1]
 
 
 @dataclass(frozen=True)

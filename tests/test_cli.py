@@ -7,6 +7,9 @@ config must produce byte-identical artifacts.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,32 @@ class TestReproducibility:
             assert main(cmd + ["--config", cfg, "--out", str(out_b)]) == 0
             for name in names:
                 assert sha(out_a / name) == sha(out_b / name), name
+
+
+class TestRuntimeDependencies:
+    def test_shock_and_layer_run_without_scipy(self, config_path, outdir):
+        # numpy is the only runtime dependency: a process in which scipy
+        # cannot be imported still runs both profile commands
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from shocklayer.cli import main\n"
+            f"codes = [main([cmd, '--config', {config_path!r}]) for cmd in ('shock', 'layer')]\n"
+            "try:\n"
+            "    import scipy\n"
+            "except ImportError:\n"
+            "    raise SystemExit(max(codes))\n"
+            "raise SystemExit('scipy was importable')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        for name in (
+            "shock_profile.csv", "shock_diagnostics.json", "shock_plot.gp",
+            "layer_profile.csv", "layer_diagnostics.json", "layer_plot.gp",
+        ):
+            assert (outdir / name).stat().st_size > 0, name
 
 
 class TestOutDirResolution:

@@ -7,8 +7,12 @@ integrals and the independent flux-form construction, and the layers
 across the four velocity regimes of the limit state.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shocklayer import (
     DomainError,
@@ -22,7 +26,6 @@ from shocklayer import (
     RHPair,
     ShootOpts,
     State,
-    Trajectory,
     boundary_layer,
     char_speed,
     compare_profiles,
@@ -37,6 +40,8 @@ from shocklayer import (
     sound_speed,
     tw_singular_ode,
 )
+from shocklayer.gas import conserved, euler_fluxes
+from shocklayer.profiles import _shift_trajectory, _sup
 
 C0 = np.sqrt(1.4)  # sound speed at (1, 0, 1) for the default gas
 
@@ -65,7 +70,7 @@ def normal_shock_oracle(gas, U_minus, sigma):
     """Downstream state from the textbook density/pressure ratios.
 
     Works in the wave frame with upstream Mach number M1 = |u-|/c-;
-    completely independent of the package's Newton solver.
+    completely independent of the package's conjugate-state formula.
     """
     g = gas.gamma
     u_m = U_minus.v - sigma
@@ -173,10 +178,57 @@ class TestSolveRH:
         with pytest.raises(DomainError, match=r"admissible limit 0\.73"):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=strength)
 
+    def test_family3_at_the_limit_within_round_off(self):
+        gas = GasModel(gamma=1.0625)
+        left = State(1.0, 0.0, 2.0)
+        c = sound_speed(gas, left)
+        limit = c * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
+        with pytest.raises(DomainError, match="round-off"):
+            solve_rh(gas, left, family=3, strength=(1.0 - 2.2e-16) * limit)
+
     def test_family3_just_below_the_bound_solves(self, gasm):
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=0.73)
         assert np.abs(rh_residual(gasm, pair)).max() <= 1e-10
         assert lax_inequalities(gasm, pair)["satisfied"]
+
+    def test_moving_frame_is_a_shifted_pair(self, gasm):
+        # the fluxes are large at v = 20, so the jump residual cannot
+        # reach an absolute 1e-13; the pair must still solve
+        moving = solve_rh(gasm, State(1.0, 20.0, 1.0), family=1, strength=0.9)
+        rest = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.9)
+        assert moving.sigma == pytest.approx(rest.sigma + 20.0, rel=1e-12)
+        assert moving.right.v == pytest.approx(rest.right.v + 20.0, rel=1e-12)
+        assert moving.right.rho == pytest.approx(rest.right.rho, rel=1e-12)
+        assert moving.right.theta == pytest.approx(rest.right.theta, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=st.floats(1.0, 5.0 / 3.0, exclude_min=True),
+        rho=st.floats(1e-2, 1e3),
+        theta=st.floats(1e-2, 1e3),
+        v=st.floats(-50.0, 50.0),
+        family=st.sampled_from([1, 3]),
+        frac=st.floats(1e-6, 1.0 - 1e-6),
+    )
+    def test_jump_conditions_over_generated_inputs(self, gamma, rho, theta, v, family, frac):
+        # family-3 strengths are a fraction of the admissible bound; any
+        # family-1 strength is admissible, here up to 10 c. Within
+        # round-off of either end no pair is representable: the strict
+        # Lax inequalities cannot be resolved near strength 0, and the
+        # right temperature rounds to 0 at the family-3 limit.
+        gas = GasModel(gamma=gamma)
+        left = State(rho, v, theta)
+        c = sound_speed(gas, left)
+        strength = frac * (c * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma))) if family == 3 else 10.0 * c)
+        try:
+            pair = solve_rh(gas, left, family, strength)
+        except DomainError as exc:
+            assume("vacuum bound" not in str(exc))
+            raise
+        lax = lax_inequalities(gas, pair)
+        assert lax["lambda_right"] < pair.sigma < lax["lambda_left"]
+        scale = max(1.0, _sup(euler_fluxes(gas, left)), abs(pair.sigma) * _sup(conserved(gas, left)))
+        assert _sup(rh_residual(gas, pair)) <= 1e-12 * scale
 
 
 class TestShockProfile:
@@ -352,10 +404,7 @@ class TestFluxConstants:
         corrupted = Profile(
             kind=prof_f1.kind, sigma=prof_f1.sigma, left=prof_f1.left,
             right=prof_f1.right,
-            trajectory=Trajectory(
-                mode=traj.mode, ts=traj.ts, Vs=Vs, xs=traj.xs, taus=traj.taus,
-                termination=traj.termination, stats=traj.stats, dense=[],
-            ),
+            trajectory=replace(traj, Vs=Vs),
             diagnostics={},
         )
         spiked = flux_constants(gasm, corrupted).drift
@@ -398,61 +447,69 @@ class TestGilbargOracle:
         assert set(rep.per_column) == {"rho", "theta", "z1", "z2"}
         assert rep.n_points > 100
 
+    def test_dense_comparison_measures_method_error(self, prof_f1, oracle_f1):
+        # interpolating between the samples alone would cost 3.5e-6 here
+        assert compare_profiles(prof_f1, oracle_f1, matching="v").sup <= 1e-8
+
+    @pytest.mark.parametrize(
+        "family,strength",
+        [(1, 0.05), (1, 0.2), (1, 0.8), (1, 2.0), (1, 5.0), (3, 0.05), (3, 0.2), (3, 0.4), (3, 0.5)],
+    )
+    def test_profile_matches_oracle_over_strengths(self, gasm, family, strength):
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=family, strength=strength)
+        rep = compare_profiles(shock_profile(gasm, pair), gilbarg_oracle(gasm, pair), matching="v")
+        assert rep.sup <= 1e-5
+
     def test_zero_strength_oracle(self, gasm):
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.0)
         orc = gilbarg_oracle(gasm, pair)
         assert orc.trajectory.n == 1
 
 
-class TestCompareProfiles:
-    def _table(self, prof):
-        traj = prof.trajectory
-        return {
-            "x": traj.xs.copy(),
-            "rho": traj.Vs[:, 0].copy(),
-            "v": traj.Vs[:, 1].copy(),
-            "theta": traj.Vs[:, 2].copy(),
-            "z1": traj.Vs[:, 3].copy(),
-            "z2": traj.Vs[:, 4].copy(),
-        }
+def _raised(prof, column, delta):
+    """Copy of a profile with one component raised by delta in its samples and dense output."""
+    traj = prof.trajectory
+    Vs, y0s = traj.Vs.copy(), traj.y0s.copy()
+    Vs[:, column] += delta
+    y0s[:, column] += delta
+    return replace(prof, trajectory=replace(traj, Vs=Vs, y0s=y0s))
 
+
+class TestCompareProfiles:
     def test_self_comparison_is_zero(self, prof_f1):
         rep = compare_profiles(prof_f1, prof_f1)
         assert rep.sup == 0.0
 
     def test_translation_invariance(self, prof_f1):
-        t = self._table(prof_f1)
-        shifted = dict(t)
-        shifted["x"] = t["x"] + 17.0
-        rep = compare_profiles(t, shifted, matching="v")
+        shifted = replace(prof_f1, trajectory=_shift_trajectory(prof_f1.trajectory, 17.0, 17.0))
+        assert shifted.trajectory.xs[0] == prof_f1.trajectory.xs[0] + 17.0
+        rep = compare_profiles(prof_f1, shifted, matching="v")
         assert rep.sup == 0.0
 
-    def test_missing_matching_column(self, prof_f1):
-        t = self._table(prof_f1)
-        del t["v"]
+    def test_missing_matching_column(self, prof_f1, oracle_f1):
+        # x is no state component, and the oracle integrates only (v, theta)
         with pytest.raises(DomainError):
-            compare_profiles(t, self._table(prof_f1), matching="v")
+            compare_profiles(prof_f1, prof_f1, matching="x")
+        with pytest.raises(DomainError):
+            compare_profiles(prof_f1, oracle_f1, matching="z1")
 
     def test_non_monotone_matching_rejected(self, prof_f1):
-        t = self._table(prof_f1)
-        t["v"] = np.zeros_like(t["v"])
+        # z1 = v_x rises from 0 to its peak and falls back across the shock
         with pytest.raises(NonMonotoneError):
-            compare_profiles(t, self._table(prof_f1), matching="v")
+            compare_profiles(prof_f1, prof_f1, matching="z1")
 
     def test_disjoint_ranges_rejected(self, prof_f1):
-        t = self._table(prof_f1)
-        far = dict(t)
-        far["v"] = t["v"] + 100.0
         with pytest.raises(DomainError):
-            compare_profiles(t, far, matching="v")
+            compare_profiles(prof_f1, _raised(prof_f1, 1, 100.0), matching="v")
 
     def test_detects_deviation(self, prof_f1):
-        t = self._table(prof_f1)
-        warped = dict(t)
-        warped["theta"] = t["theta"] + 1e-3
-        rep = compare_profiles(t, warped, matching="v")
+        rep = compare_profiles(prof_f1, _raised(prof_f1, 2, 1e-3), matching="v")
         assert rep.per_column["theta"] == pytest.approx(1e-3, rel=1e-6)
         assert rep.sup == pytest.approx(1e-3, rel=1e-6)
+
+    def test_rejects_inputs_without_a_trajectory(self, prof_f1):
+        with pytest.raises(TypeError):
+            compare_profiles({"v": prof_f1.trajectory.Vs[:, 1]}, prof_f1)
 
 
 class TestMaxExtendedResidual:
@@ -461,6 +518,12 @@ class TestMaxExtendedResidual:
         worst, skipped = max_extended_residual(ode, prof_f1.trajectory)
         assert worst <= 1e-7
         assert skipped == 0
+
+    def test_detects_a_raised_component(self, gasm, pair_f1, prof_f1):
+        # theta + 1e-3 everywhere leaves U' unchanged but moves F(U)
+        ode = tw_singular_ode(gasm, pair_f1.sigma)
+        worst, _ = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
+        assert worst > 1e-5
 
 
 class TestBoundaryLayer:

@@ -146,6 +146,65 @@ class TestModeAgreement:
             resample_by_x(traj, [100.0])
 
 
+class TestDenseOutput:
+    def test_array_eval_matches_scalar_eval(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        xs = np.linspace(0.0, 2.0, 41)
+        ys = traj.eval(xs)
+        assert ys.shape == (41, 1)
+        np.testing.assert_allclose(ys, [traj.eval(x) for x in xs], rtol=1e-14, atol=0.0)
+        assert np.abs(ys[:, 0] - np.exp(xs)).max() <= 1e-8 * np.e ** 2
+
+    def test_array_eval_backward(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, -1.0), tol=1e-10)
+        xs = np.linspace(-0.95, -0.05, 19)
+        assert np.abs(traj.eval(xs)[:, 0] - np.exp(xs)).max() <= 1e-8
+
+    def test_eval_at_the_samples(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        np.testing.assert_allclose(traj.eval(traj.ts), traj.Vs, rtol=1e-14, atol=0.0)
+
+    def test_step_eval_derivative(self):
+        # V' = V: the dense derivative at each step's midpoint is the value
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        y, dy = traj.step_eval(np.arange(traj.hs.size), 0.5)
+        assert y.shape == dy.shape == (traj.n - 1, 1)
+        mid = traj.t0s + 0.5 * traj.hs
+        assert np.abs(y[:, 0] - np.exp(mid)).max() <= 1e-8
+        assert np.abs(dy - y).max() <= 1e-8
+
+    def test_eval_where_inverts_increasing_component(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        c = np.linspace(1.0, np.exp(2.0) - 1e-9, 57)
+        y = traj.eval_where(0, c)
+        assert y.shape == (57, 1)
+        assert np.abs(y[:, 0] - c).max() <= 8.0 * np.finfo(float).eps * np.e ** 2
+
+    def test_eval_where_inverts_decreasing_component(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, -1.0), tol=1e-10)
+        c = np.linspace(np.exp(-1.0) + 1e-9, 0.99, 23)
+        assert np.abs(traj.eval_where(0, c)[:, 0] - c).max() <= 8.0 * np.finfo(float).eps
+        assert traj.eval_where(0, 0.5).shape == (1,)
+
+    def test_eval_where_on_x_in_rescaled_mode(self):
+        # V = 1 + tau and x = tau + tau^2/2, so V = sqrt(1 + 2x)
+        traj = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        xs = np.linspace(0.0, 4.0, 33)
+        y = traj.eval_where(-1, xs)
+        assert np.abs(y[:, -1] - xs).max() <= 8.0 * np.finfo(float).eps * 4.0
+        assert np.abs(y[:, 0] - np.sqrt(1.0 + 2.0 * xs)).max() <= 1e-10
+
+    def test_eval_where_outside_range_rejected(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
+        with pytest.raises(ValueError):
+            traj.eval_where(0, [0.5])
+
+    def test_eval_where_non_monotone_rejected(self):
+        traj = integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0))
+        with pytest.raises(NonMonotoneError):
+            traj.eval_where(-1, [0.1])
+
+
 class TestSingularityGuard:
     def test_halts_near_singular_set(self):
         delta = 1e-6
