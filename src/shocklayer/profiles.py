@@ -137,7 +137,9 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     strengths are rejected because the resulting pair violates the
     entropy inequalities, and so are family-3 strengths at or past the
     infinite-strength bound c (1 - sqrt((gamma - 1) / (2 gamma))), which
-    no finite shock reaches.
+    no finite shock reaches. A strength below the round-off of
+    lambda_family(U-) leaves sigma on it: that is the zero-strength pair
+    within round-off, and it is rejected as such.
     """
     if family == 2:
         raise DomainError("family 2 is the contact family; no shock pair exists")
@@ -157,6 +159,11 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
                 f"{bound:.6g} = c (1 - sqrt((gamma - 1) / (2 gamma)))"
             )
     sigma = lam_minus - strength
+    if sigma == lam_minus:
+        raise DomainError(
+            f"strength {strength:g} is below the round-off of lambda(U-) = {lam_minus:.17g}; "
+            "within round-off this is the zero-strength pair"
+        )
     U_plus = State(*_conjugate_state(gas, U_minus, sigma))
     if U_plus.rho < gas.c_rho:
         raise DomainError(

@@ -1,12 +1,14 @@
 """Structural checks on the symmetrized system over sample boxes.
 
-Covseverity of the parabolic block, symmetry of A at zero gradient,
+Coercivity of the parabolic block, symmetry of A at zero gradient,
 positive definiteness of E, constancy of rank B, and the block linear
 degeneracy question: does the kernel dimension of the shifted hyperbolic
 block A11 - sigma E11 stay constant over the states of interest?
 
 All checks are sampling based. Reported constants (like the coercivity
-bound c_b) are estimates over the sampled box, not global proofs.
+bound c_b) are estimates over the sampled box, not global proofs. Each
+check assembles its matrices once per sample and then makes one batched
+LAPACK call over the stacked samples.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .gas import Box, GasModel, State, ZERO_GRADIENT
 from .system import assemble_A, assemble_B, assemble_E, blocks
 
@@ -24,20 +27,45 @@ DEFAULT_SYM_TOL = 1e-12
 KERNEL_TOL = 1e-10
 
 
-def kernel_dimension(M: np.ndarray, tol: float = KERNEL_TOL) -> int:
+def kernel_dimension(M: np.ndarray, tol: float = KERNEL_TOL) -> int | np.ndarray:
     """Dimension of ker M by singular value counting.
 
     A singular value counts toward the rank when it exceeds
     tol * (largest singular value), so the answer is invariant under
     scaling M by a nonzero constant. The zero matrix has full kernel.
+    M is one matrix (a scalar counts as 1x1), giving an int, or a stack
+    (..., m, k), giving an int array of shape (...) from one batched SVD.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    n = M.shape[1]
+    M = np.asarray(M, dtype=float)
+    stacked = M.ndim > 2
+    M = np.atleast_2d(M)
     svals = np.linalg.svd(M, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return n
-    rank = int(np.count_nonzero(svals > tol * svals[0]))
-    return n - rank
+    dims = M.shape[-1] - np.count_nonzero(svals > tol * svals[..., :1], axis=-1)
+    return dims if stacked else int(dims)
+
+
+def _first_min(values: np.ndarray, samples: Sequence[State]) -> tuple[float, State | None]:
+    """Smallest value and the first sample that attains it, NaNs skipped.
+
+    This is what a running `if x < worst` scan from +inf keeps, so the
+    result is (inf, None) when no value lies below +inf.
+    """
+    worst = np.fmin.reduce(values)
+    if not worst < np.inf:
+        return np.inf, None
+    i = int(np.flatnonzero(values == worst)[0])
+    return float(values[i]), samples[i]
+
+
+def _stack_2d(values: list) -> np.ndarray:
+    """Per-sample scalars, vectors or matrices as one (n, m, k) stack.
+
+    Each entry is lifted the way np.atleast_2d lifts it, so broadcasting
+    two stacks matches broadcasting their entries sample by sample.
+    """
+    arr = np.asarray(values, dtype=float)
+    shape = arr.shape[1:]
+    return arr.reshape((len(values),) + (1,) * (2 - len(shape)) + shape)
 
 
 @dataclass(frozen=True)
@@ -90,30 +118,44 @@ def check_block_linear_degeneracy(
 ) -> DegeneracyVerdict:
     """Kernel dimension of A11(u) - sigma E11(u) across the samples.
 
-    The evaluators may return scalars or small matrices. Constancy of the
-    dimension over the sample set is the degeneracy condition at this
-    sigma; a violation is reported with one witness per observed value.
+    The evaluators may return scalars or small matrices, of one shape
+    across the samples. Constancy of the dimension over the sample set is
+    the degeneracy condition at this sigma; a violation is reported with
+    one witness per observed value, the first sample that shows it.
     """
-    dims: list[int] = []
-    first_witness: dict[int, State] = {}
+    samples = list(samples)
+    a_vals, e_vals = [], []
     for state in samples:
-        block = np.atleast_2d(np.asarray(A11_eval(state), dtype=float) - sigma * np.asarray(E11_eval(state), dtype=float))
-        dim = kernel_dimension(block, tol)
-        dims.append(dim)
-        first_witness.setdefault(dim, state)
-    verdict = "satisfied" if len(first_witness) <= 1 else "violated"
-    witnesses = tuple((first_witness[d], d) for d in sorted(first_witness))
-    return DegeneracyVerdict(sigma=float(sigma), dims=tuple(dims), verdict=verdict, witnesses=witnesses)
+        a_vals.append(A11_eval(state))
+        e_vals.append(E11_eval(state))
+    dims = kernel_dimension(_stack_2d(a_vals) - sigma * _stack_2d(e_vals), tol)
+    observed, first = np.unique(dims, return_index=True)
+    verdict = "satisfied" if observed.size <= 1 else "violated"
+    witnesses = tuple((samples[i], int(d)) for d, i in zip(observed, first))
+    return DegeneracyVerdict(sigma=float(sigma), dims=tuple(dims.tolist()), verdict=verdict, witnesses=witnesses)
 
 
 def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
-    """(A11, E11) evaluators of the Eulerian symmetrized system."""
+    """(A11, E11) evaluators of the Eulerian symmetrized system.
+
+    The pair shares one `blocks` assembly per distinct state, kept for
+    as long as the pair lives, so A11, E11 and every sigma probed on the
+    same samples read the same values.
+    """
+    cache: dict[State, tuple[float, float]] = {}
+
+    def a11_e11(state: State) -> tuple[float, float]:
+        pair = cache.get(state)
+        if pair is None:
+            blk = blocks(gas, state)
+            pair = cache[state] = (blk.a11, blk.E11)
+        return pair
 
     def a11_eval(state: State) -> float:
-        return blocks(gas, state).a11 * state.v
+        return a11_e11(state)[0] * state.v
 
     def e11_eval(state: State) -> float:
-        return blocks(gas, state).E11
+        return a11_e11(state)[1]
 
     return a11_eval, e11_eval
 
@@ -236,55 +278,45 @@ def check_structure(
     """Run the sampling checks on one box; degeneracy verdicts stay empty.
 
     The assembler arguments exist so tests can inject corrupted matrices;
-    normal callers never touch them.
+    normal callers never touch them. Each is called once per sample.
     """
+    if n_samples < 1:
+        raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
     box.validate(gas)
     rng = np.random.default_rng(seed)
     samples = box.sample(n_samples, rng)
     report = StructureReport(box=box, n_samples=n_samples, seed=seed)
 
-    worst_eig = np.inf
-    eig_witness = None
-    worst_asym = -np.inf
-    asym_witness = None
-    ranks: list[int] = []
-    rank_witness = None
-    worst_cb = np.inf
-    cb_witness = None
-
+    Es, A0s, Bs = [], [], []
     for state in samples:
-        E = assemble_e(gas, state)
-        sym_err_E = float(np.abs(E - E.T).max())
-        min_eig = float(np.linalg.eigvalsh(0.5 * (E + E.T)).min())
-        if sym_err_E > sym_tol:
-            min_eig = -np.inf
-        if min_eig < worst_eig:
-            worst_eig, eig_witness = min_eig, state
+        Es.append(assemble_e(gas, state))
+        A0s.append(assemble_a(gas, state, ZERO_GRADIENT))
+        Bs.append(assemble_b(gas, state))
+    E, A0, B = np.array(Es), np.array(A0s), np.array(Bs)
 
-        A0 = assemble_a(gas, state, ZERO_GRADIENT)
-        asym = float(np.abs(A0 - A0.T).max())
-        if asym > worst_asym:
-            worst_asym, asym_witness = asym, state
+    E_T = E.swapaxes(-1, -2)
+    min_eig = np.linalg.eigvalsh(0.5 * (E + E_T)).min(axis=-1)
+    min_eig[np.abs(E - E_T).max(axis=(-2, -1)) > sym_tol] = -np.inf
+    worst_eig, eig_witness = _first_min(min_eig, samples)
 
-        B = assemble_b(gas, state)
-        rank = B.shape[0] - kernel_dimension(B, rank_tol)
-        ranks.append(rank)
-        if rank != ranks[0]:
-            rank_witness = state
+    # the first maximum of the asymmetry is the first minimum of its negative
+    neg_asym, asym_witness = _first_min(-np.abs(A0 - A0.swapaxes(-1, -2)).max(axis=(-2, -1)), samples)
+    worst_asym = -neg_asym
 
-        b = B[1:, 1:]
-        cb = float(np.linalg.eigvalsh(0.5 * (b + b.T)).min())
-        if cb < worst_cb:
-            worst_cb, cb_witness = cb, state
+    ranks = B.shape[-2] - kernel_dimension(B, rank_tol)
+    changed = np.flatnonzero(ranks != ranks[0])
+
+    b = B[:, 1:, 1:]
+    worst_cb, cb_witness = _first_min(np.linalg.eigvalsh(0.5 * (b + b.swapaxes(-1, -2))).min(axis=-1), samples)
 
     report.e_spd = CheckResult(passed=worst_eig > 0.0, worst=worst_eig, witness=eig_witness)
     report.a0_symmetric = CheckResult(passed=worst_asym <= sym_tol, worst=worst_asym, witness=asym_witness)
-    rank_set = sorted(set(ranks))
+    rank_set = sorted(set(ranks.tolist()))
     report.b_rank = RankResult(
         passed=len(rank_set) == 1,
-        ranks=tuple(ranks),
+        ranks=tuple(ranks.tolist()),
         r=rank_set[0] if len(rank_set) == 1 else None,
-        witness=rank_witness,
+        witness=samples[changed[-1]] if changed.size else None,
     )
     report.b_coercivity = CheckResult(passed=worst_cb > 0.0, worst=worst_cb, witness=cb_witness)
     return report

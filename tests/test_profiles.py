@@ -186,6 +186,33 @@ class TestSolveRH:
         with pytest.raises(DomainError, match="round-off"):
             solve_rh(gas, left, family=3, strength=(1.0 - 2.2e-16) * limit)
 
+    @pytest.mark.parametrize("fraction", [1e-300 * 10.0, 1e-17])
+    def test_strength_below_round_off_of_lambda(self, fraction):
+        # lambda(U-) is about 18.4 here, so these strengths leave
+        # sigma = lambda(U-) - strength unchanged in double precision
+        gas = GasModel(gamma=1.0000001)
+        left = State(1e3, 50.0, 1e3)
+        strength = fraction * sound_speed(gas, left)
+        with pytest.raises(DomainError, match="below the round-off of lambda") as info:
+            solve_rh(gas, left, family=1, strength=strength)
+        assert "zero-strength pair" in str(info.value)
+        assert "Lax" not in str(info.value)
+
+    def test_strength_just_above_round_off_of_lambda_solves(self):
+        gas = GasModel(gamma=1.0000001)
+        left = State(1e3, 50.0, 1e3)
+        pair = solve_rh(gas, left, family=1, strength=1e-15 * sound_speed(gas, left))
+        assert pair.sigma < char_speed(gas, left, 1)
+        assert lax_inequalities(gas, pair)["satisfied"]
+
+    def test_other_lax_failures_keep_the_generic_message(self, gasm, monkeypatch):
+        # a conjugate state equal to U- puts sigma below both speeds
+        import shocklayer.profiles as profiles
+
+        monkeypatch.setattr(profiles, "_conjugate_state", lambda gas, U, sigma: (U.rho, U.v, U.theta))
+        with pytest.raises(DomainError, match=r"violates the entropy \(Lax\) inequalities"):
+            solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.2)
+
     def test_family3_just_below_the_bound_solves(self, gasm):
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=0.73)
         assert np.abs(rh_residual(gasm, pair)).max() <= 1e-10
