@@ -187,15 +187,18 @@ class Profile:
     diagnostics: dict
 
 
+# first shooting perturbation, relative to the distance between the endpoints
+SHOOT_EPS_REL = 1e-7
+# a layer run stops once it strays this far (times max(1, |U*|)) from the limit
+LAYER_GROW_CAP = 0.5
+
+
 @dataclass(frozen=True)
 class ShootOpts:
     """Controls for the shooting of `shock_profile` and `gilbarg_oracle`."""
 
     tol: float = 1e-10
     end_tol: float = 1e-6
-    eps_rel: float = 1e-7
-    x_max: float | None = None
-    max_steps: int = 500_000
     retries: int = 2
 
 
@@ -205,9 +208,6 @@ class LayerOpts:
 
     tol: float = 1e-10
     length: float | None = None
-    tau_max: float | None = None
-    max_steps: int = 500_000
-    grow_cap: float = 0.5
 
 
 def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
@@ -241,15 +241,15 @@ def _real_unit_eigenvector(report: LinearizationReport, index: int) -> np.ndarra
     return re / n
 
 
-def max_extended_residual(ode: SingularODE, traj: Trajectory, guard: float = SINGULARITY_GUARD) -> tuple[float, int]:
+def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, int]:
     """Worst residual zeta U' - F at the step midpoints, U' from the dense output.
 
     U and U' are the dense output and its derivative halfway through each
     step (in rescaled mode U' = (dV/dtau) / (dx/dtau)). At the step ends
     the derivative would be the stage value F/zeta itself, so the check
-    could not fail there. Midpoints closer to the sonic set than the
-    guard are skipped (the direct derivative is not defined there); the
-    count is returned.
+    could not fail there. Midpoints closer to the sonic set than
+    SINGULARITY_GUARD are skipped (the direct derivative is not defined
+    there); the count is returned.
     """
     rescaled = traj.mode == "rescaled"
     worst = 0.0
@@ -257,7 +257,7 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory, guard: float = SIN
     for y, dy in zip(*traj.step_eval(np.arange(traj.hs.size), 0.5)):
         V = y[:-1] if rescaled else y
         z = ode.zeta_eval(V)
-        if abs(z) <= guard:
+        if abs(z) <= SINGULARITY_GUARD:
             skipped += 1
             continue
         Uprime = dy[:-1] / dy[-1] if rescaled else dy
@@ -381,8 +381,10 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
 
     The perturbation sign with xi . (target - start) >= 0 goes first,
     since along it a monotone profile heads toward the target; the other
-    sign is the fallback. Each of the opts.retries further rounds shrinks
-    the perturbation 16-fold. A shot connects when it ends within
+    sign is the fallback. The first perturbation is SHOOT_EPS_REL times
+    the endpoint distance, and each of the opts.retries further rounds
+    shrinks it 16-fold. Shots run over a span of min(400 / slowest rate,
+    1e6). A shot connects when it ends within
     opts.end_tol of the target without halting at the sonic set or by
     step failure. Every shot is recorded as {sign, eps, termination,
     mismatch, n_steps}, n_steps counting accepted and rejected steps.
@@ -392,9 +394,9 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     otherwise.
     """
     s_meas = max(_sup(plan.target - plan.start), 1e-12)
-    base_eps = opts.eps_rel * s_meas
+    base_eps = SHOOT_EPS_REL * s_meas
     rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
-    L = opts.x_max if opts.x_max is not None else min(400.0 / rate_floor, 1e6)
+    L = min(400.0 / rate_floor, 1e6)
     R_div = max(10.0 * s_meas, 0.5)
     capture = 0.5 * opts.end_tol
 
@@ -408,8 +410,7 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
         eps = base_eps / (16.0 ** attempt)
         for sgn in (toward, -toward):
             traj = integrate_direct(
-                ode, plan.start + sgn * eps * plan.xi, (0.0, plan.direction * L), tol=opts.tol,
-                max_steps=opts.max_steps, stop_when=stop,
+                ode, plan.start + sgn * eps * plan.xi, (0.0, plan.direction * L), tol=opts.tol, stop_when=stop,
             )
             mismatch = _sup(traj.final_V - plan.target)
             attempts.append({
@@ -765,9 +766,9 @@ def boundary_layer(
     elif characteristic:
         L = 10.0
     else:
-        L = min(np.log(max(opts.grow_cap, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
+        L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
     start = U_star + amplitude * xi
-    cap = opts.grow_cap * max(1.0, _sup(U_star))
+    cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
     if abs(amplitude) >= cap:
         raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
 
@@ -785,9 +786,7 @@ def boundary_layer(
 
     traj = None
     if not characteristic:
-        traj = integrate_direct(
-            ode, start, (L, 0.0), tol=opts.tol, max_steps=opts.max_steps, stop_when=stop,
-        )
+        traj = integrate_direct(ode, start, (L, 0.0), tol=opts.tol, stop_when=stop)
         diagnostics["mode"] = "direct"
         if traj.termination == TERM_SINGULARITY:
             diagnostics["direct_halt_min_abs_zeta"] = traj.stats.min_abs_zeta
@@ -797,16 +796,13 @@ def boundary_layer(
         tau_dir = -1.0 if ode.zeta_eval(start) > 0 else 1.0
         if characteristic and ode.zeta_eval(start) == 0.0:
             tau_dir = -np.sign(rate) or -1.0
-        tau_max = opts.tau_max if opts.tau_max is not None else max(
-            10.0 * L / max(abs(zeta_star), 0.05), 100.0
-        )
+        tau_max = max(10.0 * L / max(abs(zeta_star), 0.05), 100.0)
 
         def stop_resc(tau, V, x):
             return x <= 0.0 or _sup(V - U_star) > cap
 
         traj = integrate_rescaled(
-            ode, start, (0.0, tau_dir * tau_max), tol=opts.tol, x0=L,
-            max_steps=opts.max_steps, stop_when=stop_resc,
+            ode, start, (0.0, tau_dir * tau_max), tol=opts.tol, x0=L, stop_when=stop_resc,
         )
         diagnostics["mode"] = "rescaled"
         diagnostics["zeta_sign_changes"] = traj.stats.zeta_sign_changes

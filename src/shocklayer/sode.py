@@ -4,14 +4,15 @@ Two modes share one embedded Dormand-Prince 5(4) stepper:
 
 * direct: integrate F/zeta in x, refusing to touch the singular set.
   The run halts with ``singularity_approached`` once an accepted step
-  endpoint has |zeta| <= delta, and steps that would cross zeta = 0 are
+  endpoint has |zeta| <= DELTA, and steps that would cross zeta = 0 are
   rejected outright.
 * rescaled: integrate the desingularized system dV/dtau = F(V),
   dx/dtau = zeta(V). The vector field is regular, so the trajectory can
   pass near (or along) the sonic set; x is recovered per sample.
 
-Both modes detect equilibria (|F| below a tolerance for several accepted
-steps in a row), record step statistics, and keep a dense interpolant so
+Both modes run through one stepping loop, `_run`, which detects
+equilibria (|F| below EQUILIBRIUM_TOL for several accepted steps in a
+row), records step statistics, and keeps a dense interpolant so
 trajectories can be resampled at arbitrary points of the independent
 variable without re-integration. All arithmetic is plain sequential
 double precision, so identical inputs reproduce trajectories bit for bit.
@@ -34,15 +35,15 @@ TERM_STEP_FAILURE = "step_failure"
 TERM_STOPPED = "stopped"
 
 DEFAULT_TOL = 1e-10
-DEFAULT_REL_FLOOR = 1e-12
-DEFAULT_DELTA = 1e-6
+REL_FLOOR = 1e-12  # the relative error tolerance is max(tol, REL_FLOOR)
+DELTA = 1e-6  # direct mode halts once |zeta| <= DELTA at an accepted endpoint
 EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_DWELL = 5
 DEFAULT_MAX_STEPS = 500_000
 
-# Dormand-Prince 5(4) tableau. The error row is b5 - b4, the dense-output
-# matrix P is the standard quartic continuous extension for this pair.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (the fields are autonomous, so the nodes c
+# are not needed). The error row is b5 - b4, the dense-output matrix P
+# is the standard quartic continuous extension for this pair.
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -207,15 +208,15 @@ class Trajectory:
         return self.step_eval(i, theta)[0]
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float, rel_floor: float) -> float:
-    rtol = max(tol, rel_floor)
+def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> float:
+    rtol = max(tol, REL_FLOOR)
     scale = tol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, direction, t_end, tol, rel_floor):
+def _initial_step(stage, y0, f0, direction, span, tol):
     """Deterministic starting step, the classic two-evaluation heuristic."""
-    rtol = max(tol, rel_floor)
+    rtol = max(tol, REL_FLOOR)
     scale = tol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
@@ -223,87 +224,91 @@ def _initial_step(f, t0, y0, f0, direction, t_end, tol, rel_floor):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    h0 = min(h0, abs(t_end - t0)) or abs(t_end - t0)
-    y1 = y0 + direction * h0 * f0
-    f1 = f(t0 + direction * h0, y1)
-    if f1 is None or not np.all(np.isfinite(f1)):
-        return max(min(h0 * 1e-3, abs(t_end - t0)), 1e-12)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    h0 = min(h0, span) or span
+    probe = stage(y0 + direction * h0 * f0)
+    if probe is None or not np.all(np.isfinite(probe[0])):
+        return max(min(h0 * 1e-3, span), 1e-12)
+    d2 = float(np.sqrt(np.mean(((probe[0] - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    return min(100 * h0, h1, abs(t_end - t0))
+    return min(100 * h0, h1, span)
 
 
-def _dp54_step(f, t, y, h, k0):
-    """One embedded step from (t, y) with k0 = f(t, y) already known.
+def _dp54_step(stage, y, h, k0):
+    """One embedded step from y with k0, the right-hand side at y, already known.
 
-    Returns (y_new, err_vec, K) or None on a bad stage. The last stage
-    K[6] = f(t + h, y_new) is the next step's k0 (first same as last).
+    Returns (y_new, err_vec, K, F, zeta) or None when a stage is unusable
+    or the result is not finite. The last stage K[6] is the right-hand
+    side at y_new, the next step's k0 (first same as last), and (F, zeta)
+    is the pair it came from.
     """
     K = np.empty((7, y.size))
     K[0] = k0
-    for i in range(1, 6):
+    for i in range(1, 7):
         yi = y + h * (_A[i] @ K[:i])
-        ki = f(t + _C[i] * h, yi)
-        if ki is None:
+        r = stage(yi)
+        if r is None:
             return None
-        K[i] = ki
-    y_new = y + h * (_A[6] @ K[:6])
-    k6 = f(t + h, y_new)
-    if k6 is None:
-        return None
-    K[6] = k6
+        K[i] = r[0]
+    # _A[6] is the fifth-order weight row, so the last stage point yi is y_new
     err = h * (_E @ K)
-    if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))):
+    if not (np.all(np.isfinite(yi)) and np.all(np.isfinite(err))):
         return None
-    return y_new, err, K
+    return yi, err, K, r[1], r[2]
 
 
-def _run(
-    f,
-    t0: float,
-    y0: np.ndarray,
-    t_end: float,
-    tol: float,
-    rel_floor: float,
-    max_steps: int,
-    accept_hook,
-    stop_when,
-    f0: np.ndarray,
-):
-    """Shared adaptive loop; mode-specific behavior lives in the hooks.
+def _run(rhs, t0: float, y0: np.ndarray, t_end: float, tol: float, max_steps: int, stop_when, guard_sign):
+    """Adaptive DP5(4) loop shared by the direct and the rescaled mode.
 
-    f(t, y) returns the RHS or None for an unusable stage; f0 = f(t0, y0)
-    comes from the caller, which has evaluated it already, and counts as
-    one evaluation. accept_hook is called with (t_new, y_new, k_new),
-    where k_new = f(t_new, y_new) is the step's last stage and the last
-    call to f, before the step is committed. It may veto the step
-    (forcing a halved retry) or request a halt; it returns one of
-    "accept", "reject", or a termination string.
+    rhs(y) returns (k, F, zeta), the right-hand side being stepped and
+    the pair it came from, or None where it is unusable. Every call is
+    one evaluation, the first one at y0 included. A step is rejected
+    (and halved) when a stage is unusable or not finite, which covers a
+    non-finite (F, zeta) pair at its end.
+
+    guard_sign is the sign of zeta(y0) in direct mode and None in
+    rescaled mode. With it, a step whose end has zeta of the opposite
+    sign is rejected and halved, and the run halts with
+    ``singularity_approached`` at the first accepted endpoint with
+    |zeta| <= DELTA. In both modes the run records min |zeta| and the
+    sign changes of zeta over the accepted endpoints, and halts with
+    ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL at
+    EQUILIBRIUM_DWELL endpoints in a row (the start counts).
+
+    Returns the samples of t and y and the remaining `Trajectory` fields
+    (termination, stats and the dense output) as a dict.
     """
     if t_end == t0:
         raise DomainError("integration span is empty")
     direction = 1.0 if t_end > t0 else -1.0
-    n_fev = [1]
+    span = abs(t_end - t0)
+    n_fev = 0
 
-    def fc(t, y):
-        n_fev[0] += 1
-        return f(t, y)
+    def stage(y):
+        nonlocal n_fev
+        n_fev += 1
+        return rhs(y)
 
-    if not np.all(np.isfinite(f0)):
+    first = stage(y0)
+    if first is None or not np.all(np.isfinite(first[0])):
         raise DomainError("right-hand side not finite at the initial point")
-    h = _initial_step(fc, t0, y0, f0, direction, t_end, tol, rel_floor)
+    k0, F, z = first
+    h = _initial_step(stage, y0, k0, direction, span, tol)
+    min_zeta = abs(z)
+    last_sign = np.sign(z)
+    sign_changes = 0
+    dwell = 1 if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL else 0
 
     ts = [t0]
-    ys = [y0.copy()]
+    ys = [y0]
     hs: list[float] = []
     Ks: list[np.ndarray] = []
     n_acc = n_rej = 0
     termination = TERM_REACHED_END
 
-    t, y, k0 = t0, y0.copy(), f0
+    t, y = t0, y0
     steps = 0
     while steps < max_steps:
         steps += 1
@@ -311,32 +316,42 @@ def _run(
         if h <= abs(t) * 1e-16 + 1e-300:
             termination = TERM_STEP_FAILURE
             break
-        result = _dp54_step(fc, t, y, direction * h, k0)
-        if result is None:
+        result = _dp54_step(stage, y, direction * h, k0)
+        if result is not None:
+            y_new, err, K, F, z = result
+            enorm = _error_norm(err, y, y_new, tol)
+            if enorm > 1.0:
+                n_rej += 1
+                h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP)
+                continue
+        # an unusable step, or one that jumped across the singular set
+        if result is None or (guard_sign is not None and np.sign(z) == -guard_sign):
             n_rej += 1
             h *= 0.5
             continue
-        y_new, err, K = result
-        enorm = _error_norm(err, y, y_new, tol, rel_floor)
-        if enorm > 1.0:
-            n_rej += 1
-            h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP)
-            continue
-        verdict = accept_hook(t + direction * h, y_new, K[6])
-        if verdict == "reject":
-            n_rej += 1
-            h *= 0.5
-            continue
-        t_new = t + direction * h
+        t = t + direction * h
         hs.append(direction * h)
         Ks.append(K)
-        ts.append(t_new)
-        ys.append(y_new.copy())
+        ts.append(t)
+        ys.append(y_new)
         n_acc += 1
-        t, y, k0 = t_new, y_new, K[6]
-        if verdict not in ("accept",):
-            termination = verdict
+        y, k0 = y_new, K[6]
+        min_zeta = min(min_zeta, abs(z))
+        s = np.sign(z)
+        if s != 0.0 and last_sign != 0.0 and s != last_sign:
+            sign_changes += 1
+        if s != 0.0:
+            last_sign = s
+        if guard_sign is not None and abs(z) <= DELTA:
+            termination = TERM_SINGULARITY
             break
+        if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL:
+            dwell += 1
+            if dwell >= EQUILIBRIUM_DWELL:
+                termination = TERM_EQUILIBRIUM
+                break
+        else:
+            dwell = 0
         if stop_when is not None and stop_when(t, y):
             termination = TERM_STOPPED
             break
@@ -353,8 +368,12 @@ def _run(
     ts_arr, ys_arr = np.array(ts), np.array(ys)
     # dense output of every accepted step, Q[i] = K[i]^T P
     Q = np.array(Ks).reshape(-1, 7, y0.size).transpose(0, 2, 1) @ _P
-    dense = dict(t0s=ts_arr[:-1], hs=np.array(hs), y0s=ys_arr[:-1], Q=Q)
-    return ts_arr, ys_arr, dense, n_acc, n_rej, n_fev[0], termination, h
+    stats = TrajectoryStats(
+        n_accepted=n_acc, n_rejected=n_rej, n_fevals=n_fev,
+        min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
+    )
+    common = dict(termination=termination, stats=stats, t0s=ts_arr[:-1], hs=np.array(hs), y0s=ys_arr[:-1], Q=Q)
+    return ts_arr, ys_arr, common
 
 
 def integrate_direct(
@@ -362,80 +381,36 @@ def integrate_direct(
     V0: np.ndarray,
     x_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    delta: float = DEFAULT_DELTA,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    tol_eq: float = EQUILIBRIUM_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
 ) -> Trajectory:
     """Integrate dV/dx = F(V)/zeta(V) over x_span.
 
-    Halts with ``singularity_approached`` when an accepted endpoint has
-    |zeta| <= delta; steps that would change the sign of zeta are
+    Halts with ``singularity_approached`` at the first accepted endpoint
+    with |zeta| <= DELTA; steps that would change the sign of zeta are
     rejected, so the singular set is approached from one side only.
-    Equilibria (|F| < tol_eq over several consecutive accepted steps)
-    halt the run with ``converged_to_equilibrium``.
+    Equilibria (|F| < EQUILIBRIUM_TOL over several consecutive accepted
+    steps) halt the run with ``converged_to_equilibrium``.
     """
     V0 = np.asarray(V0, dtype=float)
     z0 = ode.zeta_eval(V0)
-    if not np.isfinite(z0):
-        raise DomainError("zeta not finite at the initial point")
-    if abs(z0) <= delta:
-        raise SingularityError(
-            f"initial point has |zeta| = {abs(z0):.3e} <= delta = {delta:g}"
-        )
-    sign0 = 1.0 if z0 > 0 else -1.0
-    min_zeta = [abs(z0)]
-    F0 = ode.F_eval(V0)
-    eq_count = [1 if float(np.max(np.abs(F0))) < tol_eq else 0]
-    # (F, zeta) of the last usable evaluation; F/zeta does not give F back
-    # bit for bit, so the accept hook reads the pair stored here
-    last = [None]
+    if abs(z0) <= DELTA:
+        raise SingularityError(f"initial point has |zeta| = {abs(z0):.3e} <= delta = {DELTA:g}")
 
-    def rhs(x, V):
+    def rhs(V):
         try:
             z = ode.zeta_eval(V)
             if z == 0.0 or not np.isfinite(z):
                 return None
-            Fv = ode.F_eval(V)
-            last[0] = (Fv, z)
-            return Fv / z
+            F = ode.F_eval(V)
+            return F / z, F, z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
-    def accept_hook(x, V, k):
-        Fv, z = last[0]  # evaluated at V by the step's last stage
-        if not np.isfinite(z) or not np.all(np.isfinite(Fv)):
-            return "reject"
-        if z != 0.0 and (1.0 if z > 0 else -1.0) != sign0:
-            return "reject"  # refuse to jump across the singular set
-        min_zeta[0] = min(min_zeta[0], abs(z))
-        if abs(z) <= delta:
-            return TERM_SINGULARITY
-        if float(np.max(np.abs(Fv))) < tol_eq:
-            eq_count[0] += 1
-            if eq_count[0] >= EQUILIBRIUM_DWELL:
-                return TERM_EQUILIBRIUM
-        else:
-            eq_count[0] = 0
-        return "accept"
-
-    ts, ys, dense, n_acc, n_rej, n_fev, termination, h = _run(
-        rhs, float(x_span[0]), V0, float(x_span[1]), tol, rel_floor, max_steps,
-        accept_hook, stop_when, F0 / z0,
+    ts, Vs, common = _run(
+        rhs, float(x_span[0]), V0, float(x_span[1]), tol, max_steps, stop_when, 1.0 if z0 > 0 else -1.0,
     )
-    stats = TrajectoryStats(
-        n_accepted=n_acc,
-        n_rejected=n_rej,
-        n_fevals=n_fev,
-        min_abs_zeta=min_zeta[0],
-        zeta_sign_changes=0,
-        h_final=h,
-    )
-    return Trajectory(
-        mode="direct", ts=ts, Vs=ys, xs=ts, taus=None,
-        termination=termination, stats=stats, **dense,
-    )
+    return Trajectory(mode="direct", ts=ts, Vs=Vs, xs=ts, taus=None, **common)
 
 
 def integrate_rescaled(
@@ -444,8 +419,6 @@ def integrate_rescaled(
     tau_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
     x0: float = 0.0,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    tol_eq: float = EQUILIBRIUM_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
     stop_when: Callable[[float, np.ndarray, float], bool] | None = None,
 ) -> Trajectory:
@@ -458,58 +431,24 @@ def integrate_rescaled(
     is itself integrated here.
     """
     V0 = np.asarray(V0, dtype=float)
-    y0 = np.append(V0, float(x0))
-    z_init = ode.zeta_eval(V0)
-    min_zeta = [abs(z_init)]
-    sign_changes = [0]
-    last_sign = [np.sign(z_init)]
-    F0 = ode.F_eval(V0)
-    eq_count = [1 if float(np.max(np.abs(F0))) < tol_eq else 0]
 
-    def rhs(tau, y):
+    def rhs(y):
         try:
             V = y[:-1]
-            return np.append(ode.F_eval(V), ode.zeta_eval(V))
+            F = ode.F_eval(V)
+            z = ode.zeta_eval(V)
+            return np.append(F, z), F, z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
-    def accept_hook(tau, y, k):
-        Fv, z = k[:-1], float(k[-1])  # the last stage is (F, zeta) at y
-        if not np.isfinite(z) or not np.all(np.isfinite(Fv)):
-            return "reject"
-        min_zeta[0] = min(min_zeta[0], abs(z))
-        s = np.sign(z)
-        if s != 0.0 and last_sign[0] != 0.0 and s != last_sign[0]:
-            sign_changes[0] += 1
-        if s != 0.0:
-            last_sign[0] = s
-        if float(np.max(np.abs(Fv))) < tol_eq:
-            eq_count[0] += 1
-            if eq_count[0] >= EQUILIBRIUM_DWELL:
-                return TERM_EQUILIBRIUM
-        else:
-            eq_count[0] = 0
-        return "accept"
-
     def stop(tau, y):
-        return bool(stop_when(tau, y[:-1], float(y[-1]))) if stop_when is not None else False
+        return bool(stop_when(tau, y[:-1], float(y[-1])))
 
-    ts, ys, dense, n_acc, n_rej, n_fev, termination, h = _run(
-        rhs, float(tau_span[0]), y0, float(tau_span[1]), tol, rel_floor, max_steps,
-        accept_hook, stop if stop_when is not None else None, np.append(F0, z_init),
+    ts, ys, common = _run(
+        rhs, float(tau_span[0]), np.append(V0, float(x0)), float(tau_span[1]), tol, max_steps,
+        stop if stop_when is not None else None, None,
     )
-    stats = TrajectoryStats(
-        n_accepted=n_acc,
-        n_rejected=n_rej,
-        n_fevals=n_fev,
-        min_abs_zeta=min_zeta[0],
-        zeta_sign_changes=sign_changes[0],
-        h_final=h,
-    )
-    return Trajectory(
-        mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts,
-        termination=termination, stats=stats, **dense,
-    )
+    return Trajectory(mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts, **common)
 
 
 def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
@@ -529,9 +468,9 @@ def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
 class LinearizationReport:
     """Eigen-decomposition of the desingularized field at one point.
 
-    Directions are classified against a real-part threshold: stable,
-    unstable, and center index tuples partition range(dim). Eigenvectors
-    are columns of ``eigenvectors``.
+    Directions are classified against the real-part threshold
+    CENTER_THRESHOLD: stable, unstable, and center index tuples partition
+    range(dim). Eigenvectors are columns of ``eigenvectors``.
     """
 
     point: np.ndarray
@@ -541,36 +480,28 @@ class LinearizationReport:
     stable: tuple[int, ...]
     unstable: tuple[int, ...]
     center: tuple[int, ...]
-    h: float
-    threshold: float
 
 
 CENTER_THRESHOLD = 1e-7
+FD_STEP = 1e-6
 
 
-def linearize(
-    ode: SingularODE,
-    V0: np.ndarray,
-    h: float = 1e-6,
-    threshold: float = CENTER_THRESHOLD,
-) -> LinearizationReport:
-    """Central-difference Jacobian of F at V0 with eigen classification."""
-    if not (h > 0.0):
-        raise DomainError(f"finite-difference step must be positive, got {h}")
+def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
+    """Central-difference Jacobian of F at V0 (step FD_STEP) with eigen classification."""
     V0 = np.asarray(V0, dtype=float)
     d = V0.size
     J = np.empty((d, d))
     for j in range(d):
         dv = np.zeros(d)
-        dv[j] = h
-        J[:, j] = (ode.F_eval(V0 + dv) - ode.F_eval(V0 - dv)) / (2.0 * h)
+        dv[j] = FD_STEP
+        J[:, j] = (ode.F_eval(V0 + dv) - ode.F_eval(V0 - dv)) / (2.0 * FD_STEP)
     lam, vecs = np.linalg.eig(J)
-    stable = tuple(i for i in range(d) if lam[i].real < -threshold)
-    unstable = tuple(i for i in range(d) if lam[i].real > threshold)
-    center = tuple(i for i in range(d) if abs(lam[i].real) <= threshold)
+    stable = tuple(i for i in range(d) if lam[i].real < -CENTER_THRESHOLD)
+    unstable = tuple(i for i in range(d) if lam[i].real > CENTER_THRESHOLD)
+    center = tuple(i for i in range(d) if abs(lam[i].real) <= CENTER_THRESHOLD)
     return LinearizationReport(
         point=V0.copy(), J=J, eigenvalues=lam, eigenvectors=vecs,
-        stable=stable, unstable=unstable, center=center, h=h, threshold=threshold,
+        stable=stable, unstable=unstable, center=center,
     )
 
 

@@ -279,6 +279,9 @@ def check_structure(
 
     The assembler arguments exist so tests can inject corrupted matrices;
     normal callers never touch them. Each is called once per sample.
+    Raises DomainError naming the first sampled state whose E, A(u, 0)
+    or B cannot be assembled (division by zero or overflow) or has a
+    non-finite entry: no check can be decided there.
     """
     if n_samples < 1:
         raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
@@ -288,11 +291,24 @@ def check_structure(
     report = StructureReport(box=box, n_samples=n_samples, seed=seed)
 
     Es, A0s, Bs = [], [], []
-    for state in samples:
-        Es.append(assemble_e(gas, state))
-        A0s.append(assemble_a(gas, state, ZERO_GRADIENT))
-        Bs.append(assemble_b(gas, state))
-    E, A0, B = np.array(Es), np.array(A0s), np.array(Bs)
+    try:
+        for state in samples:
+            E, A0, B = assemble_e(gas, state), assemble_a(gas, state, ZERO_GRADIENT), assemble_b(gas, state)
+            Es.append(E)
+            A0s.append(A0)
+            Bs.append(B)
+    except (ZeroDivisionError, OverflowError):
+        pass  # the state after the last assembled one is named below
+    E, A0, B = _stack_2d(Es), _stack_2d(A0s), _stack_2d(Bs)
+    finite = np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in (E, A0, B)])
+    bad = np.flatnonzero(~finite)
+    first_bad = int(bad[0]) if bad.size else len(Es)
+    if first_bad < n_samples:
+        s = samples[first_bad]
+        raise DomainError(
+            "E, A(u, 0) or B cannot be assembled or is not finite at sampled state "
+            f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g})"
+        )
 
     E_T = E.swapaxes(-1, -2)
     min_eig = np.linalg.eigvalsh(0.5 * (E + E_T)).min(axis=-1)

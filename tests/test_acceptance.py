@@ -190,7 +190,7 @@ def test_criterion_07_singularity_behavior(gas):
     U0 = np.array([1.0, 0.3, 1.0, -0.5, 0.0])
     delta = 1e-6
 
-    direct = integrate_direct(ode, U0, (0.0, 50.0), tol=1e-10, delta=delta)
+    direct = integrate_direct(ode, U0, (0.0, 50.0), tol=1e-10)
     zeta_final = abs(ode.zeta_eval(direct.final_V))
     resc = integrate_rescaled(ode, U0, (0.0, 30.0), tol=1e-10)
     finite = bool(

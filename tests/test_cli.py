@@ -8,6 +8,7 @@ config must produce byte-identical artifacts.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from shocklayer import Box, CheckResult, State, StructureReport
-from shocklayer.cli import OUT_ENV_VAR, main
+from shocklayer.cli import OUT_ENV_VAR, Tolerances, load_config, main
 from shocklayer.sode import CSV_HEADER
 
 
@@ -124,6 +125,33 @@ class TestCheck:
         assert main(["check", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "kind=validation exit=2" in err
+
+    @pytest.mark.parametrize("box", [
+        {"rho": [1e300, 1e300], "v": [-1.0, 1.0], "theta": [1e-300, 1e-300]},  # E divides by 0
+        {"rho": [10.0, 10.0], "v": [1e307, 1e308], "theta": [0.5, 2.0]},  # A has inf entries
+        {"rho": [1e300, 1e300], "v": [-1.0, 1.0], "theta": [1e-10, 1e-10]},  # E has an inf entry
+    ])
+    def test_non_finite_matrices_are_validation_errors(self, tmp_path, outdir, capsys, box):
+        cfg = base_config(outdir)
+        cfg["box"] = box
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2" in err
+        assert "not finite at sampled state" in err
+        assert not outdir.exists()
+
+
+class TestReadme:
+    def test_config_example_loads_and_runs(self, tmp_path, outdir):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.json"
+        path.write_text(blocks[0])
+        config = load_config(str(path))
+        assert config.tol == Tolerances()  # the example shows the defaults
+        assert main(["reduce-info", "--config", str(path), "--out", str(outdir)]) == 0
+        assert (outdir / "reduce_info.json").exists()
 
 
 class TestReduceInfo:

@@ -22,6 +22,7 @@ from shocklayer import (
     NonMonotoneError,
     LayerOpts,
     NoConnectionError,
+    PowerLaw,
     Profile,
     RHPair,
     ShootOpts,
@@ -500,6 +501,45 @@ def _raised(prof, column, delta):
     Vs[:, column] += delta
     y0s[:, column] += delta
     return replace(prof, trajectory=replace(traj, Vs=Vs, y0s=y0s))
+
+
+class TestGeneratedGases:
+    """Profile invariants over generated gases, transport laws, families and strengths."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        left=st.tuples(st.floats(0.9, 1.1), st.floats(-0.1, 0.1), st.floats(0.9, 1.1)),
+        family=st.sampled_from([1, 3]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_profile_invariants(self, gamma, nu, k, left, family, frac):
+        # family 1: strength in [0.08, 3]; family 3: 0.1 to 0.99 of the
+        # admissible bound (the benchmark sweep's range below the bound;
+        # weaker shocks only take longer). Strong 3-shocks of a low-gamma
+        # gas can put the right state below the vacuum bound; solve_rh
+        # rejects those.
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        U_minus = State(*left)
+        if family == 1:
+            strength = 0.08 + frac * (3.0 - 0.08)
+        else:
+            c = sound_speed(gas, U_minus)
+            share = 0.1 + frac * (0.99 - 0.1)
+            strength = share * c * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
+        try:
+            pair = solve_rh(gas, U_minus, family, strength)
+        except DomainError as exc:
+            assume("vacuum bound" not in str(exc))
+            raise
+        prof = shock_profile(gas, pair)
+        assert flux_constants(gas, prof).drift <= 1e-6
+        assert compare_profiles(prof, gilbarg_oracle(gas, pair), matching="v").sup <= 1e-5
+        again = shock_profile(gas, pair).trajectory
+        assert again.ts.tobytes() == prof.trajectory.ts.tobytes()
+        assert again.Vs.tobytes() == prof.trajectory.Vs.tobytes()
 
 
 class TestCompareProfiles:

@@ -208,9 +208,7 @@ class TestDenseOutput:
 class TestSingularityGuard:
     def test_halts_near_singular_set(self):
         delta = 1e-6
-        traj = integrate_direct(
-            decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), tol=1e-10, delta=delta
-        )
+        traj = integrate_direct(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), tol=1e-10)
         assert traj.termination == TERM_SINGULARITY
         z_final = float(traj.final_V[0])
         assert 0.0 < z_final <= 2.0 * delta  # same side, within the guard band
@@ -218,9 +216,18 @@ class TestSingularityGuard:
         assert traj.stats.min_abs_zeta <= 2.0 * delta
         assert np.all(traj.Vs > 0.0)  # never jumped across zeta = 0
 
+    def test_steps_across_the_singular_set_are_rejected(self):
+        # F = -zeta makes dV/dx = -1 regular across zeta = V = 0, and the
+        # error estimate vanishes; only the sign veto stops the run there
+        ode = SingularODE(dim=1, F_eval=lambda V: -V, zeta_eval=lambda V: float(V[0]), label="regular crossing")
+        traj = integrate_direct(ode, np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        assert traj.termination == TERM_SINGULARITY
+        assert np.all(traj.Vs > 0.0) and traj.final_V[0] <= 1e-6
+        assert traj.stats.n_rejected > 0 and traj.stats.zeta_sign_changes == 0
+
     def test_initial_point_inside_guard_rejected(self):
         with pytest.raises(SingularityError):
-            integrate_direct(decay_to_zero_ode(), np.array([5e-7]), (0.0, 1.0), delta=1e-6)
+            integrate_direct(decay_to_zero_ode(), np.array([5e-7]), (0.0, 1.0))
 
     def test_rescaled_continues_past_collapse(self):
         # desingularized: dV/dtau = -1, dx/dtau = V; no halt at V = 0
@@ -309,16 +316,21 @@ def counted_ode(ode):
     return counted, calls
 
 
+def sample_runs(gas):
+    """(ode, trajectory) of three direct and two rescaled runs."""
+    U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+    return [
+        (exp_ode(), integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)),
+        (decay_to_zero_ode(), integrate_direct(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), tol=1e-10)),
+        (steady_singular_ode(gas), integrate_direct(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8)),
+        (affine_zeta_ode(), integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0), tol=1e-10)),
+        (steady_singular_ode(gas), integrate_rescaled(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8)),
+    ]
+
+
 class TestEvaluationCounts:
     def _runs(self, gas):
-        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
-        return [
-            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10),
-            integrate_direct(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), tol=1e-10),
-            integrate_direct(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8),
-            integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0), tol=1e-10),
-            integrate_rescaled(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8),
-        ]
+        return [traj for _, traj in sample_runs(gas)]
 
     def test_six_evaluations_per_step(self, gas):
         # f0 and the starting-step probe, then six new stages per attempt:
@@ -331,7 +343,7 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     def test_F_called_once_per_evaluation(self, gas, mode):
-        # the accept hooks reuse the last stage's (F, zeta) instead of calling F
+        # the accept checks reuse the last stage's (F, zeta) instead of calling F
         # over this span the run ends in rejections and a step failure
         ode, calls = counted_ode(steady_singular_ode(gas))
         U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
@@ -339,6 +351,33 @@ class TestEvaluationCounts:
         traj = run(ode, U0, (0.0, 10.0), tol=1e-10)
         assert traj.stats.n_accepted > 100 and traj.stats.n_rejected > 10
         assert calls[0] == traj.stats.n_fevals
+
+
+def zeta_sign_changes(zetas):
+    """Sign changes along a sequence, zeros skipped."""
+    signs = np.sign(zetas)
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+class TestSharedBookkeeping:
+    """min |zeta| and the zeta sign changes follow from the samples, in both modes."""
+
+    def _runs(self, gas):
+        crossing = integrate_rescaled(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.5), tol=1e-10)
+        return sample_runs(gas) + [(decay_to_zero_ode(), crossing)]
+
+    def test_min_abs_zeta_is_exact(self, gas):
+        for ode, traj in self._runs(gas):
+            zetas = [ode.zeta_eval(V) for V in traj.Vs]
+            assert traj.stats.min_abs_zeta == min(abs(z) for z in zetas)
+
+    def test_sign_changes_are_exact(self, gas):
+        runs = self._runs(gas)
+        counts = [zeta_sign_changes([ode.zeta_eval(V) for V in traj.Vs]) for ode, traj in runs]
+        assert [traj.stats.zeta_sign_changes for _, traj in runs] == counts
+        assert [traj.mode for _, traj in runs] == ["direct"] * 3 + ["rescaled"] * 3
+        assert counts == [0, 0, 0, 1, 0, 1]  # none in direct mode
 
 
 class TestLinearize:
@@ -370,11 +409,6 @@ class TestLinearize:
                 rep.eigenvalues[i] * rep.eigenvectors[:, i],
                 atol=1e-9,
             )
-
-    def test_step_validation(self):
-        ode = SingularODE(dim=1, F_eval=lambda V: V, zeta_eval=lambda V: 1.0)
-        with pytest.raises(DomainError):
-            linearize(ode, np.zeros(1), h=0.0)
 
 
 class TestExportHelpers:
