@@ -17,6 +17,7 @@ endpoint linearization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -235,7 +236,9 @@ def _real_unit_eigenvector(report: LinearizationReport, index: int) -> np.ndarra
     re = np.real(vec)
     if _sup(np.imag(vec)) > 1e-6 * max(_sup(re), 1e-300):
         raise NoConnectionError("selected eigendirection is genuinely complex")
-    n = float(np.linalg.norm(re))
+    # a correctly rounded sum of squares, not BLAS, so the start of every
+    # shot is the same on any machine
+    n = math.sqrt(math.fsum(c * c for c in re.tolist()))
     if n == 0.0:
         raise NoConnectionError("degenerate eigendirection")
     return re / n
@@ -541,43 +544,6 @@ class OracleTrajectory:
     def table(self) -> dict[str, np.ndarray]:
         """Columns x, rho, v, theta, z1, z2 with z from the flux form."""
         return {"x": self.trajectory.xs.copy(), **self._columns(self.trajectory.Vs)}
-
-    def extended_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, (n,5) extended states) for residual cross-checks."""
-        t = self.table()
-        U = np.column_stack([t["rho"], t["v"], t["theta"], t["z1"], t["z2"]])
-        return t["x"], U
-
-    def extended_with_derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, U, U') with all derivatives taken on the flux-form side.
-
-        rho_x follows from differentiating rho = m / (v - sigma), and
-        z1_x, z2_x from differentiating the flux-form right-hand sides
-        along the trajectory. Nothing here touches the singular ODE, so
-        the returned pairs can be fed to an extended residual as an
-        independent consistency check.
-        """
-        xs, U = self.extended_samples()
-        Uprime = np.empty_like(U)
-        for i in range(U.shape[0]):
-            rho, v, theta, z1, z2 = (float(c) for c in U[i])
-            u = v - self.sigma
-            _, p_rho, p_theta = pressure(self.gas, rho, theta)
-            _, e_theta = internal_energy(self.gas, theta)
-            p, _, _ = pressure(self.gas, rho, theta)
-            nu, nu_p = self.gas.nu_law(rho)
-            k, k_p = self.gas.k_law(rho)
-            rho_x = -rho * z1 / u
-            dp = p_rho * rho_x + p_theta * z2
-            z1_x = (self.m * z1 + dp) / nu - z1 * nu_p * rho_x / nu
-            dnum2 = (
-                self.m * (e_theta * z2 + v * z1)
-                + z1 * p + v * dp
-                - (nu_p * rho_x * v * z1 + nu * z1 * z1 + nu * v * z1_x)
-            )
-            z2_x = dnum2 / k - z2 * k_p * rho_x / k
-            Uprime[i] = (rho_x, z1, z2, z1_x, z2_x)
-        return xs, U, Uprime
 
 
 def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -> OracleTrajectory:

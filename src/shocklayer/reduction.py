@@ -92,8 +92,9 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
     sig = float(sigma)
 
     def F(U: np.ndarray) -> np.ndarray:
-        _require_admissible(U)
-        rho, v, theta, z1, z2 = (float(x) for x in U)
+        rho, v, theta, z1, z2 = U.tolist()
+        if not (rho > 0.0 and theta > 0.0):
+            _require_admissible(U)
         s = v - sig
         p_rho = R * theta
         p_theta = R * rho

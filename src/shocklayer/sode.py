@@ -14,13 +14,23 @@ Both modes run through one stepping loop, `_run`, which detects
 equilibria (|F| below EQUILIBRIUM_TOL for several accepted steps in a
 row), records step statistics, and keeps a dense interpolant so
 trajectories can be resampled at arbitrary points of the independent
-variable without re-integration. All arithmetic is plain sequential
-double precision, so identical inputs reproduce trajectories bit for bit.
+variable without re-integration.
+
+The loop steps on lists of Python floats, with no numpy or BLAS call
+between two right-hand side evaluations. Every stage combination, the
+error estimate and the error norm are summed left to right in tableau
+order, one rounded multiply and add at a time (CPython never fuses them),
+and the dense output is an elementwise sum over the seven stages. So a
+trajectory does not depend on the BLAS kernel or on the machine's fused
+multiply-add, and identical inputs reproduce it bit for bit wherever F
+and zeta do.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from math import isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,22 +51,19 @@ EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_DWELL = 5
 DEFAULT_MAX_STEPS = 500_000
 
-# Dormand-Prince 5(4) tableau (the fields are autonomous, so the nodes c
-# are not needed). The error row is b5 - b4, the dense-output matrix P
-# is the standard quartic continuous extension for this pair.
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-])
+# Dormand-Prince 5(4) tableau, unrolled as in DOPRI5 (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.5). The fields are autonomous, so the nodes c
+# are not needed. The seventh stage is taken at the fifth-order solution,
+# so its row a7j is the weight row b; a72, b2 and e2 are zero and left
+# out. The error row is e = b5 - b4, and the dense-output matrix P is the
+# standard quartic continuous extension for this pair.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
@@ -208,27 +215,42 @@ class Trajectory:
         return self.step_eval(i, theta)[0]
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> float:
+def _rms(v: list[float], scale: list[float]) -> float:
+    """Root mean square of v / scale, summed left to right."""
+    acc = 0.0
+    for a, s in zip(v, scale):
+        r = a / s
+        acc += r * r
+    return sqrt(acc / len(v))
+
+
+def _error_norm(err: list[float], y0: list[float], y1: list[float], tol: float) -> float:
+    """RMS of err against tol + rtol max(|y0|, |y1|), summed left to right."""
     rtol = max(tol, REL_FLOOR)
-    scale = tol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    acc = 0.0
+    for e, a, b in zip(err, y0, y1):
+        a, b = abs(a), abs(b)
+        r = e / (tol + rtol * (a if a >= b else b))
+        acc += r * r
+    return sqrt(acc / len(err))
 
 
-def _initial_step(stage, y0, f0, direction, span, tol):
+def _initial_step(rhs, y0: list[float], f0: list[float], direction: float, span: float, tol: float) -> float:
     """Deterministic starting step, the classic two-evaluation heuristic."""
     rtol = max(tol, REL_FLOOR)
-    scale = tol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [tol + rtol * abs(a) for a in y0]
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, span) or span
-    probe = stage(y0 + direction * h0 * f0)
-    if probe is None or not np.all(np.isfinite(probe[0])):
+    c = direction * h0
+    probe = rhs([a + c * f for a, f in zip(y0, f0)])[0]
+    if probe is None or not all(map(isfinite, probe)):
         return max(min(h0 * 1e-3, span), 1e-12)
-    d2 = float(np.sqrt(np.mean(((probe[0] - f0) / scale) ** 2))) / h0
+    d2 = _rms([p - f for p, f in zip(probe, f0)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -236,75 +258,100 @@ def _initial_step(stage, y0, f0, direction, span, tol):
     return min(100 * h0, h1, span)
 
 
-def _dp54_step(stage, y, h, k0):
-    """One embedded step from y with k0, the right-hand side at y, already known.
+def _dp54_step(rhs, y: list[float], h: float, k1: list[float]):
+    """One embedded step from y with k1, the right-hand side at y, already known.
 
-    Returns (y_new, err_vec, K, F, zeta) or None when a stage is unusable
-    or the result is not finite. The last stage K[6] is the right-hand
-    side at y_new, the next step's k0 (first same as last), and (F, zeta)
-    is the pair it came from.
+    Each stage point and the error estimate sum their tableau row left to
+    right, one rounded multiply and add at a time. Returns (n, step): n
+    is the number of right-hand side evaluations made, and step is
+    (y_new, err, stages, F, zeta), or None when a stage is unusable or
+    the result is not finite. The last stage is the right-hand side at
+    y_new, the next step's k1 (first same as last), and (F, zeta) is the
+    pair it came from.
     """
-    K = np.empty((7, y.size))
-    K[0] = k0
-    for i in range(1, 7):
-        yi = y + h * (_A[i] @ K[:i])
-        r = stage(yi)
-        if r is None:
-            return None
-        K[i] = r[0]
-    # _A[6] is the fifth-order weight row, so the last stage point yi is y_new
-    err = h * (_E @ K)
-    if not (np.all(np.isfinite(yi)) and np.all(np.isfinite(err))):
-        return None
-    return yi, err, K, r[1], r[2]
+    k2 = rhs([a + h * (_A21 * p) for a, p in zip(y, k1)])[0]
+    if k2 is None:
+        return 1, None
+    k3 = rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])[0]
+    if k3 is None:
+        return 2, None
+    k4 = rhs([a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)])[0]
+    if k4 is None:
+        return 3, None
+    k5 = rhs([
+        a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+    ])[0]
+    if k5 is None:
+        return 4, None
+    k6 = rhs([
+        a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * t)
+        for a, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)
+    ])[0]
+    if k6 is None:
+        return 5, None
+    y_new = [
+        a + h * (_A71 * p + _A73 * r + _A74 * s + _A75 * t + _A76 * u)
+        for a, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7, F, z = rhs(y_new)
+    if k7 is None:
+        return 6, None
+    err = [
+        h * (_E1 * p + _E3 * r + _E4 * s + _E5 * t + _E6 * u + _E7 * w)
+        for p, r, s, t, u, w in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    if not (all(map(isfinite, y_new)) and all(map(isfinite, err))):
+        return 6, None
+    return 6, (y_new, err, (k1, k2, k3, k4, k5, k6, k7), F, z)
 
 
-def _run(rhs, t0: float, y0: np.ndarray, t_end: float, tol: float, max_steps: int, stop_when, guard_sign):
+def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, max_steps: int, stop_when, guarded: bool):
     """Adaptive DP5(4) loop shared by the direct and the rescaled mode.
 
-    rhs(y) returns (k, F, zeta), the right-hand side being stepped and
-    the pair it came from, or None where it is unusable. Every call is
-    one evaluation, the first one at y0 included. A step is rejected
-    (and halved) when a stage is unusable or not finite, which covers a
-    non-finite (F, zeta) pair at its end.
+    y0 and every state handed to rhs are lists of floats. rhs(y) returns
+    (k, F, zeta), the right-hand side being stepped as a list and the
+    pair it came from; k is None where the stage is unusable, and zeta
+    is then whatever was found (None if it could not be evaluated).
+    Every call is one evaluation, the first one at y0 included. A step
+    is rejected (and halved) when a stage is unusable or not finite,
+    which covers a non-finite (F, zeta) pair at its end.
 
-    guard_sign is the sign of zeta(y0) in direct mode and None in
-    rescaled mode. With it, a step whose end has zeta of the opposite
-    sign is rejected and halved, and the run halts with
-    ``singularity_approached`` at the first accepted endpoint with
-    |zeta| <= DELTA. In both modes the run records min |zeta| and the
-    sign changes of zeta over the accepted endpoints, and halts with
-    ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL at
-    EQUILIBRIUM_DWELL endpoints in a row (the start counts).
+    guarded is the direct mode. There a start with |zeta| <= DELTA,
+    zeta = 0 included, is a SingularityError; a step whose end has zeta
+    of the opposite sign to the start is rejected and halved; and the
+    run halts with ``singularity_approached`` at the first accepted
+    endpoint with |zeta| <= DELTA. In both modes the run records min
+    |zeta| and the sign changes of zeta over the accepted endpoints, and
+    halts with ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL
+    at EQUILIBRIUM_DWELL endpoints in a row (the start counts).
+    stop_when(t, y), if given, sees the list y after each accepted step.
 
     Returns the samples of t and y and the remaining `Trajectory` fields
     (termination, stats and the dense output) as a dict.
     """
+    k0, F, z = rhs(y0)
+    if guarded and z is not None and abs(z) <= DELTA:
+        raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")
     if t_end == t0:
         raise DomainError("integration span is empty")
+    if k0 is None or not all(map(isfinite, k0)):
+        raise DomainError("right-hand side not finite at the initial point")
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-    n_fev = 0
-
-    def stage(y):
-        nonlocal n_fev
-        n_fev += 1
-        return rhs(y)
-
-    first = stage(y0)
-    if first is None or not np.all(np.isfinite(first[0])):
-        raise DomainError("right-hand side not finite at the initial point")
-    k0, F, z = first
-    h = _initial_step(stage, y0, k0, direction, span, tol)
+    h = _initial_step(rhs, y0, k0, direction, span, tol)
+    n_fev = 2  # the first stage and the starting-step probe
+    sign0 = 1.0 if z > 0.0 else -1.0  # the side of the singular set a guarded run keeps to
     min_zeta = abs(z)
-    last_sign = np.sign(z)
+    last_positive = None if z == 0.0 else z > 0.0  # the sign of the last nonzero zeta
     sign_changes = 0
-    dwell = 1 if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL else 0
+    dwell = 1 if max(map(abs, F)) < EQUILIBRIUM_TOL else 0
 
+    # per accepted step, y_new and its seven stages, packed as doubles
+    d = len(y0)
+    pack = struct.Struct(f"{8 * d}d").pack
+    store = bytearray()
     ts = [t0]
-    ys = [y0]
     hs: list[float] = []
-    Ks: list[np.ndarray] = []
     n_acc = n_rej = 0
     termination = TERM_REACHED_END
 
@@ -316,36 +363,38 @@ def _run(rhs, t0: float, y0: np.ndarray, t_end: float, tol: float, max_steps: in
         if h <= abs(t) * 1e-16 + 1e-300:
             termination = TERM_STEP_FAILURE
             break
-        result = _dp54_step(stage, y, direction * h, k0)
-        if result is not None:
-            y_new, err, K, F, z = result
+        n, step = _dp54_step(rhs, y, direction * h, k0)
+        n_fev += n
+        if step is not None:
+            y_new, err, K, F, z = step
             enorm = _error_norm(err, y, y_new, tol)
             if enorm > 1.0:
                 n_rej += 1
                 h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP)
                 continue
         # an unusable step, or one that jumped across the singular set
-        if result is None or (guard_sign is not None and np.sign(z) == -guard_sign):
+        if step is None or (guarded and z * sign0 < 0.0):
             n_rej += 1
             h *= 0.5
             continue
         t = t + direction * h
         hs.append(direction * h)
-        Ks.append(K)
         ts.append(t)
-        ys.append(y_new)
+        k1, k2, k3, k4, k5, k6, k7 = K
+        store += pack(*y_new, *k1, *k2, *k3, *k4, *k5, *k6, *k7)
         n_acc += 1
-        y, k0 = y_new, K[6]
-        min_zeta = min(min_zeta, abs(z))
-        s = np.sign(z)
-        if s != 0.0 and last_sign != 0.0 and s != last_sign:
-            sign_changes += 1
-        if s != 0.0:
-            last_sign = s
-        if guard_sign is not None and abs(z) <= DELTA:
+        y, k0 = y_new, k7
+        az = abs(z)
+        if az < min_zeta:
+            min_zeta = az
+        if z != 0.0:
+            if last_positive is not None and (z > 0.0) != last_positive:
+                sign_changes += 1
+            last_positive = z > 0.0
+        if guarded and az <= DELTA:
             termination = TERM_SINGULARITY
             break
-        if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL:
+        if max(map(abs, F)) < EQUILIBRIUM_TOL:
             dwell += 1
             if dwell >= EQUILIBRIUM_DWELL:
                 termination = TERM_EQUILIBRIUM
@@ -365,9 +414,14 @@ def _run(rhs, t0: float, y0: np.ndarray, t_end: float, tol: float, max_steps: in
     else:
         raise StepFailureError(f"step budget {max_steps} exhausted")
 
-    ts_arr, ys_arr = np.array(ts), np.array(ys)
-    # dense output of every accepted step, Q[i] = K[i]^T P
-    Q = np.array(Ks).reshape(-1, 7, y0.size).transpose(0, 2, 1) @ _P
+    records = np.frombuffer(store, dtype=float).reshape(-1, 8, d)
+    ts_arr = np.array(ts)
+    ys_arr = np.concatenate([np.array([y0]), records[:, 0]])
+    # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order
+    K = records[:, 1:, :, None]
+    Q = K[:, 0] * _P[0]
+    for j in range(1, 7):
+        Q = Q + K[:, j] * _P[j]
     stats = TrajectoryStats(
         n_accepted=n_acc, n_rejected=n_rej, n_fevals=n_fev,
         min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
@@ -386,29 +440,33 @@ def integrate_direct(
 ) -> Trajectory:
     """Integrate dV/dx = F(V)/zeta(V) over x_span.
 
-    Halts with ``singularity_approached`` at the first accepted endpoint
-    with |zeta| <= DELTA; steps that would change the sign of zeta are
+    A start with |zeta| <= DELTA is a SingularityError. The run halts
+    with ``singularity_approached`` at the first accepted endpoint with
+    |zeta| <= DELTA; steps that would change the sign of zeta are
     rejected, so the singular set is approached from one side only.
     Equilibria (|F| < EQUILIBRIUM_TOL over several consecutive accepted
     steps) halt the run with ``converged_to_equilibrium``.
     """
     V0 = np.asarray(V0, dtype=float)
-    z0 = ode.zeta_eval(V0)
-    if abs(z0) <= DELTA:
-        raise SingularityError(f"initial point has |zeta| = {abs(z0):.3e} <= delta = {DELTA:g}")
 
     def rhs(V):
+        U = np.array(V)
+        z = None
         try:
-            z = ode.zeta_eval(V)
-            if z == 0.0 or not np.isfinite(z):
-                return None
-            F = ode.F_eval(V)
-            return F / z, F, z
+            z = ode.zeta_eval(U)
+            if z == 0.0 or not isfinite(z):
+                return None, None, z
+            F = ode.F_eval(U).tolist()
+            return [f / z for f in F], F, z
         except (DomainError, ZeroDivisionError, OverflowError):
-            return None
+            return None, None, z
+
+    def stop(x, V):
+        return stop_when(x, np.array(V))
 
     ts, Vs, common = _run(
-        rhs, float(x_span[0]), V0, float(x_span[1]), tol, max_steps, stop_when, 1.0 if z0 > 0 else -1.0,
+        rhs, float(x_span[0]), V0.tolist(), float(x_span[1]), tol, max_steps,
+        stop if stop_when is not None else None, True,
     )
     return Trajectory(mode="direct", ts=ts, Vs=Vs, xs=ts, taus=None, **common)
 
@@ -433,20 +491,20 @@ def integrate_rescaled(
     V0 = np.asarray(V0, dtype=float)
 
     def rhs(y):
+        V = np.array(y[:-1])
         try:
-            V = y[:-1]
-            F = ode.F_eval(V)
+            F = ode.F_eval(V).tolist()
             z = ode.zeta_eval(V)
-            return np.append(F, z), F, z
+            return F + [z], F, z
         except (DomainError, ZeroDivisionError, OverflowError):
-            return None
+            return None, None, None
 
     def stop(tau, y):
-        return bool(stop_when(tau, y[:-1], float(y[-1])))
+        return bool(stop_when(tau, np.array(y[:-1]), y[-1]))
 
     ts, ys, common = _run(
-        rhs, float(tau_span[0]), np.append(V0, float(x0)), float(tau_span[1]), tol, max_steps,
-        stop if stop_when is not None else None, None,
+        rhs, float(tau_span[0]), V0.tolist() + [float(x0)], float(tau_span[1]), tol, max_steps,
+        stop if stop_when is not None else None, False,
     )
     return Trajectory(mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts, **common)
 

@@ -44,6 +44,8 @@ from shocklayer import (
 from shocklayer.gas import conserved, euler_fluxes
 from shocklayer.profiles import _shift_trajectory, _sup
 
+from flux_form import extended_with_derivatives
+
 C0 = np.sqrt(1.4)  # sound speed at (1, 0, 1) for the default gas
 
 
@@ -462,7 +464,7 @@ class TestGilbargOracle:
         # flux-form states and derivatives must satisfy the reduced
         # travelling-wave equations without any shared code path
         ode = tw_singular_ode(gasm, pair_f1.sigma)
-        xs, U, Uprime = oracle_f1.extended_with_derivatives()
+        xs, U, Uprime = extended_with_derivatives(oracle_f1)
         worst = 0.0
         for i in range(U.shape[0]):
             res = ode.zeta_eval(U[i]) * Uprime[i] - ode.F_eval(U[i])

@@ -5,12 +5,23 @@ the direct and rescaled modes, the singularity guard, the equilibrium
 detector, dense output, resampling, linearization, and CSV export.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shocklayer
 from shocklayer import (
     DomainError,
+    GasModel,
     NonMonotoneError,
+    PowerLaw,
     SingularODE,
     SingularityError,
     StepFailureError,
@@ -19,13 +30,23 @@ from shocklayer import (
     steady_singular_ode,
     trajectory_metadata,
     trajectory_to_csv,
+    tw_singular_ode,
 )
 from shocklayer.sode import (
     CSV_HEADER,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_TOL,
+    DELTA,
+    EQUILIBRIUM_DWELL,
+    EQUILIBRIUM_TOL,
+    REL_FLOOR,
     TERM_EQUILIBRIUM,
     TERM_REACHED_END,
     TERM_SINGULARITY,
+    TERM_STEP_FAILURE,
     TERM_STOPPED,
+    Trajectory,
+    TrajectoryStats,
     integrate_direct,
     integrate_rescaled,
 )
@@ -229,6 +250,11 @@ class TestSingularityGuard:
         with pytest.raises(SingularityError):
             integrate_direct(decay_to_zero_ode(), np.array([5e-7]), (0.0, 1.0))
 
+    def test_initial_point_on_singular_set_rejected(self):
+        # zeta = 0 makes the stage unusable, and is still a SingularityError
+        with pytest.raises(SingularityError, match=r"\|zeta\| = 0\.000e\+00 <= delta"):
+            integrate_direct(decay_to_zero_ode(), np.array([0.0]), (0.0, 1.0))
+
     def test_rescaled_continues_past_collapse(self):
         # desingularized: dV/dtau = -1, dx/dtau = V; no halt at V = 0
         traj = integrate_rescaled(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.5), tol=1e-10)
@@ -305,27 +331,39 @@ class TestStopAndFailure:
 
 
 def counted_ode(ode):
-    """The same ODE with its F evaluations counted in .calls[0]."""
-    calls = [0]
+    """The same ODE with its F evaluations counted in calls[0] and its zeta evaluations in calls[1]."""
+    calls = [0, 0]
 
     def F(V):
         calls[0] += 1
         return ode.F_eval(V)
 
-    counted = SingularODE(dim=ode.dim, F_eval=F, zeta_eval=ode.zeta_eval, label=ode.label)
+    def zeta(V):
+        calls[1] += 1
+        return ode.zeta_eval(V)
+
+    counted = SingularODE(dim=ode.dim, F_eval=F, zeta_eval=zeta, label=ode.label)
     return counted, calls
 
 
-def sample_runs(gas):
-    """(ode, trajectory) of three direct and two rescaled runs."""
+def sample_specs(gas):
+    """(mode, ode, start, span, tol) of three direct and two rescaled runs."""
     U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
     return [
-        (exp_ode(), integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)),
-        (decay_to_zero_ode(), integrate_direct(decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), tol=1e-10)),
-        (steady_singular_ode(gas), integrate_direct(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8)),
-        (affine_zeta_ode(), integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0), tol=1e-10)),
-        (steady_singular_ode(gas), integrate_rescaled(steady_singular_ode(gas), U0, (0.0, 0.25), tol=1e-8)),
+        ("direct", exp_ode(), np.array([1.0]), (0.0, 2.0), 1e-10),
+        ("direct", decay_to_zero_ode(), np.array([1.0]), (0.0, 1.0), 1e-10),
+        ("direct", steady_singular_ode(gas), U0, (0.0, 0.25), 1e-8),
+        ("rescaled", affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0), 1e-10),
+        ("rescaled", steady_singular_ode(gas), U0, (0.0, 0.25), 1e-8),
     ]
+
+
+INTEGRATORS = {"direct": integrate_direct, "rescaled": integrate_rescaled}
+
+
+def sample_runs(gas):
+    """(ode, trajectory) of the sample_specs runs."""
+    return [(ode, INTEGRATORS[mode](ode, V0, span, tol=tol)) for mode, ode, V0, span, tol in sample_specs(gas)]
 
 
 class TestEvaluationCounts:
@@ -351,6 +389,12 @@ class TestEvaluationCounts:
         traj = run(ode, U0, (0.0, 10.0), tol=1e-10)
         assert traj.stats.n_accepted > 100 and traj.stats.n_rejected > 10
         assert calls[0] == traj.stats.n_fevals
+
+    def test_zeta_called_once_per_evaluation_in_direct_mode(self, gas):
+        # the start check and the guard sign come from the first stage
+        ode, calls = counted_ode(steady_singular_ode(gas))
+        traj = integrate_direct(ode, np.array([1.0, 0.5, 1.0, 0.01, -0.01]), (0.0, 0.25), tol=1e-8)
+        assert calls[1] == traj.stats.n_fevals == calls[0]
 
 
 def zeta_sign_changes(zetas):
@@ -378,6 +422,336 @@ class TestSharedBookkeeping:
         assert [traj.stats.zeta_sign_changes for _, traj in runs] == counts
         assert [traj.mode for _, traj in runs] == ["direct"] * 3 + ["rescaled"] * 3
         assert counts == [0, 0, 0, 1, 0, 1]  # none in direct mode
+
+
+# The numpy stepping loop the float stepper replaced, kept as a reference.
+# Its tableau products `_A[i] @ K[:i]` and `_E @ K` went through a BLAS
+# gemv, which may fuse multiply-adds depending on the kernel, and its norms
+# through np.mean. Here every tableau row is summed elementwise, left to
+# right over its nonzero entries, and every norm left to right over the
+# components: the order the float stepper documents.
+REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+REF_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+REF_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def ref_row_sum(row, K):
+    """sum_j row[j] K[j], elementwise and left to right over the nonzero entries."""
+    acc = None
+    for a, k in zip(row, K):
+        if a != 0.0:
+            acc = a * k if acc is None else acc + a * k
+    return acc
+
+
+def ref_rms(v):
+    """sqrt(mean(v^2)), the squares summed left to right."""
+    return float(np.sqrt(np.add.accumulate(v * v)[-1] / v.size))
+
+
+def ref_error_norm(err, y0, y1, tol):
+    rtol = max(tol, REL_FLOOR)
+    return ref_rms(err / (tol + rtol * np.maximum(np.abs(y0), np.abs(y1))))
+
+
+def ref_initial_step(stage, y0, f0, direction, span, tol):
+    rtol = max(tol, REL_FLOOR)
+    scale = tol + rtol * np.abs(y0)
+    d0 = ref_rms(y0 / scale)
+    d1 = ref_rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span) or span
+    probe = stage(y0 + direction * h0 * f0)
+    if probe is None or not np.all(np.isfinite(probe[0])):
+        return max(min(h0 * 1e-3, span), 1e-12)
+    d2 = ref_rms((probe[0] - f0) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span)
+
+
+def ref_dp54_step(stage, y, h, k0):
+    K = np.empty((7, y.size))
+    K[0] = k0
+    for i in range(1, 7):
+        yi = y + h * ref_row_sum(REF_A[i], K[:i])
+        r = stage(yi)
+        if r is None:
+            return None
+        K[i] = r[0]
+    err = h * ref_row_sum(REF_E, K)
+    if not (np.all(np.isfinite(yi)) and np.all(np.isfinite(err))):
+        return None
+    return yi, err, K, r[1], r[2]
+
+
+def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
+    if t_end == t0:
+        raise DomainError("integration span is empty")
+    direction = 1.0 if t_end > t0 else -1.0
+    span = abs(t_end - t0)
+    n_fev = 0
+
+    def stage(y):
+        nonlocal n_fev
+        n_fev += 1
+        return rhs(y)
+
+    first = stage(y0)
+    if first is None or not np.all(np.isfinite(first[0])):
+        raise DomainError("right-hand side not finite at the initial point")
+    k0, F, z = first
+    h = ref_initial_step(stage, y0, k0, direction, span, tol)
+    min_zeta = abs(z)
+    last_sign = np.sign(z)
+    sign_changes = 0
+    dwell = 1 if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL else 0
+    ts, ys, hs, Ks = [t0], [y0], [], []
+    n_acc = n_rej = 0
+    termination = TERM_REACHED_END
+    t, y = t0, y0
+    steps = 0
+    while steps < max_steps:
+        steps += 1
+        h = min(h, abs(t_end - t))
+        if h <= abs(t) * 1e-16 + 1e-300:
+            termination = TERM_STEP_FAILURE
+            break
+        result = ref_dp54_step(stage, y, direction * h, k0)
+        if result is not None:
+            y_new, err, K, F, z = result
+            enorm = ref_error_norm(err, y, y_new, tol)
+            if enorm > 1.0:
+                n_rej += 1
+                h *= max(0.2, 0.9 * enorm ** -0.2)
+                continue
+        if result is None or (guard_sign is not None and np.sign(z) == -guard_sign):
+            n_rej += 1
+            h *= 0.5
+            continue
+        t = t + direction * h
+        hs.append(direction * h)
+        Ks.append(K)
+        ts.append(t)
+        ys.append(y_new)
+        n_acc += 1
+        y, k0 = y_new, K[6]
+        min_zeta = min(min_zeta, abs(z))
+        s = np.sign(z)
+        if s != 0.0 and last_sign != 0.0 and s != last_sign:
+            sign_changes += 1
+        if s != 0.0:
+            last_sign = s
+        if guard_sign is not None and abs(z) <= DELTA:
+            termination = TERM_SINGULARITY
+            break
+        if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL:
+            dwell += 1
+            if dwell >= EQUILIBRIUM_DWELL:
+                termination = TERM_EQUILIBRIUM
+                break
+        else:
+            dwell = 0
+        if stop_when is not None and stop_when(t, y):
+            termination = TERM_STOPPED
+            break
+        if abs(t - t_end) <= 1e-14 * max(abs(t), abs(t_end), 1.0):
+            termination = TERM_REACHED_END
+            break
+        h *= 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
+    else:
+        raise StepFailureError(f"step budget {max_steps} exhausted")
+    ts_arr, ys_arr = np.array(ts), np.array(ys)
+    K = np.array(Ks).reshape(-1, 7, y0.size, 1)
+    Q = K[:, 0] * REF_P[0]
+    for j in range(1, 7):
+        Q = Q + K[:, j] * REF_P[j]
+    stats = TrajectoryStats(n_acc, n_rej, n_fev, min_zeta, sign_changes, h)
+    common = dict(termination=termination, stats=stats, t0s=ts_arr[:-1], hs=np.array(hs), y0s=ys_arr[:-1], Q=Q)
+    return ts_arr, ys_arr, common
+
+
+def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS, stop_when=None):
+    V0 = np.asarray(V0, dtype=float)
+    z0 = ode.zeta_eval(V0)
+    if abs(z0) <= DELTA:
+        raise SingularityError(f"initial point has |zeta| = {abs(z0):.3e} <= delta = {DELTA:g}")
+
+    def rhs(V):
+        try:
+            z = ode.zeta_eval(V)
+            if z == 0.0 or not np.isfinite(z):
+                return None
+            F = ode.F_eval(V)
+            return F / z, F, z
+        except (DomainError, ZeroDivisionError, OverflowError):
+            return None
+
+    ts, Vs, common = ref_run(
+        rhs, float(x_span[0]), V0, float(x_span[1]), tol, max_steps, stop_when, 1.0 if z0 > 0 else -1.0,
+    )
+    return Trajectory(mode="direct", ts=ts, Vs=Vs, xs=ts, taus=None, **common)
+
+
+def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, max_steps=DEFAULT_MAX_STEPS, stop_when=None):
+    V0 = np.asarray(V0, dtype=float)
+
+    def rhs(y):
+        try:
+            V = y[:-1]
+            F = ode.F_eval(V)
+            z = ode.zeta_eval(V)
+            return np.append(F, z), F, z
+        except (DomainError, ZeroDivisionError, OverflowError):
+            return None
+
+    def stop(tau, y):
+        return bool(stop_when(tau, y[:-1], float(y[-1])))
+
+    ts, ys, common = ref_run(
+        rhs, float(tau_span[0]), np.append(V0, float(x0)), float(tau_span[1]), tol, max_steps,
+        stop if stop_when is not None else None, None,
+    )
+    return Trajectory(mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts, **common)
+
+
+REFERENCES = {"direct": ref_integrate_direct, "rescaled": ref_integrate_rescaled}
+
+
+def run_outcome(integrate, *args, **kwargs):
+    """Every array byte, the termination and the stats of a run, or its error class and message."""
+    try:
+        traj = integrate(*args, **kwargs)
+    except (DomainError, SingularityError, StepFailureError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = {f: getattr(traj, f) for f in ("ts", "Vs", "xs", "taus", "t0s", "hs", "y0s", "Q")}
+    return (
+        traj.mode, traj.termination, traj.stats,
+        {f: None if a is None else (a.shape, a.tobytes()) for f, a in arrays.items()},
+    )
+
+
+class TestFloatStepperMatchesReference:
+    """The float stepper reproduces the reference numpy loop bit for bit, counters included."""
+
+    def assert_same(self, mode, ode, V0, span, tol, **kwargs):
+        new = run_outcome(INTEGRATORS[mode], ode, V0, span, tol=tol, **kwargs)
+        ref = run_outcome(REFERENCES[mode], ode, V0, span, tol=tol, **kwargs)
+        assert new == ref
+        return new
+
+    def test_sample_runs(self, gas):
+        for spec in sample_specs(gas):
+            self.assert_same(*spec)
+
+    def test_sign_veto_rejections_and_stops(self, gas):
+        crossing = SingularODE(dim=1, F_eval=lambda V: -V, zeta_eval=lambda V: float(V[0]))
+        _, term, stats, _ = self.assert_same("direct", crossing, np.array([1.0]), (0.0, 2.0), 1e-10)
+        assert term == TERM_SINGULARITY and stats.n_rejected > 0
+        # rejections by the error test, then a step failure
+        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+        _, _, stats, _ = self.assert_same("direct", steady_singular_ode(gas), U0, (0.0, 10.0), 1e-10)
+        assert stats.n_rejected > 10
+        self.assert_same("direct", exp_ode(), np.array([1.0]), (0.0, 5.0), 1e-10, stop_when=lambda x, V: V[0] >= 2.0)
+        self.assert_same(
+            "rescaled", affine_zeta_ode(), np.array([1.0]), (0.0, 5.0), 1e-10, stop_when=lambda tau, V, x: x >= 1.0,
+        )
+        self.assert_same("rescaled", decay_to_zero_ode(), np.array([1.0]), (0.0, 1.5), 1e-10)
+        self.assert_same("direct", steady_singular_ode(gas), np.array([1.2, 0.7, 0.9, 0.0, 0.0]), (0.0, 50.0), 1e-10)
+
+    def test_errors_match(self, gas):
+        assert self.assert_same("direct", decay_to_zero_ode(), np.array([5e-7]), (0.0, 1.0), 1e-10)[0] == "SingularityError"
+        assert self.assert_same("direct", exp_ode(), np.array([1.0]), (1.0, 1.0), 1e-10)[0] == "DomainError"
+        bad = np.array([-1.0, 1.0, 1.0, 0.0, 0.0])
+        assert self.assert_same("direct", steady_singular_ode(gas), bad, (0.0, 1.0), 1e-10)[0] == "DomainError"
+        out = self.assert_same("direct", exp_ode(), np.array([1.0]), (0.0, 50.0), 1e-10, max_steps=5)
+        assert out[0] == "StepFailureError"
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        rho_theta=st.tuples(st.floats(0.8, 1.2), st.floats(0.8, 1.2)),
+        v=st.floats(-0.5, 0.5),
+        zeta0=st.floats(0.05, 0.7),
+        below=st.booleans(),
+        z=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+        mode=st.sampled_from(["direct", "rescaled"]),
+        tol=st.sampled_from([1e-8, 1e-10]),
+    )
+    def test_generated_gases(self, gamma, nu, k, rho_theta, v, zeta0, below, z, mode, tol):
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        sigma = v + zeta0 if below else v - zeta0
+        U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
+        self.assert_same(mode, tw_singular_ode(gas, sigma), U0, (0.0, 0.25), tol)
+
+
+KERNEL_PROBE = """
+import hashlib
+import numpy as np
+import shocklayer as sl
+
+h = hashlib.sha256()
+def add(traj):
+    for a in (traj.ts, traj.Vs, traj.xs, traj.Q):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(traj.stats).encode())
+
+gas = sl.GasModel(nu_law=sl.PowerLaw(0.9, 0.5), k_law=sl.PowerLaw(1.2, -0.3))
+for family, strength in ((1, 0.2), (1, 2.0), (3, 0.3)):
+    pair = sl.solve_rh(gas, sl.State(1.0, 0.0, 1.0), family, strength)
+    add(sl.shock_profile(gas, pair).trajectory)
+    add(sl.gilbarg_oracle(gas, pair).trajectory)
+add(sl.boundary_layer(sl.GasModel(), sl.State(1.0, -0.3, 1.0)).trajectory)
+print(h.hexdigest())
+"""
+
+
+def numpy_uses_openblas():
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not numpy_uses_openblas(),
+    reason="the OpenBLAS core types below exist for x86-64 builds only",
+)
+def test_trajectories_do_not_depend_on_the_blas_kernel():
+    # Prescott has no fused multiply-add; the default kernel here may use it
+    src = str(Path(shocklayer.__file__).resolve().parents[1])
+    hashes = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE], env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        hashes.append(proc.stdout.strip())
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1]
 
 
 class TestLinearize:
