@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DomainError,
     NoConnectionError,
-    NoConvergenceError,
     NoDecayingDirectionError,
     NonMonotoneError,
     ShockLayerError,
@@ -84,14 +83,12 @@ from .structure import (
     suggest_sigmas,
 )
 from .system import (
-    LagrangianBlocks,
     SystemBlocks,
     assemble_A,
     assemble_B,
     assemble_E,
     blocks,
     format_matrix,
-    lagrangian_blocks,
 )
 
 __version__ = "0.1.0"

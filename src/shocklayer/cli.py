@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DomainError,
     NoConnectionError,
-    NoConvergenceError,
     NoDecayingDirectionError,
     NonMonotoneError,
     ShockLayerError,
@@ -65,34 +64,14 @@ _VALIDATION_ERRORS = (ConfigError, DomainError)
 _NUMERICAL_ERRORS = (
     SingularityError,
     StepFailureError,
-    NoConvergenceError,
     NoConnectionError,
     NoDecayingDirectionError,
     NonMonotoneError,
 )
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars and arrays to JSON-ready types."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -29,10 +29,6 @@ class StepFailureError(ShockLayerError):
     """Adaptive integrator could not take an acceptable step."""
 
 
-class NoConvergenceError(ShockLayerError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class NoConnectionError(ShockLayerError):
     """Shooting failed to connect the two end states within budget.
 

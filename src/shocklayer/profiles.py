@@ -54,6 +54,11 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _sup_dist(a: list[float], b: list[float]) -> float:
+    """max |a_i - b_i| on floats; for finite entries it is _sup(a - b) bit for bit."""
+    return max([abs(p - q) for p, q in zip(a, b)])
+
+
 def char_speed(gas: GasModel, state: State, family: int) -> float:
     """Characteristic speed of the chosen family: v - c, v, or v + c."""
     if family not in (1, 2, 3):
@@ -192,6 +197,8 @@ class Profile:
 SHOOT_EPS_REL = 1e-7
 # a layer run stops once it strays this far (times max(1, |U*|)) from the limit
 LAYER_GROW_CAP = 0.5
+# shooting rounds after the first, each with a 16-fold smaller perturbation
+SHOOT_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,6 @@ class ShootOpts:
 
     tol: float = 1e-10
     end_tol: float = 1e-6
-    retries: int = 2
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,6 @@ class LayerOpts:
     """Controls for the boundary-layer construction."""
 
     tol: float = 1e-10
-    length: float | None = None
 
 
 def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
@@ -219,14 +224,10 @@ def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
     return Trajectory(
         mode="direct",
         ts=np.array([0.0]),
-        Vs=np.array([U]),
-        xs=np.array([0.0]),
-        taus=None,
+        ys=np.array([U]),
         termination=TERM_EQUILIBRIUM,
         stats=stats,
-        t0s=np.empty(0),
         hs=np.empty(0),
-        y0s=np.empty((0, U.size)),
         Q=np.empty((0, U.size, 4)),
     )
 
@@ -385,12 +386,12 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     The perturbation sign with xi . (target - start) >= 0 goes first,
     since along it a monotone profile heads toward the target; the other
     sign is the fallback. The first perturbation is SHOOT_EPS_REL times
-    the endpoint distance, and each of the opts.retries further rounds
+    the endpoint distance, and each of the SHOOT_RETRIES further rounds
     shrinks it 16-fold. Shots run over a span of min(400 / slowest rate,
-    1e6). A shot connects when it ends within
-    opts.end_tol of the target without halting at the sonic set or by
-    step failure. Every shot is recorded as {sign, eps, termination,
-    mismatch, n_steps}, n_steps counting accepted and rejected steps.
+    1e6). A shot connects when it ends within opts.end_tol of the target
+    without halting at the sonic set or by step failure. Every shot is
+    recorded as {sign, eps, termination, mismatch, n_steps}, n_steps
+    counting accepted and rejected steps.
 
     Returns the connecting trajectory and the attempts, the last of which
     is that shot; raises NoConnectionError, carrying the attempts,
@@ -402,14 +403,16 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     L = min(400.0 / rate_floor, 1e6)
     R_div = max(10.0 * s_meas, 0.5)
     capture = 0.5 * opts.end_tol
+    target, start = plan.target.tolist(), plan.start.tolist()
 
     def stop(x, V):
-        d = _sup(V - plan.target)
-        return d <= capture or (d > R_div and _sup(V - plan.start) > R_div)
+        V = V.tolist()
+        d = _sup_dist(V, target)
+        return d <= capture or (d > R_div and _sup_dist(V, start) > R_div)
 
     toward = 1.0 if float(np.dot(plan.xi, plan.target - plan.start)) >= 0.0 else -1.0
     attempts: list[dict] = []
-    for attempt in range(opts.retries + 1):
+    for attempt in range(SHOOT_RETRIES + 1):
         eps = base_eps / (16.0 ** attempt)
         for sgn in (toward, -toward):
             traj = integrate_direct(
@@ -442,12 +445,12 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     Integrates the travelling-wave singular ODE out of the endpoint whose
     linearization has exactly one direction expanding toward the other
     endpoint, perturbed along that direction toward the other endpoint
-    first; the opposite sign is the fallback, and a few retries shrink the
-    perturbation (see `_shoot`). Acoustic profiles stay away from the
-    sonic set, so direct integration applies throughout. Accepts the shot
-    whose trajectory comes within opts.end_tol of the far endpoint, with
-    every shot listed in diagnostics["attempts"]; raises
-    NoConnectionError otherwise.
+    first; the opposite sign is the fallback, and SHOOT_RETRIES further
+    rounds shrink the perturbation (see `_shoot`). Acoustic profiles stay
+    away from the sonic set, so direct integration applies throughout.
+    Accepts the shot whose trajectory comes within opts.end_tol of the
+    far endpoint, with every shot listed in diagnostics["attempts"];
+    raises NoConnectionError otherwise.
     """
     U_minus = np.array([pair.left.rho, pair.left.v, pair.left.theta, 0.0, 0.0])
     U_plus = np.array([pair.right.rho, pair.right.v, pair.right.theta, 0.0, 0.0])
@@ -650,20 +653,16 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     )
 
 
-def _shift_trajectory(traj: Trajectory, dt: float, dx: float) -> Trajectory:
-    """Translate a trajectory in its independent variable and in x."""
-    y0s = traj.y0s
-    if traj.mode == "rescaled":
-        y0s = y0s.copy()
-        y0s[:, -1] += dx
-    return replace(
-        traj,
-        ts=traj.ts + dt,
-        xs=traj.xs + dx,
-        taus=None if traj.taus is None else traj.taus + dt,
-        t0s=traj.t0s + dt,
-        y0s=y0s,
-    )
+def _shift_x(traj: Trajectory, dx: float) -> Trajectory:
+    """Translate a trajectory by dx in x, its dense output with it.
+
+    x is ts in direct mode and the last column of ys in rescaled mode.
+    """
+    if traj.mode == "direct":
+        return replace(traj, ts=traj.ts + dx)
+    ys = traj.ys.copy()
+    ys[:, -1] += dx
+    return replace(traj, ys=ys)
 
 
 def boundary_layer(
@@ -727,9 +726,7 @@ def boundary_layer(
     xi = _real_unit_eigenvector(report, sel)
     rate = float(rates[sel].real)
 
-    if opts.length is not None:
-        L = opts.length
-    elif characteristic:
+    if characteristic:
         L = 10.0
     else:
         L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
@@ -737,9 +734,10 @@ def boundary_layer(
     cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
     if abs(amplitude) >= cap:
         raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
+    limit = U_star.tolist()
 
     def stop(x, V):
-        return _sup(V - U_star) > cap
+        return _sup_dist(V.tolist(), limit) > cap
 
     diagnostics: dict = {
         "amplitude": amplitude,
@@ -765,7 +763,7 @@ def boundary_layer(
         tau_max = max(10.0 * L / max(abs(zeta_star), 0.05), 100.0)
 
         def stop_resc(tau, V, x):
-            return x <= 0.0 or _sup(V - U_star) > cap
+            return x <= 0.0 or _sup_dist(V.tolist(), limit) > cap
 
         traj = integrate_rescaled(
             ode, start, (0.0, tau_dir * tau_max), tol=opts.tol, x0=L, stop_when=stop_resc,
@@ -774,11 +772,7 @@ def boundary_layer(
         diagnostics["zeta_sign_changes"] = traj.stats.zeta_sign_changes
 
     # re-anchor so the produced window starts at x = 0
-    x_lo = float(np.min(traj.xs))
-    if traj.mode == "direct":
-        traj = _shift_trajectory(traj, -x_lo, -x_lo)
-    else:
-        traj = _shift_trajectory(traj, 0.0, -x_lo)
+    traj = _shift_x(traj, -float(np.min(traj.xs)))
     diagnostics["length_produced"] = float(np.max(traj.xs))
     diagnostics["termination"] = traj.termination
     diagnostics["min_abs_zeta"] = traj.stats.min_abs_zeta

@@ -49,7 +49,7 @@ REL_FLOOR = 1e-12  # the relative error tolerance is max(tol, REL_FLOOR)
 DELTA = 1e-6  # direct mode halts once |zeta| <= DELTA at an accepted endpoint
 EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_DWELL = 5
-DEFAULT_MAX_STEPS = 500_000
+MAX_STEPS = 500_000  # step attempts per run, read when a run starts
 
 # Dormand-Prince 5(4) tableau, unrolled as in DOPRI5 (Hairer, Norsett &
 # Wanner, Solving ODEs I, II.5). The fields are autonomous, so the nodes c
@@ -111,27 +111,44 @@ class Trajectory:
     """Sampled solution of one integration run, with its dense output.
 
     ts is the independent variable (x in direct mode, tau in rescaled
-    mode) and is strictly monotone. xs is the spatial coordinate per
-    sample; in rescaled mode it is recovered from dx/dtau = zeta and need
-    not be monotone. taus is None in direct mode.
+    mode) and is strictly monotone. ys holds the integrated vector per
+    sample: V in direct mode, (V, x) in rescaled mode, where x is
+    recovered from dx/dtau = zeta and need not be monotone. Vs, xs and
+    taus are views of these arrays; taus is None in direct mode.
 
     The dense output is the quartic continuous extension of each
     accepted step i: y(t0s[i] + theta hs[i]) = y0s[i] + hs[i] Q[i] @
-    (theta, theta^2, theta^3, theta^4) for theta in [0, 1], where y is
-    the integrated vector (V in direct mode, (V, x) in rescaled mode).
+    (theta, theta^2, theta^3, theta^4) for theta in [0, 1], where t0s
+    and y0s are the samples at the step starts, ts[:-1] and ys[:-1].
     """
 
     mode: str
     ts: np.ndarray
-    Vs: np.ndarray
-    xs: np.ndarray
-    taus: np.ndarray | None
+    ys: np.ndarray
     termination: str
     stats: TrajectoryStats
-    t0s: np.ndarray = field(repr=False)  # (n - 1,) step start points
     hs: np.ndarray = field(repr=False)  # (n - 1,) signed step sizes
-    y0s: np.ndarray = field(repr=False)  # (n - 1, d) integrated vector at step starts
     Q: np.ndarray = field(repr=False)  # (n - 1, d, 4) interpolation coefficients
+
+    @property
+    def Vs(self) -> np.ndarray:
+        return self.ys if self.mode == "direct" else self.ys[:, :-1]
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.ts if self.mode == "direct" else self.ys[:, -1]
+
+    @property
+    def taus(self) -> np.ndarray | None:
+        return None if self.mode == "direct" else self.ts
+
+    @property
+    def t0s(self) -> np.ndarray:
+        return self.ts[:-1]
+
+    @property
+    def y0s(self) -> np.ndarray:
+        return self.ys[:-1]
 
     @property
     def n(self) -> int:
@@ -165,15 +182,6 @@ class Trajectory:
         theta = np.clip((t - self.t0s[i]) / self.hs[i], 0.0, 1.0)
         return self.step_eval(i, theta)[0]
 
-    def eval_V(self, t) -> np.ndarray:
-        y = self.eval(t)
-        return y[..., :-1] if self.mode == "rescaled" else y
-
-    def eval_x(self, t):
-        if self.mode == "rescaled":
-            return self.eval(t)[..., -1]
-        return t
-
     def eval_where(self, j: int, values) -> np.ndarray:
         """Dense-output integrated vectors where component j equals each value.
 
@@ -185,8 +193,7 @@ class Trajectory:
         an array of shape values.shape + (d,).
         """
         c = np.asarray(values, dtype=float)
-        nodes = self.Vs if self.mode == "direct" else np.column_stack([self.Vs, self.xs])
-        s = nodes[:, j]
+        s = self.ys[:, j]
         d = np.diff(s)
         if s.size < 2 or not (np.all(d > 0) or np.all(d < 0)):
             raise NonMonotoneError(f"component {j} is not strictly monotone along the trajectory")
@@ -305,7 +312,7 @@ def _dp54_step(rhs, y: list[float], h: float, k1: list[float]):
     return 6, (y_new, err, (k1, k2, k3, k4, k5, k6, k7), F, z)
 
 
-def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, max_steps: int, stop_when, guarded: bool):
+def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, stop_when, guarded: bool):
     """Adaptive DP5(4) loop shared by the direct and the rescaled mode.
 
     y0 and every state handed to rhs are lists of floats. rhs(y) returns
@@ -325,9 +332,9 @@ def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, max_steps: i
     halts with ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL
     at EQUILIBRIUM_DWELL endpoints in a row (the start counts).
     stop_when(t, y), if given, sees the list y after each accepted step.
+    A run still going after MAX_STEPS step attempts is a StepFailureError.
 
-    Returns the samples of t and y and the remaining `Trajectory` fields
-    (termination, stats and the dense output) as a dict.
+    Returns every `Trajectory` field but the mode as a dict.
     """
     k0, F, z = rhs(y0)
     if guarded and z is not None and abs(z) <= DELTA:
@@ -357,6 +364,7 @@ def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, max_steps: i
 
     t, y = t0, y0
     steps = 0
+    max_steps = MAX_STEPS
     while steps < max_steps:
         steps += 1
         h = min(h, abs(t_end - t))
@@ -415,8 +423,7 @@ def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, max_steps: i
         raise StepFailureError(f"step budget {max_steps} exhausted")
 
     records = np.frombuffer(store, dtype=float).reshape(-1, 8, d)
-    ts_arr = np.array(ts)
-    ys_arr = np.concatenate([np.array([y0]), records[:, 0]])
+    ys = np.concatenate([np.array([y0]), records[:, 0]])
     # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order
     K = records[:, 1:, :, None]
     Q = K[:, 0] * _P[0]
@@ -426,8 +433,7 @@ def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, max_steps: i
         n_accepted=n_acc, n_rejected=n_rej, n_fevals=n_fev,
         min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
     )
-    common = dict(termination=termination, stats=stats, t0s=ts_arr[:-1], hs=np.array(hs), y0s=ys_arr[:-1], Q=Q)
-    return ts_arr, ys_arr, common
+    return dict(ts=np.array(ts), ys=ys, termination=termination, stats=stats, hs=np.array(hs), Q=Q)
 
 
 def integrate_direct(
@@ -435,7 +441,6 @@ def integrate_direct(
     V0: np.ndarray,
     x_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
 ) -> Trajectory:
     """Integrate dV/dx = F(V)/zeta(V) over x_span.
@@ -464,11 +469,9 @@ def integrate_direct(
     def stop(x, V):
         return stop_when(x, np.array(V))
 
-    ts, Vs, common = _run(
-        rhs, float(x_span[0]), V0.tolist(), float(x_span[1]), tol, max_steps,
-        stop if stop_when is not None else None, True,
-    )
-    return Trajectory(mode="direct", ts=ts, Vs=Vs, xs=ts, taus=None, **common)
+    return Trajectory(mode="direct", **_run(
+        rhs, float(x_span[0]), V0.tolist(), float(x_span[1]), tol, stop if stop_when is not None else None, True,
+    ))
 
 
 def integrate_rescaled(
@@ -477,7 +480,6 @@ def integrate_rescaled(
     tau_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
     x0: float = 0.0,
-    max_steps: int = DEFAULT_MAX_STEPS,
     stop_when: Callable[[float, np.ndarray, float], bool] | None = None,
 ) -> Trajectory:
     """Integrate the desingularized system dV/dtau = F, dx/dtau = zeta.
@@ -502,11 +504,10 @@ def integrate_rescaled(
     def stop(tau, y):
         return bool(stop_when(tau, np.array(y[:-1]), y[-1]))
 
-    ts, ys, common = _run(
-        rhs, float(tau_span[0]), V0.tolist() + [float(x0)], float(tau_span[1]), tol, max_steps,
+    return Trajectory(mode="rescaled", **_run(
+        rhs, float(tau_span[0]), V0.tolist() + [float(x0)], float(tau_span[1]), tol,
         stop if stop_when is not None else None, False,
-    )
-    return Trajectory(mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts, **common)
+    ))
 
 
 def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
@@ -518,7 +519,7 @@ def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     if traj.mode == "direct":
-        return traj.eval_V(xs)
+        return traj.eval(xs)
     return traj.eval_where(-1, xs)[..., :-1]
 
 

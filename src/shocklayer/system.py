@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .gas import GasModel, Gradient, State, ZERO_GRADIENT, internal_energy, pressure
 
 
@@ -108,27 +107,6 @@ def blocks(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> Syste
         A22=A[1:, 1:].copy(),
         b=B[1:, 1:].copy(),
     )
-
-
-@dataclass(frozen=True)
-class LagrangianBlocks:
-    """Hyperbolic-block data of the mass-coordinate form of the system.
-
-    In mass coordinates the specific volume replaces the density and the
-    (1,1) convection entry vanishes identically, so the shifted block is
-    -sigma * E11 with a constant positive E11 (normalized to 1 here).
-    """
-
-    A11: float
-    E11: float
-    tau: float
-
-
-def lagrangian_blocks(gas: GasModel, state: State) -> LagrangianBlocks:
-    """Hyperbolic 1x1 block in mass coordinates at the given state."""
-    if not (state.rho > 0.0):
-        raise DomainError(f"specific volume needs rho > 0, got {state.rho}")
-    return LagrangianBlocks(A11=0.0, E11=1.0, tau=1.0 / state.rho)
 
 
 def format_matrix(M: np.ndarray, name: str = "", precision: int = 6) -> str:

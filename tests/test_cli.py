@@ -153,6 +153,13 @@ class TestReadme:
         assert main(["reduce-info", "--config", str(path), "--out", str(outdir)]) == 0
         assert (outdir / "reduce_info.json").exists()
 
+    def test_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        assert "singularity_approached" in capsys.readouterr().out
+
 
 class TestReduceInfo:
     def test_singular_point_reported(self, config_path, outdir):

@@ -17,21 +17,19 @@ from hypothesis import strategies as st
 from shocklayer import (
     DomainError,
     GasModel,
-    NoConvergenceError,
     NoDecayingDirectionError,
     NonMonotoneError,
-    LayerOpts,
     NoConnectionError,
     PowerLaw,
     Profile,
     RHPair,
-    ShootOpts,
     State,
     boundary_layer,
     char_speed,
     compare_profiles,
     flux_constants,
     gilbarg_oracle,
+    integrate_rescaled,
     lax_inequalities,
     linearize,
     max_extended_residual,
@@ -39,10 +37,11 @@ from shocklayer import (
     shock_profile,
     solve_rh,
     sound_speed,
+    steady_singular_ode,
     tw_singular_ode,
 )
 from shocklayer.gas import conserved, euler_fluxes
-from shocklayer.profiles import _shift_trajectory, _sup
+from shocklayer.profiles import _shift_x, _sup
 
 from flux_form import extended_with_derivatives
 
@@ -172,7 +171,7 @@ class TestSolveRH:
             solve_rh(g, State(1.0, 0.0, 1.0), family=3, strength=0.6)
 
     def test_unphysical_seed_fails_cleanly(self, gasm):
-        with pytest.raises((NoConvergenceError, DomainError)):
+        with pytest.raises(DomainError):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=0.9)
 
     @pytest.mark.parametrize("strength", [0.9, 1.0, 1.5])
@@ -392,6 +391,7 @@ class TestShooting:
     def test_failure_carries_the_attempts(self, gasm, monkeypatch):
         import shocklayer.profiles as profiles
 
+        monkeypatch.setattr(profiles, "SHOOT_RETRIES", 1)
         real = profiles.integrate_direct
         monkeypatch.setattr(
             profiles, "integrate_direct",
@@ -399,8 +399,8 @@ class TestShooting:
         )
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.5)
         for route in (
-            lambda: shock_profile(gasm, pair, ShootOpts(retries=1)),
-            lambda: gilbarg_oracle(gasm, pair, ShootOpts(retries=1)),
+            lambda: shock_profile(gasm, pair),
+            lambda: gilbarg_oracle(gasm, pair),
         ):
             with pytest.raises(NoConnectionError) as info:
                 route()
@@ -429,12 +429,12 @@ class TestFluxConstants:
     def test_corrupted_sample_detected(self, gasm, prof_f1):
         base = flux_constants(gasm, prof_f1).drift
         traj = prof_f1.trajectory
-        Vs = traj.Vs.copy()
-        Vs[traj.n // 2, 1] += 1e-3
+        ys = traj.ys.copy()
+        ys[traj.n // 2, 1] += 1e-3
         corrupted = Profile(
             kind=prof_f1.kind, sigma=prof_f1.sigma, left=prof_f1.left,
             right=prof_f1.right,
-            trajectory=replace(traj, Vs=Vs),
+            trajectory=replace(traj, ys=ys),
             diagnostics={},
         )
         spiked = flux_constants(gasm, corrupted).drift
@@ -496,13 +496,21 @@ class TestGilbargOracle:
         assert orc.trajectory.n == 1
 
 
+def assert_dense_x_matches_samples(traj):
+    """The x column of the dense output at both ends of each step is the x samples."""
+    steps = np.arange(traj.hs.size)
+    x_start = traj.step_eval(steps, 0.0)[0][:, -1]
+    x_end = traj.step_eval(steps, 1.0)[0][:, -1]
+    assert np.array_equal(x_start, traj.xs[:-1])
+    assert np.all(np.abs(x_end - traj.xs[1:]) <= 1e-12 * np.maximum(1.0, np.abs(traj.xs[1:])))
+
+
 def _raised(prof, column, delta):
     """Copy of a profile with one component raised by delta in its samples and dense output."""
     traj = prof.trajectory
-    Vs, y0s = traj.Vs.copy(), traj.y0s.copy()
-    Vs[:, column] += delta
-    y0s[:, column] += delta
-    return replace(prof, trajectory=replace(traj, Vs=Vs, y0s=y0s))
+    ys = traj.ys.copy()
+    ys[:, column] += delta
+    return replace(prof, trajectory=replace(traj, ys=ys))
 
 
 class TestGeneratedGases:
@@ -550,10 +558,22 @@ class TestCompareProfiles:
         assert rep.sup == 0.0
 
     def test_translation_invariance(self, prof_f1):
-        shifted = replace(prof_f1, trajectory=_shift_trajectory(prof_f1.trajectory, 17.0, 17.0))
+        shifted = replace(prof_f1, trajectory=_shift_x(prof_f1.trajectory, 17.0))
         assert shifted.trajectory.xs[0] == prof_f1.trajectory.xs[0] + 17.0
         rep = compare_profiles(prof_f1, shifted, matching="v")
         assert rep.sup == 0.0
+
+    def test_translation_of_a_rescaled_run(self, gasm):
+        traj = integrate_rescaled(
+            steady_singular_ode(gasm), np.array([1.0, -0.3, 1.0, 0.01, -0.01]), (0.0, 2.0),
+        )
+        assert np.ptp(traj.xs) > 0.1
+        shifted = _shift_x(traj, 17.0)
+        assert np.array_equal(shifted.xs, traj.xs + 17.0)
+        assert np.array_equal(shifted.ts, traj.ts)
+        assert_dense_x_matches_samples(shifted)
+        mid = np.arange(traj.hs.size), 0.5
+        assert np.allclose(shifted.step_eval(*mid)[0][:, -1], traj.step_eval(*mid)[0][:, -1] + 17.0, rtol=0, atol=1e-12)
 
     def test_missing_matching_column(self, prof_f1, oracle_f1):
         # x is no state component, and the oracle integrates only (v, theta)
@@ -651,6 +671,14 @@ class TestBoundaryLayer:
         assert np.all(np.isfinite(traj.Vs)) and np.all(np.isfinite(traj.xs))
         assert float(np.min(traj.xs)) == 0.0
 
+    def test_reanchoring_moves_the_dense_output(self, gasm):
+        # in rescaled mode x is the last integrated component, so the shift
+        # that anchors the window at x = 0 must move the dense output too;
+        # here zeta stays 0, so every sample sits at the start x = 10
+        traj = boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=1e-3).trajectory
+        assert traj.mode == "rescaled"
+        assert_dense_x_matches_samples(traj)
+
     def test_zero_amplitude(self, gasm):
         prof = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=0.0)
         assert prof.trajectory.n == 1
@@ -668,10 +696,3 @@ class TestBoundaryLayer:
         far_up = up.trajectory.Vs[0] - up.right.to_array()
         far_dn = dn.trajectory.Vs[0] - dn.right.to_array()
         assert np.dot(far_up, far_dn) < 0.0
-
-    def test_explicit_length(self, gasm):
-        prof = boundary_layer(
-            gasm, State(1.0, -0.3, 1.0), amplitude=1e-4, opts=LayerOpts(length=3.0)
-        )
-        assert prof.diagnostics["length_requested"] == 3.0
-        assert prof.diagnostics["length_produced"] <= 3.0 + 1e-9

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shocklayer
+from shocklayer import sode
 from shocklayer import (
     DomainError,
     GasModel,
@@ -34,7 +35,6 @@ from shocklayer import (
 )
 from shocklayer.sode import (
     CSV_HEADER,
-    DEFAULT_MAX_STEPS,
     DEFAULT_TOL,
     DELTA,
     EQUILIBRIUM_DWELL,
@@ -126,8 +126,7 @@ class TestRescaledCalibration:
         y = traj.eval(tau)
         assert y.shape == (2,)
         assert abs(y[0] - (1.0 + tau)) <= 1e-10
-        assert abs(traj.eval_x(tau) - (tau + tau ** 2 / 2)) <= 1e-10
-        assert traj.eval_V(tau).shape == (1,)
+        assert abs(y[1] - (tau + tau ** 2 / 2)) <= 1e-10
 
     def test_x0_offset(self):
         traj = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0), x0=10.0)
@@ -319,9 +318,10 @@ class TestStopAndFailure:
         assert traj.xs[-1] >= 1.0
         assert traj.xs[-2] < 1.0 + 0.75  # stopped promptly after the crossing
 
-    def test_step_budget_exhaustion(self):
+    def test_step_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(sode, "MAX_STEPS", 5)
         with pytest.raises(StepFailureError):
-            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 50.0), max_steps=5)
+            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 50.0))
 
     def test_bad_initial_rhs(self, gas):
         ode = steady_singular_ode(gas)
@@ -576,17 +576,15 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
         h *= 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
     else:
         raise StepFailureError(f"step budget {max_steps} exhausted")
-    ts_arr, ys_arr = np.array(ts), np.array(ys)
     K = np.array(Ks).reshape(-1, 7, y0.size, 1)
     Q = K[:, 0] * REF_P[0]
     for j in range(1, 7):
         Q = Q + K[:, j] * REF_P[j]
     stats = TrajectoryStats(n_acc, n_rej, n_fev, min_zeta, sign_changes, h)
-    common = dict(termination=termination, stats=stats, t0s=ts_arr[:-1], hs=np.array(hs), y0s=ys_arr[:-1], Q=Q)
-    return ts_arr, ys_arr, common
+    return dict(ts=np.array(ts), ys=np.array(ys), termination=termination, stats=stats, hs=np.array(hs), Q=Q)
 
 
-def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS, stop_when=None):
+def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, stop_when=None):
     V0 = np.asarray(V0, dtype=float)
     z0 = ode.zeta_eval(V0)
     if abs(z0) <= DELTA:
@@ -602,13 +600,12 @@ def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
-    ts, Vs, common = ref_run(
-        rhs, float(x_span[0]), V0, float(x_span[1]), tol, max_steps, stop_when, 1.0 if z0 > 0 else -1.0,
-    )
-    return Trajectory(mode="direct", ts=ts, Vs=Vs, xs=ts, taus=None, **common)
+    return Trajectory(mode="direct", **ref_run(
+        rhs, float(x_span[0]), V0, float(x_span[1]), tol, sode.MAX_STEPS, stop_when, 1.0 if z0 > 0 else -1.0,
+    ))
 
 
-def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, max_steps=DEFAULT_MAX_STEPS, stop_when=None):
+def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, stop_when=None):
     V0 = np.asarray(V0, dtype=float)
 
     def rhs(y):
@@ -623,11 +620,10 @@ def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, max_steps
     def stop(tau, y):
         return bool(stop_when(tau, y[:-1], float(y[-1])))
 
-    ts, ys, common = ref_run(
-        rhs, float(tau_span[0]), np.append(V0, float(x0)), float(tau_span[1]), tol, max_steps,
+    return Trajectory(mode="rescaled", **ref_run(
+        rhs, float(tau_span[0]), np.append(V0, float(x0)), float(tau_span[1]), tol, sode.MAX_STEPS,
         stop if stop_when is not None else None, None,
-    )
-    return Trajectory(mode="rescaled", ts=ts, Vs=ys[:, :-1], xs=ys[:, -1], taus=ts, **common)
+    ))
 
 
 REFERENCES = {"direct": ref_integrate_direct, "rescaled": ref_integrate_rescaled}
@@ -674,12 +670,13 @@ class TestFloatStepperMatchesReference:
         self.assert_same("rescaled", decay_to_zero_ode(), np.array([1.0]), (0.0, 1.5), 1e-10)
         self.assert_same("direct", steady_singular_ode(gas), np.array([1.2, 0.7, 0.9, 0.0, 0.0]), (0.0, 50.0), 1e-10)
 
-    def test_errors_match(self, gas):
+    def test_errors_match(self, gas, monkeypatch):
         assert self.assert_same("direct", decay_to_zero_ode(), np.array([5e-7]), (0.0, 1.0), 1e-10)[0] == "SingularityError"
         assert self.assert_same("direct", exp_ode(), np.array([1.0]), (1.0, 1.0), 1e-10)[0] == "DomainError"
         bad = np.array([-1.0, 1.0, 1.0, 0.0, 0.0])
         assert self.assert_same("direct", steady_singular_ode(gas), bad, (0.0, 1.0), 1e-10)[0] == "DomainError"
-        out = self.assert_same("direct", exp_ode(), np.array([1.0]), (0.0, 50.0), 1e-10, max_steps=5)
+        monkeypatch.setattr(sode, "MAX_STEPS", 5)
+        out = self.assert_same("direct", exp_ode(), np.array([1.0]), (0.0, 50.0), 1e-10)
         assert out[0] == "StepFailureError"
 
     @settings(max_examples=20, deadline=None)

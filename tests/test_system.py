@@ -11,7 +11,6 @@ from shocklayer import (
     assemble_E,
     blocks,
     format_matrix,
-    lagrangian_blocks,
 )
 
 
@@ -111,14 +110,6 @@ def test_a11_equals_E11(gas, box, rng):
     for st in box.sample(50, rng):
         blk = blocks(gas, st)
         assert blk.a11 == pytest.approx(blk.E11, rel=1e-15)
-
-
-def test_lagrangian_blocks(gas, box, rng):
-    for st in box.sample(20, rng):
-        lb = lagrangian_blocks(gas, st)
-        assert lb.A11 == 0.0
-        assert lb.E11 == 1.0
-        assert lb.tau == pytest.approx(1.0 / st.rho, rel=1e-15)
 
 
 def test_format_matrix_contains_entries(gas):
