@@ -331,8 +331,9 @@ def cmd_reduce_info(config: RunConfig, out_dir: Path, sigma_override: float | No
     ext = ExtendedState.from_array(U)
 
     ode = tw_singular_ode(config.gas, sigma)
-    F = ode.F_eval(U)
-    zeta = float(ode.zeta_eval(U))
+    V = U.tolist()
+    F = ode.F_eval(V)
+    zeta = ode.zeta_eval(V)
     w = None
     if abs(zeta) > SINGULARITY_GUARD:
         w = reduce_w(config.gas, ext, sigma)

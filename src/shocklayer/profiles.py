@@ -245,7 +245,7 @@ def _real_unit_eigenvector(report: LinearizationReport, index: int) -> np.ndarra
     return re / n
 
 
-def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, int]:
+def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, int, float]:
     """Worst residual zeta U' - F at the step midpoints, U' from the dense output.
 
     U and U' are the dense output and its derivative halfway through each
@@ -253,20 +253,29 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, in
     the derivative would be the stage value F/zeta itself, so the check
     could not fail there. Midpoints closer to the sonic set than
     SINGULARITY_GUARD are skipped (the direct derivative is not defined
-    there); the count is returned.
+    there). Returns the worst residual, the number of midpoints skipped,
+    and sup |F| over the midpoints checked, the scale of the residual.
     """
     rescaled = traj.mode == "rescaled"
-    worst = 0.0
+    worst = f_sup = 0.0
     skipped = 0
-    for y, dy in zip(*traj.step_eval(np.arange(traj.hs.size), 0.5)):
+    ys, dys = traj.step_eval(np.arange(traj.hs.size), 0.5)
+    for y, dy in zip(ys.tolist(), dys.tolist()):
         V = y[:-1] if rescaled else y
         z = ode.zeta_eval(V)
         if abs(z) <= SINGULARITY_GUARD:
             skipped += 1
             continue
-        Uprime = dy[:-1] / dy[-1] if rescaled else dy
-        worst = max(worst, _sup(z * Uprime - ode.F_eval(V)))
-    return worst, skipped
+        Uprime = [a / dy[-1] for a in dy[:-1]] if rescaled else dy
+        F = ode.F_eval(V)
+        worst = max(worst, _sup_dist([z * a for a in Uprime], F))
+        f_sup = max(f_sup, max(map(abs, F)))
+    return worst, skipped, f_sup
+
+
+def _relative_residual(worst: float, f_sup: float) -> float:
+    """worst / f_sup, or worst itself where F vanished at every midpoint checked."""
+    return worst / f_sup if f_sup > 0.0 else worst
 
 
 @dataclass(frozen=True)
@@ -289,19 +298,16 @@ def flux_constants(gas: GasModel, profile: Profile) -> FluxRecord:
     jump-condition residual.
     """
     sigma = profile.sigma
-    Vs = profile.trajectory.Vs
-    n = Vs.shape[0]
-    values = np.empty((n, 3))
-    for i, U in enumerate(Vs):
-        rho, v, theta, z1, z2 = (float(x) for x in U)
+    rows = []
+    for rho, v, theta, z1, z2 in profile.trajectory.Vs.tolist():
         p, _, _ = pressure(gas, rho, theta)
         e, _ = internal_energy(gas, theta)
         nu, _ = gas.nu_law(rho)
         k, _ = gas.k_law(rho)
         m = rho * (v - sigma)
-        values[i, 0] = m
-        values[i, 1] = m * v + p - nu * z1
-        values[i, 2] = m * (e + 0.5 * v * v) + v * p - k * z2 - nu * v * z1
+        rows.append((m, m * v + p - nu * z1, m * (e + 0.5 * v * v) + v * p - k * z2 - nu * v * z1))
+    values = np.array(rows).reshape(-1, 3)
+    n = len(rows)
     ref = profile.right
     p_r, _, _ = pressure(gas, ref.rho, ref.theta)
     e_r, _ = internal_energy(gas, ref.theta)
@@ -350,8 +356,8 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
     in the integration direction, absorbs integration noise instead of
     amplifying it.
     """
-    zl = ode.zeta_eval(U_left)
-    zr = ode.zeta_eval(U_right)
+    zl = ode.zeta_eval(U_left.tolist())
+    zr = ode.zeta_eval(U_right.tolist())
     if zl == 0.0 or zr == 0.0:
         raise NoConnectionError("an endpoint sits on the sonic set; no direct shooting")
     rep_l = linearize(ode, U_left)
@@ -406,7 +412,6 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     target, start = plan.target.tolist(), plan.start.tolist()
 
     def stop(x, V):
-        V = V.tolist()
         d = _sup_dist(V, target)
         return d <= capture or (d > R_div and _sup_dist(V, start) > R_div)
 
@@ -457,7 +462,7 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     ode = tw_singular_ode(gas, pair.sigma)
 
     if pair.strength == 0.0:
-        traj = _constant_trajectory(U_minus, abs(ode.zeta_eval(U_minus)))
+        traj = _constant_trajectory(U_minus, abs(ode.zeta_eval(U_minus.tolist())))
         prof = Profile(
             kind="shock", sigma=pair.sigma,
             left=ExtendedState.from_array(U_minus), right=ExtendedState.from_array(U_plus),
@@ -469,13 +474,14 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
             rh_residual_max=_sup(rh_residual(gas, pair)),
             flux_drift=rec.drift,
             extended_residual_max=0.0,
+            extended_residual_rel=0.0,
         )
         return prof
 
     plan = _connection_plan(ode, U_minus, U_plus)
     traj, attempts = _shoot(ode, plan, opts)
     shot = attempts[-1]
-    ext_res, _ = max_extended_residual(ode, traj)
+    ext_res, _, f_sup = max_extended_residual(ode, traj)
     prof = Profile(
         kind="shock", sigma=pair.sigma,
         left=ExtendedState.from_array(U_minus),
@@ -493,6 +499,7 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
             "rates_start": plan.rates_start,
             "rates_target": plan.rates_target,
             "extended_residual_max": ext_res,
+            "extended_residual_rel": _relative_residual(ext_res, f_sup),
             "rh_residual_max": _sup(rh_residual(gas, pair)),
             "lax": lax_inequalities(gas, pair)["satisfied"],
             "attempts": attempts,
@@ -504,18 +511,22 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
 
 def _flux_form_rhs(
     gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float, v: float, theta: float,
-) -> tuple[float, float]:
-    """(v_x, theta_x) from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E."""
+) -> list[float]:
+    """[v_x, theta_x] from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E.
+
+    p and e are the ideal-gas laws of `pressure` and `internal_energy`,
+    written out in the same order; a NaN rho or theta fails the check.
+    """
     rho = m / (v - sigma)
-    if rho <= 0.0 or theta <= 0.0:
+    if not (rho > 0.0 and theta > 0.0):
         raise DomainError("flux-form state left the physical region")
-    p, _, _ = pressure(gas, rho, theta)
-    e, _ = internal_energy(gas, theta)
+    p = gas.R * rho * theta
+    e = gas.R / (gas.gamma - 1.0) * theta
     nu, _ = gas.nu_law(rho)
     k, _ = gas.k_law(rho)
     v_x = (m * v + p - Pi) / nu
     th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k
-    return v_x, th_x
+    return [v_x, th_x]
 
 
 @dataclass(frozen=True)
@@ -534,14 +545,14 @@ class OracleTrajectory:
     trajectory: Trajectory
     attempts: list[dict] = field(default_factory=list)  # the shots, as in Profile diagnostics
 
-    def rhs(self, v: float, theta: float) -> tuple[float, float]:
-        """Right-hand sides (v_x, theta_x) of the flux-form system."""
+    def rhs(self, v: float, theta: float) -> list[float]:
+        """Right-hand sides [v_x, theta_x] of the flux-form system."""
         return _flux_form_rhs(self.gas, self.sigma, self.m, self.Pi, self.Eflux, v, theta)
 
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
         vs, ths = V[:, 0], V[:, 1]
-        z = np.array([self.rhs(float(v), float(th)) for v, th in zip(vs, ths)]).reshape(-1, 2)
+        z = np.array([self.rhs(v, th) for v, th in V.tolist()]).reshape(-1, 2)
         return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z[:, 0], "z2": z[:, 1]}
 
     def table(self) -> dict[str, np.ndarray]:
@@ -570,8 +581,8 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     Pi = m * U_m.v + p_m
     Eflux = m * (e_m + 0.5 * U_m.v ** 2) + U_m.v * p_m
 
-    def rhs2(V: np.ndarray) -> np.ndarray:
-        return np.array(_flux_form_rhs(gas, sigma, m, Pi, Eflux, float(V[0]), float(V[1])))
+    def rhs2(V: list[float]) -> list[float]:
+        return _flux_form_rhs(gas, sigma, m, Pi, Eflux, *V)
 
     ode2 = SingularODE(dim=2, F_eval=rhs2, zeta_eval=lambda V: 1.0, label="flux form")
     left = np.array([U_m.v, U_m.theta])
@@ -697,10 +708,11 @@ def boundary_layer(
             left=ExtendedState.from_array(U_star), right=ExtendedState.from_array(U_star),
             trajectory=traj,
             diagnostics={"amplitude": 0.0, "note": "zero amplitude, constant layer",
-                         "extended_residual_max": 0.0, "flux_drift": 0.0},
+                         "extended_residual_max": 0.0, "extended_residual_rel": 0.0, "flux_drift": 0.0},
         )
 
-    zeta_star = ode.zeta_eval(U_star)
+    limit = U_star.tolist()
+    zeta_star = ode.zeta_eval(limit)
     characteristic = abs(zeta_star) <= SINGULARITY_GUARD
     report = linearize(ode, U_star)
     lam = report.eigenvalues
@@ -734,10 +746,9 @@ def boundary_layer(
     cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
     if abs(amplitude) >= cap:
         raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
-    limit = U_star.tolist()
 
     def stop(x, V):
-        return _sup_dist(V.tolist(), limit) > cap
+        return _sup_dist(V, limit) > cap
 
     diagnostics: dict = {
         "amplitude": amplitude,
@@ -757,13 +768,14 @@ def boundary_layer(
             traj = None
     if traj is None:
         # sonic set on the path (or characteristic limit): desingularized sweep
-        tau_dir = -1.0 if ode.zeta_eval(start) > 0 else 1.0
-        if characteristic and ode.zeta_eval(start) == 0.0:
+        zeta_start = ode.zeta_eval(start.tolist())
+        tau_dir = -1.0 if zeta_start > 0 else 1.0
+        if characteristic and zeta_start == 0.0:
             tau_dir = -np.sign(rate) or -1.0
         tau_max = max(10.0 * L / max(abs(zeta_star), 0.05), 100.0)
 
         def stop_resc(tau, V, x):
-            return x <= 0.0 or _sup_dist(V.tolist(), limit) > cap
+            return x <= 0.0 or _sup_dist(V, limit) > cap
 
         traj = integrate_rescaled(
             ode, start, (0.0, tau_dir * tau_max), tol=opts.tol, x0=L, stop_when=stop_resc,
@@ -785,8 +797,9 @@ def boundary_layer(
         trajectory=traj,
         diagnostics=diagnostics,
     )
-    ext_res, skipped = max_extended_residual(ode, traj)
+    ext_res, skipped, f_sup = max_extended_residual(ode, traj)
     diagnostics["extended_residual_max"] = ext_res
+    diagnostics["extended_residual_rel"] = _relative_residual(ext_res, f_sup)
     diagnostics["extended_residual_skipped"] = skipped
     diagnostics["flux_drift"] = flux_constants(gas, prof).drift
     return prof

@@ -59,17 +59,20 @@ class ExtendedState:
 class SingularODE:
     """Autonomous system dV/dx = F(V)/zeta(V) on R^dim.
 
-    F_eval and zeta_eval act on plain arrays so integrators stay generic.
+    F_eval and zeta_eval take V as a list of dim Python floats and must
+    not modify it. F_eval returns a list of dim floats and zeta_eval a
+    float. The integrators step on such lists, so no array is built per
+    evaluation; callers holding an array convert it once with .tolist().
     The desingularized companion is dV/dtau = F(V), dx/dtau = zeta(V).
     """
 
     dim: int
-    F_eval: Callable[[np.ndarray], np.ndarray]
-    zeta_eval: Callable[[np.ndarray], float]
+    F_eval: Callable[[list[float]], list[float]]
+    zeta_eval: Callable[[list[float]], float]
     label: str = ""
 
 
-def _require_admissible(U: np.ndarray) -> None:
+def _require_admissible(U: list[float]) -> None:
     rho, theta = U[0], U[2]
     if not (rho > 0.0) or not (theta > 0.0):
         raise DomainError(
@@ -91,10 +94,10 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
     nu_law, k_law = gas.nu_law, gas.k_law
     sig = float(sigma)
 
-    def F(U: np.ndarray) -> np.ndarray:
-        rho, v, theta, z1, z2 = U.tolist()
+    def F(V: list[float]) -> list[float]:
+        rho, v, theta, z1, z2 = V
         if not (rho > 0.0 and theta > 0.0):
-            _require_admissible(U)
+            _require_admissible(V)
         s = v - sig
         p_rho = R * theta
         p_theta = R * rho
@@ -110,10 +113,10 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
         K11 = M11 - rho * p_rho / theta
         Fz1 = (theta / nu) * (K11 * z1 + M12 * z2)
         Fz2 = (theta ** 2 / k) * (M21 * z1 + M22 * z2)
-        return np.array([-q, s * z1, s * z2, Fz1, Fz2])
+        return [-q, s * z1, s * z2, Fz1, Fz2]
 
-    def zeta(U: np.ndarray) -> float:
-        return float(U[1]) - sig
+    def zeta(V: list[float]) -> float:
+        return V[1] - sig
 
     label = "steady" if sig == 0.0 else f"travelling sigma={sig:g}"
     return SingularODE(dim=5, F_eval=F, zeta_eval=zeta, label=label)
@@ -144,6 +147,6 @@ def reduce_w(gas: GasModel, u: ExtendedState, sigma: float) -> float:
 
 def extended_residual(ode: SingularODE, U: np.ndarray, Uprime: np.ndarray) -> np.ndarray:
     """Residual zeta(U) U' - F(U) of a claimed solution point."""
-    U = np.asarray(U, dtype=float)
+    V = np.asarray(U, dtype=float).tolist()
     Uprime = np.asarray(Uprime, dtype=float)
-    return ode.zeta_eval(U) * Uprime - ode.F_eval(U)
+    return ode.zeta_eval(V) * Uprime - np.array(ode.F_eval(V))

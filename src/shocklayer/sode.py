@@ -17,13 +17,15 @@ trajectories can be resampled at arbitrary points of the independent
 variable without re-integration.
 
 The loop steps on lists of Python floats, with no numpy or BLAS call
-between two right-hand side evaluations. Every stage combination, the
-error estimate and the error norm are summed left to right in tableau
-order, one rounded multiply and add at a time (CPython never fuses them),
-and the dense output is an elementwise sum over the seven stages. So a
-trajectory does not depend on the BLAS kernel or on the machine's fused
-multiply-add, and identical inputs reproduce it bit for bit wherever F
-and zeta do.
+between two right-hand side evaluations: F, zeta and ``stop_when`` are
+handed the stage lists themselves (see `SingularODE`), and only the
+start V0 and the finished trajectory are arrays. Every stage
+combination, the error estimate and the error norm are summed left to
+right in tableau order, one rounded multiply and add at a time (CPython
+never fuses them), and the dense output is an elementwise sum over the
+seven stages. So a trajectory does not depend on the BLAS kernel or on
+the machine's fused multiply-add, and identical inputs reproduce it bit
+for bit wherever F and zeta do.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ def integrate_direct(
     V0: np.ndarray,
     x_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    stop_when: Callable[[float, np.ndarray], bool] | None = None,
+    stop_when: Callable[[float, list[float]], bool] | None = None,
 ) -> Trajectory:
     """Integrate dV/dx = F(V)/zeta(V) over x_span.
 
@@ -450,27 +452,25 @@ def integrate_direct(
     |zeta| <= DELTA; steps that would change the sign of zeta are
     rejected, so the singular set is approached from one side only.
     Equilibria (|F| < EQUILIBRIUM_TOL over several consecutive accepted
-    steps) halt the run with ``converged_to_equilibrium``.
+    steps) halt the run with ``converged_to_equilibrium``. V0 is
+    array-like; F, zeta and ``stop_when`` receive V as a list of floats,
+    which they must not modify, ``stop_when`` as (x, V) after each
+    accepted step.
     """
-    V0 = np.asarray(V0, dtype=float)
 
     def rhs(V):
-        U = np.array(V)
         z = None
         try:
-            z = ode.zeta_eval(U)
+            z = ode.zeta_eval(V)
             if z == 0.0 or not isfinite(z):
                 return None, None, z
-            F = ode.F_eval(U).tolist()
+            F = ode.F_eval(V)
             return [f / z for f in F], F, z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None, None, z
 
-    def stop(x, V):
-        return stop_when(x, np.array(V))
-
     return Trajectory(mode="direct", **_run(
-        rhs, float(x_span[0]), V0.tolist(), float(x_span[1]), tol, stop if stop_when is not None else None, True,
+        rhs, float(x_span[0]), np.asarray(V0, dtype=float).tolist(), float(x_span[1]), tol, stop_when, True,
     ))
 
 
@@ -480,32 +480,32 @@ def integrate_rescaled(
     tau_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
     x0: float = 0.0,
-    stop_when: Callable[[float, np.ndarray, float], bool] | None = None,
+    stop_when: Callable[[float, list[float], float], bool] | None = None,
 ) -> Trajectory:
     """Integrate the desingularized system dV/dtau = F, dx/dtau = zeta.
 
     The augmented state is (V, x). There is no singularity to guard, so
     the trajectory may approach or touch the sonic set; sign changes of
-    zeta along the samples are counted in the stats. ``stop_when``
-    receives (tau, V, x), one argument more than in direct mode, since x
-    is itself integrated here.
+    zeta along the samples are counted in the stats. V0 is array-like;
+    F, zeta and ``stop_when`` receive V as a list of floats.
+    ``stop_when`` receives (tau, V, x), one argument more than in direct
+    mode, since x is itself integrated here.
     """
-    V0 = np.asarray(V0, dtype=float)
 
     def rhs(y):
-        V = np.array(y[:-1])
+        V = y[:-1]
         try:
-            F = ode.F_eval(V).tolist()
+            F = ode.F_eval(V)
             z = ode.zeta_eval(V)
-            return F + [z], F, z
+            return [*F, z], F, z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None, None, None
 
     def stop(tau, y):
-        return bool(stop_when(tau, np.array(y[:-1]), y[-1]))
+        return bool(stop_when(tau, y[:-1], y[-1]))
 
     return Trajectory(mode="rescaled", **_run(
-        rhs, float(tau_span[0]), V0.tolist() + [float(x0)], float(tau_span[1]), tol,
+        rhs, float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [float(x0)], float(tau_span[1]), tol,
         stop if stop_when is not None else None, False,
     ))
 
@@ -553,7 +553,7 @@ def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
     for j in range(d):
         dv = np.zeros(d)
         dv[j] = FD_STEP
-        J[:, j] = (ode.F_eval(V0 + dv) - ode.F_eval(V0 - dv)) / (2.0 * FD_STEP)
+        J[:, j] = np.subtract(ode.F_eval((V0 + dv).tolist()), ode.F_eval((V0 - dv).tolist())) / (2.0 * FD_STEP)
     lam, vecs = np.linalg.eig(J)
     stable = tuple(i for i in range(d) if lam[i].real < -CENTER_THRESHOLD)
     unstable = tuple(i for i in range(d) if lam[i].real > CENTER_THRESHOLD)

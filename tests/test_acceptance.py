@@ -138,8 +138,8 @@ def test_criterion_04_reduction_block_consistency(gas):
         n += 1
         U = np.array([rho, v, th, z1, z2])
         ode = tw_singular_ode(gas, sigma)
-        zeta = ode.zeta_eval(U)
-        Uprime = ode.F_eval(U) / zeta
+        zeta = ode.zeta_eval(U.tolist())
+        Uprime = np.array(ode.F_eval(U.tolist())) / zeta
         w, z_x = Uprime[0], Uprime[3:]
         z = np.array([z1, z2])
         blk = blocks(gas, State(rho, v, th), Gradient(w, z1, z2))
@@ -157,7 +157,7 @@ def test_criterion_05_shock_end_to_end(gas, pair, profile, oracle):
     drift = flux_constants(gas, profile).drift
     deviation = compare_profiles(profile, oracle, matching="v").sup
     ode = tw_singular_ode(gas, pair.sigma)
-    ext_res, _ = max_extended_residual(ode, profile.trajectory)
+    ext_res, _, _ = max_extended_residual(ode, profile.trajectory)
     parts = {
         "rh <= 1e-8": rh_worst <= 1e-8,
         "drift <= 1e-6": drift <= 1e-6,
@@ -179,7 +179,8 @@ def test_criterion_06_oracle_reduction_cross_check(gas, pair, oracle):
     xs, U, Uprime = extended_with_derivatives(oracle)
     worst = 0.0
     for i in range(U.shape[0]):
-        res = ode.zeta_eval(U[i]) * Uprime[i] - ode.F_eval(U[i])
+        V = U[i].tolist()
+        res = ode.zeta_eval(V) * Uprime[i] - np.array(ode.F_eval(V))
         worst = max(worst, float(np.abs(res).max()))
     ok = worst <= 1e-6
     _line(6, ok, t0, f"extended residual of flux-form samples = {worst:.3e} at {U.shape[0]} samples (<= 1e-6)")
@@ -193,7 +194,7 @@ def test_criterion_07_singularity_behavior(gas):
     delta = 1e-6
 
     direct = integrate_direct(ode, U0, (0.0, 50.0), tol=1e-10)
-    zeta_final = abs(ode.zeta_eval(direct.final_V))
+    zeta_final = abs(ode.zeta_eval(direct.final_V.tolist()))
     resc = integrate_rescaled(ode, U0, (0.0, 30.0), tol=1e-10)
     finite = bool(
         np.all(np.isfinite(direct.Vs)) and np.all(np.isfinite(direct.xs))
@@ -202,7 +203,7 @@ def test_criterion_07_singularity_behavior(gas):
     # the steady flow cannot cross v = 0 (the sonic set is invariant), so
     # the recorded count is 0 there; a scalar field with a real crossing
     # shows the recorder counting
-    scalar = SingularODE(dim=1, F_eval=lambda V: np.ones(1), zeta_eval=lambda V: float(V[0]))
+    scalar = SingularODE(dim=1, F_eval=lambda V: [1.0], zeta_eval=lambda V: float(V[0]))
     crossing = integrate_rescaled(scalar, np.array([-0.5]), (0.0, 2.0), tol=1e-10)
     parts = {
         "direct halt": direct.termination == TERM_SINGULARITY,
@@ -224,11 +225,11 @@ def test_criterion_07_singularity_behavior(gas):
 def test_criterion_08_integrator_calibration():
     t0 = time.perf_counter()
     tol = 1e-10
-    exp = SingularODE(dim=1, F_eval=lambda V: V * V, zeta_eval=lambda V: float(V[0]))
+    exp = SingularODE(dim=1, F_eval=lambda V: [V[0] * V[0]], zeta_eval=lambda V: float(V[0]))
     direct = integrate_direct(exp, np.array([1.0]), (0.0, 2.0), tol=tol)
     err_exp = abs(float(direct.final_V[0]) - np.e ** 2)
 
-    affine = SingularODE(dim=1, F_eval=lambda V: np.ones(1), zeta_eval=lambda V: float(V[0]))
+    affine = SingularODE(dim=1, F_eval=lambda V: [1.0], zeta_eval=lambda V: float(V[0]))
     resc = integrate_rescaled(affine, np.array([1.0]), (0.0, 2.0), tol=tol)
     err_lin = max(abs(float(resc.final_V[0]) - 3.0), abs(float(resc.xs[-1]) - 4.0))
 
@@ -256,7 +257,7 @@ def test_criterion_09_equilibrium_characterization(gas):
     bitwise = True
     for st in states:
         sigma = float(rng.uniform(-2.0, 2.0))
-        F = tw_singular_ode(gas, sigma).F_eval(np.array([st.rho, st.v, st.theta, 0.0, 0.0]))
+        F = np.array(tw_singular_ode(gas, sigma).F_eval([st.rho, st.v, st.theta, 0.0, 0.0]))
         if not np.all(F == 0.0):
             bitwise = False
             break
@@ -267,7 +268,7 @@ def test_criterion_09_equilibrium_characterization(gas):
         z1, z2 = np.cos(phi), np.sin(phi)
         s = float(rng.uniform(0.1, 1.5) * rng.choice([-1.0, 1.0]))
         sigma = st.v - s
-        F = tw_singular_ode(gas, sigma).F_eval(np.array([st.rho, st.v, st.theta, z1, z2]))
+        F = np.array(tw_singular_ode(gas, sigma).F_eval([st.rho, st.v, st.theta, z1, z2]))
         min_norm = min(min_norm, float(np.abs(F).max()))
 
     parts = {"F == 0 bitwise at z=0": bitwise, "|F| > 1e-10 off equilibrium": min_norm > 1e-10}

@@ -2,7 +2,9 @@
 
 Each entry point lists exactly the keywords and fields a caller can set;
 every other control is a module constant. A new knob, a new `Trajectory`
-field or the return of a deleted name shows up here as a test edit.
+field or the return of a deleted name shows up here as a test edit. The
+`SingularODE` fields are pinned too: the benchmark's tracer replaces
+`F_eval` and `zeta_eval` by name, so a rename would leave them untimed.
 """
 
 import inspect
@@ -15,6 +17,7 @@ from shocklayer import (
     LayerOpts,
     LinearizationReport,
     ShootOpts,
+    SingularODE,
     Trajectory,
     integrate_direct,
     integrate_rescaled,
@@ -44,6 +47,7 @@ def test_keyword_parameters(fn, expected):
     (LayerOpts, ["tol"]),
     (LinearizationReport, ["point", "J", "eigenvalues", "eigenvectors", "stable", "unstable", "center"]),
     (Trajectory, ["mode", "ts", "ys", "termination", "stats", "hs", "Q"]),
+    (SingularODE, ["dim", "F_eval", "zeta_eval", "label"]),
 ])
 def test_fields(cls, expected):
     assert [f.name for f in fields(cls)] == expected

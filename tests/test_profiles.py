@@ -41,7 +41,7 @@ from shocklayer import (
     tw_singular_ode,
 )
 from shocklayer.gas import conserved, euler_fluxes
-from shocklayer.profiles import _shift_x, _sup
+from shocklayer.profiles import _relative_residual, _shift_x, _sup
 
 from flux_form import extended_with_derivatives
 
@@ -300,7 +300,7 @@ class TestShockProfile:
             (UR, [-0.42030157, 3.93216837]),
         ):
             rep = linearize(ode, U)
-            zeta = ode.zeta_eval(U)
+            zeta = ode.zeta_eval(U.tolist())
             rates = sorted(
                 rep.eigenvalues[i].real / zeta
                 for i in range(5)
@@ -315,7 +315,7 @@ class TestShockProfile:
         for st in (pair_f1.left, pair_f1.right):
             U = np.array([st.rho, st.v, st.theta, 0.0, 0.0])
             rep = linearize(ode, U)
-            zeta = ode.zeta_eval(U)
+            zeta = ode.zeta_eval(U.tolist())
             rates5 = sorted(
                 rep.eigenvalues[i].real / zeta for i in range(5) if i not in rep.center
             )
@@ -453,6 +453,30 @@ class TestGilbargOracle:
             vx, thx = oracle_f1.rhs(st.v, st.theta)
             assert abs(vx) <= 1e-12 and abs(thx) <= 1e-12
 
+    def test_flux_form_rejects_unphysical_states(self, pair_f1, oracle_f1):
+        # a NaN theta fails the positivity check, as in `pressure`
+        with pytest.raises(DomainError):
+            oracle_f1.rhs(pair_f1.left.v, float("nan"))
+        # past the wave speed the mass flux gives rho = m / (v - sigma) < 0
+        with pytest.raises(DomainError):
+            oracle_f1.rhs(2.0 * oracle_f1.sigma - pair_f1.left.v, 1.0)
+
+    def test_oracle_ode_rejects_a_nan_stage(self, gasm, pair_f1, monkeypatch):
+        import shocklayer.profiles as profiles
+
+        odes = []
+        plan = profiles._connection_plan
+
+        def record(ode, *ends):
+            odes.append(ode)
+            return plan(ode, *ends)
+
+        monkeypatch.setattr(profiles, "_connection_plan", record)
+        gilbarg_oracle(gasm, pair_f1)
+        (ode,) = odes
+        with pytest.raises(DomainError):
+            ode.F_eval([pair_f1.left.v, float("nan")])
+
     def test_density_reconstruction(self, pair_f1, oracle_f1):
         t = oracle_f1.table()
         # at the near end the trajectory starts beside the right state
@@ -467,7 +491,8 @@ class TestGilbargOracle:
         xs, U, Uprime = extended_with_derivatives(oracle_f1)
         worst = 0.0
         for i in range(U.shape[0]):
-            res = ode.zeta_eval(U[i]) * Uprime[i] - ode.F_eval(U[i])
+            V = U[i].tolist()
+            res = ode.zeta_eval(V) * Uprime[i] - np.array(ode.F_eval(V))
             worst = max(worst, float(np.abs(res).max()))
         assert worst <= 1e-6
 
@@ -546,6 +571,7 @@ class TestGeneratedGases:
             raise
         prof = shock_profile(gas, pair)
         assert flux_constants(gas, prof).drift <= 1e-6
+        assert prof.diagnostics["extended_residual_rel"] <= 1e-6
         assert compare_profiles(prof, gilbarg_oracle(gas, pair), matching="v").sup <= 1e-5
         again = shock_profile(gas, pair).trajectory
         assert again.ts.tobytes() == prof.trajectory.ts.tobytes()
@@ -604,15 +630,24 @@ class TestCompareProfiles:
 class TestMaxExtendedResidual:
     def test_small_on_profile(self, gasm, pair_f1, prof_f1):
         ode = tw_singular_ode(gasm, pair_f1.sigma)
-        worst, skipped = max_extended_residual(ode, prof_f1.trajectory)
+        worst, skipped, _ = max_extended_residual(ode, prof_f1.trajectory)
         assert worst <= 1e-7
         assert skipped == 0
 
     def test_detects_a_raised_component(self, gasm, pair_f1, prof_f1):
         # theta + 1e-3 everywhere leaves U' unchanged but moves F(U)
         ode = tw_singular_ode(gasm, pair_f1.sigma)
-        worst, _ = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
+        worst, _, _ = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
         assert worst > 1e-5
+
+    def test_relative_value_detects_a_raised_component(self, gasm, pair_f1, prof_f1):
+        # on the scale of sup |F| the clean profile reads about 3e-8 and a
+        # theta raised by 1e-3 about 1e-3
+        ode = tw_singular_ode(gasm, pair_f1.sigma)
+        assert prof_f1.diagnostics["extended_residual_rel"] <= 1e-6
+        worst, skipped, f_sup = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
+        assert skipped == 0 and f_sup > 0.0
+        assert _relative_residual(worst, f_sup) > 1e-4
 
 
 class TestBoundaryLayer:

@@ -38,31 +38,31 @@ def admissible_extended(rng, n):
 class TestFrozenValues:
     def test_steady_point(self, gas):
         ode = steady_singular_ode(gas)
-        F = ode.F_eval(np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+        F = ode.F_eval([1.0, 1.0, 1.0, 1.0, 0.0])
         np.testing.assert_allclose(F, [-1.0, 1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_travelling_point_at_sonic_speed(self, gas):
         # v = sigma: convective terms drop, the Schur coupling survives
         ode = tw_singular_ode(gas, 1.0)
-        F = ode.F_eval(np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+        F = ode.F_eval([1.0, 1.0, 1.0, 1.0, 0.0])
         np.testing.assert_allclose(F, [-1.0, 0.0, 0.0, -1.0, 0.0], atol=1e-15)
 
     def test_equilibrium_is_exact_zero(self, gas, power_gas):
         for g in (gas, power_gas):
             for sigma in (0.0, -0.7, 1.3):
                 ode = tw_singular_ode(g, sigma)
-                F = ode.F_eval(np.array([1.4, 0.3, 0.9, 0.0, 0.0]))
+                F = np.array(ode.F_eval([1.4, 0.3, 0.9, 0.0, 0.0]))
                 assert np.all(F == 0.0)
 
     def test_zeta_is_relative_speed(self, gas):
         ode = tw_singular_ode(gas, 0.75)
-        assert ode.zeta_eval(np.array([1.0, 2.0, 1.0, 0.0, 0.0])) == 1.25
-        assert ode.zeta_eval(np.array([1.0, 0.75, 1.0, 5.0, 5.0])) == 0.0
+        assert ode.zeta_eval([1.0, 2.0, 1.0, 0.0, 0.0]) == 1.25
+        assert ode.zeta_eval([1.0, 0.75, 1.0, 5.0, 5.0]) == 0.0
 
     def test_steady_equals_travelling_at_zero(self, gas, rng):
         s = steady_singular_ode(gas)
         t = tw_singular_ode(gas, 0.0)
-        for U in admissible_extended(rng, 10):
+        for U in admissible_extended(rng, 10).tolist():
             np.testing.assert_array_equal(s.F_eval(U), t.F_eval(U))
             assert s.zeta_eval(U) == t.zeta_eval(U)
 
@@ -74,9 +74,9 @@ class TestFrozenValues:
     def test_inadmissible_states_rejected(self, gas):
         ode = steady_singular_ode(gas)
         with pytest.raises(DomainError):
-            ode.F_eval(np.array([-1.0, 0.0, 1.0, 0.0, 0.0]))
+            ode.F_eval([-1.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(DomainError):
-            ode.F_eval(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+            ode.F_eval([1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestBlockConsistency:
@@ -89,9 +89,9 @@ class TestBlockConsistency:
 
     def _check(self, g, sigma, U, tol=1e-12):
         ode = tw_singular_ode(g, sigma)
-        zeta = ode.zeta_eval(U)
+        zeta = ode.zeta_eval(U.tolist())
         assert abs(zeta) > 1e-3, "test point too close to the sonic set"
-        F = ode.F_eval(U)
+        F = np.array(ode.F_eval(U.tolist()))
         Uprime = F / zeta
         w = Uprime[0]
         z = np.array([U[3], U[4]])
@@ -127,8 +127,8 @@ class TestPolynomialStructure:
 
     def _quadratic_part(self, ode, base, z):
         def g(t):
-            U = np.array([base[0], base[1], base[2], t * z[0], t * z[1]])
-            return ode.F_eval(U)
+            U = [base[0], base[1], base[2], t * z[0], t * z[1]]
+            return np.array(ode.F_eval(U))
 
         g0, g1, g2, g3 = g(0.0), g(1.0), g(2.0), g(3.0)
         third = g3 - 3.0 * g2 + 3.0 * g1 - g0
@@ -174,7 +174,7 @@ class TestReduceW:
                 sigma = float(U[1]) + 0.8
                 ode = tw_singular_ode(g, sigma)
                 w = reduce_w(g, ExtendedState.from_array(U), sigma)
-                expected = ode.F_eval(U)[0] / ode.zeta_eval(U)
+                expected = ode.F_eval(U.tolist())[0] / ode.zeta_eval(U.tolist())
                 assert w == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
     def test_singularity_guard(self, gas):
@@ -191,7 +191,7 @@ class TestExtendedResidual:
     def test_zero_on_claimed_solution(self, gas):
         ode = tw_singular_ode(gas, -0.4)
         U = np.array([1.2, 0.5, 1.1, 0.6, -0.2])
-        Uprime = ode.F_eval(U) / ode.zeta_eval(U)
+        Uprime = np.array(ode.F_eval(U.tolist())) / ode.zeta_eval(U.tolist())
         res = extended_residual(ode, U, Uprime)
         np.testing.assert_allclose(res, 0.0, atol=1e-13)
 

@@ -56,7 +56,7 @@ def exp_ode():
     # F = V^2, zeta = V: direct dV/dx = V, so V(x) = V(0) e^x
     return SingularODE(
         dim=1,
-        F_eval=lambda V: V * V,
+        F_eval=lambda V: [V[0] * V[0]],
         zeta_eval=lambda V: float(V[0]),
         label="exponential calibration",
     )
@@ -66,7 +66,7 @@ def affine_zeta_ode():
     # F = 1, zeta = V: rescaled V(tau) = V0 + tau, x(tau) = V0 tau + tau^2/2
     return SingularODE(
         dim=1,
-        F_eval=lambda V: np.ones(1),
+        F_eval=lambda V: [1.0],
         zeta_eval=lambda V: float(V[0]),
         label="affine calibration",
     )
@@ -76,7 +76,7 @@ def decay_to_zero_ode():
     # F = -1, zeta = V: direct V(x) = sqrt(1 - 2x) from V(0) = 1
     return SingularODE(
         dim=1,
-        F_eval=lambda V: -np.ones(1),
+        F_eval=lambda V: [-1.0],
         zeta_eval=lambda V: float(V[0]),
         label="square-root collapse",
     )
@@ -239,7 +239,7 @@ class TestSingularityGuard:
     def test_steps_across_the_singular_set_are_rejected(self):
         # F = -zeta makes dV/dx = -1 regular across zeta = V = 0, and the
         # error estimate vanishes; only the sign veto stops the run there
-        ode = SingularODE(dim=1, F_eval=lambda V: -V, zeta_eval=lambda V: float(V[0]), label="regular crossing")
+        ode = SingularODE(dim=1, F_eval=lambda V: [-V[0]], zeta_eval=lambda V: float(V[0]), label="regular crossing")
         traj = integrate_direct(ode, np.array([1.0]), (0.0, 2.0), tol=1e-10)
         assert traj.termination == TERM_SINGULARITY
         assert np.all(traj.Vs > 0.0) and traj.final_V[0] <= 1e-6
@@ -279,7 +279,7 @@ class TestEquilibriumDetection:
         # own error floor (~tol), so the run goes the distance instead
         ode = SingularODE(
             dim=1,
-            F_eval=lambda V: -(V - 2.0),
+            F_eval=lambda V: [-(V[0] - 2.0)],
             zeta_eval=lambda V: 1.0,
             label="relaxation",
         )
@@ -290,7 +290,7 @@ class TestEquilibriumDetection:
     def test_no_false_positive_on_slow_field(self):
         ode = SingularODE(
             dim=1,
-            F_eval=lambda V: np.full(1, 1e-6),
+            F_eval=lambda V: [1e-6],
             zeta_eval=lambda V: 1.0,
             label="slow drift",
         )
@@ -397,6 +397,48 @@ class TestEvaluationCounts:
         assert calls[1] == traj.stats.n_fevals == calls[0]
 
 
+def is_float_list(V, n):
+    return type(V) is list and len(V) == n and all(type(c) is float for c in V)
+
+
+class TestCallbackContract:
+    """F, zeta and stop_when receive V as a list of Python floats, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_callbacks_receive_float_lists(self, gas, mode):
+        ode = steady_singular_ode(gas)
+        seen = {"F": [], "zeta": [], "stop": []}
+
+        def F(V):
+            seen["F"].append(V)
+            return ode.F_eval(V)
+
+        def zeta(V):
+            seen["zeta"].append(V)
+            return ode.zeta_eval(V)
+
+        def stop(t, V, *x):
+            seen["stop"].append(V)
+            assert all(type(c) is float for c in (t, *x))
+            return False
+
+        recording = SingularODE(dim=5, F_eval=F, zeta_eval=zeta)
+        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+        traj = INTEGRATORS[mode](recording, U0, (0.0, 0.25), tol=1e-8, stop_when=stop)
+        assert traj.termination == TERM_REACHED_END
+        assert len(seen["F"]) == traj.stats.n_fevals
+        assert len(seen["stop"]) == traj.stats.n_accepted
+        for name, calls in seen.items():
+            assert calls and all(is_float_list(V, 5) for V in calls), name
+
+    def test_reduction_returns_float_lists(self, gas, power_gas):
+        for g in (gas, power_gas):
+            ode = tw_singular_ode(g, -0.4)
+            V = [1.2, 0.5, 1.1, 0.6, -0.2]
+            assert is_float_list(ode.F_eval(V), 5)
+            assert type(ode.zeta_eval(V)) is float
+
+
 def zeta_sign_changes(zetas):
     """Sign changes along a sequence, zeros skipped."""
     signs = np.sign(zetas)
@@ -413,12 +455,12 @@ class TestSharedBookkeeping:
 
     def test_min_abs_zeta_is_exact(self, gas):
         for ode, traj in self._runs(gas):
-            zetas = [ode.zeta_eval(V) for V in traj.Vs]
+            zetas = [ode.zeta_eval(V) for V in traj.Vs.tolist()]
             assert traj.stats.min_abs_zeta == min(abs(z) for z in zetas)
 
     def test_sign_changes_are_exact(self, gas):
         runs = self._runs(gas)
-        counts = [zeta_sign_changes([ode.zeta_eval(V) for V in traj.Vs]) for ode, traj in runs]
+        counts = [zeta_sign_changes([ode.zeta_eval(V) for V in traj.Vs.tolist()]) for ode, traj in runs]
         assert [traj.stats.zeta_sign_changes for _, traj in runs] == counts
         assert [traj.mode for _, traj in runs] == ["direct"] * 3 + ["rescaled"] * 3
         assert counts == [0, 0, 0, 1, 0, 1]  # none in direct mode
@@ -567,7 +609,7 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
                 break
         else:
             dwell = 0
-        if stop_when is not None and stop_when(t, y):
+        if stop_when is not None and stop_when(t, y.tolist()):
             termination = TERM_STOPPED
             break
         if abs(t - t_end) <= 1e-14 * max(abs(t), abs(t_end), 1.0):
@@ -586,16 +628,16 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
 
 def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, stop_when=None):
     V0 = np.asarray(V0, dtype=float)
-    z0 = ode.zeta_eval(V0)
+    z0 = ode.zeta_eval(V0.tolist())
     if abs(z0) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z0):.3e} <= delta = {DELTA:g}")
 
     def rhs(V):
         try:
-            z = ode.zeta_eval(V)
+            z = ode.zeta_eval(V.tolist())
             if z == 0.0 or not np.isfinite(z):
                 return None
-            F = ode.F_eval(V)
+            F = np.array(ode.F_eval(V.tolist()))
             return F / z, F, z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
@@ -610,8 +652,8 @@ def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, stop_when
 
     def rhs(y):
         try:
-            V = y[:-1]
-            F = ode.F_eval(V)
+            V = y[:-1].tolist()
+            F = np.array(ode.F_eval(V))
             z = ode.zeta_eval(V)
             return np.append(F, z), F, z
         except (DomainError, ZeroDivisionError, OverflowError):
@@ -656,7 +698,7 @@ class TestFloatStepperMatchesReference:
             self.assert_same(*spec)
 
     def test_sign_veto_rejections_and_stops(self, gas):
-        crossing = SingularODE(dim=1, F_eval=lambda V: -V, zeta_eval=lambda V: float(V[0]))
+        crossing = SingularODE(dim=1, F_eval=lambda V: [-V[0]], zeta_eval=lambda V: float(V[0]))
         _, term, stats, _ = self.assert_same("direct", crossing, np.array([1.0]), (0.0, 2.0), 1e-10)
         assert term == TERM_SINGULARITY and stats.n_rejected > 0
         # rejections by the error test, then a step failure
@@ -756,7 +798,7 @@ class TestLinearize:
         M = np.array([[0.0, 1.0], [-2.0, -3.0]])
 
         def F(V):
-            return M @ V
+            return (M @ V).tolist()
 
         ode = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0)
         rep = linearize(ode, np.array([0.0, 0.0]))
@@ -767,7 +809,7 @@ class TestLinearize:
 
     def test_classification_with_center(self):
         D = np.diag([2.0, -3.0, 0.0])
-        ode = SingularODE(dim=3, F_eval=lambda V: D @ V, zeta_eval=lambda V: 1.0)
+        ode = SingularODE(dim=3, F_eval=lambda V: (D @ V).tolist(), zeta_eval=lambda V: 1.0)
         rep = linearize(ode, np.zeros(3))
         lam = rep.eigenvalues.real
         assert {round(lam[i]) for i in rep.unstable} == {2}
