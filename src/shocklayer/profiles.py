@@ -27,6 +27,7 @@ from .errors import (
     NoConnectionError,
     NoDecayingDirectionError,
     NonMonotoneError,
+    SingularityError,
 )
 from .gas import GasModel, State, conserved, euler_fluxes, internal_energy, pressure, sound_speed
 from .reduction import (
@@ -335,10 +336,17 @@ class _ShootPlan:
     rates_target: list[float]
 
 
-def _direct_rates(report: LinearizationReport, zeta: float) -> list[tuple[int, float]]:
-    """(index, Re lambda / zeta) for the non-center eigenvalues."""
-    return [
-        (i, float(report.eigenvalues[i].real / zeta))
+def _spatial_rates(ode: SingularODE, U: np.ndarray, on_sonic: Exception) -> tuple[LinearizationReport, list]:
+    """linearize(ode, U) and (index, Re lambda / zeta(U)) for its non-center eigenvalues.
+
+    A rest point on the sonic set has no spatial rates; it raises on_sonic.
+    """
+    z = ode.zeta_eval(U.tolist())
+    if z == 0.0:
+        raise on_sonic
+    report = linearize(ode, U)
+    return report, [
+        (i, float(report.eigenvalues[i].real / z))
         for i in range(len(report.eigenvalues))
         if i not in report.center
     ]
@@ -354,16 +362,11 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
     one direction expanding toward the other end (backward integration
     when that is the right endpoint) and the receiving end, attracting
     in the integration direction, absorbs integration noise instead of
-    amplifying it.
+    amplifying it. An endpoint on the sonic set is a NoConnectionError.
     """
-    zl = ode.zeta_eval(U_left.tolist())
-    zr = ode.zeta_eval(U_right.tolist())
-    if zl == 0.0 or zr == 0.0:
-        raise NoConnectionError("an endpoint sits on the sonic set; no direct shooting")
-    rep_l = linearize(ode, U_left)
-    rep_r = linearize(ode, U_right)
-    mus_l = _direct_rates(rep_l, zl)
-    mus_r = _direct_rates(rep_r, zr)
+    on_sonic = NoConnectionError("an endpoint sits on the sonic set; no direct shooting")
+    rep_l, mus_l = _spatial_rates(ode, U_left, on_sonic)
+    rep_r, mus_r = _spatial_rates(ode, U_right, on_sonic)
     expanding_left = [(i, m) for i, m in mus_l if m > 0.0]
     contracting_right = [(i, m) for i, m in mus_r if m < 0.0]
     if len(expanding_left) == 1:
@@ -685,19 +688,16 @@ def boundary_layer(
 ) -> Profile:
     """Steady layer converging to limit_state at the far end.
 
-    The steady singular ODE is linearized at the equilibrium
-    (limit_state, z = 0); spatial decay rates are the non-center
-    eigenvalues divided by zeta = v at the equilibrium. The layer is
-    produced by integrating backward (from the far end toward x = 0)
-    starting a perturbation of the given signed amplitude along the
-    decaying direction selected by index (sorted most stable first).
-
-    If the backward sweep approaches the sonic set v = 0, the run is
-    redone with the rescaled integrator, which can pass near the set;
-    any zeta sign change is reported in the diagnostics. For a
-    characteristic limit state (v = 0 within the guard) classification
-    falls back to the desingularized rates and only the rescaled sweep
-    is used; the tool makes no existence claim in that case.
+    The layer is integrated backward (from the far end toward x = 0) from
+    a perturbation of the given signed amplitude along the decaying
+    direction selected by index, the spatial rates at (limit_state, z = 0)
+    sorted most stable first. Steady flow keeps its mass flux rho v, so a
+    limit with v = 0 keeps v = 0: like a limit without a decaying
+    direction, it has no layer (NoDecayingDirectionError). The sweep runs
+    in x unless its start lies within DELTA of the sonic set or the direct
+    run halts there; then the rescaled integrator redoes it, and
+    diagnostics["mode_switch"] = {reason, min_abs_zeta, x} records which
+    ("start_within_delta" or "direct_halt"), how close zeta came, and where.
     """
     ode = steady_singular_ode(gas)
     U_star = np.array([limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0])
@@ -711,38 +711,24 @@ def boundary_layer(
                          "extended_residual_max": 0.0, "extended_residual_rel": 0.0, "flux_drift": 0.0},
         )
 
-    limit = U_star.tolist()
-    zeta_star = ode.zeta_eval(limit)
-    characteristic = abs(zeta_star) <= SINGULARITY_GUARD
-    report = linearize(ode, U_star)
-    lam = report.eigenvalues
-    if characteristic:
-        rates = lam  # desingularized rates, spatial rates undefined at v = 0
-    else:
-        rates = lam / zeta_star
-    noncenter = [i for i in range(len(lam)) if i not in report.center]
-    stable = sorted(
-        (i for i in noncenter if rates[i].real < 0.0),
-        key=lambda i: rates[i].real,
-    )
+    on_sonic = NoDecayingDirectionError("limit state on the sonic set: steady flow keeps v = 0, no layer exists")
+    report, rates = _spatial_rates(ode, U_star, on_sonic)
+    stable = sorted(((i, m) for i, m in rates if m < 0.0), key=lambda p: p[1])
     if not stable:
         raise NoDecayingDirectionError(
             f"no decaying direction at limit state (v = {limit_state.v:g}); "
-            f"non-center rates: {[complex(rates[i]) for i in noncenter]}"
+            f"non-center rates: {[m for _, m in rates]}"
         )
     if not (0 <= direction_index < len(stable)):
         raise DomainError(
             f"direction_index {direction_index} out of range, {len(stable)} decaying direction(s)"
         )
-    sel = stable[direction_index]
+    sel, rate = stable[direction_index]
     xi = _real_unit_eigenvector(report, sel)
-    rate = float(rates[sel].real)
 
-    if characteristic:
-        L = 10.0
-    else:
-        L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
+    L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
     start = U_star + amplitude * xi
+    limit = U_star.tolist()
     cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
     if abs(amplitude) >= cap:
         raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
@@ -754,25 +740,26 @@ def boundary_layer(
         "amplitude": amplitude,
         "direction_index": direction_index,
         "rate": rate,
-        "characteristic_limit": characteristic,
-        "decaying_rates": [float(rates[i].real) for i in stable],
+        "decaying_rates": [m for _, m in stable],
         "length_requested": float(L),
     }
 
-    traj = None
-    if not characteristic:
+    try:
         traj = integrate_direct(ode, start, (L, 0.0), tol=opts.tol, stop_when=stop)
+    except SingularityError:
+        traj = None  # the start lies within DELTA of the sonic set
+    if traj is not None and traj.termination != TERM_SINGULARITY:
         diagnostics["mode"] = "direct"
-        if traj.termination == TERM_SINGULARITY:
-            diagnostics["direct_halt_min_abs_zeta"] = traj.stats.min_abs_zeta
-            traj = None
-    if traj is None:
-        # sonic set on the path (or characteristic limit): desingularized sweep
+    else:
+        # sonic set at the start or on the path: desingularized sweep
         zeta_start = ode.zeta_eval(start.tolist())
+        diagnostics["mode"] = "rescaled"
+        diagnostics["mode_switch"] = (
+            {"reason": "start_within_delta", "min_abs_zeta": abs(zeta_start), "x": float(L)} if traj is None
+            else {"reason": "direct_halt", "min_abs_zeta": traj.stats.min_abs_zeta, "x": float(traj.ts[-1])}
+        )
         tau_dir = -1.0 if zeta_start > 0 else 1.0
-        if characteristic and zeta_start == 0.0:
-            tau_dir = -np.sign(rate) or -1.0
-        tau_max = max(10.0 * L / max(abs(zeta_star), 0.05), 100.0)
+        tau_max = max(10.0 * L / max(abs(limit_state.v), 0.05), 100.0)  # zeta = v at the limit
 
         def stop_resc(tau, V, x):
             return x <= 0.0 or _sup_dist(V, limit) > cap
@@ -780,11 +767,13 @@ def boundary_layer(
         traj = integrate_rescaled(
             ode, start, (0.0, tau_dir * tau_max), tol=opts.tol, x0=L, stop_when=stop_resc,
         )
-        diagnostics["mode"] = "rescaled"
         diagnostics["zeta_sign_changes"] = traj.stats.zeta_sign_changes
 
-    # re-anchor so the produced window starts at x = 0
-    traj = _shift_x(traj, -float(np.min(traj.xs)))
+    # re-anchor so the produced window starts at x = 0, the switch point with it
+    shift = -float(np.min(traj.xs))
+    traj = _shift_x(traj, shift)
+    if "mode_switch" in diagnostics:
+        diagnostics["mode_switch"]["x"] += shift
     diagnostics["length_produced"] = float(np.max(traj.xs))
     diagnostics["termination"] = traj.termination
     diagnostics["min_abs_zeta"] = traj.stats.min_abs_zeta

@@ -525,19 +525,16 @@ def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearizationReport:
-    """Eigen-decomposition of the desingularized field at one point.
+    """Jacobian J of F at one point, its eigenvalues and eigenvectors (columns).
 
-    Directions are classified against the real-part threshold
-    CENTER_THRESHOLD: stable, unstable, and center index tuples partition
-    range(dim). Eigenvectors are columns of ``eigenvectors``.
+    ``center`` holds the indices with |Re lambda| <= CENTER_THRESHOLD. The
+    eigenvalues are rates in tau; the spatial rates of dV/dx = F/zeta are
+    these over zeta, so their signs flip where zeta < 0.
     """
 
-    point: np.ndarray
     J: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    stable: tuple[int, ...]
-    unstable: tuple[int, ...]
     center: tuple[int, ...]
 
 
@@ -546,7 +543,7 @@ FD_STEP = 1e-6
 
 
 def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
-    """Central-difference Jacobian of F at V0 (step FD_STEP) with eigen classification."""
+    """Central-difference Jacobian of F at V0 (step FD_STEP) and its eigen-decomposition."""
     V0 = np.asarray(V0, dtype=float)
     d = V0.size
     J = np.empty((d, d))
@@ -555,13 +552,8 @@ def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
         dv[j] = FD_STEP
         J[:, j] = np.subtract(ode.F_eval((V0 + dv).tolist()), ode.F_eval((V0 - dv).tolist())) / (2.0 * FD_STEP)
     lam, vecs = np.linalg.eig(J)
-    stable = tuple(i for i in range(d) if lam[i].real < -CENTER_THRESHOLD)
-    unstable = tuple(i for i in range(d) if lam[i].real > CENTER_THRESHOLD)
     center = tuple(i for i in range(d) if abs(lam[i].real) <= CENTER_THRESHOLD)
-    return LinearizationReport(
-        point=V0.copy(), J=J, eigenvalues=lam, eigenvectors=vecs,
-        stable=stable, unstable=unstable, center=center,
-    )
+    return LinearizationReport(J=J, eigenvalues=lam, eigenvectors=vecs, center=center)
 
 
 CSV_HEADER = "x,tau,rho,v,theta,z1,z2"

@@ -45,7 +45,7 @@ def test_keyword_parameters(fn, expected):
 @pytest.mark.parametrize("cls,expected", [
     (ShootOpts, ["tol", "end_tol"]),
     (LayerOpts, ["tol"]),
-    (LinearizationReport, ["point", "J", "eigenvalues", "eigenvectors", "stable", "unstable", "center"]),
+    (LinearizationReport, ["J", "eigenvalues", "eigenvectors", "center"]),
     (Trajectory, ["mode", "ts", "ys", "termination", "stats", "hs", "Q"]),
     (SingularODE, ["dim", "F_eval", "zeta_eval", "label"]),
 ])

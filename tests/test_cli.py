@@ -263,13 +263,30 @@ class TestLayer:
         assert "layer: limit (1, -0.3, 1)" in capsys.readouterr().out
 
     def test_supersonic_outflow_is_numerical_error(self, tmp_path, outdir, capsys):
+        # supersonic outflow has no decaying direction; a limit on the sonic
+        # set (v = 0) has no layer either
+        for limit in ([1.0, 2.0, 1.0], [1.0, 0.0, 1.0]):
+            cfg = base_config(outdir)
+            cfg["layer"]["limit_state"] = limit
+            path = write_config(tmp_path, cfg)
+            assert main(["layer", "--config", path]) == 3
+            err = capsys.readouterr().err
+            assert "kind=numerical exit=3" in err
+            for name in ("layer_profile.csv", "layer_diagnostics.json", "layer_plot.gp"):
+                assert not (outdir / name).exists()
+
+    def test_near_sonic_limit_runs_rescaled(self, tmp_path, outdir):
         cfg = base_config(outdir)
-        cfg["layer"]["limit_state"] = [1.0, 2.0, 1.0]
+        cfg["layer"]["limit_state"] = [1.0, 1e-7, 1.0]
         path = write_config(tmp_path, cfg)
-        assert main(["layer", "--config", path]) == 3
-        err = capsys.readouterr().err
-        assert "kind=numerical exit=3" in err
-        assert not (outdir / "layer_profile.csv").exists()
+        assert main(["layer", "--config", path]) == 0
+        details = json.loads((outdir / "layer_diagnostics.json").read_text())["details"]
+        assert details["mode"] == "rescaled"
+        assert details["mode_switch"]["reason"] == "start_within_delta"
+        rows = [line.split(",") for line in (outdir / "layer_profile.csv").read_text().splitlines()[1:]]
+        assert rows and all(row[1] != "" for row in rows)
+        xs = [float(row[0]) for row in rows]
+        assert max(xs) - min(xs) > 0.0
 
 
 class TestReproducibility:

@@ -410,6 +410,16 @@ class TestShooting:
             assert [a["sign"] for a in attempts[:2]] == [attempts[0]["sign"], -attempts[0]["sign"]]
             assert attempts[2]["eps"] == attempts[0]["eps"] / 16.0
 
+    def test_endpoint_on_the_sonic_set_is_no_connection(self, gasm):
+        import shocklayer.profiles as profiles
+
+        ode = tw_singular_ode(gasm, 0.0)
+        sonic = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        other = np.array([1.0, -0.3, 1.0, 0.0, 0.0])
+        for ends in ((sonic, other), (other, sonic)):
+            with pytest.raises(NoConnectionError, match="sonic set"):
+                profiles._connection_plan(ode, *ends)
+
 
 class TestFluxConstants:
     def test_drift_small_on_computed_profile(self, gasm, prof_f1):
@@ -657,7 +667,6 @@ class TestBoundaryLayer:
         assert prof.kind == "boundary_layer"
         assert prof.sigma == 0.0
         assert d["mode"] == "direct"
-        assert d["characteristic_limit"] is False
         assert d["rate"] < 0.0
         assert d["extended_residual_max"] <= 1e-6
         assert d["flux_drift"] <= 1e-5
@@ -696,22 +705,52 @@ class TestBoundaryLayer:
         with pytest.raises(NoDecayingDirectionError):
             boundary_layer(gasm, State(1.0, 2.0, 1.0))
 
-    def test_characteristic_limit_rescaled(self, gasm):
-        prof = boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=1e-3)
-        d = prof.diagnostics
-        assert d["characteristic_limit"] is True
-        assert d["mode"] == "rescaled"
-        assert "zeta_sign_changes" in d
-        traj = prof.trajectory
-        assert np.all(np.isfinite(traj.Vs)) and np.all(np.isfinite(traj.xs))
-        assert float(np.min(traj.xs)) == 0.0
+    def test_sonic_limit_has_no_layer(self, gasm):
+        # steady flow keeps its mass flux rho v, so v = 0 at the limit keeps
+        # v = 0 everywhere: no layer, only the constant one at zero amplitude
+        with pytest.raises(NoDecayingDirectionError, match="sonic set"):
+            boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=1e-3)
+        const = boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=0.0)
+        assert const.trajectory.n == 1 and const.left == const.right
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tiny_speeds_behave_like_their_neighbours(self, gasm, sign):
+        # no speed below the guard gets a rule of its own: v = +-1e-9 ends
+        # the way v = +-2e-8 does (a rescaled layer for outflow, no decaying
+        # direction for inflow)
+        def outcome(v):
+            try:
+                return boundary_layer(gasm, State(1.0, v, 1.0), amplitude=1e-3).diagnostics["mode"]
+            except NoDecayingDirectionError:
+                return "no decaying direction"
+
+        assert outcome(sign * 1e-9) == outcome(sign * 2e-8)
+        assert outcome(sign * 1e-9) == ("rescaled" if sign > 0 else "no decaying direction")
+
+    def test_mode_switch_reasons(self, gasm):
+        # a start within DELTA of the sonic set and a direct run that halts
+        # there both switch to the rescaled sweep, and say which it was
+        start = boundary_layer(gasm, State(1.0, 1e-7, 1.0), amplitude=1e-3).diagnostics
+        halt = boundary_layer(gasm, State(1.0, 1.3e-6, 1.0), amplitude=-1e-3).diagnostics
+        assert start["mode"] == halt["mode"] == "rescaled"
+        assert start["mode_switch"]["reason"] == "start_within_delta"
+        assert halt["mode_switch"]["reason"] == "direct_halt"
+        for d in (start, halt):
+            assert set(d["mode_switch"]) == {"reason", "min_abs_zeta", "x"}
+            assert 0.0 < d["mode_switch"]["min_abs_zeta"] <= 1e-6
+            assert 0.0 <= d["mode_switch"]["x"] <= d["length_produced"]
+        # the start sits at the far end of the anchored window, the halt inside it
+        assert start["mode_switch"]["x"] == start["length_produced"]
+        assert halt["mode_switch"]["x"] < halt["length_produced"]
+        direct = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3).diagnostics
+        assert direct["mode"] == "direct" and "mode_switch" not in direct
 
     def test_reanchoring_moves_the_dense_output(self, gasm):
         # in rescaled mode x is the last integrated component, so the shift
-        # that anchors the window at x = 0 must move the dense output too;
-        # here zeta stays 0, so every sample sits at the start x = 10
-        traj = boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=1e-3).trajectory
+        # that anchors the window at x = 0 must move the dense output too
+        traj = boundary_layer(gasm, State(1.0, 1e-7, 1.0), amplitude=1e-3).trajectory
         assert traj.mode == "rescaled"
+        assert float(np.min(traj.xs)) == 0.0 and np.ptp(traj.xs) > 0.0
         assert_dense_x_matches_samples(traj)
 
     def test_zero_amplitude(self, gasm):
@@ -731,3 +770,30 @@ class TestBoundaryLayer:
         far_up = up.trajectory.Vs[0] - up.right.to_array()
         far_dn = dn.trajectory.Vs[0] - dn.right.to_array()
         assert np.dot(far_up, far_dn) < 0.0
+
+
+class TestNearSonicLayers:
+    """Layers whose limit speed lies within a few DELTA of the sonic set."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        rho=st.floats(0.5, 2.0),
+        theta=st.floats(0.5, 2.0),
+        log_v=st.floats(-7.0, -5.0),
+        log_amp=st.floats(-4.0, -2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_layer_invariants(self, gamma, nu, k, rho, theta, log_v, log_amp, sign):
+        # starts within DELTA run rescaled, the others direct; both keep the
+        # mass flux and pass a residual check that skipped no midpoint
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        prof = boundary_layer(gas, State(rho, 10.0 ** log_v, theta), amplitude=sign * 10.0 ** log_amp)
+        d = prof.diagnostics
+        m = prof.trajectory.Vs[:, 0] * prof.trajectory.Vs[:, 1]
+        assert np.max(np.abs(m - m[0])) <= 1e-8 * abs(m[0])
+        assert d["extended_residual_skipped"] == 0
+        assert d["extended_residual_rel"] <= 1e-6
+        assert d["length_produced"] > 0.0

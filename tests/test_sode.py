@@ -804,16 +804,17 @@ class TestLinearize:
         rep = linearize(ode, np.array([0.0, 0.0]))
         np.testing.assert_allclose(rep.J, M, atol=1e-9)
         assert sorted(rep.eigenvalues.real) == pytest.approx([-2.0, -1.0], abs=1e-9)
-        assert set(rep.stable) == {0, 1}
-        assert rep.unstable == () and rep.center == ()
+        assert rep.center == ()
+        assert all(lam.real < 0.0 for lam in rep.eigenvalues)
 
     def test_classification_with_center(self):
         D = np.diag([2.0, -3.0, 0.0])
         ode = SingularODE(dim=3, F_eval=lambda V: (D @ V).tolist(), zeta_eval=lambda V: 1.0)
         rep = linearize(ode, np.zeros(3))
         lam = rep.eigenvalues.real
-        assert {round(lam[i]) for i in rep.unstable} == {2}
-        assert {round(lam[i]) for i in rep.stable} == {-3}
+        noncenter = [i for i in range(3) if i not in rep.center]
+        assert {round(lam[i]) for i in noncenter if lam[i] > 0.0} == {2}
+        assert {round(lam[i]) for i in noncenter if lam[i] < 0.0} == {-3}
         assert {round(lam[i]) for i in rep.center} == {0}
         # eigenvectors are columns
         for i in range(3):
