@@ -512,32 +512,44 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     return prof
 
 
-def _flux_form_rhs(
-    gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float, v: float, theta: float,
-) -> list[float]:
-    """[v_x, theta_x] from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E.
+def _flux_form(gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float):
+    """F(V) = [v_x, theta_x] from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E.
 
-    p and e are the ideal-gas laws of `pressure` and `internal_energy`,
-    written out in the same order; a NaN rho or theta fails the check.
+    V = [v, theta]. p and e are the ideal-gas laws of `pressure` and
+    `internal_energy`, written out in the same order with R and
+    R / (gamma - 1) read once; a NaN rho or theta fails the check.
     """
-    rho = m / (v - sigma)
-    if not (rho > 0.0 and theta > 0.0):
-        raise DomainError("flux-form state left the physical region")
-    p = gas.R * rho * theta
-    e = gas.R / (gas.gamma - 1.0) * theta
-    nu, _ = gas.nu_law(rho)
-    k, _ = gas.k_law(rho)
-    v_x = (m * v + p - Pi) / nu
-    th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k
-    return [v_x, th_x]
+    R = gas.R
+    e_theta = gas.R / (gas.gamma - 1.0)
+    nu_law, k_law = gas.nu_law, gas.k_law
+
+    def F(V: list[float]) -> list[float]:
+        v, theta = V
+        rho = m / (v - sigma)
+        if not (rho > 0.0 and theta > 0.0):
+            raise DomainError("flux-form state left the physical region")
+        p = R * rho * theta
+        e = e_theta * theta
+        nu, _ = nu_law(rho)
+        k, _ = k_law(rho)
+        v_x = (m * v + p - Pi) / nu
+        th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k
+        return [v_x, th_x]
+
+    return F
 
 
 @dataclass(frozen=True)
 class OracleTrajectory:
-    """Flux-form (v, theta) trajectory with its conserved quantities.
+    """Flux-form shock profile: the (v, theta) trajectory and its flux constants.
 
-    Built only from the gas model and the once-integrated conservation
-    laws; shares nothing with the symmetrized matrices or the reduction.
+    m, Pi and Eflux are the mass, momentum and energy fluxes in the frame
+    moving at sigma, fixed by the left state. `rhs` is the right-hand side
+    they define, and `table` derives rho, z1 = v_x and z2 = theta_x from
+    it. That right-hand side comes from the gas model and these constants
+    alone, never from the symmetrized matrices or the reduced singular
+    ODE; only the stepper and the shooting are shared with
+    `shock_profile`. ``attempts`` lists the shots.
     """
 
     gas: GasModel
@@ -550,12 +562,13 @@ class OracleTrajectory:
 
     def rhs(self, v: float, theta: float) -> list[float]:
         """Right-hand sides [v_x, theta_x] of the flux-form system."""
-        return _flux_form_rhs(self.gas, self.sigma, self.m, self.Pi, self.Eflux, v, theta)
+        return _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux)([v, theta])
 
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
         vs, ths = V[:, 0], V[:, 1]
-        z = np.array([self.rhs(v, th) for v, th in V.tolist()]).reshape(-1, 2)
+        F = _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux)
+        z = np.array([F(state) for state in V.tolist()]).reshape(-1, 2)
         return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z[:, 0], "z2": z[:, 1]}
 
     def table(self) -> dict[str, np.ndarray]:
@@ -584,10 +597,8 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     Pi = m * U_m.v + p_m
     Eflux = m * (e_m + 0.5 * U_m.v ** 2) + U_m.v * p_m
 
-    def rhs2(V: list[float]) -> list[float]:
-        return _flux_form_rhs(gas, sigma, m, Pi, Eflux, *V)
-
-    ode2 = SingularODE(dim=2, F_eval=rhs2, zeta_eval=lambda V: 1.0, label="flux form")
+    F = _flux_form(gas, sigma, m, Pi, Eflux)
+    ode2 = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0, label="flux form")
     left = np.array([U_m.v, U_m.theta])
     right = np.array([pair.right.v, pair.right.theta])
 

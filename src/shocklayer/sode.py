@@ -16,6 +16,12 @@ row), records step statistics, and keeps a dense interpolant so
 trajectories can be resampled at arbitrary points of the independent
 variable without re-integration.
 
+The step itself is straight-line Python generated per state dimension
+and mode (`_kernel_source`) and compiled once per process on first use
+(`_kernels`). It evaluates the six new stages inline and writes out
+every stage point, the new state, the error estimate and the error norm
+component by component; the only list a stage builds is the point it
+hands to F and zeta.
 The loop steps on lists of Python floats, with no numpy or BLAS call
 between two right-hand side evaluations: F, zeta and ``stop_when`` are
 handed the stage lists themselves (see `SingularODE`), and only the
@@ -30,6 +36,7 @@ for bit wherever F and zeta do.
 
 from __future__ import annotations
 
+import linecache
 import struct
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
@@ -233,18 +240,7 @@ def _rms(v: list[float], scale: list[float]) -> float:
     return sqrt(acc / len(v))
 
 
-def _error_norm(err: list[float], y0: list[float], y1: list[float], tol: float) -> float:
-    """RMS of err against tol + rtol max(|y0|, |y1|), summed left to right."""
-    rtol = max(tol, REL_FLOOR)
-    acc = 0.0
-    for e, a, b in zip(err, y0, y1):
-        a, b = abs(a), abs(b)
-        r = e / (tol + rtol * (a if a >= b else b))
-        acc += r * r
-    return sqrt(acc / len(err))
-
-
-def _initial_step(rhs, y0: list[float], f0: list[float], direction: float, span: float, tol: float) -> float:
+def _initial_step(stage, y0: list[float], f0: list[float], direction: float, span: float, tol: float) -> float:
     """Deterministic starting step, the classic two-evaluation heuristic."""
     rtol = max(tol, REL_FLOOR)
     scale = [tol + rtol * abs(a) for a in y0]
@@ -256,7 +252,7 @@ def _initial_step(rhs, y0: list[float], f0: list[float], direction: float, span:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, span) or span
     c = direction * h0
-    probe = rhs([a + c * f for a, f in zip(y0, f0)])[0]
+    probe = stage([a + c * f for a, f in zip(y0, f0)])[0]
     if probe is None or not all(map(isfinite, probe)):
         return max(min(h0 * 1e-3, span), 1e-12)
     d2 = _rms([p - f for p, f in zip(probe, f0)], scale) / h0
@@ -267,78 +263,165 @@ def _initial_step(rhs, y0: list[float], f0: list[float], direction: float, span:
     return min(100 * h0, h1, span)
 
 
-def _dp54_step(rhs, y: list[float], h: float, k1: list[float]):
-    """One embedded step from y with k1, the right-hand side at y, already known.
+# Tableau rows of the stage points 2..7 and of the error estimate, as
+# (coefficient, stage) over the nonzero entries in order.
+_STAGE_ROWS = (
+    ((_A21, 1),),
+    ((_A31, 1), (_A32, 2)),
+    ((_A41, 1), (_A42, 2), (_A43, 3)),
+    ((_A51, 1), (_A52, 2), (_A53, 3), (_A54, 4)),
+    ((_A61, 1), (_A62, 2), (_A63, 3), (_A64, 4), (_A65, 5)),
+    ((_A71, 1), (_A73, 3), (_A74, 4), (_A75, 5), (_A76, 6)),
+)
+_ERROR_ROW = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
+_UNUSABLE = "(DomainError, ZeroDivisionError, OverflowError)"
 
-    Each stage point and the error estimate sum their tableau row left to
-    right, one rounded multiply and add at a time. Returns (n, step): n
-    is the number of right-hand side evaluations made, and step is
-    (y_new, err, stages, F, zeta), or None when a stage is unusable or
-    the result is not finite. The last stage is the right-hand side at
-    y_new, the next step's k1 (first same as last), and (F, zeta) is the
-    pair it came from.
+
+def _stage_lines(mode: str, d: int, k: list[str], fail: str) -> list[str]:
+    """One stage at the point list Y, written to the locals k; sets F and z.
+
+    Direct mode: zeta, the unusable check, F, then F_i / zeta. Rescaled
+    mode: F, then zeta, with Y holding V alone; the stage is (F, zeta).
+    fail is the statement that leaves on a zero or non-finite zeta; the
+    caller wraps the lines in a try that treats _UNUSABLE the same way.
     """
-    k2 = rhs([a + h * (_A21 * p) for a, p in zip(y, k1)])[0]
-    if k2 is None:
-        return 1, None
-    k3 = rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])[0]
-    if k3 is None:
-        return 2, None
-    k4 = rhs([a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)])[0]
-    if k4 is None:
-        return 3, None
-    k5 = rhs([
-        a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-    ])[0]
-    if k5 is None:
-        return 4, None
-    k6 = rhs([
-        a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * t)
-        for a, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)
-    ])[0]
-    if k6 is None:
-        return 5, None
-    y_new = [
-        a + h * (_A71 * p + _A73 * r + _A74 * s + _A75 * t + _A76 * u)
-        for a, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)
+    if mode == "direct":
+        return [
+            "z = zeta_eval(Y)",
+            "if z == 0.0 or not isfinite(z):",
+            f"    {fail}",
+            "F = F_eval(Y)",
+            "".join(f"f{i}, " for i in range(d)) + "= F",
+            *(f"{k[i]} = f{i} / z" for i in range(d)),
+        ]
+    return [
+        "F = F_eval(Y)",
+        "".join(f"{name}, " for name in k[:-1]) + "= F",
+        f"{k[-1]} = z = zeta_eval(Y)",
     ]
-    k7, F, z = rhs(y_new)
-    if k7 is None:
-        return 6, None
-    err = [
-        h * (_E1 * p + _E3 * r + _E4 * s + _E5 * t + _E6 * u + _E7 * w)
-        for p, r, s, t, u, w in zip(k1, k3, k4, k5, k6, k7)
-    ]
-    if not (all(map(isfinite, y_new)) and all(map(isfinite, err))):
-        return 6, None
-    return 6, (y_new, err, (k1, k2, k3, k4, k5, k6, k7), F, z)
 
 
-def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, stop_when, guarded: bool):
+def _row_sum(row, i: int) -> str:
+    """Component i of a tableau row's stage sum, left to right."""
+    return " + ".join(f"{c!r} * k{s}_{i}" for c, s in row)
+
+
+def _kernel_source(d: int, mode: str) -> str:
+    """Source of make(F_eval, zeta_eval, tol) -> (stage, step) for dimension d and mode.
+
+    stage(y) is the right-hand side at the list y: (k, F, zeta), with k
+    None where the stage is unusable and zeta whatever was found (None if
+    it could not be evaluated). step(y, h, k1) is one embedded DP5(4) step
+    from y with k1 = stage(y)[0] already known. It returns (n, result): n
+    is the number of evaluations made, and result is None when a stage is
+    unusable or y_new or the error estimate is not finite, otherwise
+    (error norm, y_new, k7, record, F, zeta). record is y_new and the
+    seven stages, flat; k7 is the right-hand side at y_new (first same as
+    last) and (F, zeta) the pair it came from. In rescaled mode the last
+    component is x, which no stage reads, so the stage points 2..6 leave
+    it out.
+    """
+    m = d if mode == "direct" else d - 1  # components a stage point hands to F and zeta
+    ks = [[f"k{s}_{i}" for i in range(d)] for s in range(8)]
+    ys = ", ".join(f"y_{i}" for i in range(d))
+    out = [
+        "def make(F_eval, zeta_eval, tol):",
+        "    rtol = max(tol, REL_FLOOR)",
+        "",
+        "    def stage(y):",
+        "        z = None",
+        "        Y = y" if mode == "direct" else "        Y = y[:-1]",
+        "        try:",
+        *("            " + line for line in _stage_lines(mode, d, ks[0], "return None, None, z")),
+        f"        except {_UNUSABLE}:",
+        "            return None, None, z",
+        f"        return [{', '.join(ks[0])}], F, z",
+        "",
+        "    def step(y, h, k1):",
+        f"        {ys}, = y",
+        f"        {', '.join(ks[1])}, = k1",
+    ]
+    for s, row in enumerate(_STAGE_ROWS, start=2):
+        if s < 7:
+            points = [f"y_{i} + h * ({_row_sum(row, i)})" for i in range(m)]
+        else:  # the last stage is taken at y_new, all of which is kept
+            out += [f"        n_{i} = y_{i} + h * ({_row_sum(row, i)})" for i in range(d)]
+            points = [f"n_{i}" for i in range(m)]
+        out += ["        Y = [", *(f"            {p}," for p in points), "        ]"]
+        out += [
+            "        try:",
+            *("            " + line for line in _stage_lines(mode, d, ks[s], f"return {s - 1}, None")),
+            f"        except {_UNUSABLE}:",
+            f"            return {s - 1}, None",
+        ]
+    out += [f"        e_{i} = h * ({_row_sum(_ERROR_ROW, i)})" for i in range(d)]
+    checks = " and ".join(f"isfinite({v}_{i})" for v in "ne" for i in range(d))
+    out += [f"        if not ({checks}):", "            return 6, None"]
+    for i in range(d):
+        out += [
+            f"        a = abs(y_{i})",
+            f"        b = abs(n_{i})",
+            f"        r_{i} = e_{i} / (tol + rtol * (a if a >= b else b))",
+        ]
+    squares = " + ".join(f"r_{i} * r_{i}" for i in range(d))
+    y_new = "Y" if mode == "direct" else f"[{', '.join(f'n_{i}' for i in range(d))}]"
+    record = ", ".join([f"n_{i}" for i in range(d)] + [k for stage in ks[1:] for k in stage])
+    out += [
+        f"        enorm = sqrt(({squares}) / {d})",
+        f"        return 6, (enorm, {y_new}, [{', '.join(ks[7])}], ({record}), F, z)",
+        "",
+        "    return stage, step",
+    ]
+    return "\n".join(out) + "\n"
+
+
+_KERNELS: dict[tuple[int, str], Callable] = {}  # (d, mode) -> make, compiled on first use
+
+
+def _kernels(d: int, mode: str):
+    """make(F_eval, zeta_eval, tol) -> (stage, step) for dimension d and mode.
+
+    The source is compiled once per process and (d, mode), and
+    registered with linecache under its file name, so tracebacks through
+    a step show the generated line.
+    """
+    make = _KERNELS.get((d, mode))
+    if make is None:
+        src = _kernel_source(d, mode)
+        filename = f"<sode step d={d} {mode}>"
+        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        namespace: dict = {}
+        exec(compile(src, filename, "exec"), globals(), namespace)
+        make = _KERNELS[(d, mode)] = namespace["make"]
+    return make
+
+
+def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, tol: float, stop_when):
     """Adaptive DP5(4) loop shared by the direct and the rescaled mode.
 
-    y0 and every state handed to rhs are lists of floats. rhs(y) returns
-    (k, F, zeta), the right-hand side being stepped as a list and the
-    pair it came from; k is None where the stage is unusable, and zeta
-    is then whatever was found (None if it could not be evaluated).
-    Every call is one evaluation, the first one at y0 included. A step
-    is rejected (and halved) when a stage is unusable or not finite,
-    which covers a non-finite (F, zeta) pair at its end.
+    y0 is a list of floats: V in direct mode, (V, x) in rescaled mode.
+    The stages come from the generated kernels of `_kernels`, bound to
+    ode.F_eval and ode.zeta_eval, which are read once here. Every stage
+    is one evaluation, the first one at y0 included. A step is rejected
+    (and halved) when a stage is unusable or not finite, which covers a
+    non-finite (F, zeta) pair at its end.
 
-    guarded is the direct mode. There a start with |zeta| <= DELTA,
-    zeta = 0 included, is a SingularityError; a step whose end has zeta
-    of the opposite sign to the start is rejected and halved; and the
-    run halts with ``singularity_approached`` at the first accepted
-    endpoint with |zeta| <= DELTA. In both modes the run records min
-    |zeta| and the sign changes of zeta over the accepted endpoints, and
-    halts with ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL
-    at EQUILIBRIUM_DWELL endpoints in a row (the start counts).
+    Direct mode is guarded. There a start with |zeta| <= DELTA, zeta = 0
+    included, is a SingularityError; a step whose end has zeta of the
+    opposite sign to the start is rejected and halved; and the run halts
+    with ``singularity_approached`` at the first accepted endpoint with
+    |zeta| <= DELTA. In both modes the run records min |zeta| and the
+    sign changes of zeta over the accepted endpoints, and halts with
+    ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL at
+    EQUILIBRIUM_DWELL endpoints in a row (the start counts).
     stop_when(t, y), if given, sees the list y after each accepted step.
     A run still going after MAX_STEPS step attempts is a StepFailureError.
 
     Returns every `Trajectory` field but the mode as a dict.
     """
-    k0, F, z = rhs(y0)
+    guarded = mode == "direct"
+    stage, step = _kernels(len(y0), mode)(ode.F_eval, ode.zeta_eval, tol)
+    k0, F, z = stage(y0)
     if guarded and z is not None and abs(z) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")
     if t_end == t0:
@@ -347,7 +430,7 @@ def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, stop_when, g
         raise DomainError("right-hand side not finite at the initial point")
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-    h = _initial_step(rhs, y0, k0, direction, span, tol)
+    h = _initial_step(stage, y0, k0, direction, span, tol)
     n_fev = 2  # the first stage and the starting-step probe
     sign0 = 1.0 if z > 0.0 else -1.0  # the side of the singular set a guarded run keeps to
     min_zeta = abs(z)
@@ -373,25 +456,23 @@ def _run(rhs, t0: float, y0: list[float], t_end: float, tol: float, stop_when, g
         if h <= abs(t) * 1e-16 + 1e-300:
             termination = TERM_STEP_FAILURE
             break
-        n, step = _dp54_step(rhs, y, direction * h, k0)
+        n, result = step(y, direction * h, k0)
         n_fev += n
-        if step is not None:
-            y_new, err, K, F, z = step
-            enorm = _error_norm(err, y, y_new, tol)
+        if result is not None:
+            enorm, y_new, k7, record, F, z = result
             if enorm > 1.0:
                 n_rej += 1
                 h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP)
                 continue
         # an unusable step, or one that jumped across the singular set
-        if step is None or (guarded and z * sign0 < 0.0):
+        if result is None or (guarded and z * sign0 < 0.0):
             n_rej += 1
             h *= 0.5
             continue
         t = t + direction * h
         hs.append(direction * h)
         ts.append(t)
-        k1, k2, k3, k4, k5, k6, k7 = K
-        store += pack(*y_new, *k1, *k2, *k3, *k4, *k5, *k6, *k7)
+        store += pack(*record)
         n_acc += 1
         y, k0 = y_new, k7
         az = abs(z)
@@ -457,20 +538,8 @@ def integrate_direct(
     which they must not modify, ``stop_when`` as (x, V) after each
     accepted step.
     """
-
-    def rhs(V):
-        z = None
-        try:
-            z = ode.zeta_eval(V)
-            if z == 0.0 or not isfinite(z):
-                return None, None, z
-            F = ode.F_eval(V)
-            return [f / z for f in F], F, z
-        except (DomainError, ZeroDivisionError, OverflowError):
-            return None, None, z
-
     return Trajectory(mode="direct", **_run(
-        rhs, float(x_span[0]), np.asarray(V0, dtype=float).tolist(), float(x_span[1]), tol, stop_when, True,
+        ode, "direct", float(x_span[0]), np.asarray(V0, dtype=float).tolist(), float(x_span[1]), tol, stop_when,
     ))
 
 
@@ -492,21 +561,12 @@ def integrate_rescaled(
     mode, since x is itself integrated here.
     """
 
-    def rhs(y):
-        V = y[:-1]
-        try:
-            F = ode.F_eval(V)
-            z = ode.zeta_eval(V)
-            return [*F, z], F, z
-        except (DomainError, ZeroDivisionError, OverflowError):
-            return None, None, None
-
     def stop(tau, y):
         return bool(stop_when(tau, y[:-1], y[-1]))
 
     return Trajectory(mode="rescaled", **_run(
-        rhs, float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [float(x0)], float(tau_span[1]), tol,
-        stop if stop_when is not None else None, False,
+        ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [float(x0)], float(tau_span[1]),
+        tol, stop if stop_when is not None else None,
     ))
 
 

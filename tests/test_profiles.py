@@ -521,9 +521,15 @@ class TestGilbargOracle:
         [(1, 0.05), (1, 0.2), (1, 0.8), (1, 2.0), (1, 5.0), (3, 0.05), (3, 0.2), (3, 0.4), (3, 0.5)],
     )
     def test_profile_matches_oracle_over_strengths(self, gasm, family, strength):
+        # criterion 5 across the sweep, with the residual relative to sup |F|: the
+        # absolute extended residual grows with strength (1.3e-5 at 5.0)
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=family, strength=strength)
-        rep = compare_profiles(shock_profile(gasm, pair), gilbarg_oracle(gasm, pair), matching="v")
+        prof = shock_profile(gasm, pair)
+        rep = compare_profiles(prof, gilbarg_oracle(gasm, pair), matching="v")
         assert rep.sup <= 1e-5
+        assert _sup(rh_residual(gasm, pair)) <= 1e-8
+        assert flux_constants(gasm, prof).drift <= 1e-6
+        assert prof.diagnostics["extended_residual_rel"] <= 1e-6
 
     def test_zero_strength_oracle(self, gasm):
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.0)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shocklayer
-from shocklayer import sode
+from shocklayer import profiles, sode
 from shocklayer import (
     DomainError,
     GasModel,
@@ -684,6 +684,38 @@ def run_outcome(integrate, *args, **kwargs):
     )
 
 
+def spiral(V):
+    """A spiral growing as e^(t/5)."""
+    return [0.2 * V[0] - V[1], V[0] + 0.2 * V[1]]
+
+
+def walled_spiral(outcomes):
+    """The spiral, raising DomainError where V[0] > 3.
+
+    Each call appends True to outcomes, or False when it raises.
+    """
+
+    def F(V):
+        outcomes.append(V[0] <= 3.0)
+        if not outcomes[-1]:
+            raise DomainError("past the wall")
+        return spiral(V)
+
+    return F
+
+
+def failing_positions(outcomes):
+    """Stages (2..7) at which attempts failed, from one run's per-evaluation outcomes.
+
+    An attempt evaluates stages 2..7 in turn and stops at the first
+    unusable one, the next attempt starts again at stage 2, and an
+    accepted step adds six usable evaluations; so the usable evaluations
+    between two failures, modulo six, are the second failing stage less 2.
+    """
+    fails = [i for i, ok in enumerate(outcomes) if not ok]
+    return {(b - a - 1) % 6 + 2 for a, b in zip(fails, fails[1:])}
+
+
 class TestFloatStepperMatchesReference:
     """The float stepper reproduces the reference numpy loop bit for bit, counters included."""
 
@@ -721,6 +753,40 @@ class TestFloatStepperMatchesReference:
         out = self.assert_same("direct", exp_ode(), np.array([1.0]), (0.0, 50.0), 1e-10)
         assert out[0] == "StepFailureError"
 
+    def test_flux_form_oracle_kernel(self, gas):
+        # the oracle's 2-D flux-form field in direct mode, over its own shot and past it
+        pair = shocklayer.solve_rh(gas, shocklayer.State(1.0, 0.0, 1.0), 1, 0.2)
+        orc = shocklayer.gilbarg_oracle(gas, pair)
+        F = profiles._flux_form(gas, orc.sigma, orc.m, orc.Pi, orc.Eflux)
+        ode = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0, label="flux form")
+        ts, Vs = orc.trajectory.ts, orc.trajectory.Vs
+        _, _, stats, _ = self.assert_same("direct", ode, Vs[0], (ts[0], ts[-1]), 1e-10)
+        assert stats.n_accepted > 50
+        self.assert_same("direct", ode, Vs[0], (ts[0], 3.0 * ts[-1] - 2.0 * ts[0]), 1e-10)
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_stages_failing_at_different_positions(self, mode):
+        # a growing spiral whose F raises past a wall: steps across it fail at whichever stage lands there
+        outcomes = []
+        ode = SingularODE(dim=2, F_eval=walled_spiral(outcomes), zeta_eval=lambda V: 1.0)
+        _, term, stats, _ = self.assert_same(mode, ode, np.array([1.0, 0.0]), (0.0, 30.0), 1e-10)
+        assert term == TERM_STEP_FAILURE and stats.n_rejected > 20
+        assert len(outcomes) == 2 * stats.n_fevals  # the run above and the reference
+        assert len(failing_positions(outcomes[:stats.n_fevals])) >= 3
+
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_zeta_unusable_part_way_through_a_step(self, value):
+        outcomes = []
+
+        def zeta(V):
+            outcomes.append(V[0] <= 3.0)
+            return 1.0 if outcomes[-1] else value
+
+        ode = SingularODE(dim=2, F_eval=spiral, zeta_eval=zeta)
+        _, term, stats, _ = self.assert_same("direct", ode, np.array([1.0, 0.0]), (0.0, 30.0), 1e-10)
+        assert term == TERM_STEP_FAILURE and stats.n_rejected > 20
+        assert len(failing_positions(outcomes[:stats.n_fevals])) >= 3
+
     @settings(max_examples=20, deadline=None)
     @given(
         gamma=st.floats(1.2, 5.0 / 3.0),
@@ -739,6 +805,38 @@ class TestFloatStepperMatchesReference:
         sigma = v + zeta0 if below else v - zeta0
         U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
         self.assert_same(mode, tw_singular_ode(gas, sigma), U0, (0.0, 0.25), tol)
+
+
+class TestKernels:
+    def test_one_compile_per_dimension_and_mode(self, monkeypatch):
+        # a 64-operation sweep makes about 120 runs; each must reuse its kernel
+        monkeypatch.setattr(sode, "_KERNELS", {})
+        compiled = []
+
+        def counting(source, filename, *args):
+            compiled.append(filename)
+            return compile(source, filename, *args)
+
+        monkeypatch.setattr(sode, "compile", counting, raising=False)
+        integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
+        first = sode._KERNELS[(1, "direct")]
+        integrate_direct(exp_ode(), np.array([2.0]), (0.0, -1.0))
+        assert sode._KERNELS[(1, "direct")] is first
+        for _ in range(2):
+            integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0))
+        assert compiled == ["<sode step d=1 direct>", "<sode step d=2 rescaled>"]
+
+    def test_tracebacks_show_the_generated_line(self):
+        def F(V):
+            if V[0] > 1.5:
+                raise ValueError("not a stage failure")
+            return [V[0] * V[0]]
+
+        ode = SingularODE(dim=1, F_eval=F, zeta_eval=lambda V: float(V[0]))
+        with pytest.raises(ValueError) as info:
+            integrate_direct(ode, np.array([1.0]), (0.0, 2.0))
+        frames = [e for e in info.traceback if str(e.path).startswith("<sode step d=1 direct>")]
+        assert frames and "F = F_eval(Y)" in str(frames[-1].statement)
 
 
 KERNEL_PROBE = """
