@@ -6,39 +6,31 @@ Artifacts are written atomically (temp file, then rename) and only after
 all computation has finished, so a failing run leaves no partial files.
 With a fixed config and seed, reruns produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 configuration or domain validation error,
-3 numerical failure (no connection, step failure, ...), 4 structural
-hypotheses failed in `check`. A degeneracy verdict of "violated" is a
-reported finding, not a failure.
+Exit codes: 0 success, 2 configuration or domain validation error (a
+non-finite --sigma, --strength or config number included), 3 any other
+package error, a numerical failure (no connection, step failure, ...),
+4 structural hypotheses failed in `check`. A degeneracy verdict of
+"violated" is a reported finding, not a failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    NoConnectionError,
-    NoDecayingDirectionError,
-    NonMonotoneError,
-    ShockLayerError,
-    SingularityError,
-    StepFailureError,
-)
+from .errors import ConfigError, DomainError, ShockLayerError
 from .gas import Box, GasModel, PowerLaw, State
 from .profiles import (
     LayerOpts,
     ShootOpts,
     boundary_layer,
     compare_profiles,
-    flux_constants,
     gilbarg_oracle,
     rh_residual,
     shock_profile,
@@ -61,13 +53,6 @@ from .system import assemble_A, assemble_B, assemble_E, format_matrix
 OUT_ENV_VAR = "SHOCKLAYER_OUT"
 
 _VALIDATION_ERRORS = (ConfigError, DomainError)
-_NUMERICAL_ERRORS = (
-    SingularityError,
-    StepFailureError,
-    NoConnectionError,
-    NoDecayingDirectionError,
-    NonMonotoneError,
-)
 
 
 def _dump_json(obj) -> str:
@@ -124,6 +109,8 @@ def _need(raw: dict, key: str, kind, where: str):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -198,6 +185,8 @@ def load_config(path: str) -> RunConfig:
         isinstance(s, (int, float)) and not isinstance(s, bool) for s in sigma_list
     )):
         raise ConfigError("config.sigma_list must be a list of numbers")
+    if not all(math.isfinite(s) for s in sigma_list):
+        raise ConfigError(f"config.sigma_list must hold finite numbers, got {sigma_list!r}")
     sigma_list = [float(s) for s in sigma_list]
 
     n_samples = raw.get("n_samples", 200)
@@ -267,6 +256,27 @@ def _plot_script(csv_name: str, png_name: str, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _profile_artifacts(stem: str, title: str, profile, sidecar: dict, tol: float) -> list[tuple[str, str]]:
+    """CSV, diagnostics JSON and gnuplot script of a shock or layer profile.
+
+    sidecar holds the command's own keys; the keys every profile shares
+    (flux_drift, termination, details, trajectory) are added here.
+    """
+    sidecar = {
+        **sidecar,
+        "flux_drift": profile.diagnostics["flux_drift"],
+        "termination": profile.trajectory.termination,
+        "details": profile.diagnostics,
+        "trajectory": trajectory_metadata(profile.trajectory, tol=tol),
+    }
+    csv_name = f"{stem}_profile.csv"
+    return [
+        (csv_name, trajectory_to_csv(profile.trajectory)),
+        (f"{stem}_diagnostics.json", _dump_json(sidecar)),
+        (f"{stem}_plot.gp", _plot_script(csv_name, f"{stem}_profile.png", title)),
+    ]
+
+
 def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
     if config.box is None:
         raise ConfigError("check requires a 'box' entry in the config")
@@ -327,7 +337,12 @@ def cmd_reduce_info(config: RunConfig, out_dir: Path, sigma_override: float | No
     U_raw = _need(raw, "U", list, "config.reduce")
     if len(U_raw) != 5:
         raise ConfigError("config.reduce.U must be [rho, v, theta, z1, z2]")
-    U = np.array([float(c) for c in U_raw])
+    try:
+        U = np.array([float(c) for c in U_raw])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.reduce.U: {exc}") from exc
+    if not np.all(np.isfinite(U)):
+        raise ConfigError(f"config.reduce.U must be finite, got {U_raw!r}")
     ext = ExtendedState.from_array(U)
 
     ode = tw_singular_ode(config.gas, sigma)
@@ -385,18 +400,11 @@ def cmd_shock(config: RunConfig, out_dir: Path, strength_override: float | None)
         },
         "rh_residual": float(np.max(np.abs(res))),
         "rh_residual_components": _ext_state_list(res),
-        "flux_drift": profile.diagnostics.get("flux_drift"),
         "oracle_deviation": oracle_deviation,
-        "termination": profile.trajectory.termination,
-        "details": profile.diagnostics,
-        "trajectory": trajectory_metadata(profile.trajectory, tol=config.tol.ode_tol),
     }
-    artifacts = [
-        ("shock_profile.csv", trajectory_to_csv(profile.trajectory)),
-        ("shock_diagnostics.json", _dump_json(sidecar)),
-        ("shock_plot.gp", _plot_script("shock_profile.csv", "shock_profile.png", "shock profile")),
-    ]
-    written = _write_artifacts(out_dir, artifacts)
+    written = _write_artifacts(
+        out_dir, _profile_artifacts("shock", "shock profile", profile, sidecar, config.tol.ode_tol),
+    )
     print(
         f"shock: family {pair.family}, strength {pair.strength:g}, sigma {profile.sigma:.12g}, "
         f"samples {profile.trajectory.n}, oracle deviation {oracle_deviation:.3e}"
@@ -424,17 +432,10 @@ def cmd_layer(config: RunConfig, out_dir: Path) -> int:
             "boundary_trace": _ext_state_list(profile.left.to_array()),
             "limit": _ext_state_list(profile.right.to_array()),
         },
-        "flux_drift": profile.diagnostics.get("flux_drift"),
-        "termination": profile.trajectory.termination,
-        "details": profile.diagnostics,
-        "trajectory": trajectory_metadata(profile.trajectory, tol=config.tol.ode_tol),
     }
-    artifacts = [
-        ("layer_profile.csv", trajectory_to_csv(profile.trajectory)),
-        ("layer_diagnostics.json", _dump_json(sidecar)),
-        ("layer_plot.gp", _plot_script("layer_profile.csv", "layer_profile.png", "boundary layer")),
-    ]
-    written = _write_artifacts(out_dir, artifacts)
+    written = _write_artifacts(
+        out_dir, _profile_artifacts("layer", "boundary layer", profile, sidecar, config.tol.ode_tol),
+    )
     print(
         f"layer: limit ({limit_state.rho:g}, {limit_state.v:g}, {limit_state.theta:g}), "
         f"amplitude {amplitude:g}, samples {profile.trajectory.n}, "
@@ -443,6 +444,17 @@ def cmd_layer(config: RunConfig, out_dir: Path) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --sigma and --strength: a float that is not NaN or infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,18 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run structural hypothesis checks over a state box")
     p_check.add_argument("--config", required=True)
-    p_check.add_argument("--sigma", type=float, default=None, help="replace sigma_list with this single value")
+    p_check.add_argument("--sigma", type=_finite_float, default=None, help="replace sigma_list with this single value")
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--verbose", action="store_true", help="print the assembled matrices at the box midpoint")
 
     p_red = sub.add_parser("reduce-info", help="print F(U) and zeta(U) of the singular reduction at one state")
     p_red.add_argument("--config", required=True)
-    p_red.add_argument("--sigma", type=float, default=None)
+    p_red.add_argument("--sigma", type=_finite_float, default=None)
     p_red.add_argument("--out", default=None)
 
     p_shock = sub.add_parser("shock", help="compute a travelling shock profile and its diagnostics")
     p_shock.add_argument("--config", required=True)
-    p_shock.add_argument("--strength", type=float, default=None)
+    p_shock.add_argument("--strength", type=_finite_float, default=None)
     p_shock.add_argument("--out", default=None)
 
     p_layer = sub.add_parser("layer", help="compute a steady boundary layer")
@@ -503,10 +515,8 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except _VALIDATION_ERRORS as exc:
         return _fail("validation", 2, exc)
-    except _NUMERICAL_ERRORS as exc:
-        return _fail("numerical", 3, exc)
     except ShockLayerError as exc:
-        return _fail("error", 3, exc)
+        return _fail("numerical", 3, exc)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and domain problems are
-exit 2, numerical failures are exit 3. Failed structural checks are not
-exceptions, they are reported verdicts (exit 4 is decided by the CLI from
-the report content).
+exit 2, every other class is a numerical failure, exit 3. Failed
+structural checks are not exceptions, they are reported verdicts (exit 4
+is decided by the CLI from the report content).
 """
 
 from __future__ import annotations

@@ -140,9 +140,10 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     The wave speed is pinned by sigma = lambda_family(U-) - strength and
     the right state is the closed-form conjugate state of U- in the frame
     moving at sigma. Family 2 (the contact family) is rejected: it is
-    linearly degenerate and admits no compressive connection. Negative
-    strengths are rejected because the resulting pair violates the
-    entropy inequalities, and so are family-3 strengths at or past the
+    linearly degenerate and admits no compressive connection. A strength
+    that is not finite is rejected as such. Negative strengths are
+    rejected because the resulting pair violates the entropy
+    inequalities, and so are family-3 strengths at or past the
     infinite-strength bound c (1 - sqrt((gamma - 1) / (2 gamma))), which
     no finite shock reaches. A strength below the round-off of
     lambda_family(U-) leaves sigma on it: that is the zero-strength pair
@@ -153,6 +154,8 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     if family not in (1, 3):
         raise DomainError(f"family must be 1 or 3, got {family}")
     strength = float(strength)
+    if not math.isfinite(strength):
+        raise DomainError(f"strength must be finite, got {strength}")
     if strength < 0.0:
         raise DomainError("strength must be nonnegative; expansions violate the entropy conditions")
     lam_minus = char_speed(gas, U_minus, family)
@@ -288,8 +291,21 @@ class FluxRecord:
     drift: float
 
 
+def _flux_integrals(gas: GasModel, sigma: float, rho: float, v: float, theta: float, z1: float, z2: float) -> tuple:
+    """Mass, momentum and energy flux in the frame moving at sigma, z = (v_x, theta_x).
+
+    m = rho (v - sigma), m v + p - nu z1 and m (e + v^2/2) + v p - k z2 - nu v z1.
+    """
+    p, _, _ = pressure(gas, rho, theta)
+    e, _ = internal_energy(gas, theta)
+    nu, _ = gas.nu_law(rho)
+    k, _ = gas.k_law(rho)
+    m = rho * (v - sigma)
+    return m, m * v + p - nu * z1, m * (e + 0.5 * v * v) + v * p - k * z2 - nu * v * z1
+
+
 def flux_constants(gas: GasModel, profile: Profile) -> FluxRecord:
-    """Integrals m, m v + p - nu v_x, m (e + v^2/2) + v p - k theta_x - nu v v_x.
+    """The three flux integrals of `_flux_integrals` at every sample.
 
     Exact solutions keep all three constant; the reported drift is the
     worst per-sample deviation from the reference values, relative to
@@ -299,28 +315,35 @@ def flux_constants(gas: GasModel, profile: Profile) -> FluxRecord:
     jump-condition residual.
     """
     sigma = profile.sigma
-    rows = []
-    for rho, v, theta, z1, z2 in profile.trajectory.Vs.tolist():
-        p, _, _ = pressure(gas, rho, theta)
-        e, _ = internal_energy(gas, theta)
-        nu, _ = gas.nu_law(rho)
-        k, _ = gas.k_law(rho)
-        m = rho * (v - sigma)
-        rows.append((m, m * v + p - nu * z1, m * (e + 0.5 * v * v) + v * p - k * z2 - nu * v * z1))
+    rows = [_flux_integrals(gas, sigma, *U) for U in profile.trajectory.Vs.tolist()]
     values = np.array(rows).reshape(-1, 3)
-    n = len(rows)
     ref = profile.right
-    p_r, _, _ = pressure(gas, ref.rho, ref.theta)
-    e_r, _ = internal_energy(gas, ref.theta)
-    m_r = ref.rho * (ref.v - sigma)
-    reference = np.array([
-        m_r,
-        m_r * ref.v + p_r,
-        m_r * (e_r + 0.5 * ref.v ** 2) + ref.v * p_r,
-    ])
+    reference = np.array(_flux_integrals(gas, sigma, ref.rho, ref.v, ref.theta, 0.0, 0.0))
     scale = np.maximum(np.abs(reference), 1.0)
-    drift = float(np.max(np.abs(values - reference) / scale)) if n else 0.0
+    drift = float(np.max(np.abs(values - reference) / scale))
     return FluxRecord(values=values, reference=reference, drift=drift)
+
+
+def _checked_profile(gas: GasModel, ode: SingularODE, kind: str, sigma: float, left, right, traj, diagnostics) -> Profile:
+    """Profile(kind, sigma, left, right, traj) with its checks written into diagnostics.
+
+    left and right are extended-state arrays. Every profile carries
+    extended_residual_max, extended_residual_rel and
+    extended_residual_skipped (see `max_extended_residual`) and
+    flux_drift (see `flux_constants`); a constant trajectory has no steps
+    and reads 0 on each.
+    """
+    prof = Profile(
+        kind=kind, sigma=sigma,
+        left=ExtendedState.from_array(left), right=ExtendedState.from_array(right),
+        trajectory=traj, diagnostics=diagnostics,
+    )
+    ext_res, skipped, f_sup = max_extended_residual(ode, traj)
+    diagnostics["extended_residual_max"] = ext_res
+    diagnostics["extended_residual_rel"] = _relative_residual(ext_res, f_sup)
+    diagnostics["extended_residual_skipped"] = skipped
+    diagnostics["flux_drift"] = flux_constants(gas, prof).drift
+    return prof
 
 
 @dataclass(frozen=True)
@@ -466,31 +489,12 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
 
     if pair.strength == 0.0:
         traj = _constant_trajectory(U_minus, abs(ode.zeta_eval(U_minus.tolist())))
-        prof = Profile(
-            kind="shock", sigma=pair.sigma,
-            left=ExtendedState.from_array(U_minus), right=ExtendedState.from_array(U_plus),
-            trajectory=traj,
-            diagnostics={"strength": 0.0, "endpoint_mismatch": 0.0, "note": "zero-strength pair, constant profile"},
-        )
-        rec = flux_constants(gas, prof)
-        prof.diagnostics.update(
-            rh_residual_max=_sup(rh_residual(gas, pair)),
-            flux_drift=rec.drift,
-            extended_residual_max=0.0,
-            extended_residual_rel=0.0,
-        )
-        return prof
-
-    plan = _connection_plan(ode, U_minus, U_plus)
-    traj, attempts = _shoot(ode, plan, opts)
-    shot = attempts[-1]
-    ext_res, _, f_sup = max_extended_residual(ode, traj)
-    prof = Profile(
-        kind="shock", sigma=pair.sigma,
-        left=ExtendedState.from_array(U_minus),
-        right=ExtendedState.from_array(U_plus),
-        trajectory=traj,
-        diagnostics={
+        diagnostics = {"strength": 0.0, "endpoint_mismatch": 0.0, "note": "zero-strength pair, constant profile"}
+    else:
+        plan = _connection_plan(ode, U_minus, U_plus)
+        traj, attempts = _shoot(ode, plan, opts)
+        shot = attempts[-1]
+        diagnostics = {
             "strength": pair.strength,
             "family": pair.family,
             "shoot_from": "left" if plan.direction > 0 else "right",
@@ -501,23 +505,21 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
             "rate": plan.rate,
             "rates_start": plan.rates_start,
             "rates_target": plan.rates_target,
-            "extended_residual_max": ext_res,
-            "extended_residual_rel": _relative_residual(ext_res, f_sup),
-            "rh_residual_max": _sup(rh_residual(gas, pair)),
             "lax": lax_inequalities(gas, pair)["satisfied"],
             "attempts": attempts,
-        },
-    )
-    prof.diagnostics["flux_drift"] = flux_constants(gas, prof).drift
-    return prof
+        }
+    diagnostics["rh_residual_max"] = _sup(rh_residual(gas, pair))
+    return _checked_profile(gas, ode, "shock", pair.sigma, U_minus, U_plus, traj, diagnostics)
 
 
 def _flux_form(gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float):
     """F(V) = [v_x, theta_x] from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E.
 
-    V = [v, theta]. p and e are the ideal-gas laws of `pressure` and
-    `internal_energy`, written out in the same order with R and
-    R / (gamma - 1) read once; a NaN rho or theta fails the check.
+    This is `_flux_integrals` = (m, Pi, Eflux) solved for z = (v_x,
+    theta_x), written out because the oracle's stepping loop calls it at
+    every stage. V = [v, theta]. p and e are the ideal-gas laws of
+    `pressure` and `internal_energy`, written out in the same order with
+    R and R / (gamma - 1) read once; a NaN rho or theta fails the check.
     """
     R = gas.R
     e_theta = gas.R / (gas.gamma - 1.0)
@@ -589,13 +591,9 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     """
     U_m = pair.left
     sigma = pair.sigma
-    m = U_m.rho * (U_m.v - sigma)
+    m, Pi, Eflux = _flux_integrals(gas, sigma, U_m.rho, U_m.v, U_m.theta, 0.0, 0.0)
     if m == 0.0:
         raise DomainError("mass flux vanishes, the flux-form system is undefined")
-    p_m, _, _ = pressure(gas, U_m.rho, U_m.theta)
-    e_m, _ = internal_energy(gas, U_m.theta)
-    Pi = m * U_m.v + p_m
-    Eflux = m * (e_m + 0.5 * U_m.v ** 2) + U_m.v * p_m
 
     F = _flux_form(gas, sigma, m, Pi, Eflux)
     ode2 = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0, label="flux form")
@@ -603,11 +601,9 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     right = np.array([pair.right.v, pair.right.theta])
 
     if pair.strength == 0.0:
-        traj = _constant_trajectory(left, 1.0)
-        return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj)
-
-    plan = _connection_plan(ode2, left, right)
-    traj, attempts = _shoot(ode2, plan, opts)
+        traj, attempts = _constant_trajectory(left, 1.0), []
+    else:
+        traj, attempts = _shoot(ode2, _connection_plan(ode2, left, right), opts)
     return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=attempts)
 
 
@@ -709,18 +705,17 @@ def boundary_layer(
     run halts there; then the rescaled integrator redoes it, and
     diagnostics["mode_switch"] = {reason, min_abs_zeta, x} records which
     ("start_within_delta" or "direct_halt"), how close zeta came, and where.
+    A zero amplitude gives the constant layer; a non-finite one is a
+    DomainError.
     """
+    if not math.isfinite(amplitude):
+        raise DomainError(f"amplitude must be finite, got {amplitude}")
     ode = steady_singular_ode(gas)
     U_star = np.array([limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0])
     if amplitude == 0.0:
         traj = _constant_trajectory(U_star, abs(limit_state.v))
-        return Profile(
-            kind="boundary_layer", sigma=0.0,
-            left=ExtendedState.from_array(U_star), right=ExtendedState.from_array(U_star),
-            trajectory=traj,
-            diagnostics={"amplitude": 0.0, "note": "zero amplitude, constant layer",
-                         "extended_residual_max": 0.0, "extended_residual_rel": 0.0, "flux_drift": 0.0},
-        )
+        diagnostics = {"amplitude": 0.0, "note": "zero amplitude, constant layer"}
+        return _checked_profile(gas, ode, "boundary_layer", 0.0, U_star, U_star, traj, diagnostics)
 
     on_sonic = NoDecayingDirectionError("limit state on the sonic set: steady flow keeps v = 0, no layer exists")
     report, rates = _spatial_rates(ode, U_star, on_sonic)
@@ -789,17 +784,4 @@ def boundary_layer(
     diagnostics["termination"] = traj.termination
     diagnostics["min_abs_zeta"] = traj.stats.min_abs_zeta
 
-    trace = traj.final_V
-    prof = Profile(
-        kind="boundary_layer", sigma=0.0,
-        left=ExtendedState.from_array(trace),
-        right=ExtendedState.from_array(U_star),
-        trajectory=traj,
-        diagnostics=diagnostics,
-    )
-    ext_res, skipped, f_sup = max_extended_residual(ode, traj)
-    diagnostics["extended_residual_max"] = ext_res
-    diagnostics["extended_residual_rel"] = _relative_residual(ext_res, f_sup)
-    diagnostics["extended_residual_skipped"] = skipped
-    diagnostics["flux_drift"] = flux_constants(gas, prof).drift
-    return prof
+    return _checked_profile(gas, ode, "boundary_layer", 0.0, traj.final_V, U_star, traj, diagnostics)

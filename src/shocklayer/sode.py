@@ -636,9 +636,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_metadata(traj: Trajectory, tol: float | None = None) -> dict:
-    """JSON-ready metadata of a run (termination, stats, extents)."""
-    meta = {
+def trajectory_metadata(traj: Trajectory, tol: float) -> dict:
+    """JSON-ready metadata of a run (termination, stats, extents) and the tol it ran at."""
+    return {
         "mode": traj.mode,
         "termination": traj.termination,
         "n_samples": traj.n,
@@ -654,7 +654,5 @@ def trajectory_metadata(traj: Trajectory, tol: float | None = None) -> dict:
             "zeta_sign_changes": traj.stats.zeta_sign_changes,
             "h_final": traj.stats.h_final,
         },
+        "tol": tol,
     }
-    if tol is not None:
-        meta["tol"] = tol
-    return meta

@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shocklayer import Box, CheckResult, State, StructureReport
+from shocklayer import (
+    Box,
+    CheckResult,
+    NoConnectionError,
+    NoDecayingDirectionError,
+    NonMonotoneError,
+    SingularityError,
+    State,
+    StepFailureError,
+    StructureReport,
+)
 from shocklayer.cli import OUT_ENV_VAR, Tolerances, load_config, main
 from shocklayer.sode import CSV_HEADER
 
@@ -179,6 +189,14 @@ class TestReduceInfo:
         assert info["singular"] is False
         assert info["w"] == -1.0
         assert info["label"] == "steady"
+
+    def test_non_numeric_state_entry(self, tmp_path, outdir, capsys):
+        cfg = base_config(outdir)
+        cfg["reduce"]["U"][1] = "fast"
+        path = write_config(tmp_path, cfg)
+        assert main(["reduce-info", "--config", path]) == 2
+        assert "kind=validation exit=2 msg=config.reduce.U:" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_section(self, tmp_path, outdir):
         cfg = base_config(outdir)
@@ -427,3 +445,62 @@ class TestConfigValidation:
         cfg = base_config(outdir)
         cfg["rh"]["U_minus"] = [1.0, 0.0]
         assert self.e2(tmp_path, cfg, cmd="shock") == 2
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinities are validation errors (exit 2) that name the value, with no artifact."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [("check", "--sigma"), ("reduce-info", "--sigma"), ("shock", "--strength")])
+    def test_flag(self, config_path, outdir, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, f"{flag}={value}"])  # "=" lets "-inf" through
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_malformed_flag_keeps_the_float_message(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", config_path, "--sigma", "zero"])
+        assert exc.value.code == 2
+        assert "argument --sigma: invalid float value: 'zero'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command,section,key,where", [
+        ("reduce-info", "reduce", "sigma", "config.reduce.sigma"),
+        ("reduce-info", "reduce", "U", "config.reduce.U"),
+        ("shock", "rh", "strength", "config.rh.strength"),
+        ("layer", "layer", "amplitude", "config.layer.amplitude"),
+        ("check", None, "sigma_list", "config.sigma_list"),
+    ])
+    def test_config_number(self, tmp_path, outdir, capsys, command, section, key, where, value):
+        cfg = base_config(outdir)
+        if key == "U":
+            cfg[section][key][2] = value
+        elif section is None:
+            cfg[key] = [0.0, value]
+        else:
+            cfg[section][key] = value
+        path = write_config(tmp_path, cfg)  # json writes NaN and Infinity, and reads them back
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2" in err and f"{where} must" in err and "finite" in err
+        assert not outdir.exists()
+
+
+class TestNumericalErrors:
+    """Every package error that is not a validation error exits 3 as kind=numerical."""
+
+    @pytest.mark.parametrize("error", [
+        SingularityError, StepFailureError, NoConnectionError, NoDecayingDirectionError, NonMonotoneError,
+    ])
+    def test_error_inside_a_command_exits_3(self, config_path, outdir, capsys, monkeypatch, error):
+        import shocklayer.cli as cli
+
+        def fail(*args, **kwargs):
+            raise error("raised inside the command")
+
+        monkeypatch.setattr(cli, "shock_profile", fail)
+        assert main(["shock", "--config", config_path]) == 3
+        assert "kind=numerical exit=3 msg=raised inside the command" in capsys.readouterr().err
+        assert not outdir.exists()

@@ -41,7 +41,7 @@ from shocklayer import (
     tw_singular_ode,
 )
 from shocklayer.gas import conserved, euler_fluxes
-from shocklayer.profiles import _relative_residual, _shift_x, _sup
+from shocklayer.profiles import _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
 
 from flux_form import extended_with_derivatives
 
@@ -163,6 +163,13 @@ class TestSolveRH:
     def test_negative_strength_rejected(self, gasm):
         with pytest.raises(DomainError, match="strength"):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=-0.1)
+
+    @pytest.mark.parametrize("family,strength", [
+        (1, float("nan")), (3, float("nan")), (1, float("inf")), (3, float("inf")), (1, float("-inf")),
+    ])
+    def test_non_finite_strength_is_named(self, gasm, family, strength):
+        with pytest.raises(DomainError, match="strength must be finite"):
+            solve_rh(gasm, State(1.0, 0.0, 1.0), family=family, strength=strength)
 
     def test_vacuum_bound_enforced(self):
         # family-3 waves rarefy the right state; a tight bound catches it
@@ -452,6 +459,32 @@ class TestFluxConstants:
         assert spiked > 100.0 * max(base, 1e-12)
 
 
+class TestProfileChecks:
+    """Every Profile carries the same four checks; a constant one reads 0 on each."""
+
+    CHECK_KEYS = ("extended_residual_max", "extended_residual_rel", "extended_residual_skipped", "flux_drift")
+
+    @pytest.mark.parametrize("build,mode", [
+        (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.2)), "direct"),
+        (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 3, 0.2)), "direct"),
+        (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.0)), None),
+        (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0)), "direct"),
+        (lambda g: boundary_layer(g, State(1.0, 5e-7, 1.0)), "rescaled"),
+        (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0), amplitude=0.0), None),
+    ], ids=["shock-f1", "shock-f3", "shock-zero", "layer-direct", "layer-rescaled", "layer-zero"])
+    def test_every_profile_carries_the_checks(self, gasm, build, mode):
+        prof = build(gasm)
+        checks = {key: prof.diagnostics[key] for key in self.CHECK_KEYS}
+        if mode is None:
+            assert prof.trajectory.n == 1
+            assert checks == dict.fromkeys(self.CHECK_KEYS, 0)
+        else:
+            assert prof.trajectory.mode == mode
+            assert checks["extended_residual_skipped"] == 0
+            assert checks["extended_residual_rel"] <= 1e-6
+            assert checks["flux_drift"] <= 1e-6
+
+
 class TestGilbargOracle:
     def test_reaches_the_far_state(self, pair_f1, oracle_f1):
         target = np.array([pair_f1.left.v, pair_f1.left.theta])
@@ -486,6 +519,20 @@ class TestGilbargOracle:
         (ode,) = odes
         with pytest.raises(DomainError):
             ode.F_eval([pair_f1.left.v, float("nan")])
+
+    def test_flux_form_solves_the_flux_integrals(self):
+        # at every oracle sample the flux integrals of (rho, v, theta, F(v, theta))
+        # give back the oracle's constants, so the two forms cannot drift apart
+        gas = GasModel(nu_law=PowerLaw(1.3, 0.7), k_law=PowerLaw(0.8, -0.4))
+        pair = solve_rh(gas, State(1.0, 0.3, 1.2), family=1, strength=0.5)
+        orc = gilbarg_oracle(gas, pair)
+        F = _flux_form(gas, orc.sigma, orc.m, orc.Pi, orc.Eflux)
+        rows = [
+            _flux_integrals(gas, orc.sigma, orc.m / (v - orc.sigma), v, theta, *F([v, theta]))
+            for v, theta in orc.trajectory.Vs.tolist()
+        ]
+        assert len(rows) > 100
+        np.testing.assert_allclose(rows, np.tile([orc.m, orc.Pi, orc.Eflux], (len(rows), 1)), rtol=1e-13, atol=0.0)
 
     def test_density_reconstruction(self, pair_f1, oracle_f1):
         t = oracle_f1.table()
@@ -764,6 +811,11 @@ class TestBoundaryLayer:
         assert prof.trajectory.n == 1
         assert prof.left == prof.right
         assert prof.diagnostics["flux_drift"] == 0.0
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_amplitude_is_named(self, gasm, amplitude):
+        with pytest.raises(DomainError, match="amplitude must be finite"):
+            boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=amplitude)
 
     def test_amplitude_cap(self, gasm):
         with pytest.raises(DomainError, match="amplitude"):

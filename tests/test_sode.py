@@ -967,6 +967,8 @@ class TestExportHelpers:
     def test_metadata_keys(self, gas):
         traj = self._ns_trajectory(gas, "rescaled")
         meta = trajectory_metadata(traj, tol=1e-8)
+        with pytest.raises(TypeError):
+            trajectory_metadata(traj)  # every artifact records the tol it ran at
         assert meta["mode"] == "rescaled"
         assert meta["n_samples"] == traj.n
         assert meta["tol"] == 1e-8
