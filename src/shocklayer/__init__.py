@@ -7,6 +7,8 @@ ODE, integrates that ODE both directly and after desingularization, and
 builds shock profiles and boundary layers with independent checks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DomainError,
@@ -93,4 +95,5 @@ from .system import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules stay reachable as attributes; `import *` binds none of them
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

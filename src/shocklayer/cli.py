@@ -6,11 +6,18 @@ Artifacts are written atomically (temp file, then rename) and only after
 all computation has finished, so a failing run leaves no partial files.
 With a fixed config and seed, reruns produce byte-identical artifacts.
 
+Every config value goes through one checked read (`_need`, `_floats`,
+`_section`): a number is a finite JSON number (an int, not a bool), the
+booleans, strings and lists have their JSON type and length, and a key
+its section does not read is an error in every section. The root keys
+and the box are read at load; rh, layer and reduce by their command.
+
 Exit codes: 0 success, 2 configuration or domain validation error (a
-non-finite --sigma, --strength or config number included), 3 any other
-package error, a numerical failure (no connection, step failure, ...),
-4 structural hypotheses failed in `check`. A degeneracy verdict of
-"violated" is a reported finding, not a failure.
+missing, unknown or mistyped key, a non-finite --sigma, --strength or
+config number included), 3 any other package error, a numerical failure
+(no connection, step failure, ...), 4 structural hypotheses failed in
+`check`. A degeneracy verdict of "violated" is a reported finding, not
+a failure.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import argparse
 import json
 import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +85,8 @@ def _write_artifacts(out_dir: Path, artifacts: list[tuple[str, str]]) -> list[Pa
 
 @dataclass(frozen=True)
 class Tolerances:
-    ode_tol: float = 1e-10
-    end_tol: float = 1e-6
+    ode_tol: float = ShootOpts.tol
+    end_tol: float = ShootOpts.end_tol
     rank_tol: float = DEFAULT_RANK_TOL
     sym_tol: float = DEFAULT_SYM_TOL
     kernel_tol: float = KERNEL_TOL
@@ -86,7 +94,7 @@ class Tolerances:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; one file drives all subcommands."""
+    """Validated run configuration; raw keeps the sections a command reads itself."""
 
     seed: int
     gas: GasModel
@@ -97,47 +105,73 @@ class RunConfig:
     n_samples: int
     blocks: str
     tol: Tolerances
-    rh: dict | None
-    layer: dict | None
-    reduce: dict | None
+    raw: dict
 
 
-def _need(raw: dict, key: str, kind, where: str):
+def _float(value, name: str) -> float:
+    """value as a float, if it is a finite JSON number: an int or a float, not a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past the float range
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _need(raw: dict, key: str, kind, where: str, default=None):
+    """raw[key] checked against kind; a key without a default is required.
+
+    kind float is a finite number, int an integer that is not a bool,
+    and any other kind an isinstance check.
+    """
     if key not in raw:
-        raise ConfigError(f"missing required key {key!r} in {where}")
+        if default is None:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        return default
     value = raw[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key} has wrong type {type(value).__name__}")
+        return _float(value, f"{where}.{key}")
+    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _state_from(value, where: str) -> State:
-    if not (isinstance(value, list) and len(value) == 3):
-        raise ConfigError(f"{where} must be a list [rho, v, theta]")
+def _floats(raw: dict, key: str, where: str, length: int | None = None, default=None) -> list[float]:
+    """raw[key] as a list of finite numbers, length of them where one applies."""
+    value = _need(raw, key, list, where, default)
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{where}.{key} must be a list of {length} numbers, got {value!r}")
+    return [_float(c, f"{where}.{key}") for c in value]
+
+
+def _known_keys(section: dict, name: str, keys) -> dict:
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys {unknown}")
+    return section
+
+
+def _section(raw: dict, key: str, where: str, keys, default=None) -> dict:
+    """raw[key] as an object that holds no key outside keys."""
+    return _known_keys(_need(raw, key, dict, where, default), f"{where}.{key}", keys)
+
+
+def _state(raw: dict, key: str, where: str) -> State:
     try:
-        return State(*(float(c) for c in value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return State(*_floats(raw, key, where, 3))
+    except DomainError as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from exc
 
 
-def _power_law_from(value, where: str) -> PowerLaw:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return PowerLaw(float(value), 0.0)
-    if isinstance(value, dict):
-        coeff = _need(value, "coeff", float, where)
-        exponent = float(value.get("exponent", 0.0))
-        return PowerLaw(coeff, exponent)
-    raise ConfigError(f"{where} must be a number or {{coeff, exponent}}")
+def _power_law(raw: dict, key: str, where: str) -> PowerLaw:
+    """A number (constant coefficient) or {coeff, exponent} (power law in density)."""
+    if not isinstance(raw.get(key), dict):
+        return PowerLaw(_need(raw, key, float, where, 1.0), 0.0)
+    law, name = _section(raw, key, where, ("coeff", "exponent")), f"{where}.{key}"
+    return PowerLaw(_need(law, "coeff", float, name), _need(law, "exponent", float, name, 0.0))
+
+
+_CONFIG_KEYS = ("seed", "out_dir", "gas", "box", "sigma_list", "suggest_sigmas", "n_samples", "blocks",
+                "tolerances", "rh", "layer", "reduce")
 
 
 def load_config(path: str) -> RunConfig:
@@ -145,85 +179,56 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _known_keys(raw, "config", _CONFIG_KEYS)
 
     seed = _need(raw, "seed", int, "config")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
-    gas_raw = raw.get("gas", {})
-    if not isinstance(gas_raw, dict):
-        raise ConfigError("config.gas must be an object")
+    gas_raw = _section(raw, "gas", "config", ("R", "gamma", "nu", "k", "c_rho"), {})
     gas = GasModel(
-        R=float(gas_raw.get("R", 1.0)),
-        gamma=float(gas_raw.get("gamma", 1.4)),
-        nu_law=_power_law_from(gas_raw.get("nu", 1.0), "config.gas.nu"),
-        k_law=_power_law_from(gas_raw.get("k", 1.0), "config.gas.k"),
-        c_rho=float(gas_raw.get("c_rho", 0.1)),
+        R=_need(gas_raw, "R", float, "config.gas", 1.0),
+        gamma=_need(gas_raw, "gamma", float, "config.gas", 1.4),
+        nu_law=_power_law(gas_raw, "nu", "config.gas"),
+        k_law=_power_law(gas_raw, "k", "config.gas"),
+        c_rho=_need(gas_raw, "c_rho", float, "config.gas", 0.1),
     )
 
     box = None
     if "box" in raw:
-        braw = raw["box"]
-        if not isinstance(braw, dict):
-            raise ConfigError("config.box must be an object")
-        try:
-            box = Box(
-                rho=tuple(float(c) for c in braw["rho"]),
-                v=tuple(float(c) for c in braw["v"]),
-                theta=tuple(float(c) for c in braw["theta"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config.box: {exc}") from exc
+        braw = _section(raw, "box", "config", ("rho", "v", "theta"))
+        box = Box(**{name: tuple(_floats(braw, name, "config.box", 2)) for name in ("rho", "v", "theta")})
         box.validate(gas)
 
-    sigma_list = raw.get("sigma_list", [0.0])
-    if not (isinstance(sigma_list, list) and all(
-        isinstance(s, (int, float)) and not isinstance(s, bool) for s in sigma_list
-    )):
-        raise ConfigError("config.sigma_list must be a list of numbers")
-    if not all(math.isfinite(s) for s in sigma_list):
-        raise ConfigError(f"config.sigma_list must hold finite numbers, got {sigma_list!r}")
-    sigma_list = [float(s) for s in sigma_list]
-
-    n_samples = raw.get("n_samples", 200)
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
+    n_samples = _need(raw, "n_samples", int, "config", 200)
+    if n_samples < 1:
         raise ConfigError(f"config.n_samples must be a positive integer, got {n_samples!r}")
 
-    blocks = raw.get("blocks", "eulerian")
+    blocks = _need(raw, "blocks", str, "config", "eulerian")
     if blocks not in ("eulerian", "lagrangian"):
         raise ConfigError(f"config.blocks must be 'eulerian' or 'lagrangian', got {blocks!r}")
 
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("config.tolerances must be an object")
-    tol_kwargs = {}
-    for name in ("ode_tol", "end_tol", "rank_tol", "sym_tol", "kernel_tol"):
-        if name in tol_raw:
-            value = tol_raw[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-                raise ConfigError(f"config.tolerances.{name} must be positive, got {value!r}")
-            tol_kwargs[name] = float(value)
-    unknown = set(tol_raw) - {"ode_tol", "end_tol", "rank_tol", "sym_tol", "kernel_tol"}
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+    tol_raw = _section(raw, "tolerances", "config", [f.name for f in fields(Tolerances)], {})
+    tol = {name: _need(tol_raw, name, float, "config.tolerances") for name in tol_raw}
+    for name, value in tol.items():
+        if not value > 0:
+            raise ConfigError(f"config.tolerances.{name} must be positive, got {value!r}")
 
     return RunConfig(
         seed=seed,
         gas=gas,
-        out_dir=Path(raw.get("out_dir", ".")),
+        out_dir=Path(_need(raw, "out_dir", str, "config", ".")),
         box=box,
-        sigma_list=sigma_list,
-        suggest=bool(raw.get("suggest_sigmas", False)),
+        sigma_list=_floats(raw, "sigma_list", "config", default=[0.0]),
+        suggest=_need(raw, "suggest_sigmas", bool, "config", False),
         n_samples=n_samples,
         blocks=blocks,
-        tol=Tolerances(**tol_kwargs),
-        rh=raw.get("rh"),
-        layer=raw.get("layer"),
-        reduce=raw.get("reduce"),
+        tol=Tolerances(**tol),
+        raw=raw,
     )
 
 
@@ -328,25 +333,15 @@ def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
 
 
 def cmd_reduce_info(config: RunConfig, out_dir: Path, sigma_override: float | None) -> int:
-    if config.reduce is None:
-        raise ConfigError("reduce-info requires a 'reduce' entry in the config")
-    raw = config.reduce
-    if not isinstance(raw, dict):
-        raise ConfigError("config.reduce must be an object")
-    sigma = sigma_override if sigma_override is not None else _need(raw, "sigma", float, "config.reduce")
-    U_raw = _need(raw, "U", list, "config.reduce")
-    if len(U_raw) != 5:
-        raise ConfigError("config.reduce.U must be [rho, v, theta, z1, z2]")
-    try:
-        U = np.array([float(c) for c in U_raw])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.reduce.U: {exc}") from exc
-    if not np.all(np.isfinite(U)):
-        raise ConfigError(f"config.reduce.U must be finite, got {U_raw!r}")
+    raw = _section(config.raw, "reduce", "config", ("sigma", "U"))
+    sigma = _need(raw, "sigma", float, "config.reduce", sigma_override)
+    if sigma_override is not None:
+        sigma = sigma_override
+    V = _floats(raw, "U", "config.reduce", 5)
+    U = np.array(V)
     ext = ExtendedState.from_array(U)
 
     ode = tw_singular_ode(config.gas, sigma)
-    V = U.tolist()
     F = ode.F_eval(V)
     zeta = ode.zeta_eval(V)
     w = None
@@ -370,14 +365,12 @@ def cmd_reduce_info(config: RunConfig, out_dir: Path, sigma_override: float | No
 
 
 def cmd_shock(config: RunConfig, out_dir: Path, strength_override: float | None) -> int:
-    if config.rh is None:
-        raise ConfigError("shock requires an 'rh' entry in the config")
-    raw = config.rh
-    if not isinstance(raw, dict):
-        raise ConfigError("config.rh must be an object")
+    raw = _section(config.raw, "rh", "config", ("family", "strength", "U_minus"))
     family = _need(raw, "family", int, "config.rh")
-    strength = strength_override if strength_override is not None else _need(raw, "strength", float, "config.rh")
-    U_minus = _state_from(_need(raw, "U_minus", list, "config.rh"), "config.rh.U_minus")
+    strength = _need(raw, "strength", float, "config.rh", strength_override)
+    if strength_override is not None:
+        strength = strength_override
+    U_minus = _state(raw, "U_minus", "config.rh")
 
     pair = solve_rh(config.gas, U_minus, family, strength)
     opts = ShootOpts(tol=config.tol.ode_tol, end_tol=config.tol.end_tol)
@@ -415,14 +408,10 @@ def cmd_shock(config: RunConfig, out_dir: Path, strength_override: float | None)
 
 
 def cmd_layer(config: RunConfig, out_dir: Path) -> int:
-    if config.layer is None:
-        raise ConfigError("layer requires a 'layer' entry in the config")
-    raw = config.layer
-    if not isinstance(raw, dict):
-        raise ConfigError("config.layer must be an object")
-    limit_state = _state_from(_need(raw, "limit_state", list, "config.layer"), "config.layer.limit_state")
-    direction_index = _need(raw, "direction_index", int, "config.layer") if "direction_index" in raw else 0
-    amplitude = _need(raw, "amplitude", float, "config.layer") if "amplitude" in raw else 1e-3
+    raw = _section(config.raw, "layer", "config", ("limit_state", "direction_index", "amplitude"))
+    limit_state = _state(raw, "limit_state", "config.layer")
+    direction_index = _need(raw, "direction_index", int, "config.layer", 0)
+    amplitude = _need(raw, "amplitude", float, "config.layer", 1e-3)
 
     opts = LayerOpts(tol=config.tol.ode_tol)
     profile = boundary_layer(config.gas, limit_state, direction_index, amplitude, opts)
@@ -489,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(kind: str, code: int, exc: Exception) -> int:
-    import sys
-
     msg = " ".join(str(exc).split())
     print(f"shocklayer: kind={kind} exit={code} msg={msg}", file=sys.stderr)
     return code

@@ -8,14 +8,12 @@ partial derivatives the rest of the package needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-
-# hard positivity floor, below this the model is considered meaningless
-_POSITIVITY_EPS = 0.0
 
 
 @dataclass(frozen=True)
@@ -29,8 +27,10 @@ class PowerLaw:
     exponent: float = 0.0
 
     def __post_init__(self):
-        if not (self.coeff > 0.0):
-            raise DomainError(f"transport coefficient must be positive, got {self.coeff}")
+        if not (self.coeff > 0.0 and math.isfinite(self.coeff)):
+            raise DomainError(f"transport coefficient coeff must be positive and finite, got {self.coeff}")
+        if not math.isfinite(self.exponent):
+            raise DomainError(f"transport exponent must be finite, got {self.exponent}")
 
     def __call__(self, rho: float) -> tuple[float, float]:
         """Return (value, d value / d rho) at the given density."""
@@ -49,11 +49,11 @@ class State:
     theta: float
 
     def __post_init__(self):
-        if not (self.rho > _POSITIVITY_EPS) or not np.isfinite(self.rho):
+        if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError(f"density must be positive and finite, got {self.rho}")
-        if not (self.theta > _POSITIVITY_EPS) or not np.isfinite(self.theta):
+        if not (self.theta > 0.0 and math.isfinite(self.theta)):
             raise DomainError(f"temperature must be positive and finite, got {self.theta}")
-        if not np.isfinite(self.v):
+        if not math.isfinite(self.v):
             raise DomainError(f"velocity must be finite, got {self.v}")
 
     def to_array(self) -> np.ndarray:
@@ -92,12 +92,12 @@ class GasModel:
     c_rho: float = 0.1
 
     def __post_init__(self):
-        if not (self.R > 0.0):
-            raise DomainError(f"gas constant must be positive, got {self.R}")
-        if not (self.gamma > 1.0):
-            raise DomainError(f"adiabatic exponent must exceed 1, got {self.gamma}")
-        if not (self.c_rho > 0.0):
-            raise DomainError(f"vacuum bound must be positive, got {self.c_rho}")
+        if not (self.R > 0.0 and math.isfinite(self.R)):
+            raise DomainError(f"gas constant R must be positive and finite, got {self.R}")
+        if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
+            raise DomainError(f"adiabatic exponent gamma must exceed 1 and be finite, got {self.gamma}")
+        if not (self.c_rho > 0.0 and math.isfinite(self.c_rho)):
+            raise DomainError(f"vacuum bound c_rho must be positive and finite, got {self.c_rho}")
 
 
 def pressure(gas: GasModel, rho: float, theta: float) -> tuple[float, float, float]:

@@ -38,6 +38,7 @@ from .reduction import (
     tw_singular_ode,
 )
 from .sode import (
+    DEFAULT_TOL,
     TERM_EQUILIBRIUM,
     TERM_REACHED_END,
     TERM_SINGULARITY,
@@ -209,7 +210,7 @@ SHOOT_RETRIES = 2
 class ShootOpts:
     """Controls for the shooting of `shock_profile` and `gilbarg_oracle`."""
 
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     end_tol: float = 1e-6
 
 
@@ -217,7 +218,7 @@ class ShootOpts:
 class LayerOpts:
     """Controls for the boundary-layer construction."""
 
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
 
 
 def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:

@@ -64,6 +64,12 @@ def test_deleted_names_stay_deleted(name):
     assert name not in shocklayer.__all__
 
 
+def test_all_lists_no_module():
+    assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
+    assert len(shocklayer.__all__) == 69
+    assert shocklayer.sode is sode and shocklayer.profiles is profiles
+
+
 def test_fixed_controls():
     assert (sode.DELTA, sode.REL_FLOOR, sode.EQUILIBRIUM_TOL) == (1e-6, 1e-12, 1e-12)
     assert (sode.FD_STEP, sode.CENTER_THRESHOLD) == (1e-6, 1e-7)

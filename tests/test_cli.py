@@ -45,6 +45,17 @@ def base_config(out_dir):
     }
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+def set_key(cfg: dict, dotted: str, value) -> None:
+    """Set cfg["a"]["b"] for "a.b", adding the sections that are missing."""
+    *sections, key = dotted.split(".")
+    for section in sections:
+        cfg = cfg.setdefault(section, {})
+    cfg[key] = value
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
@@ -445,6 +456,67 @@ class TestConfigValidation:
         cfg = base_config(outdir)
         cfg["rh"]["U_minus"] = [1.0, 0.0]
         assert self.e2(tmp_path, cfg, cmd="shock") == 2
+
+    @pytest.mark.parametrize("command,key,value,name", [
+        pytest.param("shock", "gas.gamma", INF, "config.gas.gamma must be finite", id="gamma-inf-shock"),
+        pytest.param("reduce-info", "gas.gamma", INF, "config.gas.gamma must be finite", id="gamma-inf-reduce"),
+        pytest.param("shock", "gas.nu", INF, "config.gas.nu must be finite", id="nu-inf"),
+        pytest.param("shock", "gas.nu", {"coeff": 1.0, "exponent": NAN}, "config.gas.nu.exponent", id="exponent-nan"),
+        pytest.param("shock", "gas.nu", {"coeff": 1.0, "exponent": "x"}, "config.gas.nu.exponent", id="exponent-str"),
+        pytest.param("shock", "gas.R", INF, "config.gas.R must be finite", id="R-inf"),
+        pytest.param("shock", "gas.gamma", "1.4", "config.gas.gamma", id="gamma-str"),
+        pytest.param("shock", "gas.R", True, "config.gas.R", id="R-bool"),
+        pytest.param("check", "box.rho", [0.5, 2.0, 3.0], "config.box.rho", id="box-three"),
+        pytest.param("check", "box.rho", ["0.5", "2.0"], "config.box.rho", id="box-str"),
+        pytest.param("check", "box.rho", [0.5, INF], "config.box.rho must be finite", id="box-inf"),
+        pytest.param("check", "suggest_sigmas", "no", "config.suggest_sigmas", id="suggest-str"),
+        pytest.param("check", "out_dir", 5, "config.out_dir", id="out-dir-int"),
+        pytest.param("shock", "tolerances.ode_tol", INF, "config.tolerances.ode_tol", id="ode-tol-inf"),
+        pytest.param("shock", "rh.U_minus", ["1.0", True, 1], "config.rh.U_minus", id="state-str-bool"),
+        pytest.param("shock", "rh.strength", 10**400, "config.rh.strength must be finite", id="strength-400-digits"),
+        pytest.param("check", "sigma_list", [0.0, 10**400], "config.sigma_list must be finite", id="sigma-400-digits"),
+        pytest.param("shock", "gas.gama", 1.6667, "config.gas has unknown keys ['gama']", id="gas-typo"),
+        pytest.param("shock", "rh.strenght", 0.9, "config.rh has unknown keys ['strenght']", id="rh-typo"),
+    ])
+    def test_value_is_named_without_a_traceback(self, tmp_path, outdir, capsys, command, key, value, name):
+        cfg = base_config(outdir)
+        set_key(cfg, key, value)
+        assert self.e2(tmp_path, cfg, cmd=command) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2" in err and name in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command,key,name", [
+        ("check", "n_sample", "config"),
+        ("check", "box.p", "config.box"),
+        ("check", "gas.nu", "config.gas.nu"),
+        ("check", "tolerances.abs_tol", "config.tolerances"),
+        ("shock", "rh.U_plus", "config.rh"),
+        ("layer", "layer.direction", "config.layer"),
+        ("reduce-info", "reduce.V", "config.reduce"),
+    ])
+    def test_unknown_key_in_every_section(self, tmp_path, outdir, capsys, command, key, name):
+        cfg = base_config(outdir)
+        if name == "config.gas.nu":
+            cfg["gas"]["nu"] = {"coeff": 1.0, "exponent": 0.0, "offset": 1.0}
+        else:
+            set_key(cfg, key, 1.0)
+        assert self.e2(tmp_path, cfg, cmd=command) == 2
+        assert f"kind=validation exit=2 msg={name} has unknown keys" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_integer_past_the_digit_limit(self, tmp_path, outdir, capsys):
+        text = json.dumps(base_config(outdir)).replace('"seed": 0', '"seed": ' + "9" * 5000)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["check", "--config", str(path)]) == 2
+        assert "kind=validation exit=2 msg=config" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_check_ignores_a_broken_rh_section(self, tmp_path, outdir):
+        cfg = base_config(outdir)
+        cfg["rh"] = {"strenght": "0.9"}
+        assert self.e2(tmp_path, cfg) == 0
 
 
 class TestNonFiniteNumbers:

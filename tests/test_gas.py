@@ -74,6 +74,14 @@ def test_power_law_rejects_nonpositive_coeff():
         PowerLaw(0.0, 1.0)
 
 
+@pytest.mark.parametrize("coeff,exponent,field", [
+    (np.inf, 0.0, "coeff"), (np.nan, 0.0, "coeff"), (1.0, np.nan, "exponent"), (1.0, -np.inf, "exponent"),
+])
+def test_power_law_rejects_non_finite_parameters(coeff, exponent, field):
+    with pytest.raises(DomainError, match=f"{field} must be .*finite"):
+        PowerLaw(coeff, exponent)
+
+
 def test_state_validation():
     with pytest.raises(DomainError):
         State(-1.0, 0.0, 1.0)
@@ -90,6 +98,13 @@ def test_gas_model_validation():
         GasModel(R=-1.0)
     with pytest.raises(DomainError):
         GasModel(c_rho=0.0)
+
+
+@pytest.mark.parametrize("field", ["R", "gamma", "c_rho"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_gas_model_rejects_non_finite_parameters(field, value):
+    with pytest.raises(DomainError, match=f"{field} must .*finite"):
+        GasModel(**{field: value})
 
 
 def test_box_validate_against_vacuum_bound(gas):

@@ -1,11 +1,17 @@
-"""No package module imports a name it never uses.
+"""No package module imports a name it never uses or defines a dead private name.
 
-No linter ships with the toolchain, so this is the unused-import rule in
-the standard library: every module under src/shocklayer/ except
-`__init__.py` (which imports in order to re-export) is parsed, and each
-name an import binds must be read somewhere in the module. The names the
-benchmark tracer swaps on `cli` and `profiles` are all called there, so
-they pass.
+No linter ships with the toolchain, so these are two rules in the
+standard library's `ast`:
+
+- unused imports: every module under src/shocklayer/ except
+  `__init__.py` (which imports in order to re-export) is parsed, and each
+  name an import binds must be read somewhere in the module. The names
+  the benchmark tracer swaps on `cli` and `profiles` are all called
+  there, so they pass.
+- dead names: every private (single-underscore) function, class or
+  constant defined at module level must be read somewhere in the
+  package, as a name or as an attribute. A helper left behind by a
+  refactor fails it.
 """
 
 import ast
@@ -40,3 +46,44 @@ def test_rule_catches_unused_names():
     source = "import os\nimport os.path as osp\nimport sys\nfrom math import pi, tau\nprint(sys.argv, pi)\n"
     assert unused_imports(source) == ["os", "osp", "tau"]
     assert unused_imports("from __future__ import annotations\nimport numpy as np\nx: np.ndarray\n") == []
+
+
+def defined_private_names(tree: ast.Module) -> set[str]:
+    """Single-underscore names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Names a tree reads, as a bare name or as an attribute."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+    return reads
+
+
+def dead_names(sources: list[str]) -> list[str]:
+    """Private module-level names defined in sources that none of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*(defined_private_names(tree) for tree in trees))
+    return sorted(defined - set().union(*(read_names(tree) for tree in trees)))
+
+
+def test_no_dead_private_names():
+    package = sorted(Path(shocklayer.__file__).parent.glob("*.py"))
+    assert dead_names([path.read_text() for path in package]) == []
+
+
+def test_rule_catches_dead_names():
+    lib = "_LIMIT = 1.0\n_A, _B = 1, 2\ndef _helper():\n    return _LIMIT\nclass _Old:\n    pass\n__all__ = []\n"
+    user = "from lib import _helper\nimport lib\nprint(_helper(), lib._B)\n"
+    assert dead_names([lib, user]) == ["_A", "_Old"]
