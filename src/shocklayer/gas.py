@@ -4,6 +4,8 @@ Pressure law p = R rho theta, internal energy e = R theta / (gamma - 1).
 Viscosity and heat conduction are either constants or power laws in the
 density. All thermodynamic helpers return the value together with the
 partial derivatives the rest of the package needs.
+`PowerLaw`, `pressure` and `internal_energy` also take arrays of samples
+and give every entry the bits of the float call (see `_pow_each`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+
+_ndarray = np.ndarray
+
+
+def _pow_each(x: np.ndarray, e) -> np.ndarray:
+    """x ** e entry by entry, with the rounding of Python floats.
+
+    numpy's vectorized ** rounds differently from the C library pow that
+    Python floats use (for about 5% of doubles at exponents in [-0.5, 1],
+    and for about one square in 1,100), so an array is raised one entry at
+    a time and every entry keeps the bits of the float call.
+    """
+    return np.array([a ** e for a in x.tolist()])
+
+
+def _lowest(x):
+    """x, or the lowest entry of an array x (NaN if it holds one): the value an error names."""
+    return np.min(x) if x.__class__ is _ndarray else x
 
 
 @dataclass(frozen=True)
@@ -32,12 +52,16 @@ class PowerLaw:
         if not math.isfinite(self.exponent):
             raise DomainError(f"transport exponent must be finite, got {self.exponent}")
 
-    def __call__(self, rho: float) -> tuple[float, float]:
-        """Return (value, d value / d rho) at the given density."""
-        if self.exponent == 0.0:
+    def __call__(self, rho):
+        """Return (value, d value / d rho) at the given density, or at each of an array.
+
+        A constant law returns (coeff, 0.0) for an array too; they broadcast.
+        """
+        e = self.exponent
+        if e == 0.0:
             return self.coeff, 0.0
-        val = self.coeff * rho ** self.exponent
-        return val, self.exponent * val / rho
+        val = self.coeff * (rho ** e if rho.__class__ is not _ndarray else _pow_each(rho, e))
+        return val, e * val / rho
 
 
 @dataclass(frozen=True)
@@ -102,17 +126,17 @@ class GasModel:
 
 def pressure(gas: GasModel, rho: float, theta: float) -> tuple[float, float, float]:
     """Return (p, dp/drho, dp/dtheta) for the ideal gas law."""
-    if not (rho > 0.0):
-        raise DomainError(f"pressure needs rho > 0, got {rho}")
-    if not (theta > 0.0):
-        raise DomainError(f"pressure needs theta > 0, got {theta}")
+    if not (rho > 0.0 if rho.__class__ is not _ndarray else np.all(rho > 0.0)):
+        raise DomainError(f"pressure needs rho > 0, got {_lowest(rho)}")
+    if not (theta > 0.0 if theta.__class__ is not _ndarray else np.all(theta > 0.0)):
+        raise DomainError(f"pressure needs theta > 0, got {_lowest(theta)}")
     return gas.R * rho * theta, gas.R * theta, gas.R * rho
 
 
 def internal_energy(gas: GasModel, theta: float) -> tuple[float, float]:
     """Return (e, de/dtheta); the polytropic energy is linear in theta."""
-    if not (theta > 0.0):
-        raise DomainError(f"internal energy needs theta > 0, got {theta}")
+    if not (theta > 0.0 if theta.__class__ is not _ndarray else np.all(theta > 0.0)):
+        raise DomainError(f"internal energy needs theta > 0, got {_lowest(theta)}")
     e_theta = gas.R / (gas.gamma - 1.0)
     return e_theta * theta, e_theta
 

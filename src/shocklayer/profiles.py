@@ -114,6 +114,8 @@ def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float
     p_m, _, _ = pressure(gas, U_minus.rho, U_minus.theta)
     P = m * u_m + p_m
     u_p = 2.0 * gas.gamma * P / ((gas.gamma + 1.0) * m) - u_m
+    if not math.isfinite(u_p):
+        raise DomainError(f"the strength overflows the jump conditions: m = {m:g}, P = m u + p = {P:g}")
     if u_p * u_m <= 0.0:
         raise DomainError("conjugate state crosses the sonic frame, no admissible root")
     rho_p = m / u_p
@@ -148,7 +150,8 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     infinite-strength bound c (1 - sqrt((gamma - 1) / (2 gamma))), which
     no finite shock reaches. A strength below the round-off of
     lambda_family(U-) leaves sigma on it: that is the zero-strength pair
-    within round-off, and it is rejected as such.
+    within round-off, and it is rejected as such. So is a strength at
+    which the jump conditions overflow a float (P = m u + p infinite).
     """
     if family == 2:
         raise DomainError("family 2 is the contact family; no shock pair exists")
@@ -260,22 +263,20 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, in
     SINGULARITY_GUARD are skipped (the direct derivative is not defined
     there). Returns the worst residual, the number of midpoints skipped,
     and sup |F| over the midpoints checked, the scale of the residual.
+
+    zeta and F are each evaluated once, on the midpoints as column arrays
+    (see `SingularODE`); every value is the one a per-midpoint float
+    evaluation gives. A NaN residual propagates into the result.
     """
-    rescaled = traj.mode == "rescaled"
-    worst = f_sup = 0.0
-    skipped = 0
-    ys, dys = traj.step_eval(np.arange(traj.hs.size), 0.5)
-    for y, dy in zip(ys.tolist(), dys.tolist()):
-        V = y[:-1] if rescaled else y
-        z = ode.zeta_eval(V)
-        if abs(z) <= SINGULARITY_GUARD:
-            skipped += 1
-            continue
-        Uprime = [a / dy[-1] for a in dy[:-1]] if rescaled else dy
-        F = ode.F_eval(V)
-        worst = max(worst, _sup_dist([z * a for a in Uprime], F))
-        f_sup = max(f_sup, max(map(abs, F)))
-    return worst, skipped, f_sup
+    U, dU = traj.step_eval(np.arange(traj.hs.size), 0.5)
+    if traj.mode == "rescaled":
+        U, dU = U[:, :-1], dU[:, :-1] / dU[:, -1:]
+    z = ode.zeta_eval(list(U.T))
+    checked = ~(np.abs(z) <= SINGULARITY_GUARD)
+    skipped = int(checked.size - np.count_nonzero(checked))
+    F = np.array(ode.F_eval(list(U[checked].T)))
+    worst = float(np.max(np.abs(z[checked] * dU[checked].T - F), initial=0.0))
+    return worst, skipped, float(np.max(np.abs(F), initial=0.0))
 
 
 def _relative_residual(worst: float, f_sup: float) -> float:
@@ -292,10 +293,11 @@ class FluxRecord:
     drift: float
 
 
-def _flux_integrals(gas: GasModel, sigma: float, rho: float, v: float, theta: float, z1: float, z2: float) -> tuple:
+def _flux_integrals(gas: GasModel, sigma: float, rho, v, theta, z1, z2) -> tuple:
     """Mass, momentum and energy flux in the frame moving at sigma, z = (v_x, theta_x).
 
-    m = rho (v - sigma), m v + p - nu z1 and m (e + v^2/2) + v p - k z2 - nu v z1.
+    m = rho (v - sigma), m v + p - nu z1 and m (e + v^2/2) + v p - k z2 - nu v z1,
+    at one state of floats or at every sample of equal-length arrays.
     """
     p, _, _ = pressure(gas, rho, theta)
     e, _ = internal_energy(gas, theta)
@@ -313,11 +315,12 @@ def flux_constants(gas: GasModel, profile: Profile) -> FluxRecord:
     max(|reference|, 1) per component. The reference is evaluated at the
     equilibrium endpoint (z = 0): for a layer that is the limit state,
     for a shock either endpoint gives the same values up to the
-    jump-condition residual.
+    jump-condition residual. The integrals are evaluated once, on the
+    samples as column arrays; each value is the one a per-sample float
+    evaluation gives.
     """
     sigma = profile.sigma
-    rows = [_flux_integrals(gas, sigma, *U) for U in profile.trajectory.Vs.tolist()]
-    values = np.array(rows).reshape(-1, 3)
+    values = np.column_stack(_flux_integrals(gas, sigma, *profile.trajectory.Vs.T))
     ref = profile.right
     reference = np.array(_flux_integrals(gas, sigma, ref.rho, ref.v, ref.theta, 0.0, 0.0))
     scale = np.maximum(np.abs(reference), 1.0)
@@ -521,16 +524,20 @@ def _flux_form(gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float):
     every stage. V = [v, theta]. p and e are the ideal-gas laws of
     `pressure` and `internal_energy`, written out in the same order with
     R and R / (gamma - 1) read once; a NaN rho or theta fails the check.
+    V may also be a pair of equal-length arrays; F then checks and solves
+    every sample at once, with the bits of the float call.
     """
     R = gas.R
     e_theta = gas.R / (gas.gamma - 1.0)
-    nu_law, k_law = gas.nu_law, gas.k_law
+    # bound __call__: calling the instance goes through the slower type slot
+    nu_law, k_law = gas.nu_law.__call__, gas.k_law.__call__
 
     def F(V: list[float]) -> list[float]:
         v, theta = V
         rho = m / (v - sigma)
-        if not (rho > 0.0 and theta > 0.0):
-            raise DomainError("flux-form state left the physical region")
+        if rho.__class__ is not float or not (rho > 0.0 and theta > 0.0):
+            if not (np.all(rho > 0.0) and np.all(theta > 0.0)):  # at every sample of arrays
+                raise DomainError("flux-form state left the physical region")
         p = R * rho * theta
         e = e_theta * theta
         nu, _ = nu_law(rho)
@@ -570,9 +577,8 @@ class OracleTrajectory:
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
         vs, ths = V[:, 0], V[:, 1]
-        F = _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux)
-        z = np.array([F(state) for state in V.tolist()]).reshape(-1, 2)
-        return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z[:, 0], "z2": z[:, 1]}
+        z1, z2 = _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux)([vs, ths])
+        return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z1, "z2": z2}
 
     def table(self) -> dict[str, np.ndarray]:
         """Columns x, rho, v, theta, z1, z2 with z from the flux form."""

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .gas import GasModel, State
+from .gas import GasModel, State, _lowest, _ndarray, _pow_each
 
 # evaluations closer to the sonic set than this raise SingularityError
 SINGULARITY_GUARD = 1e-8
@@ -64,6 +64,15 @@ class SingularODE:
     float. The integrators step on such lists, so no array is built per
     evaluation; callers holding an array convert it once with .tolist().
     The desingularized companion is dV/dtau = F(V), dx/dtau = zeta(V).
+
+    The reductions of `tw_singular_ode` also take V as a list of dim
+    equal-length float arrays, one column per component (V = list(A.T)
+    for samples A of shape (n, dim)). F_eval then returns a list of dim
+    arrays and zeta_eval an array, each entry bit for bit what the float
+    call gives at that sample; an inadmissible sample anywhere is a
+    DomainError. The profile checks evaluate all their samples in one
+    such call. This widens the contract of these callbacks, which used to
+    take float lists only; the integrators still hand them floats.
     """
 
     dim: int
@@ -72,11 +81,11 @@ class SingularODE:
     label: str = ""
 
 
-def _require_admissible(U: list[float]) -> None:
-    rho, theta = U[0], U[2]
-    if not (rho > 0.0) or not (theta > 0.0):
+def _require_admissible(rho, theta) -> None:
+    """DomainError unless rho > 0 and theta > 0 (at every sample of column arrays); NaN fails."""
+    if not (np.all(rho > 0.0) and np.all(theta > 0.0)):
         raise DomainError(
-            f"extended state needs rho > 0 and theta > 0, got rho={rho}, theta={theta}"
+            f"extended state needs rho > 0 and theta > 0, got rho={_lowest(rho)}, theta={_lowest(theta)}"
         )
 
 
@@ -88,31 +97,40 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
     -(A21^T z)/a11 = -rho z1 and v_x by z1. Keeping it inline makes the
     right-hand side cheap and lets the tests cross-check it against an
     independent assembly from the blocks.
+
+    F and zeta take a state or column arrays (see `SingularODE`). A state
+    whose transport laws or theta^2 overflow a float is a DomainError
+    that names it.
     """
     R = gas.R
     e_theta = R / (gas.gamma - 1.0)
-    nu_law, k_law = gas.nu_law, gas.k_law
+    # bound __call__: calling the instance goes through the slower type slot
+    nu_law, k_law = gas.nu_law.__call__, gas.k_law.__call__
     sig = float(sigma)
 
     def F(V: list[float]) -> list[float]:
         rho, v, theta, z1, z2 = V
-        if not (rho > 0.0 and theta > 0.0):
-            _require_admissible(V)
+        if rho.__class__ is not float or not (rho > 0.0 and theta > 0.0):
+            _require_admissible(rho, theta)  # columns are checked at every sample
         s = v - sig
         p_rho = R * theta
         p_theta = R * rho
-        nu, dnu = nu_law(rho)
-        k, dk = k_law(rho)
+        try:
+            nu, dnu = nu_law(rho)
+            k, dk = k_law(rho)
+            theta_sq = theta ** 2 if theta.__class__ is not _ndarray else _pow_each(theta, 2)
+        except OverflowError:
+            raise DomainError(f"F overflows a float at the extended state {V}") from None
         q = rho * z1  # A21^T z / a11
         # rows of (A22 - sigma E22)(v - sigma) after the substitution
         M11 = (rho * s * s + dnu * q) / theta
         M12 = p_theta * s / theta
         M21 = (p_theta - nu * z1 / theta) * s / theta
-        M22 = (rho * s * s * e_theta + dk * q) / theta ** 2
+        M22 = (rho * s * s * e_theta + dk * q) / theta_sq
         # subtract the Schur-type coupling A21 A21^T / a11 (only entry 11)
         K11 = M11 - rho * p_rho / theta
         Fz1 = (theta / nu) * (K11 * z1 + M12 * z2)
-        Fz2 = (theta ** 2 / k) * (M21 * z1 + M22 * z2)
+        Fz2 = (theta_sq / k) * (M21 * z1 + M22 * z2)
         return [-q, s * z1, s * z2, Fz1, Fz2]
 
     def zeta(V: list[float]) -> float:

@@ -104,13 +104,11 @@ class TrajectoryStats:
 _MAX_INVERT_ITER = 60  # bisection alone shrinks [0, 1] to round-off in 53 rounds
 
 
-def _quartic(q: np.ndarray, theta):
+def _quartic(q1, q2, q3, q4, theta):
     """q1 theta + q2 theta^2 + q3 theta^3 + q4 theta^4 and its theta-derivative.
 
-    q holds (q1, q2, q3, q4) along its last axis; theta broadcasts against
-    the other axes.
+    theta broadcasts against the coefficient arrays.
     """
-    q1, q2, q3, q4 = np.moveaxis(q, -1, 0)
     value = theta * (q1 + theta * (q2 + theta * (q3 + theta * q4)))
     return value, q1 + theta * (2.0 * q2 + theta * (3.0 * q3 + theta * 4.0 * q4))
 
@@ -169,7 +167,7 @@ class Trajectory:
 
     def step_eval(self, i, theta) -> tuple[np.ndarray, np.ndarray]:
         """Dense output y and its derivative dy/dt in steps i at fractions theta."""
-        p, dp = _quartic(self.Q[i], np.asarray(theta, dtype=float)[..., None])
+        p, dp = _quartic(*np.moveaxis(self.Q[i], -1, 0), np.asarray(theta, dtype=float)[..., None])
         return self.y0s[i] + self.hs[i][..., None] * p, dp
 
     def eval(self, t) -> np.ndarray:
@@ -198,8 +196,10 @@ class Trajectory:
         is bracketed between two samples, and the t inside that step where
         the quartic takes the value is found by Newton's method, falling
         back to bisection whenever a Newton iterate leaves the bracket; the
-        iteration stops once the residual is at round-off level. Returns
-        an array of shape values.shape + (d,).
+        iteration stops once the residual is at round-off level. A value
+        whose residual is there drops out of the iteration, so later
+        rounds work on the rest alone. Returns an array of shape
+        values.shape + (d,).
         """
         c = np.asarray(values, dtype=float)
         s = self.ys[:, j]
@@ -212,23 +212,33 @@ class Trajectory:
         # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step
         sgn = 1.0 if d[0] > 0 else -1.0
         i = np.clip(np.searchsorted(sgn * s, sgn * c, side="right") - 1, 0, d.size - 1)
-        y0, h, q = self.y0s[i, j], self.hs[i], self.Q[i, j]
         tol = 4.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
-        a, b = np.zeros_like(c), np.ones_like(c)
-        theta = np.clip((c - s[i]) / d[i], 0.0, 1.0)
-        for _ in range(_MAX_INVERT_ITER):
-            p, dp = _quartic(q, theta)
-            f = sgn * (y0 + h * p - c)
-            done = np.abs(f) <= tol
-            if np.all(done):
-                break
-            a = np.where(f < 0.0, theta, a)
-            b = np.where(f > 0.0, theta, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = theta - f / (sgn * h * dp)
-            inside = (newton > a) & (newton < b)
-            theta = np.where(done, theta, np.where(inside, newton, 0.5 * (a + b)))
-        return self.step_eval(i, theta)[0]
+        theta = np.clip((c - s[i]) / d[i], 0.0, 1.0).ravel()
+        # the values still iterating: where they sit in theta, their step data and bracket
+        at = np.arange(theta.size)
+        cs, y0, h, th = c.ravel(), self.y0s[i, j].ravel(), self.hs[i].ravel(), theta.copy()
+        q1, q2, q3, q4 = self.Q[i, j].reshape(-1, 4).T
+        a, b = np.zeros_like(th), np.ones_like(th)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero dp sends newton out of the bracket
+            for _ in range(_MAX_INVERT_ITER):
+                p, dp = _quartic(q1, q2, q3, q4, th)
+                f = sgn * (y0 + h * p - cs)
+                done = np.abs(f) <= tol
+                if done.any():
+                    theta[at[done]] = th[done]
+                    go = ~done
+                    at, cs, y0, h, th, q1, q2, q3, q4, a, b, f, dp = (
+                        x[go] for x in (at, cs, y0, h, th, q1, q2, q3, q4, a, b, f, dp)
+                    )
+                    if at.size == 0:
+                        break
+                a = np.where(f < 0.0, th, a)
+                b = np.where(f > 0.0, th, b)
+                newton = th - f / (sgn * h * dp)
+                inside = (newton > a) & (newton < b)
+                th = np.where(inside, newton, 0.5 * (a + b))
+        theta[at] = th  # the values out of rounds keep their last iterate
+        return self.step_eval(i, theta.reshape(c.shape))[0]
 
 
 def _rms(v: list[float], scale: list[float]) -> float:

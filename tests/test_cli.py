@@ -215,6 +215,17 @@ class TestReduceInfo:
         path = write_config(tmp_path, cfg)
         assert main(["reduce-info", "--config", path]) == 2
 
+    def test_state_that_overflows_F(self, tmp_path, outdir, capsys):
+        # finite config values whose theta^2 overflows a float: a named DomainError, no traceback
+        cfg = base_config(outdir)
+        cfg["reduce"]["U"] = [1e300, 1e300, 1e300, 1.0, 0.0]
+        path = write_config(tmp_path, cfg)
+        assert main(["reduce-info", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2 msg=F overflows a float at the extended state [1e+300" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 class TestShock:
     def test_full_run(self, config_path, outdir, capsys):

@@ -40,8 +40,10 @@ from shocklayer import (
     steady_singular_ode,
     tw_singular_ode,
 )
+from shocklayer import profiles
 from shocklayer.gas import conserved, euler_fluxes
 from shocklayer.profiles import _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
+from shocklayer.reduction import SINGULARITY_GUARD
 
 from flux_form import extended_with_derivatives
 
@@ -194,6 +196,13 @@ class TestSolveRH:
         limit = c * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
         with pytest.raises(DomainError, match="round-off"):
             solve_rh(gas, left, family=3, strength=(1.0 - 2.2e-16) * limit)
+
+    @pytest.mark.parametrize("strength", [1e160, 1e300])
+    def test_family1_strength_that_overflows_the_jump_conditions(self, gasm, strength):
+        # m u overflows, so P = m u + p is infinite; the family-3 limit is not the cause
+        with pytest.raises(DomainError, match="overflows the jump conditions") as info:
+            solve_rh(gasm, State(1.0, 0.0, 1.0), 1, strength)
+        assert "family-3" not in str(info.value)
 
     @pytest.mark.parametrize("fraction", [1e-300 * 10.0, 1e-17])
     def test_strength_below_round_off_of_lambda(self, fraction):
@@ -711,6 +720,175 @@ class TestMaxExtendedResidual:
         worst, skipped, f_sup = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
         assert skipped == 0 and f_sup > 0.0
         assert _relative_residual(worst, f_sup) > 1e-4
+
+
+def ref_max_extended_residual(ode, traj):
+    """The per-midpoint loop of max_extended_residual: one float F call per midpoint."""
+    rescaled = traj.mode == "rescaled"
+    worst = f_sup = 0.0
+    skipped = 0
+    ys, dys = traj.step_eval(np.arange(traj.hs.size), 0.5)
+    for y, dy in zip(ys.tolist(), dys.tolist()):
+        V = y[:-1] if rescaled else y
+        z = ode.zeta_eval(V)
+        if abs(z) <= SINGULARITY_GUARD:
+            skipped += 1
+            continue
+        Uprime = [a / dy[-1] for a in dy[:-1]] if rescaled else dy
+        F = ode.F_eval(V)
+        worst = max(worst, max([abs(z * a - f) for a, f in zip(Uprime, F)]))
+        f_sup = max(f_sup, max(map(abs, F)))
+    return worst, skipped, f_sup
+
+
+def ref_flux_constants(gas, prof):
+    """The per-sample loop of flux_constants: (values, reference, drift)."""
+    rows = [_flux_integrals(gas, prof.sigma, *U) for U in prof.trajectory.Vs.tolist()]
+    values = np.array(rows).reshape(-1, 3)
+    ref = prof.right
+    reference = np.array(_flux_integrals(gas, prof.sigma, ref.rho, ref.v, ref.theta, 0.0, 0.0))
+    drift = float(np.max(np.abs(values - reference) / np.maximum(np.abs(reference), 1.0)))
+    return values, reference, drift
+
+
+def ref_oracle_columns(oracle, V):
+    """The per-sample loop of OracleTrajectory._columns."""
+    vs, ths = V[:, 0], V[:, 1]
+    F = _flux_form(oracle.gas, oracle.sigma, oracle.m, oracle.Pi, oracle.Eflux)
+    z = np.array([F(state) for state in V.tolist()]).reshape(-1, 2)
+    return {"rho": oracle.m / (vs - oracle.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z[:, 0], "z2": z[:, 1]}
+
+
+def bits(x):
+    """The bytes of a float or an array, so equality is bit for bit (signed zeros and NaN included)."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def power_gas_of(gamma, nu, k):
+    return GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+
+
+class TestChecksMatchPerSampleReference:
+    """Each check evaluates its algebra once over all samples, with the bits of the per-sample loop."""
+
+    def assert_profile_checks_same(self, gas, prof):
+        ode = tw_singular_ode(gas, prof.sigma)
+        new = max_extended_residual(ode, prof.trajectory)
+        ref = ref_max_extended_residual(ode, prof.trajectory)
+        assert (bits(new[0]), new[1], bits(new[2])) == (bits(ref[0]), ref[1], bits(ref[2]))
+        rec = flux_constants(gas, prof)
+        values, reference, drift = ref_flux_constants(gas, prof)
+        assert rec.values.shape == values.shape
+        assert (bits(rec.values), bits(rec.reference), bits(rec.drift)) == (bits(values), bits(reference), bits(drift))
+        return new
+
+    def assert_oracle_columns_same(self, oracle, V):
+        new, ref = oracle._columns(V), ref_oracle_columns(oracle, V)
+        assert list(new) == list(ref)
+        assert all(bits(new[c]) == bits(ref[c]) for c in ref)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        family=st.sampled_from([1, 3]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_shocks_over_generated_gases(self, gamma, nu, k, family, frac):
+        gas = power_gas_of(gamma, nu, k)
+        U_minus = State(1.0, 0.0, 1.0)
+        bound = sound_speed(gas, U_minus) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
+        strength = 0.08 + frac * 2.9 if family == 1 else (0.1 + 0.8 * frac) * bound
+        try:
+            pair = solve_rh(gas, U_minus, family, strength)
+        except DomainError as exc:
+            assume("vacuum bound" not in str(exc))
+            raise
+        prof = shock_profile(gas, pair)
+        self.assert_profile_checks_same(gas, prof)
+        oracle = gilbarg_oracle(gas, pair)
+        self.assert_oracle_columns_same(oracle, oracle.trajectory.Vs)
+        grid = np.linspace(oracle.trajectory.Vs[:, 0].min(), oracle.trajectory.Vs[:, 0].max(), 97)
+        self.assert_oracle_columns_same(oracle, oracle.trajectory.eval_where(0, grid))
+
+    @pytest.mark.parametrize("limit,mode", [((1.0, -0.3, 1.0), "direct"), ((1.0, 5e-7, 1.0), "rescaled")])
+    @pytest.mark.parametrize("gas", [GasModel(), GasModel(nu_law=PowerLaw(0.8, 0.5), k_law=PowerLaw(1.3, -0.25))])
+    def test_direct_and_rescaled_layers(self, gas, limit, mode):
+        prof = boundary_layer(gas, State(*limit), amplitude=1e-3)
+        assert prof.trajectory.mode == mode
+        self.assert_profile_checks_same(gas, prof)
+
+    @pytest.mark.parametrize("limit", [(1.0, -0.3, 1.0), (1.0, 5e-7, 1.0)])
+    def test_midpoints_inside_the_guard_are_skipped_alike(self, power_gas, limit):
+        # shift v so that one step's midpoint sits on the sonic set within round-off
+        prof = boundary_layer(power_gas, State(*limit), amplitude=1e-3)
+        traj = prof.trajectory
+        mid = traj.step_eval(np.arange(traj.hs.size), 0.5)[0][:, 1]
+        k = traj.hs.size // 2
+        shifted = _raised(prof, 1, -mid[k])
+        worst, skipped, _ = self.assert_profile_checks_same(power_gas, shifted)
+        assert skipped >= 1 and np.isfinite(worst)
+
+    def test_a_bad_sample_is_a_domain_error(self, gasm, pair_f1, prof_f1, oracle_f1):
+        ode = tw_singular_ode(gasm, pair_f1.sigma)
+        k = prof_f1.trajectory.n // 2
+        ys = prof_f1.trajectory.ys.copy()
+        ys[k, 2] = -0.5  # theta < 0 at one sample and at the midpoint of the step it starts
+        bad = replace(prof_f1, trajectory=replace(prof_f1.trajectory, ys=ys))
+        with pytest.raises(DomainError, match="rho > 0 and theta > 0"):
+            max_extended_residual(ode, bad.trajectory)
+        with pytest.raises(DomainError, match="theta > 0"):
+            flux_constants(gasm, bad)
+        V = oracle_f1.trajectory.Vs.copy()
+        V[k, 1] = -0.5
+        with pytest.raises(DomainError, match="physical region"):
+            oracle_f1._columns(V)
+        V[k, 1] = np.nan
+        with pytest.raises(DomainError, match="physical region"):
+            oracle_f1._columns(V)
+
+
+class TestChecksEvaluateOnce:
+    """Each check calls its right-hand side once for all samples, not once per sample."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        gas = GasModel(nu_law=PowerLaw(0.8, 0.5), k_law=PowerLaw(1.3, -0.25))
+        pair = solve_rh(gas, State(1.0, 0.0, 1.0), 1, 1.0)
+        prof, oracle = shock_profile(gas, pair), gilbarg_oracle(gas, pair)
+        assert prof.trajectory.n >= 200 and oracle.trajectory.n >= 200
+        return gas, prof, oracle
+
+    @staticmethod
+    def counted(fn, calls):
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapped
+
+    def test_max_extended_residual(self, wide):
+        gas, prof, _ = wide
+        calls = []
+        ode = tw_singular_ode(gas, prof.sigma)
+        max_extended_residual(replace(ode, F_eval=self.counted(ode.F_eval, calls)), prof.trajectory)
+        assert len(calls) == 1
+
+    def test_flux_constants(self, wide, monkeypatch):
+        gas, prof, _ = wide
+        calls = []
+        monkeypatch.setattr(profiles, "_flux_integrals", self.counted(profiles._flux_integrals, calls))
+        flux_constants(gas, prof)
+        assert len(calls) == 2  # the samples, then the reference
+
+    def test_oracle_columns(self, wide, monkeypatch):
+        _, prof, oracle = wide
+        calls = []
+        monkeypatch.setattr(profiles, "_flux_form", lambda *a: self.counted(_flux_form(*a), calls))
+        oracle.table()
+        assert len(calls) == 1
+        compare_profiles(prof, oracle, matching="v")
+        assert len(calls) == 2
 
 
 class TestBoundaryLayer:

@@ -78,6 +78,34 @@ class TestFrozenValues:
         with pytest.raises(DomainError):
             ode.F_eval([1.0, 0.0, 0.0, 0.0, 0.0])
 
+    def test_overflow_is_a_domain_error_naming_the_state(self, gas):
+        # theta^2 or a transport law overflows a float: an unusable state, not a bare OverflowError
+        steep = GasModel(nu_law=PowerLaw(1.0, 2.0))
+        for g, U in ((gas, [1e300, 1e300, 1e300, 1.0, 0.0]), (steep, [1e300, 0.5, 1.0, 0.0, 0.0])):
+            with pytest.raises(DomainError, match=r"overflows a float at the extended state \[1e\+300"):
+                tw_singular_ode(g, 1.0).F_eval(U)
+
+
+class TestColumnArrays:
+    """F and zeta over column arrays give, entry by entry, the bits of the float calls."""
+
+    def test_columns_match_the_float_calls(self, gas, power_gas, rng):
+        U = admissible_extended(rng, 3000)  # numpy squares round differently in about 1 of 1,100
+        for g in (gas, power_gas, GasModel(gamma=5.0 / 3.0, nu_law=PowerLaw(1.1, 0.7), k_law=PowerLaw(0.9, -0.5))):
+            ode = tw_singular_ode(g, -0.4)
+            F = np.array(ode.F_eval(list(U.T)))
+            ref = np.array([ode.F_eval(row) for row in U.tolist()]).T
+            assert F.tobytes() == ref.tobytes()
+            zeta = ode.zeta_eval(list(U.T))
+            assert zeta.tobytes() == np.array([ode.zeta_eval(row) for row in U.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("column,value", [(0, -1.0), (2, 0.0), (2, float("nan"))])
+    def test_one_bad_sample_is_a_domain_error(self, power_gas, rng, column, value):
+        U = admissible_extended(rng, 50)
+        U[17, column] = value
+        with pytest.raises(DomainError, match="rho > 0 and theta > 0"):
+            tw_singular_ode(power_gas, 0.0).F_eval(list(U.T))
+
 
 class TestBlockConsistency:
     """The inline right-hand side against the assembled block equations.

@@ -225,6 +225,74 @@ class TestDenseOutput:
             traj.eval_where(-1, [0.1])
 
 
+def ref_eval_where(traj, j, values):
+    """The Newton-bisection inversion of Trajectory.eval_where iterating on every value each round.
+
+    Converged values keep their theta through np.where; each round
+    unpacks the coefficients again.
+    """
+    def quartic(q, theta):
+        q1, q2, q3, q4 = np.moveaxis(q, -1, 0)
+        value = theta * (q1 + theta * (q2 + theta * (q3 + theta * q4)))
+        return value, q1 + theta * (2.0 * q2 + theta * (3.0 * q3 + theta * 4.0 * q4))
+
+    c = np.asarray(values, dtype=float)
+    s = traj.ys[:, j]
+    d = np.diff(s)
+    sgn = 1.0 if d[0] > 0 else -1.0
+    i = np.clip(np.searchsorted(sgn * s, sgn * c, side="right") - 1, 0, d.size - 1)
+    y0, h, q = traj.y0s[i, j], traj.hs[i], traj.Q[i, j]
+    tol = 4.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
+    a, b = np.zeros_like(c), np.ones_like(c)
+    theta = np.clip((c - s[i]) / d[i], 0.0, 1.0)
+    for _ in range(sode._MAX_INVERT_ITER):
+        p, dp = quartic(q, theta)
+        f = sgn * (y0 + h * p - c)
+        done = np.abs(f) <= tol
+        if np.all(done):
+            break
+        a = np.where(f < 0.0, theta, a)
+        b = np.where(f > 0.0, theta, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = theta - f / (sgn * h * dp)
+        inside = (newton > a) & (newton < b)
+        theta = np.where(done, theta, np.where(inside, newton, 0.5 * (a + b)))
+    p, _ = quartic(traj.Q[i], theta[..., None])
+    return traj.y0s[i] + traj.hs[i][..., None] * p
+
+
+class TestEvalWhereMatchesReference:
+    """eval_where drops converged values from its rounds; every result keeps its bits."""
+
+    def assert_same(self, traj, j, values):
+        new, ref = traj.eval_where(j, values), ref_eval_where(traj, j, values)
+        assert new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()
+
+    def test_scalar_odes(self):
+        up = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        self.assert_same(up, 0, np.linspace(1.0, np.exp(2.0) - 1e-9, 57))
+        self.assert_same(up, 0, up.Vs[:, 0])
+        self.assert_same(up, 0, 2.0)
+        self.assert_same(up, 0, np.linspace(1.5, 7.0, 12).reshape(3, 4))
+        down = integrate_direct(exp_ode(), np.array([1.0]), (0.0, -1.0), tol=1e-10)
+        self.assert_same(down, 0, np.linspace(np.exp(-1.0) + 1e-9, 0.99, 23))
+        rescaled = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        self.assert_same(rescaled, -1, np.linspace(0.0, 4.0, 33))
+
+    @pytest.mark.parametrize("family,strength", [(1, 0.2), (1, 2.0), (3, 0.4)])
+    def test_shock_profiles_on_the_comparison_grid(self, power_gas, family, strength):
+        pair = shocklayer.solve_rh(power_gas, shocklayer.State(1.0, 0.0, 1.0), family, strength)
+        prof = shocklayer.shock_profile(power_gas, pair)
+        oracle = shocklayer.gilbarg_oracle(power_gas, pair)
+        a, b = prof.trajectory.Vs[:, 1], oracle.trajectory.Vs[:, 0]
+        lo, hi = max(a.min(), b.min()), min(a.max(), b.max())
+        grid = np.unique(np.concatenate([a[(a >= lo) & (a <= hi)], b[(b >= lo) & (b <= hi)], [lo, hi]]))
+        self.assert_same(prof.trajectory, 1, grid)
+        self.assert_same(oracle.trajectory, 0, grid)
+        self.assert_same(prof.trajectory, 2, prof.trajectory.Vs[3:-3, 2])
+
+
 class TestSingularityGuard:
     def test_halts_near_singular_set(self):
         delta = 1e-6
