@@ -290,13 +290,11 @@ def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
         n_samples=config.n_samples, seed=config.seed,
         rank_tol=config.tol.rank_tol, sym_tol=config.tol.sym_tol,
     )
-    rng = np.random.default_rng(config.seed)
-    samples = config.box.sample(config.n_samples, rng)
     mid = config.box.midpoint()
 
     sigmas = list(config.sigma_list)
     if config.suggest:
-        for s in suggest_sigmas(config.gas, [mid] + samples[:8]):
+        for s in suggest_sigmas(config.gas, [mid] + report.samples[:8]):
             if s not in sigmas:
                 sigmas.append(s)
 
@@ -309,7 +307,7 @@ def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
         # critical state is always added to the random samples
         critical = State(mid.rho, sigma, mid.theta)
         verdict = check_block_linear_degeneracy(
-            a11_eval, e11_eval, sigma, samples + [critical], tol=config.tol.kernel_tol,
+            a11_eval, e11_eval, sigma, report.samples + [critical], tol=config.tol.kernel_tol,
         )
         report.degeneracy.append(verdict)
 

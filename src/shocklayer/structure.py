@@ -8,7 +8,8 @@ block A11 - sigma E11 stay constant over the states of interest?
 All checks are sampling based. Reported constants (like the coercivity
 bound c_b) are estimates over the sampled box, not global proofs. Each
 check assembles its matrices once per sample and then makes one batched
-LAPACK call over the stacked samples.
+LAPACK call over the stacked samples. The report carries the samples it
+checked, so the degeneracy verdicts can be taken on the same states.
 """
 
 from __future__ import annotations
@@ -122,8 +123,11 @@ def check_block_linear_degeneracy(
     across the samples. Constancy of the dimension over the sample set is
     the degeneracy condition at this sigma; a violation is reported with
     one witness per observed value, the first sample that shows it.
+    Raises DomainError on an empty sample set, which has no dimension.
     """
     samples = list(samples)
+    if not samples:
+        raise DomainError(f"check_block_linear_degeneracy got an empty sample set at sigma={sigma:g}")
     a_vals, e_vals = [], []
     for state in samples:
         a_vals.append(A11_eval(state))
@@ -138,24 +142,21 @@ def check_block_linear_degeneracy(
 def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     """(A11, E11) evaluators of the Eulerian symmetrized system.
 
-    The pair shares one `blocks` assembly per distinct state, kept for
-    as long as the pair lives, so A11, E11 and every sigma probed on the
-    same samples read the same values.
+    A11 = E[0, 0] v and E11 = E[0, 0]. The pair shares one `blocks`
+    assembly per distinct state, kept for as long as the pair lives, so
+    A11, E11 and every sigma probed on the same samples read the same
+    values.
     """
-    cache: dict[State, tuple[float, float]] = {}
-
-    def a11_e11(state: State) -> tuple[float, float]:
-        pair = cache.get(state)
-        if pair is None:
-            blk = blocks(gas, state)
-            pair = cache[state] = (blk.a11, blk.E11)
-        return pair
-
-    def a11_eval(state: State) -> float:
-        return a11_e11(state)[0] * state.v
+    cache: dict[State, float] = {}
 
     def e11_eval(state: State) -> float:
-        return a11_e11(state)[1]
+        e11 = cache.get(state)
+        if e11 is None:
+            e11 = cache[state] = float(blocks(gas, state).E[0, 0])
+        return e11
+
+    def a11_eval(state: State) -> float:
+        return e11_eval(state) * state.v
 
     return a11_eval, e11_eval
 
@@ -167,21 +168,25 @@ def lagrangian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
 
 @dataclass
 class StructureReport:
-    """Aggregate of the structural checks over one sampled box."""
+    """Aggregate of the structural checks over one sampled box.
+
+    samples are the states the checks ran on; they are not serialized.
+    degeneracy starts empty and takes one verdict per sigma probed.
+    """
 
     box: Box
     n_samples: int
     seed: int
-    e_spd: CheckResult | None = None
-    a0_symmetric: CheckResult | None = None
-    b_rank: RankResult | None = None
-    b_coercivity: CheckResult | None = None
+    samples: list[State] = field(repr=False)
+    e_spd: CheckResult
+    a0_symmetric: CheckResult
+    b_rank: RankResult
+    b_coercivity: CheckResult
     degeneracy: list[DegeneracyVerdict] = field(default_factory=list)
 
     def structural_pass(self) -> bool:
         """True when the hypotheses hold (degeneracy verdicts excluded)."""
-        parts = (self.e_spd, self.a0_symmetric, self.b_rank, self.b_coercivity)
-        return all(p is not None and p.passed for p in parts)
+        return all(p.passed for p in (self.e_spd, self.a0_symmetric, self.b_rank, self.b_coercivity))
 
     def to_json_dict(self) -> dict:
         def state_list(s: State | None):
@@ -191,23 +196,23 @@ class StructureReport:
             "box": {"rho": list(self.box.rho), "v": list(self.box.v), "theta": list(self.box.theta)},
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "e_spd": None if self.e_spd is None else {
+            "e_spd": {
                 "passed": self.e_spd.passed,
                 "min_eigenvalue": self.e_spd.worst,
                 "witness": state_list(self.e_spd.witness),
             },
-            "a0_symmetric": None if self.a0_symmetric is None else {
+            "a0_symmetric": {
                 "passed": self.a0_symmetric.passed,
                 "max_asymmetry": self.a0_symmetric.worst,
                 "witness": state_list(self.a0_symmetric.witness),
             },
-            "b_rank": None if self.b_rank is None else {
+            "b_rank": {
                 "passed": self.b_rank.passed,
                 "ranks_observed": sorted(set(self.b_rank.ranks)),
                 "r": self.b_rank.r,
                 "witness": state_list(self.b_rank.witness),
             },
-            "b_coercivity": None if self.b_coercivity is None else {
+            "b_coercivity": {
                 "passed": self.b_coercivity.passed,
                 "c_b": self.b_coercivity.worst,
                 "witness": state_list(self.b_coercivity.witness),
@@ -230,27 +235,15 @@ class StructureReport:
         lines = [
             f"structure report  (samples={self.n_samples}, seed={self.seed})",
             f"  box: rho in {list(self.box.rho)}, v in {list(self.box.v)}, theta in {list(self.box.theta)}",
+            f"  E symmetric positive definite: {'pass' if self.e_spd.passed else 'FAIL'}"
+            f" (min eigenvalue {self.e_spd.worst:.6e})",
+            f"  A symmetric at zero gradient:  {'pass' if self.a0_symmetric.passed else 'FAIL'}"
+            f" (max asymmetry {self.a0_symmetric.worst:.6e})",
+            f"  B rank constant:               {'pass' if self.b_rank.passed else 'FAIL'}"
+            f" (ranks {sorted(set(self.b_rank.ranks))})",
+            f"  parabolic block coercive:      {'pass' if self.b_coercivity.passed else 'FAIL'}"
+            f" (c_b {self.b_coercivity.worst:.6e}, box estimate)",
         ]
-        if self.e_spd is not None:
-            lines.append(
-                f"  E symmetric positive definite: {'pass' if self.e_spd.passed else 'FAIL'}"
-                f" (min eigenvalue {self.e_spd.worst:.6e})"
-            )
-        if self.a0_symmetric is not None:
-            lines.append(
-                f"  A symmetric at zero gradient:  {'pass' if self.a0_symmetric.passed else 'FAIL'}"
-                f" (max asymmetry {self.a0_symmetric.worst:.6e})"
-            )
-        if self.b_rank is not None:
-            lines.append(
-                f"  B rank constant:               {'pass' if self.b_rank.passed else 'FAIL'}"
-                f" (ranks {sorted(set(self.b_rank.ranks))})"
-            )
-        if self.b_coercivity is not None:
-            lines.append(
-                f"  parabolic block coercive:      {'pass' if self.b_coercivity.passed else 'FAIL'}"
-                f" (c_b {self.b_coercivity.worst:.6e}, box estimate)"
-            )
         for d in self.degeneracy:
             lines.append(
                 f"  block linear degeneracy at sigma={d.sigma:g}: {d.verdict}"
@@ -286,9 +279,7 @@ def check_structure(
     if n_samples < 1:
         raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
     box.validate(gas)
-    rng = np.random.default_rng(seed)
-    samples = box.sample(n_samples, rng)
-    report = StructureReport(box=box, n_samples=n_samples, seed=seed)
+    samples = box.sample(n_samples, np.random.default_rng(seed))
 
     Es, A0s, Bs = [], [], []
     try:
@@ -325,17 +316,22 @@ def check_structure(
     b = B[:, 1:, 1:]
     worst_cb, cb_witness = _first_min(np.linalg.eigvalsh(0.5 * (b + b.swapaxes(-1, -2))).min(axis=-1), samples)
 
-    report.e_spd = CheckResult(passed=worst_eig > 0.0, worst=worst_eig, witness=eig_witness)
-    report.a0_symmetric = CheckResult(passed=worst_asym <= sym_tol, worst=worst_asym, witness=asym_witness)
     rank_set = sorted(set(ranks.tolist()))
-    report.b_rank = RankResult(
-        passed=len(rank_set) == 1,
-        ranks=tuple(ranks.tolist()),
-        r=rank_set[0] if len(rank_set) == 1 else None,
-        witness=samples[changed[-1]] if changed.size else None,
+    return StructureReport(
+        box=box,
+        n_samples=n_samples,
+        seed=seed,
+        samples=samples,
+        e_spd=CheckResult(passed=worst_eig > 0.0, worst=worst_eig, witness=eig_witness),
+        a0_symmetric=CheckResult(passed=worst_asym <= sym_tol, worst=worst_asym, witness=asym_witness),
+        b_rank=RankResult(
+            passed=len(rank_set) == 1,
+            ranks=tuple(ranks.tolist()),
+            r=rank_set[0] if len(rank_set) == 1 else None,
+            witness=samples[changed[-1]] if changed.size else None,
+        ),
+        b_coercivity=CheckResult(passed=worst_cb > 0.0, worst=worst_cb, witness=cb_witness),
     )
-    report.b_coercivity = CheckResult(passed=worst_cb > 0.0, worst=worst_cb, witness=cb_witness)
-    return report
 
 
 def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:

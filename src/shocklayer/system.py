@@ -5,10 +5,10 @@ primitive variables u = (rho, v, theta). E and B depend on the state only;
 A additionally carries three gradient-dependent entries coming from the
 derivatives of the transport coefficients and from the viscous coupling.
 
-The 1 + 2 block split separates the hyperbolic density row from the
-parabolic (velocity, temperature) rows. B has the block-diagonal shape
-diag(0, b) with b symmetric positive definite, which is what the
-structural checks in `structure` verify on sample boxes.
+The density row is hyperbolic and the (velocity, temperature) rows are
+parabolic: B has the shape diag(0, b) with b symmetric positive definite,
+and the shifted hyperbolic block A11 - sigma E11 is E[0, 0] (v - sigma).
+The structural checks in `structure` verify this on sample boxes.
 """
 
 from __future__ import annotations
@@ -65,48 +65,20 @@ def assemble_A(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> n
 
 @dataclass(frozen=True)
 class SystemBlocks:
-    """1 + 2 block decomposition of the symmetrized system at one state.
+    """E, A(u, u_x) and B of the symmetrized system at one state.
 
-    The full matrices are carried alongside the blocks; the blocks are
-    slices of them (plus the scalar a11 that multiplies v - sigma in the
-    hyperbolic block), so reassembly is exact.
+    The blocks are slices: E[0, 0] is E11, A[1:, 0] is A21, B[1:, 1:] is
+    the parabolic block b, and A[0, 0] is E[0, 0] v up to rounding.
     """
 
     E: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    a11: float
-    E11: float
-    E21: np.ndarray
-    E22: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
-    b: np.ndarray
 
 
 def blocks(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> SystemBlocks:
-    """Assemble everything the reduction and the checks consume.
-
-    a11 is p_rho / (theta rho); the (1,1) entries of A and E are
-    a11 * v and a11, so the shifted hyperbolic block A11 - sigma E11
-    equals a11 * (v - sigma).
-    """
-    E = assemble_E(gas, state)
-    A = assemble_A(gas, state, grad)
-    B = assemble_B(gas, state)
-    _, p_rho, _ = pressure(gas, state.rho, state.theta)
-    return SystemBlocks(
-        E=E,
-        A=A,
-        B=B,
-        a11=p_rho / (state.theta * state.rho),
-        E11=E[0, 0],
-        E21=E[1:, 0].copy(),
-        E22=E[1:, 1:].copy(),
-        A21=A[1:, 0].copy(),
-        A22=A[1:, 1:].copy(),
-        b=B[1:, 1:].copy(),
-    )
+    """Assemble E, A(u, u_x) and B at one state."""
+    return SystemBlocks(E=assemble_E(gas, state), A=assemble_A(gas, state, grad), B=assemble_B(gas, state))
 
 
 def format_matrix(M: np.ndarray, name: str = "", precision: int = 6) -> str:

@@ -143,8 +143,9 @@ def test_criterion_04_reduction_block_consistency(gas):
         w, z_x = Uprime[0], Uprime[3:]
         z = np.array([z1, z2])
         blk = blocks(gas, State(rho, v, th), Gradient(w, z1, z2))
-        eq1 = blk.a11 * (v - sigma) * w + blk.A21 @ z
-        eq2 = blk.A21 * w + (blk.A22 - sigma * blk.E22) @ z - blk.b @ z_x
+        M = blk.A - sigma * blk.E
+        eq1 = M[0, 0] * w + M[0, 1:] @ z
+        eq2 = M[1:, 0] * w + M[1:, 1:] @ z - blk.B[1:, 1:] @ z_x
         worst = max(worst, abs(float(eq1)), float(np.abs(eq2).max()))
     ok = worst <= 1e-12
     _line(4, ok, t0, f"worst block-equation residual over 100 states = {worst:.3e} (<= 1e-12)")

@@ -5,6 +5,8 @@ every other control is a module constant. A new knob, a new `Trajectory`
 field or the return of a deleted name shows up here as a test edit. The
 `SingularODE` fields are pinned too: the benchmark's tracer replaces
 `F_eval` and `zeta_eval` by name, so a rename would leave them untimed.
+`SystemBlocks` holds E, A and B only, without slice copies, and every
+check of a `StructureReport` is a required field.
 """
 
 import inspect
@@ -18,6 +20,8 @@ from shocklayer import (
     LinearizationReport,
     ShootOpts,
     SingularODE,
+    StructureReport,
+    SystemBlocks,
     Trajectory,
     integrate_direct,
     integrate_rescaled,
@@ -48,6 +52,10 @@ def test_keyword_parameters(fn, expected):
     (LinearizationReport, ["J", "eigenvalues", "eigenvectors", "center"]),
     (Trajectory, ["mode", "ts", "ys", "termination", "stats", "hs", "Q"]),
     (SingularODE, ["dim", "F_eval", "zeta_eval", "label"]),
+    (SystemBlocks, ["E", "A", "B"]),
+    (StructureReport, [
+        "box", "n_samples", "seed", "samples", "e_spd", "a0_symmetric", "b_rank", "b_coercivity", "degeneracy",
+    ]),
 ])
 def test_fields(cls, expected):
     assert [f.name for f in fields(cls)] == expected

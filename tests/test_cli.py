@@ -5,6 +5,7 @@ inspects exit codes, artifacts, and stdout/stderr. Reruns with the same
 config must produce byte-identical artifacts.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,10 +23,12 @@ from shocklayer import (
     NoConnectionError,
     NoDecayingDirectionError,
     NonMonotoneError,
+    RankResult,
     SingularityError,
     State,
     StepFailureError,
     StructureReport,
+    check_structure,
 )
 from shocklayer.cli import OUT_ENV_VAR, Tolerances, load_config, main
 from shocklayer.sode import CSV_HEADER
@@ -128,16 +131,34 @@ class TestCheck:
 
     def test_structural_failure_exits_4(self, config_path, outdir, monkeypatch):
         def fake_check(gas, box, **kwargs):
-            report = StructureReport(box=box, n_samples=1, seed=0)
-            report.e_spd = CheckResult(passed=False, worst=-1.0, witness=None)
-            report.a0_symmetric = CheckResult(passed=True, worst=0.0, witness=None)
-            report.b_coercivity = CheckResult(passed=True, worst=1.0, witness=None)
-            return report
+            return StructureReport(
+                box=box, n_samples=1, seed=0, samples=[box.midpoint()],
+                e_spd=CheckResult(passed=False, worst=-1.0, witness=None),
+                a0_symmetric=CheckResult(passed=True, worst=0.0, witness=None),
+                b_rank=RankResult(passed=True, ranks=(2,), r=2, witness=None),
+                b_coercivity=CheckResult(passed=True, worst=1.0, witness=None),
+            )
 
         monkeypatch.setattr("shocklayer.cli.check_structure", fake_check)
         assert main(["check", "--config", config_path]) == 4
         report = json.loads((outdir / "structure_report.json").read_text())
         assert report["structural_pass"] is False
+
+    def test_degeneracy_reads_the_checked_samples(self, config_path, outdir, monkeypatch):
+        # the verdicts are taken on the states the report checked, not on a second draw
+        picked = [State(1.5, 0.25, 0.75), State(0.75, -0.5, 1.5)]
+
+        def picked_check(gas, box, **kwargs):
+            return dataclasses.replace(check_structure(gas, box, **kwargs), samples=picked)
+
+        monkeypatch.setattr("shocklayer.cli.check_structure", picked_check)
+        assert main(["check", "--config", config_path, "--sigma", "-0.5"]) == 0
+        report = json.loads((outdir / "structure_report.json").read_text())
+        [deg] = report["degeneracy"]
+        assert deg["witnesses"] == [
+            {"state": [1.5, 0.25, 0.75], "kernel_dim": 0},
+            {"state": [0.75, -0.5, 1.5], "kernel_dim": 1},
+        ]
 
     def test_missing_box_is_validation_error(self, tmp_path, outdir, capsys):
         cfg = base_config(outdir)

@@ -127,8 +127,9 @@ class TestBlockConsistency:
         st = State(U[0], U[1], U[2])
         blk = blocks(g, st, Gradient(rho_x=w, v_x=U[3], theta_x=U[4]))
         scale = max(1.0, float(np.abs(blk.A).max()))
-        eq1 = blk.a11 * (U[1] - sigma) * w + blk.A21 @ z
-        eq2 = blk.A21 * w + (blk.A22 - sigma * blk.E22) @ z - blk.b @ z_x
+        M = blk.A - sigma * blk.E
+        eq1 = M[0, 0] * w + M[0, 1:] @ z
+        eq2 = M[1:, 0] * w + M[1:, 1:] @ z - blk.B[1:, 1:] @ z_x
         assert abs(eq1) <= tol * scale
         assert np.abs(eq2).max() <= tol * scale
         # gradient consistency: dv/dx and dtheta/dx must reproduce z

@@ -88,28 +88,21 @@ def test_blocks_reassemble_exactly(gas, box, rng):
     for st in box.sample(30, rng):
         grad = Gradient(0.1, -0.2, 0.3)
         blk = blocks(gas, st, grad)
-        A = assemble_A(gas, st, grad)
-        E = assemble_E(gas, st)
-        assert A[0, 0] == pytest.approx(blk.a11 * st.v, rel=1e-14, abs=1e-15)
-        np.testing.assert_array_equal(blk.A21, A[1:, 0])
-        np.testing.assert_array_equal(blk.A22, A[1:, 1:])
-        np.testing.assert_array_equal(blk.E22, E[1:, 1:])
-        assert blk.E11 == E[0, 0]
-        np.testing.assert_array_equal(blk.E21, np.zeros(2))
+        np.testing.assert_array_equal(blk.E, assemble_E(gas, st))
+        np.testing.assert_array_equal(blk.A, assemble_A(gas, st, grad))
+        np.testing.assert_array_equal(blk.B, assemble_B(gas, st))
+        # the hyperbolic entry is E11 v, E21 vanishes and B = diag(0, b)
+        assert blk.A[0, 0] == pytest.approx(blk.E[0, 0] * st.v, rel=1e-14, abs=1e-15)
+        np.testing.assert_array_equal(blk.E[1:, 0], np.zeros(2))
+        np.testing.assert_array_equal(blk.B[0], np.zeros(3))
+        np.testing.assert_array_equal(blk.B[1:, 0], np.zeros(2))
 
 
 def test_blocks_reference_point(gas):
     blk = blocks(gas, State(1.0, 0.0, 1.0))
-    assert blk.a11 == pytest.approx(1.0)
-    np.testing.assert_allclose(blk.A21, [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(blk.b, np.diag([1.0, 1.0]), atol=1e-15)
-
-
-def test_a11_equals_E11(gas, box, rng):
-    # the normalization that makes the first-block reduction a scalar identity
-    for st in box.sample(50, rng):
-        blk = blocks(gas, st)
-        assert blk.a11 == pytest.approx(blk.E11, rel=1e-15)
+    assert blk.E[0, 0] == pytest.approx(1.0)
+    np.testing.assert_allclose(blk.A[1:, 0], [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(blk.B[1:, 1:], np.diag([1.0, 1.0]), atol=1e-15)
 
 
 def test_format_matrix_contains_entries(gas):
