@@ -55,8 +55,6 @@ from .reduction import (
     SINGULARITY_GUARD,
     ExtendedState,
     SingularODE,
-    extended_residual,
-    reduce_w,
     steady_singular_ode,
     tw_singular_ode,
 )

@@ -10,11 +10,11 @@ on the extended state U = (rho, v, theta, z1, z2) with z = (v_x, theta_x).
 Steady solutions are the sigma = 0 case.
 
 The hyperbolic row gives rho_x = w(U) = -(A21^T z) / (a11 (v - sigma)),
-singular on the sonic set v = sigma. Multiplying the parabolic rows by
-(v - sigma) removes that singularity from everything except the shared
-1/zeta prefactor: every rho_x inside A22 appears multiplied by
-(v - sigma) and is replaced by the closed form -(A21^T z)/a11, while v_x
-occurrences take z1 directly. The resulting F is polynomial in z (degree
+which is F[0] / zeta and is singular on the sonic set v = sigma.
+Multiplying the parabolic rows by (v - sigma) removes that singularity
+from everything except the shared 1/zeta prefactor: every rho_x inside
+A22 appears multiplied by (v - sigma) and is replaced by the closed form
+-(A21^T z)/a11, while v_x occurrences take z1 directly. The resulting F is polynomial in z (degree
 two, through the gradient-dependent entries of A22) and vanishes
 identically on the equilibrium set z = 0.
 """
@@ -26,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .gas import GasModel, State, _lowest, _ndarray, _pow_each
 
-# evaluations closer to the sonic set than this raise SingularityError
+# states closer to the sonic set than this count as on it: `reduce-info` gives
+# no rho_x there, and the extended residual check skips them
 SINGULARITY_GUARD = 1e-8
 
 
@@ -143,28 +144,3 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
 def steady_singular_ode(gas: GasModel) -> SingularODE:
     """Steady (boundary layer) reduction; the sigma = 0 travelling case."""
     return tw_singular_ode(gas, 0.0)
-
-
-def reduce_w(gas: GasModel, u: ExtendedState, sigma: float) -> float:
-    """Density gradient recovered from the hyperbolic row.
-
-    w = -(A21^T z) / (a11 (v - sigma)); for the ideal gas this collapses
-    to -rho z1 / (v - sigma). Raises SingularityError within the guard
-    distance of the sonic set.
-    """
-    s = u.v - sigma
-    if abs(s) <= SINGULARITY_GUARD:
-        raise SingularityError(
-            f"reduce_w evaluated at |v - sigma| = {abs(s):.3e} <= {SINGULARITY_GUARD:g}"
-        )
-    p_rho = gas.R * u.theta
-    a11 = p_rho / (u.theta * u.rho)
-    a21_dot_z = (p_rho / u.theta) * u.z1
-    return -a21_dot_z / (a11 * s)
-
-
-def extended_residual(ode: SingularODE, U: np.ndarray, Uprime: np.ndarray) -> np.ndarray:
-    """Residual zeta(U) U' - F(U) of a claimed solution point."""
-    V = np.asarray(U, dtype=float).tolist()
-    Uprime = np.asarray(Uprime, dtype=float)
-    return ode.zeta_eval(V) * Uprime - np.array(ode.F_eval(V))

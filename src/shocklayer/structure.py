@@ -7,9 +7,11 @@ block A11 - sigma E11 stay constant over the states of interest?
 
 All checks are sampling based. Reported constants (like the coercivity
 bound c_b) are estimates over the sampled box, not global proofs. Each
-check assembles its matrices once per sample and then makes one batched
-LAPACK call over the stacked samples. The report carries the samples it
-checked, so the degeneracy verdicts can be taken on the same states.
+matrix check assembles its matrices once per sample and then makes one
+batched LAPACK call over the stacked samples. The hyperbolic block is a
+scalar, so its kernel dimension is exact: 1 where A11 - sigma E11 is
+zero, 0 elsewhere. The report carries the samples it checked, so the
+degeneracy verdicts can be taken on the same states.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .system import assemble_A, assemble_B, assemble_E, blocks
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_SYM_TOL = 1e-12
-KERNEL_TOL = 1e-10
 
 
-def kernel_dimension(M: np.ndarray, tol: float = KERNEL_TOL) -> int | np.ndarray:
+def kernel_dimension(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int | np.ndarray:
     """Dimension of ker M by singular value counting.
 
     A singular value counts toward the rank when it exceeds
@@ -59,11 +60,7 @@ def _first_min(values: np.ndarray, samples: Sequence[State]) -> tuple[float, Sta
 
 
 def _stack_2d(values: list) -> np.ndarray:
-    """Per-sample scalars, vectors or matrices as one (n, m, k) stack.
-
-    Each entry is lifted the way np.atleast_2d lifts it, so broadcasting
-    two stacks matches broadcasting their entries sample by sample.
-    """
+    """Per-sample matrices as one (n, m, k) stack; no samples give shape (0, 1, 1)."""
     arr = np.asarray(values, dtype=float)
     shape = arr.shape[1:]
     return arr.reshape((len(values),) + (1,) * (2 - len(shape)) + shape)
@@ -107,7 +104,7 @@ class DegeneracyVerdict:
         return self.verdict == "satisfied"
 
 
-BlockEval = Callable[[State], float | np.ndarray]
+BlockEval = Callable[[State], float]
 
 
 def check_block_linear_degeneracy(
@@ -115,24 +112,33 @@ def check_block_linear_degeneracy(
     E11_eval: BlockEval,
     sigma: float,
     samples: Sequence[State],
-    tol: float = KERNEL_TOL,
 ) -> DegeneracyVerdict:
-    """Kernel dimension of A11(u) - sigma E11(u) across the samples.
+    """Kernel dimension of the scalar block A11(u) - sigma E11(u) across the samples.
 
-    The evaluators may return scalars or small matrices, of one shape
-    across the samples. Constancy of the dimension over the sample set is
+    The dimension is exact: 1 where the block is zero and 0 elsewhere,
+    which is what counting singular values gives at any relative
+    tolerance below 1. Constancy of the dimension over the sample set is
     the degeneracy condition at this sigma; a violation is reported with
     one witness per observed value, the first sample that shows it.
-    Raises DomainError on an empty sample set, which has no dimension.
+    Raises DomainError on an empty sample set, which has no dimension,
+    and at the first sample where the block is not finite (an overflow of
+    sigma E11 or of A11), where zero cannot be decided.
     """
     samples = list(samples)
     if not samples:
         raise DomainError(f"check_block_linear_degeneracy got an empty sample set at sigma={sigma:g}")
-    a_vals, e_vals = [], []
-    for state in samples:
-        a_vals.append(A11_eval(state))
-        e_vals.append(E11_eval(state))
-    dims = kernel_dimension(_stack_2d(a_vals) - sigma * _stack_2d(e_vals), tol)
+    a = np.array([A11_eval(s) for s in samples], dtype=float)
+    e = np.array([E11_eval(s) for s in samples], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is named below
+        x = a - sigma * e
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        s = samples[bad[0]]
+        raise DomainError(
+            f"A11 - sigma E11 is not finite at sigma={sigma:g} and state "
+            f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g})"
+        )
+    dims = (x == 0.0).astype(int)
     observed, first = np.unique(dims, return_index=True)
     verdict = "satisfied" if observed.size <= 1 else "violated"
     witnesses = tuple((samples[i], int(d)) for d, i in zip(observed, first))

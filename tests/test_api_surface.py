@@ -6,7 +6,9 @@ field or the return of a deleted name shows up here as a test edit. The
 `SingularODE` fields are pinned too: the benchmark's tracer replaces
 `F_eval` and `zeta_eval` by name, so a rename would leave them untimed.
 `SystemBlocks` holds E, A and B only, without slice copies, and every
-check of a `StructureReport` is a required field.
+check of a `StructureReport` is a required field. The degeneracy check
+is exact on its scalar block, so it takes no tolerance, and neither does
+the config's `tolerances` section.
 """
 
 import inspect
@@ -23,12 +25,14 @@ from shocklayer import (
     StructureReport,
     SystemBlocks,
     Trajectory,
+    check_block_linear_degeneracy,
     integrate_direct,
     integrate_rescaled,
     linearize,
     max_extended_residual,
 )
 from shocklayer import profiles, sode
+from shocklayer.cli import Tolerances
 
 
 def keywords(fn):
@@ -41,6 +45,7 @@ def keywords(fn):
     (integrate_rescaled, ["tol", "x0", "stop_when"]),
     (linearize, []),
     (max_extended_residual, []),
+    (check_block_linear_degeneracy, []),
 ])
 def test_keyword_parameters(fn, expected):
     assert keywords(fn) == expected
@@ -56,6 +61,7 @@ def test_keyword_parameters(fn, expected):
     (StructureReport, [
         "box", "n_samples", "seed", "samples", "e_spd", "a0_symmetric", "b_rank", "b_coercivity", "degeneracy",
     ]),
+    (Tolerances, ["ode_tol", "end_tol", "rank_tol", "sym_tol"]),
 ])
 def test_fields(cls, expected):
     assert [f.name for f in fields(cls)] == expected
@@ -67,14 +73,16 @@ def test_settable_value_count():
     assert settable == 8
 
 
-@pytest.mark.parametrize("name", ["NoConvergenceError", "LagrangianBlocks", "lagrangian_blocks"])
+@pytest.mark.parametrize("name", [
+    "NoConvergenceError", "LagrangianBlocks", "lagrangian_blocks", "reduce_w", "extended_residual",
+])
 def test_deleted_names_stay_deleted(name):
     assert name not in shocklayer.__all__
 
 
 def test_all_lists_no_module():
     assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
-    assert len(shocklayer.__all__) == 69
+    assert len(shocklayer.__all__) == 67
     assert shocklayer.sode is sode and shocklayer.profiles is profiles
 
 

@@ -110,6 +110,22 @@ class TestCheck:
         crit = [w for w in deg["witnesses"] if w["kernel_dim"] == 1]
         assert crit and crit[0]["state"][1] == 5.0
 
+    @pytest.mark.parametrize("rho_hi", [0.6, 2.0])
+    def test_overflowing_block_exits_2(self, tmp_path, outdir, capsys, rho_hi):
+        # E11 = 1 / rho, so sigma E11 overflows at sigma = 1e308 wherever rho < 0.556:
+        # no kernel can be decided there, and no verdict is written
+        cfg = base_config(outdir)
+        cfg["box"]["rho"] = [0.5, rho_hi]
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", path, "--sigma", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "kind=validation exit=2 msg=A11 - sigma E11 is not finite at sigma=1e+308"
+            " and state (rho, v, theta) = (0.5"
+        ) in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     def test_lagrangian_blocks_satisfied(self, tmp_path, outdir):
         cfg = base_config(outdir)
         cfg["blocks"] = "lagrangian"
@@ -221,6 +237,15 @@ class TestReduceInfo:
         assert info["singular"] is False
         assert info["w"] == -1.0
         assert info["label"] == "steady"
+
+    def test_singularity_guard(self, config_path, outdir):
+        # U has v = 1: within SINGULARITY_GUARD of sigma = 1 there is no w, just outside it w is finite
+        for sigma, singular in ((1.0 + 5e-9, True), (1.0 - 5e-9, True), (1.0 + 1e-6, False)):
+            assert main(["reduce-info", "--config", config_path, "--sigma", repr(sigma)]) == 0
+            info = json.loads((outdir / "reduce_info.json").read_text())
+            assert info["singular"] is singular
+            assert (info["w"] is None) is singular
+            assert singular or info["w"] == info["F"][0] / info["zeta"]
 
     def test_non_numeric_state_entry(self, tmp_path, outdir, capsys):
         cfg = base_config(outdir)
@@ -523,6 +548,7 @@ class TestConfigValidation:
         ("check", "box.p", "config.box"),
         ("check", "gas.nu", "config.gas.nu"),
         ("check", "tolerances.abs_tol", "config.tolerances"),
+        ("check", "tolerances.kernel_tol", "config.tolerances"),
         ("shock", "rh.U_plus", "config.rh"),
         ("layer", "layer.direction", "config.layer"),
         ("reduce-info", "reduce.V", "config.reduce"),

@@ -14,11 +14,8 @@ from shocklayer import (
     GasModel,
     Gradient,
     PowerLaw,
-    SingularityError,
     State,
     blocks,
-    extended_residual,
-    reduce_w,
     steady_singular_ode,
     tw_singular_ode,
 )
@@ -192,43 +189,23 @@ class TestPolynomialStructure:
 
 
 class TestReduceW:
+    """rho_x of the hyperbolic row is F[0] / zeta; `reduce-info` reports it as w."""
+
     def test_frozen_value(self, gas):
-        u = ExtendedState(2.0, -1.0, 1.0, 3.0, 0.0)
-        assert reduce_w(gas, u, 0.0) == pytest.approx(6.0, rel=1e-14)
+        U = [2.0, -1.0, 1.0, 3.0, 0.0]
+        ode = tw_singular_ode(gas, 0.0)
+        assert ode.F_eval(U)[0] / ode.zeta_eval(U) == pytest.approx(6.0, rel=1e-14)
 
     def test_matches_density_component(self, gas, power_gas, rng):
-        # w must agree with d(rho)/dx = F_rho / zeta from the reduction
+        # F[0] / zeta against w = -(A21^T z) / (A11 - sigma E11) from the assembled blocks
         for g in (gas, power_gas):
             for U in admissible_extended(rng, 10):
                 sigma = float(U[1]) + 0.8
                 ode = tw_singular_ode(g, sigma)
-                w = reduce_w(g, ExtendedState.from_array(U), sigma)
+                blk = blocks(g, State(*U[:3]))
+                w = -(blk.A[1:, 0] @ U[3:]) / (blk.A[0, 0] - sigma * blk.E[0, 0])
                 expected = ode.F_eval(U.tolist())[0] / ode.zeta_eval(U.tolist())
                 assert w == pytest.approx(expected, rel=1e-13, abs=1e-14)
-
-    def test_singularity_guard(self, gas):
-        u = ExtendedState(1.0, 0.5, 1.0, 1.0, 0.0)
-        with pytest.raises(SingularityError):
-            reduce_w(gas, u, 0.5)
-        with pytest.raises(SingularityError):
-            reduce_w(gas, u, 0.5 + 5e-9)
-        # just outside the guard: finite answer
-        assert np.isfinite(reduce_w(gas, u, 0.5 + 1e-6))
-
-
-class TestExtendedResidual:
-    def test_zero_on_claimed_solution(self, gas):
-        ode = tw_singular_ode(gas, -0.4)
-        U = np.array([1.2, 0.5, 1.1, 0.6, -0.2])
-        Uprime = np.array(ode.F_eval(U.tolist())) / ode.zeta_eval(U.tolist())
-        res = extended_residual(ode, U, Uprime)
-        np.testing.assert_allclose(res, 0.0, atol=1e-13)
-
-    def test_detects_wrong_derivative(self, gas):
-        ode = steady_singular_ode(gas)
-        U = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-        res = extended_residual(ode, U, np.zeros(5))
-        np.testing.assert_allclose(res, [1.0, -1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 class TestExtendedState:

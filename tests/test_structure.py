@@ -8,6 +8,7 @@ boxes.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -360,24 +361,18 @@ class TestDegeneracy:
             expected = 1 if sigma == 0.0 else 0
             assert set(verdict.dims) == {expected}
 
-    def test_matrix_valued_evaluators(self):
-        # 2x2 blocks diag(v - sigma, rho - sigma): kernel 2 where both vanish
-        a_eval = lambda s: np.array([[s.v, 0.0], [0.0, s.rho]])
-        e_eval = lambda s: np.eye(2)
-        samples = [State(1.0, 0.5, 1.0), State(1.0, 1.0, 1.0), State(2.0, 1.0, 1.0), State(1.5, 0.2, 2.0)]
-        verdict = check_block_linear_degeneracy(a_eval, e_eval, 1.0, samples)
-        assert verdict.dims == (1, 2, 1, 0)
-        assert verdict.witnesses == ((samples[3], 0), (samples[0], 1), (samples[1], 2))
-        assert verdict == reference_degeneracy(a_eval, e_eval, 1.0, samples)
-
-    def test_scalar_and_matrix_evaluators_broadcast(self):
-        # a scalar A11 against a 2x2 E11 broadcasts as it does per sample
-        a_eval = lambda s: s.v
-        e_eval = lambda s: np.array([[1.0, 0.0], [0.0, 2.0]])
-        samples = [State(1.0, 0.5, 1.0), State(1.0, 1.0, 1.0), State(1.0, 2.0, 1.0)]
-        verdict = check_block_linear_degeneracy(a_eval, e_eval, 1.0, samples)
-        assert verdict == reference_degeneracy(a_eval, e_eval, 1.0, samples)
-        assert verdict.dims == (0, 0, 0)
+    @pytest.mark.parametrize("samples,named", [
+        # sigma E11 overflows at v != sigma: the block is -inf, not a kernel
+        ([State(2.0, 0.6, 1.0), State(0.5, 0.6, 1.0)], "(0.5, 0.6, 1)"),
+        # A11 and sigma E11 both overflow at v = sigma: inf - inf is NaN
+        ([State(2.0, 1e308, 1.0), State(0.5, 1e308, 1.0)], "(0.5, 1e+308, 1)"),
+    ], ids=["sigma-E11-overflows", "inf-minus-inf"])
+    def test_non_finite_block_is_a_domain_error(self, gas, samples, named):
+        # E11 = R / rho: times sigma = 1e308 it is finite at rho = 2 and overflows at rho = 0.5
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        msg = f"A11 - sigma E11 is not finite at sigma=1e+308 and state (rho, v, theta) = {named}"
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            check_block_linear_degeneracy(a11_eval, e11_eval, 1e308, samples)
 
     def test_empty_sample_list(self, gas):
         # with no dimension observed, a "satisfied" verdict would rest on no evidence
@@ -529,6 +524,28 @@ class TestBatchedMatchesReference:
             reference_check_structure(gas, box, n, seed), gas, box, a11_eval, e11_eval, reference_degeneracy,
         )
         assert report == ref
+
+    @pytest.mark.parametrize("block_evals", [eulerian_block_evals, lagrangian_block_evals])
+    @settings(max_examples=50, deadline=None)
+    @given(gb=gases_and_boxes(), n=st.integers(1, 30), seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_exact_count_equals_svd_reference(self, block_evals, gb, n, seed, data):
+        # sigmas at the samples' own velocities, at +-0 and subnormal; the
+        # states at v = +-0 and a subnormal v leave A11 - sigma E11 subnormal
+        gas, box = gb
+        mid = box.midpoint()
+        samples = box.sample(n, np.random.default_rng(seed))
+        samples += [State(mid.rho, v, mid.theta) for v in (0.0, -0.0, 1e-310)]
+        sigmas = data.draw(st.lists(st.one_of(
+            st.sampled_from([s.v for s in samples]),
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-320]),
+            st.floats(-2.3e-308, 2.3e-308),
+            st.floats(-4.0, 4.0),
+        ), min_size=1, max_size=8))
+        a11_eval, e11_eval = block_evals(gas)
+        for sigma in sigmas:
+            probe = samples + [State(mid.rho, sigma, mid.theta)]
+            verdict = check_block_linear_degeneracy(a11_eval, e11_eval, sigma, probe)
+            assert verdict == reference_degeneracy(a11_eval, e11_eval, sigma, probe)
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_fixture_box_is_identical(self, gas, box, corruption):
