@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import sub
 
 import numpy as np
 
@@ -33,7 +34,10 @@ from .gas import GasModel, State, conserved, euler_fluxes, internal_energy, pres
 from .reduction import (
     SINGULARITY_GUARD,
     ExtendedState,
+    RhsSource,
     SingularODE,
+    _gas_constants,
+    rhs_functions,
     steady_singular_ode,
     tw_singular_ode,
 )
@@ -58,7 +62,7 @@ def _sup(a: np.ndarray) -> float:
 
 def _sup_dist(a: list[float], b: list[float]) -> float:
     """max |a_i - b_i| on floats; for finite entries it is _sup(a - b) bit for bit."""
-    return max([abs(p - q) for p, q in zip(a, b)])
+    return max(map(abs, map(sub, a, b)))
 
 
 def char_speed(gas: GasModel, state: State, family: int) -> float:
@@ -516,37 +520,43 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     return _checked_profile(gas, ode, "shock", pair.sigma, U_minus, U_plus, traj, diagnostics)
 
 
-def _flux_form(gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float):
-    """F(V) = [v_x, theta_x] from nu v' = m v + p - Pi, k theta' = m (e + v^2/2) + v p - nu v v' - E.
+# nu v' = m v + p - Pi and k theta' = m (e + v^2/2) + v p - nu v v' - E solved
+# for z = (v', theta'), over V = [v, theta] with rho = m / (v - sigma): the
+# flux integrals of `_flux_integrals` = (m, Pi, Eflux). p and e are the
+# ideal-gas laws of `pressure` and `internal_energy`, nu and k the power laws
+# of `PowerLaw`, each written out as it evaluates them.
+FLUX_RHS = RhsSource(
+    name="flux-form",
+    state=("v", "theta"),
+    consts=("R", "e_theta", "nu_c", "nu_e", "k_c", "k_e", "sig", "m", "Pi", "Eflux"),
+    pre=("rho = m / (v - sig)",),
+    positive=("rho", "theta"),
+    lines=(
+        "p = R * rho * theta",
+        "e = e_theta * theta",
+        "nu = nu_c if nu_e == 0.0 else nu_c * rho ** nu_e",
+        "k = k_c if k_e == 0.0 else k_c * rho ** k_e",
+        "v_x = (m * v + p - Pi) / nu",
+        "th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k",
+    ),
+    F=("v_x", "th_x"),
+    zeta="1.0",
+    reject='raise DomainError("flux-form state left the physical region")',
+    overflow="the flux form overflows a float at the state {V}",
+)
 
-    This is `_flux_integrals` = (m, Pi, Eflux) solved for z = (v_x,
-    theta_x), written out because the oracle's stepping loop calls it at
-    every stage. V = [v, theta]. p and e are the ideal-gas laws of
-    `pressure` and `internal_energy`, written out in the same order with
-    R and R / (gamma - 1) read once; a NaN rho or theta fails the check.
-    V may also be a pair of equal-length arrays; F then checks and solves
-    every sample at once, with the bits of the float call.
+
+def _flux_form(gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float) -> SingularODE:
+    """The flux-form system of the constants (m, Pi, Eflux) with zeta = 1: `FLUX_RHS`.
+
+    F(V) = [v_x, theta_x] at V = [v, theta]; a state with rho = m / (v -
+    sigma) or theta not positive (NaN included) is a DomainError, and so
+    is one at which a transport law overflows a float. V may also be a
+    pair of equal-length arrays; F then checks and solves every sample at
+    once, with the bits of the float call.
     """
-    R = gas.R
-    e_theta = gas.R / (gas.gamma - 1.0)
-    # bound __call__: calling the instance goes through the slower type slot
-    nu_law, k_law = gas.nu_law.__call__, gas.k_law.__call__
-
-    def F(V: list[float]) -> list[float]:
-        v, theta = V
-        rho = m / (v - sigma)
-        if rho.__class__ is not float or not (rho > 0.0 and theta > 0.0):
-            if not (np.all(rho > 0.0) and np.all(theta > 0.0)):  # at every sample of arrays
-                raise DomainError("flux-form state left the physical region")
-        p = R * rho * theta
-        e = e_theta * theta
-        nu, _ = nu_law(rho)
-        k, _ = k_law(rho)
-        v_x = (m * v + p - Pi) / nu
-        th_x = (m * (e + 0.5 * v * v) + v * p - nu * v * v_x - Eflux) / k
-        return [v_x, th_x]
-
-    return F
+    F, zeta = rhs_functions(FLUX_RHS, (*_gas_constants(gas), sigma, m, Pi, Eflux))
+    return SingularODE(dim=2, F_eval=F, zeta_eval=zeta, label="flux form")
 
 
 @dataclass(frozen=True)
@@ -572,12 +582,12 @@ class OracleTrajectory:
 
     def rhs(self, v: float, theta: float) -> list[float]:
         """Right-hand sides [v_x, theta_x] of the flux-form system."""
-        return _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux)([v, theta])
+        return _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux).F_eval([v, theta])
 
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
         vs, ths = V[:, 0], V[:, 1]
-        z1, z2 = _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux)([vs, ths])
+        z1, z2 = _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux).F_eval([vs, ths])
         return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z1, "z2": z2}
 
     def table(self) -> dict[str, np.ndarray]:
@@ -602,8 +612,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     if m == 0.0:
         raise DomainError("mass flux vanishes, the flux-form system is undefined")
 
-    F = _flux_form(gas, sigma, m, Pi, Eflux)
-    ode2 = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0, label="flux form")
+    ode2 = _flux_form(gas, sigma, m, Pi, Eflux)
     left = np.array([U_m.v, U_m.theta])
     right = np.array([pair.right.v, pair.right.theta])
 
@@ -705,7 +714,11 @@ def boundary_layer(
     The layer is integrated backward (from the far end toward x = 0) from
     a perturbation of the given signed amplitude along the decaying
     direction selected by index, the spatial rates at (limit_state, z = 0)
-    sorted most stable first. Steady flow keeps its mass flux rho v, so a
+    sorted most stable first. The start keeps v and theta of that
+    perturbation and lies on the flux level set of the limit state: rho
+    from its mass flux, z from the flux form of its three fluxes (see
+    `_flux_form`), so the reported flux drift is integration error alone.
+    Steady flow keeps its mass flux rho v, so a
     limit with v = 0 keeps v = 0: like a limit without a decaying
     direction, it has no layer (NoDecayingDirectionError). The sweep runs
     in x unless its start lies within DELTA of the sonic set or the direct
@@ -740,7 +753,9 @@ def boundary_layer(
     xi = _real_unit_eigenvector(report, sel)
 
     L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
-    start = U_star + amplitude * xi
+    m, Pi, Eflux = _flux_integrals(gas, 0.0, limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0)
+    v, theta = (U_star + amplitude * xi)[1:3].tolist()
+    start = np.array([m / v, v, theta, *_flux_form(gas, 0.0, m, Pi, Eflux).F_eval([v, theta])])
     limit = U_star.tolist()
     cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
     if abs(amplitude) >= cap:

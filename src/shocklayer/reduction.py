@@ -21,6 +21,8 @@ identically on the equilibrium set z = 0.
 
 from __future__ import annotations
 
+import linecache
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,14 +68,19 @@ class SingularODE:
     evaluation; callers holding an array convert it once with .tolist().
     The desingularized companion is dV/dtau = F(V), dx/dtau = zeta(V).
 
-    The reductions of `tw_singular_ode` also take V as a list of dim
-    equal-length float arrays, one column per component (V = list(A.T)
-    for samples A of shape (n, dim)). F_eval then returns a list of dim
-    arrays and zeta_eval an array, each entry bit for bit what the float
-    call gives at that sample; an inadmissible sample anywhere is a
-    DomainError. The profile checks evaluate all their samples in one
-    such call. This widens the contract of these callbacks, which used to
-    take float lists only; the integrators still hand them floats.
+    The package's own right-hand sides (`tw_singular_ode` and the
+    flux-form oracle) are written once as `RhsSource` and built with
+    `rhs_functions`. The integrators inline that source into every stage
+    of a step while F_eval and zeta_eval are exactly the pair built from
+    it; any other callback, a wrapper around those included, is called
+    once per stage.
+
+    These reductions also take V as a list of dim equal-length float
+    arrays, one column per component (V = list(A.T) for samples A of
+    shape (n, dim)). F_eval then returns a list of dim arrays and
+    zeta_eval an array, each entry bit for bit what the float call gives
+    at that sample; an inadmissible sample anywhere is a DomainError. The
+    profile checks evaluate all their samples in one such call.
     """
 
     dim: int
@@ -82,61 +89,164 @@ class SingularODE:
     label: str = ""
 
 
-def _require_admissible(rho, theta) -> None:
-    """DomainError unless rho > 0 and theta > 0 (at every sample of column arrays); NaN fails."""
-    if not (np.all(rho > 0.0) and np.all(theta > 0.0)):
-        raise DomainError(
-            f"extended state needs rho > 0 and theta > 0, got rho={_lowest(rho)}, theta={_lowest(theta)}"
-        )
+@dataclass(frozen=True)
+class RhsSource:
+    """A right-hand side F, zeta written once, as straight-line float source.
+
+    ``name`` tells the sources apart in compiled-code caches and file
+    names. The source reads the components of V, named by ``state`` in order,
+    and the constants named by ``consts``. It runs the statements ``pre``,
+    requires every name in ``positive`` to be > 0 (NaN fails), then runs
+    ``lines``; ``F`` holds the expressions of F's components and ``zeta``
+    that of zeta. A power is written ``a ** b`` between two names or
+    literals, so the column rendering can take it entry by entry
+    (`_pow_each`). ``reject`` is the statement an inadmissible state
+    runs in the built callbacks, and ``overflow`` the message of the
+    DomainError an OverflowError of ``lines`` becomes there; ``{V}``
+    names the state. The step kernels of `sode` splice the same
+    statements into every stage, with an unusable stage in place of both
+    errors, so the source must not use a name of the step kernel.
+    """
+
+    name: str
+    state: tuple[str, ...]
+    consts: tuple[str, ...]
+    pre: tuple[str, ...]
+    positive: tuple[str, ...]
+    lines: tuple[str, ...]
+    F: tuple[str, ...]
+    zeta: str
+    reject: str
+    overflow: str
+
+    def admissible(self) -> str:
+        """The admissibility test on floats."""
+        return " and ".join(f"{name} > 0.0" for name in self.positive)
+
+
+_POWER = re.compile(r"(\w+) \*\* (\w+)")
+
+
+def _closure_source(rhs: RhsSource) -> str:
+    """Source of bind(*consts) -> (F, zeta) for rhs, on floats and on column arrays."""
+    unpack = f"        {', '.join(rhs.state)}, = V"
+
+    def body(pre, test, lines):
+        return [
+            *pre, f"if not ({test}):", f"    {rhs.reject}",
+            "try:", *("    " + line for line in lines),
+            "except OverflowError:", f"    raise DomainError(f{rhs.overflow!r}) from None",
+        ]
+
+    def columns(lines):
+        return [_POWER.sub(r"_pow_each(\1, \2)", line) for line in lines]
+
+    floats = body(rhs.pre, rhs.admissible(), rhs.lines)
+    positive = " and ".join(f"np.all({name} > 0.0)" for name in rhs.positive)
+    cols = body(columns(rhs.pre), positive, columns(rhs.lines))
+    out = [
+        f"def bind({', '.join(rhs.consts)}):",
+        "    def F(V):",
+        unpack,
+        f"        if {rhs.state[0]}.__class__ is not _ndarray:",
+        *("            " + line for line in floats),
+        f"            return [{', '.join(rhs.F)}]",
+        *("        " + line for line in cols),
+        f"        return [{', '.join(rhs.F)}]",
+        "",
+        "    def zeta(V):",
+        unpack,
+        f"        return {rhs.zeta}",
+        "",
+        "    return F, zeta",
+    ]
+    return "\n".join(out) + "\n"
+
+
+_BINDERS: dict[str, Callable] = {}  # rhs name -> bind, compiled on first use
+
+
+def rhs_functions(rhs: RhsSource, constants: tuple) -> tuple[Callable, Callable]:
+    """F_eval and zeta_eval of rhs at the constants, in the order of rhs.consts.
+
+    They take float lists and column arrays (see `SingularODE`). F
+    carries ``built = (F, zeta, rhs, constants)``, which is how the step
+    kernels recognize the pair; a wrapper that copies F's attributes is
+    not F, so it is still called.
+    """
+    bind = _BINDERS.get(rhs.name)
+    if bind is None:
+        src = _closure_source(rhs)
+        filename = f"<shocklayer rhs {rhs.name}>"
+        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        namespace: dict = {}
+        exec(compile(src, filename, "exec"), globals(), namespace)
+        bind = _BINDERS[rhs.name] = namespace["bind"]
+    F, zeta = bind(*constants)
+    F.built = (F, zeta, rhs, constants)
+    return F, zeta
+
+
+def _gas_constants(gas: GasModel) -> tuple:
+    """R, e_theta = R / (gamma - 1), then nu's and k's coefficient and exponent: the first constants of a source."""
+    nu, k = gas.nu_law, gas.k_law
+    return gas.R, gas.R / (gas.gamma - 1.0), nu.coeff, nu.exponent, k.coeff, k.exponent
+
+
+# The travelling-wave right-hand side: the block algebra of `system.blocks`
+# spelled out for the ideal gas, with rho_x (v - sigma) already replaced by
+# -(A21^T z)/a11 = -rho z1 and v_x by z1. nu and k are the power laws of
+# `PowerLaw`, written out as it evaluates them.
+TW_RHS = RhsSource(
+    name="travelling-wave",
+    state=("rho", "v", "theta", "z1", "z2"),
+    consts=("R", "e_theta", "nu_c", "nu_e", "k_c", "k_e", "sig"),
+    pre=(),
+    positive=("rho", "theta"),
+    lines=(
+        "s = v - sig",
+        "p_rho = R * theta",
+        "p_theta = R * rho",
+        "nu = nu_c if nu_e == 0.0 else nu_c * rho ** nu_e",
+        "dnu = 0.0 if nu_e == 0.0 else nu_e * nu / rho",
+        "k = k_c if k_e == 0.0 else k_c * rho ** k_e",
+        "dk = 0.0 if k_e == 0.0 else k_e * k / rho",
+        "theta_sq = theta ** 2",
+        "q = rho * z1",  # A21^T z / a11
+        "rss = rho * s * s",
+        # rows of (A22 - sigma E22)(v - sigma) after the substitution
+        "M11 = (rss + dnu * q) / theta",
+        "M12 = p_theta * s / theta",
+        "M21 = (p_theta - nu * z1 / theta) * s / theta",
+        "M22 = (rss * e_theta + dk * q) / theta_sq",
+        # subtract the Schur-type coupling A21 A21^T / a11 (only entry 11)
+        "K11 = M11 - rho * p_rho / theta",
+        "Fz1 = (theta / nu) * (K11 * z1 + M12 * z2)",
+        "Fz2 = (theta_sq / k) * (M21 * z1 + M22 * z2)",
+    ),
+    F=("-q", "s * z1", "s * z2", "Fz1", "Fz2"),
+    zeta="v - sig",
+    reject=(
+        'raise DomainError(f"extended state needs rho > 0 and theta > 0, '
+        'got rho={_lowest(rho)}, theta={_lowest(theta)}")'
+    ),
+    overflow="F overflows a float at the extended state {V}",
+)
 
 
 def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
     """Travelling-wave reduction at speed sigma as a SingularODE.
 
-    The closed form below is the block algebra of `system.blocks` spelled
-    out for the ideal gas, with rho_x (v - sigma) already replaced by
-    -(A21^T z)/a11 = -rho z1 and v_x by z1. Keeping it inline makes the
-    right-hand side cheap and lets the tests cross-check it against an
-    independent assembly from the blocks.
+    F and zeta are `TW_RHS` at the gas and sigma. Keeping the closed form
+    inline makes the right-hand side cheap and lets the tests cross-check
+    it against an independent assembly from the blocks.
 
     F and zeta take a state or column arrays (see `SingularODE`). A state
     whose transport laws or theta^2 overflow a float is a DomainError
     that names it.
     """
-    R = gas.R
-    e_theta = R / (gas.gamma - 1.0)
-    # bound __call__: calling the instance goes through the slower type slot
-    nu_law, k_law = gas.nu_law.__call__, gas.k_law.__call__
     sig = float(sigma)
-
-    def F(V: list[float]) -> list[float]:
-        rho, v, theta, z1, z2 = V
-        if rho.__class__ is not float or not (rho > 0.0 and theta > 0.0):
-            _require_admissible(rho, theta)  # columns are checked at every sample
-        s = v - sig
-        p_rho = R * theta
-        p_theta = R * rho
-        try:
-            nu, dnu = nu_law(rho)
-            k, dk = k_law(rho)
-            theta_sq = theta ** 2 if theta.__class__ is not _ndarray else _pow_each(theta, 2)
-        except OverflowError:
-            raise DomainError(f"F overflows a float at the extended state {V}") from None
-        q = rho * z1  # A21^T z / a11
-        # rows of (A22 - sigma E22)(v - sigma) after the substitution
-        M11 = (rho * s * s + dnu * q) / theta
-        M12 = p_theta * s / theta
-        M21 = (p_theta - nu * z1 / theta) * s / theta
-        M22 = (rho * s * s * e_theta + dk * q) / theta_sq
-        # subtract the Schur-type coupling A21 A21^T / a11 (only entry 11)
-        K11 = M11 - rho * p_rho / theta
-        Fz1 = (theta / nu) * (K11 * z1 + M12 * z2)
-        Fz2 = (theta_sq / k) * (M21 * z1 + M22 * z2)
-        return [-q, s * z1, s * z2, Fz1, Fz2]
-
-    def zeta(V: list[float]) -> float:
-        return V[1] - sig
-
+    F, zeta = rhs_functions(TW_RHS, (*_gas_constants(gas), sig))
     label = "steady" if sig == 0.0 else f"travelling sigma={sig:g}"
     return SingularODE(dim=5, F_eval=F, zeta_eval=zeta, label=label)
 

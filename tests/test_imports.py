@@ -5,13 +5,18 @@ standard library's `ast`:
 
 - unused imports: every module under src/shocklayer/ except
   `__init__.py` (which imports in order to re-export) is parsed, and each
-  name an import binds must be read somewhere in the module. The names
-  the benchmark tracer swaps on `cli` and `profiles` are all called
+  name an import binds must be read somewhere in the module or in the
+  source the module compiles at run time against its own globals. The
+  names the benchmark tracer swaps on `cli` and `profiles` are all called
   there, so they pass.
 - dead names: every private (single-underscore) function, class or
   constant defined at module level must be read somewhere in the
-  package, as a name or as an attribute. A helper left behind by a
-  refactor fails it.
+  package or in its generated source, as a name or as an attribute. A
+  helper left behind by a refactor fails it.
+
+The generated source is every right-hand-side closure `reduction` builds
+and every step kernel `sode` compiles: the call kernels, and the fused
+kernel of each `RhsSource` in both modes.
 """
 
 import ast
@@ -20,12 +25,22 @@ from pathlib import Path
 import pytest
 
 import shocklayer
+from shocklayer import profiles, reduction, sode
 
 MODULES = sorted(p for p in Path(shocklayer.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = (reduction.TW_RHS, profiles.FLUX_RHS)
+GENERATED = {
+    "reduction.py": [reduction._closure_source(rhs) for rhs in SOURCES],
+    "sode.py": [
+        sode._kernel_source(d, mode, rhs)
+        for mode in ("direct", "rescaled")
+        for rhs, d in ((None, 2), (None, 3), *((rhs, len(rhs.state) + (mode == "rescaled")) for rhs in SOURCES))
+    ],
+}
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by the imports of source that no Name node reads."""
+def unused_imports(source: str, generated: list[str] = ()) -> list[str]:
+    """Names bound by the imports of source that no Name node reads, there or in the generated source."""
     tree = ast.parse(source)
     bound = set()
     for node in ast.walk(tree):
@@ -33,19 +48,26 @@ def unused_imports(source: str) -> list[str]:
             bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(alias.asname or alias.name for alias in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    trees = [tree, *map(ast.parse, generated)]
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
     return sorted(bound - used)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(), GENERATED.get(path.name, [])) == []
 
 
 def test_rule_catches_unused_names():
     source = "import os\nimport os.path as osp\nimport sys\nfrom math import pi, tau\nprint(sys.argv, pi)\n"
     assert unused_imports(source) == ["os", "osp", "tau"]
     assert unused_imports("from __future__ import annotations\nimport numpy as np\nx: np.ndarray\n") == []
+
+
+def test_rule_reads_generated_source():
+    source = "from math import isfinite, sqrt\nprint(sqrt(2.0))\n"
+    assert unused_imports(source, ["def f(x):\n    return isfinite(x)\n"]) == []
+    assert unused_imports(source, ["def f(x):\n    return x - x == 0.0\n"]) == ["isfinite"]
 
 
 def defined_private_names(tree: ast.Module) -> set[str]:
@@ -71,16 +93,24 @@ def read_names(tree: ast.AST) -> set[str]:
     return reads
 
 
-def dead_names(sources: list[str]) -> list[str]:
-    """Private module-level names defined in sources that none of them reads."""
+def dead_names(sources: list[str], generated: list[str] = ()) -> list[str]:
+    """Private module-level names defined in sources that none of them, nor the generated source, reads."""
     trees = [ast.parse(source) for source in sources]
     defined = set().union(*(defined_private_names(tree) for tree in trees))
-    return sorted(defined - set().union(*(read_names(tree) for tree in trees)))
+    reads = [read_names(tree) for tree in trees + [ast.parse(source) for source in generated]]
+    return sorted(defined - set().union(*reads))
 
 
 def test_no_dead_private_names():
     package = sorted(Path(shocklayer.__file__).parent.glob("*.py"))
-    assert dead_names([path.read_text() for path in package]) == []
+    generated = [source for sources in GENERATED.values() for source in sources]
+    assert dead_names([path.read_text() for path in package], generated) == []
+
+
+def test_a_helper_only_generated_source_reads_is_used():
+    lib = "_check = 1.0\ndef _helper():\n    return 0.0\nSOURCE = '_helper()'\n"
+    assert dead_names([lib], ["def stage():\n    return _helper()\n"]) == ["_check"]
+    assert dead_names([lib], ["def stage():\n    return 0.0\n"]) == ["_check", "_helper"]
 
 
 def test_rule_catches_dead_names():

@@ -7,6 +7,7 @@ integrals and the independent flux-form construction, and the layers
 across the four velocity regimes of the limit state.
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ from shocklayer import (
     steady_singular_ode,
     tw_singular_ode,
 )
-from shocklayer import profiles
+from shocklayer import profiles, sode
 from shocklayer.gas import conserved, euler_fluxes
 from shocklayer.profiles import _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
 from shocklayer.reduction import SINGULARITY_GUARD
@@ -513,6 +514,17 @@ class TestGilbargOracle:
         with pytest.raises(DomainError):
             oracle_f1.rhs(2.0 * oracle_f1.sigma - pair_f1.left.v, 1.0)
 
+    def test_overflow_is_a_domain_error_naming_the_state(self):
+        # nu = rho^30 overflows a float just beside the wave speed, where rho = m / (v - sigma) is huge
+        gas = GasModel(nu_law=PowerLaw(1.0, 30.0))
+        pair = solve_rh(gas, State(1.0, 0.0, 1.0), family=1, strength=0.2)
+        orc = gilbarg_oracle(gas, pair)
+        v = orc.sigma + float(np.sign(pair.left.v - orc.sigma)) * 1e-14
+        with pytest.raises(DomainError, match="flux form overflows a float at the state"):
+            orc.rhs(v, 1.0)
+        with pytest.raises(DomainError, match="flux form overflows a float at the state"):
+            orc._columns(np.array([[v, 1.0]]))
+
     def test_oracle_ode_rejects_a_nan_stage(self, gasm, pair_f1, monkeypatch):
         import shocklayer.profiles as profiles
 
@@ -535,7 +547,7 @@ class TestGilbargOracle:
         gas = GasModel(nu_law=PowerLaw(1.3, 0.7), k_law=PowerLaw(0.8, -0.4))
         pair = solve_rh(gas, State(1.0, 0.3, 1.2), family=1, strength=0.5)
         orc = gilbarg_oracle(gas, pair)
-        F = _flux_form(gas, orc.sigma, orc.m, orc.Pi, orc.Eflux)
+        F = _flux_form(gas, orc.sigma, orc.m, orc.Pi, orc.Eflux).F_eval
         rows = [
             _flux_integrals(gas, orc.sigma, orc.m / (v - orc.sigma), v, theta, *F([v, theta]))
             for v, theta in orc.trajectory.Vs.tolist()
@@ -754,7 +766,7 @@ def ref_flux_constants(gas, prof):
 def ref_oracle_columns(oracle, V):
     """The per-sample loop of OracleTrajectory._columns."""
     vs, ths = V[:, 0], V[:, 1]
-    F = _flux_form(oracle.gas, oracle.sigma, oracle.m, oracle.Pi, oracle.Eflux)
+    F = _flux_form(oracle.gas, oracle.sigma, oracle.m, oracle.Pi, oracle.Eflux).F_eval
     z = np.array([F(state) for state in V.tolist()]).reshape(-1, 2)
     return {"rho": oracle.m / (vs - oracle.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z[:, 0], "z2": z[:, 1]}
 
@@ -849,6 +861,93 @@ class TestChecksMatchPerSampleReference:
             oracle_f1._columns(V)
 
 
+def run_result(integrate, *args, **kwargs):
+    """The bytes of ts, ys, hs and Q, the termination and the stats of a run, or its error class and message."""
+    try:
+        traj = integrate(*args, **kwargs)
+    except Exception as exc:  # compared, then raised again by the caller
+        return (type(exc).__name__, str(exc)), exc
+    arrays = tuple((a.shape, a.tobytes()) for a in (traj.ts, traj.ys, traj.hs, traj.Q))
+    return (traj.mode, traj.termination, traj.stats, arrays), traj
+
+
+# power-law transport coefficients, constant ones (exponent 0) included
+laws = st.builds(PowerLaw, st.floats(0.7, 1.4), st.one_of(st.just(0.0), st.floats(-0.5, 1.0)))
+
+
+class TestFusedKernelsMatchCallPath:
+    """Runs through a kernel with the right-hand side inlined equal runs that call F and zeta per stage.
+
+    Every integration a profile makes, failed shots included, is run a
+    second time with its callbacks wrapped: `sode` then calls them once
+    per stage. Both runs must agree in every byte of ts, ys, hs and Q, in
+    the termination and in the stats, and the wrapped F must be called
+    exactly n_fevals times.
+    """
+
+    @staticmethod
+    @contextlib.contextmanager
+    def twin_runs():
+        """Patch the integrators `profiles` calls to run twice and compare; yields the (label, mode) of each run."""
+        runs = []
+
+        def twin(integrate):
+            def run(ode, *args, **kwargs):
+                assert sode._bound(ode)[0] is not None, "the package's own callbacks run fused"
+                calls = [0]
+
+                def F(V):
+                    calls[0] += 1
+                    return ode.F_eval(V)
+
+                wrapped = replace(ode, F_eval=F, zeta_eval=lambda V: ode.zeta_eval(V))
+                assert sode._bound(wrapped)[0] is None
+                fused, out = run_result(integrate, ode, *args, **kwargs)
+                called, _ = run_result(integrate, wrapped, *args, **kwargs)
+                assert fused == called
+                if isinstance(out, Exception):
+                    raise out
+                assert calls[0] == out.stats.n_fevals
+                runs.append((ode.label, out.mode))
+                return out
+
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(profiles, "integrate_direct", twin(profiles.integrate_direct))
+            mp.setattr(profiles, "integrate_rescaled", twin(profiles.integrate_rescaled))
+            yield runs
+
+    @pytest.mark.parametrize("family", [1, 3])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=laws,
+        k=laws,
+        frac=st.floats(0.0, 1.0),
+        layer=st.tuples(st.floats(0.6, 1.6), st.floats(-0.5, -0.1), st.floats(0.6, 1.6)),
+        log_v=st.floats(-6.5, -6.1),
+    )
+    def test_profiles_oracles_and_layers(self, family, gamma, nu, k, frac, layer, log_v):
+        gas = GasModel(gamma=gamma, nu_law=nu, k_law=k)
+        U_minus = State(1.0, 0.0, 1.0)
+        bound = sound_speed(gas, U_minus) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
+        strength = 0.08 + frac * 2.9 if family == 1 else (0.1 + 0.8 * frac) * bound
+        try:
+            pair = solve_rh(gas, U_minus, family, strength)
+        except DomainError as exc:
+            assume("vacuum bound" not in str(exc))
+            raise
+        rho, _, theta = layer
+        with self.twin_runs() as runs:
+            shock_profile(gas, pair)
+            gilbarg_oracle(gas, pair)
+            assert boundary_layer(gas, State(*layer), amplitude=1e-3).trajectory.mode == "direct"
+            assert boundary_layer(gas, State(rho, 10.0 ** log_v, theta), amplitude=1e-3).trajectory.mode == "rescaled"
+        kinds = {(label.split("=")[0], mode) for label, mode in runs}
+        assert kinds == {("travelling sigma", "direct"), ("flux form", "direct"), ("steady", "direct"), ("steady", "rescaled")}
+
+
 class TestChecksEvaluateOnce:
     """Each check calls its right-hand side once for all samples, not once per sample."""
 
@@ -884,7 +983,11 @@ class TestChecksEvaluateOnce:
     def test_oracle_columns(self, wide, monkeypatch):
         _, prof, oracle = wide
         calls = []
-        monkeypatch.setattr(profiles, "_flux_form", lambda *a: self.counted(_flux_form(*a), calls))
+        def counted_form(*args):
+            ode = _flux_form(*args)
+            return replace(ode, F_eval=self.counted(ode.F_eval, calls))
+
+        monkeypatch.setattr(profiles, "_flux_form", counted_form)
         oracle.table()
         assert len(calls) == 1
         compare_profiles(prof, oracle, matching="v")
@@ -1008,6 +1111,48 @@ class TestBoundaryLayer:
         assert np.dot(far_up, far_dn) < 0.0
 
 
+class TestLayerStart:
+    """A layer starts on the flux level set of its limit state, so its flux drift is integration error alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=laws,
+        k=laws,
+        rho=st.floats(0.5, 2.0),
+        theta=st.floats(0.5, 2.0),
+        regime=st.sampled_from(["subsonic inflow", "subsonic outflow", "supersonic inflow"]),
+        mach=st.floats(0.0, 1.0),
+        direction_index=st.sampled_from([0, 1]),
+        log_amp=st.floats(-4.0, -2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_flux_drift(self, gamma, nu, k, rho, theta, regime, mach, direction_index, log_amp, sign):
+        gas = GasModel(gamma=gamma, nu_law=nu, k_law=k)
+        c = sound_speed(gas, State(rho, 0.0, theta))
+        if regime == "supersonic inflow":  # two decaying directions
+            v = -(1.1 + 0.9 * mach) * c
+        else:
+            v = (0.1 + 0.7 * mach) * c * (-1.0 if regime == "subsonic inflow" else 1.0)
+            direction_index = 0
+        prof = boundary_layer(gas, State(rho, v, theta), direction_index, sign * 10.0 ** log_amp)
+        assert prof.diagnostics["mode"] == "direct"
+        assert prof.diagnostics["flux_drift"] <= 1e-9
+
+    def test_start_keeps_v_and_theta_of_the_linear_start(self, gasm):
+        limit = State(1.0, -0.3, 1.0)
+        U_star = np.array([1.0, -0.3, 1.0, 0.0, 0.0])
+        report, rates = profiles._spatial_rates(steady_singular_ode(gasm), U_star, None)
+        (i, _), = [p for p in rates if p[1] < 0.0]
+        linear = U_star + 1e-2 * profiles._real_unit_eigenvector(report, i)
+        start = boundary_layer(gasm, limit, amplitude=1e-2).trajectory.ys[0]  # direct mode integrates V
+        m, Pi, Eflux = _flux_integrals(gasm, 0.0, 1.0, -0.3, 1.0, 0.0, 0.0)
+        assert start[1:3].tolist() == linear[1:3].tolist()
+        assert start[0] == m / start[1]
+        assert start[3:].tolist() == _flux_form(gasm, 0.0, m, Pi, Eflux).F_eval(start[1:3].tolist())
+        assert 0.0 < np.max(np.abs(start - linear)) <= 1e-3  # an O(amplitude^2) move
+
+
 class TestNearSonicLayers:
     """Layers whose limit speed lies within a few DELTA of the sonic set."""
 
@@ -1032,4 +1177,5 @@ class TestNearSonicLayers:
         assert np.max(np.abs(m - m[0])) <= 1e-8 * abs(m[0])
         assert d["extended_residual_skipped"] == 0
         assert d["extended_residual_rel"] <= 1e-6
+        assert d["flux_drift"] <= 1e-9
         assert d["length_produced"] > 0.0

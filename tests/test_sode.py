@@ -5,6 +5,7 @@ the direct and rescaled modes, the singularity guard, the equilibrium
 detector, dense output, resampling, linearization, and CSV export.
 """
 
+import ast
 import os
 import platform
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shocklayer
-from shocklayer import profiles, sode
+from shocklayer import profiles, reduction, sode
 from shocklayer import (
     DomainError,
     GasModel,
@@ -822,11 +823,11 @@ class TestFloatStepperMatchesReference:
         assert out[0] == "StepFailureError"
 
     def test_flux_form_oracle_kernel(self, gas):
-        # the oracle's 2-D flux-form field in direct mode, over its own shot and past it
+        # the oracle's 2-D flux-form field in direct mode, over its own shot and past it;
+        # the kernel runs the flux-form source inline, the reference calls F and zeta
         pair = shocklayer.solve_rh(gas, shocklayer.State(1.0, 0.0, 1.0), 1, 0.2)
         orc = shocklayer.gilbarg_oracle(gas, pair)
-        F = profiles._flux_form(gas, orc.sigma, orc.m, orc.Pi, orc.Eflux)
-        ode = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0, label="flux form")
+        ode = profiles._flux_form(gas, orc.sigma, orc.m, orc.Pi, orc.Eflux)
         ts, Vs = orc.trajectory.ts, orc.trajectory.Vs
         _, _, stats, _ = self.assert_same("direct", ode, Vs[0], (ts[0], ts[-1]), 1e-10)
         assert stats.n_accepted > 50
@@ -887,12 +888,50 @@ class TestKernels:
 
         monkeypatch.setattr(sode, "compile", counting, raising=False)
         integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        first = sode._KERNELS[(1, "direct")]
+        first = sode._KERNELS[(1, "direct", None)]
         integrate_direct(exp_ode(), np.array([2.0]), (0.0, -1.0))
-        assert sode._KERNELS[(1, "direct")] is first
+        assert sode._KERNELS[(1, "direct", None)] is first
         for _ in range(2):
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0))
         assert compiled == ["<sode step d=1 direct>", "<sode step d=2 rescaled>"]
+
+    def test_one_compile_per_right_hand_side(self, monkeypatch):
+        # the constants are arguments of make: no gas and no speed compiles a kernel of its own
+        monkeypatch.setattr(sode, "_KERNELS", {})
+        compiled = []
+
+        def counting(source, filename, *args):
+            compiled.append(filename)
+            return compile(source, filename, *args)
+
+        monkeypatch.setattr(sode, "compile", counting, raising=False)
+        gases = [GasModel(), GasModel(gamma=5 / 3, nu_law=PowerLaw(0.8, 0.5)), GasModel(k_law=PowerLaw(1.3, -0.25))]
+        for gas in gases:
+            for sigma in (-0.6, -0.3, 0.4):
+                U0 = np.array([1.0, 0.0, 1.0, 0.01, -0.01])
+                form = profiles._flux_form(gas, sigma, -sigma, 1.0 + sigma * sigma, 2.0)
+                for ode, V0 in ((tw_singular_ode(gas, sigma), U0), (form, np.array([0.0, 1.0]))):
+                    integrate_direct(ode, V0, (0.0, 0.01))
+                    integrate_rescaled(ode, V0, (0.0, 0.01))
+        assert sorted(compiled) == sorted([
+            "<sode step d=5 direct travelling-wave>", "<sode step d=6 rescaled travelling-wave>",
+            "<sode step d=2 direct flux-form>", "<sode step d=3 rescaled flux-form>",
+        ])
+        assert sorted(sode._KERNELS) == sorted([
+            (5, "direct", "travelling-wave"), (6, "rescaled", "travelling-wave"),
+            (2, "direct", "flux-form"), (3, "rescaled", "flux-form"),
+        ])
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    @pytest.mark.parametrize("rhs", [reduction.TW_RHS, profiles.FLUX_RHS], ids=lambda rhs: rhs.name)
+    def test_sources_reuse_no_kernel_name(self, rhs, mode):
+        # a spliced line that assigned h, z, F or a stage local would change the step silently
+        def names(source):
+            return {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+
+        d = len(rhs.state) + (mode == "rescaled")
+        spliced = names("\n".join([*rhs.state, *rhs.consts, *rhs.pre, *rhs.lines, *rhs.F, rhs.zeta]))
+        assert spliced & names(sode._kernel_source(d, mode)) == set()
 
     def test_tracebacks_show_the_generated_line(self):
         def F(V):
@@ -905,6 +944,15 @@ class TestKernels:
             integrate_direct(ode, np.array([1.0]), (0.0, 2.0))
         frames = [e for e in info.traceback if str(e.path).startswith("<sode step d=1 direct>")]
         assert frames and "F = F_eval(Y)" in str(frames[-1].statement)
+
+    def test_tracebacks_show_the_spliced_right_hand_side(self):
+        # a gas constant that is not a number fails inside the inlined source, not in a stage call
+        F, zeta = reduction.rhs_functions(reduction.TW_RHS, ("R", 2.5, 1.0, 0.0, 1.0, 0.0, 0.0))
+        ode = SingularODE(dim=5, F_eval=F, zeta_eval=zeta)
+        with pytest.raises(TypeError) as info:
+            integrate_direct(ode, np.array([1.0, 0.5, 1.0, 0.0, 0.0]), (0.0, 1.0))
+        frames = [e for e in info.traceback if str(e.path) == "<sode step d=5 direct travelling-wave>"]
+        assert frames and "p_rho = R * theta" in str(frames[-1].statement)
 
 
 KERNEL_PROBE = """
