@@ -550,13 +550,13 @@ def _flux_form(gas: GasModel, sigma: float, m: float, Pi: float, Eflux: float) -
     """The flux-form system of the constants (m, Pi, Eflux) with zeta = 1: `FLUX_RHS`.
 
     F(V) = [v_x, theta_x] at V = [v, theta]; a state with rho = m / (v -
-    sigma) or theta not positive (NaN included) is a DomainError, and so
-    is one at which a transport law overflows a float. V may also be a
-    pair of equal-length arrays; F then checks and solves every sample at
-    once, with the bits of the float call.
+    sigma) or theta not positive (NaN and v = sigma included) is a
+    DomainError, and so is one at which a transport law overflows a
+    float. V may also be a pair of equal-length arrays; F then checks and
+    solves every sample at once, with the bits of the float call.
     """
     F, zeta = rhs_functions(FLUX_RHS, (*_gas_constants(gas), sigma, m, Pi, Eflux))
-    return SingularODE(dim=2, F_eval=F, zeta_eval=zeta, label="flux form")
+    return SingularODE(F_eval=F, zeta_eval=zeta, label="flux form")
 
 
 @dataclass(frozen=True)
@@ -726,7 +726,8 @@ def boundary_layer(
     diagnostics["mode_switch"] = {reason, min_abs_zeta, x} records which
     ("start_within_delta" or "direct_halt"), how close zeta came, and where.
     A zero amplitude gives the constant layer; a non-finite one is a
-    DomainError.
+    DomainError, and so is one at or past the growth cap, checked before
+    the start is built.
     """
     if not math.isfinite(amplitude):
         raise DomainError(f"amplitude must be finite, got {amplitude}")
@@ -752,14 +753,14 @@ def boundary_layer(
     sel, rate = stable[direction_index]
     xi = _real_unit_eigenvector(report, sel)
 
+    cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
+    if abs(amplitude) >= cap:
+        raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
     L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
     m, Pi, Eflux = _flux_integrals(gas, 0.0, limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0)
     v, theta = (U_star + amplitude * xi)[1:3].tolist()
     start = np.array([m / v, v, theta, *_flux_form(gas, 0.0, m, Pi, Eflux).F_eval([v, theta])])
     limit = U_star.tolist()
-    cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
-    if abs(amplitude) >= cap:
-        raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
 
     def stop(x, V):
         return _sup_dist(V, limit) > cap

@@ -60,30 +60,27 @@ class ExtendedState:
 
 @dataclass(frozen=True)
 class SingularODE:
-    """Autonomous system dV/dx = F(V)/zeta(V) on R^dim.
+    """Autonomous system dV/dx = F(V)/zeta(V).
 
-    F_eval and zeta_eval take V as a list of dim Python floats and must
-    not modify it. F_eval returns a list of dim floats and zeta_eval a
+    F_eval and zeta_eval take V as a list of Python floats and must not
+    modify it. F_eval returns a list of as many floats and zeta_eval a
     float. The integrators step on such lists, so no array is built per
     evaluation; callers holding an array convert it once with .tolist().
     The desingularized companion is dV/dtau = F(V), dx/dtau = zeta(V).
 
-    The package's own right-hand sides (`tw_singular_ode` and the
-    flux-form oracle) are written once as `RhsSource` and built with
-    `rhs_functions`. The integrators inline that source into every stage
-    of a step while F_eval and zeta_eval are exactly the pair built from
-    it; any other callback, a wrapper around those included, is called
-    once per stage.
+    The integrators inline a right-hand side into each stage of a step as
+    an `RhsSource`: the one `rhs_functions` built F_eval and zeta_eval
+    from (`tw_singular_ode` and the flux-form oracle), while they are
+    exactly that pair, or else one that calls them once per stage.
 
-    These reductions also take V as a list of dim equal-length float
-    arrays, one column per component (V = list(A.T) for samples A of
-    shape (n, dim)). F_eval then returns a list of dim arrays and
-    zeta_eval an array, each entry bit for bit what the float call gives
-    at that sample; an inadmissible sample anywhere is a DomainError. The
-    profile checks evaluate all their samples in one such call.
+    These reductions also take V as a list of equal-length float arrays,
+    one column per component (V = list(A.T) for samples A of shape (n,
+    d)). F_eval then returns a list of arrays and zeta_eval an array,
+    each entry bit for bit what the float call gives at that sample; an
+    inadmissible sample anywhere is a DomainError. The profile checks
+    evaluate all their samples in one such call.
     """
 
-    dim: int
     F_eval: Callable[[list[float]], list[float]]
     zeta_eval: Callable[[list[float]], float]
     label: str = ""
@@ -101,11 +98,13 @@ class RhsSource:
     that of zeta. A power is written ``a ** b`` between two names or
     literals, so the column rendering can take it entry by entry
     (`_pow_each`). ``reject`` is the statement an inadmissible state
-    runs in the built callbacks, and ``overflow`` the message of the
-    DomainError an OverflowError of ``lines`` becomes there; ``{V}``
-    names the state. The step kernels of `sode` splice the same
-    statements into every stage, with an unusable stage in place of both
-    errors, so the source must not use a name of the step kernel.
+    runs in the callbacks `rhs_functions` builds, a division by zero in
+    ``pre`` included, and ``overflow`` the message of the DomainError an
+    OverflowError of ``lines`` becomes there; ``{V}`` names the state. A
+    source that is never built into callbacks leaves both empty. The
+    step kernels of `sode` splice the same statements into every stage,
+    with an unusable stage in place of both errors, so the source must
+    not use a name of the step kernel.
     """
 
     name: str
@@ -116,8 +115,8 @@ class RhsSource:
     lines: tuple[str, ...]
     F: tuple[str, ...]
     zeta: str
-    reject: str
-    overflow: str
+    reject: str = ""
+    overflow: str = ""
 
     def admissible(self) -> str:
         """The admissibility test on floats."""
@@ -128,12 +127,18 @@ _POWER = re.compile(r"(\w+) \*\* (\w+)")
 
 
 def _closure_source(rhs: RhsSource) -> str:
-    """Source of bind(*consts) -> (F, zeta) for rhs, on floats and on column arrays."""
+    """Source of bind(*consts) -> (F, zeta) for rhs, on floats and on column arrays.
+
+    A division by zero in ``pre`` fails the admissibility test, on
+    columns as the FloatingPointError numpy raises in place of a warning.
+    """
     unpack = f"        {', '.join(rhs.state)}, = V"
 
-    def body(pre, test, lines):
+    def body(pre, test, lines, division):
         return [
-            *pre, f"if not ({test}):", f"    {rhs.reject}",
+            "try:", *("    " + line for line in pre), f"    ok = {test}",
+            f"except {division}:", "    ok = False",
+            "if not ok:", f"    {rhs.reject}",
             "try:", *("    " + line for line in lines),
             "except OverflowError:", f"    raise DomainError(f{rhs.overflow!r}) from None",
         ]
@@ -141,9 +146,10 @@ def _closure_source(rhs: RhsSource) -> str:
     def columns(lines):
         return [_POWER.sub(r"_pow_each(\1, \2)", line) for line in lines]
 
-    floats = body(rhs.pre, rhs.admissible(), rhs.lines)
+    floats = body(rhs.pre, rhs.admissible(), rhs.lines, "ZeroDivisionError")
     positive = " and ".join(f"np.all({name} > 0.0)" for name in rhs.positive)
-    cols = body(columns(rhs.pre), positive, columns(rhs.lines))
+    raising = ['with np.errstate(divide="raise", invalid="raise"):', *("    " + line for line in columns(rhs.pre))]
+    cols = body(raising if rhs.pre else [], positive, columns(rhs.lines), "FloatingPointError")
     out = [
         f"def bind({', '.join(rhs.consts)}):",
         "    def F(V):",
@@ -163,6 +169,23 @@ def _closure_source(rhs: RhsSource) -> str:
     return "\n".join(out) + "\n"
 
 
+def _compiled(cache: dict, key, filename: str, source: Callable[[], str], scope: dict) -> Callable:
+    """The function the text source() defines, compiled once per cache key against the globals scope.
+
+    The text is registered with linecache as filename, so tracebacks
+    through it show the generated line.
+    """
+    fn = cache.get(key)
+    if fn is None:
+        src = source()
+        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        namespace: dict = {}
+        exec(compile(src, filename, "exec"), scope, namespace)
+        (fn,) = namespace.values()
+        cache[key] = fn
+    return fn
+
+
 _BINDERS: dict[str, Callable] = {}  # rhs name -> bind, compiled on first use
 
 
@@ -172,16 +195,9 @@ def rhs_functions(rhs: RhsSource, constants: tuple) -> tuple[Callable, Callable]
     They take float lists and column arrays (see `SingularODE`). F
     carries ``built = (F, zeta, rhs, constants)``, which is how the step
     kernels recognize the pair; a wrapper that copies F's attributes is
-    not F, so it is still called.
+    not F, so it runs as a call per stage.
     """
-    bind = _BINDERS.get(rhs.name)
-    if bind is None:
-        src = _closure_source(rhs)
-        filename = f"<shocklayer rhs {rhs.name}>"
-        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-        namespace: dict = {}
-        exec(compile(src, filename, "exec"), globals(), namespace)
-        bind = _BINDERS[rhs.name] = namespace["bind"]
+    bind = _compiled(_BINDERS, rhs.name, f"<shocklayer rhs {rhs.name}>", lambda: _closure_source(rhs), globals())
     F, zeta = bind(*constants)
     F.built = (F, zeta, rhs, constants)
     return F, zeta
@@ -248,7 +264,7 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
     sig = float(sigma)
     F, zeta = rhs_functions(TW_RHS, (*_gas_constants(gas), sig))
     label = "steady" if sig == 0.0 else f"travelling sigma={sig:g}"
-    return SingularODE(dim=5, F_eval=F, zeta_eval=zeta, label=label)
+    return SingularODE(F_eval=F, zeta_eval=zeta, label=label)
 
 
 def steady_singular_ode(gas: GasModel) -> SingularODE:

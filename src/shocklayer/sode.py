@@ -20,12 +20,13 @@ The step itself is straight-line Python generated per state dimension,
 mode and right-hand side (`_kernel_source`) and compiled once per
 process on first use (`_kernels`). It evaluates the six new stages
 inline and writes out every stage point, the new state, the error
-estimate and the error norm component by component. When F and zeta
-are the pair built from one `RhsSource` (the package's own right-hand
-sides), every stage runs that source inline, its constants passed to
-the kernel, and builds no list but the F of the last stage. Any other
-pair of callbacks is called once per stage, on the stage point as a
-list; the two routes give the same bits.
+estimate and the error norm component by component. Every right-hand
+side is an `RhsSource` that every stage runs inline, its constants
+passed to the kernel. When F and zeta are the pair built from one
+source (the package's own right-hand sides), that source runs, and the
+step builds no list but the F of the last stage. Any other pair of
+callbacks runs as the call source (`_call_source`), which hands them
+the stage point as a list once per stage; the two give the same bits.
 The loop steps on lists of Python floats, with no numpy or BLAS call
 between two right-hand side evaluations: F, zeta and ``stop_when`` are
 handed the stage lists themselves (see `SingularODE`), and only the
@@ -40,7 +41,6 @@ for bit wherever F and zeta do.
 
 from __future__ import annotations
 
-import linecache
 import struct
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NonMonotoneError, SingularityError, StepFailureError
-from .reduction import RhsSource, SingularODE
+from .reduction import RhsSource, SingularODE, _compiled
 
 TERM_REACHED_END = "reached_end"
 TERM_SINGULARITY = "singularity_approached"
@@ -291,55 +291,42 @@ _ERROR_ROW = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
 _UNUSABLE = "(DomainError, ZeroDivisionError, OverflowError)"
 
 
-def _stage_lines(rhs: RhsSource | None, mode: str, d: int, k: list[str], fail: str) -> tuple[list[str], str]:
-    """One stage at the stage point, written to the locals k; sets z.
+def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str) -> tuple[list[str], str]:
+    """One stage at the point bound to the names of rhs.state, written to the locals k; sets z.
 
-    Returns the lines and the expression of the stage's F list. With rhs
-    None the point is the list Y, handed to F_eval and zeta_eval. With an
-    `RhsSource` it is bound to the names of rhs.state, and the source runs
-    inline, its admissibility test failing the stage. Direct mode: zeta,
-    the unusable check, F, then F_i / zeta. Rescaled mode: F, then zeta,
-    with the point holding V alone; the stage is (F, zeta). fail is the
-    statement that leaves on a zero or non-finite zeta; the caller wraps
-    the lines in a try that treats _UNUSABLE the same way. A value x is
-    finite exactly when x - x == 0.0.
+    Returns the lines and the expression of the stage's F list. The
+    source runs inline, and its admissibility test, emitted when it names
+    a positive quantity, fails the stage. Direct mode: rhs.pre, zeta, the
+    unusable check, the rest of the source, then F_i / zeta. Rescaled
+    mode: the source, then zeta, with the point holding V alone; the
+    stage is (F, zeta). fail is the statement that leaves on a zero or
+    non-finite zeta; the caller wraps the lines in a try that treats
+    _UNUSABLE the same way. A value x is finite exactly when x - x == 0.0.
     """
-    zero_or_not_finite = ["if z == 0.0 or not z - z == 0.0:", f"    {fail}"]
-    if rhs is None:
-        if mode == "direct":
-            return [
-                "z = zeta_eval(Y)",
-                *zero_or_not_finite,
-                "F = F_eval(Y)",
-                "".join(f"f{i}, " for i in range(d)) + "= F",
-                *(f"{k[i]} = f{i} / z" for i in range(d)),
-            ], "F"
-        return [
-            "F = F_eval(Y)",
-            "".join(f"{name}, " for name in k[:-1]) + "= F",
-            f"{k[-1]} = z = zeta_eval(Y)",
-        ], "F"
-    source = [*rhs.pre, f"if not ({rhs.admissible()}):", f"    {fail}", *rhs.lines]
+    test = [f"if not ({rhs.admissible()}):", f"    {fail}"] if rhs.positive else []
     if mode == "direct":
         return [
+            *rhs.pre,
             f"z = {rhs.zeta}",
-            *zero_or_not_finite,
-            *source,
+            "if z == 0.0 or not z - z == 0.0:", f"    {fail}",
+            *test, *rhs.lines,
             *(f"f{i} = {expr}" for i, expr in enumerate(rhs.F)),
             *(f"{k[i]} = f{i} / z" for i in range(d)),
         ], f"[{', '.join(f'f{i}' for i in range(d))}]"
     return [
-        *source,
+        *rhs.pre, *test, *rhs.lines,
         *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)),
         f"{k[-1]} = z = {rhs.zeta}",
     ], f"[{', '.join(k[:-1])}]"
 
 
-def _point_lines(rhs: RhsSource | None, points: list[str]) -> list[str]:
-    """The stage point: the list Y, or the names of rhs.state."""
-    if rhs is None:
-        return ["Y = [", *(f"    {p}," for p in points), "]"]
-    return [f"{name} = {p}" for name, p in zip(rhs.state, points)]
+def _call_source(m: int) -> RhsSource:
+    """F_eval and zeta_eval of m components as a source: both are called on the stage point as the list Y."""
+    state, F = tuple(f"Y_{i}" for i in range(m)), tuple(f"F_{i}" for i in range(m))
+    return RhsSource(
+        name="call", state=state, consts=("F_eval", "zeta_eval"), pre=(f"Y = [{', '.join(state)}]",),
+        positive=(), lines=(f"{', '.join(F)}, = F_eval(Y)",), F=F, zeta="zeta_eval(Y)",
+    )
 
 
 def _row_sum(row, i: int) -> str:
@@ -347,41 +334,36 @@ def _row_sum(row, i: int) -> str:
     return " + ".join(f"{c!r} * k{s}_{i}" for c, s in row)
 
 
-def _kernel_source(d: int, mode: str, rhs: RhsSource | None = None) -> str:
-    """Source of make(tol, *args) -> (stage, step) for dimension d, mode and right-hand side.
+def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
+    """Source of make(tol, *consts) -> (stage, step) for dimension d, mode and right-hand side.
 
-    With rhs None, args are (F_eval, zeta_eval), called once per stage.
-    With an `RhsSource`, args are its constants, and every stage runs the
-    source inline (see `_stage_lines`): one kernel serves every gas and
-    speed. stage(y) is the right-hand side at the list y: (k, F, zeta),
-    with k None where the stage is unusable and zeta whatever was found
-    (None if it could not be evaluated). step(y, h, k1) is one embedded
-    DP5(4) step from y with k1 = stage(y)[0] already known. It returns
-    (n, result): n is the number of evaluations made, and result is None
-    when a stage is unusable or y_new or the error estimate is not
-    finite, otherwise (error norm, y_new, k7, record, F, zeta). record is
-    y_new and the seven stages, flat; k7 is the right-hand side at y_new
-    (first same as last) and (F, zeta) the pair it came from. In
-    rescaled mode the last component is x, which no stage reads, so the
-    stage points 2..6 leave it out. The error norm takes |y_i| and
-    |n_i| by a sign test, which gives the bits of abs.
+    consts are the constants of rhs, and every stage runs its source
+    inline (see `_stage_lines`): one kernel serves every gas and speed,
+    or every pair of callbacks. stage(y) is the right-hand side at the
+    list y: (k, F, zeta), with k None where the stage is unusable and
+    zeta whatever was found (None if it could not be evaluated).
+    step(y, h, k1) is one embedded DP5(4) step from y with k1 =
+    stage(y)[0] already known. It returns (n, result): n is the number
+    of evaluations made, and result is None when a stage is unusable or
+    y_new or the error estimate is not finite, otherwise (error norm,
+    y_new, k7, record, F, zeta). record is y_new and the seven stages,
+    flat; k7 is the right-hand side at y_new (first same as last) and
+    (F, zeta) the pair it came from. In rescaled mode the last component
+    is x, which no stage reads, so the stage points 2..6 leave it out.
+    The error norm takes |y_i| and |n_i| by a sign test, which gives the
+    bits of abs.
     """
     m = d if mode == "direct" else d - 1  # components of a stage point
-    args = "F_eval, zeta_eval" if rhs is None else ", ".join(rhs.consts)
     ks = [[f"k{s}_{i}" for i in range(d)] for s in range(8)]
     ys = ", ".join(f"y_{i}" for i in range(d))
     first, F0 = _stage_lines(rhs, mode, d, ks[0], "return None, None, z")
-    if rhs is None:
-        point = ["Y = y" if mode == "direct" else "Y = y[:-1]"]
-    else:
-        point = [f"{', '.join(rhs.state)}, = y" + ("" if mode == "direct" else "[:-1]")]
     out = [
-        f"def make(tol, {args}):",
+        f"def make(tol, {', '.join(rhs.consts)}):",
         "    rtol = max(tol, REL_FLOOR)",
         "",
         "    def stage(y):",
         "        z = None",
-        *("        " + line for line in point),
+        f"        {', '.join(rhs.state)}, = y" + ("" if mode == "direct" else "[:-1]"),
         "        try:",
         *("            " + line for line in first),
         f"        except {_UNUSABLE}:",
@@ -400,7 +382,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource | None = None) -> str:
             points = [f"n_{i}" for i in range(m)]
         lines, F = _stage_lines(rhs, mode, d, ks[s], f"return {s - 1}, None")
         out += [
-            *("        " + line for line in _point_lines(rhs, points)),
+            *(f"        {name} = {p}" for name, p in zip(rhs.state, points)),
             "        try:",
             *("            " + line for line in lines),
             f"        except {_UNUSABLE}:",
@@ -416,54 +398,51 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource | None = None) -> str:
             f"        r_{i} = e_{i} / (tol + rtol * (a if a >= b else b))",
         ]
     squares = " + ".join(f"r_{i} * r_{i}" for i in range(d))
-    y_new = "Y" if mode == "direct" and rhs is None else f"[{', '.join(f'n_{i}' for i in range(d))}]"
-    record = ", ".join([f"n_{i}" for i in range(d)] + [k for stage in ks[1:] for k in stage])
+    new = [f"n_{i}" for i in range(d)]
+    record = ", ".join(new + [k for stage in ks[1:] for k in stage])
     out += [
         f"        enorm = sqrt(({squares}) / {d})",
-        f"        return 6, (enorm, {y_new}, [{', '.join(ks[7])}], ({record}), {F}, z)",
+        f"        return 6, (enorm, [{', '.join(new)}], [{', '.join(ks[7])}], ({record}), {F}, z)",
         "",
         "    return stage, step",
     ]
     return "\n".join(out) + "\n"
 
 
-_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name or None) -> make, compiled on first use
+_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name) -> make, compiled on first use
 
 
-def _kernels(d: int, mode: str, rhs: RhsSource | None = None):
-    """make(tol, *args) -> (stage, step) for dimension d, mode and right-hand side.
+def _kernels(d: int, mode: str, rhs: RhsSource):
+    """make(tol, *consts) -> (stage, step) for dimension d, mode and right-hand side.
 
-    The source is compiled once per process and (d, mode, rhs), and
-    registered with linecache under its file name, so tracebacks through
-    a step show the generated line.
+    The source is compiled once per process and (d, mode, rhs name), as
+    a file named after them (see `_compiled`).
     """
-    key = (d, mode, None if rhs is None else rhs.name)
-    make = _KERNELS.get(key)
-    if make is None:
-        src = _kernel_source(d, mode, rhs)
-        filename = f"<sode step d={d} {mode}>" if rhs is None else f"<sode step d={d} {mode} {rhs.name}>"
-        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-        namespace: dict = {}
-        exec(compile(src, filename, "exec"), globals(), namespace)
-        make = _KERNELS[key] = namespace["make"]
-    return make
+    filename = f"<sode step d={d} {mode} {rhs.name}>"
+    return _compiled(_KERNELS, (d, mode, rhs.name), filename, lambda: _kernel_source(d, mode, rhs), globals())
 
 
-def _bound(ode: SingularODE) -> tuple[RhsSource | None, tuple]:
-    """(rhs, constants) if ode's F_eval and zeta_eval are the pair built from rhs, else (None, (F_eval, zeta_eval))."""
+def _bound(ode: SingularODE, m: int) -> tuple[RhsSource, tuple]:
+    """(source, constants) of ode's right-hand side of m components.
+
+    That is the `RhsSource` F_eval and zeta_eval were built from, while
+    they are exactly that pair, else the call source with (F_eval,
+    zeta_eval).
+    """
     built = getattr(ode.F_eval, "built", None)
     if built is not None and built[0] is ode.F_eval and built[1] is ode.zeta_eval:
         return built[2], built[3]
-    return None, (ode.F_eval, ode.zeta_eval)
+    return _call_source(m), (ode.F_eval, ode.zeta_eval)
 
 
 def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, tol: float, stop_when):
     """Adaptive DP5(4) loop shared by the direct and the rescaled mode.
 
     y0 is a list of floats: V in direct mode, (V, x) in rescaled mode.
-    The stages come from the generated kernels of `_kernels`, which run
-    the `RhsSource` ode's callbacks were built from inline, or else call
-    ode.F_eval and ode.zeta_eval, read once here (see `_bound`). Every
+    The stages come from the generated kernel of `_kernels` for the
+    source of ode's right-hand side, found once here (see `_bound`): the
+    `RhsSource` ode's callbacks were built from, or else the call source
+    of ode.F_eval and ode.zeta_eval. Every
     stage is one evaluation, the first one at y0 included. A step is rejected
     (and halved) when a stage is unusable or not finite, which covers a
     non-finite (F, zeta) pair at its end.
@@ -482,8 +461,8 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     Returns every `Trajectory` field but the mode as a dict.
     """
     guarded = mode == "direct"
-    rhs, args = _bound(ode)
-    stage, step = _kernels(len(y0), mode, rhs)(tol, *args)
+    rhs, consts = _bound(ode, len(y0) if guarded else len(y0) - 1)
+    stage, step = _kernels(len(y0), mode, rhs)(tol, *consts)
     k0, F, z = stage(y0)
     if guarded and z is not None and abs(z) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")

@@ -204,7 +204,7 @@ def test_criterion_07_singularity_behavior(gas):
     # the steady flow cannot cross v = 0 (the sonic set is invariant), so
     # the recorded count is 0 there; a scalar field with a real crossing
     # shows the recorder counting
-    scalar = SingularODE(dim=1, F_eval=lambda V: [1.0], zeta_eval=lambda V: float(V[0]))
+    scalar = SingularODE(F_eval=lambda V: [1.0], zeta_eval=lambda V: float(V[0]))
     crossing = integrate_rescaled(scalar, np.array([-0.5]), (0.0, 2.0), tol=1e-10)
     parts = {
         "direct halt": direct.termination == TERM_SINGULARITY,
@@ -226,11 +226,11 @@ def test_criterion_07_singularity_behavior(gas):
 def test_criterion_08_integrator_calibration():
     t0 = time.perf_counter()
     tol = 1e-10
-    exp = SingularODE(dim=1, F_eval=lambda V: [V[0] * V[0]], zeta_eval=lambda V: float(V[0]))
+    exp = SingularODE(F_eval=lambda V: [V[0] * V[0]], zeta_eval=lambda V: float(V[0]))
     direct = integrate_direct(exp, np.array([1.0]), (0.0, 2.0), tol=tol)
     err_exp = abs(float(direct.final_V[0]) - np.e ** 2)
 
-    affine = SingularODE(dim=1, F_eval=lambda V: [1.0], zeta_eval=lambda V: float(V[0]))
+    affine = SingularODE(F_eval=lambda V: [1.0], zeta_eval=lambda V: float(V[0]))
     resc = integrate_rescaled(affine, np.array([1.0]), (0.0, 2.0), tol=tol)
     err_lin = max(abs(float(resc.final_V[0]) - 3.0), abs(float(resc.xs[-1]) - 4.0))
 

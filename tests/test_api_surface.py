@@ -56,7 +56,7 @@ def test_keyword_parameters(fn, expected):
     (LayerOpts, ["tol"]),
     (LinearizationReport, ["J", "eigenvalues", "eigenvectors", "center"]),
     (Trajectory, ["mode", "ts", "ys", "termination", "stats", "hs", "Q"]),
-    (SingularODE, ["dim", "F_eval", "zeta_eval", "label"]),
+    (SingularODE, ["F_eval", "zeta_eval", "label"]),
     (SystemBlocks, ["E", "A", "B"]),
     (StructureReport, [
         "box", "n_samples", "seed", "samples", "e_spd", "a0_symmetric", "b_rank", "b_coercivity", "degeneracy",

@@ -20,6 +20,8 @@ import pytest
 from shocklayer import (
     Box,
     CheckResult,
+    DomainError,
+    GasModel,
     NoConnectionError,
     NoDecayingDirectionError,
     NonMonotoneError,
@@ -28,6 +30,7 @@ from shocklayer import (
     State,
     StepFailureError,
     StructureReport,
+    boundary_layer,
     check_structure,
 )
 from shocklayer.cli import OUT_ENV_VAR, Tolerances, load_config, main
@@ -360,6 +363,19 @@ class TestLayer:
             assert "kind=numerical exit=3" in err
             for name in ("layer_profile.csv", "layer_diagnostics.json", "layer_plot.gp"):
                 assert not (outdir / name).exists()
+
+    @pytest.mark.parametrize("amplitude", [-1.0, -2.0246817147557423, -2.5])
+    def test_amplitude_past_the_growth_cap_exits_2(self, tmp_path, outdir, capsys, amplitude):
+        # the cap is checked before the start is built: -2.02468... puts the start at v = 0, where
+        # rho = m / v divided by zero, and -2.5 puts it at v > 0, outside the physical region
+        with pytest.raises(DomainError, match="exceeds the growth cap 0.5"):
+            boundary_layer(GasModel(), State(1.0, -0.3, 1.0), amplitude=amplitude)
+        cfg = base_config(outdir)
+        cfg["layer"]["amplitude"] = amplitude
+        assert main(["layer", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2" in err and "exceeds the growth cap 0.5" in err
+        assert not (outdir / "layer_profile.csv").exists()
 
     def test_near_sonic_limit_runs_rescaled(self, tmp_path, outdir):
         cfg = base_config(outdir)

@@ -15,8 +15,8 @@ standard library's `ast`:
   helper left behind by a refactor fails it.
 
 The generated source is every right-hand-side closure `reduction` builds
-and every step kernel `sode` compiles: the call kernels, and the fused
-kernel of each `RhsSource` in both modes.
+and every step kernel `sode` compiles: the kernel of each `RhsSource`,
+the call source of foreign callbacks included, in both modes.
 """
 
 import ast
@@ -32,9 +32,9 @@ SOURCES = (reduction.TW_RHS, profiles.FLUX_RHS)
 GENERATED = {
     "reduction.py": [reduction._closure_source(rhs) for rhs in SOURCES],
     "sode.py": [
-        sode._kernel_source(d, mode, rhs)
+        sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs)
         for mode in ("direct", "rescaled")
-        for rhs, d in ((None, 2), (None, 3), *((rhs, len(rhs.state) + (mode == "rescaled")) for rhs in SOURCES))
+        for rhs in (sode._call_source(2), *SOURCES)
     ],
 }
 

@@ -8,6 +8,7 @@ across the four velocity regimes of the limit state.
 """
 
 import contextlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -514,6 +515,22 @@ class TestGilbargOracle:
         with pytest.raises(DomainError):
             oracle_f1.rhs(2.0 * oracle_f1.sigma - pair_f1.left.v, 1.0)
 
+    def test_wave_speed_is_the_source_reject(self, oracle_f1):
+        # rho = m / (v - sigma) divides by zero at v = sigma: the float and the column call reject the state
+        form = _flux_form(oracle_f1.gas, oracle_f1.sigma, oracle_f1.m, oracle_f1.Pi, oracle_f1.Eflux)
+        sigma = oracle_f1.sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: form.F_eval([sigma, 1.0]),
+                lambda: oracle_f1.rhs(sigma, 1.0),
+                lambda: form.F_eval([np.array([sigma - 0.1, sigma]), np.array([1.0, 1.0])]),
+                lambda: oracle_f1._columns(np.array([[sigma - 0.1, 1.0], [sigma, 1.0]])),
+            ):
+                with pytest.raises(DomainError, match="^flux-form state left the physical region$") as info:
+                    call()
+                assert info.value.__context__ is None
+
     def test_overflow_is_a_domain_error_naming_the_state(self):
         # nu = rho^30 overflows a float just beside the wave speed, where rho = m / (v - sigma) is huge
         gas = GasModel(nu_law=PowerLaw(1.0, 30.0))
@@ -876,13 +893,13 @@ laws = st.builds(PowerLaw, st.floats(0.7, 1.4), st.one_of(st.just(0.0), st.float
 
 
 class TestFusedKernelsMatchCallPath:
-    """Runs through a kernel with the right-hand side inlined equal runs that call F and zeta per stage.
+    """Runs through a kernel with the package's source inlined equal runs through the call source.
 
     Every integration a profile makes, failed shots included, is run a
-    second time with its callbacks wrapped: `sode` then calls them once
-    per stage. Both runs must agree in every byte of ts, ys, hs and Q, in
-    the termination and in the stats, and the wrapped F must be called
-    exactly n_fevals times.
+    second time with its callbacks wrapped: `sode` then runs the call
+    source, which calls them once per stage. Both runs must agree in every
+    byte of ts, ys, hs and Q, in the termination and in the stats, and
+    the wrapped F must be called exactly n_fevals times.
     """
 
     @staticmethod
@@ -892,8 +909,9 @@ class TestFusedKernelsMatchCallPath:
         runs = []
 
         def twin(integrate):
-            def run(ode, *args, **kwargs):
-                assert sode._bound(ode)[0] is not None, "the package's own callbacks run fused"
+            def run(ode, V0, *args, **kwargs):
+                m = len(V0)
+                assert sode._bound(ode, m)[0].name in ("travelling-wave", "flux-form"), "the package's sources run"
                 calls = [0]
 
                 def F(V):
@@ -901,9 +919,9 @@ class TestFusedKernelsMatchCallPath:
                     return ode.F_eval(V)
 
                 wrapped = replace(ode, F_eval=F, zeta_eval=lambda V: ode.zeta_eval(V))
-                assert sode._bound(wrapped)[0] is None
-                fused, out = run_result(integrate, ode, *args, **kwargs)
-                called, _ = run_result(integrate, wrapped, *args, **kwargs)
+                assert sode._bound(wrapped, m)[0].name == "call"
+                fused, out = run_result(integrate, ode, V0, *args, **kwargs)
+                called, _ = run_result(integrate, wrapped, V0, *args, **kwargs)
                 assert fused == called
                 if isinstance(out, Exception):
                     raise out

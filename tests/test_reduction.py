@@ -66,7 +66,7 @@ class TestFrozenValues:
     def test_labels(self, gas):
         assert steady_singular_ode(gas).label == "steady"
         assert "1.5" in tw_singular_ode(gas, 1.5).label
-        assert tw_singular_ode(gas, 1.5).dim == 5
+        assert len(tw_singular_ode(gas, 1.5).F_eval([1.0, 0.5, 1.0, 0.0, 0.0])) == 5
 
     def test_inadmissible_states_rejected(self, gas):
         ode = steady_singular_ode(gas)

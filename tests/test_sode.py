@@ -56,7 +56,6 @@ from shocklayer.sode import (
 def exp_ode():
     # F = V^2, zeta = V: direct dV/dx = V, so V(x) = V(0) e^x
     return SingularODE(
-        dim=1,
         F_eval=lambda V: [V[0] * V[0]],
         zeta_eval=lambda V: float(V[0]),
         label="exponential calibration",
@@ -66,7 +65,6 @@ def exp_ode():
 def affine_zeta_ode():
     # F = 1, zeta = V: rescaled V(tau) = V0 + tau, x(tau) = V0 tau + tau^2/2
     return SingularODE(
-        dim=1,
         F_eval=lambda V: [1.0],
         zeta_eval=lambda V: float(V[0]),
         label="affine calibration",
@@ -76,7 +74,6 @@ def affine_zeta_ode():
 def decay_to_zero_ode():
     # F = -1, zeta = V: direct V(x) = sqrt(1 - 2x) from V(0) = 1
     return SingularODE(
-        dim=1,
         F_eval=lambda V: [-1.0],
         zeta_eval=lambda V: float(V[0]),
         label="square-root collapse",
@@ -308,7 +305,7 @@ class TestSingularityGuard:
     def test_steps_across_the_singular_set_are_rejected(self):
         # F = -zeta makes dV/dx = -1 regular across zeta = V = 0, and the
         # error estimate vanishes; only the sign veto stops the run there
-        ode = SingularODE(dim=1, F_eval=lambda V: [-V[0]], zeta_eval=lambda V: float(V[0]), label="regular crossing")
+        ode = SingularODE(F_eval=lambda V: [-V[0]], zeta_eval=lambda V: float(V[0]), label="regular crossing")
         traj = integrate_direct(ode, np.array([1.0]), (0.0, 2.0), tol=1e-10)
         assert traj.termination == TERM_SINGULARITY
         assert np.all(traj.Vs > 0.0) and traj.final_V[0] <= 1e-6
@@ -347,7 +344,6 @@ class TestEquilibriumDetection:
         # an exponential approach never drops |F| below the integrator's
         # own error floor (~tol), so the run goes the distance instead
         ode = SingularODE(
-            dim=1,
             F_eval=lambda V: [-(V[0] - 2.0)],
             zeta_eval=lambda V: 1.0,
             label="relaxation",
@@ -358,7 +354,6 @@ class TestEquilibriumDetection:
 
     def test_no_false_positive_on_slow_field(self):
         ode = SingularODE(
-            dim=1,
             F_eval=lambda V: [1e-6],
             zeta_eval=lambda V: 1.0,
             label="slow drift",
@@ -411,7 +406,7 @@ def counted_ode(ode):
         calls[1] += 1
         return ode.zeta_eval(V)
 
-    counted = SingularODE(dim=ode.dim, F_eval=F, zeta_eval=zeta, label=ode.label)
+    counted = SingularODE(F_eval=F, zeta_eval=zeta, label=ode.label)
     return counted, calls
 
 
@@ -491,7 +486,7 @@ class TestCallbackContract:
             assert all(type(c) is float for c in (t, *x))
             return False
 
-        recording = SingularODE(dim=5, F_eval=F, zeta_eval=zeta)
+        recording = SingularODE(F_eval=F, zeta_eval=zeta)
         U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
         traj = INTEGRATORS[mode](recording, U0, (0.0, 0.25), tol=1e-8, stop_when=stop)
         assert traj.termination == TERM_REACHED_END
@@ -799,7 +794,7 @@ class TestFloatStepperMatchesReference:
             self.assert_same(*spec)
 
     def test_sign_veto_rejections_and_stops(self, gas):
-        crossing = SingularODE(dim=1, F_eval=lambda V: [-V[0]], zeta_eval=lambda V: float(V[0]))
+        crossing = SingularODE(F_eval=lambda V: [-V[0]], zeta_eval=lambda V: float(V[0]))
         _, term, stats, _ = self.assert_same("direct", crossing, np.array([1.0]), (0.0, 2.0), 1e-10)
         assert term == TERM_SINGULARITY and stats.n_rejected > 0
         # rejections by the error test, then a step failure
@@ -837,7 +832,7 @@ class TestFloatStepperMatchesReference:
     def test_stages_failing_at_different_positions(self, mode):
         # a growing spiral whose F raises past a wall: steps across it fail at whichever stage lands there
         outcomes = []
-        ode = SingularODE(dim=2, F_eval=walled_spiral(outcomes), zeta_eval=lambda V: 1.0)
+        ode = SingularODE(F_eval=walled_spiral(outcomes), zeta_eval=lambda V: 1.0)
         _, term, stats, _ = self.assert_same(mode, ode, np.array([1.0, 0.0]), (0.0, 30.0), 1e-10)
         assert term == TERM_STEP_FAILURE and stats.n_rejected > 20
         assert len(outcomes) == 2 * stats.n_fevals  # the run above and the reference
@@ -851,7 +846,7 @@ class TestFloatStepperMatchesReference:
             outcomes.append(V[0] <= 3.0)
             return 1.0 if outcomes[-1] else value
 
-        ode = SingularODE(dim=2, F_eval=spiral, zeta_eval=zeta)
+        ode = SingularODE(F_eval=spiral, zeta_eval=zeta)
         _, term, stats, _ = self.assert_same("direct", ode, np.array([1.0, 0.0]), (0.0, 30.0), 1e-10)
         assert term == TERM_STEP_FAILURE and stats.n_rejected > 20
         assert len(failing_positions(outcomes[:stats.n_fevals])) >= 3
@@ -886,14 +881,15 @@ class TestKernels:
             compiled.append(filename)
             return compile(source, filename, *args)
 
-        monkeypatch.setattr(sode, "compile", counting, raising=False)
+        monkeypatch.setattr(reduction, "compile", counting, raising=False)
         integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        first = sode._KERNELS[(1, "direct", None)]
+        first = sode._KERNELS[(1, "direct", "call")]
         integrate_direct(exp_ode(), np.array([2.0]), (0.0, -1.0))
-        assert sode._KERNELS[(1, "direct", None)] is first
+        assert sode._KERNELS[(1, "direct", "call")] is first
         for _ in range(2):
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0))
-        assert compiled == ["<sode step d=1 direct>", "<sode step d=2 rescaled>"]
+        assert compiled == ["<sode step d=1 direct call>", "<sode step d=2 rescaled call>"]
+        assert sorted(sode._KERNELS) == [(1, "direct", "call"), (2, "rescaled", "call")]
 
     def test_one_compile_per_right_hand_side(self, monkeypatch):
         # the constants are arguments of make: no gas and no speed compiles a kernel of its own
@@ -904,7 +900,7 @@ class TestKernels:
             compiled.append(filename)
             return compile(source, filename, *args)
 
-        monkeypatch.setattr(sode, "compile", counting, raising=False)
+        monkeypatch.setattr(reduction, "compile", counting, raising=False)
         gases = [GasModel(), GasModel(gamma=5 / 3, nu_law=PowerLaw(0.8, 0.5)), GasModel(k_law=PowerLaw(1.3, -0.25))]
         for gas in gases:
             for sigma in (-0.6, -0.3, 0.4):
@@ -923,15 +919,27 @@ class TestKernels:
         ])
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
-    @pytest.mark.parametrize("rhs", [reduction.TW_RHS, profiles.FLUX_RHS], ids=lambda rhs: rhs.name)
+    @pytest.mark.parametrize(
+        "rhs", [reduction.TW_RHS, profiles.FLUX_RHS, sode._call_source(3)], ids=lambda rhs: rhs.name,
+    )
     def test_sources_reuse_no_kernel_name(self, rhs, mode):
-        # a spliced line that assigned h, z, F or a stage local would change the step silently
+        # a spliced line that assigned h, z, a stage local or a tableau name would change the step silently
         def names(source):
             return {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
 
-        d = len(rhs.state) + (mode == "rescaled")
-        spliced = names("\n".join([*rhs.state, *rhs.consts, *rhs.pre, *rhs.lines, *rhs.F, rhs.zeta]))
-        assert spliced & names(sode._kernel_source(d, mode)) == set()
+        def spliced(source):
+            return names("\n".join([*source.state, *source.consts, *source.pre, *source.lines, *source.F, source.zeta]))
+
+        m = len(rhs.state)
+        d = m + (mode == "rescaled")
+        # the kernel's own names: those of a kernel around a source whose every name is marked
+        blank = reduction.RhsSource(
+            name="blank", state=tuple(f"blank_{i}" for i in range(m)), consts=(), pre=(), positive=(), lines=(),
+            F=tuple(f"blank_{i}" for i in range(m)), zeta="1.0",
+        )
+        own = names(sode._kernel_source(d, mode, blank)) - spliced(blank)
+        assert {"h", "z", "y", "y_0", f"k7_{d - 1}"} <= own
+        assert spliced(rhs) & own == set()
 
     def test_tracebacks_show_the_generated_line(self):
         def F(V):
@@ -939,16 +947,16 @@ class TestKernels:
                 raise ValueError("not a stage failure")
             return [V[0] * V[0]]
 
-        ode = SingularODE(dim=1, F_eval=F, zeta_eval=lambda V: float(V[0]))
+        ode = SingularODE(F_eval=F, zeta_eval=lambda V: float(V[0]))
         with pytest.raises(ValueError) as info:
             integrate_direct(ode, np.array([1.0]), (0.0, 2.0))
-        frames = [e for e in info.traceback if str(e.path).startswith("<sode step d=1 direct>")]
-        assert frames and "F = F_eval(Y)" in str(frames[-1].statement)
+        frames = [e for e in info.traceback if str(e.path) == "<sode step d=1 direct call>"]
+        assert frames and "F_0, = F_eval(Y)" in str(frames[-1].statement)
 
     def test_tracebacks_show_the_spliced_right_hand_side(self):
         # a gas constant that is not a number fails inside the inlined source, not in a stage call
         F, zeta = reduction.rhs_functions(reduction.TW_RHS, ("R", 2.5, 1.0, 0.0, 1.0, 0.0, 0.0))
-        ode = SingularODE(dim=5, F_eval=F, zeta_eval=zeta)
+        ode = SingularODE(F_eval=F, zeta_eval=zeta)
         with pytest.raises(TypeError) as info:
             integrate_direct(ode, np.array([1.0, 0.5, 1.0, 0.0, 0.0]), (0.0, 1.0))
         frames = [e for e in info.traceback if str(e.path) == "<sode step d=5 direct travelling-wave>"]
@@ -1014,7 +1022,7 @@ class TestLinearize:
         def F(V):
             return (M @ V).tolist()
 
-        ode = SingularODE(dim=2, F_eval=F, zeta_eval=lambda V: 1.0)
+        ode = SingularODE(F_eval=F, zeta_eval=lambda V: 1.0)
         rep = linearize(ode, np.array([0.0, 0.0]))
         np.testing.assert_allclose(rep.J, M, atol=1e-9)
         assert sorted(rep.eigenvalues.real) == pytest.approx([-2.0, -1.0], abs=1e-9)
@@ -1023,7 +1031,7 @@ class TestLinearize:
 
     def test_classification_with_center(self):
         D = np.diag([2.0, -3.0, 0.0])
-        ode = SingularODE(dim=3, F_eval=lambda V: (D @ V).tolist(), zeta_eval=lambda V: 1.0)
+        ode = SingularODE(F_eval=lambda V: (D @ V).tolist(), zeta_eval=lambda V: 1.0)
         rep = linearize(ode, np.zeros(3))
         lam = rep.eigenvalues.real
         noncenter = [i for i in range(3) if i not in rep.center]
