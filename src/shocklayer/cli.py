@@ -2,9 +2,12 @@
 
 One JSON configuration file drives every subcommand; a few flags
 (--sigma, --strength, --out) override single entries for quick scans.
-Artifacts are written atomically (temp file, then rename) and only after
-all computation has finished, so a failing run leaves no partial files.
-With a fixed config and seed, reruns produce byte-identical artifacts.
+Each subcommand is a `cmd_*(config, args)` listed in `_COMMANDS` with
+its help and flags; it computes and returns its artifacts, its stdout
+text and its exit code, and writes nothing. `main` alone runs it, writes
+the artifacts atomically (temp file, then rename) to the resolved output
+directory and prints, so a failing run leaves no partial files. With a
+fixed config and seed, reruns produce byte-identical artifacts.
 
 Every config value goes through one checked read (`_need`, `_floats`,
 `_section`): a number is a finite JSON number (an int, not a bool), the
@@ -14,10 +17,10 @@ and the box are read at load; rh, layer and reduce by their command.
 
 Exit codes: 0 success, 2 configuration or domain validation error (a
 missing, unknown or mistyped key, a non-finite --sigma, --strength or
-config number included), 3 any other package error, a numerical failure
-(no connection, step failure, ...), 4 structural hypotheses failed in
-`check`. A degeneracy verdict of "violated" is a reported finding, not
-a failure.
+config number, and a non-finite F, zeta or w in `reduce-info` included),
+3 any other package error, a numerical failure (no connection, step
+failure, ...), 4 structural hypotheses failed in `check`. A degeneracy
+verdict of "violated" is a reported finding, not a failure.
 """
 
 from __future__ import annotations
@@ -280,7 +283,17 @@ def _profile_artifacts(stem: str, title: str, profile, sidecar: dict, tol: float
     ]
 
 
-def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
+# what a command returns: its artifacts as (file name, text), its stdout text and its exit code
+_Result = tuple[list[tuple[str, str]], str, int]
+
+
+def _flag_or_key(flag: float | None, raw: dict, key: str, where: str) -> float:
+    """The flag's value if it was given, else raw[key] as a number; a key that is present is checked either way."""
+    value = _need(raw, key, float, where, flag)
+    return value if flag is None else flag
+
+
+def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
     if config.box is None:
         raise ConfigError("check requires a 'box' entry in the config")
     report = check_structure(
@@ -290,7 +303,7 @@ def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
     )
     mid = config.box.midpoint()
 
-    sigmas = list(config.sigma_list)
+    sigmas = list(config.sigma_list) if args.sigma is None else [args.sigma]
     if config.suggest:
         for s in suggest_sigmas(config.gas, [mid] + report.samples[:8]):
             if s not in sigmas:
@@ -307,61 +320,42 @@ def cmd_check(config: RunConfig, out_dir: Path, verbose: bool) -> int:
         verdict = check_block_linear_degeneracy(a11_eval, e11_eval, sigma, report.samples + [critical])
         report.degeneracy.append(verdict)
 
+    text = report.to_text() + "\n"
     artifacts = [
         ("structure_report.json", _dump_json(report.to_json_dict())),
-        ("structure_report.txt", report.to_text() + "\n"),
+        ("structure_report.txt", text),
     ]
-    written = _write_artifacts(out_dir, artifacts)
-    print(report.to_text())
-    if verbose:
-        E = assemble_E(config.gas, mid)
-        A0 = assemble_A(config.gas, mid)
-        B = assemble_B(config.gas, mid)
-        print(f"matrices at the box midpoint ({mid.rho:g}, {mid.v:g}, {mid.theta:g}):")
-        print(format_matrix(E, "E"))
-        print(format_matrix(A0, "A(u, 0)"))
-        print(format_matrix(B, "B"))
-    for path in written:
-        print(f"wrote {path}")
-    return 0 if report.structural_pass() else 4
+    if args.verbose:
+        text += "\n".join([
+            f"matrices at the box midpoint ({mid.rho:g}, {mid.v:g}, {mid.theta:g}):",
+            format_matrix(assemble_E(config.gas, mid), "E"),
+            format_matrix(assemble_A(config.gas, mid), "A(u, 0)"),
+            format_matrix(assemble_B(config.gas, mid), "B"),
+        ]) + "\n"
+    return artifacts, text, 0 if report.structural_pass() else 4
 
 
-def cmd_reduce_info(config: RunConfig, out_dir: Path, sigma_override: float | None) -> int:
+def cmd_reduce_info(config: RunConfig, args: argparse.Namespace) -> _Result:
     raw = _section(config.raw, "reduce", "config", ("sigma", "U"))
-    sigma = _need(raw, "sigma", float, "config.reduce", sigma_override)
-    if sigma_override is not None:
-        sigma = sigma_override
+    sigma = _flag_or_key(args.sigma, raw, "sigma", "config.reduce")
     V = _floats(raw, "U", "config.reduce", 5)
-    U = np.array(V)
 
     ode = tw_singular_ode(config.gas, sigma)
     F = ode.F_eval(V)
     zeta = ode.zeta_eval(V)
     # the density gradient rho_x of the hyperbolic row, undefined on the sonic set
-    w = F[0] / zeta if abs(zeta) > SINGULARITY_GUARD else None
-    payload = {
-        "sigma": sigma,
-        "U": _ext_state_list(U),
-        "F": _ext_state_list(F),
-        "zeta": zeta,
-        "w": w,
-        "singular": abs(zeta) <= SINGULARITY_GUARD,
-        "label": ode.label,
-    }
-    text = _dump_json(payload)
-    written = _write_artifacts(out_dir, [("reduce_info.json", text)])
-    print(text, end="")
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    singular = abs(zeta) <= SINGULARITY_GUARD
+    w = None if singular else F[0] / zeta
+    if not all(map(math.isfinite, [*F, zeta, 0.0 if singular else w])):
+        raise DomainError(f"F, zeta or w is not finite at U = {V}, sigma = {sigma!r}: F = {F}, zeta = {zeta!r}")
+    text = _dump_json({"sigma": sigma, "U": V, "F": F, "zeta": zeta, "w": w, "singular": singular, "label": ode.label})
+    return [("reduce_info.json", text)], text, 0
 
 
-def cmd_shock(config: RunConfig, out_dir: Path, strength_override: float | None) -> int:
+def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
     raw = _section(config.raw, "rh", "config", ("family", "strength", "U_minus"))
     family = _need(raw, "family", int, "config.rh")
-    strength = _need(raw, "strength", float, "config.rh", strength_override)
-    if strength_override is not None:
-        strength = strength_override
+    strength = _flag_or_key(args.strength, raw, "strength", "config.rh")
     U_minus = _state(raw, "U_minus", "config.rh")
 
     pair = solve_rh(config.gas, U_minus, family, strength)
@@ -387,19 +381,14 @@ def cmd_shock(config: RunConfig, out_dir: Path, strength_override: float | None)
         "rh_residual_components": _ext_state_list(res),
         "oracle_deviation": oracle_deviation,
     }
-    written = _write_artifacts(
-        out_dir, _profile_artifacts("shock", "shock profile", profile, sidecar, config.tol.ode_tol),
-    )
-    print(
+    text = (
         f"shock: family {pair.family}, strength {pair.strength:g}, sigma {profile.sigma:.12g}, "
-        f"samples {profile.trajectory.n}, oracle deviation {oracle_deviation:.3e}"
+        f"samples {profile.trajectory.n}, oracle deviation {oracle_deviation:.3e}\n"
     )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return _profile_artifacts("shock", "shock profile", profile, sidecar, config.tol.ode_tol), text, 0
 
 
-def cmd_layer(config: RunConfig, out_dir: Path) -> int:
+def cmd_layer(config: RunConfig, args: argparse.Namespace) -> _Result:
     raw = _section(config.raw, "layer", "config", ("limit_state", "direction_index", "amplitude"))
     limit_state = _state(raw, "limit_state", "config.layer")
     direction_index = _need(raw, "direction_index", int, "config.layer", 0)
@@ -414,17 +403,12 @@ def cmd_layer(config: RunConfig, out_dir: Path) -> int:
             "limit": _ext_state_list(profile.right.to_array()),
         },
     }
-    written = _write_artifacts(
-        out_dir, _profile_artifacts("layer", "boundary layer", profile, sidecar, config.tol.ode_tol),
-    )
-    print(
+    text = (
         f"layer: limit ({limit_state.rho:g}, {limit_state.v:g}, {limit_state.theta:g}), "
         f"amplitude {amplitude:g}, samples {profile.trajectory.n}, "
-        f"termination {profile.trajectory.termination}"
+        f"termination {profile.trajectory.termination}\n"
     )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return _profile_artifacts("layer", "boundary layer", profile, sidecar, config.tol.ode_tol), text, 0
 
 
 def _finite_float(text: str) -> float:
@@ -438,6 +422,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_CONFIG = ("--config", {"required": True})
+_OUT = ("--out", {})
+
+# name: (command, help, its flags in the order --help lists them)
+_COMMANDS = {
+    "check": (cmd_check, "run structural hypothesis checks over a state box", [
+        _CONFIG,
+        ("--sigma", {"type": _finite_float, "help": "replace sigma_list with this single value"}),
+        _OUT,
+        ("--verbose", {"action": "store_true", "help": "print the assembled matrices at the box midpoint"}),
+    ]),
+    "reduce-info": (cmd_reduce_info, "print F(U) and zeta(U) of the singular reduction at one state", [
+        _CONFIG, ("--sigma", {"type": _finite_float}), _OUT,
+    ]),
+    "shock": (cmd_shock, "compute a travelling shock profile and its diagnostics", [
+        _CONFIG, ("--strength", {"type": _finite_float}), _OUT,
+    ]),
+    "layer": (cmd_layer, "compute a steady boundary layer", [_CONFIG, _OUT]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shocklayer",
@@ -445,27 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
         "for the symmetrized one-dimensional compressible flow system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run structural hypothesis checks over a state box")
-    p_check.add_argument("--config", required=True)
-    p_check.add_argument("--sigma", type=_finite_float, default=None, help="replace sigma_list with this single value")
-    p_check.add_argument("--out", default=None)
-    p_check.add_argument("--verbose", action="store_true", help="print the assembled matrices at the box midpoint")
-
-    p_red = sub.add_parser("reduce-info", help="print F(U) and zeta(U) of the singular reduction at one state")
-    p_red.add_argument("--config", required=True)
-    p_red.add_argument("--sigma", type=_finite_float, default=None)
-    p_red.add_argument("--out", default=None)
-
-    p_shock = sub.add_parser("shock", help="compute a travelling shock profile and its diagnostics")
-    p_shock.add_argument("--config", required=True)
-    p_shock.add_argument("--strength", type=_finite_float, default=None)
-    p_shock.add_argument("--out", default=None)
-
-    p_layer = sub.add_parser("layer", help="compute a steady boundary layer")
-    p_layer.add_argument("--config", required=True)
-    p_layer.add_argument("--out", default=None)
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -476,26 +464,19 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if getattr(args, "sigma", None) is not None and args.command == "check":
-            config.sigma_list = [args.sigma]
-        out_dir = _resolve_out_dir(config, args.out)
-        if args.command == "check":
-            return cmd_check(config, out_dir, args.verbose)
-        if args.command == "reduce-info":
-            return cmd_reduce_info(config, out_dir, args.sigma)
-        if args.command == "shock":
-            return cmd_shock(config, out_dir, args.strength)
-        if args.command == "layer":
-            return cmd_layer(config, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        artifacts, text, code = _COMMANDS[args.command][0](config, args)
+        written = _write_artifacts(_resolve_out_dir(config, args.out), artifacts)
     except _VALIDATION_ERRORS as exc:
         return _fail("validation", 2, exc)
     except ShockLayerError as exc:
         return _fail("numerical", 3, exc)
+    print(text, end="")
+    for path in written:
+        print(f"wrote {path}")
+    return code
 
 
 if __name__ == "__main__":

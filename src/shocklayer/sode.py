@@ -457,9 +457,12 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     EQUILIBRIUM_DWELL endpoints in a row (the start counts).
     stop_when(t, y), if given, sees the list y after each accepted step.
     A run still going after MAX_STEPS step attempts is a StepFailureError.
+    tol must be positive and finite, else the run is a DomainError.
 
     Returns every `Trajectory` field but the mode as a dict.
     """
+    if not 0.0 < tol < float("inf"):  # NaN included
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     guarded = mode == "direct"
     rhs, consts = _bound(ode, len(y0) if guarded else len(y0) - 1)
     stage, step = _kernels(len(y0), mode, rhs)(tol, *consts)

@@ -5,6 +5,8 @@ inspects exit codes, artifacts, and stdout/stderr. Reruns with the same
 config must produce byte-identical artifacts.
 """
 
+import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -33,7 +35,8 @@ from shocklayer import (
     boundary_layer,
     check_structure,
 )
-from shocklayer.cli import OUT_ENV_VAR, Tolerances, load_config, main
+import shocklayer.cli as cli
+from shocklayer.cli import OUT_ENV_VAR, Tolerances, build_parser, load_config, main
 from shocklayer.sode import CSV_HEADER
 
 
@@ -649,4 +652,122 @@ class TestNumericalErrors:
         monkeypatch.setattr(cli, "shock_profile", fail)
         assert main(["shock", "--config", config_path]) == 3
         assert "kind=numerical exit=3 msg=raised inside the command" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+class TestStrictJson:
+    """Every JSON artifact parses with NaN and the infinities refused."""
+
+    @pytest.mark.parametrize("source", ["base", "readme"])
+    @pytest.mark.parametrize("command", ["check", "reduce-info", "shock", "layer"])
+    def test_artifacts_are_strict_json(self, tmp_path, outdir, source, command):
+        if source == "readme":
+            readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+            path = tmp_path / "readme.json"
+            path.write_text(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        else:
+            path = write_config(tmp_path, base_config(outdir))
+        assert main([command, "--config", str(path), "--out", str(outdir)]) == 0
+        written = sorted(outdir.glob("*.json"))
+        assert written
+        for artifact in written:
+            json.loads(artifact.read_text(), parse_constant=_strict)
+
+    @pytest.mark.parametrize("sigma,U", [
+        (1.0, [1e200, 0.0, 1.0, 1e200, 0.0]),  # F = [-inf, -1e200, -0.0, nan, nan] and w = inf
+        (1.0, [1.0, 0.0, 1.0, 1e308, 1e308]),  # F[4] = inf
+        (1e308, [1.0, -1e308, 1.0, 1.0, 0.0]),  # zeta = -inf, F[1:] not finite
+        (1.0, [1e300, 1.0 + 2e-8, 1.0, 10.0, 0.0]),  # F and zeta finite, w = F[0] / zeta = -inf
+    ])
+    def test_non_finite_reduce_info_exits_2(self, tmp_path, outdir, capsys, sigma, U):
+        # products and differences of finite config values overflow without an OverflowError
+        cfg = base_config(outdir)
+        cfg["reduce"] = {"sigma": sigma, "U": U}
+        assert main(["reduce-info", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"kind=validation exit=2 msg=F, zeta or w is not finite at U = {U}, sigma = {sigma!r}" in captured.err
+        assert captured.out == ""
+        assert not outdir.exists()
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The module-level functions of tree that call name."""
+    return sorted(
+        fn_name for fn_name, fn in _functions(tree).items()
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name for n in ast.walk(fn))
+    )
+
+
+def _command_comparisons(tree: ast.Module) -> list[ast.Compare]:
+    """The comparisons in tree with an attribute named command on either side."""
+    return [
+        node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        if any(isinstance(side, ast.Attribute) and side.attr == "command" for side in [node.left, *node.comparators])
+    ]
+
+
+class TestOnePath:
+    """Commands compute and return their artifacts; main alone writes and prints them."""
+
+    TREE = ast.parse(Path(cli.__file__).read_text())
+
+    def test_only_main_writes_artifacts(self):
+        assert _callers(self.TREE, "_write_artifacts") == ["main"]
+
+    def test_only_main_and_the_error_line_print(self):
+        assert _callers(self.TREE, "print") == ["_fail", "main"]
+
+    def test_commands_take_no_output_directory(self):
+        commands = {name: fn for name, fn in _functions(self.TREE).items() if name.startswith("cmd_")}
+        assert sorted(commands) == ["cmd_check", "cmd_layer", "cmd_reduce_info", "cmd_shock"]
+        for fn in commands.values():
+            assert [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs] == ["config", "args"]
+            assert fn.args.vararg is None and fn.args.kwarg is None
+
+    def test_no_branch_on_the_command_name(self):
+        assert _command_comparisons(self.TREE) == []
+
+    def test_rules_catch_a_command_that_writes(self):
+        source = (
+            "def cmd_x(config, out_dir):\n    _write_artifacts(out_dir, [])\n    print('wrote')\n"
+            "def main(args):\n    if args.command == 'x':\n        return cmd_x(None, None)\n"
+        )
+        tree = ast.parse(source)
+        assert _callers(tree, "_write_artifacts") == ["cmd_x"]
+        assert _callers(tree, "print") == ["cmd_x"]
+        assert len(_command_comparisons(tree)) == 1
+
+
+FLAGS = {
+    "check": ["--config", "--sigma", "--out", "--verbose"],
+    "reduce-info": ["--config", "--sigma", "--out"],
+    "shock": ["--config", "--strength", "--out"],
+    "layer": ["--config", "--out"],
+}
+
+
+class TestParser:
+    def test_each_command_has_its_flags_in_order(self):
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(FLAGS)
+        for name, parser in sub.choices.items():
+            assert [a.option_strings for a in parser._actions] == [["-h", "--help"]] + [[f] for f in FLAGS[name]]
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in FLAGS for flag in sorted(set().union(*FLAGS.values()) - set(FLAGS[command]))
+    ])
+    def test_a_flag_of_another_command_is_a_usage_error(self, config_path, outdir, capsys, command, flag):
+        value = [] if flag == "--verbose" else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, flag, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not outdir.exists()

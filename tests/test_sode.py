@@ -26,6 +26,7 @@ from shocklayer import (
     PowerLaw,
     SingularODE,
     SingularityError,
+    State,
     StepFailureError,
     linearize,
     resample_by_x,
@@ -428,6 +429,28 @@ INTEGRATORS = {"direct": integrate_direct, "rescaled": integrate_rescaled}
 def sample_runs(gas):
     """(ode, trajectory) of the sample_specs runs."""
     return [(ode, INTEGRATORS[mode](ode, V0, span, tol=tol)) for mode, ode, V0, span, tol in sample_specs(gas)]
+
+
+class TestTolerance:
+    """tol must be positive and finite: anything else is a DomainError before the first step."""
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+    @pytest.mark.parametrize("run", ["integrate_direct", "integrate_rescaled", "shock_profile", "boundary_layer"])
+    def test_rejected(self, run, tol):
+        gas = GasModel()
+        ode = SingularODE(F_eval=lambda V: [-V[0], 0.0], zeta_eval=lambda V: 1.0)
+        calls = {
+            "integrate_direct": lambda: integrate_direct(ode, [1.0, 0.0], (0.0, 1.0), tol=tol),
+            "integrate_rescaled": lambda: integrate_rescaled(ode, [1.0, 0.0], (0.0, 1.0), tol=tol),
+            "shock_profile": lambda: profiles.shock_profile(
+                gas, profiles.solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.2), profiles.ShootOpts(tol=tol),
+            ),
+            "boundary_layer": lambda: profiles.boundary_layer(
+                gas, State(1.0, -0.3, 1.0), 0, 1e-3, profiles.LayerOpts(tol=tol),
+            ),
+        }
+        with pytest.raises(DomainError, match=f"tol must be positive and finite, got {tol!r}"):
+            calls[run]()
 
 
 class TestEvaluationCounts:
