@@ -20,14 +20,17 @@ from .errors import DomainError
 _ndarray = np.ndarray
 
 
-def _pow_each(x: np.ndarray, e) -> np.ndarray:
-    """x ** e entry by entry, with the rounding of Python floats.
+def _pow_each(x, e):
+    """x ** e for a float, and entry by entry for an array, with the rounding of Python floats.
 
     numpy's vectorized ** rounds differently from the C library pow that
     Python floats use (for about 5% of doubles at exponents in [-0.5, 1],
     and for about one square in 1,100), so an array is raised one entry at
-    a time and every entry keeps the bits of the float call.
+    a time and every entry keeps the bits of the float call. An entry that
+    overflows raises OverflowError, as the float call does.
     """
+    if x.__class__ is not _ndarray:
+        return x ** e
     return np.array([a ** e for a in x.tolist()])
 
 
@@ -60,7 +63,7 @@ class PowerLaw:
         e = self.exponent
         if e == 0.0:
             return self.coeff, 0.0
-        val = self.coeff * (rho ** e if rho.__class__ is not _ndarray else _pow_each(rho, e))
+        val = self.coeff * _pow_each(rho, e)
         return val, e * val / rho
 
 
@@ -213,4 +216,4 @@ class Box:
             high=[self.rho[1], self.v[1], self.theta[1]],
             size=(n, 3),
         )
-        return [State(*map(float, row)) for row in pts]
+        return [State(*row) for row in pts.tolist()]

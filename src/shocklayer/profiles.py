@@ -213,19 +213,37 @@ LAYER_GROW_CAP = 0.5
 SHOOT_RETRIES = 2
 
 
+def _positive_finite(opts) -> None:
+    """DomainError unless every field of opts is a positive, finite tolerance."""
+    for name, value in vars(opts).items():
+        if not 0.0 < value < math.inf:  # NaN included
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ShootOpts:
-    """Controls for the shooting of `shock_profile` and `gilbarg_oracle`."""
+    """Controls for the shooting of `shock_profile` and `gilbarg_oracle`.
+
+    tol is the integrator's tolerance and end_tol the largest distance
+    from the target at which a shot connects; both must be positive and
+    finite (DomainError otherwise).
+    """
 
     tol: float = DEFAULT_TOL
     end_tol: float = 1e-6
 
+    def __post_init__(self):
+        _positive_finite(self)
+
 
 @dataclass(frozen=True)
 class LayerOpts:
-    """Controls for the boundary-layer construction."""
+    """Controls for the boundary-layer construction; tol must be positive and finite."""
 
     tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        _positive_finite(self)
 
 
 def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:

@@ -7,17 +7,19 @@ block A11 - sigma E11 stay constant over the states of interest?
 
 All checks are sampling based. Reported constants (like the coercivity
 bound c_b) are estimates over the sampled box, not global proofs. Each
-matrix check assembles its matrices once per sample and then makes one
-batched LAPACK call over the stacked samples. The hyperbolic block is a
-scalar, so its kernel dimension is exact: 1 where A11 - sigma E11 is
-zero, 0 elsewhere. The report carries the samples it checked, so the
-degeneracy verdicts can be taken on the same states.
+matrix is assembled once per sample set, with the samples as columns
+(`system`), and each check makes one batched LAPACK call over the
+stack. The hyperbolic block is a scalar, so its kernel dimension is
+exact: 1 where A11 - sigma E11 is zero, 0 elsewhere, decided on Python
+floats. The report carries the samples it checked, so the degeneracy
+verdicts can be taken on the same states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,11 +61,37 @@ def _first_min(values: np.ndarray, samples: Sequence[State]) -> tuple[float, Sta
     return float(values[i]), samples[i]
 
 
-def _stack_2d(values: list) -> np.ndarray:
-    """Per-sample matrices as one (n, m, k) stack; no samples give shape (0, 1, 1)."""
-    arr = np.asarray(values, dtype=float)
-    shape = arr.shape[1:]
-    return arr.reshape((len(values),) + (1,) * (2 - len(shape)) + shape)
+class _Columns(NamedTuple):
+    """The samples as columns: the `State` fields an assembler reads, one array entry per sample."""
+
+    rho: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray
+
+
+_UNASSEMBLABLE = (ZeroDivisionError, OverflowError)
+
+
+def _assembled(gas: GasModel, cols: _Columns, assemblers: tuple) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """E, A(u, 0) and B stacked over the columns, and the mask of samples where all three are finite.
+
+    assemblers is (assemble_e, assemble_a, assemble_b). numpy's overflow,
+    division and invalid-value warnings are off: the mask finds the
+    samples where they happened. What an assembler raises (the
+    OverflowError of a float power) propagates.
+    """
+    assemble_e, assemble_a, assemble_b = assemblers
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mats = assemble_e(gas, cols), assemble_a(gas, cols, ZERO_GRADIENT), assemble_b(gas, cols)
+    return mats, np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in mats])
+
+
+def _assembles_alone(gas: GasModel, cols: _Columns, i: int, assemblers: tuple) -> bool:
+    """True when sample i on its own assembles without raising, to finite matrices."""
+    try:
+        return bool(_assembled(gas, _Columns(*(c[i:i + 1] for c in cols)), assemblers)[1][0])
+    except _UNASSEMBLABLE:
+        return False
 
 
 @dataclass(frozen=True)
@@ -122,27 +150,25 @@ def check_block_linear_degeneracy(
     one witness per observed value, the first sample that shows it.
     Raises DomainError on an empty sample set, which has no dimension,
     and at the first sample where the block is not finite (an overflow of
-    sigma E11 or of A11), where zero cannot be decided.
+    sigma E11 or of A11), where zero cannot be decided. The evaluators
+    return Python floats, and the block, its zero test, its finiteness
+    and the witnesses are all decided on them, with no array round trip.
     """
     samples = list(samples)
     if not samples:
         raise DomainError(f"check_block_linear_degeneracy got an empty sample set at sigma={sigma:g}")
-    a = np.array([A11_eval(s) for s in samples], dtype=float)
-    e = np.array([E11_eval(s) for s in samples], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is named below
-        x = a - sigma * e
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        s = samples[bad[0]]
+    sigma = float(sigma)
+    x = [A11_eval(s) - sigma * E11_eval(s) for s in samples]
+    if not all(map(math.isfinite, x)):
+        s = samples[next(i for i, xi in enumerate(x) if not math.isfinite(xi))]
         raise DomainError(
             f"A11 - sigma E11 is not finite at sigma={sigma:g} and state "
             f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g})"
         )
-    dims = (x == 0.0).astype(int)
-    observed, first = np.unique(dims, return_index=True)
-    verdict = "satisfied" if observed.size <= 1 else "violated"
-    witnesses = tuple((samples[i], int(d)) for d, i in zip(observed, first))
-    return DegeneracyVerdict(sigma=float(sigma), dims=tuple(dims.tolist()), verdict=verdict, witnesses=witnesses)
+    dims = [1 if xi == 0.0 else 0 for xi in x]
+    witnesses = tuple((samples[dims.index(d)], d) for d in (0, 1) if d in dims)
+    verdict = "satisfied" if len(witnesses) <= 1 else "violated"
+    return DegeneracyVerdict(sigma=sigma, dims=tuple(dims), verdict=verdict, witnesses=witnesses)
 
 
 def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
@@ -277,38 +303,45 @@ def check_structure(
     """Run the sampling checks on one box; degeneracy verdicts stay empty.
 
     The assembler arguments exist so tests can inject corrupted matrices;
-    normal callers never touch them. Each is called once per sample.
+    normal callers never touch them. Each takes the samples as columns
+    (an object whose rho, v and theta are arrays, see `system`), returns
+    the (n, 3, 3) stack and is called once per check.
     Raises DomainError naming the first sampled state whose E, A(u, 0)
     or B cannot be assembled (division by zero or overflow) or has a
-    non-finite entry: no check can be decided there.
+    non-finite entry: no check can be decided there. Also raises
+    DomainError unless 0 < rank_tol < 1 and sym_tol is positive and
+    finite: outside those ranges the rank and symmetry checks cannot fail.
     """
     if n_samples < 1:
         raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
+    if not 0.0 < rank_tol < 1.0:  # NaN included
+        raise DomainError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+    if not 0.0 < sym_tol < math.inf:
+        raise DomainError(f"sym_tol must be positive and finite, got {sym_tol!r}")
     box.validate(gas)
     samples = box.sample(n_samples, np.random.default_rng(seed))
+    cols = _Columns(*np.array([(s.rho, s.v, s.theta) for s in samples]).T)
 
-    Es, A0s, Bs = [], [], []
+    assemblers = (assemble_e, assemble_a, assemble_b)
     try:
-        for state in samples:
-            E, A0, B = assemble_e(gas, state), assemble_a(gas, state, ZERO_GRADIENT), assemble_b(gas, state)
-            Es.append(E)
-            A0s.append(A0)
-            Bs.append(B)
-    except (ZeroDivisionError, OverflowError):
-        pass  # the state after the last assembled one is named below
-    E, A0, B = _stack_2d(Es), _stack_2d(A0s), _stack_2d(Bs)
-    finite = np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in (E, A0, B)])
-    bad = np.flatnonzero(~finite)
-    first_bad = int(bad[0]) if bad.size else len(Es)
-    if first_bad < n_samples:
+        (E, A0, B), finite = _assembled(gas, cols, assemblers)
+        first_bad = None if finite.all() else int(np.argmin(finite))
+    except _UNASSEMBLABLE:
+        # the exception names no sample: the first one that fails on its own is the state
+        first_bad = next((i for i in range(n_samples) if not _assembles_alone(gas, cols, i, assemblers)), None)
+        if first_bad is None:
+            raise
+    if first_bad is not None:
         s = samples[first_bad]
         raise DomainError(
             "E, A(u, 0) or B cannot be assembled or is not finite at sampled state "
             f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g})"
         )
 
+    # symmetric parts as 0.5 M + 0.5 M^T: the bits of 0.5 (M + M^T) wherever
+    # that neither overflows nor turns subnormal, and finite for a finite M
     E_T = E.swapaxes(-1, -2)
-    min_eig = np.linalg.eigvalsh(0.5 * (E + E_T)).min(axis=-1)
+    min_eig = np.linalg.eigvalsh(0.5 * E + 0.5 * E_T).min(axis=-1)
     min_eig[np.abs(E - E_T).max(axis=(-2, -1)) > sym_tol] = -np.inf
     worst_eig, eig_witness = _first_min(min_eig, samples)
 
@@ -320,7 +353,7 @@ def check_structure(
     changed = np.flatnonzero(ranks != ranks[0])
 
     b = B[:, 1:, 1:]
-    worst_cb, cb_witness = _first_min(np.linalg.eigvalsh(0.5 * (b + b.swapaxes(-1, -2))).min(axis=-1), samples)
+    worst_cb, cb_witness = _first_min(np.linalg.eigvalsh(0.5 * b + 0.5 * b.swapaxes(-1, -2)).min(axis=-1), samples)
 
     rank_set = sorted(set(ranks.tolist()))
     return StructureReport(
@@ -345,11 +378,12 @@ def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:
 
     Eigenvalues of E^-1 A(u, 0) are v and v -/+ c; a shifted block can
     only lose rank where sigma meets the flow speed, so these are the
-    natural sigmas to probe alongside any user-supplied list.
+    natural sigmas to probe alongside any user-supplied list. Each state
+    is assembled by one `blocks` call; one solve and one eigvals call
+    take the whole stack.
     """
-    out: set[float] = set()
-    for state in states:
-        blk = blocks(gas, state)
-        lam = np.linalg.eigvals(np.linalg.solve(blk.E, blk.A))
-        out.update(float(x) for x in np.real(lam))
-    return sorted(out)
+    blks = [blocks(gas, state) for state in states]
+    if not blks:
+        return []
+    lam = np.linalg.eigvals(np.linalg.solve(np.array([b.E for b in blks]), np.array([b.A for b in blks])))
+    return sorted(set(np.real(lam).ravel().tolist()))

@@ -9,6 +9,16 @@ The density row is hyperbolic and the (velocity, temperature) rows are
 parabolic: B has the shape diag(0, b) with b symmetric positive definite,
 and the shifted hyperbolic block A11 - sigma E11 is E[0, 0] (v - sigma).
 The structural checks in `structure` verify this on sample boxes.
+
+Each assembler takes one `State` and gives a (3, 3) matrix, or takes a
+whole sample set as columns (rho, v and theta as equal-length arrays)
+and gives the (n, 3, 3) stack. Both run through one set of expressions;
+theta^2 and the transport laws go entry by entry (`_pow_each`), so every
+matrix of the stack has the bits of the per-state call. On columns a
+division by zero or an overflow gives a non-finite entry (with numpy's
+warning) where the per-state call raises ZeroDivisionError or gives a
+non-finite entry, and a float power that overflows raises OverflowError
+in both.
 """
 
 from __future__ import annotations
@@ -17,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import GasModel, Gradient, State, ZERO_GRADIENT, internal_energy, pressure
+from .gas import GasModel, Gradient, State, ZERO_GRADIENT, _pow_each, internal_energy, pressure
+
+
+def _matrix(*entries) -> np.ndarray:
+    """Nine entries in row order: floats give a (3, 3) matrix, sample columns an (n, 3, 3) stack."""
+    M = np.array(entries)
+    return M.reshape(3, 3) if M.ndim == 1 else M.T.reshape(-1, 3, 3)
 
 
 def assemble_E(gas: GasModel, state: State) -> np.ndarray:
@@ -25,11 +41,12 @@ def assemble_E(gas: GasModel, state: State) -> np.ndarray:
     rho, theta = state.rho, state.theta
     _, p_rho, _ = pressure(gas, rho, theta)
     _, e_theta = internal_energy(gas, theta)
-    return np.diag([
-        p_rho / (rho * theta),
-        rho / theta,
-        rho * e_theta / theta ** 2,
-    ])
+    zero = 0.0 * rho
+    return _matrix(
+        p_rho / (rho * theta), zero, zero,
+        zero, rho / theta, zero,
+        zero, zero, rho * e_theta / _pow_each(theta, 2),
+    )
 
 
 def assemble_B(gas: GasModel, state: State) -> np.ndarray:
@@ -37,7 +54,12 @@ def assemble_B(gas: GasModel, state: State) -> np.ndarray:
     theta = state.theta
     nu, _ = gas.nu_law(state.rho)
     k, _ = gas.k_law(state.rho)
-    return np.diag([0.0, nu / theta, k / theta ** 2])
+    zero = 0.0 * theta
+    return _matrix(
+        zero, zero, zero,
+        zero, nu / theta, zero,
+        zero, zero, k / _pow_each(theta, 2),
+    )
 
 
 def assemble_A(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> np.ndarray:
@@ -52,15 +74,12 @@ def assemble_A(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> n
     _, e_theta = internal_energy(gas, theta)
     nu, dnu = gas.nu_law(rho)
     k, dk = gas.k_law(rho)
-    A = np.zeros((3, 3))
-    A[0, 0] = p_rho * v / (rho * theta)
-    A[0, 1] = p_rho / theta
-    A[1, 0] = p_rho / theta
-    A[1, 1] = (rho * v - dnu * grad.rho_x) / theta
-    A[1, 2] = p_theta / theta
-    A[2, 1] = (p_theta - nu * grad.v_x / theta) / theta
-    A[2, 2] = (rho * v * e_theta / theta - dk * grad.rho_x / theta) / theta
-    return A
+    zero = 0.0 * rho
+    return _matrix(
+        p_rho * v / (rho * theta), p_rho / theta, zero,
+        p_rho / theta, (rho * v - dnu * grad.rho_x) / theta, p_theta / theta,
+        zero, (p_theta - nu * grad.v_x / theta) / theta, (rho * v * e_theta / theta - dk * grad.rho_x / theta) / theta,
+    )
 
 
 @dataclass(frozen=True)

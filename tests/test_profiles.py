@@ -439,6 +439,22 @@ class TestShooting:
                 profiles._connection_plan(ode, *ends)
 
 
+class TestOptions:
+    """ShootOpts and LayerOpts refuse a tolerance that is not positive and finite when built.
+
+    The integrators check tol, but a strength-0 `shock_profile` never reaches
+    them, and end_tol = inf would accept any first shot.
+    """
+
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
+    @pytest.mark.parametrize("opts,name", [
+        (profiles.ShootOpts, "tol"), (profiles.ShootOpts, "end_tol"), (profiles.LayerOpts, "tol"),
+    ])
+    def test_rejected(self, opts, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite, got {value!r}"):
+            opts(**{name: value})
+
+
 class TestFluxConstants:
     def test_drift_small_on_computed_profile(self, gasm, prof_f1):
         rec = flux_constants(gasm, prof_f1)

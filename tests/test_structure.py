@@ -4,7 +4,8 @@ Covers the kernel-dimension helper, the sampled hypothesis checks with
 deliberately corrupted assemblers, the shifted-block degeneracy verdicts
 in both coordinate forms, and report serialization. The batched checks
 are compared with a per-sample reference loop over generated gases and
-boxes.
+boxes, extreme ones included, and the assemblers' column stacks with
+their per-state matrices, bit for bit.
 """
 
 import json
@@ -32,8 +33,8 @@ from shocklayer import (
     suggest_sigmas,
 )
 from shocklayer import structure
-from shocklayer.gas import ZERO_GRADIENT
-from shocklayer.structure import CheckResult, DegeneracyVerdict, RankResult, StructureReport
+from shocklayer.gas import ZERO_GRADIENT, Gradient
+from shocklayer.structure import CheckResult, DegeneracyVerdict, RankResult, StructureReport, _Columns
 from shocklayer.system import blocks
 
 
@@ -84,7 +85,7 @@ def reference_check_structure(
                 "E, A(u, 0) or B cannot be assembled or is not finite at sampled state "
                 f"(rho, v, theta) = ({state.rho:g}, {state.v:g}, {state.theta:g})"
             )
-        min_eig = float(np.linalg.eigvalsh(0.5 * (E + E.T)).min())
+        min_eig = float(np.linalg.eigvalsh(0.5 * E + 0.5 * E.T).min())
         if float(np.abs(E - E.T).max()) > sym_tol:
             min_eig = -np.inf
         if min_eig < worst_eig:
@@ -97,7 +98,7 @@ def reference_check_structure(
         if rank != ranks[0]:
             rank_witness = state
         b = B[1:, 1:]
-        cb = float(np.linalg.eigvalsh(0.5 * (b + b.T)).min())
+        cb = float(np.linalg.eigvalsh(0.5 * b + 0.5 * b.T).min())
         if cb < worst_cb:
             worst_cb, cb_witness = cb, state
     rank_set = sorted(set(ranks))
@@ -123,21 +124,26 @@ def reference_eulerian_evals(gas):
     return (lambda s: assemble_E(gas, s)[0, 0] * s.v), (lambda s: assemble_E(gas, s)[0, 0])
 
 
+# Each corruption takes one State or the samples as columns (see
+# `system`), so the batched check and the per-sample reference call the
+# same helper: entries are indexed as [..., i, j] and the per-sample
+# conditions go through np.where.
+
 def _indefinite_e(g, state):
     E = assemble_E(g, state).copy()
-    E[0, 0] = -E[0, 0]
+    E[..., 0, 0] = -E[..., 0, 0]
     return E
 
 
 def _asymmetric_e(g, state):
     E = assemble_E(g, state).copy()
-    E[0, 1] += 1e-6
+    E[..., 0, 1] += 1e-6
     return E
 
 
 def _asymmetric_a(g, state, grad):
     A = assemble_A(g, state, grad).copy()
-    A[0, 2] += 1e-6
+    A[..., 0, 2] += 1e-6
     return A
 
 
@@ -145,21 +151,19 @@ def _nan_a(g, state, grad):
     # no check can be decided on a NaN entry: both the reference and the
     # batched check raise DomainError at the first state with v > 0
     A = assemble_A(g, state, grad).copy()
-    if state.v > 0.0:
-        A[0, 2] = np.nan
+    A[..., 0, 2] = np.where(state.v > 0.0, np.nan, A[..., 0, 2])
     return A
 
 
 def _rank_jump_b(g, state):
     B = assemble_B(g, state).copy()
-    if state.v > 0.0:
-        B[2, 2] = 0.0
+    B[..., 2, 2] = np.where(state.v > 0.0, 0.0, B[..., 2, 2])
     return B
 
 
 def _noncoercive_b(g, state):
     B = assemble_B(g, state).copy()
-    B[2, 2] = -B[2, 2]
+    B[..., 2, 2] = -B[..., 2, 2]
     return B
 
 
@@ -191,6 +195,39 @@ def gases_and_boxes(draw):
         rho=(rho_lo, rho_lo * draw(st.floats(1.0, 5.0))),
         v=(v_lo, v_lo + draw(st.floats(0.0, 4.0))),
         theta=(theta_lo, theta_lo * draw(st.floats(1.0, 5.0))),
+    )
+    return gas, box
+
+
+@st.composite
+def extreme_gases_and_boxes(draw):
+    """Boxes from about 1e-300 to 1e300 and steep transport laws.
+
+    theta^2 over- and underflows, the transport laws overflow, and
+    entries of E, A and B overflow or come within a factor 2 of the
+    largest float. The exponent grids straddle the thresholds, so one
+    box can hold samples on both sides of one.
+    """
+    power = st.builds(PowerLaw, st.floats(0.05, 20.0), st.sampled_from([0.0, -0.5, 0.25, 1.0, -2.0, 3.0]))
+    gas = GasModel(
+        R=draw(st.floats(0.1, 10.0)),
+        gamma=draw(st.floats(1.0, 5.0 / 3.0, exclude_min=True)),
+        nu_law=draw(power),
+        k_law=draw(power),
+        c_rho=1e-301,
+    )
+
+    def span(exponents):
+        lo = 10.0 ** draw(st.one_of(st.floats(-300.0, 300.0), st.sampled_from(exponents)))
+        return lo, lo * 10.0 ** draw(st.floats(0.0, 3.0))
+
+    v_scale = 10.0 ** draw(st.floats(-1.0, 307.0))
+    v_lo = draw(st.floats(-1.0, 1.0)) * v_scale
+    box = Box(
+        rho=span([-155.0, 102.0, 299.0]),  # rho^-2 and rho^3 overflow
+        v=(v_lo, v_lo + draw(st.floats(0.0, 1.0)) * v_scale),
+        # theta^2 under- and overflows; at rho near 1e299 and theta near 1e-5, E33 crosses the largest float
+        theta=span([-163.0, -155.0, 153.0, -5.0]),
     )
     return gas, box
 
@@ -557,6 +594,132 @@ class TestBatchedMatchesReference:
             assert report.to_text() == ref.to_text()
 
 
+def _columns(samples):
+    """The samples as the column view check_structure hands its assemblers."""
+    return _Columns(*(np.array([getattr(s, name) for s in samples]) for name in ("rho", "v", "theta")))
+
+
+def _per_state(assemble, gas, samples, *args):
+    """Each sample's matrix, or the class of the exception its assembly raised."""
+    out = []
+    for s in samples:
+        try:
+            out.append(assemble(gas, s, *args))
+        except (ZeroDivisionError, OverflowError) as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestColumnAssembly:
+    """One assembler call over the sample columns gives every per-state matrix, bit for bit."""
+
+    @pytest.mark.parametrize("assemble,args", [
+        (assemble_E, ()),
+        (assemble_A, (ZERO_GRADIENT,)),
+        (assemble_A, (Gradient(0.7, -0.4, 0.9),)),
+        (assemble_B, ()),
+    ], ids=["E", "A0", "A-gradient", "B"])
+    @settings(max_examples=60, deadline=None)
+    @given(gb=st.one_of(gases_and_boxes(), extreme_gases_and_boxes()), n=st.integers(1, 40),
+           seed=st.integers(0, 2**31 - 1))
+    def test_stack_is_the_per_state_matrices(self, assemble, args, gb, n, seed):
+        gas, box = gb
+        samples = box.sample(n, np.random.default_rng(seed))
+        per_state = _per_state(assemble, gas, samples, *args)
+        overflowed = any(M is OverflowError for M in per_state)
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                stack = assemble(gas, _columns(samples), *args)
+        except OverflowError:
+            # a float power that overflows raises for the whole set, as it does for its state
+            assert overflowed
+            return
+        assert not overflowed
+        assert stack.shape == (n, 3, 3)
+        for M, S in zip(per_state, stack):
+            if M is ZeroDivisionError:
+                assert not np.isfinite(S).all()
+            else:
+                assert S.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("assemble", [assemble_E, assemble_A, assemble_B])
+    def test_squares_and_powers_keep_the_float_rounding(self, power_gas, box, assemble):
+        # numpy's vectorized ** rounds about one square in 1,200, and more of the
+        # powers, unlike a float's **: 5,000 samples hold several of each
+        samples = box.sample(5000, np.random.default_rng(0))
+        stack = assemble(power_gas, _columns(samples))
+        assert stack.tobytes() == np.array([assemble(power_gas, s) for s in samples]).tobytes()
+
+    @pytest.mark.parametrize("box_ranges", [
+        dict(rho=(1e300, 1e300), v=(-1.0, 1.0), theta=(1e-300, 1e-300)),  # theta ** 2 underflows to 0
+        dict(rho=(10.0, 10.0), v=(1e307, 1e308), theta=(0.5, 2.0)),  # A overflows to inf
+        dict(rho=(1e300, 1e300), v=(-1.0, 1.0), theta=(1e-10, 1e-10)),  # E overflows to inf
+        dict(rho=(0.5, 2.0), v=(-1.0, 1.0), theta=(1e153, 1e155)),  # theta ** 2 overflows past 1.34e154
+        dict(rho=(1e300, 1e300), v=(0.0, 0.0), theta=(1.6e-4, 1.6e-4)),  # 2 E33 overflows
+    ])
+    @pytest.mark.parametrize("nu_law", [PowerLaw(1.0), PowerLaw(1.2, 3.0)], ids=["constant", "rho-cubed"])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_extreme_boxes_match_the_reference(self, box_ranges, nu_law, corruption):
+        gas, box = GasModel(nu_law=nu_law), Box(**box_ranges)
+        kw = CORRUPTIONS[corruption]
+        for seed in range(3):
+            report = _outcome(check_structure, gas, box, n_samples=20, seed=seed, **kw)
+            assert report == _outcome(reference_check_structure, gas, box, 20, seed, **kw)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(gb=extreme_gases_and_boxes(), n=st.integers(1, 30), seed=st.integers(0, 2**31 - 1))
+    def test_generated_extremes_match_the_reference(self, corruption, gb, n, seed):
+        # the report, or the DomainError naming the first state that cannot be assembled
+        gas, box = gb
+        kw = CORRUPTIONS[corruption]
+        report = _outcome(check_structure, gas, box, n_samples=n, seed=seed, **kw)
+        assert report == _outcome(reference_check_structure, gas, box, n, seed, **kw)
+
+    def test_each_assembler_called_once_on_columns(self, power_gas, box):
+        calls = []
+
+        def counted(name, assemble):
+            def call(g, cols, *args):
+                calls.append((name, len(cols.rho), len(cols.v), len(cols.theta)))
+                return assemble(g, cols, *args)
+            return call
+
+        check_structure(
+            power_gas, box, n_samples=65, seed=1, assemble_a=counted("A", assemble_A),
+            assemble_b=counted("B", assemble_B), assemble_e=counted("E", assemble_E),
+        )
+        assert sorted(calls) == [("A", 65, 65, 65), ("B", 65, 65, 65), ("E", 65, 65, 65)]
+
+
+class TestTolerances:
+    """A tolerance out of range would make its check unable to fail: DomainError before any sample."""
+
+    @pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1e-10, 0.0, 1.0, 2.0])
+    def test_rank_tol_outside_zero_one(self, gas, box, rank_tol):
+        with pytest.raises(DomainError, match=re.escape(f"rank_tol must lie in (0, 1), got {rank_tol!r}")):
+            check_structure(gas, box, n_samples=10, rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("sym_tol", [float("nan"), float("inf"), -1e-12, 0.0])
+    def test_sym_tol_not_positive_and_finite(self, gas, box, sym_tol):
+        with pytest.raises(DomainError, match=re.escape(f"sym_tol must be positive and finite, got {sym_tol!r}")):
+            check_structure(gas, box, n_samples=10, sym_tol=sym_tol)
+
+    def test_rank_found_at_a_tolerance_in_range(self, gas, box):
+        # rank_tol = 2 would read every B as rank 0; inside (0, 1) the rank is 2
+        report = check_structure(gas, box, n_samples=10, rank_tol=0.01, sym_tol=1.0)
+        assert report.b_rank.ranks == (2,) * 10 and report.structural_pass()
+
+    def test_asymmetry_still_caught_at_sym_tol_one(self, gas, box):
+        def asymmetric(g, state, grad):
+            A = assemble_A(g, state, grad).copy()
+            A[..., 0, 2] += 2.0
+            return A
+
+        report = check_structure(gas, box, n_samples=10, sym_tol=1.0, assemble_a=asymmetric)
+        assert not report.a0_symmetric.passed and report.a0_symmetric.worst == 2.0
+
+
 class TestSuggestSigmas:
     def test_single_state_speeds(self, gas):
         c = np.sqrt(1.4)
@@ -574,6 +737,36 @@ class TestSuggestSigmas:
         out = suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(1.0, 0.5, 1.0)])
         assert len(out) == 6
         assert 0.5 in [round(x, 12) for x in out]
+
+    def test_no_states(self, gas):
+        assert suggest_sigmas(gas, []) == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(gb=gases_and_boxes(), n=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+    def test_stacked_solve_equals_per_state_reference(self, gb, n, seed):
+        # one blocks call, one solve and one eigvals per state, the way the speeds were first taken;
+        # the states at v = +-0 and a repeated state exercise the set's first-inserted zero
+        gas, box = gb
+        mid = box.midpoint()
+        states = box.sample(n, np.random.default_rng(seed)) + [State(mid.rho, v, mid.theta) for v in (0.0, -0.0)]
+        states.append(states[0])
+        ref: set[float] = set()
+        for state in states:
+            blk = blocks(gas, state)
+            ref.update(float(x) for x in np.real(np.linalg.eigvals(np.linalg.solve(blk.E, blk.A))))
+        assert [x.hex() for x in suggest_sigmas(gas, states)] == [x.hex() for x in sorted(ref)]
+
+    def test_one_blocks_call_per_state(self, gas, monkeypatch):
+        calls = []
+
+        def counted(g, state, *args):
+            calls.append(state)
+            return blocks(g, state, *args)
+
+        monkeypatch.setattr(structure, "blocks", counted)
+        states = [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5), State(1.0, 0.0, 1.0)]
+        suggest_sigmas(gas, states)
+        assert calls == states
 
 
 class TestReportSerialization:
