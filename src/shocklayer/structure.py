@@ -72,26 +72,40 @@ class _Columns(NamedTuple):
 _UNASSEMBLABLE = (ZeroDivisionError, OverflowError)
 
 
-def _assembled(gas: GasModel, cols: _Columns, assemblers: tuple) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """E, A(u, 0) and B stacked over the columns, and the mask of samples where all three are finite.
+def _unassemblable(state: State, where: str = "state") -> DomainError:
+    """The error for a state whose E, A(u, 0) or B cannot be assembled or has a non-finite entry."""
+    return DomainError(
+        f"E, A(u, 0) or B cannot be assembled or is not finite at {where} "
+        f"(rho, v, theta) = ({state.rho:g}, {state.v:g}, {state.theta:g})"
+    )
+
+
+def _assemble(gas: GasModel, states: Sequence[State], assemblers: tuple, where: str) -> tuple[np.ndarray, ...]:
+    """E, A(u, 0) and B stacked over the states as columns, one call per assembler.
 
     assemblers is (assemble_e, assemble_a, assemble_b). numpy's overflow,
-    division and invalid-value warnings are off: the mask finds the
-    samples where they happened. What an assembler raises (the
-    OverflowError of a float power) propagates.
+    division and invalid-value warnings are off; instead this raises the
+    DomainError of `_unassemblable` at the first state that cannot be
+    assembled (division by zero or overflow) or has a non-finite entry,
+    with where naming the kind of state. An assembler that raises for the
+    whole set names no state, so the first state that fails on its own is
+    the one reported.
     """
+    cols = _Columns(*np.array([(s.rho, s.v, s.theta) for s in states]).T)
     assemble_e, assemble_a, assemble_b = assemblers
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mats = assemble_e(gas, cols), assemble_a(gas, cols, ZERO_GRADIENT), assemble_b(gas, cols)
-    return mats, np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in mats])
-
-
-def _assembles_alone(gas: GasModel, cols: _Columns, i: int, assemblers: tuple) -> bool:
-    """True when sample i on its own assembles without raising, to finite matrices."""
     try:
-        return bool(_assembled(gas, _Columns(*(c[i:i + 1] for c in cols)), assemblers)[1][0])
-    except _UNASSEMBLABLE:
-        return False
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mats = assemble_e(gas, cols), assemble_a(gas, cols, ZERO_GRADIENT), assemble_b(gas, cols)
+    except _UNASSEMBLABLE as exc:
+        if len(states) == 1:
+            raise _unassemblable(states[0], where) from exc
+        for state in states:
+            _assemble(gas, [state], assemblers, where)
+        raise
+    finite = np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in mats])
+    if not finite.all():
+        raise _unassemblable(states[int(np.argmin(finite))], where)
+    return mats
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,10 @@ def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     def e11_eval(state: State) -> float:
         e11 = cache.get(state)
         if e11 is None:
-            e11 = cache[state] = float(blocks(gas, state).E[0, 0])
+            try:
+                e11 = cache[state] = float(blocks(gas, state).E[0, 0])
+            except _UNASSEMBLABLE as exc:
+                raise _unassemblable(state) from exc
         return e11
 
     def a11_eval(state: State) -> float:
@@ -196,6 +213,19 @@ def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
 def lagrangian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     """(A11, E11) evaluators of the mass-coordinate form: A11 = 0, E11 = 1."""
     return (lambda state: 0.0), (lambda state: 1.0)
+
+
+# Each matrix check of a report, once: field, text label, JSON values, and the text value read from them.
+_MATRIX_CHECKS = (
+    ("e_spd", "E symmetric positive definite",
+     lambda c: {"min_eigenvalue": c.worst}, "min eigenvalue {min_eigenvalue:.6e}"),
+    ("a0_symmetric", "A symmetric at zero gradient",
+     lambda c: {"max_asymmetry": c.worst}, "max asymmetry {max_asymmetry:.6e}"),
+    ("b_rank", "B rank constant",
+     lambda c: {"ranks_observed": sorted(set(c.ranks)), "r": c.r}, "ranks {ranks_observed}"),
+    ("b_coercivity", "parabolic block coercive",
+     lambda c: {"c_b": c.worst}, "c_b {c_b:.6e}, box estimate"),
+)
 
 
 @dataclass
@@ -218,37 +248,21 @@ class StructureReport:
 
     def structural_pass(self) -> bool:
         """True when the hypotheses hold (degeneracy verdicts excluded)."""
-        return all(p.passed for p in (self.e_spd, self.a0_symmetric, self.b_rank, self.b_coercivity))
+        return all(getattr(self, name).passed for name, *_ in _MATRIX_CHECKS)
 
     def to_json_dict(self) -> dict:
         def state_list(s: State | None):
             return None if s is None else [s.rho, s.v, s.theta]
 
+        checks = {}
+        for name, _, values, _ in _MATRIX_CHECKS:
+            c = getattr(self, name)
+            checks[name] = {"passed": c.passed, **values(c), "witness": state_list(c.witness)}
         return {
             "box": {"rho": list(self.box.rho), "v": list(self.box.v), "theta": list(self.box.theta)},
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "e_spd": {
-                "passed": self.e_spd.passed,
-                "min_eigenvalue": self.e_spd.worst,
-                "witness": state_list(self.e_spd.witness),
-            },
-            "a0_symmetric": {
-                "passed": self.a0_symmetric.passed,
-                "max_asymmetry": self.a0_symmetric.worst,
-                "witness": state_list(self.a0_symmetric.witness),
-            },
-            "b_rank": {
-                "passed": self.b_rank.passed,
-                "ranks_observed": sorted(set(self.b_rank.ranks)),
-                "r": self.b_rank.r,
-                "witness": state_list(self.b_rank.witness),
-            },
-            "b_coercivity": {
-                "passed": self.b_coercivity.passed,
-                "c_b": self.b_coercivity.worst,
-                "witness": state_list(self.b_coercivity.witness),
-            },
+            **checks,
             "degeneracy": [
                 {
                     "sigma": d.sigma,
@@ -267,15 +281,10 @@ class StructureReport:
         lines = [
             f"structure report  (samples={self.n_samples}, seed={self.seed})",
             f"  box: rho in {list(self.box.rho)}, v in {list(self.box.v)}, theta in {list(self.box.theta)}",
-            f"  E symmetric positive definite: {'pass' if self.e_spd.passed else 'FAIL'}"
-            f" (min eigenvalue {self.e_spd.worst:.6e})",
-            f"  A symmetric at zero gradient:  {'pass' if self.a0_symmetric.passed else 'FAIL'}"
-            f" (max asymmetry {self.a0_symmetric.worst:.6e})",
-            f"  B rank constant:               {'pass' if self.b_rank.passed else 'FAIL'}"
-            f" (ranks {sorted(set(self.b_rank.ranks))})",
-            f"  parabolic block coercive:      {'pass' if self.b_coercivity.passed else 'FAIL'}"
-            f" (c_b {self.b_coercivity.worst:.6e}, box estimate)",
         ]
+        for name, label, values, text in _MATRIX_CHECKS:
+            c = getattr(self, name)
+            lines.append(f"  {label + ':':31}{'pass' if c.passed else 'FAIL'} ({text.format(**values(c))})")
         for d in self.degeneracy:
             lines.append(
                 f"  block linear degeneracy at sigma={d.sigma:g}: {d.verdict}"
@@ -320,23 +329,7 @@ def check_structure(
         raise DomainError(f"sym_tol must be positive and finite, got {sym_tol!r}")
     box.validate(gas)
     samples = box.sample(n_samples, np.random.default_rng(seed))
-    cols = _Columns(*np.array([(s.rho, s.v, s.theta) for s in samples]).T)
-
-    assemblers = (assemble_e, assemble_a, assemble_b)
-    try:
-        (E, A0, B), finite = _assembled(gas, cols, assemblers)
-        first_bad = None if finite.all() else int(np.argmin(finite))
-    except _UNASSEMBLABLE:
-        # the exception names no sample: the first one that fails on its own is the state
-        first_bad = next((i for i in range(n_samples) if not _assembles_alone(gas, cols, i, assemblers)), None)
-        if first_bad is None:
-            raise
-    if first_bad is not None:
-        s = samples[first_bad]
-        raise DomainError(
-            "E, A(u, 0) or B cannot be assembled or is not finite at sampled state "
-            f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g})"
-        )
+    E, A0, B = _assemble(gas, samples, (assemble_e, assemble_a, assemble_b), "sampled state")
 
     # symmetric parts as 0.5 M + 0.5 M^T: the bits of 0.5 (M + M^T) wherever
     # that neither overflows nor turns subnormal, and finite for a finite M
@@ -382,8 +375,8 @@ def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:
     is assembled by one `blocks` call; one solve and one eigvals call
     take the whole stack.
     """
-    blks = [blocks(gas, state) for state in states]
-    if not blks:
+    if not states:
         return []
-    lam = np.linalg.eigvals(np.linalg.solve(np.array([b.E for b in blks]), np.array([b.A for b in blks])))
+    E, A, _ = _assemble(gas, states, (assemble_E, assemble_A, assemble_B), "state")
+    lam = np.linalg.eigvals(np.linalg.solve(E, A))
     return sorted(set(np.real(lam).ravel().tolist()))

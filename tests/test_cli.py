@@ -224,6 +224,21 @@ class TestCheck:
         assert "not finite at sampled state" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("suggest", [False, True], ids=["evaluators", "suggest_sigmas"])
+    def test_unassemblable_midpoint_exits_2(self, tmp_path, outdir, capsys, suggest):
+        # the one sample assembles, but theta^2 overflows at the midpoint theta 1.5e154, where the
+        # degeneracy evaluators (and suggest_sigmas, when on) assemble the matrices
+        cfg = base_config(outdir)
+        cfg.update(box={"rho": [1.0, 1.0], "v": [0.0, 0.0], "theta": [1.0, 3e154]}, n_samples=1, suggest_sigmas=suggest)
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "kind=validation exit=2 msg=E, A(u, 0) or B cannot be assembled or is not finite at state"
+            " (rho, v, theta) = (1, 0, 1.5e+154)"
+        ) in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 class TestReadme:
     def test_config_example_loads_and_runs(self, tmp_path, outdir):

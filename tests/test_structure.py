@@ -756,17 +756,43 @@ class TestSuggestSigmas:
             ref.update(float(x) for x in np.real(np.linalg.eigvals(np.linalg.solve(blk.E, blk.A))))
         assert [x.hex() for x in suggest_sigmas(gas, states)] == [x.hex() for x in sorted(ref)]
 
-    def test_one_blocks_call_per_state(self, gas, monkeypatch):
+    def test_one_column_call_per_assembler(self, gas, monkeypatch):
+        # the states take check_structure's guarded column assembly, with no blocks call
         calls = []
 
-        def counted(g, state, *args):
-            calls.append(state)
-            return blocks(g, state, *args)
+        def counted(name, assemble):
+            def call(g, cols, *args):
+                calls.append((name, cols.rho.tolist(), cols.v.tolist(), cols.theta.tolist()))
+                return assemble(g, cols, *args)
+            return call
 
-        monkeypatch.setattr(structure, "blocks", counted)
-        states = [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5), State(1.0, 0.0, 1.0)]
-        suggest_sigmas(gas, states)
-        assert calls == states
+        for name, assemble in (("E", assemble_E), ("A", assemble_A), ("B", assemble_B)):
+            monkeypatch.setattr(structure, f"assemble_{name}", counted(name, assemble))
+        monkeypatch.setattr(structure, "blocks", None)
+        suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5), State(1.0, 0.0, 1.0)])
+        cols = ([1.0, 2.0, 1.0], [0.0, 0.5, 0.0], [1.0, 1.5, 1.0])
+        assert sorted(calls) == [("A", *cols), ("B", *cols), ("E", *cols)]
+
+
+class TestUnassemblableState:
+    """theta^2 overflows at theta 1.5e154: every path that assembles there names the state."""
+
+    MSG = "E, A(u, 0) or B cannot be assembled or is not finite at state (rho, v, theta) = (1, 0, 1.5e+154)"
+
+    def test_suggest_sigmas(self, gas):
+        with pytest.raises(DomainError, match=re.escape(self.MSG)):
+            suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(1.0, 0.0, 1.5e154)])
+
+    def test_eulerian_evals(self, gas):
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        with pytest.raises(DomainError, match=re.escape(self.MSG)):
+            check_block_linear_degeneracy(a11_eval, e11_eval, 0.0, [State(1.0, 0.0, 1.0), State(1.0, 0.0, 1.5e154)])
+
+    def test_the_first_state_that_fails_alone_is_named(self, gas):
+        # the float power raises for the whole set; the states are then assembled one by one
+        states = [State(1.0, 0.0, 1.0), State(2.0, 0.0, 2e154), State(1.0, 0.0, 1.5e154)]
+        with pytest.raises(DomainError, match=re.escape("at state (rho, v, theta) = (2, 0, 2e+154)")):
+            suggest_sigmas(gas, states)
 
 
 class TestReportSerialization:
