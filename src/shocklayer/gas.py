@@ -83,9 +83,6 @@ class State:
         if not math.isfinite(self.v):
             raise DomainError(f"velocity must be finite, got {self.v}")
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.rho, self.v, self.theta])
-
 
 @dataclass(frozen=True)
 class Gradient:
@@ -94,9 +91,6 @@ class Gradient:
     rho_x: float = 0.0
     v_x: float = 0.0
     theta_x: float = 0.0
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.rho_x, self.v_x, self.theta_x])
 
 
 ZERO_GRADIENT = Gradient(0.0, 0.0, 0.0)

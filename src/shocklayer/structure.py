@@ -191,7 +191,10 @@ def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     A11 = E[0, 0] v and E11 = E[0, 0]. The pair shares one `blocks`
     assembly per distinct state, kept for as long as the pair lives, so
     A11, E11 and every sigma probed on the same samples read the same
-    values.
+    values. A state that cannot be assembled (division by zero or
+    overflow) is a DomainError that names it. This is the one caller of
+    `blocks` left: the benchmark counts its calls, the one structure
+    counter that changes with the seed.
     """
     cache: dict[State, float] = {}
 
@@ -320,6 +323,10 @@ def check_structure(
     non-finite entry: no check can be decided there. Also raises
     DomainError unless 0 < rank_tol < 1 and sym_tol is positive and
     finite: outside those ranges the rank and symmetry checks cannot fail.
+    LAPACK's eigvalsh scales E by its largest entry, so where E's
+    diagonal spans more than the float range (rho 1e-300 at theta near 1,
+    or rho 1e300 at theta 1.6e-4) the small eigenvalues underflow to 0
+    and a positive diagonal E reports as not positive definite.
     """
     if n_samples < 1:
         raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
@@ -371,12 +378,17 @@ def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:
 
     Eigenvalues of E^-1 A(u, 0) are v and v -/+ c; a shifted block can
     only lose rank where sigma meets the flow speed, so these are the
-    natural sigmas to probe alongside any user-supplied list. Each state
-    is assembled by one `blocks` call; one solve and one eigvals call
-    take the whole stack.
+    natural sigmas to probe alongside any user-supplied list. The states
+    take `check_structure`'s guarded column assembly, so one that cannot
+    be assembled is a DomainError that names it. E is diagonal and
+    symmetrizes A, so with D = diag(E) the speeds are the eigenvalues of
+    the symmetric D^-1/2 A D^-1/2: real by construction, taken by one
+    eigvalsh call over the stack, and read from entries of the order of
+    the speeds wherever E's diagonal is positive (a solve with E loses
+    the coupling at rho 1e-300).
     """
     if not states:
         return []
     E, A, _ = _assemble(gas, states, (assemble_E, assemble_A, assemble_B), "state")
-    lam = np.linalg.eigvals(np.linalg.solve(E, A))
-    return sorted(set(np.real(lam).ravel().tolist()))
+    d = 1.0 / np.sqrt(np.diagonal(E, axis1=-2, axis2=-1))
+    return sorted(set(np.linalg.eigvalsh(d[:, :, None] * A * d[:, None, :]).ravel().tolist()))

@@ -84,7 +84,7 @@ def assemble_A(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> n
 
 @dataclass(frozen=True)
 class SystemBlocks:
-    """E, A(u, u_x) and B of the symmetrized system at one state.
+    """E, A(u, u_x) and B at one state, built by `blocks` alone and kept while the benchmark counts its calls.
 
     The blocks are slices: E[0, 0] is E11, A[1:, 0] is A21, B[1:, 1:] is
     the parabolic block b, and A[0, 0] is E[0, 0] v up to rounding.
@@ -96,17 +96,17 @@ class SystemBlocks:
 
 
 def blocks(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> SystemBlocks:
-    """Assemble E, A(u, u_x) and B at one state."""
+    """Assemble E, A(u, u_x) and B at one state.
+
+    Every check assembles on sample columns. This per-state path stays for
+    its one caller, `structure.eulerian_block_evals`, whose calls the benchmark counts.
+    """
     return SystemBlocks(E=assemble_E(gas, state), A=assemble_A(gas, state, grad), B=assemble_B(gas, state))
 
 
-def format_matrix(M: np.ndarray, name: str = "", precision: int = 6) -> str:
-    """Plain-text aligned rendering of a matrix for terminal output."""
-    rows = []
-    cells = [[f"{x:+.{precision}e}" for x in row] for row in np.atleast_2d(M)]
+def format_matrix(M: np.ndarray, name: str) -> str:
+    """Plain-text aligned rendering of a matrix for terminal output, six digits after the point."""
+    cells = [[f"{x:+.6e}" for x in row] for row in np.atleast_2d(M)]
     width = max(len(c) for row in cells for c in row)
-    indent = " " * (len(name) + 3) if name else "  "
-    for i, row in enumerate(cells):
-        lead = f"{name} = " if (name and i == 0) else indent
-        rows.append(lead + "[ " + "  ".join(c.rjust(width) for c in row) + " ]")
-    return "\n".join(rows)
+    leads = [f"{name} = "] + [" " * (len(name) + 3)] * (len(cells) - 1)
+    return "\n".join(lead + "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for lead, row in zip(leads, cells))

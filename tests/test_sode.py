@@ -395,6 +395,34 @@ class TestStopAndFailure:
             integrate_direct(ode, np.array([-1.0, 1.0, 1.0, 0.0, 0.0]), (0.0, 1.0))
 
 
+class TestInitialStep:
+    @staticmethod
+    def circle_ode(calls, band):
+        # dV/dx = (V1, -V0) keeps V on the unit circle; outside 1 + band, F is NaN (band None: never)
+        def F(V):
+            calls.append(list(V))
+            inside = band is None or V[0] * V[0] + V[1] * V[1] <= 1.0 + band
+            return [V[1], -V[0]] if inside else [float("nan")] * 2
+
+        return SingularODE(F_eval=F, zeta_eval=lambda V: 1.0, label="unit circle")
+
+    def test_non_finite_probe_falls_back_to_a_small_step(self):
+        # F is finite at y0 = (1, 0), but the starting-step probe y0 + h0 f0 = (1, -h0) is the
+        # Euler step, which leaves the circle by h0^2 and lands where F is NaN
+        calls = []
+        traj = integrate_direct(self.circle_ode(calls, 1e-6), [1.0, 0.0], (0.0, 0.05))
+        y0, probe = calls[:2]
+        h0 = -probe[1]
+        assert y0 == [1.0, 0.0] and probe[0] == 1.0 and 1.0 + h0 * h0 > 1.0 + 1e-6
+        fallback = max(min(h0 * 1e-3, 0.05), 1e-12)
+        assert traj.termination == TERM_REACHED_END and np.isfinite(traj.Vs).all()
+        assert 0.0 < traj.hs[0] <= fallback
+        np.testing.assert_allclose(traj.final_V, [np.cos(0.05), -np.sin(0.05)], rtol=0.0, atol=1e-9)
+        # without the NaN band the same probe is finite and the first step is far larger
+        regular = integrate_direct(self.circle_ode([], None), [1.0, 0.0], (0.0, 0.05))
+        assert regular.hs[0] > 100 * fallback
+
+
 def counted_ode(ode):
     """The same ODE with its F evaluations counted in calls[0] and its zeta evaluations in calls[1]."""
     calls = [0, 0]

@@ -9,6 +9,7 @@ their per-state matrices, bit for bit.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -512,6 +513,21 @@ class TestCheckStructure:
         assert report.structural_pass()
         assert report.to_json_dict() == reference_check_structure(gas, box, 1, 2).to_json_dict()
 
+    @pytest.mark.parametrize("gas_kw,box_ranges", [
+        (dict(c_rho=1e-310), dict(rho=(1e-300, 1e-300), v=(-1.0, 1.0), theta=(0.5, 2.0))),
+        ({}, dict(rho=(1e300, 1e300), v=(0.0, 0.0), theta=(1.6e-4, 1.6e-4))),
+    ], ids=["rho-1e-300", "rho-1e300"])
+    def test_e_verdict_past_lapack_scaling_is_pinned(self, gas_kw, box_ranges):
+        # E is a positive diagonal, but its diagonal spans more than the float range: eigvalsh
+        # scales E by its largest entry, the smallest eigenvalue underflows to 0, and E reads as
+        # not positive definite. This is the documented limit, not a verdict on the gas.
+        gas, box = GasModel(**gas_kw), Box(**box_ranges)
+        report = check_structure(gas, box, n_samples=200, seed=0)
+        assert (np.diagonal(assemble_E(gas, _columns(report.samples)), axis1=1, axis2=2) > 0.0).all()
+        assert report.e_spd == CheckResult(passed=False, worst=0.0, witness=report.samples[0])
+        assert report.a0_symmetric.passed and report.b_rank.passed and report.b_coercivity.passed
+        assert "  E symmetric positive definite: FAIL (min eigenvalue 0.000000e+00)\n" in report.to_text()
+
 
 def _outcome(check, *args, **kwargs):
     """The report of a structure check, or its DomainError as a string."""
@@ -721,17 +737,21 @@ class TestTolerances:
 
 
 class TestSuggestSigmas:
-    def test_single_state_speeds(self, gas):
+    @pytest.mark.parametrize("rho,c_rho", [(1.0, 0.1), (1e-300, 1e-310)], ids=["rho-1", "rho-1e-300"])
+    def test_single_state_speeds(self, rho, c_rho):
+        # at rho 1e-300 a solve with E = diag(1e300, 1e-300, 2.5e-300) gave -+0.632456
         c = np.sqrt(1.4)
-        out = suggest_sigmas(gas, [State(1.0, 0.0, 1.0)])
+        out = suggest_sigmas(GasModel(c_rho=c_rho), [State(rho, 0.0, 1.0)])
         assert len(out) == 3
         np.testing.assert_allclose(out, [-c, 0.0, c], atol=1e-10)
 
     def test_sorted_and_deduplicated(self, gas):
-        out = suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(2.0, 0.0, 1.0)])
-        # same theta means same speeds regardless of rho
-        assert len(out) == 3
-        assert out == sorted(out)
+        # a repeated state adds no speed; the same theta at another rho gives the same speeds up to rounding
+        one = suggest_sigmas(gas, [State(1.0, 0.0, 1.0)])
+        out = suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(2.0, 0.0, 1.0), State(1.0, 0.0, 1.0)])
+        assert out == sorted(set(out)) and set(one) <= set(out) and len(out) <= 6
+        other = suggest_sigmas(gas, [State(2.0, 0.0, 1.0)])
+        np.testing.assert_allclose(other, one, rtol=0.0, atol=1e-14 * max(map(abs, one)))
 
     def test_two_velocities(self, gas):
         out = suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(1.0, 0.5, 1.0)])
@@ -743,18 +763,46 @@ class TestSuggestSigmas:
 
     @settings(max_examples=50, deadline=None)
     @given(gb=gases_and_boxes(), n=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
-    def test_stacked_solve_equals_per_state_reference(self, gb, n, seed):
-        # one blocks call, one solve and one eigvals per state, the way the speeds were first taken;
-        # the states at v = +-0 and a repeated state exercise the set's first-inserted zero
+    def test_stack_is_the_per_state_speeds(self, gb, n, seed):
+        # bit for bit the set of each state's own speeds; each state's speeds within 1e-14 of its
+        # largest speed from one blocks call, one solve and one eigvals, the way they were first taken.
+        # The states at v = +-0 and a repeated state exercise the set's first-inserted zero.
         gas, box = gb
         mid = box.midpoint()
         states = box.sample(n, np.random.default_rng(seed)) + [State(mid.rho, v, mid.theta) for v in (0.0, -0.0)]
         states.append(states[0])
-        ref: set[float] = set()
+        union: set[float] = set()
         for state in states:
+            speeds = suggest_sigmas(gas, [state])
+            union.update(speeds)
             blk = blocks(gas, state)
-            ref.update(float(x) for x in np.real(np.linalg.eigvals(np.linalg.solve(blk.E, blk.A))))
-        assert [x.hex() for x in suggest_sigmas(gas, states)] == [x.hex() for x in sorted(ref)]
+            ref = np.sort(np.real(np.linalg.eigvals(np.linalg.solve(blk.E, blk.A))))
+            np.testing.assert_allclose(speeds, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+        assert [x.hex() for x in suggest_sigmas(gas, states)] == [x.hex() for x in sorted(union)]
+
+    @staticmethod
+    def _assert_speeds(gas, state):
+        # v and v -/+ c with c = sqrt(gamma R theta), each within 1e-14 of the largest speed; v +- c
+        # may round to v, so each computed speed is near an expected one and each expected one near a computed one
+        c = math.sqrt(gas.gamma * gas.R * state.theta)
+        out, expected = suggest_sigmas(gas, [state]), [state.v - c, state.v, state.v + c]
+        tol = 1e-14 * (abs(state.v) + c)
+        assert all(min(abs(x - y) for y in expected) <= tol for x in out)
+        assert all(min(abs(x - y) for x in out) <= tol for y in expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(gb=gases_and_boxes(), seed=st.integers(0, 2**31 - 1))
+    def test_speeds_are_v_and_v_plus_minus_c(self, gb, seed):
+        gas, box = gb
+        for state in box.sample(5, np.random.default_rng(seed)):
+            self._assert_speeds(gas, state)
+
+    @settings(max_examples=100, deadline=None)
+    @given(R=st.floats(0.1, 10.0), gamma=st.floats(1.05, 5.0 / 3.0), rho_exp=st.floats(-300.0, 295.0),
+           theta_exp=st.floats(-3.0, 3.0), v=st.floats(-1e3, 1e3))
+    def test_speeds_are_v_and_v_plus_minus_c_at_extreme_densities(self, R, gamma, rho_exp, theta_exp, v):
+        # E's diagonal spans up to 1e600 here, past the float range
+        self._assert_speeds(GasModel(R=R, gamma=gamma, c_rho=1e-310), State(10.0 ** rho_exp, v, 10.0 ** theta_exp))
 
     def test_one_column_call_per_assembler(self, gas, monkeypatch):
         # the states take check_structure's guarded column assembly, with no blocks call

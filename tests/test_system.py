@@ -1,8 +1,12 @@
 """Assembled symmetrized matrices and their block decomposition."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shocklayer
 from shocklayer import (
     Gradient,
     State,
@@ -108,3 +112,43 @@ def test_blocks_reference_point(gas):
 def test_format_matrix_contains_entries(gas):
     text = format_matrix(assemble_E(gas, State(1.0, 0.0, 1.0)), "E")
     assert "E" in text and "2.5" in text
+
+
+def _callers(sources: dict[str, str], name: str) -> list[str]:
+    """module.definition for each top-level definition of the sources that calls name, bare or as an attribute."""
+    return [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for module, text in sorted(sources.items())
+        for top in ast.parse(text).body
+        if any(
+            isinstance(n, ast.Call) and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(top)
+        )
+    ]
+
+
+class TestPerStatePath:
+    """What stays of the per-state path: one caller of `blocks`, and only `blocks` builds `SystemBlocks`.
+
+    Every check assembles on sample columns. `blocks` stays because the
+    benchmark counts its calls in the Eulerian evaluators; once that
+    counter goes, both names can go together.
+    """
+
+    SOURCES = {path.stem: path.read_text() for path in Path(shocklayer.__file__).parent.glob("*.py")}
+
+    def test_only_the_eulerian_evaluators_call_blocks(self):
+        assert _callers(self.SOURCES, "blocks") == ["structure.eulerian_block_evals"]
+
+    def test_only_blocks_builds_system_blocks(self):
+        assert _callers(self.SOURCES, "SystemBlocks") == ["system.blocks"]
+
+    def test_rules_catch_another_caller(self):
+        source = (
+            "from . import system\n"
+            "def speeds(gas, states):\n    return [system.blocks(gas, s).E for s in states]\n"
+            "TABLE = [blocks(None, s) for s in ()]\n"
+            "class Cache:\n    def get(self, s):\n        return SystemBlocks(s, s, s)\n"
+        )
+        assert _callers({"planted": source}, "blocks") == ["planted.speeds", "planted.<module>"]
+        assert _callers({"planted": source}, "SystemBlocks") == ["planted.Cache"]
