@@ -26,8 +26,6 @@ from .gas import (
     PowerLaw,
     State,
     ZERO_GRADIENT,
-    conserved,
-    euler_fluxes,
     internal_energy,
     pressure,
     sound_speed,
@@ -35,7 +33,6 @@ from .gas import (
 from .profiles import (
     CompareReport,
     FluxRecord,
-    LayerOpts,
     OracleTrajectory,
     Profile,
     RHPair,
@@ -53,7 +50,6 @@ from .profiles import (
 )
 from .reduction import (
     SINGULARITY_GUARD,
-    ExtendedState,
     SingularODE,
     steady_singular_ode,
     tw_singular_ode,

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, ShockLayerError
 from .gas import Box, GasModel, PowerLaw, State
 from .profiles import (
-    LayerOpts,
     ShootOpts,
     boundary_layer,
     compare_profiles,
@@ -52,6 +51,7 @@ from .sode import trajectory_metadata, trajectory_to_csv
 from .structure import (
     DEFAULT_RANK_TOL,
     DEFAULT_SYM_TOL,
+    _assemble,
     check_block_linear_degeneracy,
     check_structure,
     eulerian_block_evals,
@@ -242,10 +242,6 @@ def _resolve_out_dir(config: RunConfig, cli_out: str | None) -> Path:
     return config.out_dir
 
 
-def _ext_state_list(U) -> list[float]:
-    return [float(c) for c in np.asarray(U).ravel()]
-
-
 def _plot_script(csv_name: str, png_name: str, title: str) -> str:
     lines = [
         "# gnuplot script; run:  gnuplot " + csv_name.replace(".csv", ".gp"),
@@ -326,11 +322,11 @@ def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
         ("structure_report.txt", text),
     ]
     if args.verbose:
+        # the guarded assembly: a midpoint that cannot be assembled is a DomainError naming it
+        E, A, B = _assemble(config.gas, [mid], (assemble_E, assemble_A, assemble_B), "state")
         text += "\n".join([
             f"matrices at the box midpoint ({mid.rho:g}, {mid.v:g}, {mid.theta:g}):",
-            format_matrix(assemble_E(config.gas, mid), "E"),
-            format_matrix(assemble_A(config.gas, mid), "A(u, 0)"),
-            format_matrix(assemble_B(config.gas, mid), "B"),
+            format_matrix(E[0], "E"), format_matrix(A[0], "A(u, 0)"), format_matrix(B[0], "B"),
         ]) + "\n"
     return artifacts, text, 0 if report.structural_pass() else 4
 
@@ -374,11 +370,11 @@ def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
         "family": pair.family,
         "strength": pair.strength,
         "endpoints": {
-            "left": _ext_state_list(profile.left.to_array()),
-            "right": _ext_state_list(profile.right.to_array()),
+            "left": profile.left.tolist(),
+            "right": profile.right.tolist(),
         },
         "rh_residual": float(np.max(np.abs(res))),
-        "rh_residual_components": _ext_state_list(res),
+        "rh_residual_components": res.tolist(),
         "oracle_deviation": oracle_deviation,
     }
     text = (
@@ -394,13 +390,12 @@ def cmd_layer(config: RunConfig, args: argparse.Namespace) -> _Result:
     direction_index = _need(raw, "direction_index", int, "config.layer", 0)
     amplitude = _need(raw, "amplitude", float, "config.layer", 1e-3)
 
-    opts = LayerOpts(tol=config.tol.ode_tol)
-    profile = boundary_layer(config.gas, limit_state, direction_index, amplitude, opts)
+    profile = boundary_layer(config.gas, limit_state, direction_index, amplitude, tol=config.tol.ode_tol)
     sidecar = {
         "sigma": 0.0,
         "endpoints": {
-            "boundary_trace": _ext_state_list(profile.left.to_array()),
-            "limit": _ext_state_list(profile.right.to_array()),
+            "boundary_trace": profile.left.tolist(),
+            "limit": profile.right.tolist(),
         },
     }
     text = (

@@ -151,25 +151,6 @@ def sound_speed(gas: GasModel, state: State) -> float:
     return float(np.sqrt(c2))
 
 
-def euler_fluxes(gas: GasModel, state: State) -> np.ndarray:
-    """Inviscid fluxes (mass, momentum, total energy) of the state."""
-    rho, v, theta = state.rho, state.v, state.theta
-    p, _, _ = pressure(gas, rho, theta)
-    e, _ = internal_energy(gas, theta)
-    return np.array([
-        rho * v,
-        rho * v * v + p,
-        v * (0.5 * rho * v * v + rho * e + p),
-    ])
-
-
-def conserved(gas: GasModel, state: State) -> np.ndarray:
-    """Conserved densities (rho, rho v, rho e + rho v^2 / 2)."""
-    rho, v, theta = state.rho, state.v, state.theta
-    e, _ = internal_energy(gas, theta)
-    return np.array([rho, rho * v, rho * e + 0.5 * rho * v * v])
-
-
 @dataclass(frozen=True)
 class Box:
     """Compact axis-aligned box of admissible states."""

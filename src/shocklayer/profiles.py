@@ -30,10 +30,9 @@ from .errors import (
     NonMonotoneError,
     SingularityError,
 )
-from .gas import GasModel, State, conserved, euler_fluxes, internal_energy, pressure, sound_speed
+from .gas import GasModel, State, internal_energy, pressure, sound_speed
 from .reduction import (
     SINGULARITY_GUARD,
-    ExtendedState,
     RhsSource,
     SingularODE,
     _gas_constants,
@@ -85,10 +84,14 @@ class RHPair:
 
 
 def rh_residual(gas: GasModel, pair: RHPair) -> np.ndarray:
-    """Jump-condition residual [f(U+) - f(U-)] - sigma [g(U+) - g(U-)]."""
-    df = euler_fluxes(gas, pair.right) - euler_fluxes(gas, pair.left)
-    dg = conserved(gas, pair.right) - conserved(gas, pair.left)
-    return df - pair.sigma * dg
+    """Jump-condition residual: the fluxes of `_flux_integrals` at U+ minus those at U-, z = 0.
+
+    These are the mass, momentum and energy fluxes in the frame moving at
+    sigma, so the residual is [f(U+) - f(U-)] - sigma [g(U+) - g(U-)] for
+    the Euler fluxes f and the conserved densities g.
+    """
+    right, left = (_flux_integrals(gas, pair.sigma, s.rho, s.v, s.theta, 0.0, 0.0) for s in (pair.right, pair.left))
+    return np.subtract(right, left)
 
 
 def lax_inequalities(gas: GasModel, pair: RHPair) -> dict:
@@ -195,12 +198,16 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
 
 @dataclass(frozen=True)
 class Profile:
-    """A computed connection: trajectory plus endpoint data and diagnostics."""
+    """A computed connection: trajectory plus endpoint data and diagnostics.
 
-    kind: str
+    left and right are the extended states (rho, v, theta, z1, z2) at the
+    two ends, as (5,) arrays of their own: a layer's left end is its
+    boundary trace and its right end the limit state.
+    """
+
     sigma: float
-    left: ExtendedState
-    right: ExtendedState
+    left: np.ndarray
+    right: np.ndarray
     trajectory: Trajectory
     diagnostics: dict
 
@@ -213,9 +220,9 @@ LAYER_GROW_CAP = 0.5
 SHOOT_RETRIES = 2
 
 
-def _positive_finite(opts) -> None:
-    """DomainError unless every field of opts is a positive, finite tolerance."""
-    for name, value in vars(opts).items():
+def _positive_finite(**tolerances) -> None:
+    """DomainError unless every tolerance given is positive and finite."""
+    for name, value in tolerances.items():
         if not 0.0 < value < math.inf:  # NaN included
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
@@ -233,17 +240,7 @@ class ShootOpts:
     end_tol: float = 1e-6
 
     def __post_init__(self):
-        _positive_finite(self)
-
-
-@dataclass(frozen=True)
-class LayerOpts:
-    """Controls for the boundary-layer construction; tol must be positive and finite."""
-
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        _positive_finite(self)
+        _positive_finite(**vars(self))
 
 
 def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
@@ -343,27 +340,23 @@ def flux_constants(gas: GasModel, profile: Profile) -> FluxRecord:
     """
     sigma = profile.sigma
     values = np.column_stack(_flux_integrals(gas, sigma, *profile.trajectory.Vs.T))
-    ref = profile.right
-    reference = np.array(_flux_integrals(gas, sigma, ref.rho, ref.v, ref.theta, 0.0, 0.0))
+    reference = np.array(_flux_integrals(gas, sigma, *profile.right[:3].tolist(), 0.0, 0.0))
     scale = np.maximum(np.abs(reference), 1.0)
     drift = float(np.max(np.abs(values - reference) / scale))
     return FluxRecord(values=values, reference=reference, drift=drift)
 
 
-def _checked_profile(gas: GasModel, ode: SingularODE, kind: str, sigma: float, left, right, traj, diagnostics) -> Profile:
-    """Profile(kind, sigma, left, right, traj) with its checks written into diagnostics.
+def _checked_profile(gas: GasModel, ode: SingularODE, sigma: float, left, right, traj, diagnostics) -> Profile:
+    """Profile(sigma, left, right, traj) with its checks written into diagnostics.
 
-    left and right are extended-state arrays. Every profile carries
+    left and right are extended-state arrays; the profile keeps copies,
+    so neither aliases the trajectory. Every profile carries
     extended_residual_max, extended_residual_rel and
     extended_residual_skipped (see `max_extended_residual`) and
     flux_drift (see `flux_constants`); a constant trajectory has no steps
     and reads 0 on each.
     """
-    prof = Profile(
-        kind=kind, sigma=sigma,
-        left=ExtendedState.from_array(left), right=ExtendedState.from_array(right),
-        trajectory=traj, diagnostics=diagnostics,
-    )
+    prof = Profile(sigma=sigma, left=np.array(left), right=np.array(right), trajectory=traj, diagnostics=diagnostics)
     ext_res, skipped, f_sup = max_extended_residual(ode, traj)
     diagnostics["extended_residual_max"] = ext_res
     diagnostics["extended_residual_rel"] = _relative_residual(ext_res, f_sup)
@@ -535,7 +528,7 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
             "attempts": attempts,
         }
     diagnostics["rh_residual_max"] = _sup(rh_residual(gas, pair))
-    return _checked_profile(gas, ode, "shock", pair.sigma, U_minus, U_plus, traj, diagnostics)
+    return _checked_profile(gas, ode, pair.sigma, U_minus, U_plus, traj, diagnostics)
 
 
 # nu v' = m v + p - Pi and k theta' = m (e + v^2/2) + v p - nu v v' - E solved
@@ -725,7 +718,8 @@ def boundary_layer(
     limit_state: State,
     direction_index: int = 0,
     amplitude: float = 1e-3,
-    opts: LayerOpts = LayerOpts(),
+    *,
+    tol: float = DEFAULT_TOL,
 ) -> Profile:
     """Steady layer converging to limit_state at the far end.
 
@@ -745,8 +739,10 @@ def boundary_layer(
     ("start_within_delta" or "direct_halt"), how close zeta came, and where.
     A zero amplitude gives the constant layer; a non-finite one is a
     DomainError, and so is one at or past the growth cap, checked before
-    the start is built.
+    the start is built. tol is the integrator's tolerance; one that is not
+    positive and finite is a DomainError at every amplitude, 0 included.
     """
+    _positive_finite(tol=tol)
     if not math.isfinite(amplitude):
         raise DomainError(f"amplitude must be finite, got {amplitude}")
     ode = steady_singular_ode(gas)
@@ -754,7 +750,7 @@ def boundary_layer(
     if amplitude == 0.0:
         traj = _constant_trajectory(U_star, abs(limit_state.v))
         diagnostics = {"amplitude": 0.0, "note": "zero amplitude, constant layer"}
-        return _checked_profile(gas, ode, "boundary_layer", 0.0, U_star, U_star, traj, diagnostics)
+        return _checked_profile(gas, ode, 0.0, U_star, U_star, traj, diagnostics)
 
     on_sonic = NoDecayingDirectionError("limit state on the sonic set: steady flow keeps v = 0, no layer exists")
     report, rates = _spatial_rates(ode, U_star, on_sonic)
@@ -792,7 +788,7 @@ def boundary_layer(
     }
 
     try:
-        traj = integrate_direct(ode, start, (L, 0.0), tol=opts.tol, stop_when=stop)
+        traj = integrate_direct(ode, start, (L, 0.0), tol=tol, stop_when=stop)
     except SingularityError:
         traj = None  # the start lies within DELTA of the sonic set
     if traj is not None and traj.termination != TERM_SINGULARITY:
@@ -812,7 +808,7 @@ def boundary_layer(
             return x <= 0.0 or _sup_dist(V, limit) > cap
 
         traj = integrate_rescaled(
-            ode, start, (0.0, tau_dir * tau_max), tol=opts.tol, x0=L, stop_when=stop_resc,
+            ode, start, (0.0, tau_dir * tau_max), tol=tol, x0=L, stop_when=stop_resc,
         )
         diagnostics["zeta_sign_changes"] = traj.stats.zeta_sign_changes
 
@@ -825,4 +821,4 @@ def boundary_layer(
     diagnostics["termination"] = traj.termination
     diagnostics["min_abs_zeta"] = traj.stats.min_abs_zeta
 
-    return _checked_profile(gas, ode, "boundary_layer", 0.0, traj.final_V, U_star, traj, diagnostics)
+    return _checked_profile(gas, ode, 0.0, traj.final_V, U_star, traj, diagnostics)

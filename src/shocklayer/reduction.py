@@ -29,33 +29,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .gas import GasModel, State, _lowest, _ndarray, _pow_each
+from .gas import GasModel, _lowest, _ndarray, _pow_each
 
 # states closer to the sonic set than this count as on it: `reduce-info` gives
 # no rho_x there, and the extended residual check skips them
 SINGULARITY_GUARD = 1e-8
-
-
-@dataclass(frozen=True)
-class ExtendedState:
-    """Primitive state extended with the gradient pair z = (v_x, theta_x)."""
-
-    rho: float
-    v: float
-    theta: float
-    z1: float
-    z2: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.rho, self.v, self.theta, self.z1, self.z2])
-
-    @staticmethod
-    def from_array(U: np.ndarray) -> "ExtendedState":
-        rho, v, theta, z1, z2 = map(float, U)
-        return ExtendedState(rho, v, theta, z1, z2)
-
-    def state(self) -> State:
-        return State(self.rho, self.v, self.theta)
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,9 @@ def check_structure(
     non-finite entry: no check can be decided there. Also raises
     DomainError unless 0 < rank_tol < 1 and sym_tol is positive and
     finite: outside those ranges the rank and symmetry checks cannot fail.
+    B's rank is counted on D^-1/2 B D^-1/2 with D = |diag B| (a zero entry
+    read as 1), which has B's rank, so rank_tol compares entries of one
+    scale and k/theta^2 at theta 1e11 is not read as zero.
     LAPACK's eigvalsh scales E by its largest entry, so where E's
     diagonal spans more than the float range (rho 1e-300 at theta near 1,
     or rho 1e300 at theta 1.6e-4) the small eigenvalues underflow to 0
@@ -349,7 +352,9 @@ def check_structure(
     neg_asym, asym_witness = _first_min(-np.abs(A0 - A0.swapaxes(-1, -2)).max(axis=(-2, -1)), samples)
     worst_asym = -neg_asym
 
-    ranks = B.shape[-2] - kernel_dimension(B, rank_tol)
+    d = np.abs(np.diagonal(B, axis1=-2, axis2=-1))
+    d = 1.0 / np.sqrt(np.where(d == 0.0, 1.0, d))
+    ranks = B.shape[-2] - kernel_dimension(d[:, :, None] * B * d[:, None, :], rank_tol)
     changed = np.flatnonzero(ranks != ranks[0])
 
     b = B[:, 1:, 1:]
@@ -385,10 +390,18 @@ def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:
     the symmetric D^-1/2 A D^-1/2: real by construction, taken by one
     eigvalsh call over the stack, and read from entries of the order of
     the speeds wherever E's diagonal is positive (a solve with E loses
-    the coupling at rho 1e-300).
+    the coupling at rho 1e-300). A state where that diagonal is not
+    positive (an entry underflows to 0) is a DomainError that names it.
     """
     if not states:
         return []
     E, A, _ = _assemble(gas, states, (assemble_E, assemble_A, assemble_B), "state")
-    d = 1.0 / np.sqrt(np.diagonal(E, axis1=-2, axis2=-1))
+    d = np.diagonal(E, axis1=-2, axis2=-1)
+    if not (d > 0.0).all():
+        s, diag = next((s, row) for s, row in zip(states, d.tolist()) if min(row) <= 0.0)
+        raise DomainError(
+            f"E's diagonal ({', '.join(f'{x:g}' for x in diag)}) is not positive at state "
+            f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g}), so it has no characteristic speeds"
+        )
+    d = 1.0 / np.sqrt(d)
     return sorted(set(np.linalg.eigvalsh(d[:, :, None] * A * d[:, None, :]).ravel().tolist()))

@@ -8,7 +8,8 @@ field or the return of a deleted name shows up here as a test edit. The
 `SystemBlocks` holds E, A and B only, without slice copies, and every
 check of a `StructureReport` is a required field. The degeneracy check
 is exact on its scalar block, so it takes no tolerance, and neither does
-the config's `tolerances` section.
+the config's `tolerances` section. A `Profile` holds its endpoints as
+arrays, and `boundary_layer` takes its one control as the keyword `tol`.
 """
 
 import inspect
@@ -18,13 +19,14 @@ import pytest
 
 import shocklayer
 from shocklayer import (
-    LayerOpts,
     LinearizationReport,
+    Profile,
     ShootOpts,
     SingularODE,
     StructureReport,
     SystemBlocks,
     Trajectory,
+    boundary_layer,
     check_block_linear_degeneracy,
     integrate_direct,
     integrate_rescaled,
@@ -46,6 +48,7 @@ def keywords(fn):
     (linearize, []),
     (max_extended_residual, []),
     (check_block_linear_degeneracy, []),
+    (boundary_layer, ["direction_index", "amplitude", "tol"]),
 ])
 def test_keyword_parameters(fn, expected):
     assert keywords(fn) == expected
@@ -53,7 +56,7 @@ def test_keyword_parameters(fn, expected):
 
 @pytest.mark.parametrize("cls,expected", [
     (ShootOpts, ["tol", "end_tol"]),
-    (LayerOpts, ["tol"]),
+    (Profile, ["sigma", "left", "right", "trajectory", "diagnostics"]),
     (LinearizationReport, ["J", "eigenvalues", "eigenvectors", "center"]),
     (Trajectory, ["mode", "ts", "ys", "termination", "stats", "hs", "Q"]),
     (SingularODE, ["F_eval", "zeta_eval", "label"]),
@@ -69,12 +72,14 @@ def test_fields(cls, expected):
 
 def test_settable_value_count():
     settable = sum(len(keywords(fn)) for fn in (integrate_direct, integrate_rescaled, linearize, max_extended_residual))
-    settable += len(fields(ShootOpts)) + len(fields(LayerOpts))
+    # direction_index and amplitude choose the layer; tol is its one control
+    settable += len(fields(ShootOpts)) + len(set(keywords(boundary_layer)) - {"direction_index", "amplitude"})
     assert settable == 8
 
 
 @pytest.mark.parametrize("name", [
     "NoConvergenceError", "LagrangianBlocks", "lagrangian_blocks", "reduce_w", "extended_residual",
+    "ExtendedState", "LayerOpts", "euler_fluxes", "conserved",
 ])
 def test_deleted_names_stay_deleted(name):
     assert name not in shocklayer.__all__
@@ -82,7 +87,7 @@ def test_deleted_names_stay_deleted(name):
 
 def test_all_lists_no_module():
     assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
-    assert len(shocklayer.__all__) == 67
+    assert len(shocklayer.__all__) == 63
     assert shocklayer.sode is sode and shocklayer.profiles is profiles
 
 

@@ -34,6 +34,7 @@ from shocklayer import (
     StructureReport,
     boundary_layer,
     check_structure,
+    suggest_sigmas,
 )
 import shocklayer.cli as cli
 from shocklayer.cli import OUT_ENV_VAR, Tolerances, build_parser, load_config, main
@@ -224,13 +225,15 @@ class TestCheck:
         assert "not finite at sampled state" in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("suggest", [False, True], ids=["evaluators", "suggest_sigmas"])
-    def test_unassemblable_midpoint_exits_2(self, tmp_path, outdir, capsys, suggest):
+    @pytest.mark.parametrize("extra,flags", [
+        ({}, []), ({"suggest_sigmas": True}, []), ({"blocks": "lagrangian"}, ["--verbose"]),
+    ], ids=["evaluators", "suggest_sigmas", "lagrangian_verbose"])
+    def test_unassemblable_midpoint_exits_2(self, tmp_path, outdir, capsys, extra, flags):
         # the one sample assembles, but theta^2 overflows at the midpoint theta 1.5e154, where the
-        # degeneracy evaluators (and suggest_sigmas, when on) assemble the matrices
+        # Eulerian degeneracy evaluators, suggest_sigmas when on, and --verbose assemble the matrices
         cfg = base_config(outdir)
-        cfg.update(box={"rho": [1.0, 1.0], "v": [0.0, 0.0], "theta": [1.0, 3e154]}, n_samples=1, suggest_sigmas=suggest)
-        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        cfg.update(box={"rho": [1.0, 1.0], "v": [0.0, 0.0], "theta": [1.0, 3e154]}, n_samples=1, **extra)
+        assert main(["check", "--config", write_config(tmp_path, cfg), *flags]) == 2
         err = capsys.readouterr().err
         assert (
             "kind=validation exit=2 msg=E, A(u, 0) or B cannot be assembled or is not finite at state"
@@ -238,6 +241,51 @@ class TestCheck:
         ) in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("suggest,code", [(True, 2), (False, 4)], ids=["suggest", "no-suggest"])
+    def test_underflowing_e_diagonal(self, tmp_path, outdir, capsys, suggest, code):
+        # at rho 1e-300 and theta 1e30, E = diag(1e300, 0, 0): E fails its check (exit 4), and with
+        # suggest_sigmas on the state has no speeds, which is a validation error that names it
+        cfg = base_config(outdir)
+        cfg.update(gas={"c_rho": 1e-310}, box={"rho": [1e-300, 1e-300], "v": [0.0, 0.0], "theta": [1e30, 1e30]},
+                   suggest_sigmas=suggest)
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == code
+        err = capsys.readouterr().err
+        if suggest:
+            assert err == (
+                "shocklayer: kind=validation exit=2 msg=E's diagonal (1e+300, 0, 0) is not positive at state"
+                " (rho, v, theta) = (1e-300, 0, 1e+30), so it has no characteristic speeds\n"
+            )
+            assert not outdir.exists()
+        else:
+            assert err == ""
+            report = json.loads((outdir / "structure_report.json").read_text())
+            assert not report["e_spd"]["passed"] and report["b_rank"]["r"] == 2
+
+    def test_suggested_sigmas_get_verdicts(self, tmp_path, capsys):
+        # the README box with suggest_sigmas on: every speed at the midpoint and the first eight
+        # samples that sigma_list lacks is probed after the list, one verdict line each
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        cfg["suggest_sigmas"] = True
+        path = write_config(tmp_path, cfg)
+        config = load_config(path)
+        report = check_structure(config.gas, config.box, n_samples=config.n_samples, seed=config.seed)
+        speeds = suggest_sigmas(config.gas, [config.box.midpoint()] + report.samples[:8])
+        added = [s for s in speeds if s not in config.sigma_list]
+        assert len(added) == 27
+
+        runs = []
+        for name in ("a", "b"):
+            assert main(["check", "--config", path, "--out", str(tmp_path / name)]) == 0
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+            runs.append((capsys.readouterr().out.replace(str(tmp_path / name), "<out>"), files))
+        assert runs[0] == runs[1]
+        out, files = runs[0]
+        written = json.loads(files["structure_report.json"])
+        assert [d["sigma"] for d in written["degeneracy"]] == config.sigma_list + added
+        for sigma in added:
+            assert f"  block linear degeneracy at sigma={sigma:g}: " in out
 
 
 class TestReadme:
@@ -536,6 +584,18 @@ class TestConfigValidation:
         cfg = base_config(outdir)
         cfg["box"]["rho"] = [0.05, 2.0]  # below the default vacuum bound
         assert self.e2(tmp_path, cfg) == 2
+
+    @pytest.mark.parametrize("box,message", [
+        ({"rho": [2.0, 1.0], "v": [-1.0, 1.0], "theta": [0.5, 2.0]}, "box rho range is empty: [2.0, 1.0]"),
+        ({"rho": [0.5, 2.0], "v": [1.0, -1.0], "theta": [0.5, 2.0]}, "box v range is empty: [1.0, -1.0]"),
+        ({"rho": [0.5, 2.0], "v": [-1.0, 1.0], "theta": [0.0, 2.0]}, "box temperature floor must be positive, got 0.0"),
+    ], ids=["empty-rho", "empty-v", "theta-floor-0"])
+    def test_invalid_box_rejected(self, tmp_path, outdir, capsys, box, message):
+        cfg = base_config(outdir)
+        cfg["box"] = box
+        assert self.e2(tmp_path, cfg) == 2
+        assert f"kind=validation exit=2 msg={message}\n" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_bad_sigma_list(self, tmp_path, outdir):
         cfg = base_config(outdir)

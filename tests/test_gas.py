@@ -1,5 +1,7 @@
 """Thermodynamic closures, state validation, and the sampling box."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from shocklayer import (
     GasModel,
     PowerLaw,
     State,
-    conserved,
-    euler_fluxes,
     internal_energy,
     pressure,
     sound_speed,
@@ -43,15 +43,27 @@ def test_sound_speed_general_formula_matches_ideal(gas, box, rng):
         assert c == pytest.approx(np.sqrt(gas.gamma * gas.R * st.theta), rel=1e-14)
 
 
-def test_euler_fluxes_reference(gas):
-    f = euler_fluxes(gas, State(1.0, 1.0, 1.0))
-    # rho v, rho v^2 + p, v (rho v^2/2 + rho e + p)
-    np.testing.assert_allclose(f, [1.0, 2.0, 4.0], rtol=0, atol=1e-15)
+@pytest.mark.parametrize("rho,theta,message", [
+    (0.0, 1.0, "pressure needs rho > 0, got 0.0"),
+    (-2.0, 1.0, "pressure needs rho > 0, got -2.0"),
+    (1.0, 0.0, "pressure needs theta > 0, got 0.0"),
+    (np.array([1.0, -3.0, 2.0]), np.ones(3), "pressure needs rho > 0, got -3.0"),
+    (np.ones(3), np.array([1.0, 0.0, -1.0]), "pressure needs theta > 0, got -1.0"),
+])
+def test_pressure_refuses_a_nonpositive_entry(gas, rho, theta, message):
+    # the error names the entry, or the lowest entry of an array
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        pressure(gas, rho, theta)
 
 
-def test_conserved_quantities(gas):
-    g = conserved(gas, State(2.0, 3.0, 1.0))
-    np.testing.assert_allclose(g, [2.0, 6.0, 2.0 / 0.4 + 9.0], rtol=1e-15)
+@pytest.mark.parametrize("theta,message", [
+    (0.0, "internal energy needs theta > 0, got 0.0"),
+    (-1.5, "internal energy needs theta > 0, got -1.5"),
+    (np.array([2.0, -0.5, -4.0]), "internal energy needs theta > 0, got -4.0"),
+])
+def test_internal_energy_refuses_a_nonpositive_entry(gas, theta, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        internal_energy(gas, theta)
 
 
 def test_power_law_constant_exact():

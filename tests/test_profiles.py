@@ -43,13 +43,25 @@ from shocklayer import (
     tw_singular_ode,
 )
 from shocklayer import profiles, sode
-from shocklayer.gas import conserved, euler_fluxes
+from shocklayer.gas import internal_energy, pressure
 from shocklayer.profiles import _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
 from shocklayer.reduction import SINGULARITY_GUARD
 
 from flux_form import extended_with_derivatives
 
 C0 = np.sqrt(1.4)  # sound speed at (1, 0, 1) for the default gas
+
+
+def lab_fluxes(gas, s):
+    """Euler fluxes in the lab frame: rho v, rho v^2 + p, v (rho v^2 / 2 + rho e + p)."""
+    p, e = pressure(gas, s.rho, s.theta)[0], internal_energy(gas, s.theta)[0]
+    return np.array([s.rho * s.v, s.rho * s.v * s.v + p, s.v * (0.5 * s.rho * s.v * s.v + s.rho * e + p)])
+
+
+def lab_densities(gas, s):
+    """Conserved densities in the lab frame: rho, rho v, rho e + rho v^2 / 2."""
+    e = internal_energy(gas, s.theta)[0]
+    return np.array([s.rho, s.rho * s.v, s.rho * e + 0.5 * s.rho * s.v * s.v])
 
 
 @pytest.fixture(scope="module")
@@ -274,18 +286,21 @@ class TestSolveRH:
             raise
         lax = lax_inequalities(gas, pair)
         assert lax["lambda_right"] < pair.sigma < lax["lambda_left"]
-        scale = max(1.0, _sup(euler_fluxes(gas, left)), abs(pair.sigma) * _sup(conserved(gas, left)))
+        scale = max(1.0, _sup(lab_fluxes(gas, left)), abs(pair.sigma) * _sup(lab_densities(gas, left)))
         assert _sup(rh_residual(gas, pair)) <= 1e-12 * scale
+        # the wave-frame residual is the lab-frame [f] - sigma [g]
+        lab = (lab_fluxes(gas, pair.right) - lab_fluxes(gas, pair.left)) - pair.sigma * (
+            lab_densities(gas, pair.right) - lab_densities(gas, pair.left)
+        )
+        assert _sup(rh_residual(gas, pair) - lab) <= 1e-12 * scale
 
 
 class TestShockProfile:
     def test_endpoints_and_diagnostics(self, pair_f1, prof_f1):
         d = prof_f1.diagnostics
-        assert prof_f1.kind == "shock"
         assert prof_f1.sigma == pair_f1.sigma
-        assert prof_f1.left.state() == pair_f1.left
-        assert prof_f1.right.state() == pair_f1.right
-        assert prof_f1.left.z1 == prof_f1.left.z2 == 0.0
+        for end, state in ((prof_f1.left, pair_f1.left), (prof_f1.right, pair_f1.right)):
+            assert end.tolist() == [state.rho, state.v, state.theta, 0.0, 0.0]
         assert d["endpoint_mismatch"] <= 1e-6
         assert d["rh_residual_max"] <= 1e-8
         assert d["flux_drift"] <= 1e-6
@@ -359,7 +374,24 @@ class TestShockProfile:
         assert prof.trajectory.n == 1
         assert prof.diagnostics["endpoint_mismatch"] == 0.0
         assert prof.diagnostics["flux_drift"] <= 1e-14
-        assert prof.left == prof.right
+        assert prof.left.tolist() == prof.right.tolist()
+        # a constant trajectory has no steps, so it has no dense output to evaluate
+        with pytest.raises(ValueError, match="^trajectory carries no dense output$"):
+            prof.trajectory.eval(0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.2)),
+        lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.0)),
+        lambda g: boundary_layer(g, State(1.0, -0.3, 1.0)),
+        lambda g: boundary_layer(g, State(1.0, -0.3, 1.0), amplitude=0.0),
+    ], ids=["shock", "shock-zero", "layer", "layer-zero"])
+    def test_endpoints_are_arrays_of_their_own(self, gasm, build):
+        # each end is a (5,) float array that shares no memory with the other end or the trajectory
+        prof = build(gasm)
+        for end in (prof.left, prof.right):
+            assert end.shape == (5,) and end.dtype == np.float64
+            assert not np.shares_memory(end, prof.trajectory.ys)
+        assert not np.shares_memory(prof.left, prof.right)
 
 
 ATTEMPT_KEYS = {"sign", "eps", "termination", "mismatch", "n_steps"}
@@ -402,7 +434,7 @@ class TestShooting:
         assert attempts[1]["sign"] == -attempts[0]["sign"]
         assert attempts[1]["eps"] == attempts[0]["eps"]
         # the two shots leave the saddle on opposite sides
-        plan_start = prof.right.to_array()
+        plan_start = prof.right
         assert np.dot(starts[0] - plan_start, starts[1] - plan_start) < 0.0
         assert prof.diagnostics["endpoint_mismatch"] <= 1e-6
 
@@ -440,19 +472,24 @@ class TestShooting:
 
 
 class TestOptions:
-    """ShootOpts and LayerOpts refuse a tolerance that is not positive and finite when built.
+    """ShootOpts when built, and boundary_layer at every amplitude, refuse a tolerance that is not positive and finite.
 
-    The integrators check tol, but a strength-0 `shock_profile` never reaches
-    them, and end_tol = inf would accept any first shot.
+    The integrators check tol, but a strength-0 `shock_profile` or a
+    zero-amplitude layer never reaches them, and end_tol = inf would
+    accept any first shot. The layer checks tol before its amplitude.
     """
 
     @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
-    @pytest.mark.parametrize("opts,name", [
-        (profiles.ShootOpts, "tol"), (profiles.ShootOpts, "end_tol"), (profiles.LayerOpts, "tol"),
-    ])
-    def test_rejected(self, opts, name, value):
-        with pytest.raises(DomainError, match=f"{name} must be positive and finite, got {value!r}"):
-            opts(**{name: value})
+    @pytest.mark.parametrize("build,name", [
+        (profiles.ShootOpts, "tol"),
+        (profiles.ShootOpts, "end_tol"),
+        (lambda **kw: boundary_layer(GasModel(), State(1.0, -0.3, 1.0), amplitude=1e-3, **kw), "tol"),
+        (lambda **kw: boundary_layer(GasModel(), State(1.0, -0.3, 1.0), amplitude=0.0, **kw), "tol"),
+        (lambda **kw: boundary_layer(GasModel(), State(1.0, -0.3, 1.0), amplitude=0.6, **kw), "tol"),
+    ], ids=["ShootOpts-tol", "ShootOpts-end_tol", "layer-tol", "layer-zero-amplitude-tol", "layer-past-cap-tol"])
+    def test_rejected(self, build, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got {value!r}$"):
+            build(**{name: value})
 
 
 class TestFluxConstants:
@@ -466,8 +503,8 @@ class TestFluxConstants:
 
     def test_reference_from_equilibrium_endpoint(self, gasm, prof_f1):
         rec = flux_constants(gasm, prof_f1)
-        r = prof_f1.right
-        m = r.rho * (r.v - prof_f1.sigma)
+        rho, v = prof_f1.right[:2]
+        m = rho * (v - prof_f1.sigma)
         assert rec.reference[0] == pytest.approx(m, rel=1e-14)
 
     def test_corrupted_sample_detected(self, gasm, prof_f1):
@@ -476,7 +513,7 @@ class TestFluxConstants:
         ys = traj.ys.copy()
         ys[traj.n // 2, 1] += 1e-3
         corrupted = Profile(
-            kind=prof_f1.kind, sigma=prof_f1.sigma, left=prof_f1.left,
+            sigma=prof_f1.sigma, left=prof_f1.left,
             right=prof_f1.right,
             trajectory=replace(traj, ys=ys),
             diagnostics={},
@@ -517,6 +554,12 @@ class TestGilbargOracle:
         target = np.array([pair_f1.left.v, pair_f1.left.theta])
         mismatch = np.abs(oracle_f1.trajectory.final_V - target).max()
         assert mismatch <= 1e-6
+
+    def test_left_state_moving_with_the_wave_is_refused(self, gasm):
+        # solve_rh never builds this pair: at sigma = left.v the mass flux m = rho (v - sigma) is 0
+        pair = RHPair(left=State(1.0, 0.5, 1.0), right=State(1.2, 0.3, 1.1), sigma=0.5, family=1, strength=0.2)
+        with pytest.raises(DomainError, match="^mass flux vanishes, the flux-form system is undefined$"):
+            gilbarg_oracle(gasm, pair)
 
     def test_rhs_vanishes_at_both_endpoints(self, pair_f1, oracle_f1):
         for st in (pair_f1.left, pair_f1.right):
@@ -790,8 +833,8 @@ def ref_flux_constants(gas, prof):
     """The per-sample loop of flux_constants: (values, reference, drift)."""
     rows = [_flux_integrals(gas, prof.sigma, *U) for U in prof.trajectory.Vs.tolist()]
     values = np.array(rows).reshape(-1, 3)
-    ref = prof.right
-    reference = np.array(_flux_integrals(gas, prof.sigma, ref.rho, ref.v, ref.theta, 0.0, 0.0))
+    rho, v, theta = prof.right[:3].tolist()
+    reference = np.array(_flux_integrals(gas, prof.sigma, rho, v, theta, 0.0, 0.0))
     drift = float(np.max(np.abs(values - reference) / np.maximum(np.abs(reference), 1.0)))
     return values, reference, drift
 
@@ -1032,7 +1075,6 @@ class TestBoundaryLayer:
     def test_subsonic_inflow_direct(self, gasm):
         prof = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3)
         d = prof.diagnostics
-        assert prof.kind == "boundary_layer"
         assert prof.sigma == 0.0
         assert d["mode"] == "direct"
         assert d["rate"] < 0.0
@@ -1044,9 +1086,9 @@ class TestBoundaryLayer:
         far = prof.trajectory.Vs[0]
         U_star = np.array([1.0, -0.3, 1.0, 0.0, 0.0])
         assert np.abs(far - U_star).max() <= 2e-3
-        assert prof.right.state() == State(1.0, -0.3, 1.0)
+        assert prof.right.tolist() == U_star.tolist()
         # trace grew away from the limit state
-        trace = prof.left.to_array()
+        trace = prof.left
         assert np.abs(trace - U_star).max() > 1e-2
 
     def test_subsonic_outflow(self, gasm):
@@ -1079,7 +1121,7 @@ class TestBoundaryLayer:
         with pytest.raises(NoDecayingDirectionError, match="sonic set"):
             boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=1e-3)
         const = boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=0.0)
-        assert const.trajectory.n == 1 and const.left == const.right
+        assert const.trajectory.n == 1 and const.left.tolist() == const.right.tolist()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_tiny_speeds_behave_like_their_neighbours(self, gasm, sign):
@@ -1124,7 +1166,7 @@ class TestBoundaryLayer:
     def test_zero_amplitude(self, gasm):
         prof = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=0.0)
         assert prof.trajectory.n == 1
-        assert prof.left == prof.right
+        assert prof.left.tolist() == prof.right.tolist()
         assert prof.diagnostics["flux_drift"] == 0.0
 
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf")])
@@ -1140,8 +1182,8 @@ class TestBoundaryLayer:
         up = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3)
         dn = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=-1e-3)
         # the two branches leave the equilibrium on opposite sides
-        far_up = up.trajectory.Vs[0] - up.right.to_array()
-        far_dn = dn.trajectory.Vs[0] - dn.right.to_array()
+        far_up = up.trajectory.Vs[0] - up.right
+        far_dn = dn.trajectory.Vs[0] - dn.right
         assert np.dot(far_up, far_dn) < 0.0
 
 

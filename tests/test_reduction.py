@@ -10,7 +10,6 @@ import pytest
 
 from shocklayer import (
     DomainError,
-    ExtendedState,
     GasModel,
     Gradient,
     PowerLaw,
@@ -206,14 +205,3 @@ class TestReduceW:
                 w = -(blk.A[1:, 0] @ U[3:]) / (blk.A[0, 0] - sigma * blk.E[0, 0])
                 expected = ode.F_eval(U.tolist())[0] / ode.zeta_eval(U.tolist())
                 assert w == pytest.approx(expected, rel=1e-13, abs=1e-14)
-
-
-class TestExtendedState:
-    def test_array_round_trip(self):
-        u = ExtendedState(1.0, 2.0, 3.0, 4.0, 5.0)
-        v = ExtendedState.from_array(u.to_array())
-        assert u == v
-
-    def test_state_projection(self):
-        u = ExtendedState(1.0, 2.0, 3.0, 4.0, 5.0)
-        assert u.state() == State(1.0, 2.0, 3.0)

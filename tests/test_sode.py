@@ -474,7 +474,7 @@ class TestTolerance:
                 gas, profiles.solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.2), profiles.ShootOpts(tol=tol),
             ),
             "boundary_layer": lambda: profiles.boundary_layer(
-                gas, State(1.0, -0.3, 1.0), 0, 1e-3, profiles.LayerOpts(tol=tol),
+                gas, State(1.0, -0.3, 1.0), 0, 1e-3, tol=tol,
             ),
         }
         with pytest.raises(DomainError, match=f"tol must be positive and finite, got {tol!r}"):

@@ -11,6 +11,7 @@ their per-state matrices, bit for bit.
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,7 +95,10 @@ def reference_check_structure(
         asym = float(np.abs(A0 - A0.T).max())
         if asym > worst_asym:
             worst_asym, asym_witness = asym, state
-        rank = B.shape[0] - reference_kernel_dimension(B, rank_tol)
+        # the rank of D^-1/2 B D^-1/2, D = |diag B| with a zero entry read as 1: B's rank, free of B's scales
+        d = np.abs(np.diag(B))
+        d = 1.0 / np.sqrt(np.where(d == 0.0, 1.0, d))
+        rank = B.shape[0] - reference_kernel_dimension(d[:, None] * B * d[None, :], rank_tol)
         ranks.append(rank)
         if rank != ranks[0]:
             rank_witness = state
@@ -513,6 +517,17 @@ class TestCheckStructure:
         assert report.structural_pass()
         assert report.to_json_dict() == reference_check_structure(gas, box, 1, 2).to_json_dict()
 
+    @pytest.mark.parametrize("theta", [(1.0, 1e11), (1e11, 1e11), (1e30, 1e100)])
+    def test_b_rank_is_not_read_from_its_scale(self, gas, theta):
+        # B = diag(0, 1/theta, 1/theta^2) has rank 2 at every state; counted on B itself, 1/theta^2
+        # falls under rank_tol times 1/theta once theta > 1e10, and the rank read 1
+        box = Box(rho=(0.5, 2.0), v=(-1.0, 1.0), theta=theta)
+        report = check_structure(gas, box, n_samples=50, seed=0)
+        assert report.b_rank == RankResult(passed=True, ranks=(2,) * 50, r=2, witness=None)
+        assert report.structural_pass()
+        assert report.to_json_dict() == reference_check_structure(gas, box, 50, 0).to_json_dict()
+        assert kernel_dimension(assemble_B(gas, State(1.0, 0.0, 1e11))) == 2
+
     @pytest.mark.parametrize("gas_kw,box_ranges", [
         (dict(c_rho=1e-310), dict(rho=(1e-300, 1e-300), v=(-1.0, 1.0), theta=(0.5, 2.0))),
         ({}, dict(rho=(1e300, 1e300), v=(0.0, 0.0), theta=(1.6e-4, 1.6e-4))),
@@ -760,6 +775,16 @@ class TestSuggestSigmas:
 
     def test_no_states(self, gas):
         assert suggest_sigmas(gas, []) == []
+
+    def test_nonpositive_e_diagonal_is_refused(self):
+        # at rho 1e-300 and theta 1e30, E = diag(1e300, 0, 0): rho / theta underflows, and the
+        # speeds would need 1 / sqrt(0); the state is refused before the square root, with no warning
+        gas = GasModel(c_rho=1e-310)
+        msg = "E's diagonal (1e+300, 0, 0) is not positive at state (rho, v, theta) = (1e-300, 0, 1e+30)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(msg)):
+                suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(1e-300, 0.0, 1e30)])
 
     @settings(max_examples=50, deadline=None)
     @given(gb=gases_and_boxes(), n=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
