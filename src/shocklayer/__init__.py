@@ -5,89 +5,58 @@ heat-conducting system, checks the structural hypotheses behind it,
 reduces travelling-wave and steady problems to a singular first-order
 ODE, integrates that ODE both directly and after desingularization, and
 builds shock profiles and boundary layers with independent checks.
+
+Each public name loads its submodule on first use (PEP 562), so a
+structure check never imports the integrator and a shock never imports
+the structure checks. `from shocklayer import *` loads them all, and so
+does `shocklayer.cli`, which imports what its commands call by name.
 """
 
-from types import ModuleType as _ModuleType
-
-from .errors import (
-    ConfigError,
-    DomainError,
-    NoConnectionError,
-    NoDecayingDirectionError,
-    NonMonotoneError,
-    ShockLayerError,
-    SingularityError,
-    StepFailureError,
-)
-from .gas import (
-    Box,
-    GasModel,
-    Gradient,
-    PowerLaw,
-    State,
-    ZERO_GRADIENT,
-    internal_energy,
-    pressure,
-    sound_speed,
-)
-from .profiles import (
-    CompareReport,
-    FluxRecord,
-    OracleTrajectory,
-    Profile,
-    RHPair,
-    ShootOpts,
-    boundary_layer,
-    char_speed,
-    compare_profiles,
-    flux_constants,
-    gilbarg_oracle,
-    lax_inequalities,
-    max_extended_residual,
-    rh_residual,
-    shock_profile,
-    solve_rh,
-)
-from .reduction import (
-    SINGULARITY_GUARD,
-    SingularODE,
-    steady_singular_ode,
-    tw_singular_ode,
-)
-from .sode import (
-    CSV_HEADER,
-    LinearizationReport,
-    Trajectory,
-    TrajectoryStats,
-    integrate_direct,
-    integrate_rescaled,
-    linearize,
-    resample_by_x,
-    trajectory_metadata,
-    trajectory_to_csv,
-)
-from .structure import (
-    CheckResult,
-    DegeneracyVerdict,
-    RankResult,
-    StructureReport,
-    check_block_linear_degeneracy,
-    check_structure,
-    eulerian_block_evals,
-    kernel_dimension,
-    lagrangian_block_evals,
-    suggest_sigmas,
-)
-from .system import (
-    SystemBlocks,
-    assemble_A,
-    assemble_B,
-    assemble_E,
-    blocks,
-    format_matrix,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+# the submodule that defines each public name
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DomainError", "NoConnectionError", "NoDecayingDirectionError", "NonMonotoneError",
+        "ShockLayerError", "SingularityError", "StepFailureError",
+    ),
+    "gas": (
+        "Box", "GasModel", "Gradient", "PowerLaw", "State", "ZERO_GRADIENT", "internal_energy", "pressure",
+        "sound_speed",
+    ),
+    "profiles": (
+        "CompareReport", "FluxRecord", "OracleTrajectory", "Profile", "RHPair", "ShootOpts", "boundary_layer",
+        "char_speed", "compare_profiles", "flux_constants", "gilbarg_oracle", "lax_inequalities",
+        "max_extended_residual", "rh_residual", "shock_profile", "solve_rh",
+    ),
+    "reduction": ("SINGULARITY_GUARD", "SingularODE", "steady_singular_ode", "tw_singular_ode"),
+    "sode": (
+        "CSV_HEADER", "LinearizationReport", "Trajectory", "TrajectoryStats", "integrate_direct",
+        "integrate_rescaled", "linearize", "resample_by_x", "trajectory_metadata", "trajectory_to_csv",
+    ),
+    "structure": (
+        "CheckResult", "DegeneracyVerdict", "RankResult", "StructureReport", "check_block_linear_degeneracy",
+        "check_structure", "eulerian_block_evals", "kernel_dimension", "lagrangian_block_evals", "suggest_sigmas",
+    ),
+    "system": ("SystemBlocks", "assemble_A", "assemble_B", "assemble_E", "blocks", "format_matrix"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
 # submodules stay reachable as attributes; `import *` binds none of them
-__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    """Import the submodule behind a public name or a submodule name, and bind the name here."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

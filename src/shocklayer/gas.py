@@ -143,11 +143,17 @@ def sound_speed(gas: GasModel, state: State) -> float:
 
     Evaluated through the general expression
     c^2 = p_rho + theta * p_theta^2 / (rho^2 * e_theta), which collapses
-    to sqrt(gamma R theta) for the ideal polytropic law.
+    to sqrt(gamma R theta) for the ideal polytropic law. Where rho^2 e_theta
+    underflows to 0 (rho below about 1e-162) it is read as
+    p_rho + theta (p_theta / rho)^2 / e_theta, which keeps its scale.
     """
     p, p_rho, p_theta = pressure(gas, state.rho, state.theta)
     _, e_theta = internal_energy(gas, state.theta)
-    c2 = p_rho + state.theta * p_theta ** 2 / (state.rho ** 2 * e_theta)
+    rho2_e = state.rho ** 2 * e_theta
+    if rho2_e == 0.0:
+        c2 = p_rho + state.theta * (p_theta / state.rho) ** 2 / e_theta
+    else:
+        c2 = p_rho + state.theta * p_theta ** 2 / rho2_e
     return float(np.sqrt(c2))
 
 

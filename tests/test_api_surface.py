@@ -10,10 +10,18 @@ check of a `StructureReport` is a required field. The degeneracy check
 is exact on its scalar block, so it takes no tolerance, and neither does
 the config's `tolerances` section. A `Profile` holds its endpoints as
 arrays, and `boundary_layer` takes its one control as the keyword `tol`.
+Each public name loads only its own submodule and what that imports, so
+a structure check runs without the integrator and a shock without the
+structure checks; fresh interpreters pin which modules each path loads.
 """
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +97,57 @@ def test_all_lists_no_module():
     assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
     assert len(shocklayer.__all__) == 63
     assert shocklayer.sode is sode and shocklayer.profiles is profiles
+
+
+def fresh(code: str):
+    """Run code after `import shocklayer` in a fresh interpreter; the JSON value it prints as its last line."""
+    src = str(Path(shocklayer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = f"import json, sys\nimport shocklayer\n{code}"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('shocklayer.'))))"
+
+
+class TestLoadOnFirstUse:
+    def test_bare_import_loads_no_submodule(self):
+        assert fresh(LOADED) == []
+
+    def test_structure_check_loads_no_integrator(self):
+        loaded = fresh(f"shocklayer.check_structure\n{LOADED}")
+        assert "shocklayer.structure" in loaded
+        assert {"shocklayer.profiles", "shocklayer.sode", "shocklayer.reduction"}.isdisjoint(loaded)
+
+    def test_shock_loads_no_structure_check(self):
+        loaded = fresh(f"shocklayer.shock_profile\n{LOADED}")
+        assert "shocklayer.profiles" in loaded
+        assert {"shocklayer.structure", "shocklayer.system"}.isdisjoint(loaded)
+
+    def test_star_import_binds_exactly_all_and_no_module(self):
+        names, modules = fresh(
+            "ns = {}\nexec('from shocklayer import *', ns)\ndel ns['__builtins__']\n"
+            "print(json.dumps([sorted(ns), [k for k, v in ns.items() if isinstance(v, type(sys))]]))"
+        )
+        assert names == sorted(shocklayer.__all__)
+        assert modules == []
+
+    def test_every_public_name_resolves_and_stays_bound(self):
+        missing, unbound = fresh(
+            "missing = [n for n in shocklayer.__all__ if not hasattr(shocklayer, n)]\n"
+            "print(json.dumps([missing, [n for n in shocklayer.__all__ if n not in vars(shocklayer)]]))"
+        )
+        assert missing == [] and unbound == []
+        assert set(shocklayer.__all__) <= set(dir(shocklayer))
+
+    def test_submodule_names_resolve(self):
+        assert fresh("print(json.dumps(shocklayer.sode.__name__))") == "shocklayer.sode"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            shocklayer.no_such_name
 
 
 def test_fixed_controls():

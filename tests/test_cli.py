@@ -401,6 +401,18 @@ class TestShock:
         err = capsys.readouterr().err
         assert "kind=validation exit=2" in err and "admissible limit" in err
 
+    def test_tiny_density_exits_typed(self, tmp_path, outdir, capsys):
+        # the sound speed at rho 1e-200 is finite; linearize's absolute
+        # finite-difference step then leaves the state space
+        cfg = base_config(outdir)
+        cfg["gas"]["c_rho"] = 1e-310
+        cfg["rh"]["U_minus"] = [1e-200, 0.0, 1.0]
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2 msg=extended state needs rho > 0 and theta > 0" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     def test_records_attempts_and_evaluations(self, config_path, outdir):
         assert main(["shock", "--config", config_path]) == 0
         side = json.loads((outdir / "shock_diagnostics.json").read_text())

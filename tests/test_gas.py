@@ -43,6 +43,24 @@ def test_sound_speed_general_formula_matches_ideal(gas, box, rng):
         assert c == pytest.approx(np.sqrt(gas.gamma * gas.R * st.theta), rel=1e-14)
 
 
+@pytest.mark.parametrize("rho", [1e-162, 1e-300])
+def test_sound_speed_where_rho_squared_underflows(rho):
+    # rho^2 e_theta is 0 here; the scaled form still gives sqrt(gamma R theta)
+    assert sound_speed(GasModel(c_rho=1e-310), State(rho, 0.0, 1.0)) == 1.1832159566199232
+
+
+@pytest.mark.parametrize("gas_model", [GasModel(c_rho=1e-310), GasModel(R=0.287, gamma=5 / 3, c_rho=1e-310)])
+def test_sound_speed_keeps_the_unscaled_bits_above_the_underflow(gas_model):
+    # every density that does not underflow reads the general expression
+    # as before, so no shock speed moves a bit
+    for rho in np.logspace(-160, 3, 327).tolist():
+        for theta in (0.37, 1.0, 4.5):
+            _, p_rho, p_theta = pressure(gas_model, rho, theta)
+            _, e_theta = internal_energy(gas_model, theta)
+            expected = float(np.sqrt(p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)))
+            assert sound_speed(gas_model, State(rho, 0.0, theta)) == expected, (rho, theta)
+
+
 @pytest.mark.parametrize("rho,theta,message", [
     (0.0, 1.0, "pressure needs rho > 0, got 0.0"),
     (-2.0, 1.0, "pressure needs rho > 0, got -2.0"),

@@ -3,10 +3,9 @@
 No linter ships with the toolchain, so these are two rules in the
 standard library's `ast`:
 
-- unused imports: every module under src/shocklayer/ except
-  `__init__.py` (which imports in order to re-export) is parsed, and each
-  name an import binds must be read somewhere in the module or in the
-  source the module compiles at run time against its own globals. The
+- unused imports: every module under src/shocklayer/ is parsed, and
+  each name an import binds must be read somewhere in the module or in
+  the source the module compiles at run time against its own globals. The
   names the benchmark tracer swaps on `cli` and `profiles` are all called
   there, so they pass.
 - dead names: every private (single-underscore) function, class or
@@ -27,7 +26,7 @@ import pytest
 import shocklayer
 from shocklayer import profiles, reduction, sode
 
-MODULES = sorted(p for p in Path(shocklayer.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(Path(shocklayer.__file__).parent.glob("*.py"))
 SOURCES = (reduction.TW_RHS, profiles.FLUX_RHS)
 GENERATED = {
     "reduction.py": [reduction._closure_source(rhs) for rhs in SOURCES],

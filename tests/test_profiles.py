@@ -187,6 +187,15 @@ class TestSolveRH:
         with pytest.raises(DomainError, match="strength must be finite"):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=family, strength=strength)
 
+    def test_tiny_density_scales_out(self, gasm):
+        # the Euler jump conditions are invariant under rho -> s rho, so a
+        # pair at rho 1e-200 has the unit pair's speed and velocity jump
+        tiny = solve_rh(GasModel(c_rho=1e-310), State(1e-200, 0.0, 1.0), family=1, strength=0.2)
+        unit = solve_rh(GasModel(), State(1.0, 0.0, 1.0), family=1, strength=0.2)
+        assert tiny.sigma == pytest.approx(unit.sigma, rel=1e-14)
+        assert tiny.right.v == pytest.approx(unit.right.v, rel=1e-12)
+        assert tiny.right.rho / 1e-200 == pytest.approx(unit.right.rho, rel=1e-12)
+
     def test_vacuum_bound_enforced(self):
         # family-3 waves rarefy the right state; a tight bound catches it
         g = GasModel(c_rho=0.5)
