@@ -667,12 +667,14 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     Each profile (a `Profile` or an `OracleTrajectory`) is evaluated
     through the dense output of its integration at the points where the
     matching component takes the grid values: the samples of both
-    profiles inside the overlap of their ranges, plus the overlap's ends
-    (see `Trajectory.eval_where`). The matching component must be one the
-    profile integrates (rho, v, theta, z1, z2 for a Profile; v, theta for
-    the oracle, whose rho, z1 and z2 follow from the flux form). The sup
-    deviation of the remaining components is returned. x never
-    participates: profiles are translation invariant.
+    profiles inside the overlap of their ranges, plus the overlap's ends,
+    sorted, with each value once (see `Trajectory.eval_where`). Repeats
+    are dropped by comparing sorted neighbours, not by np.unique, which
+    under numpy >= 2 imports numpy.ma. The matching component must be
+    one the profile integrates (rho, v, theta, z1, z2 for a Profile; v,
+    theta for the oracle, whose rho, z1 and z2 follow from the flux
+    form). The sup deviation of the remaining components is returned. x
+    never participates: profiles are translation invariant.
     """
     names = [_integrated_columns(obj) for obj in (a, b)]
     for obj, cols in zip((a, b), names):
@@ -691,9 +693,10 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     hi = min(ma.max(), mb.max())
     if not (lo < hi):
         raise DomainError("profiles do not overlap in the matching component")
-    grid = np.unique(np.concatenate([
+    grid = np.sort(np.concatenate([
         ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),
     ]))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     ca, cb = (_columns_at(obj, obj.trajectory.eval_where(j, grid)) for obj, j in zip((a, b), idx))
     per_column = {c: float(np.max(np.abs(ca[c] - cb[c]))) for c in _COLUMNS if c != matching}
     return CompareReport(

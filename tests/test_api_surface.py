@@ -142,6 +142,20 @@ class TestLoadOnFirstUse:
         assert missing == [] and unbound == []
         assert set(shocklayer.__all__) <= set(dir(shocklayer))
 
+    def test_verified_shock_and_layer_load_no_masked_arrays(self):
+        # numpy >= 2 loads numpy.ma for np.unique and the other set routines;
+        # the shock path must only carry it if numpy itself does
+        bare, loaded = fresh(
+            "import numpy\nbare = 'numpy.ma' in sys.modules\n"
+            "from shocklayer import State, GasModel, boundary_layer, compare_profiles, flux_constants, "
+            "gilbarg_oracle, shock_profile, solve_rh\n"
+            "gas = GasModel()\npair = solve_rh(gas, State(1.0, 0.0, 1.0), family=1, strength=0.2)\n"
+            "prof = shock_profile(gas, pair)\ncompare_profiles(prof, gilbarg_oracle(gas, pair))\n"
+            "flux_constants(gas, prof)\nboundary_layer(gas, State(1.0, -0.3, 1.0))\n"
+            "print(json.dumps([bare, 'numpy.ma' in sys.modules]))"
+        )
+        assert loaded == bare
+
     def test_submodule_names_resolve(self):
         assert fresh("print(json.dumps(shocklayer.sode.__name__))") == "shocklayer.sode"
 

@@ -1,5 +1,6 @@
 """Thermodynamic closures, state validation, and the sampling box."""
 
+import math
 import re
 
 import numpy as np
@@ -49,11 +50,25 @@ def test_sound_speed_where_rho_squared_underflows(rho):
     assert sound_speed(GasModel(c_rho=1e-310), State(rho, 0.0, 1.0)) == 1.1832159566199232
 
 
-@pytest.mark.parametrize("gas_model", [GasModel(c_rho=1e-310), GasModel(R=0.287, gamma=5 / 3, c_rho=1e-310)])
+TINY_DENSITY_GASES = [GasModel(c_rho=1e-310), GasModel(R=0.287, gamma=5 / 3, c_rho=1e-310)]
+
+
+@pytest.mark.parametrize("gas_model", TINY_DENSITY_GASES)
+def test_sound_speed_where_rho_squared_is_subnormal(gas_model):
+    # rho^2 e_theta and theta p_theta^2 lose digits as subnormals long
+    # before they reach 0; the scaled form keeps sqrt(gamma R theta)
+    for rho in np.logspace(-162, -150, 2000).tolist():
+        for theta in (0.37, 1.0, 4.5):
+            exact = math.sqrt(gas_model.gamma * gas_model.R * theta)
+            c = sound_speed(gas_model, State(rho, 0.0, theta))
+            assert abs(c - exact) <= 1e-15 * exact, (rho, theta, c, exact)
+
+
+@pytest.mark.parametrize("gas_model", TINY_DENSITY_GASES)
 def test_sound_speed_keeps_the_unscaled_bits_above_the_underflow(gas_model):
-    # every density that does not underflow reads the general expression
-    # as before, so no shock speed moves a bit
-    for rho in np.logspace(-160, 3, 327).tolist():
+    # every density where rho^2 e_theta is a normal float reads the general
+    # expression as before, so no shock speed moves a bit
+    for rho in np.logspace(-153, 3, 313).tolist():
         for theta in (0.37, 1.0, 4.5):
             _, p_rho, p_theta = pressure(gas_model, rho, theta)
             _, e_theta = internal_energy(gas_model, theta)

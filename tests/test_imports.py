@@ -12,6 +12,10 @@ standard library's `ast`:
   constant defined at module level must be read somewhere in the
   package or in its generated source, as a name or as an attribute. A
   helper left behind by a refactor fails it.
+- no numpy set routines: no module names `unique`, `isin`, `in1d`,
+  `setdiff1d`, `intersect1d` or `union1d` as an attribute or imports
+  them from numpy, because under numpy >= 2 each call imports
+  `numpy.ma`, which nothing in the package uses.
 
 The generated source is every right-hand-side closure `reduction` builds
 and every step kernel `sode` compiles: the kernel of each `RhsSource`,
@@ -67,6 +71,35 @@ def test_rule_reads_generated_source():
     source = "from math import isfinite, sqrt\nprint(sqrt(2.0))\n"
     assert unused_imports(source, ["def f(x):\n    return isfinite(x)\n"]) == []
     assert unused_imports(source, ["def f(x):\n    return x - x == 0.0\n"]) == ["isfinite"]
+
+
+SET_ROUTINES = {"unique", "isin", "in1d", "setdiff1d", "intersect1d", "union1d"}
+
+
+def set_routines(source: str) -> list[str]:
+    """numpy set routines source names, as an attribute (np.unique) or a from-import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in SET_ROUTINES:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend(alias.name for alias in node.names if alias.name in SET_ROUTINES)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_set_routines(path):
+    assert set_routines("\n".join([path.read_text(), *GENERATED.get(path.name, [])])) == []
+
+
+def test_rule_catches_set_routines():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy import isin, sort\n"
+        "g = np.unique(np.sort(x))\nh = numpy.lib.arraysetops.union1d(g, g)\n"
+        "print(np.setdiff1d(g, h), isin(g, h), sort(g))\n"
+    )
+    assert set_routines(source) == ["isin", "setdiff1d", "union1d", "unique"]
+    assert set_routines("import numpy as np\ng = np.sort(x)\ng = g[np.concatenate(([True], g[1:] != g[:-1]))]\n") == []
 
 
 def defined_private_names(tree: ast.Module) -> set[str]:

@@ -44,7 +44,7 @@ from shocklayer import (
 )
 from shocklayer import profiles, sode
 from shocklayer.gas import internal_energy, pressure
-from shocklayer.profiles import _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
+from shocklayer.profiles import CompareReport, _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
 from shocklayer.reduction import SINGULARITY_GUARD
 
 from flux_form import extended_with_derivatives
@@ -794,6 +794,106 @@ class TestCompareProfiles:
     def test_rejects_inputs_without_a_trajectory(self, prof_f1):
         with pytest.raises(TypeError):
             compare_profiles({"v": prof_f1.trajectory.Vs[:, 1]}, prof_f1)
+
+
+def unique_grid_compare(a, b, matching="v"):
+    """compare_profiles with its grid built by np.unique: the grid and the report."""
+    idx = [profiles._integrated_columns(obj).index(matching) for obj in (a, b)]
+    ma, mb = (obj.trajectory.Vs[:, j] for obj, j in zip((a, b), idx))
+    lo, hi = max(ma.min(), mb.min()), min(ma.max(), mb.max())
+    grid = np.unique(np.concatenate([
+        ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),
+    ]))
+    ca, cb = (profiles._columns_at(obj, obj.trajectory.eval_where(j, grid)) for obj, j in zip((a, b), idx))
+    per_column = {c: float(np.max(np.abs(ca[c] - cb[c]))) for c in profiles._COLUMNS if c != matching}
+    return grid, CompareReport(
+        sup=max(per_column.values()), per_column=per_column, overlap=(float(lo), float(hi)), n_points=len(grid),
+    )
+
+
+def report_bits(rep):
+    """Every field of a CompareReport, floats by their bits (so -0.0 differs from 0.0)."""
+    return (
+        rep.sup.hex(), [(c, v.hex()) for c, v in rep.per_column.items()],
+        tuple(x.hex() for x in rep.overlap), rep.n_points,
+    )
+
+
+def assert_grid_matches_unique(monkeypatch, a, b, matching="v"):
+    """compare_profiles evaluates both profiles on np.unique's grid, bit for bit, and reports as it did."""
+    grids = []
+    eval_where = sode.Trajectory.eval_where
+
+    def spy(traj, j, values):
+        grids.append(np.asarray(values).tobytes())
+        return eval_where(traj, j, values)
+
+    monkeypatch.setattr(sode.Trajectory, "eval_where", spy)
+    rep = compare_profiles(a, b, matching=matching)
+    grid, ref = unique_grid_compare(a, b, matching)
+    assert grids[:2] == [grid.tobytes()] * 2
+    assert report_bits(rep) == report_bits(ref)
+
+
+def polyline_profile(v):
+    """Direct-mode profile through samples with these v values, joined linearly.
+
+    rho and theta are affine in v, z1 = v^2 and z2 = sin(v), so two sample
+    sets give different values between their samples.
+    """
+    v = np.asarray(v, dtype=float)
+    ys = np.column_stack([1.0 + 0.5 * v, v, 1.0 - 0.25 * v, v * v, np.sin(v)])
+    Q = np.zeros((v.size - 1, 5, 4))
+    Q[:, :, 0] = np.diff(ys, axis=0)
+    traj = sode.Trajectory(
+        mode="direct", ts=np.arange(v.size, dtype=float), ys=ys, termination=sode.TERM_REACHED_END,
+        stats=sode.TrajectoryStats(v.size - 1, 0, 0, 1.0, 0, 1.0), hs=np.ones(v.size - 1), Q=Q,
+    )
+    return Profile(sigma=0.0, left=ys[0].copy(), right=ys[-1].copy(), trajectory=traj, diagnostics={})
+
+
+class TestCompareGrid:
+    """The grid has each value once, with np.unique's values, count and order."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        family=st.sampled_from([1, 3]),
+        frac=st.floats(0.1, 0.9),
+    )
+    def test_generated_power_law_shocks(self, gamma, nu, k, family, frac):
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        left = State(1.0, 0.0, 1.0)
+        bound = sound_speed(gas, left) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
+        pair = solve_rh(gas, left, family, frac * (bound if family == 3 else 2.0))
+        prof, oracle = shock_profile(gas, pair), gilbarg_oracle(gas, pair)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_grid_matches_unique(monkeypatch, prof, oracle)
+            assert_grid_matches_unique(monkeypatch, oracle, prof, matching="theta")
+
+    @pytest.mark.parametrize("va,vb", [
+        # shared samples, and both overlap ends on samples of both profiles
+        ([0.0, 0.25, 0.5, 0.75, 1.0], [0.25, 0.5, 0.6, 1.0, 1.5]),
+        # the overlap ends fall on samples of one profile only
+        ([0.0, 0.2, 0.4, 0.8], [0.1, 0.3, 0.4, 0.9]),
+        # +0.0 in one profile and -0.0 in the other, either first
+        ([-1.0, -0.0, 0.5, 1.0], [-0.5, 0.0, 0.3, 2.0]),
+        ([-1.0, 0.0, 0.5, 1.0], [-0.5, -0.0, 0.3, 2.0]),
+        # a signed zero as the overlap's lower end
+        ([-0.0, 0.4, 1.0], [0.0, 0.7, 2.0]),
+        ([0.0, 0.4, 1.0], [-0.0, 0.7, 2.0]),
+        # a decreasing matching column against an increasing one
+        ([1.0, 0.5, 0.0, -0.5], [-1.0, -0.0, 0.5, 0.75]),
+    ])
+    def test_hand_made_samples(self, monkeypatch, va, vb):
+        a, b = polyline_profile(va), polyline_profile(vb)
+        assert_grid_matches_unique(monkeypatch, a, b)
+        rep = compare_profiles(a, b)
+        lo, hi = rep.overlap
+        assert rep.n_points == len({x for x in va + vb if lo <= x <= hi})  # a set holds one of -0.0 and 0.0
+        assert rep.sup > 0.0
 
 
 class TestMaxExtendedResidual:
