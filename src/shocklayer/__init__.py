@@ -34,7 +34,7 @@ _EXPORTS = {
     "reduction": ("SINGULARITY_GUARD", "SingularODE", "steady_singular_ode", "tw_singular_ode"),
     "sode": (
         "CSV_HEADER", "LinearizationReport", "Trajectory", "TrajectoryStats", "integrate_direct",
-        "integrate_rescaled", "linearize", "resample_by_x", "trajectory_metadata", "trajectory_to_csv",
+        "integrate_rescaled", "linearize", "trajectory_metadata", "trajectory_to_csv",
     ),
     "structure": (
         "CheckResult", "DegeneracyVerdict", "RankResult", "StructureReport", "check_block_linear_degeneracy",

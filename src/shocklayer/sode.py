@@ -44,7 +44,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -613,19 +613,6 @@ def integrate_rescaled(
         ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [float(x0)], float(tau_span[1]),
         tol, stop if stop_when is not None else None,
     ))
-
-
-def resample_by_x(traj: Trajectory, xs: Sequence[float]) -> np.ndarray:
-    """Evaluate a trajectory at given spatial points via its dense output.
-
-    Rescaled trajectories must have strictly monotone x for the
-    reparametrization to be well defined; the tau of each point is found
-    by `Trajectory.eval_where` on the x component.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if traj.mode == "direct":
-        return traj.eval(xs)
-    return traj.eval_where(-1, xs)[..., :-1]
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,8 @@ def blocks(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> Syste
     """Assemble E, A(u, u_x) and B at one state.
 
     Every check assembles on sample columns. This per-state path stays for
-    its one caller, `structure.eulerian_block_evals`, whose calls the benchmark counts.
+    its one caller, `structure.eulerian_block_evals`, which calls it once per
+    distinct (rho, theta) and whose calls the benchmark counts.
     """
     return SystemBlocks(E=assemble_E(gas, state), A=assemble_A(gas, state, grad), B=assemble_B(gas, state))
 

@@ -87,7 +87,7 @@ def test_settable_value_count():
 
 @pytest.mark.parametrize("name", [
     "NoConvergenceError", "LagrangianBlocks", "lagrangian_blocks", "reduce_w", "extended_residual",
-    "ExtendedState", "LayerOpts", "euler_fluxes", "conserved",
+    "ExtendedState", "LayerOpts", "euler_fluxes", "conserved", "resample_by_x",
 ])
 def test_deleted_names_stay_deleted(name):
     assert name not in shocklayer.__all__
@@ -95,7 +95,7 @@ def test_deleted_names_stay_deleted(name):
 
 def test_all_lists_no_module():
     assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
-    assert len(shocklayer.__all__) == 63
+    assert len(shocklayer.__all__) == 62
     assert shocklayer.sode is sode and shocklayer.profiles is profiles
 
 

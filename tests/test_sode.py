@@ -29,7 +29,6 @@ from shocklayer import (
     State,
     StepFailureError,
     linearize,
-    resample_by_x,
     steady_singular_ode,
     trajectory_metadata,
     trajectory_to_csv,
@@ -144,25 +143,28 @@ class TestRescaledCalibration:
 
 class TestModeAgreement:
     def test_direct_vs_rescaled_resampled(self):
-        # same orbit: direct V(x) = e^x; rescaled V(tau) = 1/(1-tau)
+        # same orbit: direct V(x) = e^x; rescaled V(tau) = 1/(1-tau), read at x through its x column
         tol = 1e-10
         direct = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), tol=tol)
         tau_end = 1.0 - np.exp(-1.0)
         resc = integrate_rescaled(exp_ode(), np.array([1.0]), (0.0, tau_end), tol=tol)
         xs = np.linspace(0.05, 0.95, 19)
-        vd = resample_by_x(direct, xs)
-        vr = resample_by_x(resc, xs)
+        vd = direct.eval(xs)
+        vr = resc.eval_where(-1, xs)[..., :-1]
         assert np.abs(vd - vr).max() <= 10.0 * tol
 
     def test_resample_requires_monotone_x(self):
         traj = integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0))
         with pytest.raises(NonMonotoneError):
-            resample_by_x(traj, [0.1])
+            traj.eval_where(-1, [0.1])
 
     def test_resample_out_of_range(self):
         traj = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0))
         with pytest.raises(ValueError):
-            resample_by_x(traj, [100.0])
+            traj.eval_where(-1, [100.0])
+        direct = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
+        with pytest.raises(ValueError):
+            direct.eval([100.0])
 
 
 class TestDenseOutput:

@@ -301,6 +301,10 @@ class TestKernelDimension:
         assert kernel_dimension(np.zeros((0, 1, 1))).shape == (0,)
 
 
+# velocities at which E[0, 0], and whether `blocks` raises, must not change
+V_PROBES = (0.0, -0.0, 5e-324, 1.0, -1.0, 1e300, -1e300)
+
+
 class TestBlockEvals:
     def test_eulerian_values(self, gas):
         a11_eval, e11_eval = eulerian_block_evals(gas)
@@ -324,6 +328,47 @@ class TestBlockEvals:
             check_block_linear_degeneracy(a11_eval, e11_eval, sigma, samples)
         assert len(calls) == len(set(samples)) == 12
 
+    def test_one_assembly_per_rho_theta_across_sigmas(self, gas, monkeypatch):
+        # each sigma's critical state State(mid.rho, sigma, mid.theta) shares one assembly,
+        # and so does a sample that differs from another in v alone
+        calls = []
+
+        def counted(g, state, *args):
+            calls.append(state)
+            return blocks(g, state, *args)
+
+        monkeypatch.setattr(structure, "blocks", counted)
+        box = Box(rho=(0.5, 2.0), v=(-1.0, 1.0), theta=(0.5, 2.0))
+        samples = box.sample(12, np.random.default_rng(4))
+        samples.append(State(samples[0].rho, 0.25, samples[0].theta))
+        mid = box.midpoint()
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        criticals = []
+        for sigma in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            criticals.append(State(mid.rho, sigma, mid.theta))
+            check_block_linear_degeneracy(a11_eval, e11_eval, sigma, samples + criticals[-1:])
+        assert len(calls) == len({(s.rho, s.theta) for s in samples + criticals}) == 13
+
+    def test_equal_states_share_one_assembly(self, gas, monkeypatch):
+        calls = []
+        monkeypatch.setattr(structure, "blocks", lambda g, state: calls.append(state) or blocks(g, state))
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        first, second = State(1.5, 0.5, 2.0), State(1.5, 0.5, 2.0)
+        assert first is not second
+        assert (e11_eval(first), a11_eval(first)) == (e11_eval(second), a11_eval(second))
+        assert calls == [first]
+
+    def test_short_lived_states_read_their_own_values(self, power_gas):
+        # each state is dropped after its one call, so CPython would hand its address to the next
+        # one; the pair keeps every state it has read, so a row never answers for another state
+        a11_eval, e11_eval = eulerian_block_evals(power_gas)
+        ref_a11, ref_e11 = reference_eulerian_evals(power_gas)
+        draws = np.random.default_rng(11).uniform([0.5, -1.0, 0.5], [2.0, 1.0, 2.0], size=(10_000, 3))
+        for i, (rho, v, theta) in enumerate(draws.tolist()):
+            evaluate, reference = (a11_eval, ref_a11) if i % 2 else (e11_eval, ref_e11)
+            got = evaluate(State(rho, v, theta))
+            assert got.hex() == float(reference(State(rho, v, theta))).hex(), (i, rho, v, theta)
+
     def test_cached_values_match_fresh_assembly(self, power_gas):
         a11_eval, e11_eval = eulerian_block_evals(power_gas)
         ref_a11, ref_e11 = reference_eulerian_evals(power_gas)
@@ -342,6 +387,21 @@ class TestBlockEvals:
             e00 = assemble_E(gas, s)[0, 0]
             assert e11_eval(s) == e00
             assert a11_eval(s) == e00 * s.v
+
+    @settings(max_examples=50, deadline=None)
+    @given(gb=gases_and_boxes(), seed=st.integers(0, 2**31 - 1))
+    def test_e00_reads_no_v(self, gb, seed):
+        # the first premise of the (rho, theta) key: E[0, 0] has the same bits at every v
+        gas, box = gb
+        for s in box.sample(10, np.random.default_rng(seed)):
+            bits = {float(assemble_E(gas, State(s.rho, v, s.theta))[0, 0]).hex() for v in V_PROBES + (s.v,)}
+            assert len(bits) == 1, (s, bits)
+
+    @pytest.mark.parametrize("v", V_PROBES)
+    def test_blocks_raises_at_every_v(self, gas, v):
+        # the second premise: theta^2 overflows at theta 1.5e154 whatever v is
+        with pytest.raises(OverflowError):
+            blocks(gas, State(1.0, v, 1.5e154))
 
     def test_lagrangian_values(self, gas):
         a11_eval, e11_eval = lagrangian_block_evals(gas)
@@ -860,6 +920,16 @@ class TestUnassemblableState:
         a11_eval, e11_eval = eulerian_block_evals(gas)
         with pytest.raises(DomainError, match=re.escape(self.MSG)):
             check_block_linear_degeneracy(a11_eval, e11_eval, 0.0, [State(1.0, 0.0, 1.0), State(1.0, 0.0, 1.5e154)])
+
+    def test_eulerian_evals_name_each_failing_state(self, gas):
+        # a failed assembly is not kept: the first failing state is named, and so is a later one
+        # at the same (rho, theta) with another v
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        states = [State(1.0, 0.0, 1.0), State(1.0, 0.5, 1.5e154), State(1.0, 0.0, 1.5e154)]
+        with pytest.raises(DomainError, match=re.escape("at state (rho, v, theta) = (1, 0.5, 1.5e+154)")):
+            check_block_linear_degeneracy(a11_eval, e11_eval, 0.0, states)
+        with pytest.raises(DomainError, match=re.escape(self.MSG)):
+            a11_eval(states[2])
 
     def test_the_first_state_that_fails_alone_is_named(self, gas):
         # the float power raises for the whole set; the states are then assembled one by one

@@ -131,8 +131,8 @@ class TestPerStatePath:
     """What stays of the per-state path: one caller of `blocks`, and only `blocks` builds `SystemBlocks`.
 
     Every check assembles on sample columns. `blocks` stays because the
-    benchmark counts its calls in the Eulerian evaluators; once that
-    counter goes, both names can go together.
+    benchmark counts its calls in the Eulerian evaluators, one per distinct
+    (rho, theta); once that counter goes, both names can go together.
     """
 
     SOURCES = {path.stem: path.read_text() for path in Path(shocklayer.__file__).parent.glob("*.py")}
