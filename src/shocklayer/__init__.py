@@ -33,14 +33,14 @@ _EXPORTS = {
     ),
     "reduction": ("SINGULARITY_GUARD", "SingularODE", "steady_singular_ode", "tw_singular_ode"),
     "sode": (
-        "CSV_HEADER", "LinearizationReport", "Trajectory", "TrajectoryStats", "integrate_direct",
-        "integrate_rescaled", "linearize", "trajectory_metadata", "trajectory_to_csv",
+        "LinearizationReport", "Trajectory", "TrajectoryStats", "integrate_direct", "integrate_rescaled",
+        "linearize",
     ),
     "structure": (
         "CheckResult", "DegeneracyVerdict", "RankResult", "StructureReport", "check_block_linear_degeneracy",
         "check_structure", "eulerian_block_evals", "kernel_dimension", "lagrangian_block_evals", "suggest_sigmas",
     ),
-    "system": ("SystemBlocks", "assemble_A", "assemble_B", "assemble_E", "blocks", "format_matrix"),
+    "system": ("assemble_A", "assemble_B", "assemble_E", "blocks"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,6 +9,13 @@ the artifacts atomically (temp file, then rename) to the resolved output
 directory and prints, so a failing run leaves no partial files. With a
 fixed config and seed, reruns produce byte-identical artifacts.
 
+This module alone decides every artifact format: the JSON reports
+(`_dump_json`), the profile CSV (`_CSV_HEADER`, `_profile_csv`), the
+record of the run behind a profile (`_run_metadata`), the gnuplot script
+that reads that CSV by its header (`_plot_script`) and the matrix
+printout of `check --verbose` (`_format_matrix`). The other modules
+compute and render nothing.
+
 Every config value goes through one checked read (`_need`, `_floats`,
 `_section`): a number is a finite JSON number (an int, not a bool), the
 booleans, strings and lists have their JSON type and length, and a key
@@ -30,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +54,6 @@ from .profiles import (
     solve_rh,
 )
 from .reduction import SINGULARITY_GUARD, tw_singular_ode
-from .sode import trajectory_metadata, trajectory_to_csv
 from .structure import (
     DEFAULT_RANK_TOL,
     DEFAULT_SYM_TOL,
@@ -58,7 +64,7 @@ from .structure import (
     lagrangian_block_evals,
     suggest_sigmas,
 )
-from .system import assemble_A, assemble_B, assemble_E, format_matrix
+from .system import assemble_A, assemble_B, assemble_E
 
 OUT_ENV_VAR = "SHOCKLAYER_OUT"
 
@@ -242,17 +248,50 @@ def _resolve_out_dir(config: RunConfig, cli_out: str | None) -> Path:
     return config.out_dir
 
 
-def _plot_script(csv_name: str, png_name: str, title: str) -> str:
+# every profile the commands write is 5-D: x, tau (empty in direct mode), then rho, v, theta, z1, z2
+_CSV_HEADER = "x,tau,rho,v,theta,z1,z2"
+
+
+def _profile_csv(traj) -> str:
+    """Fixed-column CSV of a profile's trajectory, one row per sample.
+
+    Floats are written with repr (shortest round-trip form), which keeps
+    reruns byte-identical.
+    """
+    taus = [""] * traj.n if traj.taus is None else map(repr, traj.taus.tolist())
+    rows = (",".join([repr(x), tau, *map(repr, V)]) for x, tau, V in zip(traj.xs.tolist(), taus, traj.Vs.tolist()))
+    return "\n".join([_CSV_HEADER, *rows]) + "\n"
+
+
+def _run_metadata(traj, tol: float) -> dict:
+    """JSON-ready record of a run (termination, stats, extents) and the tol it ran at."""
+    return {
+        "mode": traj.mode,
+        "termination": traj.termination,
+        "n_samples": traj.n,
+        "t_first": float(traj.ts[0]),
+        "t_last": float(traj.ts[-1]),
+        "x_first": float(traj.xs[0]),
+        "x_last": float(traj.xs[-1]),
+        "stats": asdict(traj.stats),
+        "tol": tol,
+    }
+
+
+def _plot_script(gp_name: str, csv_name: str, png_name: str, title: str) -> str:
+    """gnuplot script gp_name: rho, v and theta of the CSV against x, each found by its `_CSV_HEADER` column."""
+    column = {name: i for i, name in enumerate(_CSV_HEADER.split(","), start=1)}
     lines = [
-        "# gnuplot script; run:  gnuplot " + csv_name.replace(".csv", ".gp"),
+        "# gnuplot script; run:  gnuplot " + gp_name,
         'set datafile separator ","',
         "set terminal pngcairo size 900,900",
         f'set output "{png_name}"',
         f'set multiplot layout 3,1 title "{title}"',
         'set xlabel "x"',
-        f'plot "{csv_name}" skip 1 using 1:3 with lines title "rho"',
-        f'plot "{csv_name}" skip 1 using 1:4 with lines title "v"',
-        f'plot "{csv_name}" skip 1 using 1:5 with lines title "theta"',
+        *(
+            f'plot "{csv_name}" skip 1 using {column["x"]}:{column[name]} with lines title "{name}"'
+            for name in ("rho", "v", "theta")
+        ),
         "unset multiplot",
     ]
     return "\n".join(lines) + "\n"
@@ -269,14 +308,22 @@ def _profile_artifacts(stem: str, title: str, profile, sidecar: dict, tol: float
         "flux_drift": profile.diagnostics["flux_drift"],
         "termination": profile.trajectory.termination,
         "details": profile.diagnostics,
-        "trajectory": trajectory_metadata(profile.trajectory, tol=tol),
+        "trajectory": _run_metadata(profile.trajectory, tol=tol),
     }
-    csv_name = f"{stem}_profile.csv"
+    csv_name, gp_name = f"{stem}_profile.csv", f"{stem}_plot.gp"
     return [
-        (csv_name, trajectory_to_csv(profile.trajectory)),
+        (csv_name, _profile_csv(profile.trajectory)),
         (f"{stem}_diagnostics.json", _dump_json(sidecar)),
-        (f"{stem}_plot.gp", _plot_script(csv_name, f"{stem}_profile.png", title)),
+        (gp_name, _plot_script(gp_name, csv_name, f"{stem}_profile.png", title)),
     ]
+
+
+def _format_matrix(M: np.ndarray, name: str) -> str:
+    """Plain-text aligned rendering of a matrix for terminal output, six digits after the point."""
+    cells = [[f"{x:+.6e}" for x in row] for row in np.atleast_2d(M)]
+    width = max(len(c) for row in cells for c in row)
+    leads = [f"{name} = "] + [" " * (len(name) + 3)] * (len(cells) - 1)
+    return "\n".join(lead + "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for lead, row in zip(leads, cells))
 
 
 # what a command returns: its artifacts as (file name, text), its stdout text and its exit code
@@ -326,7 +373,7 @@ def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
         E, A, B = _assemble(config.gas, [mid], (assemble_E, assemble_A, assemble_B), "state")
         text += "\n".join([
             f"matrices at the box midpoint ({mid.rho:g}, {mid.v:g}, {mid.theta:g}):",
-            format_matrix(E[0], "E"), format_matrix(A[0], "A(u, 0)"), format_matrix(B[0], "B"),
+            _format_matrix(E[0], "E"), _format_matrix(A[0], "A(u, 0)"), _format_matrix(B[0], "B"),
         ]) + "\n"
     return artifacts, text, 0 if report.structural_pass() else 4
 

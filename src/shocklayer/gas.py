@@ -178,13 +178,6 @@ class Box:
         if self.theta[0] <= 0.0:
             raise DomainError(f"box temperature floor must be positive, got {self.theta[0]}")
 
-    def contains(self, state: State) -> bool:
-        return (
-            self.rho[0] <= state.rho <= self.rho[1]
-            and self.v[0] <= state.v <= self.v[1]
-            and self.theta[0] <= state.theta <= self.theta[1]
-        )
-
     def midpoint(self) -> State:
         return State(
             0.5 * (self.rho[0] + self.rho[1]),

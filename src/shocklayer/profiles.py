@@ -33,6 +33,7 @@ from .errors import (
 from .gas import GasModel, State, internal_energy, pressure, sound_speed
 from .reduction import (
     SINGULARITY_GUARD,
+    TW_RHS,
     RhsSource,
     SingularODE,
     _gas_constants,
@@ -575,11 +576,11 @@ class OracleTrajectory:
     """Flux-form shock profile: the (v, theta) trajectory and its flux constants.
 
     m, Pi and Eflux are the mass, momentum and energy fluxes in the frame
-    moving at sigma, fixed by the left state. `rhs` is the right-hand side
-    they define, and `table` derives rho, z1 = v_x and z2 = theta_x from
-    it. That right-hand side comes from the gas model and these constants
-    alone, never from the symmetrized matrices or the reduced singular
-    ODE; only the stepper and the shooting are shared with
+    moving at sigma, fixed by the left state. The flux form they define
+    (`_flux_form`) gives rho, z1 = v_x and z2 = theta_x at each sample
+    (`_columns`). That right-hand side comes from the gas model and these
+    constants alone, never from the symmetrized matrices or the reduced
+    singular ODE; only the stepper and the shooting are shared with
     `shock_profile`. ``attempts`` lists the shots.
     """
 
@@ -591,19 +592,11 @@ class OracleTrajectory:
     trajectory: Trajectory
     attempts: list[dict] = field(default_factory=list)  # the shots, as in Profile diagnostics
 
-    def rhs(self, v: float, theta: float) -> list[float]:
-        """Right-hand sides [v_x, theta_x] of the flux-form system."""
-        return _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux).F_eval([v, theta])
-
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
         vs, ths = V[:, 0], V[:, 1]
         z1, z2 = _flux_form(self.gas, self.sigma, self.m, self.Pi, self.Eflux).F_eval([vs, ths])
         return {"rho": self.m / (vs - self.sigma), "v": vs.copy(), "theta": ths.copy(), "z1": z1, "z2": z2}
-
-    def table(self) -> dict[str, np.ndarray]:
-        """Columns x, rho, v, theta, z1, z2 with z from the flux form."""
-        return {"x": self.trajectory.xs.copy(), **self._columns(self.trajectory.Vs)}
 
 
 def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -> OracleTrajectory:
@@ -634,7 +627,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=attempts)
 
 
-_COLUMNS = ("rho", "v", "theta", "z1", "z2")
+_COLUMNS = TW_RHS.state
 
 
 @dataclass(frozen=True)

@@ -187,10 +187,12 @@ def _gas_constants(gas: GasModel) -> tuple:
     return gas.R, gas.R / (gas.gamma - 1.0), nu.coeff, nu.exponent, k.coeff, k.exponent
 
 
-# The travelling-wave right-hand side: the block algebra of `system.blocks`
-# spelled out for the ideal gas, with rho_x (v - sigma) already replaced by
-# -(A21^T z)/a11 = -rho z1 and v_x by z1. nu and k are the power laws of
-# `PowerLaw`, written out as it evaluates them.
+# The travelling-wave right-hand side: the block algebra of the assemblers
+# `system.assemble_E`, `assemble_A` and `assemble_B` spelled out for the
+# ideal gas, with rho_x (v - sigma) already replaced by -(A21^T z)/a11 =
+# -rho z1 and v_x by z1. nu and k are the power laws of `PowerLaw`,
+# written out as it evaluates them. Its state names are the extended
+# state's, which `profiles` compares column by column.
 TW_RHS = RhsSource(
     name="travelling-wave",
     state=("rho", "v", "theta", "z1", "z2"),

@@ -37,6 +37,9 @@ never fuses them), and the dense output is an elementwise sum over the
 seven stages. So a trajectory does not depend on the BLAS kernel or on
 the machine's fused multiply-add, and identical inputs reproduce it bit
 for bit wherever F and zeta do.
+
+The module renders nothing: a trajectory holds arrays of any dimension,
+and the command line (`cli`) alone decides how a profile is written.
 """
 
 from __future__ import annotations
@@ -646,45 +649,3 @@ def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
     lam, vecs = np.linalg.eig(J)
     center = tuple(i for i in range(d) if abs(lam[i].real) <= CENTER_THRESHOLD)
     return LinearizationReport(J=J, eigenvalues=lam, eigenvectors=vecs, center=center)
-
-
-CSV_HEADER = "x,tau,rho,v,theta,z1,z2"
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Fixed-column CSV rendering of a 5-dimensional trajectory.
-
-    Floats are written with repr (shortest round-trip form), which keeps
-    reruns byte-identical. The tau column is empty in direct mode.
-    """
-    if traj.Vs.shape[1] != 5:
-        raise ValueError("CSV export expects the 5-dimensional extended state")
-    lines = [CSV_HEADER]
-    for i in range(traj.n):
-        tau_txt = repr(float(traj.taus[i])) if traj.taus is not None else ""
-        row = [repr(float(traj.xs[i])), tau_txt]
-        row.extend(repr(float(v)) for v in traj.Vs[i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_metadata(traj: Trajectory, tol: float) -> dict:
-    """JSON-ready metadata of a run (termination, stats, extents) and the tol it ran at."""
-    return {
-        "mode": traj.mode,
-        "termination": traj.termination,
-        "n_samples": traj.n,
-        "t_first": float(traj.ts[0]),
-        "t_last": float(traj.ts[-1]),
-        "x_first": float(traj.xs[0]),
-        "x_last": float(traj.xs[-1]),
-        "stats": {
-            "n_accepted": traj.stats.n_accepted,
-            "n_rejected": traj.stats.n_rejected,
-            "n_fevals": traj.stats.n_fevals,
-            "min_abs_zeta": traj.stats.min_abs_zeta,
-            "zeta_sign_changes": traj.stats.zeta_sign_changes,
-            "h_final": traj.stats.h_final,
-        },
-        "tol": tol,
-    }

@@ -211,7 +211,8 @@ def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
         e11 = e00.get(key)
         if e11 is None:
             try:
-                e11 = e00[key] = float(blocks(gas, state).E[0, 0])
+                E, _, _ = blocks(gas, state)
+                e11 = e00[key] = float(E[0, 0])
             except _UNASSEMBLABLE as exc:
                 raise _unassemblable(state) from exc
         r = rows[id(state)] = (state, e11, e11 * state.v)

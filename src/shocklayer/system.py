@@ -23,8 +23,6 @@ in both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gas import GasModel, Gradient, State, ZERO_GRADIENT, _pow_each, internal_energy, pressure
@@ -82,32 +80,13 @@ def assemble_A(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> n
     )
 
 
-@dataclass(frozen=True)
-class SystemBlocks:
-    """E, A(u, u_x) and B at one state, built by `blocks` alone and kept while the benchmark counts its calls.
+def blocks(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, A(u, u_x), B) at one state, the tuple `structure._assemble` gives on sample columns.
 
     The blocks are slices: E[0, 0] is E11, A[1:, 0] is A21, B[1:, 1:] is
     the parabolic block b, and A[0, 0] is E[0, 0] v up to rounding.
-    """
-
-    E: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-
-
-def blocks(gas: GasModel, state: State, grad: Gradient = ZERO_GRADIENT) -> SystemBlocks:
-    """Assemble E, A(u, u_x) and B at one state.
-
     Every check assembles on sample columns. This per-state path stays for
     its one caller, `structure.eulerian_block_evals`, which calls it once per
     distinct (rho, theta) and whose calls the benchmark counts.
     """
-    return SystemBlocks(E=assemble_E(gas, state), A=assemble_A(gas, state, grad), B=assemble_B(gas, state))
-
-
-def format_matrix(M: np.ndarray, name: str) -> str:
-    """Plain-text aligned rendering of a matrix for terminal output, six digits after the point."""
-    cells = [[f"{x:+.6e}" for x in row] for row in np.atleast_2d(M)]
-    width = max(len(c) for row in cells for c in row)
-    leads = [f"{name} = "] + [" " * (len(name) + 3)] * (len(cells) - 1)
-    return "\n".join(lead + "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for lead, row in zip(leads, cells))
+    return assemble_E(gas, state), assemble_A(gas, state, grad), assemble_B(gas, state)

@@ -13,9 +13,9 @@ from shocklayer.gas import internal_energy, pressure
 
 def extended_samples(oracle):
     """(xs, (n, 5) extended states) at the oracle's samples, z from the flux form."""
-    t = oracle.table()
+    t = oracle._columns(oracle.trajectory.Vs)
     U = np.column_stack([t["rho"], t["v"], t["theta"], t["z1"], t["z2"]])
-    return t["x"], U
+    return oracle.trajectory.xs, U
 
 
 def extended_with_derivatives(oracle):

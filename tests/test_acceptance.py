@@ -141,10 +141,10 @@ def test_criterion_04_reduction_block_consistency(gas):
         Uprime = np.array(ode.F_eval(U.tolist())) / zeta
         w, z_x = Uprime[0], Uprime[3:]
         z = np.array([z1, z2])
-        blk = blocks(gas, State(rho, v, th), Gradient(w, z1, z2))
-        M = blk.A - sigma * blk.E
+        E, A, B = blocks(gas, State(rho, v, th), Gradient(w, z1, z2))
+        M = A - sigma * E
         eq1 = M[0, 0] * w + M[0, 1:] @ z
-        eq2 = M[1:, 0] * w + M[1:, 1:] @ z - blk.B[1:, 1:] @ z_x
+        eq2 = M[1:, 0] * w + M[1:, 1:] @ z - B[1:, 1:] @ z_x
         worst = max(worst, abs(float(eq1)), float(np.abs(eq2).max()))
     ok = worst <= 1e-12
     _line(4, ok, t0, f"worst block-equation residual over 100 states = {worst:.3e} (<= 1e-12)")

@@ -5,8 +5,7 @@ every other control is a module constant. A new knob, a new `Trajectory`
 field or the return of a deleted name shows up here as a test edit. The
 `SingularODE` fields are pinned too: the benchmark's tracer replaces
 `F_eval` and `zeta_eval` by name, so a rename would leave them untimed.
-`SystemBlocks` holds E, A and B only, without slice copies, and every
-check of a `StructureReport` is a required field. The degeneracy check
+Every check of a `StructureReport` is a required field. The degeneracy check
 is exact on its scalar block, so it takes no tolerance, and neither does
 the config's `tolerances` section. A `Profile` holds its endpoints as
 arrays, and `boundary_layer` takes its one control as the keyword `tol`.
@@ -32,7 +31,6 @@ from shocklayer import (
     ShootOpts,
     SingularODE,
     StructureReport,
-    SystemBlocks,
     Trajectory,
     boundary_layer,
     check_block_linear_degeneracy,
@@ -68,7 +66,6 @@ def test_keyword_parameters(fn, expected):
     (LinearizationReport, ["J", "eigenvalues", "eigenvectors", "center"]),
     (Trajectory, ["mode", "ts", "ys", "termination", "stats", "hs", "Q"]),
     (SingularODE, ["F_eval", "zeta_eval", "label"]),
-    (SystemBlocks, ["E", "A", "B"]),
     (StructureReport, [
         "box", "n_samples", "seed", "samples", "e_spd", "a0_symmetric", "b_rank", "b_coercivity", "degeneracy",
     ]),
@@ -87,7 +84,8 @@ def test_settable_value_count():
 
 @pytest.mark.parametrize("name", [
     "NoConvergenceError", "LagrangianBlocks", "lagrangian_blocks", "reduce_w", "extended_residual",
-    "ExtendedState", "LayerOpts", "euler_fluxes", "conserved", "resample_by_x",
+    "ExtendedState", "LayerOpts", "euler_fluxes", "conserved", "resample_by_x", "CSV_HEADER", "trajectory_to_csv",
+    "trajectory_metadata", "format_matrix", "SystemBlocks",
 ])
 def test_deleted_names_stay_deleted(name):
     assert name not in shocklayer.__all__
@@ -95,7 +93,7 @@ def test_deleted_names_stay_deleted(name):
 
 def test_all_lists_no_module():
     assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
-    assert len(shocklayer.__all__) == 62
+    assert len(shocklayer.__all__) == 57
     assert shocklayer.sode is sode and shocklayer.profiles is profiles
 
 

@@ -32,13 +32,16 @@ from shocklayer import (
     State,
     StepFailureError,
     StructureReport,
+    assemble_E,
     boundary_layer,
     check_structure,
+    integrate_direct,
+    integrate_rescaled,
+    steady_singular_ode,
     suggest_sigmas,
 )
 import shocklayer.cli as cli
 from shocklayer.cli import OUT_ENV_VAR, Tolerances, build_parser, load_config, main
-from shocklayer.sode import CSV_HEADER
 
 
 def base_config(out_dir):
@@ -374,11 +377,9 @@ class TestShock:
         assert side["endpoints"]["left"] == [1.0, 0.0, 1.0, 0.0, 0.0]
         assert side["details"]["endpoint_mismatch"] <= 1e-6
         csv = (outdir / "shock_profile.csv").read_text()
-        assert csv.startswith(CSV_HEADER + "\n")
+        assert csv.startswith("x,tau,rho,v,theta,z1,z2\n")
         assert len(csv.strip().split("\n")) == side["trajectory"]["n_samples"] + 1
-        gp = (outdir / "shock_plot.gp").read_text()
-        assert 'using 1:3' in gp and 'using 1:4' in gp and 'using 1:5' in gp
-        assert "shock_profile.png" in gp
+        assert 'set output "shock_profile.png"' in (outdir / "shock_plot.gp").read_text()
         out = capsys.readouterr().out
         assert "shock: family 1" in out
 
@@ -487,6 +488,77 @@ class TestLayer:
         assert rows and all(row[1] != "" for row in rows)
         xs = [float(row[0]) for row in rows]
         assert max(xs) - min(xs) > 0.0
+
+
+class TestPlotScript:
+    @pytest.mark.parametrize("command", ["shock", "layer"])
+    def test_names_its_own_file(self, config_path, outdir, command):
+        assert main([command, "--config", config_path]) == 0
+        first = (outdir / f"{command}_plot.gp").read_text().splitlines()[0]
+        assert first == f"# gnuplot script; run:  gnuplot {command}_plot.gp"
+
+    @pytest.mark.parametrize("command", ["shock", "layer"])
+    def test_columns_follow_the_csv_header(self, config_path, outdir, command):
+        assert main([command, "--config", config_path]) == 0
+        header = (outdir / f"{command}_profile.csv").read_text().splitlines()[0].split(",")
+        column = {name: header.index(name) + 1 for name in ("x", "rho", "v", "theta")}
+        plots = [line for line in (outdir / f"{command}_plot.gp").read_text().splitlines() if line.startswith("plot ")]
+        assert plots == [
+            f'plot "{command}_profile.csv" skip 1 using {column["x"]}:{column[name]} with lines title "{name}"'
+            for name in ("rho", "v", "theta")
+        ]
+
+
+class TestExportHelpers:
+    def _ns_trajectory(self, gas, mode):
+        ode = steady_singular_ode(gas)
+        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+        if mode == "direct":
+            return integrate_direct(ode, U0, (0.0, 0.25), tol=1e-8)
+        return integrate_rescaled(ode, U0, (0.0, 0.25), tol=1e-8)
+
+    def test_csv_header_and_shape(self, gas):
+        traj = self._ns_trajectory(gas, "direct")
+        lines = cli._profile_csv(traj).strip().split("\n")
+        assert lines[0] == "x,tau,rho,v,theta,z1,z2"
+        assert len(lines) == traj.n + 1
+        first = lines[1].split(",")
+        assert len(first) == 7
+        assert first[1] == ""  # no tau column content in direct mode
+        assert float(first[0]) == traj.xs[0]
+        assert float(first[2]) == traj.Vs[0, 0]
+
+    def test_csv_rescaled_has_tau(self, gas):
+        traj = self._ns_trajectory(gas, "rescaled")
+        row = cli._profile_csv(traj).strip().split("\n")[1].split(",")
+        assert float(row[1]) == traj.taus[0]
+
+    def test_csv_round_trips_floats(self, gas):
+        traj = self._ns_trajectory(gas, "direct")
+        lines = cli._profile_csv(traj).strip().split("\n")[1:]
+        parsed = np.array([[float(f) for f in ln.split(",")[2:]] for ln in lines])
+        np.testing.assert_array_equal(parsed, traj.Vs)
+
+    def test_csv_deterministic(self, gas):
+        a = cli._profile_csv(self._ns_trajectory(gas, "direct"))
+        b = cli._profile_csv(self._ns_trajectory(gas, "direct"))
+        assert a == b
+
+    def test_metadata_keys(self, gas):
+        traj = self._ns_trajectory(gas, "rescaled")
+        meta = cli._run_metadata(traj, tol=1e-8)
+        with pytest.raises(TypeError):
+            cli._run_metadata(traj)  # every artifact records the tol it ran at
+        assert meta["mode"] == "rescaled"
+        assert meta["n_samples"] == traj.n
+        assert meta["tol"] == 1e-8
+        assert meta["stats"]["n_accepted"] == traj.stats.n_accepted
+        assert meta["stats"]["n_fevals"] == traj.stats.n_fevals
+        assert np.isfinite(meta["stats"]["min_abs_zeta"])
+
+    def test_format_matrix_contains_entries(self, gas):
+        text = cli._format_matrix(assemble_E(gas, State(1.0, 0.0, 1.0)), "E")
+        assert "E" in text and "2.5" in text
 
 
 class TestReproducibility:

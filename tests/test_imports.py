@@ -1,7 +1,7 @@
-"""No package module imports a name it never uses or defines a dead private name.
+"""No package module imports an unused name, defines a dead private name or does I/O outside `cli`.
 
-No linter ships with the toolchain, so these are two rules in the
-standard library's `ast`:
+No linter ships with the toolchain, so these are rules in the standard
+library's `ast`:
 
 - unused imports: every module under src/shocklayer/ is parsed, and
   each name an import binds must be read somewhere in the module or in
@@ -16,6 +16,8 @@ standard library's `ast`:
   `setdiff1d`, `intersect1d` or `union1d` as an attribute or imports
   them from numpy, because under numpy >= 2 each call imports
   `numpy.ma`, which nothing in the package uses.
+- I/O in one module: no module but `cli` imports `json`, `os` or
+  `pathlib`, so files and serialized formats stay in the command line.
 
 The generated source is every right-hand-side closure `reduction` builds
 and every step kernel `sode` compiles: the kernel of each `RhsSource`,
@@ -100,6 +102,34 @@ def test_rule_catches_set_routines():
     )
     assert set_routines(source) == ["isin", "setdiff1d", "union1d", "unique"]
     assert set_routines("import numpy as np\ng = np.sort(x)\ng = g[np.concatenate(([True], g[1:] != g[:-1]))]\n") == []
+
+
+IO_MODULES = {"json", "os", "pathlib"}
+
+
+def io_imports(source: str) -> list[str]:
+    """The modules of IO_MODULES that source imports, whole or from, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found & IO_MODULES)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_cli_imports_io_modules(path):
+    assert io_imports(path.read_text()) == []
+
+
+def test_rule_catches_io_imports():
+    source = (
+        "import math\nimport os.path\nimport json as js\nfrom .pathlib_like import Path\n"
+        "def f():\n    from pathlib import PurePath\n    import jsonschema\n"
+    )
+    assert io_imports(source) == ["json", "os", "pathlib"]
+    assert io_imports("from .cli import main\nimport numpy as np\nfrom dataclasses import field\n") == []
 
 
 def defined_private_names(tree: ast.Module) -> set[str]:

@@ -84,6 +84,11 @@ def oracle_f1(gasm, pair_f1):
     return gilbarg_oracle(gasm, pair_f1)
 
 
+def flux_rhs(oracle):
+    """The right-hand side [v_x, theta_x] of the oracle's flux-form system, called on [v, theta]."""
+    return _flux_form(oracle.gas, oracle.sigma, oracle.m, oracle.Pi, oracle.Eflux).F_eval
+
+
 def normal_shock_oracle(gas, U_minus, sigma):
     """Downstream state from the textbook density/pressure ratios.
 
@@ -363,9 +368,10 @@ class TestShockProfile:
             )
             h = 1e-6
             J = np.empty((2, 2))
+            F = flux_rhs(oracle_f1)
             for j, dv in enumerate(([h, 0.0], [0.0, h])):
-                up = oracle_f1.rhs(st.v + dv[0], st.theta + dv[1])
-                dn = oracle_f1.rhs(st.v - dv[0], st.theta - dv[1])
+                up = F([st.v + dv[0], st.theta + dv[1]])
+                dn = F([st.v - dv[0], st.theta - dv[1]])
                 J[:, j] = (np.array(up) - np.array(dn)) / (2.0 * h)
             rates2 = sorted(np.linalg.eigvals(J).real)
             np.testing.assert_allclose(rates5, rates2, atol=1e-4)
@@ -572,16 +578,16 @@ class TestGilbargOracle:
 
     def test_rhs_vanishes_at_both_endpoints(self, pair_f1, oracle_f1):
         for st in (pair_f1.left, pair_f1.right):
-            vx, thx = oracle_f1.rhs(st.v, st.theta)
+            vx, thx = flux_rhs(oracle_f1)([st.v, st.theta])
             assert abs(vx) <= 1e-12 and abs(thx) <= 1e-12
 
     def test_flux_form_rejects_unphysical_states(self, pair_f1, oracle_f1):
         # a NaN theta fails the positivity check, as in `pressure`
         with pytest.raises(DomainError):
-            oracle_f1.rhs(pair_f1.left.v, float("nan"))
+            flux_rhs(oracle_f1)([pair_f1.left.v, float("nan")])
         # past the wave speed the mass flux gives rho = m / (v - sigma) < 0
         with pytest.raises(DomainError):
-            oracle_f1.rhs(2.0 * oracle_f1.sigma - pair_f1.left.v, 1.0)
+            flux_rhs(oracle_f1)([2.0 * oracle_f1.sigma - pair_f1.left.v, 1.0])
 
     def test_wave_speed_is_the_source_reject(self, oracle_f1):
         # rho = m / (v - sigma) divides by zero at v = sigma: the float and the column call reject the state
@@ -591,7 +597,6 @@ class TestGilbargOracle:
             warnings.simplefilter("error")
             for call in (
                 lambda: form.F_eval([sigma, 1.0]),
-                lambda: oracle_f1.rhs(sigma, 1.0),
                 lambda: form.F_eval([np.array([sigma - 0.1, sigma]), np.array([1.0, 1.0])]),
                 lambda: oracle_f1._columns(np.array([[sigma - 0.1, 1.0], [sigma, 1.0]])),
             ):
@@ -606,7 +611,7 @@ class TestGilbargOracle:
         orc = gilbarg_oracle(gas, pair)
         v = orc.sigma + float(np.sign(pair.left.v - orc.sigma)) * 1e-14
         with pytest.raises(DomainError, match="flux form overflows a float at the state"):
-            orc.rhs(v, 1.0)
+            flux_rhs(orc)([v, 1.0])
         with pytest.raises(DomainError, match="flux form overflows a float at the state"):
             orc._columns(np.array([[v, 1.0]]))
 
@@ -641,11 +646,11 @@ class TestGilbargOracle:
         np.testing.assert_allclose(rows, np.tile([orc.m, orc.Pi, orc.Eflux], (len(rows), 1)), rtol=1e-13, atol=0.0)
 
     def test_density_reconstruction(self, pair_f1, oracle_f1):
-        t = oracle_f1.table()
+        t = oracle_f1._columns(oracle_f1.trajectory.Vs)
         # at the near end the trajectory starts beside the right state
         assert t["rho"][0] == pytest.approx(pair_f1.right.rho, abs=1e-5)
         assert t["rho"][-1] == pytest.approx(pair_f1.left.rho, abs=1e-5)
-        assert set(t) == {"x", "rho", "v", "theta", "z1", "z2"}
+        assert set(t) == {"rho", "v", "theta", "z1", "z2"}
 
     def test_extended_residual_against_reduction(self, gasm, pair_f1, oracle_f1):
         # flux-form states and derivatives must satisfy the reduced
@@ -1174,7 +1179,7 @@ class TestChecksEvaluateOnce:
             return replace(ode, F_eval=self.counted(ode.F_eval, calls))
 
         monkeypatch.setattr(profiles, "_flux_form", counted_form)
-        oracle.table()
+        oracle._columns(oracle.trajectory.Vs)
         assert len(calls) == 1
         compare_profiles(prof, oracle, matching="v")
         assert len(calls) == 2

@@ -121,11 +121,11 @@ class TestBlockConsistency:
         z = np.array([U[3], U[4]])
         z_x = Uprime[3:]
         st = State(U[0], U[1], U[2])
-        blk = blocks(g, st, Gradient(rho_x=w, v_x=U[3], theta_x=U[4]))
-        scale = max(1.0, float(np.abs(blk.A).max()))
-        M = blk.A - sigma * blk.E
+        E, A, B = blocks(g, st, Gradient(rho_x=w, v_x=U[3], theta_x=U[4]))
+        scale = max(1.0, float(np.abs(A).max()))
+        M = A - sigma * E
         eq1 = M[0, 0] * w + M[0, 1:] @ z
-        eq2 = M[1:, 0] * w + M[1:, 1:] @ z - blk.B[1:, 1:] @ z_x
+        eq2 = M[1:, 0] * w + M[1:, 1:] @ z - B[1:, 1:] @ z_x
         assert abs(eq1) <= tol * scale
         assert np.abs(eq2).max() <= tol * scale
         # gradient consistency: dv/dx and dtheta/dx must reproduce z
@@ -201,7 +201,7 @@ class TestReduceW:
             for U in admissible_extended(rng, 10):
                 sigma = float(U[1]) + 0.8
                 ode = tw_singular_ode(g, sigma)
-                blk = blocks(g, State(*U[:3]))
-                w = -(blk.A[1:, 0] @ U[3:]) / (blk.A[0, 0] - sigma * blk.E[0, 0])
+                E, A, _ = blocks(g, State(*U[:3]))
+                w = -(A[1:, 0] @ U[3:]) / (A[0, 0] - sigma * E[0, 0])
                 expected = ode.F_eval(U.tolist())[0] / ode.zeta_eval(U.tolist())
                 assert w == pytest.approx(expected, rel=1e-13, abs=1e-14)

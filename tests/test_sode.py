@@ -30,12 +30,9 @@ from shocklayer import (
     StepFailureError,
     linearize,
     steady_singular_ode,
-    trajectory_metadata,
-    trajectory_to_csv,
     tw_singular_ode,
 )
 from shocklayer.sode import (
-    CSV_HEADER,
     DEFAULT_TOL,
     DELTA,
     EQUILIBRIUM_DWELL,
@@ -1099,56 +1096,3 @@ class TestLinearize:
                 atol=1e-9,
             )
 
-
-class TestExportHelpers:
-    def _ns_trajectory(self, gas, mode):
-        ode = steady_singular_ode(gas)
-        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
-        if mode == "direct":
-            return integrate_direct(ode, U0, (0.0, 0.25), tol=1e-8)
-        return integrate_rescaled(ode, U0, (0.0, 0.25), tol=1e-8)
-
-    def test_csv_header_and_shape(self, gas):
-        traj = self._ns_trajectory(gas, "direct")
-        text = trajectory_to_csv(traj)
-        lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == traj.n + 1
-        first = lines[1].split(",")
-        assert len(first) == 7
-        assert first[1] == ""  # no tau column content in direct mode
-        assert float(first[0]) == traj.xs[0]
-        assert float(first[2]) == traj.Vs[0, 0]
-
-    def test_csv_rescaled_has_tau(self, gas):
-        traj = self._ns_trajectory(gas, "rescaled")
-        row = trajectory_to_csv(traj).strip().split("\n")[1].split(",")
-        assert float(row[1]) == traj.taus[0]
-
-    def test_csv_round_trips_floats(self, gas):
-        traj = self._ns_trajectory(gas, "direct")
-        lines = trajectory_to_csv(traj).strip().split("\n")[1:]
-        parsed = np.array([[float(f) for f in ln.split(",")[2:]] for ln in lines])
-        np.testing.assert_array_equal(parsed, traj.Vs)
-
-    def test_csv_deterministic(self, gas):
-        a = trajectory_to_csv(self._ns_trajectory(gas, "direct"))
-        b = trajectory_to_csv(self._ns_trajectory(gas, "direct"))
-        assert a == b
-
-    def test_csv_rejects_wrong_dimension(self):
-        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        with pytest.raises(ValueError):
-            trajectory_to_csv(traj)
-
-    def test_metadata_keys(self, gas):
-        traj = self._ns_trajectory(gas, "rescaled")
-        meta = trajectory_metadata(traj, tol=1e-8)
-        with pytest.raises(TypeError):
-            trajectory_metadata(traj)  # every artifact records the tol it ran at
-        assert meta["mode"] == "rescaled"
-        assert meta["n_samples"] == traj.n
-        assert meta["tol"] == 1e-8
-        assert meta["stats"]["n_accepted"] == traj.stats.n_accepted
-        assert meta["stats"]["n_fevals"] == traj.stats.n_fevals
-        assert np.isfinite(meta["stats"]["min_abs_zeta"])

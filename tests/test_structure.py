@@ -860,8 +860,8 @@ class TestSuggestSigmas:
         for state in states:
             speeds = suggest_sigmas(gas, [state])
             union.update(speeds)
-            blk = blocks(gas, state)
-            ref = np.sort(np.real(np.linalg.eigvals(np.linalg.solve(blk.E, blk.A))))
+            E, A, _ = blocks(gas, state)
+            ref = np.sort(np.real(np.linalg.eigvals(np.linalg.solve(E, A))))
             np.testing.assert_allclose(speeds, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
         assert [x.hex() for x in suggest_sigmas(gas, states)] == [x.hex() for x in sorted(union)]
 

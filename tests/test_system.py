@@ -14,7 +14,6 @@ from shocklayer import (
     assemble_B,
     assemble_E,
     blocks,
-    format_matrix,
 )
 
 
@@ -91,27 +90,22 @@ def test_gradient_entries_with_power_laws(power_gas, box, rng):
 def test_blocks_reassemble_exactly(gas, box, rng):
     for st in box.sample(30, rng):
         grad = Gradient(0.1, -0.2, 0.3)
-        blk = blocks(gas, st, grad)
-        np.testing.assert_array_equal(blk.E, assemble_E(gas, st))
-        np.testing.assert_array_equal(blk.A, assemble_A(gas, st, grad))
-        np.testing.assert_array_equal(blk.B, assemble_B(gas, st))
+        E, A, B = blocks(gas, st, grad)
+        np.testing.assert_array_equal(E, assemble_E(gas, st))
+        np.testing.assert_array_equal(A, assemble_A(gas, st, grad))
+        np.testing.assert_array_equal(B, assemble_B(gas, st))
         # the hyperbolic entry is E11 v, E21 vanishes and B = diag(0, b)
-        assert blk.A[0, 0] == pytest.approx(blk.E[0, 0] * st.v, rel=1e-14, abs=1e-15)
-        np.testing.assert_array_equal(blk.E[1:, 0], np.zeros(2))
-        np.testing.assert_array_equal(blk.B[0], np.zeros(3))
-        np.testing.assert_array_equal(blk.B[1:, 0], np.zeros(2))
+        assert A[0, 0] == pytest.approx(E[0, 0] * st.v, rel=1e-14, abs=1e-15)
+        np.testing.assert_array_equal(E[1:, 0], np.zeros(2))
+        np.testing.assert_array_equal(B[0], np.zeros(3))
+        np.testing.assert_array_equal(B[1:, 0], np.zeros(2))
 
 
 def test_blocks_reference_point(gas):
-    blk = blocks(gas, State(1.0, 0.0, 1.0))
-    assert blk.E[0, 0] == pytest.approx(1.0)
-    np.testing.assert_allclose(blk.A[1:, 0], [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(blk.B[1:, 1:], np.diag([1.0, 1.0]), atol=1e-15)
-
-
-def test_format_matrix_contains_entries(gas):
-    text = format_matrix(assemble_E(gas, State(1.0, 0.0, 1.0)), "E")
-    assert "E" in text and "2.5" in text
+    E, A, B = blocks(gas, State(1.0, 0.0, 1.0))
+    assert E[0, 0] == pytest.approx(1.0)
+    np.testing.assert_allclose(A[1:, 0], [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(B[1:, 1:], np.diag([1.0, 1.0]), atol=1e-15)
 
 
 def _callers(sources: dict[str, str], name: str) -> list[str]:
@@ -128,11 +122,11 @@ def _callers(sources: dict[str, str], name: str) -> list[str]:
 
 
 class TestPerStatePath:
-    """What stays of the per-state path: one caller of `blocks`, and only `blocks` builds `SystemBlocks`.
+    """What stays of the per-state path: one caller of `blocks`.
 
     Every check assembles on sample columns. `blocks` stays because the
     benchmark counts its calls in the Eulerian evaluators, one per distinct
-    (rho, theta); once that counter goes, both names can go together.
+    (rho, theta); once that counter goes, it can go too.
     """
 
     SOURCES = {path.stem: path.read_text() for path in Path(shocklayer.__file__).parent.glob("*.py")}
@@ -140,15 +134,11 @@ class TestPerStatePath:
     def test_only_the_eulerian_evaluators_call_blocks(self):
         assert _callers(self.SOURCES, "blocks") == ["structure.eulerian_block_evals"]
 
-    def test_only_blocks_builds_system_blocks(self):
-        assert _callers(self.SOURCES, "SystemBlocks") == ["system.blocks"]
-
     def test_rules_catch_another_caller(self):
         source = (
             "from . import system\n"
-            "def speeds(gas, states):\n    return [system.blocks(gas, s).E for s in states]\n"
+            "def speeds(gas, states):\n    return [system.blocks(gas, s)[0] for s in states]\n"
             "TABLE = [blocks(None, s) for s in ()]\n"
-            "class Cache:\n    def get(self, s):\n        return SystemBlocks(s, s, s)\n"
+            "class Cache:\n    def get(self, s):\n        return blocks(s, s)\n"
         )
-        assert _callers({"planted": source}, "blocks") == ["planted.speeds", "planted.<module>"]
-        assert _callers({"planted": source}, "SystemBlocks") == ["planted.Cache"]
+        assert _callers({"planted": source}, "blocks") == ["planted.speeds", "planted.<module>", "planted.Cache"]
