@@ -219,6 +219,8 @@ SHOOT_EPS_REL = 1e-7
 LAYER_GROW_CAP = 0.5
 # shooting rounds after the first, each with a 16-fold smaller perturbation
 SHOOT_RETRIES = 2
+# a layer whose extended_residual_rel exceeds this is swept once more at tol / 10
+LAYER_RESIDUAL_BOUND = 1e-6
 
 
 def _positive_finite(**tolerances) -> None:
@@ -709,6 +711,39 @@ def _shift_x(traj: Trajectory, dx: float) -> Trajectory:
     return replace(traj, ys=ys)
 
 
+def _layer_sweep(ode: SingularODE, start: np.ndarray, L: float, limit: list, cap: float, speed: float, tol: float):
+    """One layer sweep from start at x = L toward x = 0: (trajectory, mode diagnostics).
+
+    The run is direct unless start lies within DELTA of the sonic set or
+    the direct run halts there; then the rescaled integrator redoes it
+    (see `boundary_layer`). Both stop once V strays past cap from limit;
+    speed is |v| at the limit, where zeta = v, and sets the tau span.
+    """
+    def stop(x, V):
+        return _sup_dist(V, limit) > cap
+
+    try:
+        traj = integrate_direct(ode, start, (L, 0.0), tol=tol, stop_when=stop)
+    except SingularityError:
+        traj = None  # the start lies within DELTA of the sonic set
+    if traj is not None and traj.termination != TERM_SINGULARITY:
+        return traj, {"mode": "direct"}
+    # sonic set at the start or on the path: desingularized sweep
+    zeta_start = ode.zeta_eval(start.tolist())
+    switch = (
+        {"reason": "start_within_delta", "min_abs_zeta": abs(zeta_start), "x": L} if traj is None
+        else {"reason": "direct_halt", "min_abs_zeta": traj.stats.min_abs_zeta, "x": float(traj.ts[-1])}
+    )
+    tau_dir = -1.0 if zeta_start > 0 else 1.0
+    tau_max = max(10.0 * L / max(speed, 0.05), 100.0)
+
+    def stop_resc(tau, V, x):
+        return x <= 0.0 or _sup_dist(V, limit) > cap
+
+    traj = integrate_rescaled(ode, start, (0.0, tau_dir * tau_max), tol=tol, x0=L, stop_when=stop_resc)
+    return traj, {"mode": "rescaled", "mode_switch": switch, "zeta_sign_changes": traj.stats.zeta_sign_changes}
+
+
 def boundary_layer(
     gas: GasModel,
     limit_state: State,
@@ -733,6 +768,10 @@ def boundary_layer(
     run halts there; then the rescaled integrator redoes it, and
     diagnostics["mode_switch"] = {reason, min_abs_zeta, x} records which
     ("start_within_delta" or "direct_halt"), how close zeta came, and where.
+    A layer whose extended_residual_rel exceeds LAYER_RESIDUAL_BOUND is
+    swept once more, mode choice included, at tol / 10, which
+    diagnostics["refined_tol"] records; its checks are then those of the
+    second sweep, whatever they read.
     A zero amplitude gives the constant layer; a non-finite one is a
     DomainError, and so is one at or past the growth cap, checked before
     the start is built. tol is the integrator's tolerance; one that is not
@@ -771,10 +810,6 @@ def boundary_layer(
     v, theta = (U_star + amplitude * xi)[1:3].tolist()
     start = np.array([m / v, v, theta, *_flux_form(gas, 0.0, m, Pi, Eflux).F_eval([v, theta])])
     limit = U_star.tolist()
-
-    def stop(x, V):
-        return _sup_dist(V, limit) > cap
-
     diagnostics: dict = {
         "amplitude": amplitude,
         "direction_index": direction_index,
@@ -783,38 +818,22 @@ def boundary_layer(
         "length_requested": float(L),
     }
 
-    try:
-        traj = integrate_direct(ode, start, (L, 0.0), tol=tol, stop_when=stop)
-    except SingularityError:
-        traj = None  # the start lies within DELTA of the sonic set
-    if traj is not None and traj.termination != TERM_SINGULARITY:
-        diagnostics["mode"] = "direct"
-    else:
-        # sonic set at the start or on the path: desingularized sweep
-        zeta_start = ode.zeta_eval(start.tolist())
-        diagnostics["mode"] = "rescaled"
-        diagnostics["mode_switch"] = (
-            {"reason": "start_within_delta", "min_abs_zeta": abs(zeta_start), "x": float(L)} if traj is None
-            else {"reason": "direct_halt", "min_abs_zeta": traj.stats.min_abs_zeta, "x": float(traj.ts[-1])}
-        )
-        tau_dir = -1.0 if zeta_start > 0 else 1.0
-        tau_max = max(10.0 * L / max(abs(limit_state.v), 0.05), 100.0)  # zeta = v at the limit
+    def checked_sweep(tol: float) -> Profile:
+        traj, mode = _layer_sweep(ode, start, float(L), limit, cap, abs(limit_state.v), tol)
+        d = {**diagnostics, **mode}
+        # re-anchor so the produced window starts at x = 0, the switch point with it
+        shift = -float(np.min(traj.xs))
+        traj = _shift_x(traj, shift)
+        if "mode_switch" in d:
+            d["mode_switch"]["x"] += shift
+        d["length_produced"] = float(np.max(traj.xs))
+        d["termination"] = traj.termination
+        d["min_abs_zeta"] = traj.stats.min_abs_zeta
+        return _checked_profile(gas, ode, 0.0, traj.final_V, U_star, traj, d)
 
-        def stop_resc(tau, V, x):
-            return x <= 0.0 or _sup_dist(V, limit) > cap
-
-        traj = integrate_rescaled(
-            ode, start, (0.0, tau_dir * tau_max), tol=tol, x0=L, stop_when=stop_resc,
-        )
-        diagnostics["zeta_sign_changes"] = traj.stats.zeta_sign_changes
-
-    # re-anchor so the produced window starts at x = 0, the switch point with it
-    shift = -float(np.min(traj.xs))
-    traj = _shift_x(traj, shift)
-    if "mode_switch" in diagnostics:
-        diagnostics["mode_switch"]["x"] += shift
-    diagnostics["length_produced"] = float(np.max(traj.xs))
-    diagnostics["termination"] = traj.termination
-    diagnostics["min_abs_zeta"] = traj.stats.min_abs_zeta
-
-    return _checked_profile(gas, ode, 0.0, traj.final_V, U_star, traj, diagnostics)
+    prof = checked_sweep(tol)
+    if prof.diagnostics["extended_residual_rel"] > LAYER_RESIDUAL_BOUND:
+        # the quartic dense output misses the bound: one more sweep at a tenth of tol
+        diagnostics["refined_tol"] = tol / 10.0
+        prof = checked_sweep(tol / 10.0)
+    return prof

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shocklayer import (
@@ -1269,6 +1269,36 @@ class TestBoundaryLayer:
         direct = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3).diagnostics
         assert direct["mode"] == "direct" and "mode_switch" not in direct
 
+    def test_residual_bound_refines_once(self, monkeypatch):
+        # the first sweep of this layer reads 1.02e-6; the second, at tol / 10,
+        # is the run boundary_layer(..., tol=DEFAULT_TOL / 10) makes, bit for bit
+        gas = GasModel(gamma=1.5, nu_law=PowerLaw(1.25, 0.875), k_law=PowerLaw(1.0, 0.0))
+        limit = State(0.5, 1e-5, 1.0)
+        prof = boundary_layer(gas, limit, amplitude=-1e-2)
+        d = prof.diagnostics
+        assert d["refined_tol"] == sode.DEFAULT_TOL / 10.0 and d["mode"] == "direct"
+        assert d["extended_residual_rel"] <= profiles.LAYER_RESIDUAL_BOUND
+        fine = boundary_layer(gas, limit, amplitude=-1e-2, tol=sode.DEFAULT_TOL / 10.0)
+        assert "refined_tol" not in fine.diagnostics
+        assert fine.diagnostics == {k: v for k, v in d.items() if k != "refined_tol"}
+        for name in ("ts", "ys", "hs", "Q"):
+            assert getattr(prof.trajectory, name).tobytes() == getattr(fine.trajectory, name).tobytes()
+        monkeypatch.setattr(profiles, "LAYER_RESIDUAL_BOUND", float("inf"))
+        coarse = boundary_layer(gas, limit, amplitude=-1e-2).diagnostics
+        assert "refined_tol" not in coarse and coarse["extended_residual_rel"] > 1e-6
+
+    def test_refined_layer_keeps_its_mode_switch(self, gasm, monkeypatch):
+        # a bound of 0 refines every layer; the second sweep chooses its mode afresh
+        monkeypatch.setattr(profiles, "LAYER_RESIDUAL_BOUND", 0.0)
+        for limit, amplitude, mode in (((1.0, -0.3, 1.0), 1e-3, "direct"), ((1.0, 1e-7, 1.0), 1e-3, "rescaled")):
+            prof = boundary_layer(gasm, State(*limit), amplitude=amplitude)
+            d = prof.diagnostics
+            assert d["refined_tol"] == sode.DEFAULT_TOL / 10.0 and d["mode"] == mode
+            assert ("mode_switch" in d) == (mode == "rescaled")
+            assert float(np.min(prof.trajectory.xs)) == 0.0
+            if mode == "rescaled":
+                assert d["mode_switch"]["x"] == d["length_produced"]
+
     def test_reanchoring_moves_the_dense_output(self, gasm):
         # in rescaled mode x is the last integrated component, so the shift
         # that anchors the window at x = 0 must move the dense output too
@@ -1357,6 +1387,8 @@ class TestNearSonicLayers:
         log_amp=st.floats(-4.0, -2.0),
         sign=st.sampled_from([1.0, -1.0]),
     )
+    # a direct layer whose first sweep reads 1.02e-6, swept again at tol / 10
+    @example(gamma=1.5, nu=(1.25, 0.875), k=(1.0, 0.0), rho=0.5, theta=1.0, log_v=-5.0, log_amp=-2.0, sign=-1.0)
     def test_layer_invariants(self, gamma, nu, k, rho, theta, log_v, log_amp, sign):
         # starts within DELTA run rescaled, the others direct; both keep the
         # mass flux and pass a residual check that skipped no midpoint
