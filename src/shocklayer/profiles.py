@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -463,7 +463,9 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
         d = _sup_dist(V, target)
         return d <= capture or (d > R_div and _sup_dist(V, start) > R_div)
 
-    toward = 1.0 if float(np.dot(plan.xi, plan.target - plan.start)) >= 0.0 else -1.0
+    # xi . (target - start) as a correctly rounded sum of the products, not a BLAS
+    # dot, whose summation order depends on the kernel
+    toward = 1.0 if math.fsum(map(mul, plan.xi.tolist(), map(sub, target, start))) >= 0.0 else -1.0
     attempts: list[dict] = []
     for attempt in range(SHOOT_RETRIES + 1):
         eps = base_eps / (16.0 ** attempt)
@@ -757,7 +759,11 @@ def boundary_layer(
     The layer is integrated backward (from the far end toward x = 0) from
     a perturbation of the given signed amplitude along the decaying
     direction selected by index, the spatial rates at (limit_state, z = 0)
-    sorted most stable first. The start keeps v and theta of that
+    sorted most stable first. That direction is the unit eigenvector
+    `linearize` gives, whose z2 = theta_x component has the sign of zeta
+    at the limit, which is its v (the last nonzero component, should z2
+    vanish): a positive amplitude starts the layer on that side, a
+    negative one on the other. The start keeps v and theta of that
     perturbation and lies on the flux level set of the limit state: rho
     from its mass flux, z from the flux form of its three fluxes (see
     `_flux_form`), so the reported flux drift is integration error alone.

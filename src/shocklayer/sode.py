@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import fsum, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
@@ -637,15 +637,112 @@ CENTER_THRESHOLD = 1e-7
 FD_STEP = 1e-6
 
 
+def _block_eigenpairs(N: list[list[float]]) -> list[tuple]:
+    """The eigenpairs (lambda, y) of a block N of at most 2x2, y unnormalized; complex where disc < 0.
+
+    For [[a, b], [c, d]], with disc = ((a - d)/2)^2 + b c = tr^2/4 - det,
+    lambda1 = tr/2 + sign(tr) sqrt(disc) takes the root of larger
+    modulus without cancellation, and lambda2 = det /
+    lambda1 the other (0 where lambda1 is, which happens only when both
+    roots are 0). y is the longer of the null vectors (b, lambda - a)
+    and (lambda - d, c) of the two rows of N - lambda; a scalar block,
+    where both vanish, has the unit vectors.
+    """
+    if len(N) < 2:
+        return [(N[0][0], (1.0,))] if N else []
+    (a, b), (c, d) = N
+    half = 0.5 * (a - d)
+    mean = 0.5 * (a + d)
+    disc = half * half + b * c
+    if disc < 0.0:
+        lam1 = complex(mean, sqrt(-disc))
+        lam2 = lam1.conjugate()
+    else:
+        lam1 = mean + sqrt(disc) if mean >= 0.0 else mean - sqrt(disc)
+        lam2 = (a * d - b * c) / lam1 if lam1 != 0.0 else 0.0
+    pairs = []
+    for lam, unit in ((lam1, (1.0, 0.0)), (lam2, (0.0, 1.0))):
+        r1, r2 = (b, lam - a), (lam - d, c)
+        n1, n2 = abs(r1[0]) + abs(r1[1]), abs(r2[0]) + abs(r2[1])
+        pairs.append((lam, unit if n1 == n2 == 0.0 else r1 if n1 >= n2 else r2))
+    return pairs
+
+
 def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
-    """Central-difference Jacobian of F at V0 (step FD_STEP) and its eigen-decomposition."""
-    V0 = np.asarray(V0, dtype=float)
-    d = V0.size
-    J = np.empty((d, d))
+    """Central-difference Jacobian of F at V0 (step FD_STEP) and its eigen-decomposition.
+
+    J is taken on Python floats, from 2d evaluations of F, with the bits
+    of numpy's (F(V0 + dv) - F(V0 - dv)) / (2 FD_STEP). Each exactly-zero
+    column j of J (a component F does not feel, as rho, v and theta at a
+    rest point z = 0 of the travelling-wave field) has eigenvalue 0.0 and
+    eigenvector e_j. J is block upper triangular over those columns Z,
+    so its other eigenvalues are those of the block N of the other rows
+    and columns. Where N is at most 2x2 with no eigenvalue 0, its
+    eigenpairs (lambda, y) come in closed form (`_block_eigenpairs`); each
+    lifts to the eigenvector of J that is y on N and J_ZN y / lambda on
+    Z, normalized by a correctly rounded sum. No LAPACK or BLAS call is
+    made, and two rules hold: the zero eigenvalues come first in column
+    order, the others follow by ascending real part (a complex pair with
+    its positive imaginary part first); and each real eigenvector's last
+    nonzero component has the sign of zeta(V0) (positive where zeta is
+    0). For a travelling-wave rest point that component is z2 = theta_x.
+    Any other J (a larger block, an eigenvalue 0 of N, or a non-finite
+    entry) goes to LAPACK (numpy.linalg.eig), whose order and signs are
+    its own.
+    """
+    V = np.asarray(V0, dtype=float).tolist()
+    d = len(V)
+    F = ode.F_eval
+    h2 = 2.0 * FD_STEP
+    shifted = [x + 0.0 for x in V]  # V0 + dv: -0.0 entries off the perturbed one become +0.0
+    cols = []
     for j in range(d):
-        dv = np.zeros(d)
-        dv[j] = FD_STEP
-        J[:, j] = np.subtract(ode.F_eval((V0 + dv).tolist()), ode.F_eval((V0 - dv).tolist())) / (2.0 * FD_STEP)
-    lam, vecs = np.linalg.eig(J)
+        up, dn = shifted.copy(), V.copy()
+        up[j], dn[j] = V[j] + FD_STEP, V[j] - FD_STEP
+        cols.append([(p - m) / h2 for p, m in zip(F(up), F(dn))])
+    J = np.array(cols).T.copy()
+    rest = [j for j in range(d) if any(cols[j])]
+    pairs = _block_eigenpairs([[cols[j][i] for j in rest] for i in rest]) if len(rest) <= 2 else None
+    if pairs is not None and all(lam != 0.0 and lam - lam == 0.0 for lam, _ in pairs):
+        lam, vecs = _lifted(cols, rest, pairs, -1.0 if ode.zeta_eval(V) < 0.0 else 1.0)
+    else:  # the general branch: a block larger than 2x2, an eigenvalue 0 of it, or a non-finite entry
+        lam, vecs = np.linalg.eig(J)
     center = tuple(i for i in range(d) if abs(lam[i].real) <= CENTER_THRESHOLD)
     return LinearizationReport(J=J, eigenvalues=lam, eigenvectors=vecs, center=center)
+
+
+def _lifted(cols: list, rest: list[int], pairs: list[tuple], sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of J, given by its columns, from the eigenpairs of its block N.
+
+    rest indexes N's columns, the nonzero ones; sign is that of zeta.
+    The order and orientation are `linearize`'s rules.
+    """
+    d = len(cols)
+    zero = [j for j in range(d) if j not in rest]
+    lams, vecs = [], []
+    for j in zero:
+        x = [0.0] * d
+        x[j] = sign
+        lams.append(0.0)
+        vecs.append(x)
+    for lam, y in sorted(pairs, key=lambda p: (p[0].real, -p[0].imag)):
+        x = [0.0] * d
+        for i, c in zip(rest, y):
+            x[i] = c
+        for i in zero:
+            acc = 0.0
+            for k, c in zip(rest, y):
+                acc += cols[k][i] * c
+            x[i] = acc / lam
+        if isinstance(lam, complex):
+            n = sqrt(fsum(t for c in x for t in (c.real * c.real, c.imag * c.imag)))
+            big = max(x, key=abs)
+            n *= big / abs(big)  # the component of largest modulus comes out real, as from LAPACK
+        else:
+            n = sqrt(fsum(c * c for c in x))
+            if next(c for c in reversed(x) if c != 0.0) * sign < 0.0:
+                n = -n
+        lams.append(lam)
+        vecs.append([c / n for c in x])
+    lam = np.array(lams)
+    return lam, np.array(vecs, dtype=lam.dtype).T.copy()

@@ -1,4 +1,4 @@
-"""No package module imports an unused name, defines a dead private name or does I/O outside `cli`.
+"""No package module imports an unused name, defines a dead private name, calls LAPACK off its two sites or does I/O outside `cli`.
 
 No linter ships with the toolchain, so these are rules in the standard
 library's `ast`:
@@ -16,6 +16,9 @@ library's `ast`:
   `setdiff1d`, `intersect1d` or `union1d` as an attribute or imports
   them from numpy, because under numpy >= 2 each call imports
   `numpy.ma`, which nothing in the package uses.
+- LAPACK in two places: only `structure` (its `eigvalsh` and `svd`) and
+  the general branch of `sode.linearize` name numpy's `linalg`, as an
+  attribute or an import, so the shock and layer path stays free of it.
 - I/O in one module: no module but `cli` imports `json`, `os` or
   `pathlib`, so files and serialized formats stay in the command line.
 
@@ -102,6 +105,64 @@ def test_rule_catches_set_routines():
     )
     assert set_routines(source) == ["isin", "setdiff1d", "union1d", "unique"]
     assert set_routines("import numpy as np\ng = np.sort(x)\ng = g[np.concatenate(([True], g[1:] != g[:-1]))]\n") == []
+
+
+def linalg_sites(source: str) -> list[str]:
+    """Where source names numpy's linalg: the attribute ``linalg``, or an import of numpy.linalg.
+
+    A site is the path of the functions, classes and if-arms around it,
+    joined by dots, an arm named ``if`` or ``else``: ``f.else`` is the
+    else arm of an if directly in f, and the empty string the module level.
+    """
+    found = []
+
+    def names_linalg(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "linalg"
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.linalg") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.linalg") or module == "numpy" and any(
+                alias.name == "linalg" for alias in node.names
+            )
+        return False
+
+    def visit(node, path):
+        if names_linalg(node):
+            found.append(".".join(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = [*path, node.name]
+        if isinstance(node, ast.If):
+            visit(node.test, path)
+            for arm, body in (("if", node.body), ("else", node.orelse)):
+                for child in body:
+                    visit(child, [*path, arm])
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+LINALG_ALLOWED = {"sode.py": {"linearize.else"}}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "structure.py"], ids=lambda p: p.name)
+def test_linalg_only_in_structure_and_the_general_branch(path):
+    assert set(linalg_sites(path.read_text())) <= LINALG_ALLOWED.get(path.name, set())
+
+
+def test_rule_catches_linalg():
+    source = (
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import linalg, sort\nfrom numpy.linalg import eig\n"
+        "def f(J):\n    if np.linalg.norm(J):\n        return np.linalg.eigvals(J)\n"
+        "    elif J.size:\n        return sort(J)\n    else:\n        return np.linalg.eig(J)\n"
+        "class C:\n    def g(self, M):\n        return np.linalg.svd(M)\n"
+    )
+    assert linalg_sites(source) == ["", "", "", "C.g", "f", "f.else.else", "f.if"]
+    assert linalg_sites("import numpy as np\nfrom numpy import sort\ng = np.sort(x)\nh = x.linalg_like\n") == []
 
 
 IO_MODULES = {"json", "os", "pathlib"}

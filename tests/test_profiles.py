@@ -47,6 +47,7 @@ from shocklayer.gas import internal_energy, pressure
 from shocklayer.profiles import CompareReport, _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
 from shocklayer.reduction import SINGULARITY_GUARD
 
+from becker import BeckerShock, becker_gas
 from flux_form import extended_with_derivatives
 
 C0 = np.sqrt(1.4)  # sound speed at (1, 0, 1) for the default gas
@@ -750,6 +751,94 @@ class TestGeneratedGases:
         again = shock_profile(gas, pair).trajectory
         assert again.ts.tobytes() == prof.trajectory.ts.tobytes()
         assert again.Vs.tobytes() == prof.trajectory.Vs.tobytes()
+
+
+class TestBeckerShock:
+    """Both shock routes against Becker's closed form (see becker.py): constant nu and k = c_p nu.
+
+    The bounds are measured: over 300 draws of these ranges, H drifted by
+    at most 2.5e-10 relative and the error in w was at most 1.2e-9 of the
+    jump, the largest at the weakest shocks.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.floats(0.3, 1.4),
+        left=st.tuples(st.floats(0.9, 1.1), st.floats(-0.1, 0.1), st.floats(0.9, 1.1)),
+        family=st.sampled_from([1, 3]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_profile_and_oracle_match_the_closed_form(self, gamma, nu, left, family, frac):
+        # family 1: strength log-uniform in [0.05, 3]; family 3: 0.1 to 0.99 of the admissible bound
+        gas = becker_gas(gamma, nu)
+        U_minus = State(*left)
+        if family == 1:
+            strength = 0.05 * (3.0 / 0.05) ** frac
+        else:
+            bound = sound_speed(gas, U_minus) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
+            strength = (0.1 + 0.89 * frac) * bound
+        try:
+            pair = solve_rh(gas, U_minus, family, strength)
+        except DomainError as exc:
+            assume("vacuum bound" not in str(exc))
+            raise
+        exact = BeckerShock(gas, *left, pair.sigma)
+        assert abs(exact.w2 - (pair.right.v - pair.sigma)) <= 1e-12 * exact.jump
+        profile = shock_profile(gas, pair).trajectory
+        oracle = gilbarg_oracle(gas, pair).trajectory
+        for xs, v, theta in ((profile.xs, profile.Vs[:, 1], profile.Vs[:, 2]),
+                             (oracle.xs, oracle.Vs[:, 0], oracle.Vs[:, 1])):
+            assert exact.enthalpy_drift(v, theta) <= 1e-9
+            assert exact.w_error(xs, v) <= 1e-8
+
+    def test_closed_form_detects_another_prandtl_number(self):
+        # k 5% off c_p nu: H is no longer constant, and x(w) no longer fits
+        gas = GasModel(k_law=PowerLaw(1.05 * 3.5))
+        pair = solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.5)
+        traj = shock_profile(gas, pair).trajectory
+        exact = BeckerShock(gas, 1.0, 0.0, 1.0, pair.sigma)
+        assert exact.enthalpy_drift(traj.Vs[:, 1], traj.Vs[:, 2]) > 1e-4
+        assert exact.w_error(traj.xs, traj.Vs[:, 1]) > 1e-4
+
+
+class TestNoLapackOnTheProfilePath:
+    """Shocks, their oracle and checks, and layers call no numpy.linalg routine and no BLAS dot.
+
+    Every rest point they linearize has a leftover block of at most 2x2,
+    whose spectrum `linearize` takes in closed form.
+    """
+
+    @pytest.fixture
+    def no_lapack(self, monkeypatch):
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called on the profile path")
+            return call
+
+        for name in dir(np.linalg):
+            routine = getattr(np.linalg, name)
+            if not name.startswith("_") and callable(routine) and not isinstance(routine, type):
+                monkeypatch.setattr(np.linalg, name, refuse(f"numpy.linalg.{name}"))
+        for name in ("dot", "vdot", "inner"):
+            monkeypatch.setattr(np, name, refuse(f"numpy.{name}"))
+
+    @pytest.mark.parametrize("family", [1, 3])
+    def test_shock_oracle_and_checks(self, gasm, family, no_lapack):
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family, 0.3)
+        prof = shock_profile(gasm, pair)
+        assert compare_profiles(prof, gilbarg_oracle(gasm, pair), matching="v").sup <= 1e-6
+        assert flux_constants(gasm, prof).drift <= 1e-9
+
+    @pytest.mark.parametrize("v_star,mode", [(-0.3, "direct"), (1e-7, "rescaled")])
+    def test_layers(self, gasm, v_star, mode, no_lapack):
+        prof = boundary_layer(gasm, State(1.0, v_star, 1.0))
+        assert prof.diagnostics["mode"] == mode
+        assert prof.diagnostics["flux_drift"] <= 1e-9
+
+    def test_the_guard_refuses(self, no_lapack):
+        with pytest.raises(AssertionError, match="numpy.linalg.eig called"):
+            np.linalg.eig(np.eye(2))
 
 
 class TestCompareProfiles:

@@ -6,10 +6,12 @@ detector, dense output, resampling, linearization, and CSV export.
 """
 
 import ast
+import math
 import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1096,3 +1098,155 @@ class TestLinearize:
                 atol=1e-9,
             )
 
+    def test_jacobian_mirrors_numpy_perturbation(self):
+        # numpy's V0 + dv turns a -0.0 entry off the perturbed one into +0.0,
+        # and V0 - dv keeps it; a field that reads the sign of zero sees both
+        def F(V):
+            return [math.copysign(1.0, V[0]) * V[1], math.copysign(1.0, V[1]) * V[0] + V[1]]
+
+        V0 = np.array([-0.0, 0.5])
+        ref = np.empty((2, 2))
+        for j in range(2):
+            dv = np.zeros(2)
+            dv[j] = sode.FD_STEP
+            ref[:, j] = np.subtract(F((V0 + dv).tolist()), F((V0 - dv).tolist())) / (2.0 * sode.FD_STEP)
+        rep = linearize(SingularODE(F_eval=F, zeta_eval=lambda V: 1.0), V0)
+        assert rep.J.tobytes() == ref.tobytes()
+        assert ref[0, 1] != 1.0  # the sign of the zero reached J
+
+    def test_order_and_orientation_are_rules(self):
+        # columns 0 and 2 are exactly zero: their eigenvalues 0.0 come first in
+        # column order with the unit vectors, then the leftover block's by
+        # ascending real part; each real eigenvector's last nonzero component
+        # has the sign of zeta
+        M = np.array([
+            [0.0, 1.0, 0.0, 2.0],
+            [0.0, 4.0, 0.0, 1.0],
+            [0.0, -3.0, 0.0, 0.5],
+            [0.0, 2.0, 0.0, -1.0],
+        ])
+        for zeta in (-2.0, 3.0):
+            ode = SingularODE(F_eval=lambda V: (M @ V).tolist(), zeta_eval=lambda V: zeta)
+            rep = linearize(ode, np.zeros(4))
+            sign = np.sign(zeta)
+            assert rep.eigenvalues[:2].tolist() == [0.0, 0.0]
+            assert rep.eigenvectors[:, 0].tolist() == [sign, 0.0, 0.0, 0.0]
+            assert rep.eigenvectors[:, 1].tolist() == [0.0, 0.0, sign, 0.0]
+            lam = rep.eigenvalues[2:]
+            assert lam[0] < 0.0 < lam[1]
+            np.testing.assert_allclose(lam, np.sort(np.linalg.eigvals(M[np.ix_([1, 3], [1, 3])]).real), rtol=1e-9)
+            for i in (2, 3):
+                x = rep.eigenvectors[:, i]
+                assert np.sign(x[3]) == sign
+                assert math.fsum(x * x) == pytest.approx(1.0, abs=2e-15)
+                np.testing.assert_allclose(M @ x, rep.eigenvalues[i] * x, atol=1e-9)
+
+    def test_complex_pair(self):
+        # a rotation block: the pair comes out conjugate, positive imaginary part first
+        M = np.array([[0.0, 0.0, 1.0], [0.0, 0.5, -2.0], [0.0, 2.0, 0.5]])
+        rep = linearize(SingularODE(F_eval=lambda V: (M @ V).tolist(), zeta_eval=lambda V: 1.0), np.zeros(3))
+        assert rep.eigenvalues[0] == 0.0
+        np.testing.assert_allclose(rep.eigenvalues[1:], [0.5 + 2.0j, 0.5 - 2.0j], rtol=1e-9)
+        for i in range(3):
+            x = rep.eigenvectors[:, i]
+            np.testing.assert_allclose(M @ x, rep.eigenvalues[i] * x, atol=1e-9)
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 1.0], [3.0, 0.5, 2.0]]),  # no zero column
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # a leftover block with eigenvalue 0
+    ], ids=["full-3x3", "nilpotent"])
+    def test_general_branch(self, M, monkeypatch):
+        calls = []
+        real_eig = np.linalg.eig
+
+        def eig(J):
+            calls.append(J)
+            return real_eig(J)
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        rep = linearize(SingularODE(F_eval=lambda V: (M @ V).tolist(), zeta_eval=lambda V: 1.0), np.zeros(len(M)))
+        assert len(calls) == 1
+        np.testing.assert_allclose(rep.J, M, atol=1e-9)
+        ref = real_eig(M)[0]
+        np.testing.assert_allclose(np.sort_complex(rep.eigenvalues), np.sort_complex(ref), atol=1e-8)
+        for i in range(len(M)):
+            x = rep.eigenvectors[:, i]
+            np.testing.assert_allclose(M @ x, rep.eigenvalues[i] * x, atol=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        rho=st.floats(0.5, 2.0),
+        theta=st.floats(0.5, 2.0),
+        kind=st.sampled_from(["family 1", "family 3", "layer"]),
+        frac=st.floats(0.0, 1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_rest_points_against_references(self, gamma, nu, k, rho, theta, kind, frac, sign):
+        # shock endpoints at strengths 1e-3 to 3 (family 3 up to 0.99 of its
+        # bound) and layer limits with |v*| from 1e-7 to twice the sound speed
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        c = math.sqrt(gamma * theta)  # the sound speed at R = 1
+        if kind == "layer":
+            ode = steady_singular_ode(gas)
+            points = [[rho, sign * 1e-7 * (2.0 * c / 1e-7) ** frac, theta, 0.0, 0.0]]
+        else:
+            family = int(kind[-1])
+            top = 3.0 if family == 1 else 0.99 * c * (1.0 - math.sqrt((gamma - 1.0) / (2.0 * gamma)))
+            try:
+                pair = profiles.solve_rh(gas, State(rho, 0.0, theta), family, 1e-3 * (top / 1e-3) ** frac)
+            except DomainError as exc:
+                assert "vacuum bound" in str(exc)
+                return
+            ode = tw_singular_ode(gas, pair.sigma)
+            points = [[s.rho, s.v, s.theta, 0.0, 0.0] for s in (pair.left, pair.right)]
+        for U in points:
+            check_rest_point(ode, U)
+
+    @pytest.mark.parametrize("v_star", [-1e-3, -1e-4])
+    def test_slow_thermal_root(self, v_star):
+        # at a slow inflow limit of the default gas the small root is about 3.5 v*^2
+        ode = steady_singular_ode(GasModel())
+        rep = check_rest_point(ode, [1.0, v_star, 1.0, 0.0, 0.0])
+        small = min(rep.eigenvalues[3:].real, key=abs)
+        assert small == pytest.approx(3.5 * v_star * v_star, rel=10.0 * abs(v_star))
+
+
+def check_rest_point(ode, U):
+    """linearize at a rest point against its rules, exact arithmetic and LAPACK; returns the report.
+
+    F vanishes with z, so columns rho, v and theta of J are zero: their
+    eigenvalues are exactly 0.0 and come first, with the unit vectors
+    times the sign of zeta. Each eigenpair has a residual at round-off
+    relative to |J|. The two others are roots of the characteristic
+    polynomial of the z-block to 1e-12 relative, checked in rational
+    arithmetic, and they ascend. They match LAPACK to 1e-12 relative,
+    up to LAPACK's own error of a few eps |J|, which at weak shocks
+    exceeds 1e-12 of the slow root.
+    """
+    rep = linearize(ode, np.array(U))
+    J, lam, X = rep.J, rep.eigenvalues, rep.eigenvectors
+    zeta = ode.zeta_eval(U)
+    norm = np.linalg.norm(J)
+    assert not J[:, :3].any() and J[:, 3:].any()
+    assert lam[:3].tolist() == [0.0, 0.0, 0.0]
+    assert X[:, :3].tolist() == (np.sign(zeta) * np.eye(5)[:, :3]).tolist()
+    assert np.isrealobj(lam) and lam[3] < lam[4]
+    for i in range(5):
+        assert np.linalg.norm(J @ X[:, i] - lam[i] * X[:, i]) <= 4e-15 * norm
+        assert math.fsum(X[:, i] * X[:, i]) == pytest.approx(1.0, abs=2e-15)
+    for i in (3, 4):
+        assert np.sign(X[4, i] if X[4, i] != 0.0 else X[3, i]) == np.sign(zeta)
+    a, b, c, d = (Fraction(float(J[i, j])) for i, j in ((3, 3), (3, 4), (4, 3), (4, 4)))
+    for root in lam[3:].tolist():
+        x = Fraction(root)
+        # |root - exact| is about |p(root)| / |p'(root)| for a simple root
+        p, dp = x * x - (a + d) * x + (a * d - b * c), 2 * x - (a + d)
+        assert abs(p) <= 1e-12 * abs(dp * x)
+    ref = sorted(sorted(np.linalg.eigvals(J), key=abs)[3:], key=lambda z: z.real)
+    for ours, theirs in zip(lam[3:], ref):
+        assert abs(ours - theirs) <= 1e-12 * abs(theirs) + 4.0 * np.finfo(float).eps * norm
+    return rep
