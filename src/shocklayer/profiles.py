@@ -28,7 +28,6 @@ from .errors import (
     NoConnectionError,
     NoDecayingDirectionError,
     NonMonotoneError,
-    SingularityError,
 )
 from .gas import GasModel, State, internal_energy, pressure, sound_speed
 from .reduction import (
@@ -45,7 +44,6 @@ from .sode import (
     DEFAULT_TOL,
     TERM_EQUILIBRIUM,
     TERM_REACHED_END,
-    TERM_SINGULARITY,
     TERM_STOPPED,
     LinearizationReport,
     Trajectory,
@@ -113,7 +111,9 @@ def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float
     With m = rho u and P = m u + p fixed by the left state, the relative
     velocity solves a quadratic whose other root is
     u+ = 2 gamma P / ((gamma + 1) m) - u-. For the polytropic gas this is
-    the exact right state of the pair, up to round-off.
+    the exact right state of the pair, up to round-off. theta+ keeps the
+    total enthalpy c_p theta + u^2 / 2, written as a difference of squares
+    that cancels no digits, unlike u+ (P / m - u+) / R at large |u+|.
     """
     u_m = U_minus.v - sigma
     m = U_minus.rho * u_m
@@ -127,7 +127,8 @@ def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float
     if u_p * u_m <= 0.0:
         raise DomainError("conjugate state crosses the sonic frame, no admissible root")
     rho_p = m / u_p
-    theta_p = u_p * (P / m - u_p) / gas.R
+    c_p = gas.R * gas.gamma / (gas.gamma - 1.0)
+    theta_p = U_minus.theta + (u_m - u_p) * (u_m + u_p) / (2.0 * c_p)
     if not theta_p > 0.0:
         raise DomainError("conjugate temperature is not positive; the strength is at the family-3 limit within round-off")
     return rho_p, u_p + sigma, theta_p
@@ -701,51 +702,6 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     )
 
 
-def _shift_x(traj: Trajectory, dx: float) -> Trajectory:
-    """Translate a trajectory by dx in x, its dense output with it.
-
-    x is ts in direct mode and the last column of ys in rescaled mode.
-    """
-    if traj.mode == "direct":
-        return replace(traj, ts=traj.ts + dx)
-    ys = traj.ys.copy()
-    ys[:, -1] += dx
-    return replace(traj, ys=ys)
-
-
-def _layer_sweep(ode: SingularODE, start: np.ndarray, L: float, limit: list, cap: float, speed: float, tol: float):
-    """One layer sweep from start at x = L toward x = 0: (trajectory, mode diagnostics).
-
-    The run is direct unless start lies within DELTA of the sonic set or
-    the direct run halts there; then the rescaled integrator redoes it
-    (see `boundary_layer`). Both stop once V strays past cap from limit;
-    speed is |v| at the limit, where zeta = v, and sets the tau span.
-    """
-    def stop(x, V):
-        return _sup_dist(V, limit) > cap
-
-    try:
-        traj = integrate_direct(ode, start, (L, 0.0), tol=tol, stop_when=stop)
-    except SingularityError:
-        traj = None  # the start lies within DELTA of the sonic set
-    if traj is not None and traj.termination != TERM_SINGULARITY:
-        return traj, {"mode": "direct"}
-    # sonic set at the start or on the path: desingularized sweep
-    zeta_start = ode.zeta_eval(start.tolist())
-    switch = (
-        {"reason": "start_within_delta", "min_abs_zeta": abs(zeta_start), "x": L} if traj is None
-        else {"reason": "direct_halt", "min_abs_zeta": traj.stats.min_abs_zeta, "x": float(traj.ts[-1])}
-    )
-    tau_dir = -1.0 if zeta_start > 0 else 1.0
-    tau_max = max(10.0 * L / max(speed, 0.05), 100.0)
-
-    def stop_resc(tau, V, x):
-        return x <= 0.0 or _sup_dist(V, limit) > cap
-
-    traj = integrate_rescaled(ode, start, (0.0, tau_dir * tau_max), tol=tol, x0=L, stop_when=stop_resc)
-    return traj, {"mode": "rescaled", "mode_switch": switch, "zeta_sign_changes": traj.stats.zeta_sign_changes}
-
-
 def boundary_layer(
     gas: GasModel,
     limit_state: State,
@@ -756,7 +712,7 @@ def boundary_layer(
 ) -> Profile:
     """Steady layer converging to limit_state at the far end.
 
-    The layer is integrated backward (from the far end toward x = 0) from
+    The layer is integrated backward in x, from the far end, out of
     a perturbation of the given signed amplitude along the decaying
     direction selected by index, the spatial rates at (limit_state, z = 0)
     sorted most stable first. That direction is the unit eigenvector
@@ -769,15 +725,15 @@ def boundary_layer(
     `_flux_form`), so the reported flux drift is integration error alone.
     Steady flow keeps its mass flux rho v, so a
     limit with v = 0 keeps v = 0: like a limit without a decaying
-    direction, it has no layer (NoDecayingDirectionError). The sweep runs
-    in x unless its start lies within DELTA of the sonic set or the direct
-    run halts there; then the rescaled integrator redoes it, and
-    diagnostics["mode_switch"] = {reason, min_abs_zeta, x} records which
-    ("start_within_delta" or "direct_halt"), how close zeta came, and where.
+    direction, it has no layer (NoDecayingDirectionError). Every layer is
+    one sweep of the desingularized system (`integrate_rescaled`), regular
+    on the sonic set: it runs from x = 0 down to x <= -L, or until V
+    strays past the growth cap from the limit, and the window is then
+    shifted to start at x = 0, the dense output with it.
     A layer whose extended_residual_rel exceeds LAYER_RESIDUAL_BOUND is
-    swept once more, mode choice included, at tol / 10, which
-    diagnostics["refined_tol"] records; its checks are then those of the
-    second sweep, whatever they read.
+    swept once more at tol / 10, which diagnostics["refined_tol"]
+    records; its checks are then those of the second sweep, whatever
+    they read.
     A zero amplitude gives the constant layer; a non-finite one is a
     DomainError, and so is one at or past the growth cap, checked before
     the start is built. tol is the integrator's tolerance; one that is not
@@ -823,18 +779,22 @@ def boundary_layer(
         "decaying_rates": [m for _, m in stable],
         "length_requested": float(L),
     }
+    # tau runs the way that moves x downward from the start; zeta = v at the limit sets its span
+    x_end = -float(L)
+    tau_span = max(10.0 * L / max(abs(limit_state.v), 0.05), 100.0)
+    tau_end = -tau_span if ode.zeta_eval(start.tolist()) > 0 else tau_span
+
+    def stop(tau, V, x):
+        return x <= x_end or _sup_dist(V, limit) > cap
 
     def checked_sweep(tol: float) -> Profile:
-        traj, mode = _layer_sweep(ode, start, float(L), limit, cap, abs(limit_state.v), tol)
-        d = {**diagnostics, **mode}
-        # re-anchor so the produced window starts at x = 0, the switch point with it
-        shift = -float(np.min(traj.xs))
-        traj = _shift_x(traj, shift)
-        if "mode_switch" in d:
-            d["mode_switch"]["x"] += shift
-        d["length_produced"] = float(np.max(traj.xs))
-        d["termination"] = traj.termination
-        d["min_abs_zeta"] = traj.stats.min_abs_zeta
+        traj = integrate_rescaled(ode, start, (0.0, tau_end), tol=tol, stop_when=stop)
+        # shift the window to start at x = 0; x is integrated, so the dense output moves with it
+        ys = traj.ys.copy()
+        ys[:, -1] -= np.min(ys[:, -1])
+        traj = replace(traj, ys=ys)
+        d = {**diagnostics, "mode": "rescaled", "length_produced": float(np.max(traj.xs))}
+        d.update(termination=traj.termination, min_abs_zeta=traj.stats.min_abs_zeta)
         return _checked_profile(gas, ode, 0.0, traj.final_V, U_star, traj, d)
 
     prof = checked_sweep(tol)

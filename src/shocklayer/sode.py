@@ -596,15 +596,15 @@ def integrate_rescaled(
     V0: np.ndarray,
     tau_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    x0: float = 0.0,
     stop_when: Callable[[float, list[float], float], bool] | None = None,
 ) -> Trajectory:
     """Integrate the desingularized system dV/dtau = F, dx/dtau = zeta.
 
-    The augmented state is (V, x). There is no singularity to guard, so
-    the trajectory may approach or touch the sonic set; sign changes of
-    zeta along the samples are counted in the stats. V0 is array-like;
-    F, zeta and ``stop_when`` receive V as a list of floats.
+    The augmented state is (V, x), x = 0 at the start. There is no
+    singularity to guard, so the trajectory may approach or touch the
+    sonic set; sign changes of zeta along the samples are counted in the
+    stats. V0 is array-like; F, zeta and ``stop_when`` receive V as a
+    list of floats.
     ``stop_when`` receives (tau, V, x), one argument more than in direct
     mode, since x is itself integrated here.
     """
@@ -613,7 +613,7 @@ def integrate_rescaled(
         return bool(stop_when(tau, y[:-1], y[-1]))
 
     return Trajectory(mode="rescaled", **_run(
-        ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [float(x0)], float(tau_span[1]),
+        ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [0.0], float(tau_span[1]),
         tol, stop if stop_when is not None else None,
     ))
 

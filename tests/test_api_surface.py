@@ -50,7 +50,7 @@ def keywords(fn):
 
 @pytest.mark.parametrize("fn,expected", [
     (integrate_direct, ["tol", "stop_when"]),
-    (integrate_rescaled, ["tol", "x0", "stop_when"]),
+    (integrate_rescaled, ["tol", "stop_when"]),
     (linearize, []),
     (max_extended_residual, []),
     (check_block_linear_degeneracy, []),
@@ -79,7 +79,7 @@ def test_settable_value_count():
     settable = sum(len(keywords(fn)) for fn in (integrate_direct, integrate_rescaled, linearize, max_extended_residual))
     # direction_index and amplitude choose the layer; tol is its one control
     settable += len(fields(ShootOpts)) + len(set(keywords(boundary_layer)) - {"direction_index", "amplitude"})
-    assert settable == 8
+    assert settable == 7
 
 
 @pytest.mark.parametrize("name", [

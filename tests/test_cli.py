@@ -444,7 +444,7 @@ class TestLayer:
         side = json.loads((outdir / "layer_diagnostics.json").read_text())
         assert side["sigma"] == 0.0
         assert side["endpoints"]["limit"] == [1.0, -0.3, 1.0, 0.0, 0.0]
-        assert side["details"]["mode"] == "direct"
+        assert side["details"]["mode"] == side["trajectory"]["mode"] == "rescaled"
         assert side["flux_drift"] <= 1e-5
         assert (outdir / "layer_profile.csv").exists()
         assert (outdir / "layer_plot.gp").exists()
@@ -482,8 +482,7 @@ class TestLayer:
         path = write_config(tmp_path, cfg)
         assert main(["layer", "--config", path]) == 0
         details = json.loads((outdir / "layer_diagnostics.json").read_text())["details"]
-        assert details["mode"] == "rescaled"
-        assert details["mode_switch"]["reason"] == "start_within_delta"
+        assert details["mode"] == "rescaled" and "mode_switch" not in details
         rows = [line.split(",") for line in (outdir / "layer_profile.csv").read_text().splitlines()[1:]]
         assert rows and all(row[1] != "" for row in rows)
         xs = [float(row[0]) for row in rows]

@@ -31,7 +31,7 @@ from shocklayer import (
     compare_profiles,
     flux_constants,
     gilbarg_oracle,
-    integrate_rescaled,
+    integrate_direct,
     lax_inequalities,
     linearize,
     max_extended_residual,
@@ -44,7 +44,7 @@ from shocklayer import (
 )
 from shocklayer import profiles, sode
 from shocklayer.gas import internal_energy, pressure
-from shocklayer.profiles import CompareReport, _flux_form, _flux_integrals, _relative_residual, _shift_x, _sup
+from shocklayer.profiles import CompareReport, _flux_form, _flux_integrals, _relative_residual, _sup
 from shocklayer.reduction import SINGULARITY_GUARD
 
 from becker import BeckerShock, becker_gas
@@ -107,6 +107,11 @@ def normal_shock_oracle(gas, U_minus, sigma):
     p_m = gas.R * U_minus.rho * U_minus.theta
     theta_p = p_ratio * p_m / (gas.R * rho_p)
     return State(rho_p, u_p + sigma, theta_p)
+
+
+def _family3_limit(gas, left):
+    """The infinite-strength family-3 bound c (1 - sqrt((gamma - 1) / (2 gamma)))."""
+    return sound_speed(gas, left) * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
 
 
 class TestCharSpeed:
@@ -218,13 +223,28 @@ class TestSolveRH:
         with pytest.raises(DomainError, match=r"admissible limit 0\.73"):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=3, strength=strength)
 
-    def test_family3_at_the_limit_within_round_off(self):
-        gas = GasModel(gamma=1.0625)
+    @pytest.mark.parametrize("gamma", [1.0625, 1.4, 5.0 / 3.0])
+    def test_family3_at_the_limit_within_round_off(self, gamma):
+        # theta+ from the total enthalpy keeps its digits at (1 - 2.2e-16) of the
+        # limit: the pair solves at round-off residual once the vacuum bound
+        # admits its density (0.0303 at gamma 1.0625)
         left = State(1.0, 0.0, 2.0)
-        c = sound_speed(gas, left)
-        limit = c * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
+        limit = _family3_limit(GasModel(gamma=gamma), left)
+        pair = solve_rh(GasModel(gamma=gamma, c_rho=1e-3), left, family=3, strength=(1.0 - 2.2e-16) * limit)
+        assert pair.right.theta > 0.0 and lax_inequalities(GasModel(gamma=gamma), pair)["satisfied"]
+        scale = max(1.0, _sup(lab_fluxes(GasModel(gamma=gamma), left)))
+        assert _sup(rh_residual(GasModel(gamma=gamma), pair)) <= 1e-14 * scale
+        if gamma == 1.0625:
+            with pytest.raises(DomainError, match="right state density 0.0303.* below the vacuum bound 0.1"):
+                solve_rh(GasModel(gamma=gamma), left, family=3, strength=(1.0 - 2.2e-16) * limit)
+
+    def test_family3_temperature_that_rounds_to_zero(self):
+        # at gamma = 1 + 2.2e-16 and this left state, theta+ at the limit is
+        # below the round-off of theta- - (u+^2 - u-^2) / (2 c_p)
+        gas = GasModel(gamma=1.0000000000000002, c_rho=1e-300)
+        left = State(1.0, 50.0, 1.0)
         with pytest.raises(DomainError, match="round-off"):
-            solve_rh(gas, left, family=3, strength=(1.0 - 2.2e-16) * limit)
+            solve_rh(gas, left, family=3, strength=(1.0 - 1.1e-16) * _family3_limit(gas, left))
 
     @pytest.mark.parametrize("strength", [1e160, 1e300])
     def test_family1_strength_that_overflows_the_jump_conditions(self, gasm, strength):
@@ -284,12 +304,14 @@ class TestSolveRH:
         family=st.sampled_from([1, 3]),
         frac=st.floats(1e-6, 1.0 - 1e-6),
     )
+    # u+ (P / m - u+) / R cancels four digits of theta+ here, and e_theta = 4.5e15 scales them into the energy flux
+    @example(gamma=1.0000000000000002, rho=674.0, theta=5.0, v=0.0, family=3, frac=0.9837218045112782)
     def test_jump_conditions_over_generated_inputs(self, gamma, rho, theta, v, family, frac):
         # family-3 strengths are a fraction of the admissible bound; any
         # family-1 strength is admissible, here up to 10 c. Within
         # round-off of either end no pair is representable: the strict
         # Lax inequalities cannot be resolved near strength 0, and the
-        # right temperature rounds to 0 at the family-3 limit.
+        # right temperature can round to 0 at the family-3 limit.
         gas = GasModel(gamma=gamma)
         left = State(rho, v, theta)
         c = sound_speed(gas, left)
@@ -548,10 +570,10 @@ class TestProfileChecks:
         (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.2)), "direct"),
         (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 3, 0.2)), "direct"),
         (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.0)), None),
-        (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0)), "direct"),
+        (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0)), "rescaled"),
         (lambda g: boundary_layer(g, State(1.0, 5e-7, 1.0)), "rescaled"),
         (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0), amplitude=0.0), None),
-    ], ids=["shock-f1", "shock-f3", "shock-zero", "layer-direct", "layer-rescaled", "layer-zero"])
+    ], ids=["shock-f1", "shock-f3", "shock-zero", "layer-subsonic", "layer-near-sonic", "layer-zero"])
     def test_every_profile_carries_the_checks(self, gasm, build, mode):
         prof = build(gasm)
         checks = {key: prof.diagnostics[key] for key in self.CHECK_KEYS}
@@ -830,10 +852,10 @@ class TestNoLapackOnTheProfilePath:
         assert compare_profiles(prof, gilbarg_oracle(gasm, pair), matching="v").sup <= 1e-6
         assert flux_constants(gasm, prof).drift <= 1e-9
 
-    @pytest.mark.parametrize("v_star,mode", [(-0.3, "direct"), (1e-7, "rescaled")])
-    def test_layers(self, gasm, v_star, mode, no_lapack):
+    @pytest.mark.parametrize("v_star", [-0.3, 1e-7])
+    def test_layers(self, gasm, v_star, no_lapack):
         prof = boundary_layer(gasm, State(1.0, v_star, 1.0))
-        assert prof.diagnostics["mode"] == mode
+        assert prof.diagnostics["mode"] == "rescaled"
         assert prof.diagnostics["flux_drift"] <= 1e-9
 
     def test_the_guard_refuses(self, no_lapack):
@@ -847,22 +869,25 @@ class TestCompareProfiles:
         assert rep.sup == 0.0
 
     def test_translation_invariance(self, prof_f1):
-        shifted = replace(prof_f1, trajectory=_shift_x(prof_f1.trajectory, 17.0))
+        shifted = replace(prof_f1, trajectory=replace(prof_f1.trajectory, ts=prof_f1.trajectory.ts + 17.0))
         assert shifted.trajectory.xs[0] == prof_f1.trajectory.xs[0] + 17.0
         rep = compare_profiles(prof_f1, shifted, matching="v")
         assert rep.sup == 0.0
 
     def test_translation_of_a_rescaled_run(self, gasm):
-        traj = integrate_rescaled(
-            steady_singular_ode(gasm), np.array([1.0, -0.3, 1.0, 0.01, -0.01]), (0.0, 2.0),
-        )
+        # in rescaled mode x is the last column of ys, and shifting it moves the dense output
+        prof = boundary_layer(gasm, State(1.0, -0.3, 1.0))
+        traj = prof.trajectory
         assert np.ptp(traj.xs) > 0.1
-        shifted = _shift_x(traj, 17.0)
-        assert np.array_equal(shifted.xs, traj.xs + 17.0)
-        assert np.array_equal(shifted.ts, traj.ts)
-        assert_dense_x_matches_samples(shifted)
+        shifted = _raised(prof, -1, 17.0)
+        assert np.array_equal(shifted.trajectory.xs, traj.xs + 17.0)
+        assert np.array_equal(shifted.trajectory.ts, traj.ts)
+        assert_dense_x_matches_samples(shifted.trajectory)
         mid = np.arange(traj.hs.size), 0.5
-        assert np.allclose(shifted.step_eval(*mid)[0][:, -1], traj.step_eval(*mid)[0][:, -1] + 17.0, rtol=0, atol=1e-12)
+        assert np.allclose(
+            shifted.trajectory.step_eval(*mid)[0][:, -1], traj.step_eval(*mid)[0][:, -1] + 17.0, rtol=0, atol=1e-12,
+        )
+        assert compare_profiles(prof, shifted, matching="v").sup == 0.0
 
     def test_missing_matching_column(self, prof_f1, oracle_f1):
         # x is no state component, and the oracle integrates only (v, theta)
@@ -1103,11 +1128,11 @@ class TestChecksMatchPerSampleReference:
         grid = np.linspace(oracle.trajectory.Vs[:, 0].min(), oracle.trajectory.Vs[:, 0].max(), 97)
         self.assert_oracle_columns_same(oracle, oracle.trajectory.eval_where(0, grid))
 
-    @pytest.mark.parametrize("limit,mode", [((1.0, -0.3, 1.0), "direct"), ((1.0, 5e-7, 1.0), "rescaled")])
+    @pytest.mark.parametrize("limit", [(1.0, -0.3, 1.0), (1.0, 5e-7, 1.0)], ids=["subsonic", "near-sonic"])
     @pytest.mark.parametrize("gas", [GasModel(), GasModel(nu_law=PowerLaw(0.8, 0.5), k_law=PowerLaw(1.3, -0.25))])
-    def test_direct_and_rescaled_layers(self, gas, limit, mode):
+    def test_layers(self, gas, limit):
         prof = boundary_layer(gas, State(*limit), amplitude=1e-3)
-        assert prof.trajectory.mode == mode
+        assert prof.trajectory.mode == "rescaled"
         self.assert_profile_checks_same(gas, prof)
 
     @pytest.mark.parametrize("limit", [(1.0, -0.3, 1.0), (1.0, 5e-7, 1.0)])
@@ -1222,10 +1247,10 @@ class TestFusedKernelsMatchCallPath:
         with self.twin_runs() as runs:
             shock_profile(gas, pair)
             gilbarg_oracle(gas, pair)
-            assert boundary_layer(gas, State(*layer), amplitude=1e-3).trajectory.mode == "direct"
+            assert boundary_layer(gas, State(*layer), amplitude=1e-3).trajectory.mode == "rescaled"
             assert boundary_layer(gas, State(rho, 10.0 ** log_v, theta), amplitude=1e-3).trajectory.mode == "rescaled"
         kinds = {(label.split("=")[0], mode) for label, mode in runs}
-        assert kinds == {("travelling sigma", "direct"), ("flux form", "direct"), ("steady", "direct"), ("steady", "rescaled")}
+        assert kinds == {("travelling sigma", "direct"), ("flux form", "direct"), ("steady", "rescaled")}
 
 
 class TestChecksEvaluateOnce:
@@ -1274,12 +1299,63 @@ class TestChecksEvaluateOnce:
         assert len(calls) == 2
 
 
+def direct_reference(gas, prof, tol=sode.DEFAULT_TOL):
+    """The layer swept in x by `integrate_direct` from the same start, to the same cap and length, as a Profile."""
+    limit = prof.right.tolist()
+    cap = profiles.LAYER_GROW_CAP * max(1.0, _sup(prof.right))
+
+    def stop(x, V):
+        return max(abs(a - b) for a, b in zip(V, limit)) > cap
+
+    start, L = prof.trajectory.Vs[0], prof.diagnostics["length_requested"]
+    traj = integrate_direct(steady_singular_ode(gas), start, (L, 0.0), tol=tol, stop_when=stop)
+    assert traj.mode == "direct" and traj.termination in (sode.TERM_STOPPED, sode.TERM_REACHED_END)
+    return Profile(sigma=0.0, left=traj.final_V, right=prof.right, trajectory=traj, diagnostics={})
+
+
+class TestLayersNeverRunDirect:
+    """Every layer is one desingularized sweep; the direct integrator stays a test-side reference."""
+
+    @pytest.fixture
+    def no_direct(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_direct called on the layer path")
+
+        monkeypatch.setattr(profiles, "integrate_direct", refuse)
+
+    @pytest.mark.parametrize("limit,direction_index", [
+        ((1.0, -0.3, 1.0), 0),
+        ((1.0, 0.4, 1.0), 0),
+        ((1.0, -2.0, 1.0), 0),
+        ((1.0, -2.0, 1.0), 1),
+        ((1.0, 1e-7, 1.0), 0),
+    ], ids=["subsonic-inflow", "subsonic-outflow", "supersonic-inflow-0", "supersonic-inflow-1", "near-sonic"])
+    def test_no_layer_calls_the_direct_integrator(self, gasm, limit, direction_index, no_direct):
+        prof = boundary_layer(gasm, State(*limit), direction_index, amplitude=1e-3)
+        d = prof.diagnostics
+        assert prof.trajectory.mode == d["mode"] == "rescaled"
+        assert "mode_switch" not in d and "zeta_sign_changes" not in d
+        assert float(np.min(prof.trajectory.xs)) == 0.0 and d["length_produced"] == float(np.max(prof.trajectory.xs))
+        assert d["flux_drift"] <= 1e-9 and d["extended_residual_rel"] <= profiles.LAYER_RESIDUAL_BOUND
+
+    @pytest.mark.parametrize("v_star", [-0.3, 0.4, -1.9])
+    @pytest.mark.parametrize("gas", [GasModel(), GasModel(nu_law=PowerLaw(0.8, 0.5), k_law=PowerLaw(1.3, -0.25))])
+    def test_matches_a_direct_sweep_from_the_same_start(self, gas, v_star):
+        # measured: at most 1.6e-9 of the jump over these cases
+        prof = boundary_layer(gas, State(1.0, v_star, 1.0), amplitude=1e-3)
+        ref = direct_reference(gas, prof)
+        assert ref.trajectory.Vs[0].tolist() == prof.trajectory.Vs[0].tolist()
+        jump = _sup(prof.left - prof.right)
+        assert jump > 0.1
+        assert compare_profiles(prof, ref, matching="v").sup <= 5e-9 * jump
+
+
 class TestBoundaryLayer:
-    def test_subsonic_inflow_direct(self, gasm):
+    def test_subsonic_inflow(self, gasm):
         prof = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3)
         d = prof.diagnostics
         assert prof.sigma == 0.0
-        assert d["mode"] == "direct"
+        assert d["mode"] == "rescaled"
         assert d["rate"] < 0.0
         assert d["extended_residual_max"] <= 1e-6
         assert d["flux_drift"] <= 1e-5
@@ -1296,7 +1372,7 @@ class TestBoundaryLayer:
 
     def test_subsonic_outflow(self, gasm):
         prof = boundary_layer(gasm, State(1.0, 0.4, 1.0), amplitude=1e-3)
-        assert prof.diagnostics["mode"] == "direct"
+        assert prof.diagnostics["mode"] == "rescaled"
         assert prof.diagnostics["flux_drift"] <= 1e-5
         assert len(prof.diagnostics["decaying_rates"]) == 1
 
@@ -1308,7 +1384,7 @@ class TestBoundaryLayer:
         st = State(1.0, -2.0, 1.0)
         for idx in (0, 1):
             prof = boundary_layer(gasm, st, direction_index=idx, amplitude=1e-3)
-            assert prof.diagnostics["mode"] == "direct"
+            assert prof.diagnostics["mode"] == "rescaled"
             assert prof.diagnostics["flux_drift"] <= 1e-5
         rates = boundary_layer(gasm, st, amplitude=1e-3).diagnostics["decaying_rates"]
         assert len(rates) == 2
@@ -1340,32 +1416,30 @@ class TestBoundaryLayer:
         assert outcome(sign * 1e-9) == outcome(sign * 2e-8)
         assert outcome(sign * 1e-9) == ("rescaled" if sign > 0 else "no decaying direction")
 
-    def test_mode_switch_reasons(self, gasm):
-        # a start within DELTA of the sonic set and a direct run that halts
-        # there both switch to the rescaled sweep, and say which it was
-        start = boundary_layer(gasm, State(1.0, 1e-7, 1.0), amplitude=1e-3).diagnostics
-        halt = boundary_layer(gasm, State(1.0, 1.3e-6, 1.0), amplitude=-1e-3).diagnostics
-        assert start["mode"] == halt["mode"] == "rescaled"
-        assert start["mode_switch"]["reason"] == "start_within_delta"
-        assert halt["mode_switch"]["reason"] == "direct_halt"
-        for d in (start, halt):
-            assert set(d["mode_switch"]) == {"reason", "min_abs_zeta", "x"}
-            assert 0.0 < d["mode_switch"]["min_abs_zeta"] <= 1e-6
-            assert 0.0 <= d["mode_switch"]["x"] <= d["length_produced"]
-        # the start sits at the far end of the anchored window, the halt inside it
-        assert start["mode_switch"]["x"] == start["length_produced"]
-        assert halt["mode_switch"]["x"] < halt["length_produced"]
-        direct = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3).diagnostics
-        assert direct["mode"] == "direct" and "mode_switch" not in direct
+    def test_sonic_starts_are_one_sweep(self, gasm):
+        # a start within 1e-6 of the sonic set, and one whose path comes that
+        # close, sweep as every layer does: one run, its window from x = 0
+        # to length_produced, the start at the far end
+        subsonic = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=1e-3)
+        for limit, amplitude in (((1.0, 1e-7, 1.0), 1e-3), ((1.0, 1.3e-6, 1.0), -1e-3)):
+            prof = boundary_layer(gasm, State(*limit), amplitude=amplitude)
+            d = prof.diagnostics
+            assert list(d) == list(subsonic.diagnostics)
+            assert d["mode"] == "rescaled" and d["termination"] == sode.TERM_STOPPED
+            assert 0.0 < d["min_abs_zeta"] <= 1e-6
+            assert prof.trajectory.xs[0] == d["length_produced"] > 0.0
+            assert float(np.min(prof.trajectory.xs)) == 0.0
 
     def test_residual_bound_refines_once(self, monkeypatch):
-        # the first sweep of this layer reads 1.02e-6; the second, at tol / 10,
-        # is the run boundary_layer(..., tol=DEFAULT_TOL / 10) makes, bit for bit
+        # this layer reads 8.7e-8 at DEFAULT_TOL and 1.4e-8 at a tenth of it, so a
+        # bound of 3e-8 refines it once; the second sweep is the run
+        # boundary_layer(..., tol=DEFAULT_TOL / 10) makes, bit for bit
+        monkeypatch.setattr(profiles, "LAYER_RESIDUAL_BOUND", 3e-8)
         gas = GasModel(gamma=1.5, nu_law=PowerLaw(1.25, 0.875), k_law=PowerLaw(1.0, 0.0))
         limit = State(0.5, 1e-5, 1.0)
         prof = boundary_layer(gas, limit, amplitude=-1e-2)
         d = prof.diagnostics
-        assert d["refined_tol"] == sode.DEFAULT_TOL / 10.0 and d["mode"] == "direct"
+        assert d["refined_tol"] == sode.DEFAULT_TOL / 10.0 and d["mode"] == "rescaled"
         assert d["extended_residual_rel"] <= profiles.LAYER_RESIDUAL_BOUND
         fine = boundary_layer(gas, limit, amplitude=-1e-2, tol=sode.DEFAULT_TOL / 10.0)
         assert "refined_tol" not in fine.diagnostics
@@ -1374,24 +1448,24 @@ class TestBoundaryLayer:
             assert getattr(prof.trajectory, name).tobytes() == getattr(fine.trajectory, name).tobytes()
         monkeypatch.setattr(profiles, "LAYER_RESIDUAL_BOUND", float("inf"))
         coarse = boundary_layer(gas, limit, amplitude=-1e-2).diagnostics
-        assert "refined_tol" not in coarse and coarse["extended_residual_rel"] > 1e-6
+        assert "refined_tol" not in coarse and coarse["extended_residual_rel"] > 3e-8
 
-    def test_refined_layer_keeps_its_mode_switch(self, gasm, monkeypatch):
-        # a bound of 0 refines every layer; the second sweep chooses its mode afresh
+    def test_refined_window_starts_at_zero(self, gasm, monkeypatch):
+        # a bound of 0 refines every layer; the second sweep is shifted as the first is
         monkeypatch.setattr(profiles, "LAYER_RESIDUAL_BOUND", 0.0)
-        for limit, amplitude, mode in (((1.0, -0.3, 1.0), 1e-3, "direct"), ((1.0, 1e-7, 1.0), 1e-3, "rescaled")):
-            prof = boundary_layer(gasm, State(*limit), amplitude=amplitude)
+        for limit in ((1.0, -0.3, 1.0), (1.0, 1e-7, 1.0)):
+            prof = boundary_layer(gasm, State(*limit), amplitude=1e-3)
             d = prof.diagnostics
-            assert d["refined_tol"] == sode.DEFAULT_TOL / 10.0 and d["mode"] == mode
-            assert ("mode_switch" in d) == (mode == "rescaled")
+            assert d["refined_tol"] == sode.DEFAULT_TOL / 10.0 and d["mode"] == "rescaled"
             assert float(np.min(prof.trajectory.xs)) == 0.0
-            if mode == "rescaled":
-                assert d["mode_switch"]["x"] == d["length_produced"]
+            assert prof.trajectory.xs[0] == d["length_produced"] == float(np.max(prof.trajectory.xs))
+            assert_dense_x_matches_samples(prof.trajectory)
 
-    def test_reanchoring_moves_the_dense_output(self, gasm):
-        # in rescaled mode x is the last integrated component, so the shift
-        # that anchors the window at x = 0 must move the dense output too
-        traj = boundary_layer(gasm, State(1.0, 1e-7, 1.0), amplitude=1e-3).trajectory
+    @pytest.mark.parametrize("v_star", [-0.3, 1e-7])
+    def test_reanchoring_moves_the_dense_output(self, gasm, v_star):
+        # x is the last integrated component, so the shift that anchors the
+        # window at x = 0 must move the dense output too
+        traj = boundary_layer(gasm, State(1.0, v_star, 1.0), amplitude=1e-3).trajectory
         assert traj.mode == "rescaled"
         assert float(np.min(traj.xs)) == 0.0 and np.ptp(traj.xs) > 0.0
         assert_dense_x_matches_samples(traj)
@@ -1445,7 +1519,7 @@ class TestLayerStart:
             v = (0.1 + 0.7 * mach) * c * (-1.0 if regime == "subsonic inflow" else 1.0)
             direction_index = 0
         prof = boundary_layer(gas, State(rho, v, theta), direction_index, sign * 10.0 ** log_amp)
-        assert prof.diagnostics["mode"] == "direct"
+        assert prof.diagnostics["mode"] == "rescaled"
         assert prof.diagnostics["flux_drift"] <= 1e-9
 
     def test_start_keeps_v_and_theta_of_the_linear_start(self, gasm):
@@ -1454,7 +1528,7 @@ class TestLayerStart:
         report, rates = profiles._spatial_rates(steady_singular_ode(gasm), U_star, None)
         (i, _), = [p for p in rates if p[1] < 0.0]
         linear = U_star + 1e-2 * profiles._real_unit_eigenvector(report, i)
-        start = boundary_layer(gasm, limit, amplitude=1e-2).trajectory.ys[0]  # direct mode integrates V
+        start = boundary_layer(gasm, limit, amplitude=1e-2).trajectory.Vs[0]
         m, Pi, Eflux = _flux_integrals(gasm, 0.0, 1.0, -0.3, 1.0, 0.0, 0.0)
         assert start[1:3].tolist() == linear[1:3].tolist()
         assert start[0] == m / start[1]
@@ -1476,11 +1550,12 @@ class TestNearSonicLayers:
         log_amp=st.floats(-4.0, -2.0),
         sign=st.sampled_from([1.0, -1.0]),
     )
-    # a direct layer whose first sweep reads 1.02e-6, swept again at tol / 10
+    # the layer of test_residual_bound_refines_once: 8.7e-8 at the default tol
     @example(gamma=1.5, nu=(1.25, 0.875), k=(1.0, 0.0), rho=0.5, theta=1.0, log_v=-5.0, log_amp=-2.0, sign=-1.0)
     def test_layer_invariants(self, gamma, nu, k, rho, theta, log_v, log_amp, sign):
-        # starts within DELTA run rescaled, the others direct; both keep the
-        # mass flux and pass a residual check that skipped no midpoint
+        # one desingularized sweep, whether or not the start lies within 1e-6
+        # of the sonic set: it keeps the mass flux and passes a residual
+        # check that skipped no midpoint
         gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
         prof = boundary_layer(gas, State(rho, 10.0 ** log_v, theta), amplitude=sign * 10.0 ** log_amp)
         d = prof.diagnostics

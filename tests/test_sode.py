@@ -125,10 +125,13 @@ class TestRescaledCalibration:
         assert abs(y[0] - (1.0 + tau)) <= 1e-10
         assert abs(y[1] - (tau + tau ** 2 / 2)) <= 1e-10
 
-    def test_x0_offset(self):
-        traj = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0), x0=10.0)
-        assert abs(traj.xs[0] - 10.0) == 0.0
-        assert abs(traj.xs[-1] - 11.5) <= 1e-10
+    def test_x_starts_at_zero(self):
+        # x(tau) = tau + tau^2 / 2 from x = 0; no keyword moves the origin
+        traj = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0))
+        assert traj.xs[0] == 0.0
+        assert abs(traj.xs[-1] - 1.5) <= 1e-10
+        with pytest.raises(TypeError):
+            integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0), x0=10.0)
 
     def test_crosses_singular_set_and_counts(self):
         # V(tau) = -0.5 + tau crosses zeta = 0 at tau = 0.5
