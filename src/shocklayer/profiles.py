@@ -779,9 +779,9 @@ def boundary_layer(
         "decaying_rates": [m for _, m in stable],
         "length_requested": float(L),
     }
-    # tau runs the way that moves x downward from the start; zeta = v at the limit sets its span
+    # tau runs the way that moves x down; at the limit dx/dtau = zeta = v, so the span is ten times L / |v|
     x_end = -float(L)
-    tau_span = max(10.0 * L / max(abs(limit_state.v), 0.05), 100.0)
+    tau_span = max(10.0 * L / abs(limit_state.v), 100.0)
     tau_end = -tau_span if ode.zeta_eval(start.tolist()) > 0 else tau_span
 
     def stop(tau, V, x):

@@ -1313,6 +1313,25 @@ def direct_reference(gas, prof, tol=sode.DEFAULT_TOL):
     return Profile(sigma=0.0, left=traj.final_V, right=prof.right, trajectory=traj, diagnostics={})
 
 
+def assert_same_extent(prof, ref):
+    """prof stops where its direct reference does: both at the growth cap, or both at their full length.
+
+    The reference runs from x = L down to 0, the layer from its start
+    down to x <= -L, so the lengths they produce agree within the last
+    step of either.
+    """
+    d, cap = prof.diagnostics, profiles.LAYER_GROW_CAP * max(1.0, _sup(prof.right))
+    assert d["termination"] == sode.TERM_STOPPED
+    at_cap = _sup(prof.left - prof.right) > cap
+    assert at_cap == (ref.trajectory.termination == sode.TERM_STOPPED)
+    xs = prof.trajectory.xs
+    step = max(abs(xs[-1] - xs[-2]), abs(ref.trajectory.hs[-1]))
+    ref_length = d["length_requested"] - float(ref.trajectory.ts[-1])
+    assert abs(d["length_produced"] - ref_length) <= step
+    if not at_cap:
+        assert d["length_produced"] >= d["length_requested"]
+
+
 class TestLayersNeverRunDirect:
     """Every layer is one desingularized sweep; the direct integrator stays a test-side reference."""
 
@@ -1348,6 +1367,19 @@ class TestLayersNeverRunDirect:
         jump = _sup(prof.left - prof.right)
         assert jump > 0.1
         assert compare_profiles(prof, ref, matching="v").sup <= 5e-9 * jump
+        assert_same_extent(prof, ref)
+
+    def test_slow_inflow_reaches_the_growth_cap(self, gasm):
+        # dx/dtau = zeta is about v* = -0.003 here, so x = -L takes about L / 0.003 of tau;
+        # a span that floored |v| at 0.05 (200 L) stopped this layer at x = -516 of its 586, short of the cap
+        prof = boundary_layer(gasm, State(1.0, -0.003, 1.0), amplitude=-1e-3)
+        ref = direct_reference(gasm, prof)
+        assert ref.trajectory.termination == sode.TERM_STOPPED
+        assert_same_extent(prof, ref)
+        # refined at the default bound: 2.5e-6 at tol, 2.5e-7 at tol / 10
+        assert prof.diagnostics["refined_tol"] == sode.DEFAULT_TOL / 10
+        assert prof.diagnostics["extended_residual_rel"] <= profiles.LAYER_RESIDUAL_BOUND
+        assert compare_profiles(prof, ref, matching="v").sup <= 5e-9 * _sup(prof.left - prof.right)
 
 
 class TestBoundaryLayer:
