@@ -31,7 +31,7 @@ _EXPORTS = {
         "char_speed", "compare_profiles", "flux_constants", "gilbarg_oracle", "lax_inequalities",
         "max_extended_residual", "rh_residual", "shock_profile", "solve_rh",
     ),
-    "reduction": ("SINGULARITY_GUARD", "SingularODE", "steady_singular_ode", "tw_singular_ode"),
+    "reduction": ("SingularODE", "steady_singular_ode", "tw_singular_ode"),
     "sode": (
         "LinearizationReport", "Trajectory", "TrajectoryStats", "integrate_direct", "integrate_rescaled",
         "linearize",

@@ -37,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +53,8 @@ from .profiles import (
     shock_profile,
     solve_rh,
 )
-from .reduction import SINGULARITY_GUARD, tw_singular_ode
+from .reduction import tw_singular_ode
 from .structure import (
-    DEFAULT_RANK_TOL,
-    DEFAULT_SYM_TOL,
     _assemble,
     check_block_linear_degeneracy,
     check_structure,
@@ -91,14 +89,6 @@ def _write_artifacts(out_dir: Path, artifacts: list[tuple[str, str]]) -> list[Pa
     return written
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    ode_tol: float = ShootOpts.tol
-    end_tol: float = ShootOpts.end_tol
-    rank_tol: float = DEFAULT_RANK_TOL
-    sym_tol: float = DEFAULT_SYM_TOL
-
-
 @dataclass
 class RunConfig:
     """Validated run configuration; raw keeps the sections a command reads itself."""
@@ -111,7 +101,7 @@ class RunConfig:
     suggest: bool
     n_samples: int
     blocks: str
-    tol: Tolerances
+    tol: ShootOpts
     raw: dict
 
 
@@ -180,6 +170,9 @@ def _power_law(raw: dict, key: str, where: str) -> PowerLaw:
 _CONFIG_KEYS = ("seed", "out_dir", "gas", "box", "sigma_list", "suggest_sigmas", "n_samples", "blocks",
                 "tolerances", "rh", "layer", "reduce")
 
+# each key of the tolerances section and the ShootOpts field it sets
+_TOLERANCES = {"ode_tol": "tol", "end_tol": "end_tol"}
+
 
 def load_config(path: str) -> RunConfig:
     try:
@@ -219,7 +212,7 @@ def load_config(path: str) -> RunConfig:
     if blocks not in ("eulerian", "lagrangian"):
         raise ConfigError(f"config.blocks must be 'eulerian' or 'lagrangian', got {blocks!r}")
 
-    tol_raw = _section(raw, "tolerances", "config", [f.name for f in fields(Tolerances)], {})
+    tol_raw = _section(raw, "tolerances", "config", _TOLERANCES, {})
     tol = {name: _need(tol_raw, name, float, "config.tolerances") for name in tol_raw}
     for name, value in tol.items():
         if not value > 0:
@@ -234,7 +227,7 @@ def load_config(path: str) -> RunConfig:
         suggest=_need(raw, "suggest_sigmas", bool, "config", False),
         n_samples=n_samples,
         blocks=blocks,
-        tol=Tolerances(**tol),
+        tol=ShootOpts(**{_TOLERANCES[name]: value for name, value in tol.items()}),
         raw=raw,
     )
 
@@ -339,11 +332,7 @@ def _flag_or_key(flag: float | None, raw: dict, key: str, where: str) -> float:
 def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
     if config.box is None:
         raise ConfigError("check requires a 'box' entry in the config")
-    report = check_structure(
-        config.gas, config.box,
-        n_samples=config.n_samples, seed=config.seed,
-        rank_tol=config.tol.rank_tol, sym_tol=config.tol.sym_tol,
-    )
+    report = check_structure(config.gas, config.box, n_samples=config.n_samples, seed=config.seed)
     mid = config.box.midpoint()
 
     sigmas = list(config.sigma_list) if args.sigma is None else [args.sigma]
@@ -386,8 +375,8 @@ def cmd_reduce_info(config: RunConfig, args: argparse.Namespace) -> _Result:
     ode = tw_singular_ode(config.gas, sigma)
     F = ode.F_eval(V)
     zeta = ode.zeta_eval(V)
-    # the density gradient rho_x of the hyperbolic row, undefined on the sonic set
-    singular = abs(zeta) <= SINGULARITY_GUARD
+    # the density gradient rho_x of the hyperbolic row, undefined on the sonic set zeta = 0
+    singular = zeta == 0.0
     w = None if singular else F[0] / zeta
     if not all(map(math.isfinite, [*F, zeta, 0.0 if singular else w])):
         raise DomainError(f"F, zeta or w is not finite at U = {V}, sigma = {sigma!r}: F = {F}, zeta = {zeta!r}")
@@ -402,13 +391,12 @@ def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
     U_minus = _state(raw, "U_minus", "config.rh")
 
     pair = solve_rh(config.gas, U_minus, family, strength)
-    opts = ShootOpts(tol=config.tol.ode_tol, end_tol=config.tol.end_tol)
-    profile = shock_profile(config.gas, pair, opts)
+    profile = shock_profile(config.gas, pair, config.tol)
 
     if pair.strength == 0.0:
         oracle_deviation = 0.0
     else:
-        oracle = gilbarg_oracle(config.gas, pair, opts)
+        oracle = gilbarg_oracle(config.gas, pair, config.tol)
         oracle_deviation = compare_profiles(profile, oracle, matching="v").sup
 
     res = rh_residual(config.gas, pair)
@@ -428,7 +416,7 @@ def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
         f"shock: family {pair.family}, strength {pair.strength:g}, sigma {profile.sigma:.12g}, "
         f"samples {profile.trajectory.n}, oracle deviation {oracle_deviation:.3e}\n"
     )
-    return _profile_artifacts("shock", "shock profile", profile, sidecar, config.tol.ode_tol), text, 0
+    return _profile_artifacts("shock", "shock profile", profile, sidecar, config.tol.tol), text, 0
 
 
 def cmd_layer(config: RunConfig, args: argparse.Namespace) -> _Result:
@@ -437,7 +425,7 @@ def cmd_layer(config: RunConfig, args: argparse.Namespace) -> _Result:
     direction_index = _need(raw, "direction_index", int, "config.layer", 0)
     amplitude = _need(raw, "amplitude", float, "config.layer", 1e-3)
 
-    profile = boundary_layer(config.gas, limit_state, direction_index, amplitude, tol=config.tol.ode_tol)
+    profile = boundary_layer(config.gas, limit_state, direction_index, amplitude, tol=config.tol.tol)
     sidecar = {
         "sigma": 0.0,
         "endpoints": {
@@ -450,7 +438,7 @@ def cmd_layer(config: RunConfig, args: argparse.Namespace) -> _Result:
         f"amplitude {amplitude:g}, samples {profile.trajectory.n}, "
         f"termination {profile.trajectory.termination}\n"
     )
-    return _profile_artifacts("layer", "boundary layer", profile, sidecar, config.tol.ode_tol), text, 0
+    return _profile_artifacts("layer", "boundary layer", profile, sidecar, config.tol.tol), text, 0
 
 
 def _finite_float(text: str) -> float:

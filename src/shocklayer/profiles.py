@@ -31,7 +31,6 @@ from .errors import (
 )
 from .gas import GasModel, State, internal_energy, pressure, sound_speed
 from .reduction import (
-    SINGULARITY_GUARD,
     TW_RHS,
     RhsSource,
     SingularODE,
@@ -276,16 +275,16 @@ def _real_unit_eigenvector(report: LinearizationReport, index: int) -> np.ndarra
     return re / n
 
 
-def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, int, float]:
+def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, float]:
     """Worst residual zeta U' - F at the step midpoints, U' from the dense output.
 
     U and U' are the dense output and its derivative halfway through each
     step (in rescaled mode U' = (dV/dtau) / (dx/dtau)). At the step ends
     the derivative would be the stage value F/zeta itself, so the check
-    could not fail there. Midpoints closer to the sonic set than
-    SINGULARITY_GUARD are skipped (the direct derivative is not defined
-    there). Returns the worst residual, the number of midpoints skipped,
-    and sup |F| over the midpoints checked, the scale of the residual.
+    could not fail there. Every midpoint is checked: the residual is
+    regular wherever F is, the sonic set zeta = 0 included. Returns the
+    worst residual and sup |F| over the midpoints, the scale of the
+    residual.
 
     zeta and F are each evaluated once, on the midpoints as column arrays
     (see `SingularODE`); every value is the one a per-midpoint float
@@ -295,15 +294,13 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, in
     if traj.mode == "rescaled":
         U, dU = U[:, :-1], dU[:, :-1] / dU[:, -1:]
     z = ode.zeta_eval(list(U.T))
-    checked = ~(np.abs(z) <= SINGULARITY_GUARD)
-    skipped = int(checked.size - np.count_nonzero(checked))
-    F = np.array(ode.F_eval(list(U[checked].T)))
-    worst = float(np.max(np.abs(z[checked] * dU[checked].T - F), initial=0.0))
-    return worst, skipped, float(np.max(np.abs(F), initial=0.0))
+    F = np.array(ode.F_eval(list(U.T)))
+    worst = float(np.max(np.abs(z * dU.T - F), initial=0.0))
+    return worst, float(np.max(np.abs(F), initial=0.0))
 
 
 def _relative_residual(worst: float, f_sup: float) -> float:
-    """worst / f_sup, or worst itself where F vanished at every midpoint checked."""
+    """worst / f_sup, or worst itself where F vanished at every midpoint."""
     return worst / f_sup if f_sup > 0.0 else worst
 
 
@@ -355,16 +352,14 @@ def _checked_profile(gas: GasModel, ode: SingularODE, sigma: float, left, right,
 
     left and right are extended-state arrays; the profile keeps copies,
     so neither aliases the trajectory. Every profile carries
-    extended_residual_max, extended_residual_rel and
-    extended_residual_skipped (see `max_extended_residual`) and
-    flux_drift (see `flux_constants`); a constant trajectory has no steps
-    and reads 0 on each.
+    extended_residual_max and extended_residual_rel (see
+    `max_extended_residual`) and flux_drift (see `flux_constants`); a
+    constant trajectory has no steps and reads 0 on each.
     """
     prof = Profile(sigma=sigma, left=np.array(left), right=np.array(right), trajectory=traj, diagnostics=diagnostics)
-    ext_res, skipped, f_sup = max_extended_residual(ode, traj)
+    ext_res, f_sup = max_extended_residual(ode, traj)
     diagnostics["extended_residual_max"] = ext_res
     diagnostics["extended_residual_rel"] = _relative_residual(ext_res, f_sup)
-    diagnostics["extended_residual_skipped"] = skipped
     diagnostics["flux_drift"] = flux_constants(gas, prof).drift
     return prof
 

@@ -31,10 +31,6 @@ import numpy as np
 from .errors import DomainError
 from .gas import GasModel, _lowest, _ndarray, _pow_each
 
-# states closer to the sonic set than this count as on it: `reduce-info` gives
-# no rho_x there, and the extended residual check skips them
-SINGULARITY_GUARD = 1e-8
-
 
 @dataclass(frozen=True)
 class SingularODE:

@@ -27,6 +27,8 @@ from .errors import DomainError
 from .gas import Box, GasModel, State, ZERO_GRADIENT
 from .system import assemble_A, assemble_B, assemble_E, blocks
 
+# fixed, not settable: E and A(u, 0) are assembled symmetric bit for bit,
+# and B's rank is read on a matrix whose nonzero entries are of order 1
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_SYM_TOL = 1e-12
 
@@ -320,8 +322,6 @@ def check_structure(
     box: Box,
     n_samples: int = 200,
     seed: int = 0,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    sym_tol: float = DEFAULT_SYM_TOL,
     assemble_a=assemble_A,
     assemble_b=assemble_B,
     assemble_e=assemble_E,
@@ -334,12 +334,10 @@ def check_structure(
     the (n, 3, 3) stack and is called once per check.
     Raises DomainError naming the first sampled state whose E, A(u, 0)
     or B cannot be assembled (division by zero or overflow) or has a
-    non-finite entry: no check can be decided there. Also raises
-    DomainError unless 0 < rank_tol < 1 and sym_tol is positive and
-    finite: outside those ranges the rank and symmetry checks cannot fail.
+    non-finite entry: no check can be decided there.
     B's rank is counted on D^-1/2 B D^-1/2 with D = |diag B| (a zero entry
-    read as 1), which has B's rank, so rank_tol compares entries of one
-    scale and k/theta^2 at theta 1e11 is not read as zero.
+    read as 1), which has B's rank, so DEFAULT_RANK_TOL compares entries
+    of one scale and k/theta^2 at theta 1e11 is not read as zero.
     LAPACK's eigvalsh scales E by its largest entry, so where E's
     diagonal spans more than the float range (rho 1e-300 at theta near 1,
     or rho 1e300 at theta 1.6e-4) the small eigenvalues underflow to 0
@@ -347,10 +345,6 @@ def check_structure(
     """
     if n_samples < 1:
         raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
-    if not 0.0 < rank_tol < 1.0:  # NaN included
-        raise DomainError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
-    if not 0.0 < sym_tol < math.inf:
-        raise DomainError(f"sym_tol must be positive and finite, got {sym_tol!r}")
     box.validate(gas)
     samples = box.sample(n_samples, np.random.default_rng(seed))
     E, A0, B = _assemble(gas, samples, (assemble_e, assemble_a, assemble_b), "sampled state")
@@ -359,7 +353,7 @@ def check_structure(
     # that neither overflows nor turns subnormal, and finite for a finite M
     E_T = E.swapaxes(-1, -2)
     min_eig = np.linalg.eigvalsh(0.5 * E + 0.5 * E_T).min(axis=-1)
-    min_eig[np.abs(E - E_T).max(axis=(-2, -1)) > sym_tol] = -np.inf
+    min_eig[np.abs(E - E_T).max(axis=(-2, -1)) > DEFAULT_SYM_TOL] = -np.inf
     worst_eig, eig_witness = _first_min(min_eig, samples)
 
     # the first maximum of the asymmetry is the first minimum of its negative
@@ -368,7 +362,7 @@ def check_structure(
 
     d = np.abs(np.diagonal(B, axis1=-2, axis2=-1))
     d = 1.0 / np.sqrt(np.where(d == 0.0, 1.0, d))
-    ranks = B.shape[-2] - kernel_dimension(d[:, :, None] * B * d[:, None, :], rank_tol)
+    ranks = B.shape[-2] - kernel_dimension(d[:, :, None] * B * d[:, None, :], DEFAULT_RANK_TOL)
     changed = np.flatnonzero(ranks != ranks[0])
 
     b = B[:, 1:, 1:]
@@ -381,7 +375,7 @@ def check_structure(
         seed=seed,
         samples=samples,
         e_spd=CheckResult(passed=worst_eig > 0.0, worst=worst_eig, witness=eig_witness),
-        a0_symmetric=CheckResult(passed=worst_asym <= sym_tol, worst=worst_asym, witness=asym_witness),
+        a0_symmetric=CheckResult(passed=worst_asym <= DEFAULT_SYM_TOL, worst=worst_asym, witness=asym_witness),
         b_rank=RankResult(
             passed=len(rank_set) == 1,
             ranks=tuple(ranks.tolist()),

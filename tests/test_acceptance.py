@@ -157,7 +157,7 @@ def test_criterion_05_shock_end_to_end(gas, pair, profile, oracle):
     drift = flux_constants(gas, profile).drift
     deviation = compare_profiles(profile, oracle, matching="v").sup
     ode = tw_singular_ode(gas, pair.sigma)
-    ext_res, _, _ = max_extended_residual(ode, profile.trajectory)
+    ext_res, _ = max_extended_residual(ode, profile.trajectory)
     parts = {
         "rh <= 1e-8": rh_worst <= 1e-8,
         "drift <= 1e-6": drift <= 1e-6,

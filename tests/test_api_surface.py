@@ -6,8 +6,9 @@ field or the return of a deleted name shows up here as a test edit. The
 `SingularODE` fields are pinned too: the benchmark's tracer replaces
 `F_eval` and `zeta_eval` by name, so a rename would leave them untimed.
 Every check of a `StructureReport` is a required field. The degeneracy check
-is exact on its scalar block, so it takes no tolerance, and neither does
-the config's `tolerances` section. A `Profile` holds its endpoints as
+is exact on its scalar block, so it takes no tolerance; `check_structure`'s
+rank and symmetry tolerances are module constants, and the config's
+`tolerances` section sets only `ShootOpts`. A `Profile` holds its endpoints as
 arrays, and `boundary_layer` takes its one control as the keyword `tol`.
 Each public name loads only its own submodule and what that imports, so
 a structure check runs without the integrator and a shock without the
@@ -34,13 +35,13 @@ from shocklayer import (
     Trajectory,
     boundary_layer,
     check_block_linear_degeneracy,
+    check_structure,
     integrate_direct,
     integrate_rescaled,
     linearize,
     max_extended_residual,
 )
-from shocklayer import profiles, sode
-from shocklayer.cli import Tolerances
+from shocklayer import cli, profiles, sode
 
 
 def keywords(fn):
@@ -55,6 +56,7 @@ def keywords(fn):
     (max_extended_residual, []),
     (check_block_linear_degeneracy, []),
     (boundary_layer, ["direction_index", "amplitude", "tol"]),
+    (check_structure, ["n_samples", "seed", "assemble_a", "assemble_b", "assemble_e"]),
 ])
 def test_keyword_parameters(fn, expected):
     assert keywords(fn) == expected
@@ -69,7 +71,6 @@ def test_keyword_parameters(fn, expected):
     (StructureReport, [
         "box", "n_samples", "seed", "samples", "e_spd", "a0_symmetric", "b_rank", "b_coercivity", "degeneracy",
     ]),
-    (Tolerances, ["ode_tol", "end_tol", "rank_tol", "sym_tol"]),
 ])
 def test_fields(cls, expected):
     assert [f.name for f in fields(cls)] == expected
@@ -85,15 +86,16 @@ def test_settable_value_count():
 @pytest.mark.parametrize("name", [
     "NoConvergenceError", "LagrangianBlocks", "lagrangian_blocks", "reduce_w", "extended_residual",
     "ExtendedState", "LayerOpts", "euler_fluxes", "conserved", "resample_by_x", "CSV_HEADER", "trajectory_to_csv",
-    "trajectory_metadata", "format_matrix", "SystemBlocks",
+    "trajectory_metadata", "format_matrix", "SystemBlocks", "SINGULARITY_GUARD", "Tolerances",
 ])
 def test_deleted_names_stay_deleted(name):
     assert name not in shocklayer.__all__
+    assert not any(hasattr(module, name) for module in (cli, profiles, shocklayer.reduction, shocklayer.structure))
 
 
 def test_all_lists_no_module():
     assert [name for name in shocklayer.__all__ if inspect.ismodule(getattr(shocklayer, name))] == []
-    assert len(shocklayer.__all__) == 57
+    assert len(shocklayer.__all__) == 56
     assert shocklayer.sode is sode and shocklayer.profiles is profiles
 
 
@@ -166,5 +168,5 @@ def test_fixed_controls():
     assert (sode.DELTA, sode.REL_FLOOR, sode.EQUILIBRIUM_TOL) == (1e-6, 1e-12, 1e-12)
     assert (sode.FD_STEP, sode.CENTER_THRESHOLD) == (1e-6, 1e-7)
     assert (profiles.SHOOT_EPS_REL, profiles.LAYER_GROW_CAP) == (1e-7, 0.5)
-    assert profiles.SINGULARITY_GUARD == 1e-8
+    assert (shocklayer.structure.DEFAULT_RANK_TOL, shocklayer.structure.DEFAULT_SYM_TOL) == (1e-10, 1e-12)
     assert (sode.MAX_STEPS, profiles.SHOOT_RETRIES) == (500_000, 2)

@@ -45,7 +45,6 @@ from shocklayer import (
 from shocklayer import profiles, sode
 from shocklayer.gas import internal_energy, pressure
 from shocklayer.profiles import CompareReport, _flux_form, _flux_integrals, _relative_residual, _sup
-from shocklayer.reduction import SINGULARITY_GUARD
 
 from becker import BeckerShock, becker_gas
 from flux_form import extended_with_derivatives
@@ -562,9 +561,9 @@ class TestFluxConstants:
 
 
 class TestProfileChecks:
-    """Every Profile carries the same four checks; a constant one reads 0 on each."""
+    """Every Profile carries the same three checks; a constant one reads 0 on each."""
 
-    CHECK_KEYS = ("extended_residual_max", "extended_residual_rel", "extended_residual_skipped", "flux_drift")
+    CHECK_KEYS = ("extended_residual_max", "extended_residual_rel", "flux_drift")
 
     @pytest.mark.parametrize("build,mode", [
         (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.2)), "direct"),
@@ -582,7 +581,7 @@ class TestProfileChecks:
             assert checks == dict.fromkeys(self.CHECK_KEYS, 0)
         else:
             assert prof.trajectory.mode == mode
-            assert checks["extended_residual_skipped"] == 0
+            assert "extended_residual_skipped" not in prof.diagnostics
             assert checks["extended_residual_rel"] <= 1e-6
             assert checks["flux_drift"] <= 1e-6
 
@@ -1018,14 +1017,13 @@ class TestCompareGrid:
 class TestMaxExtendedResidual:
     def test_small_on_profile(self, gasm, pair_f1, prof_f1):
         ode = tw_singular_ode(gasm, pair_f1.sigma)
-        worst, skipped, _ = max_extended_residual(ode, prof_f1.trajectory)
+        worst, _ = max_extended_residual(ode, prof_f1.trajectory)
         assert worst <= 1e-7
-        assert skipped == 0
 
     def test_detects_a_raised_component(self, gasm, pair_f1, prof_f1):
         # theta + 1e-3 everywhere leaves U' unchanged but moves F(U)
         ode = tw_singular_ode(gasm, pair_f1.sigma)
-        worst, _, _ = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
+        worst, _ = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
         assert worst > 1e-5
 
     def test_relative_value_detects_a_raised_component(self, gasm, pair_f1, prof_f1):
@@ -1033,8 +1031,18 @@ class TestMaxExtendedResidual:
         # theta raised by 1e-3 about 1e-3
         ode = tw_singular_ode(gasm, pair_f1.sigma)
         assert prof_f1.diagnostics["extended_residual_rel"] <= 1e-6
-        worst, skipped, f_sup = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
-        assert skipped == 0 and f_sup > 0.0
+        worst, f_sup = max_extended_residual(ode, _raised(prof_f1, 2, 1e-3).trajectory)
+        assert f_sup > 0.0
+        assert _relative_residual(worst, f_sup) > 1e-4
+
+    @pytest.mark.parametrize("amplitude", [1e-3, -1e-3])
+    def test_detects_a_raised_component_next_to_the_sonic_set(self, gasm, amplitude):
+        # along a layer at v* = 1e-9, |zeta| = |v| stays below 1e-8; the clean
+        # layer reads about 2e-7 and a theta raised by 1e-3 above 1e-4
+        prof = boundary_layer(gasm, State(1.0, 1e-9, 1.0), amplitude=amplitude)
+        assert float(np.max(np.abs(prof.trajectory.Vs[:, 1]))) < 1e-8
+        assert prof.diagnostics["extended_residual_rel"] <= 1e-6
+        worst, f_sup = max_extended_residual(steady_singular_ode(gasm), _raised(prof, 2, 1e-3).trajectory)
         assert _relative_residual(worst, f_sup) > 1e-4
 
 
@@ -1042,19 +1050,15 @@ def ref_max_extended_residual(ode, traj):
     """The per-midpoint loop of max_extended_residual: one float F call per midpoint."""
     rescaled = traj.mode == "rescaled"
     worst = f_sup = 0.0
-    skipped = 0
     ys, dys = traj.step_eval(np.arange(traj.hs.size), 0.5)
     for y, dy in zip(ys.tolist(), dys.tolist()):
         V = y[:-1] if rescaled else y
         z = ode.zeta_eval(V)
-        if abs(z) <= SINGULARITY_GUARD:
-            skipped += 1
-            continue
         Uprime = [a / dy[-1] for a in dy[:-1]] if rescaled else dy
         F = ode.F_eval(V)
         worst = max(worst, max([abs(z * a - f) for a, f in zip(Uprime, F)]))
         f_sup = max(f_sup, max(map(abs, F)))
-    return worst, skipped, f_sup
+    return worst, f_sup
 
 
 def ref_flux_constants(gas, prof):
@@ -1091,7 +1095,7 @@ class TestChecksMatchPerSampleReference:
         ode = tw_singular_ode(gas, prof.sigma)
         new = max_extended_residual(ode, prof.trajectory)
         ref = ref_max_extended_residual(ode, prof.trajectory)
-        assert (bits(new[0]), new[1], bits(new[2])) == (bits(ref[0]), ref[1], bits(ref[2]))
+        assert (bits(new[0]), bits(new[1])) == (bits(ref[0]), bits(ref[1]))
         rec = flux_constants(gas, prof)
         values, reference, drift = ref_flux_constants(gas, prof)
         assert rec.values.shape == values.shape
@@ -1136,15 +1140,15 @@ class TestChecksMatchPerSampleReference:
         self.assert_profile_checks_same(gas, prof)
 
     @pytest.mark.parametrize("limit", [(1.0, -0.3, 1.0), (1.0, 5e-7, 1.0)])
-    def test_midpoints_inside_the_guard_are_skipped_alike(self, power_gas, limit):
+    def test_midpoints_on_the_sonic_set_are_checked_alike(self, power_gas, limit):
         # shift v so that one step's midpoint sits on the sonic set within round-off
         prof = boundary_layer(power_gas, State(*limit), amplitude=1e-3)
         traj = prof.trajectory
         mid = traj.step_eval(np.arange(traj.hs.size), 0.5)[0][:, 1]
         k = traj.hs.size // 2
         shifted = _raised(prof, 1, -mid[k])
-        worst, skipped, _ = self.assert_profile_checks_same(power_gas, shifted)
-        assert skipped >= 1 and np.isfinite(worst)
+        worst, _ = self.assert_profile_checks_same(power_gas, shifted)
+        assert np.isfinite(worst)
 
     def test_a_bad_sample_is_a_domain_error(self, gasm, pair_f1, prof_f1, oracle_f1):
         ode = tw_singular_ode(gasm, pair_f1.sigma)
@@ -1436,9 +1440,9 @@ class TestBoundaryLayer:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_tiny_speeds_behave_like_their_neighbours(self, gasm, sign):
-        # no speed below the guard gets a rule of its own: v = +-1e-9 ends
-        # the way v = +-2e-8 does (a rescaled layer for outflow, no decaying
-        # direction for inflow)
+        # no speed next to the sonic set gets a rule of its own: v = +-1e-9
+        # ends the way v = +-2e-8 does (a rescaled layer for outflow, no
+        # decaying direction for inflow)
         def outcome(v):
             try:
                 return boundary_layer(gasm, State(1.0, v, 1.0), amplitude=1e-3).diagnostics["mode"]
@@ -1578,7 +1582,7 @@ class TestNearSonicLayers:
         k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
         rho=st.floats(0.5, 2.0),
         theta=st.floats(0.5, 2.0),
-        log_v=st.floats(-7.0, -5.0),
+        log_v=st.floats(-9.0, -5.0),
         log_amp=st.floats(-4.0, -2.0),
         sign=st.sampled_from([1.0, -1.0]),
     )
@@ -1587,13 +1591,12 @@ class TestNearSonicLayers:
     def test_layer_invariants(self, gamma, nu, k, rho, theta, log_v, log_amp, sign):
         # one desingularized sweep, whether or not the start lies within 1e-6
         # of the sonic set: it keeps the mass flux and passes a residual
-        # check that skipped no midpoint
+        # check read at every midpoint, below 1e-8 of the sonic set too
         gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
         prof = boundary_layer(gas, State(rho, 10.0 ** log_v, theta), amplitude=sign * 10.0 ** log_amp)
         d = prof.diagnostics
         m = prof.trajectory.Vs[:, 0] * prof.trajectory.Vs[:, 1]
         assert np.max(np.abs(m - m[0])) <= 1e-8 * abs(m[0])
-        assert d["extended_residual_skipped"] == 0
         assert d["extended_residual_rel"] <= 1e-6
         assert d["flux_drift"] <= 1e-9
         assert d["length_produced"] > 0.0

@@ -69,8 +69,8 @@ def reference_degeneracy(A11_eval, E11_eval, sigma, samples, tol=1e-10):
 
 def reference_check_structure(
     gas, box, n_samples, seed, assemble_a=assemble_A, assemble_b=assemble_B, assemble_e=assemble_E,
-    rank_tol=1e-10, sym_tol=1e-12,
 ):
+    rank_tol, sym_tol = structure.DEFAULT_RANK_TOL, structure.DEFAULT_SYM_TOL
     box.validate(gas)
     samples = box.sample(n_samples, np.random.default_rng(seed))
     worst_eig, eig_witness = np.inf, None
@@ -580,7 +580,7 @@ class TestCheckStructure:
     @pytest.mark.parametrize("theta", [(1.0, 1e11), (1e11, 1e11), (1e30, 1e100)])
     def test_b_rank_is_not_read_from_its_scale(self, gas, theta):
         # B = diag(0, 1/theta, 1/theta^2) has rank 2 at every state; counted on B itself, 1/theta^2
-        # falls under rank_tol times 1/theta once theta > 1e10, and the rank read 1
+        # falls under DEFAULT_RANK_TOL times 1/theta once theta > 1e10, and the rank read 1
         box = Box(rho=(0.5, 2.0), v=(-1.0, 1.0), theta=theta)
         report = check_structure(gas, box, n_samples=50, seed=0)
         assert report.b_rank == RankResult(passed=True, ranks=(2,) * 50, r=2, witness=None)
@@ -784,31 +784,18 @@ class TestColumnAssembly:
 
 
 class TestTolerances:
-    """A tolerance out of range would make its check unable to fail: DomainError before any sample."""
+    """The rank and symmetry tolerances are module constants that the checks read when they run."""
 
-    @pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1e-10, 0.0, 1.0, 2.0])
-    def test_rank_tol_outside_zero_one(self, gas, box, rank_tol):
-        with pytest.raises(DomainError, match=re.escape(f"rank_tol must lie in (0, 1), got {rank_tol!r}")):
-            check_structure(gas, box, n_samples=10, rank_tol=rank_tol)
-
-    @pytest.mark.parametrize("sym_tol", [float("nan"), float("inf"), -1e-12, 0.0])
-    def test_sym_tol_not_positive_and_finite(self, gas, box, sym_tol):
-        with pytest.raises(DomainError, match=re.escape(f"sym_tol must be positive and finite, got {sym_tol!r}")):
-            check_structure(gas, box, n_samples=10, sym_tol=sym_tol)
-
-    def test_rank_found_at_a_tolerance_in_range(self, gas, box):
-        # rank_tol = 2 would read every B as rank 0; inside (0, 1) the rank is 2
-        report = check_structure(gas, box, n_samples=10, rank_tol=0.01, sym_tol=1.0)
-        assert report.b_rank.ranks == (2,) * 10 and report.structural_pass()
-
-    def test_asymmetry_still_caught_at_sym_tol_one(self, gas, box):
+    def test_asymmetry_still_caught_at_sym_tol_one(self, monkeypatch, gas, box):
         def asymmetric(g, state, grad):
             A = assemble_A(g, state, grad).copy()
             A[..., 0, 2] += 2.0
             return A
 
-        report = check_structure(gas, box, n_samples=10, sym_tol=1.0, assemble_a=asymmetric)
+        monkeypatch.setattr(structure, "DEFAULT_SYM_TOL", 1.0)
+        report = check_structure(gas, box, n_samples=10, assemble_a=asymmetric)
         assert not report.a0_symmetric.passed and report.a0_symmetric.worst == 2.0
+        assert report.to_json_dict() == reference_check_structure(gas, box, 10, 0, assemble_a=asymmetric).to_json_dict()
 
 
 class TestSuggestSigmas:
