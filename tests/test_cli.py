@@ -138,6 +138,22 @@ class TestCheck:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("rank_tol", NAN), ("rank_tol", INF), ("rank_tol", -1e-10), ("rank_tol", 0.0), ("rank_tol", 1.0),
+        ("rank_tol", 2.0), ("sym_tol", NAN), ("sym_tol", INF), ("sym_tol", -1e-12), ("sym_tol", 0.0),
+    ])
+    def test_tolerance_that_cannot_fail_exits_2(self, tmp_path, outdir, capsys, key, value):
+        # at rank_tol 2.0 every B would read as rank 0 and the check would pass; the structure
+        # tolerances are constants now, so a config that sets one is refused by the key's name
+        # whatever its value, before the value is read
+        cfg = base_config(outdir)
+        cfg["tolerances"] = {key: value}
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"kind=validation exit=2 msg=config.tolerances has unknown keys [{key!r}]\n" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     def test_lagrangian_blocks_satisfied(self, tmp_path, outdir):
         cfg = base_config(outdir)
         cfg["blocks"] = "lagrangian"

@@ -797,6 +797,43 @@ class TestTolerances:
         assert not report.a0_symmetric.passed and report.a0_symmetric.worst == 2.0
         assert report.to_json_dict() == reference_check_structure(gas, box, 10, 0, assemble_a=asymmetric).to_json_dict()
 
+    # Why neither is a setting: no value in range moves a report. The corruptions that leave
+    # E and A(u, 0) symmetric are kept, so a rank jump is still found at every rank tolerance.
+    KEEPS_SYMMETRY = ["none", "indefinite_e", "nan_a", "rank_jump_b", "noncoercive_b"]
+
+    @staticmethod
+    def _at(name, value, gas, box, n, seed, kw):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, name, value)
+            return _outcome(check_structure, gas, box, n_samples=n, seed=seed, **kw)
+
+    @pytest.mark.parametrize("rank_tol", [1e-300, 1e-15, 1e-5, 0.5, 0.99])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        gb=st.one_of(gases_and_boxes(), extreme_gases_and_boxes()), n=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1), corruption=st.sampled_from(KEEPS_SYMMETRY),
+    )
+    def test_no_rank_tolerance_in_range_moves_a_report(self, rank_tol, gb, n, seed, corruption):
+        gas, box = gb
+        kw = CORRUPTIONS[corruption]
+        report = self._at("DEFAULT_RANK_TOL", rank_tol, gas, box, n, seed, kw)
+        assert report == _outcome(check_structure, gas, box, n_samples=n, seed=seed, **kw)
+
+    @pytest.mark.parametrize("sym_tol", [0.0, 5e-324, 1e-6, 1.0, 1e300])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        gb=st.one_of(gases_and_boxes(), extreme_gases_and_boxes()), n=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1), corruption=st.sampled_from(KEEPS_SYMMETRY),
+    )
+    def test_no_symmetry_tolerance_moves_a_report(self, sym_tol, gb, n, seed, corruption):
+        # E and A(u, 0) are assembled symmetric bit for bit, so even sym_tol = 0 passes them
+        gas, box = gb
+        kw = CORRUPTIONS[corruption]
+        report = self._at("DEFAULT_SYM_TOL", sym_tol, gas, box, n, seed, kw)
+        assert report == _outcome(check_structure, gas, box, n_samples=n, seed=seed, **kw)
+        if not isinstance(report, str):
+            assert report.a0_symmetric.worst == 0.0
+
 
 class TestSuggestSigmas:
     @pytest.mark.parametrize("rho,c_rho", [(1.0, 0.1), (1e-300, 1e-310)], ids=["rho-1", "rho-1e-300"])
