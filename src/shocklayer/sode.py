@@ -10,27 +10,32 @@ Two modes share one embedded Dormand-Prince 5(4) stepper:
   dx/dtau = zeta(V). The vector field is regular, so the trajectory can
   pass near (or along) the sonic set; x is recovered per sample.
 
-Both modes run through one stepping loop, `_run`, which detects
-equilibria (|F| below EQUILIBRIUM_TOL for several accepted steps in a
-row), records step statistics, and keeps a dense interpolant so
-trajectories can be resampled at arbitrary points of the independent
-variable without re-integration.
+Both modes run through one adaptive loop, which detects equilibria (|F|
+below EQUILIBRIUM_TOL for several accepted steps in a row), records step
+statistics, and keeps a dense interpolant so trajectories can be
+resampled at arbitrary points of the independent variable without
+re-integration.
 
-The step itself is straight-line Python generated per state dimension,
+The whole run is straight-line Python generated per state dimension,
 mode and right-hand side (`_kernel_source`) and compiled once per
-process on first use (`_kernels`). It evaluates the six new stages
+process on first use (`_kernels`): `_run` checks the start and picks the
+first step, and the kernel does every step, its step-size control and
+its bookkeeping in one function. A step evaluates the six new stages
 inline and writes out every stage point, the new state, the error
-estimate and the error norm component by component. Every right-hand
-side is an `RhsSource` that every stage runs inline, its constants
-passed to the kernel. When F and zeta are the pair built from one
-source (the package's own right-hand sides), that source runs, and the
-step builds no list but the F of the last stage. Any other pair of
-callbacks runs as the call source (`_call_source`), which hands them
-the stage point as a list once per stage; the two give the same bits.
-The loop steps on lists of Python floats, with no numpy or BLAS call
-between two right-hand side evaluations: F, zeta and ``stop_when`` are
-handed the stage lists themselves (see `SingularODE`), and only the
-start V0 and the finished trajectory are arrays. Every stage
+estimate and the error norm component by component; the state and the
+first-same-as-last stage stay in locals from one step to the next.
+Every right-hand side is an `RhsSource` that every stage runs inline,
+its constants passed to the kernel. When F and zeta are the pair built
+from one source (the package's own right-hand sides), that source runs,
+and a step builds no list. A source whose zeta is the literal 1.0 (the
+flux form) is regular: its direct stages neither test zeta nor divide
+by it. Any other pair of callbacks runs as the call source
+(`_call_source`), which hands them the stage point as a list once per
+stage; the two give the same bits. The loop steps on Python floats, with
+no numpy or BLAS call between two right-hand side evaluations: called F
+and zeta get the stage point as a list, ``stop_when`` gets each accepted
+endpoint as fresh lists (see `SingularODE`), and only the start V0 and
+the finished trajectory are arrays. Every stage
 combination, the error estimate and the error norm are summed left to
 right in tableau order, one rounded multiply and add at a time (CPython
 never fuses them), and the dense output is an elementwise sum over the
@@ -182,14 +187,16 @@ class Trajectory:
 
         t may be a scalar or an array; the result gains a last axis of
         the state dimension. In rescaled mode the integrated vector is
-        (V, x), so the last component is the spatial coordinate.
+        (V, x), so the last component is the spatial coordinate. A t
+        outside the covered span, NaN included, or a trajectory with no
+        step is a DomainError.
         """
         if self.hs.size == 0:
-            raise ValueError("trajectory carries no dense output")
+            raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
         lo, hi = sorted((self.ts[0], self.ts[-1]))
-        if np.any((t < lo - 1e-12) | (t > hi + 1e-12)):
-            raise ValueError(f"t={t} outside the covered span [{lo}, {hi}]")
+        if not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12)):  # NaN included
+            raise DomainError(f"t={t} outside the covered span [{lo}, {hi}]")
         # first step whose end reaches t, along the integration direction
         sgn = 1.0 if self.hs[0] > 0 else -1.0
         i = np.minimum(np.searchsorted(sgn * self.ts[1:], sgn * t), self.hs.size - 1)
@@ -206,7 +213,8 @@ class Trajectory:
         iteration stops once the residual is at round-off level. A value
         whose residual is there drops out of the iteration, so later
         rounds work on the rest alone. Returns an array of shape
-        values.shape + (d,).
+        values.shape + (d,). A value outside the covered range, NaN
+        included, is a DomainError.
         """
         c = np.asarray(values, dtype=float)
         s = self.ys[:, j]
@@ -214,8 +222,8 @@ class Trajectory:
         if s.size < 2 or not (np.all(d > 0) or np.all(d < 0)):
             raise NonMonotoneError(f"component {j} is not strictly monotone along the trajectory")
         lo, hi = sorted((s[0], s[-1]))
-        if np.any((c < lo - 1e-12) | (c > hi + 1e-12)):
-            raise ValueError(f"value outside the covered range [{lo}, {hi}]")
+        if not np.all((c >= lo - 1e-12) & (c <= hi + 1e-12)):  # NaN included
+            raise DomainError(f"value outside the covered range [{lo}, {hi}]")
         # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step
         sgn = 1.0 if d[0] > 0 else -1.0
         i = np.clip(np.searchsorted(sgn * s, sgn * c, side="right") - 1, 0, d.size - 1)
@@ -294,10 +302,10 @@ _ERROR_ROW = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
 _UNUSABLE = "(DomainError, ZeroDivisionError, OverflowError)"
 
 
-def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str) -> tuple[list[str], str]:
+def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str) -> tuple[list[str], list[str]]:
     """One stage at the point bound to the names of rhs.state, written to the locals k; sets z.
 
-    Returns the lines and the expression of the stage's F list. The
+    Returns the lines and the names of the stage's F components. The
     source runs inline, and its admissibility test, emitted when it names
     a positive quantity, fails the stage. Direct mode: rhs.pre, zeta, the
     unusable check, the rest of the source, then F_i / zeta. Rescaled
@@ -305,22 +313,26 @@ def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str) -> 
     stage is (F, zeta). fail is the statement that leaves on a zero or
     non-finite zeta; the caller wraps the lines in a try that treats
     _UNUSABLE the same way. A value x is finite exactly when x - x == 0.0.
+    A source whose zeta is the literal 1.0 is regular: its direct stage
+    has no unusable check and takes k = F, which are the bits of F / 1.0.
     """
     test = [f"if not ({rhs.admissible()}):", f"    {fail}"] if rhs.positive else []
-    if mode == "direct":
+    if mode == "rescaled":
         return [
-            *rhs.pre,
-            f"z = {rhs.zeta}",
-            "if z == 0.0 or not z - z == 0.0:", f"    {fail}",
-            *test, *rhs.lines,
-            *(f"f{i} = {expr}" for i, expr in enumerate(rhs.F)),
-            *(f"{k[i]} = f{i} / z" for i in range(d)),
-        ], f"[{', '.join(f'f{i}' for i in range(d))}]"
+            *rhs.pre, *test, *rhs.lines,
+            *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)),
+            f"{k[-1]} = z = {rhs.zeta}",
+        ], k[:-1]
+    if rhs.zeta == "1.0":
+        return [*rhs.pre, "z = 1.0", *test, *rhs.lines, *(f"{k[i]} = {expr}" for i, expr in enumerate(rhs.F))], k
     return [
-        *rhs.pre, *test, *rhs.lines,
-        *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)),
-        f"{k[-1]} = z = {rhs.zeta}",
-    ], f"[{', '.join(k[:-1])}]"
+        *rhs.pre,
+        f"z = {rhs.zeta}",
+        "if z == 0.0 or not z - z == 0.0:", f"    {fail}",
+        *test, *rhs.lines,
+        *(f"f{i} = {expr}" for i, expr in enumerate(rhs.F)),
+        *(f"{k[i]} = f{i} / z" for i in range(d)),
+    ], [f"f{i}" for i in range(d)]
 
 
 def _call_source(m: int) -> RhsSource:
@@ -338,76 +350,155 @@ def _row_sum(row, i: int) -> str:
 
 
 def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
-    """Source of make(tol, *consts) -> (stage, step) for dimension d, mode and right-hand side.
+    """Source of make(tol, *consts) -> (stage, run) for dimension d, mode and right-hand side.
 
     consts are the constants of rhs, and every stage runs its source
     inline (see `_stage_lines`): one kernel serves every gas and speed,
     or every pair of callbacks. stage(y) is the right-hand side at the
     list y: (k, F, zeta), with k None where the stage is unusable and
     zeta whatever was found (None if it could not be evaluated).
-    step(y, h, k1) is one embedded DP5(4) step from y with k1 =
-    stage(y)[0] already known. It returns (n, result): n is the number
-    of evaluations made, and result is None when a stage is unusable or
-    y_new or the error estimate is not finite, otherwise (error norm,
-    y_new, k7, record, F, zeta). record is y_new and the seven stages,
-    flat; k7 is the right-hand side at y_new (first same as last) and
-    (F, zeta) the pair it came from. In rescaled mode the last component
-    is x, which no stage reads, so the stage points 2..6 leave it out.
-    The error norm takes |y_i| and |n_i| by a sign test, which gives the
+
+    run(t, t_end, direction, y, h, k1, z, dwell, stop_when) makes every
+    step of a run and its bookkeeping (see `_run`), from the start y
+    with its first stage k1 and zeta z already known, the starting step
+    h, and dwell the equilibrium count of the start. It returns (ts, hs,
+    store, termination, accepted, rejected, evaluations, min |zeta|,
+    zeta sign changes, final h), with store the packed records of the
+    accepted steps: y_new and the seven stages. The state, the
+    first-same-as-last stage and the counters stay in locals from step
+    to step, and no Python function is called per attempt but the
+    source's own calls (the callbacks of the call source) and, after an
+    accepted step, stop_when. A stage that fails counts the evaluations
+    made so far and halves h. In rescaled mode the last component is x,
+    which no stage reads, so the stage points 2..6 leave it out. The
+    error norm takes |y_i| and |n_i| by a sign test, which gives the
     bits of abs.
     """
-    m = d if mode == "direct" else d - 1  # components of a stage point
+    direct = mode == "direct"
+    m = d if direct else d - 1  # components of a stage point
     ks = [[f"k{s}_{i}" for i in range(d)] for s in range(8)]
-    ys = ", ".join(f"y_{i}" for i in range(d))
     first, F0 = _stage_lines(rhs, mode, d, ks[0], "return None, None, z")
+    new = [f"n_{i}" for i in range(d)]
+    record = ", ".join(new + [k for stage in ks[1:] for k in stage])
     out = [
         f"def make(tol, {', '.join(rhs.consts)}):",
         "    rtol = max(tol, REL_FLOOR)",
+        f"    pack = struct.Struct('{8 * d}d').pack",
         "",
         "    def stage(y):",
         "        z = None",
-        f"        {', '.join(rhs.state)}, = y" + ("" if mode == "direct" else "[:-1]"),
+        f"        {', '.join(rhs.state)}, = y" + ("" if direct else "[:-1]"),
         "        try:",
         *("            " + line for line in first),
         f"        except {_UNUSABLE}:",
         "            return None, None, z",
-        f"        return [{', '.join(ks[0])}], {F0}, z",
+        f"        return [{', '.join(ks[0])}], [{', '.join(F0)}], z",
         "",
-        "    def step(y, h, k1):",
-        f"        {ys}, = y",
+        "    def run(t, t_end, direction, y, h, k1, z, dwell, stop_when):",
+        f"        {', '.join(f'y_{i}' for i in range(d))}, = y",
         f"        {', '.join(ks[1])}, = k1",
+        *(["        sign0 = 1.0 if z > 0.0 else -1.0  # the side of the singular set the run keeps to"] if direct else []),
+        "        min_zeta = abs(z)",
+        "        last_positive = None if z == 0.0 else z > 0.0  # the sign of the last nonzero zeta",
+        "        sign_changes = n_acc = n_rej = n_fev = steps = 0",
+        "        ts, hs, store = [t], [], bytearray()",
+        "        termination = TERM_REACHED_END",
+        "        max_steps = MAX_STEPS",
+        "        end_scale = max(abs(t_end), 1.0)",
+        # the end test breaks once t reaches t_end, so left below is never 0, and these are the
+        # bits of h = min(h, abs(t_end - t)) and of the tests through abs and max
+        "        while steps < max_steps:",
+        "            steps += 1",
+        "            left = t_end - t if t_end > t else t - t_end",
+        "            if left < h:",
+        "                h = left",
+        "            if h <= (t if t >= 0.0 else -t) * 1e-16 + 1e-300:",
+        "                termination = TERM_STEP_FAILURE",
+        "                break",
+        "            dh = direction * h",
     ]
     for s, row in enumerate(_STAGE_ROWS, start=2):
         if s < 7:
-            points = [f"y_{i} + h * ({_row_sum(row, i)})" for i in range(m)]
+            points = [f"y_{i} + dh * ({_row_sum(row, i)})" for i in range(m)]
         else:  # the last stage is taken at y_new, all of which is kept
-            out += [f"        n_{i} = y_{i} + h * ({_row_sum(row, i)})" for i in range(d)]
-            points = [f"n_{i}" for i in range(m)]
-        lines, F = _stage_lines(rhs, mode, d, ks[s], f"return {s - 1}, None")
+            out += [f"            n_{i} = y_{i} + dh * ({_row_sum(row, i)})" for i in range(d)]
+            points = new[:m]
+        reject = f"n_fev += {s - 1}; n_rej += 1; h *= 0.5; continue"
+        lines, F = _stage_lines(rhs, mode, d, ks[s], reject)  # the last F is that at y_new
         out += [
-            *(f"        {name} = {p}" for name, p in zip(rhs.state, points)),
-            "        try:",
-            *("            " + line for line in lines),
-            f"        except {_UNUSABLE}:",
-            f"            return {s - 1}, None",
+            *(f"            {name} = {p}" for name, p in zip(rhs.state, points)),
+            "            try:",
+            *("                " + line for line in lines),
+            f"            except {_UNUSABLE}:",
+            f"                {reject}",
         ]
-    out += [f"        e_{i} = h * ({_row_sum(_ERROR_ROW, i)})" for i in range(d)]
+    out += [f"            e_{i} = dh * ({_row_sum(_ERROR_ROW, i)})" for i in range(d)]
     checks = " and ".join(f"{v}_{i} - {v}_{i} == 0.0" for v in "ne" for i in range(d))
-    out += [f"        if not ({checks}):", "            return 6, None"]
+    out += [
+        "            n_fev += 6",
+        f"            if not ({checks}):",
+        "                n_rej += 1; h *= 0.5; continue",
+    ]
     for i in range(d):
         out += [
-            f"        a = y_{i} if y_{i} >= 0.0 else -y_{i}",
-            f"        b = n_{i} if n_{i} >= 0.0 else -n_{i}",
-            f"        r_{i} = e_{i} / (tol + rtol * (a if a >= b else b))",
+            f"            a = y_{i} if y_{i} >= 0.0 else -y_{i}",
+            f"            b = n_{i} if n_{i} >= 0.0 else -n_{i}",
+            f"            r_{i} = e_{i} / (tol + rtol * (a if a >= b else b))",
         ]
     squares = " + ".join(f"r_{i} * r_{i}" for i in range(d))
-    new = [f"n_{i}" for i in range(d)]
-    record = ", ".join(new + [k for stage in ks[1:] for k in stage])
     out += [
-        f"        enorm = sqrt(({squares}) / {d})",
-        f"        return 6, (enorm, [{', '.join(new)}], [{', '.join(ks[7])}], ({record}), {F}, z)",
+        f"            enorm = sqrt(({squares}) / {d})",
+        "            if enorm > 1.0:",
+        "                n_rej += 1; h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP); continue",
+    ]
+    if direct:  # a step that jumped across the singular set
+        out += ["            if z * sign0 < 0.0:", "                n_rej += 1; h *= 0.5; continue"]
+    out += [
+        "            t = t + dh",
+        "            hs.append(dh)",
+        "            ts.append(t)",
+        f"            store += pack({record})",
+        "            n_acc += 1",
+        *(f"            y_{i} = n_{i}" for i in range(d)),
+        *(f"            k1_{i} = k7_{i}" for i in range(d)),
+        "            az = abs(z)",
+        "            if az < min_zeta:",
+        "                min_zeta = az",
+        "            if z != 0.0:",
+        "                if last_positive is not None and (z > 0.0) != last_positive:",
+        "                    sign_changes += 1",
+        "                last_positive = z > 0.0",
+    ]
+    if direct:
+        out += ["            if az <= DELTA:", "                termination = TERM_SINGULARITY", "                break"]
+    # the finite error estimate of an accepted step holds every k7_i, so F there is finite
+    # and max(map(abs, F)) < EQUILIBRIUM_TOL is a chain of comparisons
+    resting = " and ".join(f"-EQUILIBRIUM_TOL < {f} < EQUILIBRIUM_TOL" for f in F)
+    seen = f"t, [{', '.join(new)}]" if direct else f"t, [{', '.join(new[:-1])}], {new[-1]}"
+    out += [
+        f"            if {resting}:",
+        "                dwell += 1",
+        "                if dwell >= EQUILIBRIUM_DWELL:",
+        "                    termination = TERM_EQUILIBRIUM",
+        "                    break",
+        "            else:",
+        "                dwell = 0",
+        f"            if stop_when is not None and stop_when({seen}):",
+        "                termination = TERM_STOPPED",
+        "                break",
+        "            a = t if t >= 0.0 else -t",
+        "            if (t - t_end if t > t_end else t_end - t) <= 1e-14 * (a if a > end_scale else end_scale):",
+        "                break",
+        "            if enorm == 0.0:",
+        "                h *= _FAC_MAX",
+        "            else:",
+        "                fac = _SAFETY * enorm ** -_ORDER_EXP",
+        "                h *= _FAC_MAX if fac >= _FAC_MAX else fac if fac > _FAC_MIN else _FAC_MIN",
+        "        else:",
+        '            raise StepFailureError(f"step budget {max_steps} exhausted")',
+        "        return ts, hs, store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h",
         "",
-        "    return stage, step",
+        "    return stage, run",
     ]
     return "\n".join(out) + "\n"
 
@@ -439,15 +530,18 @@ def _bound(ode: SingularODE, m: int) -> tuple[RhsSource, tuple]:
 
 
 def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, tol: float, stop_when):
-    """Adaptive DP5(4) loop shared by the direct and the rescaled mode.
+    """Adaptive DP5(4) run shared by the direct and the rescaled mode.
 
     y0 is a list of floats: V in direct mode, (V, x) in rescaled mode.
-    The stages come from the generated kernel of `_kernels` for the
-    source of ode's right-hand side, found once here (see `_bound`): the
-    `RhsSource` ode's callbacks were built from, or else the call source
-    of ode.F_eval and ode.zeta_eval. Every
-    stage is one evaluation, the first one at y0 included. A step is rejected
-    (and halved) when a stage is unusable or not finite, which covers a
+    The stages and the stepping loop come from the generated kernel of
+    `_kernels` for the source of ode's right-hand side, found once here
+    (see `_bound`): the `RhsSource` ode's callbacks were built from, or
+    else the call source of ode.F_eval and ode.zeta_eval. Here the run
+    takes the first stage, checks the start and picks the first step;
+    the kernel's run does every step and its bookkeeping, and the
+    trajectory is assembled from its records. Every stage is one
+    evaluation, the first one at y0 included. A step is rejected (and
+    halved) when a stage is unusable or not finite, which covers a
     non-finite (F, zeta) pair at its end.
 
     Direct mode is guarded. There a start with |zeta| <= DELTA, zeta = 0
@@ -458,100 +552,32 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     sign changes of zeta over the accepted endpoints, and halts with
     ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL at
     EQUILIBRIUM_DWELL endpoints in a row (the start counts).
-    stop_when(t, y), if given, sees the list y after each accepted step.
-    A run still going after MAX_STEPS step attempts is a StepFailureError.
-    tol must be positive and finite, else the run is a DomainError.
+    stop_when, if given, sees each accepted endpoint as fresh lists:
+    (x, V) in direct mode, (tau, V, x) in rescaled mode. A run still
+    going after MAX_STEPS step attempts is a StepFailureError. tol must
+    be positive and finite, else the run is a DomainError.
 
     Returns every `Trajectory` field but the mode as a dict.
     """
     if not 0.0 < tol < float("inf"):  # NaN included
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    guarded = mode == "direct"
-    rhs, consts = _bound(ode, len(y0) if guarded else len(y0) - 1)
-    stage, step = _kernels(len(y0), mode, rhs)(tol, *consts)
+    direct = mode == "direct"
+    d = len(y0)
+    rhs, consts = _bound(ode, d if direct else d - 1)
+    stage, run = _kernels(d, mode, rhs)(tol, *consts)
     k0, F, z = stage(y0)
-    if guarded and z is not None and abs(z) <= DELTA:
+    if direct and z is not None and abs(z) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")
     if t_end == t0:
         raise DomainError("integration span is empty")
     if k0 is None or not all(map(isfinite, k0)):
         raise DomainError("right-hand side not finite at the initial point")
     direction = 1.0 if t_end > t0 else -1.0
-    span = abs(t_end - t0)
-    h = _initial_step(stage, y0, k0, direction, span, tol)
-    n_fev = 2  # the first stage and the starting-step probe
-    sign0 = 1.0 if z > 0.0 else -1.0  # the side of the singular set a guarded run keeps to
-    min_zeta = abs(z)
-    last_positive = None if z == 0.0 else z > 0.0  # the sign of the last nonzero zeta
-    sign_changes = 0
+    h = _initial_step(stage, y0, k0, direction, abs(t_end - t0), tol)
     dwell = 1 if max(map(abs, F)) < EQUILIBRIUM_TOL else 0
-
-    # per accepted step, y_new and its seven stages, packed as doubles
-    d = len(y0)
-    pack = struct.Struct(f"{8 * d}d").pack
-    store = bytearray()
-    ts = [t0]
-    hs: list[float] = []
-    n_acc = n_rej = 0
-    termination = TERM_REACHED_END
-
-    t, y = t0, y0
-    steps = 0
-    max_steps = MAX_STEPS
-    while steps < max_steps:
-        steps += 1
-        h = min(h, abs(t_end - t))
-        if h <= abs(t) * 1e-16 + 1e-300:
-            termination = TERM_STEP_FAILURE
-            break
-        n, result = step(y, direction * h, k0)
-        n_fev += n
-        if result is not None:
-            enorm, y_new, k7, record, F, z = result
-            if enorm > 1.0:
-                n_rej += 1
-                h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP)
-                continue
-        # an unusable step, or one that jumped across the singular set
-        if result is None or (guarded and z * sign0 < 0.0):
-            n_rej += 1
-            h *= 0.5
-            continue
-        t = t + direction * h
-        hs.append(direction * h)
-        ts.append(t)
-        store += pack(*record)
-        n_acc += 1
-        y, k0 = y_new, k7
-        az = abs(z)
-        if az < min_zeta:
-            min_zeta = az
-        if z != 0.0:
-            if last_positive is not None and (z > 0.0) != last_positive:
-                sign_changes += 1
-            last_positive = z > 0.0
-        if guarded and az <= DELTA:
-            termination = TERM_SINGULARITY
-            break
-        if max(map(abs, F)) < EQUILIBRIUM_TOL:
-            dwell += 1
-            if dwell >= EQUILIBRIUM_DWELL:
-                termination = TERM_EQUILIBRIUM
-                break
-        else:
-            dwell = 0
-        if stop_when is not None and stop_when(t, y):
-            termination = TERM_STOPPED
-            break
-        if abs(t - t_end) <= 1e-14 * max(abs(t), abs(t_end), 1.0):
-            termination = TERM_REACHED_END
-            break
-        if enorm == 0.0:
-            h *= _FAC_MAX
-        else:
-            h *= min(_FAC_MAX, max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP))
-    else:
-        raise StepFailureError(f"step budget {max_steps} exhausted")
+    ts, hs, store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h = run(
+        t0, t_end, direction, y0, h, k0, z, dwell, stop_when,
+    )
 
     records = np.frombuffer(store, dtype=float).reshape(-1, 8, d)
     ys = np.concatenate([np.array([y0]), records[:, 0]])
@@ -561,7 +587,7 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     for j in range(1, 7):
         Q = Q + K[:, j] * _P[j]
     stats = TrajectoryStats(
-        n_accepted=n_acc, n_rejected=n_rej, n_fevals=n_fev,
+        n_accepted=n_acc, n_rejected=n_rej, n_fevals=2 + n_fev,  # the first stage and the starting-step probe
         min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
     )
     return dict(ts=np.array(ts), ys=ys, termination=termination, stats=stats, hs=np.array(hs), Q=Q)
@@ -608,13 +634,9 @@ def integrate_rescaled(
     ``stop_when`` receives (tau, V, x), one argument more than in direct
     mode, since x is itself integrated here.
     """
-
-    def stop(tau, y):
-        return bool(stop_when(tau, y[:-1], y[-1]))
-
     return Trajectory(mode="rescaled", **_run(
         ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [0.0], float(tau_span[1]),
-        tol, stop if stop_when is not None else None,
+        tol, stop_when,
     ))
 
 

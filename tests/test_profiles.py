@@ -413,7 +413,7 @@ class TestShockProfile:
         assert prof.diagnostics["flux_drift"] <= 1e-14
         assert prof.left.tolist() == prof.right.tolist()
         # a constant trajectory has no steps, so it has no dense output to evaluate
-        with pytest.raises(ValueError, match="^trajectory carries no dense output$"):
+        with pytest.raises(DomainError, match="^trajectory carries no dense output$"):
             prof.trajectory.eval(0.0)
 
     @pytest.mark.parametrize("build", [

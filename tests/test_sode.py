@@ -101,7 +101,7 @@ class TestDirectCalibration:
 
     def test_eval_outside_span_rejected(self):
         traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             traj.eval(1.5)
 
     def test_empty_span_rejected(self):
@@ -162,10 +162,10 @@ class TestModeAgreement:
 
     def test_resample_out_of_range(self):
         traj = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             traj.eval_where(-1, [100.0])
         direct = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             direct.eval([100.0])
 
 
@@ -219,8 +219,32 @@ class TestDenseOutput:
 
     def test_eval_where_outside_range_rejected(self):
         traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             traj.eval_where(0, [0.5])
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_points_outside_the_span_are_domain_errors(self, mode):
+        # a DomainError is still a ValueError, so callers catching ValueError keep working
+        traj = INTEGRATORS[mode](exp_ode(), np.array([1.0]), (0.0, -1.0))
+        lo, hi = sorted((traj.ts[0], traj.ts[-1]))
+        for t in (hi + 1e-9, lo - 1e-9, [lo, 0.5 * (lo + hi), hi + 1.0], float("nan")):
+            with pytest.raises(DomainError, match="outside the covered span") as info:
+                traj.eval(t)
+            assert isinstance(info.value, ValueError)
+        j = 0 if mode == "direct" else -1
+        s = traj.ys[:, j]
+        for c in (s.max() + 1e-9, [s.min(), s.max() + 1.0], float("nan")):
+            with pytest.raises(DomainError, match="outside the covered range"):
+                traj.eval_where(j, c)
+
+    def test_no_dense_output_is_a_domain_error(self):
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
+        single = Trajectory(
+            mode="direct", ts=traj.ts[:1], ys=traj.ys[:1], termination=traj.termination, stats=traj.stats,
+            hs=traj.hs[:0], Q=traj.Q[:0],
+        )
+        with pytest.raises(DomainError, match="^trajectory carries no dense output$"):
+            single.eval(0.0)
 
     def test_eval_where_non_monotone_rejected(self):
         traj = integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0))
@@ -835,6 +859,24 @@ def failing_positions(outcomes):
     return {(b - a - 1) % 6 + 2 for a, b in zip(fails, fails[1:])}
 
 
+# a generated gas, and a state (rho, v, theta) at the distance zeta0 from the speed sigma, on either side
+GAS_AND_STATE = dict(
+    gamma=st.floats(1.2, 5.0 / 3.0),
+    nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+    k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+    rho_theta=st.tuples(st.floats(0.8, 1.2), st.floats(0.8, 1.2)),
+    v=st.floats(-0.5, 0.5),
+    zeta0=st.floats(0.05, 0.7),
+    below=st.booleans(),
+)
+
+
+def gas_and_speed(gamma, nu, k, v, zeta0, below):
+    """The gas and the speed sigma of GAS_AND_STATE draws."""
+    sigma = v + zeta0 if below else v - zeta0
+    return GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k)), sigma
+
+
 class TestFloatStepperMatchesReference:
     """The float stepper reproduces the reference numpy loop bit for bit, counters included."""
 
@@ -908,22 +950,75 @@ class TestFloatStepperMatchesReference:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        gamma=st.floats(1.2, 5.0 / 3.0),
-        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
-        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
-        rho_theta=st.tuples(st.floats(0.8, 1.2), st.floats(0.8, 1.2)),
-        v=st.floats(-0.5, 0.5),
-        zeta0=st.floats(0.05, 0.7),
-        below=st.booleans(),
+        **GAS_AND_STATE,
         z=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
         mode=st.sampled_from(["direct", "rescaled"]),
         tol=st.sampled_from([1e-8, 1e-10]),
     )
     def test_generated_gases(self, gamma, nu, k, rho_theta, v, zeta0, below, z, mode, tol):
-        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
-        sigma = v + zeta0 if below else v - zeta0
+        gas, sigma = gas_and_speed(gamma, nu, k, v, zeta0, below)
         U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
         self.assert_same(mode, tw_singular_ode(gas, sigma), U0, (0.0, 0.25), tol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        **GAS_AND_STATE,
+        dV=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
+        mode=st.sampled_from(["direct", "rescaled"]),
+        tol=st.sampled_from([1e-8, 1e-10]),
+    )
+    def test_generated_flux_forms(self, gamma, nu, k, rho_theta, v, zeta0, below, dV, mode, tol):
+        # zeta is the literal 1.0 here, so the direct stages take k = F with no zeta test
+        gas, sigma = gas_and_speed(gamma, nu, k, v, zeta0, below)
+        m, Pi, Eflux = profiles._flux_integrals(gas, sigma, rho_theta[0], v, rho_theta[1], 0.0, 0.0)
+        ode = profiles._flux_form(gas, sigma, m, Pi, Eflux)
+        assert sode._bound(ode, 2)[0] is profiles.FLUX_RHS
+        self.assert_same(mode, ode, np.array([v + dV[0], rho_theta[1] + dV[1]]), (0.0, 1.0), tol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        **GAS_AND_STATE,
+        z=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+        branch=st.sampled_from(["capture", "diverge"]),
+        tol=st.sampled_from([1e-8, 1e-10]),
+    )
+    def test_generated_shooting_stops(self, gamma, nu, k, rho_theta, v, zeta0, below, z, branch, tol):
+        # the sup-distance test of profiles._shoot: stop within capture of the target, or once
+        # farther than R_div from both the target and the start
+        gas, sigma = gas_and_speed(gamma, nu, k, v, zeta0, below)
+        ode = tw_singular_ode(gas, sigma)
+        U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
+        full = ref_integrate_direct(ode, U0, (0.0, 0.25), tol=tol)
+        start = U0.tolist()
+        if branch == "capture":  # a sample half way along is the target, so the run stops on it
+            target, capture, R_div = full.Vs[full.n // 2].tolist(), 1e-12, math.inf
+        else:  # a far target, and half the distance the run covers
+            target, capture = [c + 10.0 for c in start], 0.0
+            R_div = 0.5 * profiles._sup_dist(full.final_V.tolist(), start)
+
+        def stop(x, V):
+            d = profiles._sup_dist(V, target)
+            return d <= capture or (d > R_div and profiles._sup_dist(V, start) > R_div)
+
+        _, term, stats, _ = self.assert_same("direct", ode, U0, (0.0, 0.25), tol, stop_when=stop)
+        if full.termination == TERM_REACHED_END and full.n > 2 and R_div > 0.0:
+            assert term == TERM_STOPPED
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        **GAS_AND_STATE,
+        z=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+        mode=st.sampled_from(["direct", "rescaled"]),
+        tol=st.sampled_from([1e-8, 1e-10]),
+    )
+    def test_generated_wrapped_callbacks(self, gamma, nu, k, rho_theta, v, zeta0, below, z, mode, tol):
+        # wrappers around the built pair are not that pair, so the kernel calls them once per stage
+        gas, sigma = gas_and_speed(gamma, nu, k, v, zeta0, below)
+        built = tw_singular_ode(gas, sigma)
+        ode = SingularODE(F_eval=lambda V: built.F_eval(V), zeta_eval=lambda V: built.zeta_eval(V))
+        assert sode._bound(ode, 5)[0].name == "call"
+        U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
+        self.assert_same(mode, ode, U0, (0.0, 0.25), tol)
 
 
 class TestKernels:
@@ -987,14 +1082,57 @@ class TestKernels:
 
         m = len(rhs.state)
         d = m + (mode == "rescaled")
-        # the kernel's own names: those of a kernel around a source whose every name is marked
-        blank = reduction.RhsSource(
-            name="blank", state=tuple(f"blank_{i}" for i in range(m)), consts=(), pre=(), positive=(), lines=(),
-            F=tuple(f"blank_{i}" for i in range(m)), zeta="1.0",
-        )
-        own = names(sode._kernel_source(d, mode, blank)) - spliced(blank)
-        assert {"h", "z", "y", "y_0", f"k7_{d - 1}"} <= own
+        # the kernel's own names: those of kernels around sources whose every name is marked, one with
+        # the regular zeta 1.0 and one whose zeta is a name, which keeps the zeta test and the division
+        own = set()
+        for zeta in ("1.0", "blank_0"):
+            blank = reduction.RhsSource(
+                name="blank", state=tuple(f"blank_{i}" for i in range(m)), consts=(), pre=(), positive=(),
+                lines=(), F=tuple(f"blank_{i}" for i in range(m)), zeta=zeta,
+            )
+            own |= names(sode._kernel_source(d, mode, blank)) - spliced(blank)
+        assert {"h", "z", "y", "y_0", f"k7_{d - 1}", "t", "dh", "n_fev", "stop_when"} <= own
+        if mode == "direct":
+            assert "f0" in own
         assert spliced(rhs) & own == set()
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_regular_sources_drop_the_zeta_test(self, mode):
+        # the flux form's zeta is the literal 1.0: its direct stages neither test nor divide by it
+        source = sode._kernel_source(2 + (mode == "rescaled"), mode, profiles.FLUX_RHS)
+        test = "if z == 0.0 or not z - z == 0.0:"
+        assert test not in source and "/ z" not in source
+        tw = sode._kernel_source(5 + (mode == "rescaled"), mode, reduction.TW_RHS)
+        assert (test in tw) is (mode == "direct") and ("/ z" in tw) is (mode == "direct")
+
+    def test_one_python_call_per_run_not_per_step(self, gas):
+        # under a profiler, a run makes the same calls whatever its length, stop_when aside
+        pair = shocklayer.solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.5)
+        ode = tw_singular_ode(gas, pair.sigma)
+        V0 = shocklayer.shock_profile(gas, pair).trajectory.Vs[0]
+
+        def never(x, V):
+            return False
+
+        def calls(L):
+            counts = {}
+
+            def profiler(frame, event, arg):
+                if event == "call":
+                    counts[frame.f_code] = counts.get(frame.f_code, 0) + 1
+
+            sys.setprofile(profiler)
+            try:
+                traj = integrate_direct(ode, V0, (0.0, -L), stop_when=never)
+            finally:
+                sys.setprofile(None)
+            assert counts.pop(never.__code__) == traj.stats.n_accepted
+            return counts, traj.stats.n_accepted + traj.stats.n_rejected
+
+        short, n_short = calls(10.5)
+        long, n_long = calls(60.0)
+        assert 40 <= n_short <= 60 and 200 <= n_long <= 300
+        assert short == long
 
     def test_tracebacks_show_the_generated_line(self):
         def F(V):
