@@ -18,6 +18,8 @@ verdicts can be taken on the same states.
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gas import Box, GasModel, State, ZERO_GRADIENT
-from .system import assemble_A, assemble_B, assemble_E, blocks
+from .system import _assemble_EAB, assemble_A, assemble_B, assemble_E, blocks
 
 # fixed, not settable: E and A(u, 0) are assembled symmetric bit for bit,
 # and B's rank is read on a matrix whose nonzero entries are of order 1
@@ -73,6 +75,9 @@ class _Columns(NamedTuple):
 
 _UNASSEMBLABLE = (ZeroDivisionError, OverflowError)
 
+# the package's own assemblers, which `_assemble` recognizes by identity and runs as one fused assembly
+_OWN_ASSEMBLERS = (assemble_E, assemble_A, assemble_B)
+
 
 def _unassemblable(state: State, where: str = "state") -> DomainError:
     """The error for a state whose E, A(u, 0) or B cannot be assembled or has a non-finite entry."""
@@ -83,9 +88,13 @@ def _unassemblable(state: State, where: str = "state") -> DomainError:
 
 
 def _assemble(gas: GasModel, states: Sequence[State], assemblers: tuple, where: str) -> tuple[np.ndarray, ...]:
-    """E, A(u, 0) and B stacked over the states as columns, one call per assembler.
+    """E, A(u, 0) and B stacked over the states as columns.
 
-    assemblers is (assemble_e, assemble_a, assemble_b). numpy's overflow,
+    assemblers is (assemble_e, assemble_a, assemble_b). When they are the
+    package's own three (`_OWN_ASSEMBLERS`, by identity), one
+    `system._assemble_EAB` call over the columns gives all three, with
+    the bits of the three calls; other assemblers, such as the corrupted
+    ones tests inject, are called one by one. numpy's overflow,
     division and invalid-value warnings are off; instead this raises the
     DomainError of `_unassemblable` at the first state that cannot be
     assembled (division by zero or overflow) or has a non-finite entry,
@@ -94,10 +103,14 @@ def _assemble(gas: GasModel, states: Sequence[State], assemblers: tuple, where: 
     the one reported.
     """
     cols = _Columns(*np.array([(s.rho, s.v, s.theta) for s in states]).T)
-    assemble_e, assemble_a, assemble_b = assemblers
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mats = assemble_e(gas, cols), assemble_a(gas, cols, ZERO_GRADIENT), assemble_b(gas, cols)
+            if all(map(operator.is_, assemblers, _OWN_ASSEMBLERS)):
+                M = _assemble_EAB(gas, cols)
+                mats = M[:, 0], M[:, 1], M[:, 2]
+            else:
+                assemble_e, assemble_a, assemble_b = assemblers
+                mats = assemble_e(gas, cols), assemble_a(gas, cols, ZERO_GRADIENT), assemble_b(gas, cols)
     except _UNASSEMBLABLE as exc:
         if len(states) == 1:
             raise _unassemblable(states[0], where) from exc
@@ -150,6 +163,11 @@ class DegeneracyVerdict:
 
 BlockEval = Callable[[State], float]
 
+# a11_eval -> (e11_eval, get, row) for each live `eulerian_block_evals` pair: the row
+# reader, kept out of the evaluators so that a pair holds no reference back to itself
+# (a cycle would keep its States alive until a full GC pass), and dropped with a11_eval
+_ROW_READERS: "weakref.WeakKeyDictionary[BlockEval, tuple]" = weakref.WeakKeyDictionary()
+
 
 def check_block_linear_degeneracy(
     A11_eval: BlockEval,
@@ -169,12 +187,27 @@ def check_block_linear_degeneracy(
     sigma E11 or of A11), where zero cannot be decided. The evaluators
     return Python floats, and the block, its zero test, its finiteness
     and the witnesses are all decided on them, with no array round trip.
+
+    Handed exactly a pair of `eulerian_block_evals` (recognized by
+    identity: a wrapper of either evaluator is another function), the
+    blocks come from one pass over that pair's rows, with no call of
+    the evaluators. The rows are read in sample order, so the first
+    state that cannot be assembled, and its DomainError, are the ones
+    the evaluators would give. Any other pair is called once per sample.
     """
     samples = list(samples)
     if not samples:
         raise DomainError(f"check_block_linear_degeneracy got an empty sample set at sigma={sigma:g}")
     sigma = float(sigma)
-    x = [A11_eval(s) - sigma * E11_eval(s) for s in samples]
+    try:
+        reader = _ROW_READERS.get(A11_eval)
+    except TypeError:  # an evaluator that takes no weak reference is no pair's
+        reader = None
+    if reader is not None and reader[0] is E11_eval:
+        _, get, row = reader
+        x = [a11 - sigma * e11 for _, e11, a11 in [get(id(s)) or row(s) for s in samples]]
+    else:
+        x = [A11_eval(s) - sigma * E11_eval(s) for s in samples]
     if not all(map(math.isfinite, x)):
         s = samples[next(i for i, xi in enumerate(x) if not math.isfinite(xi))]
         raise DomainError(
@@ -203,6 +236,12 @@ def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     (division by zero or overflow) is a DomainError that names it. This
     is the one caller of `blocks` left: the benchmark counts its calls,
     the one structure counter that changes with the seed.
+
+    The row reader, `get(id(state)) or row(state)`, is filed in
+    `_ROW_READERS` under a11_eval, so `check_block_linear_degeneracy`
+    reads the rows of this very pair in one pass. Nothing the entry
+    holds refers back to a11_eval, so the pair forms no reference cycle:
+    dropping it frees the entry, its rows and its States at once.
     """
     e00: dict[tuple[float, float], float] = {}
     rows: dict[int, tuple[State, float, float]] = {}
@@ -226,6 +265,7 @@ def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     def a11_eval(state: State) -> float:
         return (get(id(state)) or row(state))[2]
 
+    _ROW_READERS[a11_eval] = e11_eval, get, row
     return a11_eval, e11_eval
 
 
@@ -403,7 +443,7 @@ def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:
     """
     if not states:
         return []
-    E, A, _ = _assemble(gas, states, (assemble_E, assemble_A, assemble_B), "state")
+    E, A, _ = _assemble(gas, states, _OWN_ASSEMBLERS, "state")
     d = np.diagonal(E, axis1=-2, axis2=-1)
     if not (d > 0.0).all():
         s, diag = next((s, row) for s, row in zip(states, d.tolist()) if min(row) <= 0.0)

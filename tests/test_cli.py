@@ -28,6 +28,7 @@ from shocklayer import (
     NoConnectionError,
     NoDecayingDirectionError,
     NonMonotoneError,
+    PowerLaw,
     RankResult,
     ShootOpts,
     SingularityError,
@@ -39,6 +40,9 @@ from shocklayer import (
     check_structure,
     integrate_direct,
     integrate_rescaled,
+    shock_profile,
+    solve_rh,
+    sound_speed,
     steady_singular_ode,
     suggest_sigmas,
 )
@@ -845,6 +849,69 @@ class TestNumericalErrors:
         monkeypatch.setattr(cli, "shock_profile", fail)
         assert main(["shock", "--config", config_path]) == 3
         assert "kind=numerical exit=3 msg=raised inside the command" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+class TestToleranceCoupling:
+    """end_tol below MIN_END_TOL_RATIO x ode_tol is refused at config read.
+
+    A shot's far-end mismatch is integration error, so below the ratio a
+    shock can fail to connect for its tolerances alone. The sweep is the
+    one the ratio was measured over: family 1 at five strengths and
+    family 3 at four fractions of its bound, from (1, 0, 1), on two gases.
+    """
+
+    LEFT = State(1.0, 0.0, 1.0)
+    GASES = {"default": GasModel(), "power-law": GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3))}
+
+    @classmethod
+    def sweep(cls, gas):
+        c = sound_speed(gas, cls.LEFT)
+        family3_limit = c * (1.0 - math.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
+        return [solve_rh(gas, cls.LEFT, 1, s) for s in (0.05, 0.2, 0.5, 1.0, 2.0)] + [
+            solve_rh(gas, cls.LEFT, 3, f * family3_limit) for f in (0.1, 0.3, 0.5, 0.8)
+        ]
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    @pytest.mark.parametrize("gas_name", sorted(GASES))
+    def test_every_sweep_shock_connects_at_the_ratio(self, gas_name, tol):
+        gas = self.GASES[gas_name]
+        opts = ShootOpts(tol=tol, end_tol=cli.MIN_END_TOL_RATIO * tol)
+        for pair in self.sweep(gas):
+            assert shock_profile(gas, pair, opts).diagnostics["endpoint_mismatch"] <= opts.end_tol
+
+    @pytest.mark.parametrize("gas_name,family,strength,tol,ratio", [
+        # the sweep's worst case: family 3 at 0.8 of its bound needs 10.4 x ode_tol
+        ("power-law", 3, None, 1e-5, 10.0),
+        # ode_tol 1e-6 with the default end_tol 1e-6: the best shot misses by 1.47e-6
+        ("default", 1, 0.5, 1e-6, 1.0),
+        ("default", 1, 2.0, 1e-6, 1.0),
+    ])
+    def test_below_the_ratio_a_sweep_shock_can_fail(self, gas_name, family, strength, tol, ratio):
+        gas = self.GASES[gas_name]
+        pair = self.sweep(gas)[-1] if strength is None else solve_rh(gas, self.LEFT, family, strength)
+        with pytest.raises(NoConnectionError):
+            shock_profile(gas, pair, ShootOpts(tol=tol, end_tol=ratio * tol))
+
+    def test_config_at_the_ratio_is_accepted(self, tmp_path, outdir):
+        cfg = base_config(outdir)
+        cfg["tolerances"] = {"ode_tol": 1e-7, "end_tol": cli.MIN_END_TOL_RATIO * 1e-7}
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 0
+        assert load_config(write_config(tmp_path, cfg)).tol == ShootOpts(tol=1e-7, end_tol=1.6e-6)
+
+    @pytest.mark.parametrize("tolerances,named", [
+        ({"ode_tol": 1e-7, "end_tol": math.nextafter(1.6e-6, 0.0)}, "end_tol 1.5999999999999997e-06 is below 16 x ode_tol 1e-07"),
+        # the default end_tol 1e-6 against a given ode_tol, and the default ode_tol 1e-10 against a given end_tol
+        ({"ode_tol": 1e-6}, "end_tol 1e-06 is below 16 x ode_tol 1e-06"),
+        ({"end_tol": 1e-9}, "end_tol 1e-09 is below 16 x ode_tol 1e-10"),
+    ], ids=["just-below", "ode-tol-only", "end-tol-only"])
+    @pytest.mark.parametrize("command", ["shock", "check"])
+    def test_config_below_the_ratio_is_refused(self, tmp_path, outdir, capsys, tolerances, named, command):
+        cfg = base_config(outdir)
+        cfg["tolerances"] = tolerances
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2" in err and f"config.tolerances: {named}" in err
         assert not outdir.exists()
 
 

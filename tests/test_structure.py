@@ -8,10 +8,15 @@ boxes, extreme ones included, and the assemblers' column stacks with
 their per-state matrices, bit for bit.
 """
 
+import functools
+import gc
 import json
 import math
+import operator
 import re
+import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +42,7 @@ from shocklayer import (
 from shocklayer import structure
 from shocklayer.gas import ZERO_GRADIENT, Gradient
 from shocklayer.structure import CheckResult, DegeneracyVerdict, RankResult, StructureReport, _Columns
-from shocklayer.system import blocks
+from shocklayer.system import _assemble_EAB, blocks
 
 
 # Per-sample reference: one matrix, one LAPACK call and one running
@@ -488,6 +493,150 @@ class TestDegeneracy:
         assert verdict.sigma == 0.25
 
 
+def _verdict_or_error(a11_eval, e11_eval, sigma, samples):
+    """The verdict, or its DomainError as a string."""
+    try:
+        return check_block_linear_degeneracy(a11_eval, e11_eval, sigma, samples)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _plain(evaluator):
+    """evaluator behind a plain wrapper: the same values from another function, so the per-state path."""
+    return lambda state: evaluator(state)
+
+
+def assert_paths_agree(a11_eval, e11_eval, sigmas, rows, bad_at=None):
+    """Each sigma's verdict (dims, verdict, witnesses) or DomainError is the same on both paths.
+
+    Each call gets fresh States, which die with the call's list once the
+    pair is gone, with the first three repeated; bad_at, when given, is
+    where a state that cannot be assembled (theta^2 overflows) goes.
+    The pair answers first on its own, then behind plain wrappers.
+    """
+
+    def fresh(sigma):
+        samples = [State(*row) for row in rows]
+        if bad_at is not None:
+            samples.insert(bad_at, State(1.0, sigma, 1.5e154))
+        return samples + samples[:3]
+
+    for sigma in sigmas:
+        one_pass = _verdict_or_error(a11_eval, e11_eval, sigma, fresh(sigma))
+        per_state = _verdict_or_error(_plain(a11_eval), _plain(e11_eval), sigma, fresh(sigma))
+        # the verdict's sigma, dims, verdict and witnesses, with the witnesses' bits (-0.0 included)
+        assert one_pass == per_state and repr(one_pass) == repr(per_state), sigma
+
+
+class TestDegeneracyPaths:
+    """The package pair's one pass over its rows gives the verdicts of per-state calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gb=gases_and_boxes(), n=st.integers(1, 30), seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_one_pass_equals_per_state_calls(self, gb, n, seed, data):
+        gas, box = gb
+        rows = np.random.default_rng(seed).uniform(
+            [box.rho[0], box.v[0], box.theta[0]], [box.rho[1], box.v[1], box.theta[1]], size=(n, 3),
+        ).tolist()
+        # sigmas at the samples' own velocities (a kernel) and anywhere else
+        sigmas = data.draw(st.lists(
+            st.one_of(st.sampled_from([v for _, v, _ in rows] + [0.0, -0.0]), st.floats(-4.0, 4.0)),
+            min_size=1, max_size=6,
+        ))
+        bad_at = data.draw(st.none() | st.integers(0, n))
+        assert_paths_agree(*eulerian_block_evals(gas), sigmas, rows, bad_at)
+
+    def test_unassemblable_state_raises_the_same_error_on_both_paths(self, gas):
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        samples = [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5e154), State(1.0, 0.0, 1.5e154)]
+        msg = "E, A(u, 0) or B cannot be assembled or is not finite at state (rho, v, theta) = (2, 0.5, 1.5e+154)"
+        for pair in ((a11_eval, e11_eval), (_plain(a11_eval), _plain(e11_eval))):
+            with pytest.raises(DomainError, match=re.escape(msg)):
+                check_block_linear_degeneracy(*pair, 0.0, samples)
+
+    @staticmethod
+    def _evaluator_calls(a11_eval, e11_eval, call):
+        """The calls of the pair's own evaluators while call() runs, by name."""
+        codes = {a11_eval.__code__, e11_eval.__code__}
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_the_package_pair_calls_no_evaluator(self, power_gas, box):
+        a11_eval, e11_eval = eulerian_block_evals(power_gas)
+        samples = box.sample(20, np.random.default_rng(3))
+        sigmas = (-1.0, 0.0, samples[4].v, 1.0)
+
+        def verdicts(a11, e11):
+            return lambda: [check_block_linear_degeneracy(a11, e11, sigma, samples) for sigma in sigmas]
+
+        assert self._evaluator_calls(a11_eval, e11_eval, verdicts(a11_eval, e11_eval)) == []
+        # behind plain wrappers every sample costs one call of each
+        calls = self._evaluator_calls(a11_eval, e11_eval, verdicts(_plain(a11_eval), _plain(e11_eval)))
+        assert sorted(set(calls)) == ["a11_eval", "e11_eval"] and len(calls) == 2 * 20 * len(sigmas)
+
+    def test_a_value_changing_wraps_wrapper_takes_the_per_state_path(self, gas):
+        # functools.wraps copies name, docstring and __dict__; the wrapper's values must still be read
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+
+        @functools.wraps(a11_eval)
+        def a11_at_rest(state):  # A11 - E11 v: every block is zero at sigma = 0
+            return a11_eval(state) - e11_eval(state) * state.v
+
+        @functools.wraps(e11_eval)
+        def e11_doubled(state):
+            return 2.0 * e11_eval(state)
+
+        samples = [State(1.0, 0.0, 1.0), State(1.0, 0.5, 1.0), State(2.0, -0.5, 1.5)]
+        assert check_block_linear_degeneracy(a11_eval, e11_eval, 0.0, samples).dims == (1, 0, 0)
+        assert check_block_linear_degeneracy(a11_at_rest, e11_eval, 0.0, samples).dims == (1, 1, 1)
+        # at sigma = 0.25 the doubled E11 puts the kernel at v = 0.5 instead of v = 0.25
+        probe = samples + [State(1.0, 0.25, 1.0)]
+        assert check_block_linear_degeneracy(a11_eval, e11_eval, 0.25, probe).dims == (0, 0, 0, 1)
+        assert check_block_linear_degeneracy(a11_eval, e11_doubled, 0.25, probe).dims == (0, 1, 0, 0)
+
+    def test_evaluators_that_take_no_weak_reference(self, gas):
+        # an attrgetter is a plain evaluator of A11 = v; it cannot be a key of the weak map
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        samples = [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5)]
+        verdict = check_block_linear_degeneracy(operator.attrgetter("v"), e11_eval, 0.5, samples)
+        assert verdict.dims == (0, 0)  # v - 0.5 E11 is -0.5 and 0.5 - 0.5 * 0.5
+        samples = [State(1.0, 0.5, 1.0), State(2.0, 0.5, 1.5)]  # v - 0.5 rho is 0, then -0.5
+        assert check_block_linear_degeneracy(operator.attrgetter("v"), operator.attrgetter("rho"), 0.5, samples).dims == (1, 0)
+
+    def test_a_planted_wrong_reader_fails_the_agreement(self, gas, monkeypatch):
+        # the check above can fail: a reader that swaps E11 and A11 is caught
+        a11_eval, e11_eval = eulerian_block_evals(gas)
+        _, get, row = structure._ROW_READERS[a11_eval]
+        monkeypatch.setitem(structure._ROW_READERS, a11_eval, (e11_eval, {}.get, lambda s: (s, *row(s)[:0:-1])))
+        rows = [(1.0, 0.0, 1.0), (1.5, 0.5, 2.0), (0.8, -0.3, 1.2)]
+        with pytest.raises(AssertionError):
+            assert_paths_agree(a11_eval, e11_eval, [0.0, 0.5], rows)
+
+    def test_a_pair_holds_no_reference_cycle(self, gas):
+        # with the collector off, dropping the pair and the samples frees every State it read
+        gc.disable()
+        try:
+            a11_eval, e11_eval = eulerian_block_evals(gas)
+            samples = [State(1.0 + i, 0.1 * i, 1.0) for i in range(5)]
+            check_block_linear_degeneracy(a11_eval, e11_eval, 0.3, samples)
+            state, pair = weakref.ref(samples[2]), weakref.ref(a11_eval)
+            del a11_eval, e11_eval, samples
+            assert pair() is None
+            assert state() is None
+        finally:
+            gc.enable()
+
+
 class TestCheckStructure:
     def test_clean_gas_passes(self, gas, box):
         report = check_structure(gas, box, n_samples=200, seed=0)
@@ -685,6 +834,14 @@ class TestBatchedMatchesReference:
             assert report.to_text() == ref.to_text()
 
 
+# the package's assemblers behind plain wrappers: the same matrices, called one by one
+WRAPPED = {
+    "assemble_a": lambda g, state, grad: assemble_A(g, state, grad),
+    "assemble_b": lambda g, state: assemble_B(g, state),
+    "assemble_e": lambda g, state: assemble_E(g, state),
+}
+
+
 def _columns(samples):
     """The samples as the column view check_structure hands its assemblers."""
     return _Columns(*(np.array([getattr(s, name) for s in samples]) for name in ("rho", "v", "theta")))
@@ -781,6 +938,52 @@ class TestColumnAssembly:
             assemble_b=counted("B", assemble_B), assemble_e=counted("E", assemble_E),
         )
         assert sorted(calls) == [("A", 65, 65, 65), ("B", 65, 65, 65), ("E", 65, 65, 65)]
+
+    def test_own_assemblers_make_one_fused_call(self, power_gas, box, monkeypatch):
+        calls = []
+
+        def counted(g, cols, *args):
+            calls.append((len(cols.rho), args))
+            return _assemble_EAB(g, cols, *args)
+
+        monkeypatch.setattr(structure, "_assemble_EAB", counted)
+        report = check_structure(power_gas, box, n_samples=65, seed=1)
+        assert calls == [(65, ())]
+        monkeypatch.undo()
+        assert report == check_structure(power_gas, box, n_samples=65, seed=1, **WRAPPED)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gb=st.one_of(gases_and_boxes(), extreme_gases_and_boxes()), n=st.integers(1, 40),
+           seed=st.integers(0, 2**31 - 1), grad=st.sampled_from([ZERO_GRADIENT, Gradient(0.7, -0.4, 0.9)]))
+    def test_one_assembly_is_the_three(self, gb, n, seed, grad):
+        # byte for byte on columns and on each State, or the exception the first of E, A and B raises
+        gas, box = gb
+        samples = box.sample(n, np.random.default_rng(seed))
+
+        def three(target):
+            return np.stack([assemble_E(gas, target), assemble_A(gas, target, grad), assemble_B(gas, target)], axis=-3)
+
+        def outcome(assemble):
+            try:
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    M = assemble()
+            except (ZeroDivisionError, OverflowError) as exc:
+                return type(exc)
+            return M.shape, M.tobytes()
+
+        cols = _columns(samples)
+        assert outcome(lambda: _assemble_EAB(gas, cols, grad)) == outcome(lambda: three(cols))
+        for s in samples:
+            assert outcome(lambda: _assemble_EAB(gas, s, grad)) == outcome(lambda: three(s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(gb=st.one_of(gases_and_boxes(), extreme_gases_and_boxes()), n=st.integers(1, 40),
+           seed=st.integers(0, 2**31 - 1))
+    def test_check_structure_is_the_one_of_wrapped_assemblers(self, gb, n, seed):
+        gas, box = gb
+        report = _outcome(check_structure, gas, box, n_samples=n, seed=seed)
+        wrapped = _outcome(check_structure, gas, box, n_samples=n, seed=seed, **WRAPPED)
+        assert report == wrapped and repr(report) == repr(wrapped)
 
 
 class TestTolerances:
@@ -913,22 +1116,24 @@ class TestSuggestSigmas:
         # E's diagonal spans up to 1e600 here, past the float range
         self._assert_speeds(GasModel(R=R, gamma=gamma, c_rho=1e-310), State(10.0 ** rho_exp, v, 10.0 ** theta_exp))
 
-    def test_one_column_call_per_assembler(self, gas, monkeypatch):
-        # the states take check_structure's guarded column assembly, with no blocks call
+    def test_one_fused_column_call(self, gas, monkeypatch):
+        # the states take check_structure's guarded column assembly: one fused call for E, A and B,
+        # with no blocks call and no call of a single assembler
         calls = []
 
-        def counted(name, assemble):
-            def call(g, cols, *args):
-                calls.append((name, cols.rho.tolist(), cols.v.tolist(), cols.theta.tolist()))
-                return assemble(g, cols, *args)
-            return call
+        def counted(g, cols, *args):
+            calls.append((cols.rho.tolist(), cols.v.tolist(), cols.theta.tolist(), args))
+            return _assemble_EAB(g, cols, *args)
 
-        for name, assemble in (("E", assemble_E), ("A", assemble_A), ("B", assemble_B)):
-            monkeypatch.setattr(structure, f"assemble_{name}", counted(name, assemble))
+        def refused(*args):
+            raise AssertionError("a single assembler was called")
+
+        monkeypatch.setattr(structure, "_assemble_EAB", counted)
+        for name in ("E", "A", "B"):
+            monkeypatch.setattr(structure, f"assemble_{name}", refused)
         monkeypatch.setattr(structure, "blocks", None)
         suggest_sigmas(gas, [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5), State(1.0, 0.0, 1.0)])
-        cols = ([1.0, 2.0, 1.0], [0.0, 0.5, 0.0], [1.0, 1.5, 1.0])
-        assert sorted(calls) == [("A", *cols), ("B", *cols), ("E", *cols)]
+        assert calls == [([1.0, 2.0, 1.0], [0.0, 0.5, 0.0], [1.0, 1.5, 1.0], ())]
 
 
 class TestUnassemblableState:

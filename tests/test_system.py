@@ -101,6 +101,17 @@ def test_blocks_reassemble_exactly(gas, box, rng):
         np.testing.assert_array_equal(B[1:, 0], np.zeros(2))
 
 
+def test_blocks_are_the_slices_of_one_assembly(power_gas, box, rng):
+    # one array for E, A and B, with the bits of the three assemblers
+    for st in box.sample(10, rng):
+        grad = Gradient(0.1, -0.2, 0.3)
+        E, A, B = blocks(power_gas, st, grad)
+        assert E.base is A.base is B.base is not None
+        assert np.stack([E, A, B]).tobytes() == np.stack([
+            assemble_E(power_gas, st), assemble_A(power_gas, st, grad), assemble_B(power_gas, st),
+        ]).tobytes()
+
+
 def test_blocks_reference_point(gas):
     E, A, B = blocks(gas, State(1.0, 0.0, 1.0))
     assert E[0, 0] == pytest.approx(1.0)
