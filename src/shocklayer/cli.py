@@ -1,20 +1,24 @@
 """Command-line front end: structure checks, reductions, shocks, layers.
 
-One JSON configuration file drives every subcommand; a few flags
-(--sigma, --strength, --out) override single entries for quick scans.
-Each subcommand is a `cmd_*(config, args)` listed in `_COMMANDS` with
-its help and flags; it computes and returns its artifacts, its stdout
-text and its exit code, and writes nothing. `main` alone runs it, writes
-the artifacts atomically (temp file, then rename) to the resolved output
-directory and prints, so a failing run leaves no partial files. With a
-fixed config and seed, reruns produce byte-identical artifacts.
+One JSON configuration file fixes every run. The only other inputs are
+--out, which replaces the config's out_dir, and check's --verbose, which
+adds the matrices at the box midpoint to stdout; no environment
+variable is read. Each subcommand is a `cmd_*(config, args)` listed in
+`_COMMANDS` with its help and flags; it computes and returns its
+artifacts, its stdout text and its exit code, and writes nothing. `main`
+alone runs it, writes the artifacts atomically (temp file, then rename)
+to the output directory and prints, so a failing run leaves no partial
+files. With a fixed config, reruns produce byte-identical artifacts.
 
-This module alone decides every artifact format: the JSON reports
+This module decides every artifact format but one: the JSON reports
 (`_dump_json`), the profile CSV (`_CSV_HEADER`, `_profile_csv`), the
 record of the run behind a profile (`_run_metadata`), the gnuplot script
 that reads that CSV by its header (`_plot_script`) and the matrix
-printout of `check --verbose` (`_format_matrix`). The other modules
-compute and render nothing.
+printout of `check --verbose` (`_format_matrix`). The exception is the
+`check` report, whose text and JSON layout `StructureReport.to_text`
+and `to_json_dict` give in `structure`; they stay there because the
+benchmark hashes `to_json_dict()`. Beyond that report, no other module
+renders anything.
 
 Every config value goes through one checked read (`_need`, `_floats`,
 `_section`): a number is a finite JSON number (an int, not a bool), the
@@ -23,9 +27,9 @@ its section does not read is an error in every section. The root keys
 and the box are read at load; rh, layer and reduce by their command.
 
 Exit codes: 0 success, 2 configuration or domain validation error (a
-missing, unknown or mistyped key, a non-finite --sigma, --strength or
-config number, an end_tol below MIN_END_TOL_RATIO x ode_tol, and a
-non-finite F, zeta or w in `reduce-info` included),
+missing, unknown or mistyped key, a non-finite config number, an
+end_tol below MIN_END_TOL_RATIO x ode_tol, and a non-finite F, zeta or
+w in `reduce-info` included),
 3 any other package error, a numerical failure (no connection, step
 failure, ...), 4 structural hypotheses failed in `check`. A degeneracy
 verdict of "violated" is a reported finding, not a failure.
@@ -64,8 +68,6 @@ from .structure import (
     suggest_sigmas,
 )
 from .system import assemble_A, assemble_B, assemble_E
-
-OUT_ENV_VAR = "SHOCKLAYER_OUT"
 
 _VALIDATION_ERRORS = (ConfigError, DomainError)
 
@@ -247,15 +249,6 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _resolve_out_dir(config: RunConfig, cli_out: str | None) -> Path:
-    if cli_out is not None:
-        return Path(cli_out)
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return Path(env)
-    return config.out_dir
-
-
 # every profile the commands write is 5-D: x, tau (empty in direct mode), then rho, v, theta, z1, z2
 _CSV_HEADER = "x,tau,rho,v,theta,z1,z2"
 
@@ -338,19 +331,13 @@ def _format_matrix(M: np.ndarray, name: str) -> str:
 _Result = tuple[list[tuple[str, str]], str, int]
 
 
-def _flag_or_key(flag: float | None, raw: dict, key: str, where: str) -> float:
-    """The flag's value if it was given, else raw[key] as a number; a key that is present is checked either way."""
-    value = _need(raw, key, float, where, flag)
-    return value if flag is None else flag
-
-
 def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
     if config.box is None:
         raise ConfigError("check requires a 'box' entry in the config")
     report = check_structure(config.gas, config.box, n_samples=config.n_samples, seed=config.seed)
     mid = config.box.midpoint()
 
-    sigmas = list(config.sigma_list) if args.sigma is None else [args.sigma]
+    sigmas = list(config.sigma_list)
     if config.suggest:
         for s in suggest_sigmas(config.gas, [mid] + report.samples[:8]):
             if s not in sigmas:
@@ -384,7 +371,7 @@ def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
 
 def cmd_reduce_info(config: RunConfig, args: argparse.Namespace) -> _Result:
     raw = _section(config.raw, "reduce", "config", ("sigma", "U"))
-    sigma = _flag_or_key(args.sigma, raw, "sigma", "config.reduce")
+    sigma = _need(raw, "sigma", float, "config.reduce")
     V = _floats(raw, "U", "config.reduce", 5)
 
     ode = tw_singular_ode(config.gas, sigma)
@@ -402,7 +389,7 @@ def cmd_reduce_info(config: RunConfig, args: argparse.Namespace) -> _Result:
 def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
     raw = _section(config.raw, "rh", "config", ("family", "strength", "U_minus"))
     family = _need(raw, "family", int, "config.rh")
-    strength = _flag_or_key(args.strength, raw, "strength", "config.rh")
+    strength = _need(raw, "strength", float, "config.rh")
     U_minus = _state(raw, "U_minus", "config.rh")
 
     pair = solve_rh(config.gas, U_minus, family, strength)
@@ -456,17 +443,6 @@ def cmd_layer(config: RunConfig, args: argparse.Namespace) -> _Result:
     return _profile_artifacts("layer", "boundary layer", profile, sidecar, config.tol.tol), text, 0
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of --sigma and --strength: a float that is not NaN or infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 _CONFIG = ("--config", {"required": True})
 _OUT = ("--out", {})
 
@@ -474,16 +450,11 @@ _OUT = ("--out", {})
 _COMMANDS = {
     "check": (cmd_check, "run structural hypothesis checks over a state box", [
         _CONFIG,
-        ("--sigma", {"type": _finite_float, "help": "replace sigma_list with this single value"}),
         _OUT,
         ("--verbose", {"action": "store_true", "help": "print the assembled matrices at the box midpoint"}),
     ]),
-    "reduce-info": (cmd_reduce_info, "print F(U) and zeta(U) of the singular reduction at one state", [
-        _CONFIG, ("--sigma", {"type": _finite_float}), _OUT,
-    ]),
-    "shock": (cmd_shock, "compute a travelling shock profile and its diagnostics", [
-        _CONFIG, ("--strength", {"type": _finite_float}), _OUT,
-    ]),
+    "reduce-info": (cmd_reduce_info, "print F(U) and zeta(U) of the singular reduction at one state", [_CONFIG, _OUT]),
+    "shock": (cmd_shock, "compute a travelling shock profile and its diagnostics", [_CONFIG, _OUT]),
     "layer": (cmd_layer, "compute a steady boundary layer", [_CONFIG, _OUT]),
 }
 
@@ -513,7 +484,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         artifacts, text, code = _COMMANDS[args.command][0](config, args)
-        written = _write_artifacts(_resolve_out_dir(config, args.out), artifacts)
+        written = _write_artifacts(config.out_dir if args.out is None else Path(args.out), artifacts)
     except _VALIDATION_ERRORS as exc:
         return _fail("validation", 2, exc)
     except ShockLayerError as exc:

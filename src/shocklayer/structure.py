@@ -35,21 +35,35 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_SYM_TOL = 1e-12
 
 
-def kernel_dimension(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int | np.ndarray:
+def kernel_dimension(M: np.ndarray) -> int | np.ndarray:
     """Dimension of ker M by singular value counting.
 
     A singular value counts toward the rank when it exceeds
-    tol * (largest singular value), so the answer is invariant under
-    scaling M by a nonzero constant. The zero matrix has full kernel.
-    M is one matrix (a scalar counts as 1x1), giving an int, or a stack
-    (..., m, k), giving an int array of shape (...) from one batched SVD.
+    DEFAULT_RANK_TOL * (largest singular value), read when the call
+    runs, so the answer is invariant under scaling M by a nonzero
+    constant. The zero matrix has full kernel. M is one matrix (a scalar
+    counts as 1x1), giving an int, or a stack (..., m, k), giving an int
+    array of shape (...) from one batched SVD.
     """
     M = np.asarray(M, dtype=float)
     stacked = M.ndim > 2
     M = np.atleast_2d(M)
     svals = np.linalg.svd(M, compute_uv=False)
-    dims = M.shape[-1] - np.count_nonzero(svals > tol * svals[..., :1], axis=-1)
+    dims = M.shape[-1] - np.count_nonzero(svals > DEFAULT_RANK_TOL * svals[..., :1], axis=-1)
     return dims if stacked else int(dims)
+
+
+def _diag_scaled(M: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """D^-1/2 M D^-1/2 over a stack, with D = |diag by| and a zero entry read as 1.
+
+    A congruence by a positive diagonal keeps M's rank and the signs of
+    its eigenvalues (Sylvester's law of inertia), and it takes the
+    diagonal of by to entries of size 1, so a decision on the scaled
+    matrix compares entries of one scale.
+    """
+    d = np.abs(np.diagonal(by, axis1=-2, axis2=-1))
+    d = 1.0 / np.sqrt(np.where(d == 0.0, 1.0, d))
+    return d[..., :, None] * M * d[..., None, :]
 
 
 def _first_min(values: np.ndarray, samples: Sequence[State]) -> tuple[float, State | None]:
@@ -277,7 +291,7 @@ def lagrangian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
 # Each matrix check of a report, once: field, text label, JSON values, and the text value read from them.
 _MATRIX_CHECKS = (
     ("e_spd", "E symmetric positive definite",
-     lambda c: {"min_eigenvalue": c.worst}, "min eigenvalue {min_eigenvalue:.6e}"),
+     lambda c: {"min_eigenvalue": c.worst}, "min eigenvalue {min_eigenvalue:.6e} of D^-1/2 E D^-1/2"),
     ("a0_symmetric", "A symmetric at zero gradient",
      lambda c: {"max_asymmetry": c.worst}, "max asymmetry {max_asymmetry:.6e}"),
     ("b_rank", "B rank constant",
@@ -357,6 +371,19 @@ class StructureReport:
         return "\n".join(lines)
 
 
+def _count(value, name: str, low: int) -> int:
+    """value as an int no smaller than low; a bool, a non-integer or a smaller int is a DomainError naming it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"check_structure's {name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise DomainError(f"check_structure's {name} must be at least {low}, got {name}={value}")
+    return value
+
+
 def check_structure(
     gas: GasModel,
     box: Box,
@@ -368,6 +395,8 @@ def check_structure(
 ) -> StructureReport:
     """Run the sampling checks on one box; degeneracy verdicts stay empty.
 
+    n_samples (at least 1) and seed (at least 0) are integers, not bools;
+    any other value is a DomainError that names the argument.
     The assembler arguments exist so tests can inject corrupted matrices;
     normal callers never touch them. Each takes the samples as columns
     (an object whose rho, v and theta are arrays, see `system`), returns
@@ -375,34 +404,37 @@ def check_structure(
     Raises DomainError naming the first sampled state whose E, A(u, 0)
     or B cannot be assembled (division by zero or overflow) or has a
     non-finite entry: no check can be decided there.
-    B's rank is counted on D^-1/2 B D^-1/2 with D = |diag B| (a zero entry
-    read as 1), which has B's rank, so DEFAULT_RANK_TOL compares entries
-    of one scale and k/theta^2 at theta 1e11 is not read as zero.
-    LAPACK's eigvalsh scales E by its largest entry, so where E's
-    diagonal spans more than the float range (rho 1e-300 at theta near 1,
-    or rho 1e300 at theta 1.6e-4) the small eigenvalues underflow to 0
-    and a positive diagonal E reports as not positive definite.
+    E's definiteness and B's rank are read on the congruent matrices
+    D^-1/2 M D^-1/2 with D = |diag M| (a zero entry read as 1), which have
+    M's inertia and rank (`_diag_scaled`). So DEFAULT_RANK_TOL compares
+    entries of one scale and k/theta^2 at theta 1e11 is not read as zero,
+    and a positive diagonal E whose entries span more than the float
+    range (rho 1e300 at theta 1.8e-4) is not taken below LAPACK's
+    underflow. The reported E value is the smallest eigenvalue of the
+    scaled E, the value the verdict reads.
     """
-    if n_samples < 1:
-        raise DomainError(f"check_structure needs at least one sample, got n_samples={n_samples}")
+    n_samples, seed = _count(n_samples, "n_samples", 1), _count(seed, "seed", 0)
     box.validate(gas)
     samples = box.sample(n_samples, np.random.default_rng(seed))
     E, A0, B = _assemble(gas, samples, (assemble_e, assemble_a, assemble_b), "sampled state")
 
     # symmetric parts as 0.5 M + 0.5 M^T: the bits of 0.5 (M + M^T) wherever
-    # that neither overflows nor turns subnormal, and finite for a finite M
+    # that neither overflows nor turns subnormal, and finite for a finite M.
+    # A scaled entry past the float range has |S_ij| > 1 >= sqrt(|S_ii S_jj|),
+    # so that E is not definite either.
     E_T = E.swapaxes(-1, -2)
-    min_eig = np.linalg.eigvalsh(0.5 * E + 0.5 * E_T).min(axis=-1)
-    min_eig[np.abs(E - E_T).max(axis=(-2, -1)) > DEFAULT_SYM_TOL] = -np.inf
+    with np.errstate(over="ignore"):
+        S = _diag_scaled(0.5 * E + 0.5 * E_T, E)
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh(np.where(finite[:, None, None], S, 0.0)).min(axis=-1)
+    min_eig[~finite | (np.abs(E - E_T).max(axis=(-2, -1)) > DEFAULT_SYM_TOL)] = -np.inf
     worst_eig, eig_witness = _first_min(min_eig, samples)
 
     # the first maximum of the asymmetry is the first minimum of its negative
     neg_asym, asym_witness = _first_min(-np.abs(A0 - A0.swapaxes(-1, -2)).max(axis=(-2, -1)), samples)
     worst_asym = -neg_asym
 
-    d = np.abs(np.diagonal(B, axis1=-2, axis2=-1))
-    d = 1.0 / np.sqrt(np.where(d == 0.0, 1.0, d))
-    ranks = B.shape[-2] - kernel_dimension(d[:, :, None] * B * d[:, None, :], DEFAULT_RANK_TOL)
+    ranks = B.shape[-2] - kernel_dimension(_diag_scaled(B, B))
     changed = np.flatnonzero(ranks != ranks[0])
 
     b = B[:, 1:, 1:]
@@ -451,5 +483,4 @@ def suggest_sigmas(gas: GasModel, states: Sequence[State]) -> list[float]:
             f"E's diagonal ({', '.join(f'{x:g}' for x in diag)}) is not positive at state "
             f"(rho, v, theta) = ({s.rho:g}, {s.v:g}, {s.theta:g}), so it has no characteristic speeds"
         )
-    d = 1.0 / np.sqrt(d)
-    return sorted(set(np.linalg.eigvalsh(d[:, :, None] * A * d[:, None, :]).ravel().tolist()))
+    return sorted(set(np.linalg.eigvalsh(_diag_scaled(A, E)).ravel().tolist()))

@@ -7,7 +7,8 @@ field or the return of a deleted name shows up here as a test edit. The
 `F_eval` and `zeta_eval` by name, so a rename would leave them untimed.
 Every check of a `StructureReport` is a required field. The degeneracy check
 is exact on its scalar block, so it takes no tolerance; `check_structure`'s
-rank and symmetry tolerances are module constants, and the config's
+rank and symmetry tolerances are module constants, which `kernel_dimension`
+reads too, and the config's
 `tolerances` section sets only `ShootOpts`. A `Profile` holds its endpoints as
 arrays, and `boundary_layer` takes its one control as the keyword `tol`.
 Each public name loads only its own submodule and what that imports, so
@@ -38,6 +39,7 @@ from shocklayer import (
     check_structure,
     integrate_direct,
     integrate_rescaled,
+    kernel_dimension,
     linearize,
     max_extended_residual,
 )
@@ -60,6 +62,11 @@ def keywords(fn):
 ])
 def test_keyword_parameters(fn, expected):
     assert keywords(fn) == expected
+
+
+def test_kernel_dimension_takes_only_the_matrix():
+    # its rank tolerance is structure.DEFAULT_RANK_TOL, read when it runs
+    assert list(inspect.signature(kernel_dimension).parameters) == ["M"]
 
 
 @pytest.mark.parametrize("cls,expected", [

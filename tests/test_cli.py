@@ -47,7 +47,7 @@ from shocklayer import (
     suggest_sigmas,
 )
 import shocklayer.cli as cli
-from shocklayer.cli import OUT_ENV_VAR, build_parser, load_config, main
+from shocklayer.cli import build_parser, load_config, main
 
 
 def base_config(out_dir):
@@ -112,11 +112,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "wrote" in out
 
-    def test_sigma_override(self, config_path, outdir):
+    def test_single_sigma(self, tmp_path, outdir):
         # the command always adds the critical state v = sigma, so the
         # Eulerian verdict is "violated" at any sigma, with that state
         # as the kernel-dimension-1 witness
-        assert main(["check", "--config", config_path, "--sigma", "5.0"]) == 0
+        cfg = base_config(outdir)
+        cfg["sigma_list"] = [5.0]
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
         report = json.loads((outdir / "structure_report.json").read_text())
         assert len(report["degeneracy"]) == 1
         deg = report["degeneracy"][0]
@@ -132,8 +134,9 @@ class TestCheck:
         # no kernel can be decided there, and no verdict is written
         cfg = base_config(outdir)
         cfg["box"]["rho"] = [0.5, rho_hi]
+        cfg["sigma_list"] = [1e308]
         path = write_config(tmp_path, cfg)
-        assert main(["check", "--config", path, "--sigma", "1e308"]) == 2
+        assert main(["check", "--config", path]) == 2
         err = capsys.readouterr().err
         assert (
             "kind=validation exit=2 msg=A11 - sigma E11 is not finite at sigma=1e+308"
@@ -192,7 +195,7 @@ class TestCheck:
         report = json.loads((outdir / "structure_report.json").read_text())
         assert report["structural_pass"] is False
 
-    def test_degeneracy_reads_the_checked_samples(self, config_path, outdir, monkeypatch):
+    def test_degeneracy_reads_the_checked_samples(self, tmp_path, outdir, monkeypatch):
         # the verdicts are taken on the states the report checked, not on a second draw
         picked = [State(1.5, 0.25, 0.75), State(0.75, -0.5, 1.5)]
 
@@ -200,7 +203,9 @@ class TestCheck:
             return dataclasses.replace(check_structure(gas, box, **kwargs), samples=picked)
 
         monkeypatch.setattr("shocklayer.cli.check_structure", picked_check)
-        assert main(["check", "--config", config_path, "--sigma", "-0.5"]) == 0
+        cfg = base_config(outdir)
+        cfg["sigma_list"] = [-0.5]
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
         report = json.loads((outdir / "structure_report.json").read_text())
         [deg] = report["degeneracy"]
         assert deg["witnesses"] == [
@@ -267,6 +272,20 @@ class TestCheck:
             report = json.loads((outdir / "structure_report.json").read_text())
             assert not report["e_spd"]["passed"] and report["b_rank"]["r"] == 2
 
+    @pytest.mark.parametrize("suggest", [False, True], ids=["no-suggest", "suggest"])
+    @pytest.mark.parametrize("rho,theta", [(1e300, 1.8e-4), (1e-300, 1.0), (1e-300, 1e-10)])
+    def test_e_diagonal_past_the_float_range_passes(self, tmp_path, outdir, capsys, rho, theta, suggest):
+        # E is a positive diagonal whose entries span more than the float range; its definiteness
+        # is read on D^-1/2 E D^-1/2, whose diagonal is 1, not below LAPACK's underflow
+        cfg = base_config(outdir)
+        cfg.update(gas={"c_rho": 1e-310}, box={"rho": [rho, rho], "v": [0.0, 0.0], "theta": [theta, theta]},
+                   suggest_sigmas=suggest)
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (outdir / "structure_report.txt").read_text()
+        assert "  E symmetric positive definite: pass (min eigenvalue 1.000000e+00 of D^-1/2 E D^-1/2)\n" in text
+        assert "  structural hypotheses: pass\n" in text
+
     def test_suggested_sigmas_get_verdicts(self, tmp_path, capsys):
         # the README box with suggest_sigmas on: every speed at the midpoint and the first eight
         # samples that sigma_list lacks is probed after the list, one verdict line each
@@ -323,8 +342,10 @@ class TestReduceInfo:
         assert info["singular"] is True
         assert info["w"] is None
 
-    def test_sigma_override_regular_point(self, config_path, outdir):
-        assert main(["reduce-info", "--config", config_path, "--sigma", "0.0"]) == 0
+    def test_regular_point(self, tmp_path, outdir):
+        cfg = base_config(outdir)
+        cfg["reduce"]["sigma"] = 0.0
+        assert main(["reduce-info", "--config", write_config(tmp_path, cfg)]) == 0
         info = json.loads((outdir / "reduce_info.json").read_text())
         assert info["F"] == [-1.0, 1.0, 0.0, 0.0, 0.0]
         assert info["zeta"] == 1.0
@@ -332,10 +353,12 @@ class TestReduceInfo:
         assert info["w"] == -1.0
         assert info["label"] == "steady"
 
-    def test_singular_only_where_zeta_is_zero(self, config_path, outdir):
+    def test_singular_only_where_zeta_is_zero(self, tmp_path, outdir):
         # U has v = 1: sigma = 1 is on the sonic set and has no w; 5e-9 off it, w = F[0] / zeta is finite
+        cfg = base_config(outdir)
         for sigma in (1.0, 1.0 + 5e-9, 1.0 - 5e-9):
-            assert main(["reduce-info", "--config", config_path, "--sigma", repr(sigma)]) == 0
+            cfg["reduce"]["sigma"] = sigma
+            assert main(["reduce-info", "--config", write_config(tmp_path, cfg)]) == 0
             info = json.loads((outdir / "reduce_info.json").read_text())
             singular = sigma == 1.0
             assert info["singular"] is singular and (info["zeta"] == 0.0) is singular
@@ -398,22 +421,27 @@ class TestShock:
         out = capsys.readouterr().out
         assert "shock: family 1" in out
 
-    def test_strength_override_zero(self, config_path, outdir):
-        assert main(["shock", "--config", config_path, "--strength", "0"]) == 0
+    def test_zero_strength(self, tmp_path, outdir):
+        cfg = base_config(outdir)
+        cfg["rh"]["strength"] = 0
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 0
         side = json.loads((outdir / "shock_diagnostics.json").read_text())
         assert side["strength"] == 0.0
         assert side["oracle_deviation"] == 0.0
         assert side["trajectory"]["n_samples"] == 1
 
-    def test_negative_strength_rejected(self, config_path, capsys):
-        assert main(["shock", "--config", config_path, "--strength", "-0.1"]) == 2
+    def test_negative_strength_rejected(self, tmp_path, outdir, capsys):
+        cfg = base_config(outdir)
+        cfg["rh"]["strength"] = -0.1
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 2
         assert "kind=validation" in capsys.readouterr().err
 
     def test_family3_past_the_bound_rejected(self, tmp_path, outdir, capsys):
         cfg = base_config(outdir)
         cfg["rh"]["family"] = 3
+        cfg["rh"]["strength"] = 0.9
         path = write_config(tmp_path, cfg)
-        assert main(["shock", "--config", path, "--strength", "0.9"]) == 2
+        assert main(["shock", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "kind=validation exit=2" in err and "admissible limit" in err
 
@@ -619,24 +647,55 @@ class TestRuntimeDependencies:
 
 
 class TestOutDirResolution:
-    def test_env_variable(self, config_path, tmp_path, monkeypatch):
-        env_dir = tmp_path / "envout"
-        monkeypatch.setenv(OUT_ENV_VAR, str(env_dir))
-        assert main(["reduce-info", "--config", config_path]) == 0
-        assert (env_dir / "reduce_info.json").exists()
-
-    def test_cli_flag_beats_env(self, config_path, tmp_path, monkeypatch):
-        env_dir = tmp_path / "envout"
+    def test_cli_flag_beats_config(self, config_path, outdir, tmp_path):
         cli_dir = tmp_path / "cliout"
-        monkeypatch.setenv(OUT_ENV_VAR, str(env_dir))
         assert main(["reduce-info", "--config", config_path, "--out", str(cli_dir)]) == 0
         assert (cli_dir / "reduce_info.json").exists()
-        assert not env_dir.exists()
+        assert not outdir.exists()
 
-    def test_config_out_dir_is_fallback(self, config_path, outdir, monkeypatch):
-        monkeypatch.delenv(OUT_ENV_VAR, raising=False)
+    def test_config_out_dir_is_fallback(self, config_path, outdir):
         assert main(["reduce-info", "--config", config_path]) == 0
         assert (outdir / "reduce_info.json").exists()
+
+
+class TestRunIsItsConfig:
+    """A run follows from its config and --out alone: no flag or environment variable overrides a key."""
+
+    def test_working_directory_and_environment_change_nothing(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = tmp_path / "readme.json"
+        config.write_text(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        monkeypatch.delenv("SHOCKLAYER_OUT", raising=False)
+        runs = []
+        for name in ("plain", "moved"):
+            here = tmp_path / f"cwd-{name}"
+            here.mkdir()
+            monkeypatch.chdir(here)
+            if name == "moved":
+                monkeypatch.setenv("SHOCKLAYER_OUT", str(tmp_path / "env-out"))
+            out = tmp_path / f"out-{name}"
+            stdout = []
+            for command in ("check", "reduce-info", "shock", "layer"):
+                assert main([command, "--config", str(config), "--out", str(out)]) == 0
+                stdout.append(capsys.readouterr().out.replace(str(out), "<out>"))
+            assert list(here.iterdir()) == []
+            runs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 9  # check 2, reduce-info 1, shock 3, layer 3
+        # without --out, the config's relative out_dir is taken from the working directory
+        assert main(["reduce-info", "--config", str(config)]) == 0
+        assert (here / "out" / "reduce_info.json").read_bytes() == runs[0][1]["reduce_info.json"]
+        names = ["cwd-moved", "cwd-plain", "out-moved", "out-plain", "readme.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--strength"])
+    @pytest.mark.parametrize("command", ["check", "reduce-info", "shock", "layer"])
+    def test_override_flags_are_usage_errors(self, config_path, outdir, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestConfigValidation:
@@ -795,21 +854,6 @@ class TestConfigValidation:
 
 class TestNonFiniteNumbers:
     """NaN and infinities are validation errors (exit 2) that name the value, with no artifact."""
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command,flag", [("check", "--sigma"), ("reduce-info", "--sigma"), ("shock", "--strength")])
-    def test_flag(self, config_path, outdir, capsys, command, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", config_path, f"{flag}={value}"])  # "=" lets "-inf" through
-        assert exc.value.code == 2
-        assert f"argument {flag}: must be finite" in capsys.readouterr().err
-        assert not outdir.exists()
-
-    def test_malformed_flag_keeps_the_float_message(self, config_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--config", config_path, "--sigma", "zero"])
-        assert exc.value.code == 2
-        assert "argument --sigma: invalid float value: 'zero'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("command,section,key,where", [
@@ -1007,9 +1051,9 @@ class TestOnePath:
 
 
 FLAGS = {
-    "check": ["--config", "--sigma", "--out", "--verbose"],
-    "reduce-info": ["--config", "--sigma", "--out"],
-    "shock": ["--config", "--strength", "--out"],
+    "check": ["--config", "--out", "--verbose"],
+    "reduce-info": ["--config", "--out"],
+    "shock": ["--config", "--out"],
     "layer": ["--config", "--out"],
 }
 

@@ -92,7 +92,13 @@ def reference_check_structure(
                 "E, A(u, 0) or B cannot be assembled or is not finite at sampled state "
                 f"(rho, v, theta) = ({state.rho:g}, {state.v:g}, {state.theta:g})"
             )
-        min_eig = float(np.linalg.eigvalsh(0.5 * E + 0.5 * E.T).min())
+        # definiteness of D^-1/2 E D^-1/2, D = |diag E| with a zero entry read as 1: E's inertia, free of E's scales;
+        # an entry past the float range is larger than the diagonal allows, so that E is not definite
+        d = np.abs(np.diag(E))
+        d = 1.0 / np.sqrt(np.where(d == 0.0, 1.0, d))
+        with np.errstate(over="ignore"):
+            S = d[:, None] * (0.5 * E + 0.5 * E.T) * d[None, :]
+        min_eig = float(np.linalg.eigvalsh(S).min()) if np.isfinite(S).all() else -np.inf
         if float(np.abs(E - E.T).max()) > sym_tol:
             min_eig = -np.inf
         if min_eig < worst_eig:
@@ -304,6 +310,14 @@ class TestKernelDimension:
 
     def test_empty_stack(self):
         assert kernel_dimension(np.zeros((0, 1, 1))).shape == (0,)
+
+    def test_reads_the_rank_tolerance_when_it_runs(self, monkeypatch):
+        # not a default frozen at import: a direct call reads the constant check_structure reads
+        M = np.diag([1.0, 1e-6, 0.0])
+        assert kernel_dimension(M) == 1
+        monkeypatch.setattr(structure, "DEFAULT_RANK_TOL", 1e-5)
+        assert kernel_dimension(M) == 2
+        assert kernel_dimension(np.array([M, np.eye(3)])).tolist() == [2, 0]
 
 
 # velocities at which E[0, 0], and whether `blocks` raises, must not change
@@ -737,20 +751,49 @@ class TestCheckStructure:
         assert report.to_json_dict() == reference_check_structure(gas, box, 50, 0).to_json_dict()
         assert kernel_dimension(assemble_B(gas, State(1.0, 0.0, 1e11))) == 2
 
-    @pytest.mark.parametrize("gas_kw,box_ranges", [
-        (dict(c_rho=1e-310), dict(rho=(1e-300, 1e-300), v=(-1.0, 1.0), theta=(0.5, 2.0))),
-        ({}, dict(rho=(1e300, 1e300), v=(0.0, 0.0), theta=(1.6e-4, 1.6e-4))),
-    ], ids=["rho-1e-300", "rho-1e300"])
-    def test_e_verdict_past_lapack_scaling_is_pinned(self, gas_kw, box_ranges):
-        # E is a positive diagonal, but its diagonal spans more than the float range: eigvalsh
-        # scales E by its largest entry, the smallest eigenvalue underflows to 0, and E reads as
-        # not positive definite. This is the documented limit, not a verdict on the gas.
-        gas, box = GasModel(**gas_kw), Box(**box_ranges)
+    @pytest.mark.parametrize("rho,theta", [(1e300, 1.8e-4), (1e-300, 1.0), (1e-300, 1e-10)])
+    def test_e_verdict_past_lapack_scaling(self, rho, theta):
+        # E is a positive diagonal whose entries span more than the float range: eigvalsh on E
+        # itself scales it by its largest entry, and its smallest eigenvalue underflows to 0. On
+        # D^-1/2 E D^-1/2 the diagonal is 1, so E reads as positive definite.
+        gas, box = GasModel(c_rho=1e-310), Box(rho=(rho, rho), v=(0.0, 0.0), theta=(theta, theta))
         report = check_structure(gas, box, n_samples=200, seed=0)
-        assert (np.diagonal(assemble_E(gas, _columns(report.samples)), axis1=1, axis2=2) > 0.0).all()
-        assert report.e_spd == CheckResult(passed=False, worst=0.0, witness=report.samples[0])
-        assert report.a0_symmetric.passed and report.b_rank.passed and report.b_coercivity.passed
-        assert "  E symmetric positive definite: FAIL (min eigenvalue 0.000000e+00)\n" in report.to_text()
+        E = assemble_E(gas, State(rho, 0.0, theta))
+        d = np.diag(E).tolist()
+        assert min(d) > 0.0 and math.log10(max(d)) - math.log10(min(d)) > math.log10(sys.float_info.max)
+        assert np.linalg.eigvalsh(E).min() == 0.0
+        assert report.e_spd.passed and report.e_spd.worst == pytest.approx(1.0, rel=1e-15)
+        assert report.structural_pass()
+        assert "  E symmetric positive definite: pass (min eigenvalue 1.000000e+00 of D^-1/2 E D^-1/2)\n" in report.to_text()
+
+    def test_e_entry_past_the_float_range_is_not_definite(self, gas, box):
+        # scaled, this off-diagonal entry overflows; unscaled, E is plainly indefinite
+        def spread_e(g, state):
+            E = np.zeros(np.shape(state.rho) + (3, 3))
+            E[..., 0, 0], E[..., 1, 1], E[..., 2, 2] = 1e-200, 1e-200, 1.0
+            E[..., 0, 1] = E[..., 1, 0] = 1e200
+            return E
+
+        report = check_structure(gas, box, n_samples=5, seed=0, assemble_e=spread_e)
+        assert report.e_spd == CheckResult(passed=False, worst=-np.inf, witness=report.samples[0])
+        assert report == reference_check_structure(gas, box, 5, 0, assemble_e=spread_e)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_samples", True), ("n_samples", 2.5), ("n_samples", "3"), ("n_samples", None),
+        ("seed", True), ("seed", False), ("seed", 2.5), ("seed", "0"),
+    ])
+    def test_non_integer_count_is_refused_by_name(self, gas, box, key, value):
+        with pytest.raises(DomainError, match=f"check_structure's {key} must be an integer, got {re.escape(repr(value))}"):
+            check_structure(gas, box, **{key: value})
+
+    def test_negative_seed_is_refused_by_name(self, gas, box):
+        with pytest.raises(DomainError, match="check_structure's seed must be at least 0, got seed=-1"):
+            check_structure(gas, box, n_samples=5, seed=-1)
+
+    def test_integer_like_counts_are_accepted(self, gas, box):
+        report = check_structure(gas, box, n_samples=np.int64(7), seed=np.uint8(3))
+        assert type(report.n_samples) is int and type(report.seed) is int
+        assert report == check_structure(gas, box, n_samples=7, seed=3)
 
 
 def _outcome(check, *args, **kwargs):
