@@ -11,6 +11,7 @@ and give every entry the bits of the float call (see `_pow_each`).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -38,6 +39,19 @@ def _pow_each(x, e):
 def _lowest(x):
     """x, or the lowest entry of an array x (NaN if it holds one): the value an error names."""
     return np.min(x) if x.__class__ is _ndarray else x
+
+
+def _integer(value, name: str, low: int, caller: str) -> int:
+    """value as an int no smaller than low; a bool, a non-integer or a smaller int is a DomainError naming it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{caller}'s {name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise DomainError(f"{caller}'s {name} must be at least {low}, got {name}={value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .errors import (
     NoDecayingDirectionError,
     NonMonotoneError,
 )
-from .gas import GasModel, State, internal_energy, pressure, sound_speed
+from .gas import GasModel, State, _integer, internal_energy, pressure, sound_speed
 from .reduction import (
     TW_RHS,
     RhsSource,
@@ -47,6 +47,7 @@ from .sode import (
     LinearizationReport,
     Trajectory,
     TrajectoryStats,
+    _positive_finite,
     integrate_direct,
     integrate_rescaled,
     linearize,
@@ -63,7 +64,8 @@ def _sup_dist(a: list[float], b: list[float]) -> float:
 
 
 def char_speed(gas: GasModel, state: State, family: int) -> float:
-    """Characteristic speed of the chosen family: v - c, v, or v + c."""
+    """Characteristic speed of the chosen family (an integer): v - c, v, or v + c."""
+    family = _integer(family, "family", 1, "char_speed")
     if family not in (1, 2, 3):
         raise DomainError(f"family must be 1, 2 or 3, got {family}")
     c = sound_speed(gas, state)
@@ -150,7 +152,8 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
 
     The wave speed is pinned by sigma = lambda_family(U-) - strength and
     the right state is the closed-form conjugate state of U- in the frame
-    moving at sigma. Family 2 (the contact family) is rejected: it is
+    moving at sigma. family is an integer, not a bool (DomainError
+    otherwise). Family 2 (the contact family) is rejected: it is
     linearly degenerate and admits no compressive connection. A strength
     that is not finite is rejected as such. Negative strengths are
     rejected because the resulting pair violates the entropy
@@ -161,6 +164,7 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     within round-off, and it is rejected as such. So is a strength at
     which the jump conditions overflow a float (P = m u + p infinite).
     """
+    family = _integer(family, "family", 1, "solve_rh")
     if family == 2:
         raise DomainError("family 2 is the contact family; no shock pair exists")
     if family not in (1, 3):
@@ -221,13 +225,13 @@ LAYER_GROW_CAP = 0.5
 SHOOT_RETRIES = 2
 # a layer whose extended_residual_rel exceeds this is swept once more at tol / 10
 LAYER_RESIDUAL_BOUND = 1e-6
-
-
-def _positive_finite(**tolerances) -> None:
-    """DomainError unless every tolerance given is positive and finite."""
-    for name, value in tolerances.items():
-        if not 0.0 < value < math.inf:  # NaN included
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+# the smallest end_tol / tol accepted. A shot's far-end mismatch is
+# integration error, so end_tol must leave room for it: from (1, 0, 1),
+# at the default gas and at nu (1.2, 0.5), k (0.9, -0.3), family 1 at
+# strengths 0.05-2 and family 3 at 0.1-0.8 of its bound, with tol
+# 1e-10 to 1e-5, every shock connects at end_tol = 10.4 tol, and the
+# worst one fails below that; 16 leaves half as much again
+MIN_END_TOL_RATIO = 16.0
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,8 @@ class ShootOpts:
 
     tol is the integrator's tolerance and end_tol the largest distance
     from the target at which a shot connects; both must be positive and
-    finite (DomainError otherwise).
+    finite, and end_tol at least MIN_END_TOL_RATIO x tol (DomainError
+    otherwise).
     """
 
     tol: float = DEFAULT_TOL
@@ -244,6 +249,11 @@ class ShootOpts:
 
     def __post_init__(self):
         _positive_finite(**vars(self))
+        if self.end_tol < MIN_END_TOL_RATIO * self.tol:
+            raise DomainError(
+                f"end_tol {self.end_tol!r} is below {MIN_END_TOL_RATIO:g} x tol {self.tol!r}, "
+                "so a shot's integration error alone can exceed it"
+            )
 
 
 def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
@@ -408,22 +418,17 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
     on_sonic = NoConnectionError("an endpoint sits on the sonic set; no direct shooting")
     rep_l, mus_l = _spatial_rates(ode, U_left, on_sonic)
     rep_r, mus_r = _spatial_rates(ode, U_right, on_sonic)
-    expanding_left = [(i, m) for i, m in mus_l if m > 0.0]
-    contracting_right = [(i, m) for i, m in mus_r if m < 0.0]
-    if len(expanding_left) == 1:
-        i, m = expanding_left[0]
-        return _ShootPlan(
-            start=U_left, target=U_right, direction=1.0,
-            xi=_real_unit_eigenvector(rep_l, i), rate=m,
-            rates_start=[m for _, m in mus_l], rates_target=[m for _, m in mus_r],
-        )
-    if len(contracting_right) == 1:
-        i, m = contracting_right[0]
-        return _ShootPlan(
-            start=U_right, target=U_left, direction=-1.0,
-            xi=_real_unit_eigenvector(rep_r, i), rate=-m,
-            rates_start=[m for _, m in mus_r], rates_target=[m for _, m in mus_l],
-        )
+    # the left end expanding toward the right first, then the right end contracting toward the left
+    ends = ((U_left, rep_l, mus_l, U_right, mus_r, 1.0), (U_right, rep_r, mus_r, U_left, mus_l, -1.0))
+    for start, report, mus, target, mus_target, direction in ends:
+        leaving = [(i, m) for i, m in mus if direction * m > 0.0]
+        if len(leaving) == 1:
+            i, m = leaving[0]
+            return _ShootPlan(
+                start=start, target=target, direction=direction,
+                xi=_real_unit_eigenvector(report, i), rate=direction * m,
+                rates_start=[m for _, m in mus], rates_target=[m for _, m in mus_target],
+            )
     raise NoConnectionError(
         "neither endpoint offers a one-dimensional shooting manifold; "
         f"rates left {[m for _, m in mus_l]}, right {[m for _, m in mus_r]}"
@@ -733,8 +738,11 @@ def boundary_layer(
     DomainError, and so is one at or past the growth cap, checked before
     the start is built. tol is the integrator's tolerance; one that is not
     positive and finite is a DomainError at every amplitude, 0 included.
+    direction_index is an integer no smaller than 0, not a bool; any
+    other value is a DomainError, whatever the amplitude.
     """
     _positive_finite(tol=tol)
+    direction_index = _integer(direction_index, "direction_index", 0, "boundary_layer")
     if not math.isfinite(amplitude):
         raise DomainError(f"amplitude must be finite, got {amplitude}")
     ode = steady_singular_ode(gas)
@@ -752,7 +760,7 @@ def boundary_layer(
             f"no decaying direction at limit state (v = {limit_state.v:g}); "
             f"non-center rates: {[m for _, m in rates]}"
         )
-    if not (0 <= direction_index < len(stable)):
+    if direction_index >= len(stable):
         raise DomainError(
             f"direction_index {direction_index} out of range, {len(stable)} decaying direction(s)"
         )

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from math import fsum, isfinite, sqrt
+from math import fsum, inf, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
@@ -114,6 +114,18 @@ class TrajectoryStats:
 
 
 _MAX_INVERT_ITER = 60  # bisection alone shrinks [0, 1] to round-off in 53 rounds
+
+
+def _positive_finite(**tolerances) -> None:
+    """DomainError unless every tolerance given is positive and finite."""
+    for name, value in tolerances.items():
+        if not 0.0 < value < inf:  # NaN included
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _outside(t: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether some t lies outside [lo, hi] by more than 1e-12; NaN lies outside."""
+    return not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12))
 
 
 def _quartic(q1, q2, q3, q4, theta):
@@ -195,7 +207,7 @@ class Trajectory:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
         lo, hi = sorted((self.ts[0], self.ts[-1]))
-        if not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12)):  # NaN included
+        if _outside(t, lo, hi):
             raise DomainError(f"t={t} outside the covered span [{lo}, {hi}]")
         # first step whose end reaches t, along the integration direction
         sgn = 1.0 if self.hs[0] > 0 else -1.0
@@ -209,12 +221,12 @@ class Trajectory:
         Component j must be strictly monotone over the samples. Each value
         is bracketed between two samples, and the t inside that step where
         the quartic takes the value is found by Newton's method, falling
-        back to bisection whenever a Newton iterate leaves the bracket; the
-        iteration stops once the residual is at round-off level. A value
-        whose residual is there drops out of the iteration, so later
-        rounds work on the rest alone. Returns an array of shape
-        values.shape + (d,). A value outside the covered range, NaN
-        included, is a DomainError.
+        back to bisection whenever a Newton iterate leaves the bracket. A
+        mask marks the values still iterating, and a value leaves it once
+        its residual is at round-off level, keeping its iterate; a NaN
+        residual keeps iterating. Returns an array of shape values.shape +
+        (d,). A value outside the covered range, NaN included, is a
+        DomainError.
         """
         c = np.asarray(values, dtype=float)
         s = self.ys[:, j]
@@ -222,53 +234,44 @@ class Trajectory:
         if s.size < 2 or not (np.all(d > 0) or np.all(d < 0)):
             raise NonMonotoneError(f"component {j} is not strictly monotone along the trajectory")
         lo, hi = sorted((s[0], s[-1]))
-        if not np.all((c >= lo - 1e-12) & (c <= hi + 1e-12)):  # NaN included
+        if _outside(c, lo, hi):
             raise DomainError(f"value outside the covered range [{lo}, {hi}]")
         # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step
         sgn = 1.0 if d[0] > 0 else -1.0
         i = np.clip(np.searchsorted(sgn * s, sgn * c, side="right") - 1, 0, d.size - 1)
         tol = 4.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
-        theta = np.clip((c - s[i]) / d[i], 0.0, 1.0).ravel()
-        # the values still iterating: where they sit in theta, their step data and bracket
-        at = np.arange(theta.size)
-        cs, y0, h, th = c.ravel(), self.y0s[i, j].ravel(), self.hs[i].ravel(), theta.copy()
-        q1, q2, q3, q4 = self.Q[i, j].reshape(-1, 4).T
-        a, b = np.zeros_like(th), np.ones_like(th)
+        theta = np.clip((c - s[i]) / d[i], 0.0, 1.0)
+        y0, h = self.y0s[i, j], self.hs[i]
+        q1, q2, q3, q4 = np.moveaxis(self.Q[i, j], -1, 0)
+        a, b = np.zeros_like(theta), np.ones_like(theta)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero dp sends newton out of the bracket
             for _ in range(_MAX_INVERT_ITER):
-                p, dp = _quartic(q1, q2, q3, q4, th)
-                f = sgn * (y0 + h * p - cs)
-                done = np.abs(f) <= tol
-                if done.any():
-                    theta[at[done]] = th[done]
-                    go = ~done
-                    at, cs, y0, h, th, q1, q2, q3, q4, a, b, f, dp = (
-                        x[go] for x in (at, cs, y0, h, th, q1, q2, q3, q4, a, b, f, dp)
-                    )
-                    if at.size == 0:
-                        break
-                a = np.where(f < 0.0, th, a)
-                b = np.where(f > 0.0, th, b)
-                newton = th - f / (sgn * h * dp)
+                p, dp = _quartic(q1, q2, q3, q4, theta)
+                f = sgn * (y0 + h * p - c)
+                going = ~(np.abs(f) <= tol)  # a NaN residual keeps iterating
+                if not going.any():
+                    break
+                a = np.where(f < 0.0, theta, a)
+                b = np.where(f > 0.0, theta, b)
+                newton = theta - f / (sgn * h * dp)
                 inside = (newton > a) & (newton < b)
-                th = np.where(inside, newton, 0.5 * (a + b))
-        theta[at] = th  # the values out of rounds keep their last iterate
-        return self.step_eval(i, theta.reshape(c.shape))[0]
+                theta = np.where(going, np.where(inside, newton, 0.5 * (a + b)), theta)
+        return self.step_eval(i, theta)[0]
 
 
 def _rms(v: list[float], scale: list[float]) -> float:
-    """Root mean square of v / scale, summed left to right."""
+    """Root mean square of v / scale over the leading components scale has, summed left to right."""
     acc = 0.0
     for a, s in zip(v, scale):
         r = a / s
         acc += r * r
-    return sqrt(acc / len(v))
+    return sqrt(acc / len(scale))
 
 
-def _initial_step(stage, y0: list[float], f0: list[float], direction: float, span: float, tol: float) -> float:
-    """Deterministic starting step, the classic two-evaluation heuristic."""
+def _initial_step(stage, y0: list[float], f0: list[float], direction: float, span: float, tol: float, m: int) -> float:
+    """Deterministic starting step, the classic two-evaluation heuristic; its norms weigh the first m components."""
     rtol = max(tol, REL_FLOOR)
-    scale = [tol + rtol * abs(a) for a in y0]
+    scale = [tol + rtol * abs(a) for a in y0[:m]]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -372,7 +375,8 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
     made so far and halves h. In rescaled mode the last component is x,
     which no stage reads, so the stage points 2..6 leave it out. The
     error norm takes |y_i| and |n_i| by a sign test, which gives the
-    bits of abs.
+    bits of abs. The norm weighs V alone and the finiteness test every
+    component: x, a quadrature of zeta rather than a state, moves no step.
     """
     direct = mode == "direct"
     m = d if direct else d - 1  # components of a stage point
@@ -439,15 +443,15 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         f"            if not ({checks}):",
         "                n_rej += 1; h *= 0.5; continue",
     ]
-    for i in range(d):
+    for i in range(m):
         out += [
             f"            a = y_{i} if y_{i} >= 0.0 else -y_{i}",
             f"            b = n_{i} if n_{i} >= 0.0 else -n_{i}",
             f"            r_{i} = e_{i} / (tol + rtol * (a if a >= b else b))",
         ]
-    squares = " + ".join(f"r_{i} * r_{i}" for i in range(d))
+    squares = " + ".join(f"r_{i} * r_{i}" for i in range(m))
     out += [
-        f"            enorm = sqrt(({squares}) / {d})",
+        f"            enorm = sqrt(({squares}) / {m})",
         "            if enorm > 1.0:",
         "                n_rej += 1; h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP); continue",
     ]
@@ -559,11 +563,11 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
 
     Returns every `Trajectory` field but the mode as a dict.
     """
-    if not 0.0 < tol < float("inf"):  # NaN included
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    _positive_finite(tol=tol)
     direct = mode == "direct"
     d = len(y0)
-    rhs, consts = _bound(ode, d if direct else d - 1)
+    m = d if direct else d - 1  # the components of V
+    rhs, consts = _bound(ode, m)
     stage, run = _kernels(d, mode, rhs)(tol, *consts)
     k0, F, z = stage(y0)
     if direct and z is not None and abs(z) <= DELTA:
@@ -573,7 +577,7 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     if k0 is None or not all(map(isfinite, k0)):
         raise DomainError("right-hand side not finite at the initial point")
     direction = 1.0 if t_end > t0 else -1.0
-    h = _initial_step(stage, y0, k0, direction, abs(t_end - t0), tol)
+    h = _initial_step(stage, y0, k0, direction, abs(t_end - t0), tol, m)
     dwell = 1 if max(map(abs, F)) < EQUILIBRIUM_TOL else 0
     ts, hs, store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h = run(
         t0, t_end, direction, y0, h, k0, z, dwell, stop_when,

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gas import Box, GasModel, State, ZERO_GRADIENT
+from .gas import Box, GasModel, State, ZERO_GRADIENT, _integer
 from .system import _assemble_EAB, assemble_A, assemble_B, assemble_E, blocks
 
 # fixed, not settable: E and A(u, 0) are assembled symmetric bit for bit,
@@ -371,19 +371,6 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def _count(value, name: str, low: int) -> int:
-    """value as an int no smaller than low; a bool, a non-integer or a smaller int is a DomainError naming it."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"check_structure's {name} must be an integer, got {value!r}") from None
-    if value < low:
-        raise DomainError(f"check_structure's {name} must be at least {low}, got {name}={value}")
-    return value
-
-
 def check_structure(
     gas: GasModel,
     box: Box,
@@ -413,7 +400,8 @@ def check_structure(
     underflow. The reported E value is the smallest eigenvalue of the
     scaled E, the value the verdict reads.
     """
-    n_samples, seed = _count(n_samples, "n_samples", 1), _count(seed, "seed", 0)
+    n_samples = _integer(n_samples, "n_samples", 1, "check_structure")
+    seed = _integer(seed, "seed", 0, "check_structure")
     box.validate(gas)
     samples = box.sample(n_samples, np.random.default_rng(seed))
     E, A0, B = _assemble(gas, samples, (assemble_e, assemble_a, assemble_b), "sampled state")

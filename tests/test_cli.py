@@ -48,6 +48,7 @@ from shocklayer import (
 )
 import shocklayer.cli as cli
 from shocklayer.cli import build_parser, load_config, main
+from shocklayer.profiles import MIN_END_TOL_RATIO
 
 
 def base_config(out_dir):
@@ -896,8 +897,16 @@ class TestNumericalErrors:
         assert not outdir.exists()
 
 
+def past_the_constructor(tol, end_tol):
+    """ShootOpts(tol, end_tol) built without __post_init__, which refuses a pair below the ratio."""
+    opts = object.__new__(ShootOpts)
+    object.__setattr__(opts, "tol", tol)
+    object.__setattr__(opts, "end_tol", end_tol)
+    return opts
+
+
 class TestToleranceCoupling:
-    """end_tol below MIN_END_TOL_RATIO x ode_tol is refused at config read.
+    """end_tol below profiles.MIN_END_TOL_RATIO x ode_tol is refused by ShootOpts, so at config read.
 
     A shot's far-end mismatch is integration error, so below the ratio a
     shock can fail to connect for its tolerances alone. The sweep is the
@@ -920,7 +929,7 @@ class TestToleranceCoupling:
     @pytest.mark.parametrize("gas_name", sorted(GASES))
     def test_every_sweep_shock_connects_at_the_ratio(self, gas_name, tol):
         gas = self.GASES[gas_name]
-        opts = ShootOpts(tol=tol, end_tol=cli.MIN_END_TOL_RATIO * tol)
+        opts = ShootOpts(tol=tol, end_tol=MIN_END_TOL_RATIO * tol)
         for pair in self.sweep(gas):
             assert shock_profile(gas, pair, opts).diagnostics["endpoint_mismatch"] <= opts.end_tol
 
@@ -932,22 +941,25 @@ class TestToleranceCoupling:
         ("default", 1, 2.0, 1e-6, 1.0),
     ])
     def test_below_the_ratio_a_sweep_shock_can_fail(self, gas_name, family, strength, tol, ratio):
+        # the evidence that the ratio is needed: options the constructor refuses, built past it
         gas = self.GASES[gas_name]
         pair = self.sweep(gas)[-1] if strength is None else solve_rh(gas, self.LEFT, family, strength)
+        with pytest.raises(DomainError, match="is below 16 x tol"):
+            ShootOpts(tol=tol, end_tol=ratio * tol)
         with pytest.raises(NoConnectionError):
-            shock_profile(gas, pair, ShootOpts(tol=tol, end_tol=ratio * tol))
+            shock_profile(gas, pair, past_the_constructor(tol, ratio * tol))
 
     def test_config_at_the_ratio_is_accepted(self, tmp_path, outdir):
         cfg = base_config(outdir)
-        cfg["tolerances"] = {"ode_tol": 1e-7, "end_tol": cli.MIN_END_TOL_RATIO * 1e-7}
+        cfg["tolerances"] = {"ode_tol": 1e-7, "end_tol": MIN_END_TOL_RATIO * 1e-7}
         assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 0
         assert load_config(write_config(tmp_path, cfg)).tol == ShootOpts(tol=1e-7, end_tol=1.6e-6)
 
     @pytest.mark.parametrize("tolerances,named", [
-        ({"ode_tol": 1e-7, "end_tol": math.nextafter(1.6e-6, 0.0)}, "end_tol 1.5999999999999997e-06 is below 16 x ode_tol 1e-07"),
+        ({"ode_tol": 1e-7, "end_tol": math.nextafter(1.6e-6, 0.0)}, "end_tol 1.5999999999999997e-06 is below 16 x tol 1e-07"),
         # the default end_tol 1e-6 against a given ode_tol, and the default ode_tol 1e-10 against a given end_tol
-        ({"ode_tol": 1e-6}, "end_tol 1e-06 is below 16 x ode_tol 1e-06"),
-        ({"end_tol": 1e-9}, "end_tol 1e-09 is below 16 x ode_tol 1e-10"),
+        ({"ode_tol": 1e-6}, "end_tol 1e-06 is below 16 x tol 1e-06"),
+        ({"end_tol": 1e-9}, "end_tol 1e-09 is below 16 x tol 1e-10"),
     ], ids=["just-below", "ode-tol-only", "end-tol-only"])
     @pytest.mark.parametrize("command", ["shock", "check"])
     def test_config_below_the_ratio_is_refused(self, tmp_path, outdir, capsys, tolerances, named, command):

@@ -8,6 +8,8 @@ across the four velocity regimes of the limit state.
 """
 
 import contextlib
+import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -124,6 +126,15 @@ class TestCharSpeed:
         with pytest.raises(DomainError):
             char_speed(gasm, State(1.0, 0.0, 1.0), 5)
 
+    @pytest.mark.parametrize("family,message", [
+        (True, "char_speed's family must be an integer, got True"),
+        (1.0, "char_speed's family must be an integer, got 1.0"),
+        (0, "char_speed's family must be at least 1, got family=0"),
+    ], ids=["bool", "float", "zero"])
+    def test_family_is_an_integer(self, gasm, family, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            char_speed(gasm, State(1.0, 0.0, 1.0), family)
+
 
 class TestSolveRH:
     def test_family1_frozen_values(self, pair_f1):
@@ -185,6 +196,21 @@ class TestSolveRH:
     def test_invalid_family_rejected(self, gasm):
         with pytest.raises(DomainError):
             solve_rh(gasm, State(1.0, 0.0, 1.0), family=4, strength=0.1)
+
+    @pytest.mark.parametrize("family,message", [
+        (True, "solve_rh's family must be an integer, got True"),
+        (1.0, "solve_rh's family must be an integer, got 1.0"),
+        ("1", "solve_rh's family must be an integer, got '1'"),
+        (-1, "solve_rh's family must be at least 1, got family=-1"),
+    ], ids=["bool", "float", "str", "negative"])
+    def test_family_is_an_integer(self, gasm, family, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            solve_rh(gasm, State(1.0, 0.0, 1.0), family, 0.2)
+
+    def test_integer_like_family_is_an_int(self, gasm):
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), np.int64(3), 0.2)
+        assert type(pair.family) is int and pair == solve_rh(gasm, State(1.0, 0.0, 1.0), 3, 0.2)
+        assert type(shock_profile(gasm, pair).diagnostics["family"]) is int
 
     def test_negative_strength_rejected(self, gasm):
         with pytest.raises(DomainError, match="strength"):
@@ -514,6 +540,7 @@ class TestOptions:
     The integrators check tol, but a strength-0 `shock_profile` or a
     zero-amplitude layer never reaches them, and end_tol = inf would
     accept any first shot. The layer checks tol before its amplitude.
+    ShootOpts also refuses an end_tol below MIN_END_TOL_RATIO x tol.
     """
 
     @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
@@ -527,6 +554,16 @@ class TestOptions:
     def test_rejected(self, build, name, value):
         with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got {value!r}$"):
             build(**{name: value})
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"tol": 1e-6}, "end_tol 1e-06 is below 16 x tol 1e-06"),
+        ({"tol": 1e-7, "end_tol": math.nextafter(1.6e-6, 0.0)}, "end_tol 1.5999999999999997e-06 is below 16 x tol 1e-07"),
+        ({"end_tol": 1e-9}, "end_tol 1e-09 is below 16 x tol 1e-10"),
+    ], ids=["tol-only", "just-below", "end-tol-only"])
+    def test_end_tol_below_the_ratio_is_refused(self, kwargs, named):
+        # a shot's far-end mismatch is integration error, so end_tol must leave room for it
+        with pytest.raises(DomainError, match=f"^{re.escape(named)}, so a shot's integration error alone can exceed it$"):
+            profiles.ShootOpts(**kwargs)
 
 
 class TestFluxConstants:
@@ -1415,6 +1452,24 @@ class TestBoundaryLayer:
     def test_subsonic_has_single_decaying_direction(self, gasm):
         with pytest.raises(DomainError, match="direction_index"):
             boundary_layer(gasm, State(1.0, -0.3, 1.0), direction_index=1)
+
+    @pytest.mark.parametrize("index,message", [
+        (0.0, "boundary_layer's direction_index must be an integer, got 0.0"),
+        (True, "boundary_layer's direction_index must be an integer, got True"),
+        (None, "boundary_layer's direction_index must be an integer, got None"),
+        (-1, "boundary_layer's direction_index must be at least 0, got direction_index=-1"),
+    ], ids=["float", "bool", "none", "negative"])
+    @pytest.mark.parametrize("limit", [(1.0, -0.3, 1.0), (1.0, -2.0, 1.0)])
+    @pytest.mark.parametrize("amplitude", [1e-3, 0.0])
+    def test_direction_index_is_an_integer(self, gasm, limit, amplitude, index, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            boundary_layer(gasm, State(*limit), index, amplitude)
+
+    def test_integer_like_direction_index_is_an_int(self, gasm):
+        prof = boundary_layer(gasm, State(1.0, -2.0, 1.0), np.int64(1), 1e-3)
+        assert type(prof.diagnostics["direction_index"]) is int
+        same = boundary_layer(gasm, State(1.0, -2.0, 1.0), 1, 1e-3)
+        assert prof.trajectory.ys.tobytes() == same.trajectory.ys.tobytes()
 
     def test_supersonic_inflow_two_directions(self, gasm):
         st = State(1.0, -2.0, 1.0)

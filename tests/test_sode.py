@@ -133,6 +133,25 @@ class TestRescaledCalibration:
         with pytest.raises(TypeError):
             integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 1.0), x0=10.0)
 
+    @pytest.mark.parametrize("limit", [(1.0, -0.3, 1.0), (1.0, 0.4, 1.0), (1.0, -0.03, 1.0)])
+    def test_x_has_no_weight_in_the_step_control(self, limit):
+        # zeta and 4 zeta move x alone: dV/dtau = F either way, and 4 is a power of two, so
+        # every stage sum of x scales exactly. The steps are those of V, so V keeps its bits
+        # and x is four times over, from the start of a layer to its end
+        gas = GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3))
+        ode = steady_singular_ode(gas)
+        layer = profiles.boundary_layer(gas, State(*limit), amplitude=1e-3).trajectory
+        one, four = (
+            integrate_rescaled(
+                SingularODE(F_eval=ode.F_eval, zeta_eval=lambda V, s=s: s * ode.zeta_eval(V)),
+                layer.Vs[0], (0.0, layer.ts[-1]),
+            )
+            for s in (1.0, 4.0)
+        )
+        assert one.stats.n_accepted > 50 and one.stats.n_accepted == four.stats.n_accepted
+        assert one.ts.tobytes() == four.ts.tobytes() and one.Vs.tobytes() == four.Vs.tobytes()
+        assert (4.0 * one.xs).tobytes() == four.xs.tobytes()
+
     def test_crosses_singular_set_and_counts(self):
         # V(tau) = -0.5 + tau crosses zeta = 0 at tau = 0.5
         traj = integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 2.0), tol=1e-10)
@@ -289,7 +308,7 @@ def ref_eval_where(traj, j, values):
 
 
 class TestEvalWhereMatchesReference:
-    """eval_where drops converged values from its rounds; every result keeps its bits."""
+    """eval_where iterates under a mask that values leave as they converge; every result keeps its bits."""
 
     def assert_same(self, traj, j, values):
         new, ref = traj.eval_where(j, values), ref_eval_where(traj, j, values)
@@ -318,6 +337,18 @@ class TestEvalWhereMatchesReference:
         self.assert_same(prof.trajectory, 1, grid)
         self.assert_same(oracle.trajectory, 0, grid)
         self.assert_same(prof.trajectory, 2, prof.trajectory.Vs[3:-3, 2])
+
+    @pytest.mark.parametrize("family,strength", [(1, 0.2), (3, 0.4)])
+    def test_values_leaving_in_different_rounds(self, power_gas, family, strength):
+        # a sample value converges at once, a step midpoint after Newton rounds: both in one call
+        pair = shocklayer.solve_rh(power_gas, shocklayer.State(1.0, 0.0, 1.0), family, strength)
+        prof = shocklayer.shock_profile(power_gas, pair)
+        oracle = shocklayer.gilbarg_oracle(power_gas, pair)
+        rescaled = integrate_rescaled(affine_zeta_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
+        for traj, j in ((prof.trajectory, 1), (oracle.trajectory, 0), (rescaled, -1)):
+            mid = traj.step_eval(np.arange(traj.hs.size), 0.5)[0][:, j]
+            values = np.concatenate([traj.ys[:, j], mid, 0.5 * (traj.ys[:-1, j] + traj.ys[1:, j])])
+            self.assert_same(traj, j, values)
 
 
 class TestSingularityGuard:
@@ -614,7 +645,8 @@ class TestSharedBookkeeping:
 # gemv, which may fuse multiply-adds depending on the kernel, and its norms
 # through np.mean. Here every tableau row is summed elementwise, left to
 # right over its nonzero entries, and every norm left to right over the
-# components: the order the float stepper documents.
+# first m components, V without the rescaled mode's x: the order and the
+# weights the float stepper documents.
 REF_A = [
     [],
     [1 / 5],
@@ -650,22 +682,22 @@ def ref_rms(v):
     return float(np.sqrt(np.add.accumulate(v * v)[-1] / v.size))
 
 
-def ref_error_norm(err, y0, y1, tol):
+def ref_error_norm(err, y0, y1, tol, m):
     rtol = max(tol, REL_FLOOR)
-    return ref_rms(err / (tol + rtol * np.maximum(np.abs(y0), np.abs(y1))))
+    return ref_rms(err[:m] / (tol + rtol * np.maximum(np.abs(y0[:m]), np.abs(y1[:m]))))
 
 
-def ref_initial_step(stage, y0, f0, direction, span, tol):
+def ref_initial_step(stage, y0, f0, direction, span, tol, m):
     rtol = max(tol, REL_FLOOR)
-    scale = tol + rtol * np.abs(y0)
-    d0 = ref_rms(y0 / scale)
-    d1 = ref_rms(f0 / scale)
+    scale = tol + rtol * np.abs(y0[:m])
+    d0 = ref_rms(y0[:m] / scale)
+    d1 = ref_rms(f0[:m] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span) or span
     probe = stage(y0 + direction * h0 * f0)
     if probe is None or not np.all(np.isfinite(probe[0])):
         return max(min(h0 * 1e-3, span), 1e-12)
-    d2 = ref_rms((probe[0] - f0) / scale) / h0
+    d2 = ref_rms((probe[0][:m] - f0[:m]) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, span)
 
@@ -686,6 +718,7 @@ def ref_dp54_step(stage, y, h, k0):
 
 
 def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
+    m = y0.size if guard_sign is not None else y0.size - 1  # the norms weigh V, not the rescaled mode's x
     if t_end == t0:
         raise DomainError("integration span is empty")
     direction = 1.0 if t_end > t0 else -1.0
@@ -701,7 +734,7 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
     if first is None or not np.all(np.isfinite(first[0])):
         raise DomainError("right-hand side not finite at the initial point")
     k0, F, z = first
-    h = ref_initial_step(stage, y0, k0, direction, span, tol)
+    h = ref_initial_step(stage, y0, k0, direction, span, tol, m)
     min_zeta = abs(z)
     last_sign = np.sign(z)
     sign_changes = 0
@@ -720,7 +753,7 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
         result = ref_dp54_step(stage, y, direction * h, k0)
         if result is not None:
             y_new, err, K, F, z = result
-            enorm = ref_error_norm(err, y, y_new, tol)
+            enorm = ref_error_norm(err, y, y_new, tol, m)
             if enorm > 1.0:
                 n_rej += 1
                 h *= max(0.2, 0.9 * enorm ** -0.2)
