@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "structure": (
         "CheckResult", "DegeneracyVerdict", "RankResult", "StructureReport", "check_block_linear_degeneracy",
-        "check_structure", "eulerian_block_evals", "kernel_dimension", "lagrangian_block_evals", "suggest_sigmas",
+        "check_structure", "eulerian_block_evals", "kernel_dimension", "suggest_sigmas",
     ),
     "system": ("assemble_A", "assemble_B", "assemble_E", "blocks"),
 }

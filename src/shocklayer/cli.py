@@ -64,7 +64,6 @@ from .structure import (
     check_block_linear_degeneracy,
     check_structure,
     eulerian_block_evals,
-    lagrangian_block_evals,
     suggest_sigmas,
 )
 from .system import assemble_A, assemble_B, assemble_E
@@ -103,7 +102,6 @@ class RunConfig:
     sigma_list: list[float]
     suggest: bool
     n_samples: int
-    blocks: str
     tol: ShootOpts
     raw: dict
 
@@ -170,8 +168,8 @@ def _power_law(raw: dict, key: str, where: str) -> PowerLaw:
     return PowerLaw(_need(law, "coeff", float, name), _need(law, "exponent", float, name, 0.0))
 
 
-_CONFIG_KEYS = ("seed", "out_dir", "gas", "box", "sigma_list", "suggest_sigmas", "n_samples", "blocks",
-                "tolerances", "rh", "layer", "reduce")
+_CONFIG_KEYS = ("seed", "out_dir", "gas", "box", "sigma_list", "suggest_sigmas", "n_samples", "tolerances", "rh",
+                "layer", "reduce")
 
 # each key of the tolerances section and the ShootOpts field it sets
 _TOLERANCES = {"ode_tol": "tol", "end_tol": "end_tol"}
@@ -211,10 +209,6 @@ def load_config(path: str) -> RunConfig:
     if n_samples < 1:
         raise ConfigError(f"config.n_samples must be a positive integer, got {n_samples!r}")
 
-    blocks = _need(raw, "blocks", str, "config", "eulerian")
-    if blocks not in ("eulerian", "lagrangian"):
-        raise ConfigError(f"config.blocks must be 'eulerian' or 'lagrangian', got {blocks!r}")
-
     tol_raw = _section(raw, "tolerances", "config", _TOLERANCES, {})
     try:
         opts = ShootOpts(**{_TOLERANCES[name]: _need(tol_raw, name, float, "config.tolerances") for name in tol_raw})
@@ -229,7 +223,6 @@ def load_config(path: str) -> RunConfig:
         sigma_list=_floats(raw, "sigma_list", "config", default=[0.0]),
         suggest=_need(raw, "suggest_sigmas", bool, "config", False),
         n_samples=n_samples,
-        blocks=blocks,
         tol=opts,
         raw=raw,
     )
@@ -329,10 +322,7 @@ def cmd_check(config: RunConfig, args: argparse.Namespace) -> _Result:
             if s not in sigmas:
                 sigmas.append(s)
 
-    if config.blocks == "eulerian":
-        a11_eval, e11_eval = eulerian_block_evals(config.gas)
-    else:
-        a11_eval, e11_eval = lagrangian_block_evals(config.gas)
+    a11_eval, e11_eval = eulerian_block_evals(config.gas)
     for sigma in sigmas:
         # the shifted block can only lose rank where v = sigma, so a
         # critical state is always added to the random samples
@@ -380,13 +370,7 @@ def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
 
     pair = solve_rh(config.gas, U_minus, family, strength)
     profile = shock_profile(config.gas, pair, config.tol)
-
-    if pair.strength == 0.0:
-        oracle_deviation = 0.0
-    else:
-        oracle = gilbarg_oracle(config.gas, pair, config.tol)
-        oracle_deviation = compare_profiles(profile, oracle, matching="v").sup
-
+    oracle_deviation = compare_profiles(profile, gilbarg_oracle(config.gas, pair, config.tol), matching="v").sup
     res = rh_residual(config.gas, pair)
     sidecar = {
         "sigma": profile.sigma,

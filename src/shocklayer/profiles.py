@@ -41,12 +41,12 @@ from .reduction import (
 )
 from .sode import (
     DEFAULT_TOL,
+    REL_FLOOR,
     TERM_EQUILIBRIUM,
     TERM_REACHED_END,
     TERM_STOPPED,
     LinearizationReport,
     Trajectory,
-    TrajectoryStats,
     _positive_finite,
     integrate_direct,
     integrate_rescaled,
@@ -102,7 +102,7 @@ def lax_inequalities(gas: GasModel, pair: RHPair) -> dict:
         "lambda_left": lam_left,
         "lambda_right": lam_right,
         "sigma": pair.sigma,
-        "satisfied": lam_right < pair.sigma < lam_left or pair.strength == 0.0,
+        "satisfied": lam_right < pair.sigma < lam_left,
     }
 
 
@@ -159,10 +159,11 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     rejected because the resulting pair violates the entropy
     inequalities, and so are family-3 strengths at or past the
     infinite-strength bound c (1 - sqrt((gamma - 1) / (2 gamma))), which
-    no finite shock reaches. A strength below the round-off of
-    lambda_family(U-) leaves sigma on it: that is the zero-strength pair
-    within round-off, and it is rejected as such. So is a strength at
-    which the jump conditions overflow a float (P = m u + p infinite).
+    no finite shock reaches. A strength of 0, or one below the round-off
+    of lambda_family(U-), leaves sigma on it: that is the zero-strength
+    pair, which has no profile to connect, and both are rejected by that
+    one test. So is a strength at which the jump conditions overflow a
+    float (P = m u + p infinite).
     """
     family = _integer(family, "family", 1, "solve_rh")
     if family == 2:
@@ -175,8 +176,6 @@ def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHP
     if strength < 0.0:
         raise DomainError("strength must be nonnegative; expansions violate the entropy conditions")
     lam_minus = char_speed(gas, U_minus, family)
-    if strength == 0.0:
-        return RHPair(left=U_minus, right=U_minus, sigma=lam_minus, family=family, strength=0.0)
     if family == 3:
         bound = _family3_strength_bound(gas, U_minus)
         if strength >= bound:
@@ -240,8 +239,9 @@ class ShootOpts:
 
     tol is the integrator's tolerance and end_tol the largest distance
     from the target at which a shot connects; both must be positive and
-    finite, and end_tol at least MIN_END_TOL_RATIO x tol (DomainError
-    otherwise).
+    finite, and end_tol at least MIN_END_TOL_RATIO x max(tol, REL_FLOOR)
+    (DomainError otherwise): the step control's relative tolerance never
+    falls below REL_FLOOR, so neither does a shot's integration error.
     """
 
     tol: float = DEFAULT_TOL
@@ -249,27 +249,14 @@ class ShootOpts:
 
     def __post_init__(self):
         _positive_finite(**vars(self))
-        if self.end_tol < MIN_END_TOL_RATIO * self.tol:
+        if self.end_tol < MIN_END_TOL_RATIO * max(self.tol, REL_FLOOR):
+            floor = f"tol {self.tol!r}"
+            if self.tol < REL_FLOOR:
+                floor = f"REL_FLOOR {REL_FLOOR:g} ({floor} is below it)"
             raise DomainError(
-                f"end_tol {self.end_tol!r} is below {MIN_END_TOL_RATIO:g} x tol {self.tol!r}, "
+                f"end_tol {self.end_tol!r} is below {MIN_END_TOL_RATIO:g} x {floor}, "
                 "so a shot's integration error alone can exceed it"
             )
-
-
-def _constant_trajectory(U: np.ndarray, zeta_abs: float) -> Trajectory:
-    stats = TrajectoryStats(
-        n_accepted=0, n_rejected=0, n_fevals=0,
-        min_abs_zeta=zeta_abs, zeta_sign_changes=0, h_final=0.0,
-    )
-    return Trajectory(
-        mode="direct",
-        ts=np.array([0.0]),
-        ys=np.array([U]),
-        termination=TERM_EQUILIBRIUM,
-        stats=stats,
-        hs=np.empty(0),
-        Q=np.empty((0, U.size, 4)),
-    )
 
 
 def _real_unit_eigenvector(report: LinearizationReport, index: int) -> np.ndarray:
@@ -363,8 +350,8 @@ def _checked_profile(gas: GasModel, ode: SingularODE, sigma: float, left, right,
     left and right are extended-state arrays; the profile keeps copies,
     so neither aliases the trajectory. Every profile carries
     extended_residual_max and extended_residual_rel (see
-    `max_extended_residual`) and flux_drift (see `flux_constants`); a
-    constant trajectory has no steps and reads 0 on each.
+    `max_extended_residual`) and flux_drift (see `flux_constants`), read
+    on a trajectory that was integrated: no profile is built constant.
     """
     prof = Profile(sigma=sigma, left=np.array(left), right=np.array(right), trajectory=traj, diagnostics=diagnostics)
     ext_res, f_sup = max_extended_residual(ode, traj)
@@ -511,29 +498,24 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     U_minus = np.array([pair.left.rho, pair.left.v, pair.left.theta, 0.0, 0.0])
     U_plus = np.array([pair.right.rho, pair.right.v, pair.right.theta, 0.0, 0.0])
     ode = tw_singular_ode(gas, pair.sigma)
-
-    if pair.strength == 0.0:
-        traj = _constant_trajectory(U_minus, abs(ode.zeta_eval(U_minus.tolist())))
-        diagnostics = {"strength": 0.0, "endpoint_mismatch": 0.0, "note": "zero-strength pair, constant profile"}
-    else:
-        plan = _connection_plan(ode, U_minus, U_plus)
-        traj, attempts = _shoot(ode, plan, opts)
-        shot = attempts[-1]
-        diagnostics = {
-            "strength": pair.strength,
-            "family": pair.family,
-            "shoot_from": "left" if plan.direction > 0 else "right",
-            "sign": shot["sign"],
-            "eps": shot["eps"],
-            "endpoint_mismatch": shot["mismatch"],
-            "termination": traj.termination,
-            "rate": plan.rate,
-            "rates_start": plan.rates_start,
-            "rates_target": plan.rates_target,
-            "lax": lax_inequalities(gas, pair)["satisfied"],
-            "attempts": attempts,
-        }
-    diagnostics["rh_residual_max"] = _sup(rh_residual(gas, pair))
+    plan = _connection_plan(ode, U_minus, U_plus)
+    traj, attempts = _shoot(ode, plan, opts)
+    shot = attempts[-1]
+    diagnostics = {
+        "strength": pair.strength,
+        "family": pair.family,
+        "shoot_from": "left" if plan.direction > 0 else "right",
+        "sign": shot["sign"],
+        "eps": shot["eps"],
+        "endpoint_mismatch": shot["mismatch"],
+        "termination": traj.termination,
+        "rate": plan.rate,
+        "rates_start": plan.rates_start,
+        "rates_target": plan.rates_target,
+        "lax": lax_inequalities(gas, pair)["satisfied"],
+        "attempts": attempts,
+        "rh_residual_max": _sup(rh_residual(gas, pair)),
+    }
     return _checked_profile(gas, ode, pair.sigma, U_minus, U_plus, traj, diagnostics)
 
 
@@ -624,11 +606,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     ode2 = _flux_form(gas, sigma, m, Pi, Eflux)
     left = np.array([U_m.v, U_m.theta])
     right = np.array([pair.right.v, pair.right.theta])
-
-    if pair.strength == 0.0:
-        traj, attempts = _constant_trajectory(left, 1.0), []
-    else:
-        traj, attempts = _shoot(ode2, _connection_plan(ode2, left, right), opts)
+    traj, attempts = _shoot(ode2, _connection_plan(ode2, left, right), opts)
     return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=attempts)
 
 
@@ -734,24 +712,20 @@ def boundary_layer(
     swept once more at tol / 10, which diagnostics["refined_tol"]
     records; its checks are then those of the second sweep, whatever
     they read.
-    A zero amplitude gives the constant layer; a non-finite one is a
-    DomainError, and so is one at or past the growth cap, checked before
-    the start is built. tol is the integrator's tolerance; one that is not
-    positive and finite is a DomainError at every amplitude, 0 included.
+    An amplitude that is zero (the limit state itself, no layer) or not
+    finite is one DomainError that names it, and so is one at or past
+    the growth cap, checked before the start is built. tol is the
+    integrator's tolerance; one that is not positive and finite is a
+    DomainError at every amplitude.
     direction_index is an integer no smaller than 0, not a bool; any
     other value is a DomainError, whatever the amplitude.
     """
     _positive_finite(tol=tol)
     direction_index = _integer(direction_index, "direction_index", 0, "boundary_layer")
-    if not math.isfinite(amplitude):
-        raise DomainError(f"amplitude must be finite, got {amplitude}")
+    if not (math.isfinite(amplitude) and amplitude != 0.0):
+        raise DomainError(f"amplitude must be finite and nonzero, got {amplitude}")
     ode = steady_singular_ode(gas)
     U_star = np.array([limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0])
-    if amplitude == 0.0:
-        traj = _constant_trajectory(U_star, abs(limit_state.v))
-        diagnostics = {"amplitude": 0.0, "note": "zero amplitude, constant layer"}
-        return _checked_profile(gas, ode, 0.0, U_star, U_star, traj, diagnostics)
-
     on_sonic = NoDecayingDirectionError("limit state on the sonic set: steady flow keeps v = 0, no layer exists")
     report, rates = _spatial_rates(ode, U_star, on_sonic)
     stable = sorted(((i, m) for i, m in rates if m < 0.0), key=lambda p: p[1])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -177,10 +176,42 @@ class DegeneracyVerdict:
 
 BlockEval = Callable[[State], float]
 
-# a11_eval -> (e11_eval, get, row) for each live `eulerian_block_evals` pair: the row
-# reader, kept out of the evaluators so that a pair holds no reference back to itself
-# (a cycle would keep its States alive until a full GC pass), and dropped with a11_eval
-_ROW_READERS: "weakref.WeakKeyDictionary[BlockEval, tuple]" = weakref.WeakKeyDictionary()
+
+class _EulerianRows:
+    """The rows (state, E11, A11) of the Eulerian block, one per State read.
+
+    A11 = E[0, 0] v and E11 = E[0, 0]. E reads no v, and whether `blocks`
+    raises does not depend on v (it divides by and raises powers of rho
+    and theta only), so one `blocks` call serves each distinct (rho,
+    theta). A row is kept under id(state), next to the state itself so
+    that the id cannot be reused; `get(id(state)) or row(state)` reads it.
+    The object refers to nothing that refers back to it, so dropping its
+    evaluators frees it, its rows and its States at once.
+    """
+
+    def __init__(self, gas: GasModel):
+        self.gas = gas
+        self.e00: dict[tuple[float, float], float] = {}
+        self.by_id: dict[int, tuple[State, float, float]] = {}
+        self.get = self.by_id.get
+
+    def row(self, state: State) -> tuple[State, float, float]:
+        key = (state.rho, state.theta)
+        e11 = self.e00.get(key)
+        if e11 is None:
+            try:
+                E, _, _ = blocks(self.gas, state)
+                e11 = self.e00[key] = float(E[0, 0])
+            except _UNASSEMBLABLE as exc:
+                raise _unassemblable(state) from exc
+        r = self.by_id[id(state)] = (state, e11, e11 * state.v)
+        return r
+
+    def e11(self, state: State) -> float:
+        return (self.get(id(state)) or self.row(state))[1]
+
+    def a11(self, state: State) -> float:
+        return (self.get(id(state)) or self.row(state))[2]
 
 
 def check_block_linear_degeneracy(
@@ -202,23 +233,21 @@ def check_block_linear_degeneracy(
     return Python floats, and the block, its zero test, its finiteness
     and the witnesses are all decided on them, with no array round trip.
 
-    Handed exactly a pair of `eulerian_block_evals` (recognized by
-    identity: a wrapper of either evaluator is another function), the
-    blocks come from one pass over that pair's rows, with no call of
-    the evaluators. The rows are read in sample order, so the first
-    state that cannot be assembled, and its DomainError, are the ones
-    the evaluators would give. Any other pair is called once per sample.
+    Handed exactly a pair of `eulerian_block_evals` (the bound a11 and
+    e11 of one `_EulerianRows`: a wrapper of either evaluator is another
+    function), the blocks come from one pass over that object's rows,
+    with no call of the evaluators. The rows are read in sample order, so
+    the first state that cannot be assembled, and its DomainError, are
+    the ones the evaluators would give. Any other pair is called once per
+    sample.
     """
     samples = list(samples)
     if not samples:
         raise DomainError(f"check_block_linear_degeneracy got an empty sample set at sigma={sigma:g}")
     sigma = float(sigma)
-    try:
-        reader = _ROW_READERS.get(A11_eval)
-    except TypeError:  # an evaluator that takes no weak reference is no pair's
-        reader = None
-    if reader is not None and reader[0] is E11_eval:
-        _, get, row = reader
+    rows = getattr(A11_eval, "__self__", None)
+    if type(rows) is _EulerianRows and A11_eval == rows.a11 and E11_eval == rows.e11:
+        get, row = rows.get, rows.row
         x = [a11 - sigma * e11 for _, e11, a11 in [get(id(s)) or row(s) for s in samples]]
     else:
         x = [A11_eval(s) - sigma * E11_eval(s) for s in samples]
@@ -237,55 +266,20 @@ def check_block_linear_degeneracy(
 def eulerian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
     """(A11, E11) evaluators of the Eulerian symmetrized system.
 
-    A11 = E[0, 0] v and E11 = E[0, 0]. E reads no v, and whether
-    `blocks` raises does not depend on v (it divides by and raises powers
-    of rho and theta only), so the pair makes one `blocks` call per
-    distinct (rho, theta): every sigma's critical state
-    State(rho, sigma, theta) shares the assembly at (rho, theta). Each
-    state's row (E11, A11) is kept under id(state), next to the state
-    itself so that the id cannot be reused, and a repeated evaluation is
-    one dict lookup. So the pair holds every State it has read for as
-    long as it lives, and A11, E11 and every sigma probed on the same
-    samples read the same values. A state that cannot be assembled
-    (division by zero or overflow) is a DomainError that names it. This
-    is the one caller of `blocks` left: the benchmark counts its calls,
-    the one structure counter that changes with the seed.
-
-    The row reader, `get(id(state)) or row(state)`, is filed in
-    `_ROW_READERS` under a11_eval, so `check_block_linear_degeneracy`
-    reads the rows of this very pair in one pass. Nothing the entry
-    holds refers back to a11_eval, so the pair forms no reference cycle:
-    dropping it frees the entry, its rows and its States at once.
+    They are the bound a11 and e11 of one `_EulerianRows`, so the pair
+    makes one `blocks` call per distinct (rho, theta): every sigma's
+    critical state State(rho, sigma, theta) shares the assembly at (rho,
+    theta), and a repeated evaluation is one dict lookup. The pair holds
+    every State it has read for as long as it lives, and A11, E11 and
+    every sigma probed on the same samples read the same values. A state
+    that cannot be assembled (division by zero or overflow) is a
+    DomainError that names it. This is the one caller of `blocks` left:
+    the benchmark counts its calls, the one structure counter that
+    changes with the seed. `check_block_linear_degeneracy` recognizes
+    the pair by its object and reads the rows in one pass.
     """
-    e00: dict[tuple[float, float], float] = {}
-    rows: dict[int, tuple[State, float, float]] = {}
-    get = rows.get
-
-    def row(state: State) -> tuple[State, float, float]:
-        key = (state.rho, state.theta)
-        e11 = e00.get(key)
-        if e11 is None:
-            try:
-                E, _, _ = blocks(gas, state)
-                e11 = e00[key] = float(E[0, 0])
-            except _UNASSEMBLABLE as exc:
-                raise _unassemblable(state) from exc
-        r = rows[id(state)] = (state, e11, e11 * state.v)
-        return r
-
-    def e11_eval(state: State) -> float:
-        return (get(id(state)) or row(state))[1]
-
-    def a11_eval(state: State) -> float:
-        return (get(id(state)) or row(state))[2]
-
-    _ROW_READERS[a11_eval] = e11_eval, get, row
-    return a11_eval, e11_eval
-
-
-def lagrangian_block_evals(gas: GasModel) -> tuple[BlockEval, BlockEval]:
-    """(A11, E11) evaluators of the mass-coordinate form: A11 = 0, E11 = 1."""
-    return (lambda state: 0.0), (lambda state: 1.0)
+    rows = _EulerianRows(gas)
+    return rows.a11, rows.e11
 
 
 # Each matrix check of a report, once: field, text label, JSON values, and the text value read from them.

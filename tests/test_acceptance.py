@@ -23,7 +23,6 @@ from shocklayer import (
     eulerian_block_evals,
     flux_constants,
     gilbarg_oracle,
-    lagrangian_block_evals,
     max_extended_residual,
     rh_residual,
     shock_profile,
@@ -32,6 +31,7 @@ from shocklayer import (
     tw_singular_ode,
 )
 from shocklayer.gas import Gradient
+from shocklayer.system import assemble_A
 from shocklayer.cli import main
 from shocklayer.sode import (
     SingularODE,
@@ -41,6 +41,7 @@ from shocklayer.sode import (
 )
 
 from flux_form import extended_with_derivatives
+from lagrangian import lagrangian_block_evals
 
 STANDARD_BOX = Box(rho=(0.5, 2.0), v=(-1.0, 1.0), theta=(0.5, 2.0))
 
@@ -85,19 +86,37 @@ def test_criterion_01_eulerian_degeneracy_violated(gas):
     assert verdict.verdict == "violated"
 
 
-def test_criterion_02_lagrangian_degeneracy_satisfied(gas):
-    t0 = time.perf_counter()
-    a11_eval, e11_eval = lagrangian_block_evals(gas)
-    rng = np.random.default_rng(2)
-    samples = STANDARD_BOX.sample(100, rng)
+def lagrangian_outcomes(gas, assemble_a=assemble_A):
+    """Per sigma: satisfied, with kernel dimension 1 at sigma = 0 and 0 elsewhere."""
+    a11_eval, e11_eval = lagrangian_block_evals(gas, assemble_a)
+    samples = STANDARD_BOX.sample(100, np.random.default_rng(2))
     outcomes = {}
     for sigma in (0.0, 0.5, -0.5, 2.0, -2.0):
         verdict = check_block_linear_degeneracy(a11_eval, e11_eval, sigma, samples)
         expected = 1 if sigma == 0.0 else 0
         outcomes[sigma] = (verdict.verdict == "satisfied" and set(verdict.dims) == {expected})
+    return outcomes
+
+
+def test_criterion_02_lagrangian_degeneracy_satisfied(gas):
+    t0 = time.perf_counter()
+    outcomes = lagrangian_outcomes(gas)
     ok = all(outcomes.values())
     _line(2, ok, t0, f"constant kernel dim at sigma in {{0, +/-0.5, +/-2}}: {outcomes}")
     assert ok, outcomes
+
+
+def test_criterion_02_fails_on_a_planted_convective_term(gas):
+    # a v-independent term in A's (1, 1) entry survives the boost to v = 0: the
+    # fluid-frame block is no longer zero, so sigma = 0 has no kernel
+    def planted(g, s, *grad):
+        A = assemble_A(g, s, *grad)
+        A[0, 0] += 0.25 * s.theta
+        return A
+
+    outcomes = lagrangian_outcomes(gas, planted)
+    assert outcomes[0.0] is False
+    assert not all(outcomes.values())
 
 
 def test_criterion_03_structural_suite(gas):

@@ -162,19 +162,6 @@ class TestCheck:
         assert "Traceback" not in err
         assert not outdir.exists()
 
-    def test_lagrangian_blocks_satisfied(self, tmp_path, outdir):
-        cfg = base_config(outdir)
-        cfg["blocks"] = "lagrangian"
-        cfg["sigma_list"] = [0.0, 0.5, -2.0]
-        path = write_config(tmp_path, cfg)
-        assert main(["check", "--config", path]) == 0
-        report = json.loads((outdir / "structure_report.json").read_text())
-        assert len(report["degeneracy"]) == 3
-        for deg in report["degeneracy"]:
-            assert deg["verdict"] == "satisfied"
-            expected = [1] if deg["sigma"] == 0.0 else [0]
-            assert deg["dims_observed"] == expected
-
     def test_verbose_prints_matrices(self, config_path, capsys):
         assert main(["check", "--config", config_path, "--verbose"]) == 0
         out = capsys.readouterr().out
@@ -237,8 +224,8 @@ class TestCheck:
         assert not outdir.exists()
 
     @pytest.mark.parametrize("extra,flags", [
-        ({}, []), ({"suggest_sigmas": True}, []), ({"blocks": "lagrangian"}, ["--verbose"]),
-    ], ids=["evaluators", "suggest_sigmas", "lagrangian_verbose"])
+        ({}, []), ({"suggest_sigmas": True}, []), ({"sigma_list": []}, ["--verbose"]),
+    ], ids=["evaluators", "suggest_sigmas", "verbose"])
     def test_unassemblable_midpoint_exits_2(self, tmp_path, outdir, capsys, extra, flags):
         # the one sample assembles, but theta^2 overflows at the midpoint theta 1.5e154, where the
         # Eulerian degeneracy evaluators, suggest_sigmas when on, and --verbose assemble the matrices
@@ -422,14 +409,15 @@ class TestShock:
         out = capsys.readouterr().out
         assert "shock: family 1" in out
 
-    def test_zero_strength(self, tmp_path, outdir):
+    def test_zero_strength_exits_2(self, tmp_path, outdir, capsys):
+        # the zero-strength pair has no profile: solve_rh refuses it with the round-off rule
         cfg = base_config(outdir)
         cfg["rh"]["strength"] = 0
-        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 0
-        side = json.loads((outdir / "shock_diagnostics.json").read_text())
-        assert side["strength"] == 0.0
-        assert side["oracle_deviation"] == 0.0
-        assert side["trajectory"]["n_samples"] == 1
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2 msg=strength 0 is below the round-off of lambda(U-)" in err
+        assert "zero-strength pair" in err and "Traceback" not in err
+        assert not outdir.exists()
 
     def test_negative_strength_rejected(self, tmp_path, outdir, capsys):
         cfg = base_config(outdir)
@@ -519,6 +507,15 @@ class TestLayer:
         err = capsys.readouterr().err
         assert "kind=validation exit=2" in err and "exceeds the growth cap 0.5" in err
         assert not (outdir / "layer_profile.csv").exists()
+
+    def test_zero_amplitude_exits_2(self, tmp_path, outdir, capsys):
+        # amplitude 0 starts on the limit state, which is no layer
+        cfg = base_config(outdir)
+        cfg["layer"]["amplitude"] = 0
+        assert main(["layer", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2 msg=amplitude must be finite and nonzero, got 0.0\n" in err
+        assert not outdir.exists()
 
     def test_near_sonic_limit_runs_rescaled(self, tmp_path, outdir):
         cfg = base_config(outdir)
@@ -760,10 +757,13 @@ class TestConfigValidation:
         cfg["sigma_list"] = [0.0, "zero"]
         assert self.e2(tmp_path, cfg) == 2
 
-    def test_bad_blocks_value(self, tmp_path, outdir):
+    @pytest.mark.parametrize("value", ["eulerian", "lagrangian", "polar"])
+    def test_blocks_key_is_unknown(self, tmp_path, outdir, capsys, value):
+        # the degeneracy check always reads the Eulerian block; the key that chose it is gone
         cfg = base_config(outdir)
-        cfg["blocks"] = "polar"
+        cfg["blocks"] = value
         assert self.e2(tmp_path, cfg) == 2
+        assert "kind=validation exit=2 msg=config has unknown keys ['blocks']\n" in capsys.readouterr().err
 
     def test_bad_n_samples(self, tmp_path, outdir):
         cfg = base_config(outdir)
@@ -906,7 +906,7 @@ def past_the_constructor(tol, end_tol):
 
 
 class TestToleranceCoupling:
-    """end_tol below profiles.MIN_END_TOL_RATIO x ode_tol is refused by ShootOpts, so at config read.
+    """end_tol below profiles.MIN_END_TOL_RATIO x max(ode_tol, REL_FLOOR) is refused by ShootOpts, so at config read.
 
     A shot's far-end mismatch is integration error, so below the ratio a
     shock can fail to connect for its tolerances alone. The sweep is the
@@ -960,7 +960,9 @@ class TestToleranceCoupling:
         # the default end_tol 1e-6 against a given ode_tol, and the default ode_tol 1e-10 against a given end_tol
         ({"ode_tol": 1e-6}, "end_tol 1e-06 is below 16 x tol 1e-06"),
         ({"end_tol": 1e-9}, "end_tol 1e-09 is below 16 x tol 1e-10"),
-    ], ids=["just-below", "ode-tol-only", "end-tol-only"])
+        # below the step control's relative floor, the floor bounds the mismatch: the best shot misses by 1.98e-12
+        ({"ode_tol": 5e-324, "end_tol": 1e-300}, "end_tol 1e-300 is below 16 x REL_FLOOR 1e-12 (tol 5e-324 is below it)"),
+    ], ids=["just-below", "ode-tol-only", "end-tol-only", "below-the-floor"])
     @pytest.mark.parametrize("command", ["shock", "check"])
     def test_config_below_the_ratio_is_refused(self, tmp_path, outdir, capsys, tolerances, named, command):
         cfg = base_config(outdir)

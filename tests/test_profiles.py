@@ -182,12 +182,18 @@ class TestSolveRH:
         assert pair.right.v == pytest.approx(ref.v, rel=1e-10)
         assert pair.right.theta == pytest.approx(ref.theta, rel=1e-10)
 
-    def test_zero_strength(self, gasm):
-        pair = solve_rh(gasm, State(1.0, 0.3, 1.0), family=1, strength=0.0)
-        assert pair.left == pair.right
-        assert pair.sigma == char_speed(gasm, pair.left, 1)
+    @pytest.mark.parametrize("family", [1, 3])
+    def test_zero_strength_is_refused(self, gasm, family):
+        # the zero-strength pair has no profile; it meets the round-off rule of sigma = lambda(U-)
+        with pytest.raises(DomainError, match=r"^strength 0 is below the round-off of lambda\(U-\)"):
+            solve_rh(gasm, State(1.0, 0.3, 1.0), family=family, strength=0.0)
+
+    def test_lax_verdict_is_not_forced_at_zero_strength(self, gasm):
+        # a constant pair built by hand has sigma on both speeds, so the strict inequalities fail
+        left = State(1.0, 0.3, 1.0)
+        pair = RHPair(left=left, right=left, sigma=char_speed(gasm, left, 1), family=1, strength=0.0)
         assert np.all(rh_residual(gasm, pair) == 0.0)
-        assert lax_inequalities(gasm, pair)["satisfied"]
+        assert not lax_inequalities(gasm, pair)["satisfied"]
 
     def test_contact_family_rejected(self, gasm):
         with pytest.raises(DomainError, match="contact"):
@@ -278,7 +284,7 @@ class TestSolveRH:
             solve_rh(gasm, State(1.0, 0.0, 1.0), 1, strength)
         assert "family-3" not in str(info.value)
 
-    @pytest.mark.parametrize("fraction", [1e-300 * 10.0, 1e-17])
+    @pytest.mark.parametrize("fraction", [0.0, 1e-300 * 10.0, 1e-17])
     def test_strength_below_round_off_of_lambda(self, fraction):
         # lambda(U-) is about 18.4 here, so these strengths leave
         # sigma = lambda(U-) - strength unchanged in double precision
@@ -431,23 +437,10 @@ class TestShockProfile:
         assert prof.diagnostics["shoot_from"] == "left"
         assert prof.diagnostics["flux_drift"] <= 1e-6
 
-    def test_zero_strength_profile(self, gasm):
-        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.0)
-        prof = shock_profile(gasm, pair)
-        assert prof.trajectory.n == 1
-        assert prof.diagnostics["endpoint_mismatch"] == 0.0
-        assert prof.diagnostics["flux_drift"] <= 1e-14
-        assert prof.left.tolist() == prof.right.tolist()
-        # a constant trajectory has no steps, so it has no dense output to evaluate
-        with pytest.raises(DomainError, match="^trajectory carries no dense output$"):
-            prof.trajectory.eval(0.0)
-
     @pytest.mark.parametrize("build", [
         lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.2)),
-        lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.0)),
         lambda g: boundary_layer(g, State(1.0, -0.3, 1.0)),
-        lambda g: boundary_layer(g, State(1.0, -0.3, 1.0), amplitude=0.0),
-    ], ids=["shock", "shock-zero", "layer", "layer-zero"])
+    ], ids=["shock", "layer"])
     def test_endpoints_are_arrays_of_their_own(self, gasm, build):
         # each end is a (5,) float array that shares no memory with the other end or the trajectory
         prof = build(gasm)
@@ -537,10 +530,10 @@ class TestShooting:
 class TestOptions:
     """ShootOpts when built, and boundary_layer at every amplitude, refuse a tolerance that is not positive and finite.
 
-    The integrators check tol, but a strength-0 `shock_profile` or a
-    zero-amplitude layer never reaches them, and end_tol = inf would
-    accept any first shot. The layer checks tol before its amplitude.
-    ShootOpts also refuses an end_tol below MIN_END_TOL_RATIO x tol.
+    The integrators check tol, but a layer refused for its amplitude
+    never reaches them, and end_tol = inf would accept any first shot.
+    The layer checks tol before its amplitude. ShootOpts also refuses an
+    end_tol below MIN_END_TOL_RATIO x max(tol, REL_FLOOR).
     """
 
     @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
@@ -559,11 +552,19 @@ class TestOptions:
         ({"tol": 1e-6}, "end_tol 1e-06 is below 16 x tol 1e-06"),
         ({"tol": 1e-7, "end_tol": math.nextafter(1.6e-6, 0.0)}, "end_tol 1.5999999999999997e-06 is below 16 x tol 1e-07"),
         ({"end_tol": 1e-9}, "end_tol 1e-09 is below 16 x tol 1e-10"),
-    ], ids=["tol-only", "just-below", "end-tol-only"])
+        ({"tol": 5e-324, "end_tol": 1e-300}, "end_tol 1e-300 is below 16 x REL_FLOOR 1e-12 (tol 5e-324 is below it)"),
+        ({"tol": 1e-13, "end_tol": math.nextafter(1.6e-11, 0.0)},
+         "end_tol 1.5999999999999996e-11 is below 16 x REL_FLOOR 1e-12 (tol 1e-13 is below it)"),
+    ], ids=["tol-only", "just-below", "end-tol-only", "below-the-floor", "just-below-the-floor"])
     def test_end_tol_below_the_ratio_is_refused(self, kwargs, named):
         # a shot's far-end mismatch is integration error, so end_tol must leave room for it
         with pytest.raises(DomainError, match=f"^{re.escape(named)}, so a shot's integration error alone can exceed it$"):
             profiles.ShootOpts(**kwargs)
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-13, 1e-12])
+    def test_end_tol_at_the_floor_is_accepted(self, tol):
+        # below REL_FLOOR the step control runs at REL_FLOOR, so the floor sets the smallest end_tol
+        assert profiles.ShootOpts(tol=tol, end_tol=16 * 1e-12).end_tol == 1.6e-11
 
 
 class TestFluxConstants:
@@ -598,29 +599,32 @@ class TestFluxConstants:
 
 
 class TestProfileChecks:
-    """Every Profile carries the same three checks; a constant one reads 0 on each."""
+    """Every Profile carries the same three checks, read on an integrated trajectory."""
 
     CHECK_KEYS = ("extended_residual_max", "extended_residual_rel", "flux_drift")
 
     @pytest.mark.parametrize("build,mode", [
         (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.2)), "direct"),
         (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 3, 0.2)), "direct"),
-        (lambda g: shock_profile(g, solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.0)), None),
         (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0)), "rescaled"),
         (lambda g: boundary_layer(g, State(1.0, 5e-7, 1.0)), "rescaled"),
-        (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0), amplitude=0.0), None),
-    ], ids=["shock-f1", "shock-f3", "shock-zero", "layer-subsonic", "layer-near-sonic", "layer-zero"])
+    ], ids=["shock-f1", "shock-f3", "layer-subsonic", "layer-near-sonic"])
     def test_every_profile_carries_the_checks(self, gasm, build, mode):
         prof = build(gasm)
         checks = {key: prof.diagnostics[key] for key in self.CHECK_KEYS}
-        if mode is None:
-            assert prof.trajectory.n == 1
-            assert checks == dict.fromkeys(self.CHECK_KEYS, 0)
-        else:
-            assert prof.trajectory.mode == mode
-            assert "extended_residual_skipped" not in prof.diagnostics
-            assert checks["extended_residual_rel"] <= 1e-6
-            assert checks["flux_drift"] <= 1e-6
+        assert prof.trajectory.mode == mode
+        assert "extended_residual_skipped" not in prof.diagnostics
+        assert checks["extended_residual_rel"] <= 1e-6
+        assert checks["flux_drift"] <= 1e-6
+
+    @pytest.mark.parametrize("build,named", [
+        (lambda g: solve_rh(g, State(1.0, 0.0, 1.0), 1, 0.0), "zero-strength pair"),
+        (lambda g: boundary_layer(g, State(1.0, -0.3, 1.0), amplitude=0.0), "amplitude must be finite and nonzero"),
+    ], ids=["shock-zero", "layer-zero"])
+    def test_no_profile_is_built_constant(self, gasm, build, named):
+        # a constant profile would read 0 on every check by construction, so there is none
+        with pytest.raises(DomainError, match=named):
+            build(gasm)
 
 
 class TestGilbargOracle:
@@ -747,11 +751,6 @@ class TestGilbargOracle:
         assert _sup(rh_residual(gasm, pair)) <= 1e-8
         assert flux_constants(gasm, prof).drift <= 1e-6
         assert prof.diagnostics["extended_residual_rel"] <= 1e-6
-
-    def test_zero_strength_oracle(self, gasm):
-        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.0)
-        orc = gilbarg_oracle(gasm, pair)
-        assert orc.trajectory.n == 1
 
 
 def assert_dense_x_matches_samples(traj):
@@ -1487,11 +1486,11 @@ class TestBoundaryLayer:
 
     def test_sonic_limit_has_no_layer(self, gasm):
         # steady flow keeps its mass flux rho v, so v = 0 at the limit keeps
-        # v = 0 everywhere: no layer, only the constant one at zero amplitude
+        # v = 0 everywhere: no layer, and amplitude 0 is refused before the limit is read
         with pytest.raises(NoDecayingDirectionError, match="sonic set"):
             boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=1e-3)
-        const = boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=0.0)
-        assert const.trajectory.n == 1 and const.left.tolist() == const.right.tolist()
+        with pytest.raises(DomainError, match="^amplitude must be finite and nonzero, got 0.0$"):
+            boundary_layer(gasm, State(1.0, 0.0, 1.0), amplitude=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_tiny_speeds_behave_like_their_neighbours(self, gasm, sign):
@@ -1561,15 +1560,10 @@ class TestBoundaryLayer:
         assert float(np.min(traj.xs)) == 0.0 and np.ptp(traj.xs) > 0.0
         assert_dense_x_matches_samples(traj)
 
-    def test_zero_amplitude(self, gasm):
-        prof = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=0.0)
-        assert prof.trajectory.n == 1
-        assert prof.left.tolist() == prof.right.tolist()
-        assert prof.diagnostics["flux_drift"] == 0.0
-
-    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_amplitude_is_named(self, gasm, amplitude):
-        with pytest.raises(DomainError, match="amplitude must be finite"):
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    def test_zero_or_non_finite_amplitude_is_named(self, gasm, amplitude):
+        # at amplitude 0 the start is the limit state itself, which is no layer
+        with pytest.raises(DomainError, match=f"^amplitude must be finite and nonzero, got {amplitude}$"):
             boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=amplitude)
 
     def test_amplitude_cap(self, gasm):

@@ -36,13 +36,14 @@ from shocklayer import (
     check_structure,
     eulerian_block_evals,
     kernel_dimension,
-    lagrangian_block_evals,
     suggest_sigmas,
 )
 from shocklayer import structure
 from shocklayer.gas import ZERO_GRADIENT, Gradient
 from shocklayer.structure import CheckResult, DegeneracyVerdict, RankResult, StructureReport, _Columns
 from shocklayer.system import _assemble_EAB, blocks
+
+from lagrangian import lagrangian_block_evals
 
 
 # Per-sample reference: one matrix, one LAPACK call and one running
@@ -422,12 +423,6 @@ class TestBlockEvals:
         with pytest.raises(OverflowError):
             blocks(gas, State(1.0, v, 1.5e154))
 
-    def test_lagrangian_values(self, gas):
-        a11_eval, e11_eval = lagrangian_block_evals(gas)
-        for st in (State(1.0, 0.0, 1.0), State(0.3, -2.0, 4.0)):
-            assert a11_eval(st) == 0.0
-            assert e11_eval(st) == 1.0
-
 
 class TestDegeneracy:
     def _samples_with_critical(self, sigma):
@@ -472,7 +467,7 @@ class TestDegeneracy:
         assert len(verdict.witnesses) == 1
 
     def test_lagrangian_satisfied_everywhere(self, gas):
-        # mass-coordinate block is -sigma identically: kernel dim constant
+        # the mass-coordinate block is -sigma E11: kernel dim constant
         a11_eval, e11_eval = lagrangian_block_evals(gas)
         for sigma in (0.0, 0.6, -1.3):
             verdict = check_block_linear_degeneracy(
@@ -596,7 +591,15 @@ class TestDegeneracyPaths:
         assert self._evaluator_calls(a11_eval, e11_eval, verdicts(a11_eval, e11_eval)) == []
         # behind plain wrappers every sample costs one call of each
         calls = self._evaluator_calls(a11_eval, e11_eval, verdicts(_plain(a11_eval), _plain(e11_eval)))
-        assert sorted(set(calls)) == ["a11_eval", "e11_eval"] and len(calls) == 2 * 20 * len(sigmas)
+        assert sorted(set(calls)) == ["a11", "e11"] and len(calls) == 2 * 20 * len(sigmas)
+
+    def test_evaluators_of_two_pairs_take_the_per_state_path(self, power_gas, box):
+        # only the a11 and e11 of one rows object are read in one pass, in that order
+        (a11_one, e11_one), (a11_two, e11_two) = eulerian_block_evals(power_gas), eulerian_block_evals(power_gas)
+        samples = box.sample(5, np.random.default_rng(3))
+        for a11, e11 in ((a11_one, e11_two), (e11_one, a11_one)):
+            calls = self._evaluator_calls(a11, e11, lambda: check_block_linear_degeneracy(a11, e11, 0.5, samples))
+            assert len(calls) == 2 * len(samples)
 
     def test_a_value_changing_wraps_wrapper_takes_the_per_state_path(self, gas):
         # functools.wraps copies name, docstring and __dict__; the wrapper's values must still be read
@@ -618,8 +621,8 @@ class TestDegeneracyPaths:
         assert check_block_linear_degeneracy(a11_eval, e11_eval, 0.25, probe).dims == (0, 0, 0, 1)
         assert check_block_linear_degeneracy(a11_eval, e11_doubled, 0.25, probe).dims == (0, 1, 0, 0)
 
-    def test_evaluators_that_take_no_weak_reference(self, gas):
-        # an attrgetter is a plain evaluator of A11 = v; it cannot be a key of the weak map
+    def test_evaluators_without_a_rows_object(self, gas):
+        # an attrgetter is a plain evaluator of A11 = v, with no __self__ to recognize
         a11_eval, e11_eval = eulerian_block_evals(gas)
         samples = [State(1.0, 0.0, 1.0), State(2.0, 0.5, 1.5)]
         verdict = check_block_linear_degeneracy(operator.attrgetter("v"), e11_eval, 0.5, samples)
@@ -628,10 +631,13 @@ class TestDegeneracyPaths:
         assert check_block_linear_degeneracy(operator.attrgetter("v"), operator.attrgetter("rho"), 0.5, samples).dims == (1, 0)
 
     def test_a_planted_wrong_reader_fails_the_agreement(self, gas, monkeypatch):
-        # the check above can fail: a reader that swaps E11 and A11 is caught
+        # the check above can fail: evaluators that swap E11 and A11, while the
+        # one pass still reads the rows in their order, are caught
+        rows_type = structure._EulerianRows
+        a11, e11 = rows_type.a11, rows_type.e11
+        monkeypatch.setattr(rows_type, "a11", e11)
+        monkeypatch.setattr(rows_type, "e11", a11)
         a11_eval, e11_eval = eulerian_block_evals(gas)
-        _, get, row = structure._ROW_READERS[a11_eval]
-        monkeypatch.setitem(structure._ROW_READERS, a11_eval, (e11_eval, {}.get, lambda s: (s, *row(s)[:0:-1])))
         rows = [(1.0, 0.0, 1.0), (1.5, 0.5, 2.0), (0.8, -0.3, 1.2)]
         with pytest.raises(AssertionError):
             assert_paths_agree(a11_eval, e11_eval, [0.0, 0.5], rows)
@@ -643,9 +649,9 @@ class TestDegeneracyPaths:
             a11_eval, e11_eval = eulerian_block_evals(gas)
             samples = [State(1.0 + i, 0.1 * i, 1.0) for i in range(5)]
             check_block_linear_degeneracy(a11_eval, e11_eval, 0.3, samples)
-            state, pair = weakref.ref(samples[2]), weakref.ref(a11_eval)
+            state, pair, rows = weakref.ref(samples[2]), weakref.ref(a11_eval), weakref.ref(a11_eval.__self__)
             del a11_eval, e11_eval, samples
-            assert pair() is None
+            assert pair() is None and rows() is None
             assert state() is None
         finally:
             gc.enable()
