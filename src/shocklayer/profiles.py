@@ -48,6 +48,7 @@ from .sode import (
     LinearizationReport,
     Trajectory,
     _positive_finite,
+    _StopRule,
     integrate_direct,
     integrate_rescaled,
     linearize,
@@ -56,11 +57,6 @@ from .sode import (
 
 def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
-
-
-def _sup_dist(a: list[float], b: list[float]) -> float:
-    """max |a_i - b_i| on floats; for finite entries it is _sup(a - b) bit for bit."""
-    return max(map(abs, map(sub, a, b)))
 
 
 def char_speed(gas: GasModel, state: State, family: int) -> float:
@@ -401,7 +397,11 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
     when that is the right endpoint) and the receiving end, attracting
     in the integration direction, absorbs integration noise instead of
     amplifying it. An endpoint on the sonic set is a NoConnectionError.
+    Endpoints that coincide, as in a hand-built zero-strength pair, have
+    no profile to connect: that is a DomainError naming the state.
     """
+    if _sup(U_right - U_left) == 0.0:
+        raise DomainError(f"the endpoints coincide at {U_left.tolist()}; a zero-strength pair has no profile")
     on_sonic = NoConnectionError("an endpoint sits on the sonic set; no direct shooting")
     rep_l, mus_l = _spatial_rates(ode, U_left, on_sonic)
     rep_r, mus_r = _spatial_rates(ode, U_right, on_sonic)
@@ -431,7 +431,10 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     the endpoint distance, and each of the SHOOT_RETRIES further rounds
     shrinks it 16-fold. Shots run over a span of min(400 / slowest rate,
     1e6). A shot connects when it ends within opts.end_tol of the target
-    without halting at the sonic set or by step failure. Every shot is
+    without halting at the sonic set or by step failure. A shot stops
+    within half of opts.end_tol of the target, or once it is farther than
+    max(10 x the endpoint distance, 0.5) from both endpoints, tested
+    inside the step kernel (`_StopRule`). Every shot is
     recorded as {sign, eps, termination, mismatch, n_steps}, n_steps
     counting accepted and rejected steps.
 
@@ -443,14 +446,10 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     base_eps = SHOOT_EPS_REL * s_meas
     rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
     L = min(400.0 / rate_floor, 1e6)
-    R_div = max(10.0 * s_meas, 0.5)
-    capture = 0.5 * opts.end_tol
     target, start = plan.target.tolist(), plan.start.tolist()
-
-    def stop(x, V):
-        d = _sup_dist(V, target)
-        return d <= capture or (d > R_div and _sup_dist(V, start) > R_div)
-
+    stop = _StopRule(
+        origin=tuple(start), radius=max(10.0 * s_meas, 0.5), target=tuple(target), capture=0.5 * opts.end_tol,
+    )
     # xi . (target - start) as a correctly rounded sum of the products, not a BLAS
     # dot, whose summation order depends on the kernel
     toward = 1.0 if math.fsum(map(mul, plan.xi.tolist(), map(sub, target, start))) >= 0.0 else -1.0
@@ -748,7 +747,6 @@ def boundary_layer(
     m, Pi, Eflux = _flux_integrals(gas, 0.0, limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0)
     v, theta = (U_star + amplitude * xi)[1:3].tolist()
     start = np.array([m / v, v, theta, *_flux_form(gas, 0.0, m, Pi, Eflux).F_eval([v, theta])])
-    limit = U_star.tolist()
     diagnostics: dict = {
         "amplitude": amplitude,
         "direction_index": direction_index,
@@ -757,12 +755,10 @@ def boundary_layer(
         "length_requested": float(L),
     }
     # tau runs the way that moves x down; at the limit dx/dtau = zeta = v, so the span is ten times L / |v|
-    x_end = -float(L)
     tau_span = max(10.0 * L / abs(limit_state.v), 100.0)
     tau_end = -tau_span if ode.zeta_eval(start.tolist()) > 0 else tau_span
-
-    def stop(tau, V, x):
-        return x <= x_end or _sup_dist(V, limit) > cap
+    # x <= -L, or V past the growth cap from the limit, tested inside the step kernel
+    stop = _StopRule(origin=tuple(U_star.tolist()), radius=cap, x_floor=-float(L))
 
     def checked_sweep(tol: float) -> Profile:
         traj = integrate_rescaled(ode, start, (0.0, tau_end), tol=tol, stop_when=stop)

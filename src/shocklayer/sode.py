@@ -17,13 +17,14 @@ resampled at arbitrary points of the independent variable without
 re-integration.
 
 The whole run is straight-line Python generated per state dimension,
-mode and right-hand side (`_kernel_source`) and compiled once per
-process on first use (`_kernels`): `_run` checks the start and picks the
-first step, and the kernel does every step, its step-size control and
-its bookkeeping in one function. A step evaluates the six new stages
-inline and writes out every stage point, the new state, the error
-estimate and the error norm component by component; the state and the
-first-same-as-last stage stay in locals from one step to the next.
+mode, right-hand side and stop test (`_kernel_source`) and compiled once
+per process on first use (`_kernels`): `_run` checks the start and picks
+the first step, and the kernel does every step, its step-size control,
+its stop test and its bookkeeping in one function, keeping only the
+bookkeeping the source and mode can use. A step evaluates the six new
+stages inline and writes out every stage point, the new state, the
+error estimate and the error norm component by component; the state and
+the first-same-as-last stage stay in locals from one step to the next.
 Every right-hand side is an `RhsSource` that every stage runs inline,
 its constants passed to the kernel. When F and zeta are the pair built
 from one source (the package's own right-hand sides), that source runs,
@@ -31,17 +32,21 @@ and a step builds no list. A source whose zeta is the literal 1.0 (the
 flux form) is regular: its direct stages neither test zeta nor divide
 by it. Any other pair of callbacks runs as the call source
 (`_call_source`), which hands them the stage point as a list once per
-stage; the two give the same bits. The loop steps on Python floats, with
-no numpy or BLAS call between two right-hand side evaluations: called F
-and zeta get the stage point as a list, ``stop_when`` gets each accepted
-endpoint as fresh lists (see `SingularODE`), and only the start V0 and
-the finished trajectory are arrays. Every stage
-combination, the error estimate and the error norm are summed left to
-right in tableau order, one rounded multiply and add at a time (CPython
-never fuses them), and the dense output is an elementwise sum over the
-seven stages. So a trajectory does not depend on the BLAS kernel or on
-the machine's fused multiply-add, and identical inputs reproduce it bit
-for bit wherever F and zeta do.
+stage; the two give the same bits. A stop rule (`_StopRule`: capture
+near a target, divergence from an origin, an x floor), the kind the
+shooting and the layers use, is tested inline too. So a step calls no
+Python function but the callbacks of the call source, once per stage,
+and a ``stop_when`` that is not a rule, once per accepted step. The loop
+steps on Python floats, with no numpy or BLAS call between two
+right-hand side evaluations: called F and zeta get the stage point as a
+list, a called ``stop_when`` gets each accepted endpoint as fresh lists
+(see `SingularODE`), and only the start V0 and the finished trajectory
+are arrays. Every stage combination, the error estimate and the error
+norm are summed left to right in tableau order, one rounded multiply and
+add at a time (CPython never fuses them), and the dense output is an
+elementwise sum over the seven stages. So a trajectory does not depend
+on the BLAS kernel or on the machine's fused multiply-add, and identical
+inputs reproduce it bit for bit wherever F and zeta do.
 
 The module renders nothing: a trajectory holds arrays of any dimension,
 and the command line (`cli`) alone decides how a profile is written.
@@ -66,7 +71,7 @@ TERM_STEP_FAILURE = "step_failure"
 TERM_STOPPED = "stopped"
 
 DEFAULT_TOL = 1e-10
-REL_FLOOR = 1e-12  # the relative error tolerance is max(tol, REL_FLOOR)
+REL_FLOOR = 1e-12  # the error tolerance, absolute and relative, is max(tol, REL_FLOOR)
 DELTA = 1e-6  # direct mode halts once |zeta| <= DELTA at an accepted endpoint
 EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_DWELL = 5
@@ -269,9 +274,12 @@ def _rms(v: list[float], scale: list[float]) -> float:
 
 
 def _initial_step(stage, y0: list[float], f0: list[float], direction: float, span: float, tol: float, m: int) -> float:
-    """Deterministic starting step, the classic two-evaluation heuristic; its norms weigh the first m components."""
+    """Deterministic starting step, the classic two-evaluation heuristic; its norms weigh the first m components.
+
+    The scale of component i is max(tol, REL_FLOOR) (1 + |y0_i|), as in the step control.
+    """
     rtol = max(tol, REL_FLOOR)
-    scale = [tol + rtol * abs(a) for a in y0[:m]]
+    scale = [rtol + rtol * abs(a) for a in y0[:m]]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -305,34 +313,41 @@ _ERROR_ROW = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
 _UNUSABLE = "(DomainError, ZeroDivisionError, OverflowError)"
 
 
-def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str) -> tuple[list[str], list[str]]:
-    """One stage at the point bound to the names of rhs.state, written to the locals k; sets z.
+def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str, read: bool) -> tuple[list[str], list[str]]:
+    """One stage at the point bound to the names of rhs.state, written to the locals k.
 
-    Returns the lines and the names of the stage's F components. The
-    source runs inline, and its admissibility test, emitted when it names
-    a positive quantity, fails the stage. Direct mode: rhs.pre, zeta, the
-    unusable check, the rest of the source, then F_i / zeta. Rescaled
-    mode: the source, then zeta, with the point holding V alone; the
-    stage is (F, zeta). fail is the statement that leaves on a zero or
-    non-finite zeta; the caller wraps the lines in a try that treats
-    _UNUSABLE the same way. A value x is finite exactly when x - x == 0.0.
-    A source whose zeta is the literal 1.0 is regular: its direct stage
-    has no unusable check and takes k = F, which are the bits of F / 1.0.
+    Returns the lines and the names of the stage's F components. read
+    says whether the caller reads the stage's F and zeta (the first and
+    the last stage): then F's components keep names of their own and the
+    zeta of a source whose zeta is not the literal 1.0 is the local z;
+    stages 2..6 write k straight from F's expressions. The source runs
+    inline, and its admissibility test, emitted when it names a positive
+    quantity, fails the stage. Direct mode: rhs.pre, zeta, the unusable
+    check, the rest of the source, then F_i / zeta. Rescaled mode: the
+    source, then zeta, with the point holding V alone; the stage is (F,
+    zeta). fail is the statement that leaves on a zero or non-finite
+    zeta; the caller wraps the lines in a try that treats _UNUSABLE the
+    same way. A value x is finite exactly when x - x == 0.0. A source
+    whose zeta is the literal 1.0 is regular: its stages set no z, and
+    its direct stage has no unusable check and takes k = F, which are the
+    bits of F / 1.0.
     """
     test = [f"if not ({rhs.admissible()}):", f"    {fail}"] if rhs.positive else []
+    source = [*test, *rhs.lines]
+    if rhs.zeta == "1.0":
+        x = [f"{k[-1]} = 1.0"] if mode == "rescaled" else []
+        return [*rhs.pre, *source, *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)), *x], k[:len(rhs.F)]
     if mode == "rescaled":
         return [
-            *rhs.pre, *test, *rhs.lines,
+            *rhs.pre, *source,
             *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)),
-            f"{k[-1]} = z = {rhs.zeta}",
+            f"{k[-1]} = {'z = ' if read else ''}{rhs.zeta}",
         ], k[:-1]
-    if rhs.zeta == "1.0":
-        return [*rhs.pre, "z = 1.0", *test, *rhs.lines, *(f"{k[i]} = {expr}" for i, expr in enumerate(rhs.F))], k
+    zeta = [*rhs.pre, f"z = {rhs.zeta}", "if z == 0.0 or not z - z == 0.0:", f"    {fail}", *source]
+    if not read:
+        return [*zeta, *(f"{k[i]} = ({expr}) / z" for i, expr in enumerate(rhs.F))], k
     return [
-        *rhs.pre,
-        f"z = {rhs.zeta}",
-        "if z == 0.0 or not z - z == 0.0:", f"    {fail}",
-        *test, *rhs.lines,
+        *zeta,
         *(f"f{i} = {expr}" for i, expr in enumerate(rhs.F)),
         *(f"{k[i]} = f{i} / z" for i in range(d)),
     ], [f"f{i}" for i in range(d)]
@@ -347,13 +362,74 @@ def _call_source(m: int) -> RhsSource:
     )
 
 
+@dataclass(frozen=True)
+class _StopRule:
+    """A stop_when that the step kernels test inline, with no call per step.
+
+    The run stops at an accepted endpoint whose V lies within capture of
+    target, or farther than radius from origin and from target (from
+    origin alone without a target), or whose x is at or below x_floor (x
+    is the first argument in direct mode and the third in rescaled
+    mode). Distances are sup norms, and "sup |V - p| <= r" is tested as
+    -r <= V_i - p_i <= r for every i, its verdict wherever V and p are
+    finite, as at every accepted endpoint. Calling the rule gives the
+    kernel's verdict.
+    """
+
+    origin: tuple[float, ...]
+    radius: float
+    target: tuple[float, ...] | None = None
+    capture: float = 0.0
+    x_floor: float | None = None
+
+    @property
+    def kind(self) -> str:
+        """The tests the rule makes, which select its kernel."""
+        return "rule" + ("-capture" if self.target is not None else "") + ("-floor" if self.x_floor is not None else "")
+
+    def __call__(self, t: float, V: list[float], x: float | None = None) -> bool:
+        def within(p, r):
+            return all(-r <= a - b <= r for a, b in zip(V, p))
+
+        x = t if x is None else x
+        if self.x_floor is not None and x <= self.x_floor:
+            return True
+        if self.target is not None and within(self.target, self.capture):
+            return True
+        return not within(self.origin, self.radius) and (self.target is None or not within(self.target, self.radius))
+
+
+def _rule_source(kind: str, V: list[str], x: str) -> tuple[list[str], str]:
+    """The run's unpacking of a `_StopRule` of this kind, and its stop test on the names V and x of an endpoint.
+
+    "sup |V - p| <= r" is written as the chain r_lo <= V_0 - p_0 <= r_hi
+    and ..., with r_lo = -r_hi taken once per run.
+    """
+    def point(p: str, name: str) -> str:
+        return f"{', '.join(f'{p}_{i}' for i in range(len(V)))}, = stop_when.{name}"
+
+    def within(p: str, r: str) -> str:
+        return " and ".join(f"{r}_lo <= {v} - {p}_{i} <= {r}_hi" for i, v in enumerate(V))
+
+    unpack = [point("o", "origin"), "radius_hi = stop_when.radius", "radius_lo = -radius_hi"]
+    tests, far = [], f"not ({within('o', 'radius')})"
+    if "floor" in kind:
+        unpack.append("x_floor = stop_when.x_floor")
+        tests.append(f"{x} <= x_floor")
+    if "capture" in kind:
+        unpack += [point("g", "target"), "capture_hi = stop_when.capture", "capture_lo = -capture_hi"]
+        tests.append(within("g", "capture"))
+        far += f" and not ({within('g', 'radius')})"
+    return unpack, " or ".join(f"({test})" for test in [*tests, far])
+
+
 def _row_sum(row, i: int) -> str:
     """Component i of a tableau row's stage sum, left to right."""
     return " + ".join(f"{c!r} * k{s}_{i}" for c, s in row)
 
 
-def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
-    """Source of make(tol, *consts) -> (stage, run) for dimension d, mode and right-hand side.
+def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
+    """Source of make(tol, *consts) -> (stage, run) for dimension d, mode, right-hand side and stop test.
 
     consts are the constants of rhs, and every stage runs its source
     inline (see `_stage_lines`): one kernel serves every gas and speed,
@@ -364,33 +440,45 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
     run(t, t_end, direction, y, h, k1, z, dwell, stop_when) makes every
     step of a run and its bookkeeping (see `_run`), from the start y
     with its first stage k1 and zeta z already known, the starting step
-    h, and dwell the equilibrium count of the start. It returns (ts, hs,
-    store, termination, accepted, rejected, evaluations, min |zeta|,
-    zeta sign changes, final h), with store the packed records of the
-    accepted steps: y_new and the seven stages. The state, the
-    first-same-as-last stage and the counters stay in locals from step
-    to step, and no Python function is called per attempt but the
-    source's own calls (the callbacks of the call source) and, after an
-    accepted step, stop_when. A stage that fails counts the evaluations
-    made so far and halves h. In rescaled mode the last component is x,
-    which no stage reads, so the stage points 2..6 leave it out. The
-    error norm takes |y_i| and |n_i| by a sign test, which gives the
-    bits of abs. The norm weighs V alone and the finiteness test every
-    component: x, a quadrature of zeta rather than a state, moves no step.
+    h, and dwell the equilibrium count of the start. It returns (store,
+    termination, accepted, rejected, evaluations, min |zeta|, zeta sign
+    changes, final h), with store the packed records of the accepted
+    steps: t, the signed step, y_new and the seven stages. The state,
+    the first-same-as-last stage and the counters stay in locals from
+    step to step. stop says how stop_when is tested: None tests nothing,
+    "stop_when" calls it after each accepted step, and a `_StopRule`'s
+    kind writes its tests inline (`_rule_source`), the rule's points and
+    radii unpacked once per run. So no Python function is called per
+    attempt but the source's own calls (the callbacks of the call
+    source) and, after an accepted step, a stop_when that is not a rule.
+
+    A stage that fails counts the evaluations made so far and halves h.
+    In rescaled mode the last component is x, which no stage reads, so
+    the stage points 2..6 leave it out. The error norm takes |y_i| and
+    |n_i| by a sign test, which gives the bits of abs. The norm weighs V
+    alone and the finiteness test every component: x, a quadrature of
+    zeta rather than a state, moves no step. The kernel keeps no
+    bookkeeping its run cannot use: a regular source (zeta the literal
+    1.0) tracks no zeta, so its min |zeta| is 1.0 and its sign changes 0;
+    and direct mode, which rejects every step that would change the sign
+    of zeta, counts no sign changes.
     """
     direct = mode == "direct"
+    regular = rhs.zeta == "1.0"
     m = d if direct else d - 1  # components of a stage point
     ks = [[f"k{s}_{i}" for i in range(d)] for s in range(8)]
-    first, F0 = _stage_lines(rhs, mode, d, ks[0], "return None, None, z")
+    first, F0 = _stage_lines(rhs, mode, d, ks[0], "return None, None, z", True)
     new = [f"n_{i}" for i in range(d)]
-    record = ", ".join(new + [k for stage in ks[1:] for k in stage])
+    record = ", ".join(["t", "dh"] + new + [k for stage in ks[1:] for k in stage])
+    rule = stop is not None and stop.startswith("rule")
+    unpack, stopping = _rule_source(stop, new[:m], "t" if direct else new[-1]) if rule else ([], "")
     out = [
         f"def make(tol, {', '.join(rhs.consts)}):",
         "    rtol = max(tol, REL_FLOOR)",
-        f"    pack = struct.Struct('{8 * d}d').pack",
+        f"    pack = struct.Struct('{8 * d + 2}d').pack",
         "",
         "    def stage(y):",
-        "        z = None",
+        f"        z = {'1.0' if regular else 'None'}",
         f"        {', '.join(rhs.state)}, = y" + ("" if direct else "[:-1]"),
         "        try:",
         *("            " + line for line in first),
@@ -401,11 +489,20 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         "    def run(t, t_end, direction, y, h, k1, z, dwell, stop_when):",
         f"        {', '.join(f'y_{i}' for i in range(d))}, = y",
         f"        {', '.join(ks[1])}, = k1",
-        *(["        sign0 = 1.0 if z > 0.0 else -1.0  # the side of the singular set the run keeps to"] if direct else []),
-        "        min_zeta = abs(z)",
-        "        last_positive = None if z == 0.0 else z > 0.0  # the sign of the last nonzero zeta",
-        "        sign_changes = n_acc = n_rej = n_fev = steps = 0",
-        "        ts, hs, store = [t], [], bytearray()",
+        *("        " + line for line in unpack),
+    ]
+    if not regular:
+        out += ["        min_zeta = abs(z)"]
+        if direct:
+            out += ["        sign0 = 1.0 if z > 0.0 else -1.0  # the side of the singular set the run keeps to"]
+        else:
+            out += [
+                "        last_positive = None if z == 0.0 else z > 0.0  # the sign of the last nonzero zeta",
+                "        sign_changes = 0",
+            ]
+    out += [
+        "        n_acc = n_rej = n_fev = steps = 0",
+        "        store = bytearray()",
         "        termination = TERM_REACHED_END",
         "        max_steps = MAX_STEPS",
         "        end_scale = max(abs(t_end), 1.0)",
@@ -428,7 +525,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
             out += [f"            n_{i} = y_{i} + dh * ({_row_sum(row, i)})" for i in range(d)]
             points = new[:m]
         reject = f"n_fev += {s - 1}; n_rej += 1; h *= 0.5; continue"
-        lines, F = _stage_lines(rhs, mode, d, ks[s], reject)  # the last F is that at y_new
+        lines, F = _stage_lines(rhs, mode, d, ks[s], reject, s == 7)  # the last F is that at y_new
         out += [
             *(f"            {name} = {p}" for name, p in zip(rhs.state, points)),
             "            try:",
@@ -447,7 +544,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         out += [
             f"            a = y_{i} if y_{i} >= 0.0 else -y_{i}",
             f"            b = n_{i} if n_{i} >= 0.0 else -n_{i}",
-            f"            r_{i} = e_{i} / (tol + rtol * (a if a >= b else b))",
+            f"            r_{i} = e_{i} / (rtol + rtol * (a if a >= b else b))",
         ]
     squares = " + ".join(f"r_{i} * r_{i}" for i in range(m))
     out += [
@@ -455,30 +552,29 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         "            if enorm > 1.0:",
         "                n_rej += 1; h *= max(_FAC_MIN, _SAFETY * enorm ** -_ORDER_EXP); continue",
     ]
-    if direct:  # a step that jumped across the singular set
-        out += ["            if z * sign0 < 0.0:", "                n_rej += 1; h *= 0.5; continue"]
+    if direct and not regular:  # a step that jumped across the singular set; on the start's side az = |zeta|
+        out += ["            az = z * sign0", "            if az < 0.0:", "                n_rej += 1; h *= 0.5; continue"]
     out += [
         "            t = t + dh",
-        "            hs.append(dh)",
-        "            ts.append(t)",
         f"            store += pack({record})",
         "            n_acc += 1",
         *(f"            y_{i} = n_{i}" for i in range(d)),
         *(f"            k1_{i} = k7_{i}" for i in range(d)),
-        "            az = abs(z)",
-        "            if az < min_zeta:",
-        "                min_zeta = az",
-        "            if z != 0.0:",
-        "                if last_positive is not None and (z > 0.0) != last_positive:",
-        "                    sign_changes += 1",
-        "                last_positive = z > 0.0",
     ]
-    if direct:
-        out += ["            if az <= DELTA:", "                termination = TERM_SINGULARITY", "                break"]
+    if not regular:
+        out += [*([] if direct else ["            az = abs(z)"]), "            if az < min_zeta:", "                min_zeta = az"]
+        if direct:
+            out += ["            if az <= DELTA:", "                termination = TERM_SINGULARITY", "                break"]
+        else:
+            out += [
+                "            if z != 0.0:",
+                "                if last_positive is not None and (z > 0.0) != last_positive:",
+                "                    sign_changes += 1",
+                "                last_positive = z > 0.0",
+            ]
     # the finite error estimate of an accepted step holds every k7_i, so F there is finite
     # and max(map(abs, F)) < EQUILIBRIUM_TOL is a chain of comparisons
     resting = " and ".join(f"-EQUILIBRIUM_TOL < {f} < EQUILIBRIUM_TOL" for f in F)
-    seen = f"t, [{', '.join(new)}]" if direct else f"t, [{', '.join(new[:-1])}], {new[-1]}"
     out += [
         f"            if {resting}:",
         "                dwell += 1",
@@ -487,9 +583,14 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         "                    break",
         "            else:",
         "                dwell = 0",
-        f"            if stop_when is not None and stop_when({seen}):",
-        "                termination = TERM_STOPPED",
-        "                break",
+    ]
+    if stop == "stop_when":
+        seen = f"t, [{', '.join(new)}]" if direct else f"t, [{', '.join(new[:-1])}], {new[-1]}"
+        out += [f"            if stop_when({seen}):", "                termination = TERM_STOPPED", "                break"]
+    elif rule:
+        out += [f"            if {stopping}:", "                termination = TERM_STOPPED", "                break"]
+    zeta_stats = "1.0, 0" if regular else "min_zeta, 0" if direct else "min_zeta, sign_changes"
+    out += [
         "            a = t if t >= 0.0 else -t",
         "            if (t - t_end if t > t_end else t_end - t) <= 1e-14 * (a if a > end_scale else end_scale):",
         "                break",
@@ -500,24 +601,24 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         "                h *= _FAC_MAX if fac >= _FAC_MAX else fac if fac > _FAC_MIN else _FAC_MIN",
         "        else:",
         '            raise StepFailureError(f"step budget {max_steps} exhausted")',
-        "        return ts, hs, store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h",
+        f"        return store, termination, n_acc, n_rej, n_fev, {zeta_stats}, h",
         "",
         "    return stage, run",
     ]
     return "\n".join(out) + "\n"
 
 
-_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name) -> make, compiled on first use
+_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name, stop kind) -> make, compiled on first use
 
 
-def _kernels(d: int, mode: str, rhs: RhsSource):
-    """make(tol, *consts) -> (stage, step) for dimension d, mode and right-hand side.
+def _kernels(d: int, mode: str, rhs: RhsSource, stop: str | None):
+    """make(tol, *consts) -> (stage, run) for dimension d, mode, right-hand side and stop kind.
 
-    The source is compiled once per process and (d, mode, rhs name), as
-    a file named after them (see `_compiled`).
+    The source is compiled once per process and (d, mode, rhs name,
+    stop kind), as a file named after them (see `_compiled`).
     """
-    filename = f"<sode step d={d} {mode} {rhs.name}>"
-    return _compiled(_KERNELS, (d, mode, rhs.name), filename, lambda: _kernel_source(d, mode, rhs), globals())
+    filename = f"<sode step d={d} {mode} {rhs.name}{'' if stop is None else ' ' + stop}>"
+    return _compiled(_KERNELS, (d, mode, rhs.name, stop), filename, lambda: _kernel_source(d, mode, rhs, stop), globals())
 
 
 def _bound(ode: SingularODE, m: int) -> tuple[RhsSource, tuple]:
@@ -540,9 +641,11 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     The stages and the stepping loop come from the generated kernel of
     `_kernels` for the source of ode's right-hand side, found once here
     (see `_bound`): the `RhsSource` ode's callbacks were built from, or
-    else the call source of ode.F_eval and ode.zeta_eval. Here the run
-    takes the first stage, checks the start and picks the first step;
-    the kernel's run does every step and its bookkeeping, and the
+    else the call source of ode.F_eval and ode.zeta_eval. The kernel also
+    depends on stop_when: a `_StopRule`, recognized by its type, is
+    tested inline under its kind, and any other callable is called. Here
+    the run takes the first stage, checks the start and picks the first
+    step; the kernel's run does every step and its bookkeeping, and the
     trajectory is assembled from its records. Every stage is one
     evaluation, the first one at y0 included. A step is rejected (and
     halved) when a stage is unusable or not finite, which covers a
@@ -568,7 +671,8 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     d = len(y0)
     m = d if direct else d - 1  # the components of V
     rhs, consts = _bound(ode, m)
-    stage, run = _kernels(d, mode, rhs)(tol, *consts)
+    stop = None if stop_when is None else stop_when.kind if isinstance(stop_when, _StopRule) else "stop_when"
+    stage, run = _kernels(d, mode, rhs, stop)(tol, *consts)
     k0, F, z = stage(y0)
     if direct and z is not None and abs(z) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")
@@ -579,14 +683,14 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     direction = 1.0 if t_end > t0 else -1.0
     h = _initial_step(stage, y0, k0, direction, abs(t_end - t0), tol, m)
     dwell = 1 if max(map(abs, F)) < EQUILIBRIUM_TOL else 0
-    ts, hs, store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h = run(
+    store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h = run(
         t0, t_end, direction, y0, h, k0, z, dwell, stop_when,
     )
 
-    records = np.frombuffer(store, dtype=float).reshape(-1, 8, d)
-    ys = np.concatenate([np.array([y0]), records[:, 0]])
+    records = np.frombuffer(store, dtype=float).reshape(-1, 8 * d + 2)  # t, dh, y_new, the seven stages
+    ys = np.concatenate([np.array([y0]), records[:, 2:2 + d]])
     # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order
-    K = records[:, 1:, :, None]
+    K = records[:, 2 + d:].reshape(-1, 7, d, 1)
     Q = K[:, 0] * _P[0]
     for j in range(1, 7):
         Q = Q + K[:, j] * _P[j]
@@ -594,7 +698,8 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
         n_accepted=n_acc, n_rejected=n_rej, n_fevals=2 + n_fev,  # the first stage and the starting-step probe
         min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
     )
-    return dict(ts=np.array(ts), ys=ys, termination=termination, stats=stats, hs=np.array(hs), Q=Q)
+    ts = np.concatenate([[t0], records[:, 0]])
+    return dict(ts=ts, ys=ys, termination=termination, stats=stats, hs=records[:, 1].copy(), Q=Q)
 
 
 def integrate_direct(
@@ -614,7 +719,8 @@ def integrate_direct(
     steps) halt the run with ``converged_to_equilibrium``. V0 is
     array-like; F, zeta and ``stop_when`` receive V as a list of floats,
     which they must not modify, ``stop_when`` as (x, V) after each
-    accepted step.
+    accepted step. ``stop_when`` may be a `_StopRule`, which the step
+    kernel tests inline instead of calling it.
     """
     return Trajectory(mode="direct", **_run(
         ode, "direct", float(x_span[0]), np.asarray(V0, dtype=float).tolist(), float(x_span[1]), tol, stop_when,
@@ -636,7 +742,8 @@ def integrate_rescaled(
     stats. V0 is array-like; F, zeta and ``stop_when`` receive V as a
     list of floats.
     ``stop_when`` receives (tau, V, x), one argument more than in direct
-    mode, since x is itself integrated here.
+    mode, since x is itself integrated here. It may be a `_StopRule`,
+    which the step kernel tests inline instead of calling it.
     """
     return Trajectory(mode="rescaled", **_run(
         ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [0.0], float(tau_span[1]),

@@ -955,6 +955,19 @@ class TestToleranceCoupling:
         assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 0
         assert load_config(write_config(tmp_path, cfg)).tol == ShootOpts(tol=1e-7, end_tol=1.6e-6)
 
+    def test_ode_tol_below_the_floor_steps_at_the_floor(self, tmp_path):
+        # the step control's scale is max(ode_tol, REL_FLOOR) (1 + |y|), so a component at 0 gets no
+        # absolute tolerance below the floor: the README shock at 5e-324 writes the profile of 1e-12
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        profiles = []
+        for ode_tol in (5e-324, 1e-12):
+            cfg["tolerances"] = {"ode_tol": ode_tol, "end_tol": 1.6e-11}
+            out = tmp_path / f"out-{ode_tol}"
+            assert main(["shock", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            profiles.append((out / "shock_profile.csv").read_bytes())
+        assert profiles[0] == profiles[1]
+
     @pytest.mark.parametrize("tolerances,named", [
         ({"ode_tol": 1e-7, "end_tol": math.nextafter(1.6e-6, 0.0)}, "end_tol 1.5999999999999997e-06 is below 16 x tol 1e-07"),
         # the default end_tol 1e-6 against a given ode_tol, and the default ode_tol 1e-10 against a given end_tol

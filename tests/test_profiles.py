@@ -516,6 +516,16 @@ class TestShooting:
             assert [a["sign"] for a in attempts[:2]] == [attempts[0]["sign"], -attempts[0]["sign"]]
             assert attempts[2]["eps"] == attempts[0]["eps"] / 16.0
 
+    @pytest.mark.parametrize("route", [shock_profile, gilbarg_oracle], ids=lambda f: f.__name__)
+    def test_coinciding_endpoints_are_refused(self, gasm, route):
+        # a hand-built zero-strength pair, which solve_rh refuses, has no profile to connect: the
+        # first shot would start within capture of the target and stop after one step
+        left = State(1.0, 0.3, 1.0)
+        pair = RHPair(left=left, right=left, sigma=char_speed(gasm, left, 1), family=1, strength=0.0)
+        state = "[1.0, 0.3, 1.0, 0.0, 0.0]" if route is shock_profile else "[0.3, 1.0]"
+        with pytest.raises(DomainError, match=re.escape(f"the endpoints coincide at {state}")):
+            route(gasm, pair)
+
     def test_endpoint_on_the_sonic_set_is_no_connection(self, gasm):
         import shocklayer.profiles as profiles
 
@@ -525,6 +535,22 @@ class TestShooting:
         for ends in ((sonic, other), (other, sonic)):
             with pytest.raises(NoConnectionError, match="sonic set"):
                 profiles._connection_plan(ode, *ends)
+
+
+class TestBaselineCounters:
+    """The step counters of the ROADMAP's Baseline, pinned: a change that claims no algorithmic change keeps them.
+
+    Default gas; shocks of family 1 from (1, 0, 1) and the layer of the README config.
+    """
+
+    @pytest.mark.parametrize("strength,counters", [(0.2, (189, 5, 1166)), (2.0, (314, 4, 1910))])
+    def test_shock(self, gasm, strength, counters):
+        stats = shock_profile(gasm, solve_rh(gasm, State(1.0, 0.0, 1.0), 1, strength)).trajectory.stats
+        assert (stats.n_accepted, stats.n_rejected, stats.n_fevals) == counters
+
+    def test_readme_layer(self, gasm):
+        stats = boundary_layer(gasm, State(1.0, -0.3, 1.0)).trajectory.stats
+        assert (stats.n_accepted, stats.n_rejected, stats.n_fevals) == (78, 0, 470)
 
 
 class TestOptions:

@@ -12,6 +12,7 @@ import platform
 import subprocess
 import sys
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,18 @@ class TestTolerance:
             calls[run]()
 
 
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_below_the_floor_steps_at_the_floor(self, gas, mode):
+        # the scale is max(tol, REL_FLOOR) (1 + |y|), its absolute part included, so components at 0
+        # (v and z2 at the start here) weigh the same at any tol below REL_FLOOR
+        U0 = np.array([1.0, 0.0, 1.0, 0.01, 0.0])
+        ode = tw_singular_ode(gas, 0.3)
+        runs = [run_outcome(INTEGRATORS[mode], ode, U0, (0.0, 0.5), tol=tol) for tol in (5e-324, 1e-20, REL_FLOOR)]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == run_outcome(REFERENCES[mode], ode, U0, (0.0, 0.5), tol=5e-324)
+        assert runs[0][2].n_accepted > 0
+
+
 class TestEvaluationCounts:
     def _runs(self, gas):
         return [traj for _, traj in sample_runs(gas)]
@@ -683,13 +696,13 @@ def ref_rms(v):
 
 
 def ref_error_norm(err, y0, y1, tol, m):
-    rtol = max(tol, REL_FLOOR)
-    return ref_rms(err[:m] / (tol + rtol * np.maximum(np.abs(y0[:m]), np.abs(y1[:m]))))
+    rtol = max(tol, REL_FLOOR)  # the scale max(tol, REL_FLOOR) (1 + |y|), absolute part included
+    return ref_rms(err[:m] / (rtol + rtol * np.maximum(np.abs(y0[:m]), np.abs(y1[:m]))))
 
 
 def ref_initial_step(stage, y0, f0, direction, span, tol, m):
     rtol = max(tol, REL_FLOOR)
-    scale = tol + rtol * np.abs(y0[:m])
+    scale = rtol + rtol * np.abs(y0[:m])
     d0 = ref_rms(y0[:m] / scale)
     d1 = ref_rms(f0[:m] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -860,6 +873,11 @@ def run_outcome(integrate, *args, **kwargs):
     )
 
 
+def sup_dist(a, b):
+    """max |a_i - b_i|, the sup distance the stop closures of profiles were written with."""
+    return max(map(abs, map(sub, a, b)))
+
+
 def spiral(V):
     """A spiral growing as e^(t/5)."""
     return [0.2 * V[0] - V[1], V[0] + 0.2 * V[1]]
@@ -1008,34 +1026,56 @@ class TestFloatStepperMatchesReference:
         assert sode._bound(ode, 2)[0] is profiles.FLUX_RHS
         self.assert_same(mode, ode, np.array([v + dV[0], rho_theta[1] + dV[1]]), (0.0, 1.0), tol)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         **GAS_AND_STATE,
         z=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
-        branch=st.sampled_from(["capture", "diverge"]),
+        branch=st.sampled_from(["capture", "diverge", "diverge-near-target", "floor", "cap"]),
+        mode=st.sampled_from(["direct", "rescaled"]),
         tol=st.sampled_from([1e-8, 1e-10]),
     )
-    def test_generated_shooting_stops(self, gamma, nu, k, rho_theta, v, zeta0, below, z, branch, tol):
-        # the sup-distance test of profiles._shoot: stop within capture of the target, or once
-        # farther than R_div from both the target and the start
+    def test_generated_stop_rules(self, gamma, nu, k, rho_theta, v, zeta0, below, z, branch, mode, tol):
+        # the stop rule, tested inside the kernel, against the closures profiles once passed as stop_when:
+        # a shot's (capture within capture of the target, or divergence farther than R from both the
+        # start and the target, either of which can decide it) and a layer's (x at or below the floor,
+        # or V past the cap from the limit)
         gas, sigma = gas_and_speed(gamma, nu, k, v, zeta0, below)
         ode = tw_singular_ode(gas, sigma)
         U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
-        full = ref_integrate_direct(ode, U0, (0.0, 0.25), tol=tol)
+        # x falls along the span, as in a layer: in direct mode x is t, in rescaled mode dx/dtau = zeta
+        span = (0.0, -0.25 if mode == "direct" or ode.zeta_eval(U0.tolist()) > 0.0 else 0.25)
+        full = REFERENCES[mode](ode, U0, span, tol=tol)
         start = U0.tolist()
-        if branch == "capture":  # a sample half way along is the target, so the run stops on it
-            target, capture, R_div = full.Vs[full.n // 2].tolist(), 1e-12, math.inf
-        else:  # a far target, and half the distance the run covers
-            target, capture = [c + 10.0 for c in start], 0.0
-            R_div = 0.5 * profiles._sup_dist(full.final_V.tolist(), start)
+        if branch in ("capture", "diverge", "diverge-near-target"):
+            origin = start
+            if branch == "capture":  # a sample half way along is the target, so the run stops on it
+                target, capture, R = full.Vs[full.n // 2].tolist(), 1e-12, math.inf
+            else:  # half the distance the run covers, away from a far target or, the other way, a far origin
+                target, capture = [c + 10.0 for c in start], 0.0
+                R = 0.5 * sup_dist(full.final_V.tolist(), start)
+                if branch == "diverge-near-target":
+                    origin, target = target, origin
+            rule = sode._StopRule(origin=tuple(origin), radius=R, target=tuple(target), capture=capture)
 
-        def stop(x, V):
-            d = profiles._sup_dist(V, target)
-            return d <= capture or (d > R_div and profiles._sup_dist(V, start) > R_div)
+            def stop(t, V, *x):
+                d = sup_dist(V, target)
+                return d <= capture or (d > R and sup_dist(V, origin) > R)
+        else:
+            if branch == "floor":  # the x half way along
+                x_floor, cap = float(full.xs[full.n // 2]), math.inf
+            else:  # half the distance the run covers
+                x_floor, cap = -math.inf, 0.5 * sup_dist(full.final_V.tolist(), start)
+            rule = sode._StopRule(origin=tuple(start), radius=cap, x_floor=x_floor)
 
-        _, term, stats, _ = self.assert_same("direct", ode, U0, (0.0, 0.25), tol, stop_when=stop)
-        if full.termination == TERM_REACHED_END and full.n > 2 and R_div > 0.0:
-            assert term == TERM_STOPPED
+            def stop(t, V, x=None):
+                return (t if x is None else x) <= x_floor or sup_dist(V, start) > cap
+
+        inline = run_outcome(INTEGRATORS[mode], ode, U0, span, tol=tol, stop_when=rule)
+        assert inline == run_outcome(REFERENCES[mode], ode, U0, span, tol=tol, stop_when=stop)
+        assert inline == run_outcome(INTEGRATORS[mode], ode, U0, span, tol=tol, stop_when=stop)
+        assert inline == run_outcome(REFERENCES[mode], ode, U0, span, tol=tol, stop_when=rule)  # the rule called
+        if full.termination == TERM_REACHED_END and full.n > 2 and rule.radius > 0.0:
+            assert inline[1] == TERM_STOPPED
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -1054,6 +1094,25 @@ class TestFloatStepperMatchesReference:
         self.assert_same(mode, ode, U0, (0.0, 0.25), tol)
 
 
+def profiled_calls(fn, *args, **kwargs):
+    """fn(*args, **kwargs) under a profiler: ({code object: Python calls}, the result)."""
+    counts = {}
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] = counts.get(frame.f_code, 0) + 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return counts, result
+
+
+STOP_KINDS = (None, "stop_when", "rule", "rule-capture", "rule-floor", "rule-capture-floor")
+
+
 class TestKernels:
     def test_one_compile_per_dimension_and_mode(self, monkeypatch):
         # a 64-operation sweep makes about 120 runs; each must reuse its kernel
@@ -1066,13 +1125,28 @@ class TestKernels:
 
         monkeypatch.setattr(reduction, "compile", counting, raising=False)
         integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        first = sode._KERNELS[(1, "direct", "call")]
+        first = sode._KERNELS[(1, "direct", "call", None)]
         integrate_direct(exp_ode(), np.array([2.0]), (0.0, -1.0))
-        assert sode._KERNELS[(1, "direct", "call")] is first
+        assert sode._KERNELS[(1, "direct", "call", None)] is first
         for _ in range(2):
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0))
-        assert compiled == ["<sode step d=1 direct call>", "<sode step d=2 rescaled call>"]
-        assert sorted(sode._KERNELS) == [(1, "direct", "call"), (2, "rescaled", "call")]
+        # the stop test is part of the key: a called stop_when, and each kind of rule, whatever its points
+        for far in (3.0, 4.0):
+            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=lambda x, V: V[0] > far)
+            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=sode._StopRule((1.0,), far))
+            rule = sode._StopRule((1.0,), far, target=(2.0,), capture=1e-6 * far)
+            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=rule)
+            rule = sode._StopRule((-0.5,), far, x_floor=-far)
+            integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0), stop_when=rule)
+        assert compiled == [
+            "<sode step d=1 direct call>", "<sode step d=2 rescaled call>", "<sode step d=1 direct call stop_when>",
+            "<sode step d=1 direct call rule>", "<sode step d=1 direct call rule-capture>",
+            "<sode step d=2 rescaled call rule-floor>",
+        ]
+        assert sorted(sode._KERNELS, key=str) == sorted([
+            (1, "direct", "call", None), (2, "rescaled", "call", None), (1, "direct", "call", "stop_when"),
+            (1, "direct", "call", "rule"), (1, "direct", "call", "rule-capture"), (2, "rescaled", "call", "rule-floor"),
+        ], key=str)
 
     def test_one_compile_per_right_hand_side(self, monkeypatch):
         # the constants are arguments of make: no gas and no speed compiles a kernel of its own
@@ -1097,8 +1171,8 @@ class TestKernels:
             "<sode step d=2 direct flux-form>", "<sode step d=3 rescaled flux-form>",
         ])
         assert sorted(sode._KERNELS) == sorted([
-            (5, "direct", "travelling-wave"), (6, "rescaled", "travelling-wave"),
-            (2, "direct", "flux-form"), (3, "rescaled", "flux-form"),
+            (5, "direct", "travelling-wave", None), (6, "rescaled", "travelling-wave", None),
+            (2, "direct", "flux-form", None), (3, "rescaled", "flux-form", None),
         ])
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
@@ -1117,14 +1191,16 @@ class TestKernels:
         d = m + (mode == "rescaled")
         # the kernel's own names: those of kernels around sources whose every name is marked, one with
         # the regular zeta 1.0 and one whose zeta is a name, which keeps the zeta test and the division
+        # with every stop test
         own = set()
         for zeta in ("1.0", "blank_0"):
             blank = reduction.RhsSource(
                 name="blank", state=tuple(f"blank_{i}" for i in range(m)), consts=(), pre=(), positive=(),
                 lines=(), F=tuple(f"blank_{i}" for i in range(m)), zeta=zeta,
             )
-            own |= names(sode._kernel_source(d, mode, blank)) - spliced(blank)
-        assert {"h", "z", "y", "y_0", f"k7_{d - 1}", "t", "dh", "n_fev", "stop_when"} <= own
+            for stop in STOP_KINDS:
+                own |= names(sode._kernel_source(d, mode, blank, stop)) - spliced(blank)
+        assert {"h", "z", "y", "y_0", f"k7_{d - 1}", "t", "dh", "n_fev", "stop_when", "o_0", "capture_lo"} <= own
         if mode == "direct":
             assert "f0" in own
         assert spliced(rhs) & own == set()
@@ -1132,14 +1208,45 @@ class TestKernels:
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     def test_regular_sources_drop_the_zeta_test(self, mode):
         # the flux form's zeta is the literal 1.0: its direct stages neither test nor divide by it
-        source = sode._kernel_source(2 + (mode == "rescaled"), mode, profiles.FLUX_RHS)
+        source = sode._kernel_source(2 + (mode == "rescaled"), mode, profiles.FLUX_RHS, None)
         test = "if z == 0.0 or not z - z == 0.0:"
         assert test not in source and "/ z" not in source
-        tw = sode._kernel_source(5 + (mode == "rescaled"), mode, reduction.TW_RHS)
+        tw = sode._kernel_source(5 + (mode == "rescaled"), mode, reduction.TW_RHS, None)
         assert (test in tw) is (mode == "direct") and ("/ z" in tw) is (mode == "direct")
 
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    @pytest.mark.parametrize(
+        "rhs", [reduction.TW_RHS, profiles.FLUX_RHS, sode._call_source(3)], ids=lambda rhs: rhs.name,
+    )
+    def test_kernels_keep_only_the_bookkeeping_they_use(self, rhs, mode):
+        # a regular source tracks no zeta, direct mode counts no sign changes (it rejects them), and
+        # stages 2..6 name no F: only the last stage's F feeds the equilibrium test
+        source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, None)
+        run = next(f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef) and f.name == "run")
+        used = {n.id for n in ast.walk(run) if isinstance(n, ast.Name)}
+        zeta = {"z", "az", "min_zeta", "sign0", "DELTA", "last_positive", "sign_changes"}
+        if rhs.zeta == "1.0":
+            assert used & zeta == set()
+        elif mode == "direct":
+            assert used & zeta == {"z", "az", "min_zeta", "sign0", "DELTA"}
+            assert sum(isinstance(n, ast.Name) and n.id == "f0" and isinstance(n.ctx, ast.Store)
+                       for n in ast.walk(run)) == 1
+        else:
+            assert used & zeta == {"z", "az", "min_zeta", "last_positive", "sign_changes"}
+        assert "ts" not in used and "hs" not in used  # t and the step go into the packed record
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_stop_tests_are_written_only_where_asked(self, mode):
+        d = 5 + (mode == "rescaled")
+        kernels = {stop: sode._kernel_source(d, mode, reduction.TW_RHS, stop) for stop in STOP_KINDS}
+        calls = {stop: "stop_when(t, " in source for stop, source in kernels.items()}
+        assert calls == {stop: stop == "stop_when" for stop in STOP_KINDS}
+        assert "TERM_STOPPED" not in kernels[None]
+        assert ("x_floor" in kernels["rule-floor"]) and "x_floor" not in kernels["rule-capture"]
+        assert ("g_0" in kernels["rule-capture"]) and "g_0" not in kernels["rule-floor"]
+
     def test_one_python_call_per_run_not_per_step(self, gas):
-        # under a profiler, a run makes the same calls whatever its length, stop_when aside
+        # under a profiler, a run makes the same calls whatever its length, a called stop_when aside
         pair = shocklayer.solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.5)
         ode = tw_singular_ode(gas, pair.sigma)
         V0 = shocklayer.shock_profile(gas, pair).trajectory.Vs[0]
@@ -1148,24 +1255,39 @@ class TestKernels:
             return False
 
         def calls(L):
-            counts = {}
-
-            def profiler(frame, event, arg):
-                if event == "call":
-                    counts[frame.f_code] = counts.get(frame.f_code, 0) + 1
-
-            sys.setprofile(profiler)
-            try:
-                traj = integrate_direct(ode, V0, (0.0, -L), stop_when=never)
-            finally:
-                sys.setprofile(None)
+            counts, traj = profiled_calls(integrate_direct, ode, V0, (0.0, -L), stop_when=never)
             assert counts.pop(never.__code__) == traj.stats.n_accepted
             return counts, traj.stats.n_accepted + traj.stats.n_rejected
 
+        calls(1.0)  # compiles the kernel that calls stop_when
         short, n_short = calls(10.5)
         long, n_long = calls(60.0)
         assert 40 <= n_short <= 60 and 200 <= n_long <= 300
         assert short == long
+
+    @pytest.mark.parametrize("build,short,long", [
+        ("shock_profile", 0.5, 0.01), ("gilbarg_oracle", 0.5, 0.01), ("boundary_layer", -0.3, -0.03),
+    ])
+    def test_one_python_call_per_profile_not_per_step(self, gas, build, short, long):
+        # the stop rules of the shots and of the layer sweep are tested inside the kernel, so a short
+        # and a long profile make the same Python calls
+        def make(arg):
+            if build == "boundary_layer":
+                return shocklayer.boundary_layer(gas, State(1.0, arg, 1.0))
+            return getattr(shocklayer, build)(gas, shocklayer.solve_rh(gas, State(1.0, 0.0, 1.0), 1, arg))
+
+        def calls(arg):
+            make(arg)  # compiles what the run needs
+            counts, result = profiled_calls(make, arg)
+            traj = result.trajectory
+            attempts = result.diagnostics.get("attempts", [None]) if build != "gilbarg_oracle" else result.attempts
+            return counts, traj.stats.n_accepted, len(attempts)
+
+        counts_short, n_short, shots_short = calls(short)
+        counts_long, n_long, shots_long = calls(long)
+        assert shots_short == shots_long == 1
+        assert n_long > 4 * n_short
+        assert counts_short == counts_long
 
     def test_tracebacks_show_the_generated_line(self):
         def F(V):
