@@ -42,7 +42,6 @@ from .reduction import (
 from .sode import (
     DEFAULT_TOL,
     REL_FLOOR,
-    TERM_EQUILIBRIUM,
     TERM_REACHED_END,
     TERM_STOPPED,
     LinearizationReport,
@@ -430,13 +429,14 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     sign is the fallback. The first perturbation is SHOOT_EPS_REL times
     the endpoint distance, and each of the SHOOT_RETRIES further rounds
     shrinks it 16-fold. Shots run over a span of min(400 / slowest rate,
-    1e6). A shot connects when it ends within opts.end_tol of the target
-    without halting at the sonic set or by step failure. A shot stops
-    within half of opts.end_tol of the target, or once it is farther than
-    max(10 x the endpoint distance, 0.5) from both endpoints, tested
-    inside the step kernel (`_StopRule`). Every shot is
-    recorded as {sign, eps, termination, mismatch, n_steps}, n_steps
-    counting accepted and rejected steps.
+    1e6). A shot stops within half of opts.end_tol of the target, or once
+    it is farther than max(10 x the endpoint distance, 0.5) from both
+    endpoints, tested inside the step kernel (`_StopRule`). It connects
+    when it ends within opts.end_tol of the target, stopped so or at the
+    end of its span, not at the sonic set or by step failure. Nothing
+    halts it near the start, where |F| is only as large as the
+    perturbation. Every shot is recorded as {sign, eps, termination,
+    mismatch, n_steps}, n_steps counting accepted and rejected steps.
 
     Returns the connecting trajectory and the attempts, the last of which
     is that shot; raises NoConnectionError, carrying the attempts,
@@ -449,6 +449,7 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     target, start = plan.target.tolist(), plan.start.tolist()
     stop = _StopRule(
         origin=tuple(start), radius=max(10.0 * s_meas, 0.5), target=tuple(target), capture=0.5 * opts.end_tol,
+        x_floor=-math.inf,
     )
     # xi . (target - start) as a correctly rounded sum of the products, not a BLAS
     # dot, whose summation order depends on the kernel
@@ -468,9 +469,7 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
                 "mismatch": mismatch,
                 "n_steps": traj.stats.n_accepted + traj.stats.n_rejected,
             })
-            if mismatch <= opts.end_tol and traj.termination in (
-                TERM_STOPPED, TERM_EQUILIBRIUM, TERM_REACHED_END,
-            ):
+            if mismatch <= opts.end_tol and traj.termination in (TERM_STOPPED, TERM_REACHED_END):
                 return traj, attempts
     raise NoConnectionError(
         f"no connection within budget ({ode.label}); attempts (sign, eps, termination, mismatch): "
@@ -758,7 +757,8 @@ def boundary_layer(
     tau_span = max(10.0 * L / abs(limit_state.v), 100.0)
     tau_end = -tau_span if ode.zeta_eval(start.tolist()) > 0 else tau_span
     # x <= -L, or V past the growth cap from the limit, tested inside the step kernel
-    stop = _StopRule(origin=tuple(U_star.tolist()), radius=cap, x_floor=-float(L))
+    limit = tuple(U_star.tolist())
+    stop = _StopRule(origin=limit, radius=cap, target=limit, capture=-math.inf, x_floor=-float(L))
 
     def checked_sweep(tol: float) -> Profile:
         traj = integrate_rescaled(ode, start, (0.0, tau_end), tol=tol, stop_when=stop)

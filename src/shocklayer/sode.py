@@ -10,11 +10,13 @@ Two modes share one embedded Dormand-Prince 5(4) stepper:
   dx/dtau = zeta(V). The vector field is regular, so the trajectory can
   pass near (or along) the sonic set; x is recovered per sample.
 
-Both modes run through one adaptive loop, which detects equilibria (|F|
-below EQUILIBRIUM_TOL for several accepted steps in a row), records step
-statistics, and keeps a dense interpolant so trajectories can be
-resampled at arbitrary points of the independent variable without
-re-integration.
+Both modes run through one adaptive loop, which records step statistics
+and keeps a dense interpolant so trajectories can be resampled at
+arbitrary points of the independent variable without re-integration. A
+run ends when its span is covered, when its stop test fires, or when its
+step budget is exhausted or a step fails (and, in direct mode, at the
+singular set). It never halts at a rest point: a shot that starts next
+to one, where |F| is only as large as its perturbation, runs on.
 
 The whole run is straight-line Python generated per state dimension,
 mode, right-hand side and stop test (`_kernel_source`) and compiled once
@@ -33,8 +35,8 @@ flux form) is regular: its direct stages neither test zeta nor divide
 by it. Any other pair of callbacks runs as the call source
 (`_call_source`), which hands them the stage point as a list once per
 stage; the two give the same bits. A stop rule (`_StopRule`: capture
-near a target, divergence from an origin, an x floor), the kind the
-shooting and the layers use, is tested inline too. So a step calls no
+near a target, divergence from an origin and the target, an x floor),
+which the shots and the layers use, is tested inline too. So a step calls no
 Python function but the callbacks of the call source, once per stage,
 and a ``stop_when`` that is not a rule, once per accepted step. The loop
 steps on Python floats, with no numpy or BLAS call between two
@@ -66,15 +68,12 @@ from .reduction import RhsSource, SingularODE, _compiled
 
 TERM_REACHED_END = "reached_end"
 TERM_SINGULARITY = "singularity_approached"
-TERM_EQUILIBRIUM = "converged_to_equilibrium"
 TERM_STEP_FAILURE = "step_failure"
 TERM_STOPPED = "stopped"
 
 DEFAULT_TOL = 1e-10
 REL_FLOOR = 1e-12  # the error tolerance, absolute and relative, is max(tol, REL_FLOOR)
 DELTA = 1e-6  # direct mode halts once |zeta| <= DELTA at an accepted endpoint
-EQUILIBRIUM_TOL = 1e-12
-EQUILIBRIUM_DWELL = 5
 MAX_STEPS = 500_000  # step attempts per run, read when a run starts
 
 # Dormand-Prince 5(4) tableau, unrolled as in DOPRI5 (Hairer, Norsett &
@@ -313,19 +312,17 @@ _ERROR_ROW = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
 _UNUSABLE = "(DomainError, ZeroDivisionError, OverflowError)"
 
 
-def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str, read: bool) -> tuple[list[str], list[str]]:
+def _stage_lines(rhs: RhsSource, mode: str, k: list[str], fail: str, read: bool) -> list[str]:
     """One stage at the point bound to the names of rhs.state, written to the locals k.
 
-    Returns the lines and the names of the stage's F components. read
-    says whether the caller reads the stage's F and zeta (the first and
-    the last stage): then F's components keep names of their own and the
-    zeta of a source whose zeta is not the literal 1.0 is the local z;
-    stages 2..6 write k straight from F's expressions. The source runs
-    inline, and its admissibility test, emitted when it names a positive
-    quantity, fails the stage. Direct mode: rhs.pre, zeta, the unusable
-    check, the rest of the source, then F_i / zeta. Rescaled mode: the
-    source, then zeta, with the point holding V alone; the stage is (F,
-    zeta). fail is the statement that leaves on a zero or non-finite
+    read says whether the caller reads the stage's zeta (the first and
+    the last stage): then a rescaled source whose zeta is not the literal
+    1.0 also sets the local z. The source runs inline, and its
+    admissibility test, emitted when it names a positive quantity, fails
+    the stage. Direct mode: rhs.pre, zeta as the local z, the unusable
+    check, the rest of the source, then k_i = (F_i) / z. Rescaled mode:
+    the source, then zeta, with the point holding V alone; the stage is
+    (F, zeta). fail is the statement that leaves on a zero or non-finite
     zeta; the caller wraps the lines in a try that treats _UNUSABLE the
     same way. A value x is finite exactly when x - x == 0.0. A source
     whose zeta is the literal 1.0 is regular: its stages set no z, and
@@ -333,24 +330,16 @@ def _stage_lines(rhs: RhsSource, mode: str, d: int, k: list[str], fail: str, rea
     bits of F / 1.0.
     """
     test = [f"if not ({rhs.admissible()}):", f"    {fail}"] if rhs.positive else []
-    source = [*test, *rhs.lines]
+    source = [*rhs.pre, *test, *rhs.lines]
+    F = [f"{name} = {expr}" for name, expr in zip(k, rhs.F)]
     if rhs.zeta == "1.0":
-        x = [f"{k[-1]} = 1.0"] if mode == "rescaled" else []
-        return [*rhs.pre, *source, *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)), *x], k[:len(rhs.F)]
+        return [*source, *F, *([f"{k[-1]} = 1.0"] if mode == "rescaled" else [])]
     if mode == "rescaled":
-        return [
-            *rhs.pre, *source,
-            *(f"{name} = {expr}" for name, expr in zip(k, rhs.F)),
-            f"{k[-1]} = {'z = ' if read else ''}{rhs.zeta}",
-        ], k[:-1]
-    zeta = [*rhs.pre, f"z = {rhs.zeta}", "if z == 0.0 or not z - z == 0.0:", f"    {fail}", *source]
-    if not read:
-        return [*zeta, *(f"{k[i]} = ({expr}) / z" for i, expr in enumerate(rhs.F))], k
+        return [*source, *F, f"{k[-1]} = {'z = ' if read else ''}{rhs.zeta}"]
     return [
-        *zeta,
-        *(f"f{i} = {expr}" for i, expr in enumerate(rhs.F)),
-        *(f"{k[i]} = f{i} / z" for i in range(d)),
-    ], [f"f{i}" for i in range(d)]
+        *rhs.pre, f"z = {rhs.zeta}", "if z == 0.0 or not z - z == 0.0:", f"    {fail}", *test, *rhs.lines,
+        *(f"{name} = ({expr}) / z" for name, expr in zip(k, rhs.F)),
+    ]
 
 
 def _call_source(m: int) -> RhsSource:
@@ -367,40 +356,35 @@ class _StopRule:
     """A stop_when that the step kernels test inline, with no call per step.
 
     The run stops at an accepted endpoint whose V lies within capture of
-    target, or farther than radius from origin and from target (from
-    origin alone without a target), or whose x is at or below x_floor (x
-    is the first argument in direct mode and the third in rescaled
-    mode). Distances are sup norms, and "sup |V - p| <= r" is tested as
-    -r <= V_i - p_i <= r for every i, its verdict wherever V and p are
-    finite, as at every accepted endpoint. Calling the rule gives the
-    kernel's verdict.
+    target, or farther than radius from origin and from target, or whose
+    x is at or below x_floor (x is the first argument in direct mode and
+    the third in rescaled mode). capture = -inf captures nothing, and
+    x_floor = -inf never stops a run; a rule with no target of its own
+    passes its origin again. Distances are sup norms, and "sup |V - p| <=
+    r" is tested as -r <= V_i - p_i <= r for every i, its verdict
+    wherever V and p are finite, as at every accepted endpoint. Calling
+    the rule gives the kernel's verdict.
     """
 
     origin: tuple[float, ...]
     radius: float
-    target: tuple[float, ...] | None = None
-    capture: float = 0.0
-    x_floor: float | None = None
-
-    @property
-    def kind(self) -> str:
-        """The tests the rule makes, which select its kernel."""
-        return "rule" + ("-capture" if self.target is not None else "") + ("-floor" if self.x_floor is not None else "")
+    target: tuple[float, ...]
+    capture: float
+    x_floor: float
 
     def __call__(self, t: float, V: list[float], x: float | None = None) -> bool:
         def within(p, r):
             return all(-r <= a - b <= r for a, b in zip(V, p))
 
         x = t if x is None else x
-        if self.x_floor is not None and x <= self.x_floor:
-            return True
-        if self.target is not None and within(self.target, self.capture):
-            return True
-        return not within(self.origin, self.radius) and (self.target is None or not within(self.target, self.radius))
+        return (
+            x <= self.x_floor or within(self.target, self.capture)
+            or not (within(self.origin, self.radius) or within(self.target, self.radius))
+        )
 
 
-def _rule_source(kind: str, V: list[str], x: str) -> tuple[list[str], str]:
-    """The run's unpacking of a `_StopRule` of this kind, and its stop test on the names V and x of an endpoint.
+def _rule_source(V: list[str], x: str) -> tuple[list[str], str]:
+    """The run's unpacking of a `_StopRule`, and its stop test on the names V and x of an endpoint.
 
     "sup |V - p| <= r" is written as the chain r_lo <= V_0 - p_0 <= r_hi
     and ..., with r_lo = -r_hi taken once per run.
@@ -411,16 +395,13 @@ def _rule_source(kind: str, V: list[str], x: str) -> tuple[list[str], str]:
     def within(p: str, r: str) -> str:
         return " and ".join(f"{r}_lo <= {v} - {p}_{i} <= {r}_hi" for i, v in enumerate(V))
 
-    unpack = [point("o", "origin"), "radius_hi = stop_when.radius", "radius_lo = -radius_hi"]
-    tests, far = [], f"not ({within('o', 'radius')})"
-    if "floor" in kind:
-        unpack.append("x_floor = stop_when.x_floor")
-        tests.append(f"{x} <= x_floor")
-    if "capture" in kind:
-        unpack += [point("g", "target"), "capture_hi = stop_when.capture", "capture_lo = -capture_hi"]
-        tests.append(within("g", "capture"))
-        far += f" and not ({within('g', 'radius')})"
-    return unpack, " or ".join(f"({test})" for test in [*tests, far])
+    unpack = [
+        point("o", "origin"), "radius_hi = stop_when.radius", "radius_lo = -radius_hi",
+        point("g", "target"), "capture_hi = stop_when.capture", "capture_lo = -capture_hi",
+        "x_floor = stop_when.x_floor",
+    ]
+    far = f"not ({within('o', 'radius')}) and not ({within('g', 'radius')})"
+    return unpack, " or ".join(f"({test})" for test in (f"{x} <= x_floor", within("g", "capture"), far))
 
 
 def _row_sum(row, i: int) -> str:
@@ -434,21 +415,20 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     consts are the constants of rhs, and every stage runs its source
     inline (see `_stage_lines`): one kernel serves every gas and speed,
     or every pair of callbacks. stage(y) is the right-hand side at the
-    list y: (k, F, zeta), with k None where the stage is unusable and
-    zeta whatever was found (None if it could not be evaluated).
+    list y: (k, zeta), with k None where the stage is unusable and zeta
+    whatever was found (None if it could not be evaluated).
 
-    run(t, t_end, direction, y, h, k1, z, dwell, stop_when) makes every
-    step of a run and its bookkeeping (see `_run`), from the start y
-    with its first stage k1 and zeta z already known, the starting step
-    h, and dwell the equilibrium count of the start. It returns (store,
-    termination, accepted, rejected, evaluations, min |zeta|, zeta sign
-    changes, final h), with store the packed records of the accepted
-    steps: t, the signed step, y_new and the seven stages. The state,
+    run(t, t_end, direction, y, h, k1, z, stop_when) makes every step of
+    a run and its bookkeeping (see `_run`), from the start y with its
+    first stage k1 and zeta z already known and the starting step h. It
+    returns (store, termination, accepted, rejected, evaluations, min
+    |zeta|, zeta sign changes, final h), with store the packed records of
+    the accepted steps: t, the signed step, y_new and the seven stages. The state,
     the first-same-as-last stage and the counters stay in locals from
     step to step. stop says how stop_when is tested: None tests nothing,
-    "stop_when" calls it after each accepted step, and a `_StopRule`'s
-    kind writes its tests inline (`_rule_source`), the rule's points and
-    radii unpacked once per run. So no Python function is called per
+    "stop_when" calls it after each accepted step, and "rule" writes a
+    `_StopRule`'s tests inline (`_rule_source`), the rule's points, radii
+    and floor unpacked once per run. So no Python function is called per
     attempt but the source's own calls (the callbacks of the call
     source) and, after an accepted step, a stop_when that is not a rule.
 
@@ -467,11 +447,10 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     regular = rhs.zeta == "1.0"
     m = d if direct else d - 1  # components of a stage point
     ks = [[f"k{s}_{i}" for i in range(d)] for s in range(8)]
-    first, F0 = _stage_lines(rhs, mode, d, ks[0], "return None, None, z", True)
+    first = _stage_lines(rhs, mode, ks[0], "return None, z", True)
     new = [f"n_{i}" for i in range(d)]
     record = ", ".join(["t", "dh"] + new + [k for stage in ks[1:] for k in stage])
-    rule = stop is not None and stop.startswith("rule")
-    unpack, stopping = _rule_source(stop, new[:m], "t" if direct else new[-1]) if rule else ([], "")
+    unpack, stopping = _rule_source(new[:m], "t" if direct else new[-1]) if stop == "rule" else ([], "")
     out = [
         f"def make(tol, {', '.join(rhs.consts)}):",
         "    rtol = max(tol, REL_FLOOR)",
@@ -483,10 +462,10 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
         "        try:",
         *("            " + line for line in first),
         f"        except {_UNUSABLE}:",
-        "            return None, None, z",
-        f"        return [{', '.join(ks[0])}], [{', '.join(F0)}], z",
+        "            return None, z",
+        f"        return [{', '.join(ks[0])}], z",
         "",
-        "    def run(t, t_end, direction, y, h, k1, z, dwell, stop_when):",
+        "    def run(t, t_end, direction, y, h, k1, z, stop_when):",
         f"        {', '.join(f'y_{i}' for i in range(d))}, = y",
         f"        {', '.join(ks[1])}, = k1",
         *("        " + line for line in unpack),
@@ -525,7 +504,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
             out += [f"            n_{i} = y_{i} + dh * ({_row_sum(row, i)})" for i in range(d)]
             points = new[:m]
         reject = f"n_fev += {s - 1}; n_rej += 1; h *= 0.5; continue"
-        lines, F = _stage_lines(rhs, mode, d, ks[s], reject, s == 7)  # the last F is that at y_new
+        lines = _stage_lines(rhs, mode, ks[s], reject, s == 7)  # the last zeta is that at y_new
         out += [
             *(f"            {name} = {p}" for name, p in zip(rhs.state, points)),
             "            try:",
@@ -572,22 +551,10 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
                 "                    sign_changes += 1",
                 "                last_positive = z > 0.0",
             ]
-    # the finite error estimate of an accepted step holds every k7_i, so F there is finite
-    # and max(map(abs, F)) < EQUILIBRIUM_TOL is a chain of comparisons
-    resting = " and ".join(f"-EQUILIBRIUM_TOL < {f} < EQUILIBRIUM_TOL" for f in F)
-    out += [
-        f"            if {resting}:",
-        "                dwell += 1",
-        "                if dwell >= EQUILIBRIUM_DWELL:",
-        "                    termination = TERM_EQUILIBRIUM",
-        "                    break",
-        "            else:",
-        "                dwell = 0",
-    ]
     if stop == "stop_when":
         seen = f"t, [{', '.join(new)}]" if direct else f"t, [{', '.join(new[:-1])}], {new[-1]}"
         out += [f"            if stop_when({seen}):", "                termination = TERM_STOPPED", "                break"]
-    elif rule:
+    elif stop == "rule":
         out += [f"            if {stopping}:", "                termination = TERM_STOPPED", "                break"]
     zeta_stats = "1.0, 0" if regular else "min_zeta, 0" if direct else "min_zeta, sign_changes"
     out += [
@@ -608,14 +575,14 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     return "\n".join(out) + "\n"
 
 
-_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name, stop kind) -> make, compiled on first use
+_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name, stop test) -> make, compiled on first use
 
 
 def _kernels(d: int, mode: str, rhs: RhsSource, stop: str | None):
-    """make(tol, *consts) -> (stage, run) for dimension d, mode, right-hand side and stop kind.
+    """make(tol, *consts) -> (stage, run) for dimension d, mode, right-hand side and stop test.
 
     The source is compiled once per process and (d, mode, rhs name,
-    stop kind), as a file named after them (see `_compiled`).
+    stop test), as a file named after them (see `_compiled`).
     """
     filename = f"<sode step d={d} {mode} {rhs.name}{'' if stop is None else ' ' + stop}>"
     return _compiled(_KERNELS, (d, mode, rhs.name, stop), filename, lambda: _kernel_source(d, mode, rhs, stop), globals())
@@ -643,10 +610,10 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     (see `_bound`): the `RhsSource` ode's callbacks were built from, or
     else the call source of ode.F_eval and ode.zeta_eval. The kernel also
     depends on stop_when: a `_StopRule`, recognized by its type, is
-    tested inline under its kind, and any other callable is called. Here
-    the run takes the first stage, checks the start and picks the first
-    step; the kernel's run does every step and its bookkeeping, and the
-    trajectory is assembled from its records. Every stage is one
+    tested inline, and any other callable is called. Here the run takes
+    the first stage, checks the start and picks the first step; the
+    kernel's run does every step and its bookkeeping, and the trajectory
+    is assembled from its records. Every stage is one
     evaluation, the first one at y0 included. A step is rejected (and
     halved) when a stage is unusable or not finite, which covers a
     non-finite (F, zeta) pair at its end.
@@ -656,13 +623,14 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     opposite sign to the start is rejected and halved; and the run halts
     with ``singularity_approached`` at the first accepted endpoint with
     |zeta| <= DELTA. In both modes the run records min |zeta| and the
-    sign changes of zeta over the accepted endpoints, and halts with
-    ``converged_to_equilibrium`` once |F| < EQUILIBRIUM_TOL at
-    EQUILIBRIUM_DWELL endpoints in a row (the start counts).
-    stop_when, if given, sees each accepted endpoint as fresh lists:
-    (x, V) in direct mode, (tau, V, x) in rescaled mode. A run still
-    going after MAX_STEPS step attempts is a StepFailureError. tol must
-    be positive and finite, else the run is a DomainError.
+    sign changes of zeta over the accepted endpoints. Otherwise a run
+    ends ``reached_end`` once its span is covered, ``stopped`` when
+    stop_when holds, or ``step_failure`` when the step falls below the
+    round-off of t; a rest point does not end it. stop_when, if given,
+    sees each accepted endpoint as fresh lists: (x, V) in direct mode,
+    (tau, V, x) in rescaled mode. A run still going after MAX_STEPS step
+    attempts is a StepFailureError. tol must be positive and finite, else
+    the run is a DomainError.
 
     Returns every `Trajectory` field but the mode as a dict.
     """
@@ -671,9 +639,9 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     d = len(y0)
     m = d if direct else d - 1  # the components of V
     rhs, consts = _bound(ode, m)
-    stop = None if stop_when is None else stop_when.kind if isinstance(stop_when, _StopRule) else "stop_when"
+    stop = None if stop_when is None else "rule" if isinstance(stop_when, _StopRule) else "stop_when"
     stage, run = _kernels(d, mode, rhs, stop)(tol, *consts)
-    k0, F, z = stage(y0)
+    k0, z = stage(y0)
     if direct and z is not None and abs(z) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")
     if t_end == t0:
@@ -682,18 +650,19 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
         raise DomainError("right-hand side not finite at the initial point")
     direction = 1.0 if t_end > t0 else -1.0
     h = _initial_step(stage, y0, k0, direction, abs(t_end - t0), tol, m)
-    dwell = 1 if max(map(abs, F)) < EQUILIBRIUM_TOL else 0
     store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h = run(
-        t0, t_end, direction, y0, h, k0, z, dwell, stop_when,
+        t0, t_end, direction, y0, h, k0, z, stop_when,
     )
 
     records = np.frombuffer(store, dtype=float).reshape(-1, 8 * d + 2)  # t, dh, y_new, the seven stages
     ys = np.concatenate([np.array([y0]), records[:, 2:2 + d]])
-    # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order
-    K = records[:, 2 + d:].reshape(-1, 7, d, 1)
-    Q = K[:, 0] * _P[0]
+    # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order: each
+    # stage is a contiguous (n, d) slab, scaled by P's row as (4, 1, 1) and added in place
+    K = records[:, 2 + d:].reshape(-1, 7, d).transpose(1, 0, 2).copy()
+    Q = K[0] * _P[0, :, None, None]  # (4, n, d)
     for j in range(1, 7):
-        Q = Q + K[:, j] * _P[j]
+        Q += K[j] * _P[j, :, None, None]
+    Q = Q.transpose(1, 2, 0).copy()
     stats = TrajectoryStats(
         n_accepted=n_acc, n_rejected=n_rej, n_fevals=2 + n_fev,  # the first stage and the starting-step probe
         min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
@@ -715,12 +684,12 @@ def integrate_direct(
     with ``singularity_approached`` at the first accepted endpoint with
     |zeta| <= DELTA; steps that would change the sign of zeta are
     rejected, so the singular set is approached from one side only.
-    Equilibria (|F| < EQUILIBRIUM_TOL over several consecutive accepted
-    steps) halt the run with ``converged_to_equilibrium``. V0 is
-    array-like; F, zeta and ``stop_when`` receive V as a list of floats,
-    which they must not modify, ``stop_when`` as (x, V) after each
-    accepted step. ``stop_when`` may be a `_StopRule`, which the step
-    kernel tests inline instead of calling it.
+    Otherwise the run ends as `_run` says: a rest point does not end it,
+    so a run that starts on one covers its span. V0 is array-like; F,
+    zeta and ``stop_when`` receive V as a list of floats, which they must
+    not modify, ``stop_when`` as (x, V) after each accepted step.
+    ``stop_when`` may be a `_StopRule`, which the step kernel tests
+    inline instead of calling it.
     """
     return Trajectory(mode="direct", **_run(
         ode, "direct", float(x_span[0]), np.asarray(V0, dtype=float).tolist(), float(x_span[1]), tol, stop_when,
@@ -739,8 +708,8 @@ def integrate_rescaled(
     The augmented state is (V, x), x = 0 at the start. There is no
     singularity to guard, so the trajectory may approach or touch the
     sonic set; sign changes of zeta along the samples are counted in the
-    stats. V0 is array-like; F, zeta and ``stop_when`` receive V as a
-    list of floats.
+    stats. The run ends as `_run` says, never at a rest point. V0 is
+    array-like; F, zeta and ``stop_when`` receive V as a list of floats.
     ``stop_when`` receives (tau, V, x), one argument more than in direct
     mode, since x is itself integrated here. It may be a `_StopRule`,
     which the step kernel tests inline instead of calling it.

@@ -173,7 +173,7 @@ class TestLoadOnFirstUse:
 
 
 def test_fixed_controls():
-    assert (sode.DELTA, sode.REL_FLOOR, sode.EQUILIBRIUM_TOL) == (1e-6, 1e-12, 1e-12)
+    assert (sode.DELTA, sode.REL_FLOOR) == (1e-6, 1e-12)
     assert (sode.FD_STEP, sode.CENTER_THRESHOLD) == (1e-6, 1e-7)
     assert (profiles.SHOOT_EPS_REL, profiles.LAYER_GROW_CAP) == (1e-7, 0.5)
     assert (shocklayer.structure.DEFAULT_RANK_TOL, shocklayer.structure.DEFAULT_SYM_TOL) == (1e-10, 1e-12)

@@ -44,7 +44,7 @@ GENERATED = {
         sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, stop)
         for mode in ("direct", "rescaled")
         for rhs in (sode._call_source(2), *SOURCES)
-        for stop in (None, "stop_when", "rule-capture", "rule-floor")
+        for stop in (None, "stop_when", "rule")
     ],
 }
 

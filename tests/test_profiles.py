@@ -469,6 +469,23 @@ class TestShooting:
         shot = prof.diagnostics["attempts"][0]
         assert (shot["sign"], shot["eps"]) == (prof.diagnostics["sign"], prof.diagnostics["eps"])
 
+    @pytest.mark.parametrize("route,gas,left,tol,end_tol", [
+        (shock_profile, GasModel(), (1.0, 0.0, 1.0), 1e-12, 1e-8),
+        (shock_profile, GasModel(), (1.0, 0.0, 1.0), 1e-6, 1.6e-5),
+        (gilbarg_oracle, GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3)), (0.5, 0.3, 2.0), 1e-8, 1e-6),
+    ], ids=["profile-tight", "profile-loose", "oracle-power-law"])
+    def test_weak_shocks_connect_on_the_first_shot(self, route, gas, left, tol, end_tol):
+        # a shot starts where |F| is only as large as its perturbation; an absolute rest-point halt there
+        # once ended these shots after 6 steps a whole jump (1.7e-3) from the target, and refused the pair
+        # or took a third shot
+        pair = solve_rh(gas, State(*left), family=1, strength=1e-3)
+        result = route(gas, pair, profiles.ShootOpts(tol=tol, end_tol=end_tol))
+        [shot] = result.diagnostics["attempts"] if route is shock_profile else result.attempts
+        assert shot["termination"] == sode.TERM_STOPPED and shot["n_steps"] > 1000
+        assert shot["mismatch"] <= end_tol
+        if route is shock_profile:
+            assert result.diagnostics["endpoint_mismatch"] == shot["mismatch"]
+
     def test_fallback_sign_tried_when_the_first_fails(self, gasm, monkeypatch):
         import shocklayer.profiles as profiles
 

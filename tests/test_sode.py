@@ -1,8 +1,8 @@
 """Tests for the singular ODE integrators.
 
 Calibration problems with closed-form solutions pin down the accuracy of
-the direct and rescaled modes, the singularity guard, the equilibrium
-detector, dense output, resampling, linearization, and CSV export.
+the direct and rescaled modes, the singularity guard, runs at and near
+rest points, dense output, resampling, linearization, and CSV export.
 """
 
 import ast
@@ -38,10 +38,7 @@ from shocklayer import (
 from shocklayer.sode import (
     DEFAULT_TOL,
     DELTA,
-    EQUILIBRIUM_DWELL,
-    EQUILIBRIUM_TOL,
     REL_FLOOR,
-    TERM_EQUILIBRIUM,
     TERM_REACHED_END,
     TERM_SINGULARITY,
     TERM_STEP_FAILURE,
@@ -390,20 +387,25 @@ class TestSingularityGuard:
         assert np.all(np.isfinite(traj.Vs))
 
 
-class TestEquilibriumDetection:
-    def test_dwell_halt_on_exact_equilibrium(self, gas):
-        # z = 0 makes the reduced field vanish exactly; the dwell counter
-        # should end the run long before the requested span is covered
+class TestRestPoints:
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_exact_equilibrium_covers_the_span(self, gas, mode):
+        # z = 0 makes the reduced field vanish exactly; no rest-point halt ends the run, so it covers
+        # its span in a few growing steps and V never moves
         ode = steady_singular_ode(gas)
         U0 = np.array([1.2, 0.7, 0.9, 0.0, 0.0])
-        traj = integrate_direct(ode, U0, (0.0, 50.0), tol=1e-10)
-        assert traj.termination == TERM_EQUILIBRIUM
-        np.testing.assert_array_equal(traj.final_V, U0)
-        assert traj.ts[-1] < 1.0
+        traj = INTEGRATORS[mode](ode, U0, (0.0, 50.0), tol=1e-10)
+        assert traj.termination == TERM_REACHED_END
+        assert traj.ts[-1] == 50.0 and traj.stats.n_rejected == 0
+        assert np.all(traj.Vs == U0)
+        if mode == "direct":
+            assert traj.stats.n_accepted == 12
+        else:  # dx/dtau = zeta, constant at a rest point
+            assert traj.xs[-1] == pytest.approx(50.0 * ode.zeta_eval(U0.tolist()), rel=1e-14)
 
-    def test_noisy_approach_does_not_trigger_dwell(self):
-        # an exponential approach never drops |F| below the integrator's
-        # own error floor (~tol), so the run goes the distance instead
+    def test_relaxation_goes_the_distance(self):
+        # an exponential approach to a rest point runs its whole span and
+        # ends on the rest point
         ode = SingularODE(
             F_eval=lambda V: [-(V[0] - 2.0)],
             zeta_eval=lambda V: 1.0,
@@ -727,7 +729,7 @@ def ref_dp54_step(stage, y, h, k0):
     err = h * ref_row_sum(REF_E, K)
     if not (np.all(np.isfinite(yi)) and np.all(np.isfinite(err))):
         return None
-    return yi, err, K, r[1], r[2]
+    return yi, err, K, r[1]
 
 
 def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
@@ -746,12 +748,11 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
     first = stage(y0)
     if first is None or not np.all(np.isfinite(first[0])):
         raise DomainError("right-hand side not finite at the initial point")
-    k0, F, z = first
+    k0, z = first
     h = ref_initial_step(stage, y0, k0, direction, span, tol, m)
     min_zeta = abs(z)
     last_sign = np.sign(z)
     sign_changes = 0
-    dwell = 1 if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL else 0
     ts, ys, hs, Ks = [t0], [y0], [], []
     n_acc = n_rej = 0
     termination = TERM_REACHED_END
@@ -765,7 +766,7 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
             break
         result = ref_dp54_step(stage, y, direction * h, k0)
         if result is not None:
-            y_new, err, K, F, z = result
+            y_new, err, K, z = result
             enorm = ref_error_norm(err, y, y_new, tol, m)
             if enorm > 1.0:
                 n_rej += 1
@@ -791,13 +792,6 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
         if guard_sign is not None and abs(z) <= DELTA:
             termination = TERM_SINGULARITY
             break
-        if float(np.max(np.abs(F))) < EQUILIBRIUM_TOL:
-            dwell += 1
-            if dwell >= EQUILIBRIUM_DWELL:
-                termination = TERM_EQUILIBRIUM
-                break
-        else:
-            dwell = 0
         if stop_when is not None and stop_when(t, y.tolist()):
             termination = TERM_STOPPED
             break
@@ -826,8 +820,7 @@ def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, stop_when=None):
             z = ode.zeta_eval(V.tolist())
             if z == 0.0 or not np.isfinite(z):
                 return None
-            F = np.array(ode.F_eval(V.tolist()))
-            return F / z, F, z
+            return np.array(ode.F_eval(V.tolist())) / z, z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
@@ -844,7 +837,7 @@ def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, stop_when
             V = y[:-1].tolist()
             F = np.array(ode.F_eval(V))
             z = ode.zeta_eval(V)
-            return np.append(F, z), F, z
+            return np.append(F, z), z
         except (DomainError, ZeroDivisionError, OverflowError):
             return None
 
@@ -1055,7 +1048,9 @@ class TestFloatStepperMatchesReference:
                 R = 0.5 * sup_dist(full.final_V.tolist(), start)
                 if branch == "diverge-near-target":
                     origin, target = target, origin
-            rule = sode._StopRule(origin=tuple(origin), radius=R, target=tuple(target), capture=capture)
+            rule = sode._StopRule(
+                origin=tuple(origin), radius=R, target=tuple(target), capture=capture, x_floor=-math.inf,
+            )
 
             def stop(t, V, *x):
                 d = sup_dist(V, target)
@@ -1065,7 +1060,9 @@ class TestFloatStepperMatchesReference:
                 x_floor, cap = float(full.xs[full.n // 2]), math.inf
             else:  # half the distance the run covers
                 x_floor, cap = -math.inf, 0.5 * sup_dist(full.final_V.tolist(), start)
-            rule = sode._StopRule(origin=tuple(start), radius=cap, x_floor=x_floor)
+            rule = sode._StopRule(
+                origin=tuple(start), radius=cap, target=tuple(start), capture=-math.inf, x_floor=x_floor,
+            )
 
             def stop(t, V, x=None):
                 return (t if x is None else x) <= x_floor or sup_dist(V, start) > cap
@@ -1110,7 +1107,7 @@ def profiled_calls(fn, *args, **kwargs):
     return counts, result
 
 
-STOP_KINDS = (None, "stop_when", "rule", "rule-capture", "rule-floor", "rule-capture-floor")
+STOP_KINDS = (None, "stop_when", "rule")
 
 
 class TestKernels:
@@ -1130,31 +1127,34 @@ class TestKernels:
         assert sode._KERNELS[(1, "direct", "call", None)] is first
         for _ in range(2):
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0))
-        # the stop test is part of the key: a called stop_when, and each kind of rule, whatever its points
+        # the stop test is part of the key: a called stop_when, and a rule, whatever its points and
+        # whichever of its tests can fire
         for far in (3.0, 4.0):
             integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=lambda x, V: V[0] > far)
-            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=sode._StopRule((1.0,), far))
-            rule = sode._StopRule((1.0,), far, target=(2.0,), capture=1e-6 * far)
-            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=rule)
-            rule = sode._StopRule((-0.5,), far, x_floor=-far)
+            for target, capture, x_floor in (((1.0,), -math.inf, -math.inf), ((2.0,), 1e-6 * far, -far)):
+                rule = sode._StopRule((1.0,), far, target, capture, x_floor)
+                integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=rule)
+            rule = sode._StopRule((-0.5,), far, (-0.5,), -math.inf, -far)
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0), stop_when=rule)
         assert compiled == [
             "<sode step d=1 direct call>", "<sode step d=2 rescaled call>", "<sode step d=1 direct call stop_when>",
-            "<sode step d=1 direct call rule>", "<sode step d=1 direct call rule-capture>",
-            "<sode step d=2 rescaled call rule-floor>",
+            "<sode step d=1 direct call rule>", "<sode step d=2 rescaled call rule>",
         ]
         assert sorted(sode._KERNELS, key=str) == sorted([
             (1, "direct", "call", None), (2, "rescaled", "call", None), (1, "direct", "call", "stop_when"),
-            (1, "direct", "call", "rule"), (1, "direct", "call", "rule-capture"), (2, "rescaled", "call", "rule-floor"),
+            (1, "direct", "call", "rule"), (2, "rescaled", "call", "rule"),
         ], key=str)
 
     def test_one_compile_per_right_hand_side(self, monkeypatch):
-        # the constants are arguments of make: no gas and no speed compiles a kernel of its own
+        # the constants are arguments of make: no gas and no speed compiles a kernel of its own.
+        # Only step kernels are counted: the right-hand sides' binders compile on first use too, in
+        # whichever test builds them first
         monkeypatch.setattr(sode, "_KERNELS", {})
         compiled = []
 
         def counting(source, filename, *args):
-            compiled.append(filename)
+            if filename.startswith("<sode step "):
+                compiled.append(filename)
             return compile(source, filename, *args)
 
         monkeypatch.setattr(reduction, "compile", counting, raising=False)
@@ -1201,8 +1201,6 @@ class TestKernels:
             for stop in STOP_KINDS:
                 own |= names(sode._kernel_source(d, mode, blank, stop)) - spliced(blank)
         assert {"h", "z", "y", "y_0", f"k7_{d - 1}", "t", "dh", "n_fev", "stop_when", "o_0", "capture_lo"} <= own
-        if mode == "direct":
-            assert "f0" in own
         assert spliced(rhs) & own == set()
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
@@ -1220,7 +1218,7 @@ class TestKernels:
     )
     def test_kernels_keep_only_the_bookkeeping_they_use(self, rhs, mode):
         # a regular source tracks no zeta, direct mode counts no sign changes (it rejects them), and
-        # stages 2..6 name no F: only the last stage's F feeds the equilibrium test
+        # no stage names its F: every stage writes k straight from F's expressions
         source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, None)
         run = next(f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef) and f.name == "run")
         used = {n.id for n in ast.walk(run) if isinstance(n, ast.Name)}
@@ -1229,11 +1227,10 @@ class TestKernels:
             assert used & zeta == set()
         elif mode == "direct":
             assert used & zeta == {"z", "az", "min_zeta", "sign0", "DELTA"}
-            assert sum(isinstance(n, ast.Name) and n.id == "f0" and isinstance(n.ctx, ast.Store)
-                       for n in ast.walk(run)) == 1
         else:
             assert used & zeta == {"z", "az", "min_zeta", "last_positive", "sign_changes"}
         assert "ts" not in used and "hs" not in used  # t and the step go into the packed record
+        assert not any(name.startswith("f") and name[1:].isdigit() for name in used)
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     def test_stop_tests_are_written_only_where_asked(self, mode):
@@ -1242,8 +1239,19 @@ class TestKernels:
         calls = {stop: "stop_when(t, " in source for stop, source in kernels.items()}
         assert calls == {stop: stop == "stop_when" for stop in STOP_KINDS}
         assert "TERM_STOPPED" not in kernels[None]
-        assert ("x_floor" in kernels["rule-floor"]) and "x_floor" not in kernels["rule-capture"]
-        assert ("g_0" in kernels["rule-capture"]) and "g_0" not in kernels["rule-floor"]
+        rule = {"x_floor", "g_0", "o_0", "capture_lo", "radius_lo"}
+        assert {stop for stop, source in kernels.items() if all(name in source for name in rule)} == {"rule"}
+        assert not any(name in kernels[stop] for stop in (None, "stop_when") for name in rule)
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    @pytest.mark.parametrize(
+        "rhs", [reduction.TW_RHS, profiles.FLUX_RHS, sode._call_source(3)], ids=lambda rhs: rhs.name,
+    )
+    def test_no_kernel_halts_at_a_rest_point(self, rhs, mode):
+        # a run ends by its span, its stop test or its step budget: no kernel counts endpoints near F = 0
+        for stop in STOP_KINDS:
+            source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, stop)
+            assert "dwell" not in source and "EQUILIBRIUM" not in source
 
     def test_one_python_call_per_run_not_per_step(self, gas):
         # under a profiler, a run makes the same calls whatever its length, a called stop_when aside
