@@ -30,10 +30,12 @@ class StepFailureError(ShockLayerError):
 
 
 class NoConnectionError(ShockLayerError):
-    """Shooting failed to connect the two end states within budget.
+    """Shooting failed to connect the two end states.
 
-    ``attempts`` lists the shots made, one {sign, eps, termination,
-    mismatch, n_steps} dict each; it is empty when no shot was made.
+    Shooting makes one shot, with the one sign that heads toward the far
+    end state and a perturbation no smaller than the step control's
+    noise. ``attempts`` holds it, as a {sign, eps, termination,
+    mismatch, n_steps} dict; it is empty when no shot was made.
     """
 
     def __init__(self, message: str, attempts: list[dict] | None = None):

@@ -211,19 +211,23 @@ class Profile:
     diagnostics: dict
 
 
-# first shooting perturbation, relative to the distance between the endpoints
+# the shooting perturbation, relative to the distance between the endpoints
 SHOOT_EPS_REL = 1e-7
+# the least shooting perturbation, in units of the step control's error scale at the start,
+# max(tol, REL_FLOOR) (1 + sup |start|): below it, integration noise and not the sign picks
+# the branch a shot leaves on. Measured on weak shocks at tol 1e-6 and 1e-5, fewer shots
+# diverge as it grows to 1, and none fewer past it. At the default tol it lies 56 times or
+# more below SHOOT_EPS_REL x the endpoint distance on every shot of perfbench's shock_sweep
+SHOOT_EPS_NOISE = 1.0
 # a layer run stops once it strays this far (times max(1, |U*|)) from the limit
 LAYER_GROW_CAP = 0.5
-# shooting rounds after the first, each with a 16-fold smaller perturbation
-SHOOT_RETRIES = 2
 # a layer whose extended_residual_rel exceeds this is swept once more at tol / 10
 LAYER_RESIDUAL_BOUND = 1e-6
 # the smallest end_tol / tol accepted. A shot's far-end mismatch is
 # integration error, so end_tol must leave room for it: from (1, 0, 1),
 # at the default gas and at nu (1.2, 0.5), k (0.9, -0.3), family 1 at
 # strengths 0.05-2 and family 3 at 0.1-0.8 of its bound, with tol
-# 1e-10 to 1e-5, every shock connects at end_tol = 10.4 tol, and the
+# 1e-10 to 1e-5, every shock connects at end_tol = 10.6 tol, and the
 # worst one fails below that; 16 leaves half as much again
 MIN_END_TOL_RATIO = 16.0
 
@@ -421,62 +425,55 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
     )
 
 
-def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Trajectory, list[dict]]:
-    """Shoot out of plan.start along plan.xi until a run lands on plan.target.
+def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Trajectory, dict]:
+    """One shot out of plan.start along plan.xi, accepted if it lands on plan.target.
 
-    The perturbation sign with xi . (target - start) >= 0 goes first,
-    since along it a monotone profile heads toward the target; the other
-    sign is the fallback. The first perturbation is SHOOT_EPS_REL times
-    the endpoint distance, and each of the SHOOT_RETRIES further rounds
-    shrinks it 16-fold. Shots run over a span of min(400 / slowest rate,
-    1e6). A shot stops within half of opts.end_tol of the target, or once
-    it is farther than max(10 x the endpoint distance, 0.5) from both
+    The perturbation takes the sign with xi . (target - start) >= 0, since
+    along it a monotone profile heads toward the target, and the size
+    eps = max(SHOOT_EPS_REL x the endpoint distance, SHOOT_EPS_NOISE x
+    max(opts.tol, REL_FLOOR) (1 + sup |start|)), never below the step
+    control's error scale at the start. The shot spans min(400 / slowest
+    rate, 1e6). It stops within half of opts.end_tol of the target, or
+    once it is farther than max(10 x the endpoint distance, 0.5) from both
     endpoints, tested inside the step kernel (`_StopRule`). It connects
     when it ends within opts.end_tol of the target, stopped so or at the
     end of its span, not at the sonic set or by step failure. Nothing
     halts it near the start, where |F| is only as large as the
-    perturbation. Every shot is recorded as {sign, eps, termination,
-    mismatch, n_steps}, n_steps counting accepted and rejected steps.
+    perturbation.
 
-    Returns the connecting trajectory and the attempts, the last of which
-    is that shot; raises NoConnectionError, carrying the attempts,
-    otherwise.
+    Returns the connecting trajectory and the shot's record {sign, eps,
+    termination, mismatch, n_steps}, n_steps counting accepted and
+    rejected steps; raises NoConnectionError, carrying the record as its
+    one attempt, otherwise.
     """
-    s_meas = max(_sup(plan.target - plan.start), 1e-12)
-    base_eps = SHOOT_EPS_REL * s_meas
+    s_meas = _sup(plan.target - plan.start)
+    target, start = plan.target.tolist(), plan.start.tolist()
+    eps = max(SHOOT_EPS_REL * s_meas, SHOOT_EPS_NOISE * max(opts.tol, REL_FLOOR) * (1.0 + _sup(plan.start)))
     rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
     L = min(400.0 / rate_floor, 1e6)
-    target, start = plan.target.tolist(), plan.start.tolist()
     stop = _StopRule(
         origin=tuple(start), radius=max(10.0 * s_meas, 0.5), target=tuple(target), capture=0.5 * opts.end_tol,
         x_floor=-math.inf,
     )
     # xi . (target - start) as a correctly rounded sum of the products, not a BLAS
     # dot, whose summation order depends on the kernel
-    toward = 1.0 if math.fsum(map(mul, plan.xi.tolist(), map(sub, target, start))) >= 0.0 else -1.0
-    attempts: list[dict] = []
-    for attempt in range(SHOOT_RETRIES + 1):
-        eps = base_eps / (16.0 ** attempt)
-        for sgn in (toward, -toward):
-            traj = integrate_direct(
-                ode, plan.start + sgn * eps * plan.xi, (0.0, plan.direction * L), tol=opts.tol, stop_when=stop,
-            )
-            mismatch = _sup(traj.final_V - plan.target)
-            attempts.append({
-                "sign": sgn,
-                "eps": eps,
-                "termination": traj.termination,
-                "mismatch": mismatch,
-                "n_steps": traj.stats.n_accepted + traj.stats.n_rejected,
-            })
-            if mismatch <= opts.end_tol and traj.termination in (TERM_STOPPED, TERM_REACHED_END):
-                return traj, attempts
+    sgn = 1.0 if math.fsum(map(mul, plan.xi.tolist(), map(sub, target, start))) >= 0.0 else -1.0
+    traj = integrate_direct(
+        ode, plan.start + sgn * eps * plan.xi, (0.0, plan.direction * L), tol=opts.tol, stop_when=stop,
+    )
+    shot = {
+        "sign": sgn,
+        "eps": eps,
+        "termination": traj.termination,
+        "mismatch": _sup(traj.final_V - plan.target),
+        "n_steps": traj.stats.n_accepted + traj.stats.n_rejected,
+    }
+    if shot["mismatch"] <= opts.end_tol and traj.termination in (TERM_STOPPED, TERM_REACHED_END):
+        return traj, shot
     raise NoConnectionError(
-        f"no connection within budget ({ode.label}); attempts (sign, eps, termination, mismatch): "
-        + ", ".join(
-            f"({a['sign']:+g}, {a['eps']:.1e}, {a['termination']}, {a['mismatch']:.2e})" for a in attempts
-        ),
-        attempts,
+        f"no connection ({ode.label}); the shot (sign, eps, termination, mismatch): "
+        f"({sgn:+g}, {eps:.1e}, {traj.termination}, {shot['mismatch']:.2e})",
+        [shot],
     )
 
 
@@ -485,20 +482,18 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
 
     Integrates the travelling-wave singular ODE out of the endpoint whose
     linearization has exactly one direction expanding toward the other
-    endpoint, perturbed along that direction toward the other endpoint
-    first; the opposite sign is the fallback, and SHOOT_RETRIES further
-    rounds shrink the perturbation (see `_shoot`). Acoustic profiles stay
-    away from the sonic set, so direct integration applies throughout.
-    Accepts the shot whose trajectory comes within opts.end_tol of the
-    far endpoint, with every shot listed in diagnostics["attempts"];
+    endpoint, in one shot perturbed along that direction toward the other
+    endpoint, never by less than the step control's noise (see `_shoot`).
+    Acoustic profiles stay away from the sonic set, so direct integration
+    applies throughout. Accepts the shot if it comes within opts.end_tol
+    of the far endpoint, as the one entry of diagnostics["attempts"];
     raises NoConnectionError otherwise.
     """
     U_minus = np.array([pair.left.rho, pair.left.v, pair.left.theta, 0.0, 0.0])
     U_plus = np.array([pair.right.rho, pair.right.v, pair.right.theta, 0.0, 0.0])
     ode = tw_singular_ode(gas, pair.sigma)
     plan = _connection_plan(ode, U_minus, U_plus)
-    traj, attempts = _shoot(ode, plan, opts)
-    shot = attempts[-1]
+    traj, shot = _shoot(ode, plan, opts)
     diagnostics = {
         "strength": pair.strength,
         "family": pair.family,
@@ -511,7 +506,7 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
         "rates_start": plan.rates_start,
         "rates_target": plan.rates_target,
         "lax": lax_inequalities(gas, pair)["satisfied"],
-        "attempts": attempts,
+        "attempts": [shot],
         "rh_residual_max": _sup(rh_residual(gas, pair)),
     }
     return _checked_profile(gas, ode, pair.sigma, U_minus, U_plus, traj, diagnostics)
@@ -566,7 +561,7 @@ class OracleTrajectory:
     (`_columns`). That right-hand side comes from the gas model and these
     constants alone, never from the symmetrized matrices or the reduced
     singular ODE; only the stepper and the shooting are shared with
-    `shock_profile`. ``attempts`` lists the shots.
+    `shock_profile`. ``attempts`` holds the one shot.
     """
 
     gas: GasModel
@@ -575,7 +570,7 @@ class OracleTrajectory:
     Pi: float
     Eflux: float
     trajectory: Trajectory
-    attempts: list[dict] = field(default_factory=list)  # the shots, as in Profile diagnostics
+    attempts: list[dict] = field(default_factory=list)  # the one shot, as in Profile diagnostics
 
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
@@ -591,9 +586,9 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     with the three constants fixed by the left state. This route never
     touches the symmetrized matrices, so it can serve as an independent
     check on the singular-ODE profile. The (v, theta) connection is found
-    by the same shooting as `shock_profile`, with the same controls: the
-    sign heading toward the far state first, the other as the fallback,
-    every shot listed in ``attempts``.
+    by the same shooting as `shock_profile`, with the same controls: one
+    shot toward the far state, perturbed never below the step control's
+    noise (see `_shoot`), recorded as the one entry of ``attempts``.
     """
     U_m = pair.left
     sigma = pair.sigma
@@ -604,8 +599,8 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     ode2 = _flux_form(gas, sigma, m, Pi, Eflux)
     left = np.array([U_m.v, U_m.theta])
     right = np.array([pair.right.v, pair.right.theta])
-    traj, attempts = _shoot(ode2, _connection_plan(ode2, left, right), opts)
-    return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=attempts)
+    traj, shot = _shoot(ode2, _connection_plan(ode2, left, right), opts)
+    return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=[shot])
 
 
 _COLUMNS = TW_RHS.state

@@ -177,4 +177,4 @@ def test_fixed_controls():
     assert (sode.FD_STEP, sode.CENTER_THRESHOLD) == (1e-6, 1e-7)
     assert (profiles.SHOOT_EPS_REL, profiles.LAYER_GROW_CAP) == (1e-7, 0.5)
     assert (shocklayer.structure.DEFAULT_RANK_TOL, shocklayer.structure.DEFAULT_SYM_TOL) == (1e-10, 1e-12)
-    assert (sode.MAX_STEPS, profiles.SHOOT_RETRIES) == (500_000, 2)
+    assert (sode.MAX_STEPS, profiles.SHOOT_EPS_NOISE) == (500_000, 1.0)

@@ -38,6 +38,7 @@ from shocklayer import (
     assemble_E,
     boundary_layer,
     check_structure,
+    gilbarg_oracle,
     integrate_direct,
     integrate_rescaled,
     shock_profile,
@@ -48,7 +49,7 @@ from shocklayer import (
 )
 import shocklayer.cli as cli
 from shocklayer.cli import build_parser, load_config, main
-from shocklayer.profiles import MIN_END_TOL_RATIO
+from shocklayer.profiles import MIN_END_TOL_RATIO, SHOOT_EPS_REL
 
 
 def base_config(out_dir):
@@ -933,8 +934,18 @@ class TestToleranceCoupling:
         for pair in self.sweep(gas):
             assert shock_profile(gas, pair, opts).diagnostics["endpoint_mismatch"] <= opts.end_tol
 
+    @pytest.mark.parametrize("gas_name", sorted(GASES))
+    def test_default_shots_start_at_the_relative_perturbation(self, gas_name):
+        # at the default tolerances the perturbation's noise floor lies far below SHOOT_EPS_REL x the jumps
+        # of this sweep, so every one of its shots keeps the start that perturbation gives, bit for bit
+        gas = self.GASES[gas_name]
+        for pair in self.sweep(gas):
+            drho, dv, dtheta = (abs(getattr(pair.right, c) - getattr(pair.left, c)) for c in ("rho", "v", "theta"))
+            assert shock_profile(gas, pair).diagnostics["eps"] == SHOOT_EPS_REL * max(drho, dv, dtheta)
+            assert gilbarg_oracle(gas, pair).attempts[0]["eps"] == SHOOT_EPS_REL * max(dv, dtheta)
+
     @pytest.mark.parametrize("gas_name,family,strength,tol,ratio", [
-        # the sweep's worst case: family 3 at 0.8 of its bound needs 10.4 x ode_tol
+        # the sweep's worst case: family 3 at 0.8 of its bound needs 10.6 x ode_tol
         ("power-law", 3, None, 1e-5, 10.0),
         # ode_tol 1e-6 with the default end_tol 1e-6: the best shot misses by 1.47e-6
         ("default", 1, 0.5, 1e-6, 1.0),
