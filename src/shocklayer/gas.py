@@ -14,6 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -23,17 +24,19 @@ _ndarray = np.ndarray
 
 
 def _pow_each(x, e):
-    """x ** e for a float, and entry by entry for an array, with the rounding of Python floats.
+    """x ** e for a float, and entry by entry for a 1-D array, with the rounding of Python floats.
 
     numpy's vectorized ** rounds differently from the C library pow that
     Python floats use (for about 5% of doubles at exponents in [-0.5, 1],
     and for about one square in 1,100), so an array is raised one entry at
-    a time and every entry keeps the bits of the float call. An entry that
-    overflows raises OverflowError, as the float call does.
+    a time, by the float pow that ``a ** e`` calls, straight into
+    np.fromiter, and every entry keeps the bits of the float call. The
+    callers pass positive entries. An entry that overflows raises
+    OverflowError, as the float call does.
     """
     if x.__class__ is not _ndarray:
         return x ** e
-    return np.array([a ** e for a in x.tolist()])
+    return np.fromiter(map(pow, x.tolist(), repeat(e)), float, x.size)
 
 
 def _lowest(x):

@@ -47,6 +47,7 @@ from .sode import (
     LinearizationReport,
     Trajectory,
     _positive_finite,
+    _quartic,
     _StopRule,
     integrate_direct,
     integrate_rescaled,
@@ -286,7 +287,8 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, fl
     (see `SingularODE`); every value is the one a per-midpoint float
     evaluation gives. A NaN residual propagates into the result.
     """
-    U, dU = traj.step_eval(np.arange(traj.hs.size), 0.5)
+    p, dU = _quartic(*traj.Q.transpose(2, 0, 1), 0.5)  # every step at once, with no copy of Q
+    U = traj.y0s + traj.hs[:, None] * p
     if traj.mode == "rescaled":
         U, dU = U[:, :-1], dU[:, :-1] / dU[:, -1:]
     z = ode.zeta_eval(list(U.T))
@@ -382,11 +384,7 @@ def _spatial_rates(ode: SingularODE, U: np.ndarray, on_sonic: Exception) -> tupl
     if z == 0.0:
         raise on_sonic
     report = linearize(ode, U)
-    return report, [
-        (i, float(report.eigenvalues[i].real / z))
-        for i in range(len(report.eigenvalues))
-        if i not in report.center
-    ]
+    return report, [(i, lam.real / z) for i, lam in enumerate(report.eigenvalues.tolist()) if i not in report.center]
 
 
 def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) -> _ShootPlan:
@@ -642,22 +640,27 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     under numpy >= 2 imports numpy.ma. The matching component must be
     one the profile integrates (rho, v, theta, z1, z2 for a Profile; v,
     theta for the oracle, whose rho, z1 and z2 follow from the flux
-    form). The sup deviation of the remaining components is returned. x
-    never participates: profiles are translation invariant.
+    form). Each matching column is checked for monotonicity once, here,
+    and handed with its differences to the inversion, which does not
+    check it again; the grid lies in both ranges by construction. A grid
+    value that is a sample of a profile is read there without Newton
+    iterations, so about half the grid is. The sup deviation of the
+    remaining components is returned. x never participates: profiles are
+    translation invariant.
     """
     names = [_integrated_columns(obj) for obj in (a, b)]
     for obj, cols in zip((a, b), names):
         if matching not in cols:
             raise DomainError(f"matching column {matching!r} missing from {type(obj).__name__}")
-    idx = [cols.index(matching) for cols in names]
-    samples = []
-    for obj, j in zip((a, b), idx):
-        s = obj.trajectory.Vs[:, j]
+    columns = []
+    for obj, cols in zip((a, b), names):
+        j = cols.index(matching)
+        s = obj.trajectory.ys[:, j]
         d = np.diff(s)
         if len(s) < 2 or not (np.all(d > 0) or np.all(d < 0)):
             raise NonMonotoneError(f"matching column {matching!r} is not strictly monotone")
-        samples.append(s)
-    ma, mb = samples
+        columns.append((obj, j, s, d))
+    ma, mb = (s for _, _, s, _ in columns)
     lo = max(ma.min(), mb.min())
     hi = min(ma.max(), mb.max())
     if not (lo < hi):
@@ -666,7 +669,7 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
         ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),
     ]))
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    ca, cb = (_columns_at(obj, obj.trajectory.eval_where(j, grid)) for obj, j in zip((a, b), idx))
+    ca, cb = (_columns_at(obj, obj.trajectory._invert(j, grid, s, d)) for obj, j, s, d in columns)
     per_column = {c: float(np.max(np.abs(ca[c] - cb[c]))) for c in _COLUMNS if c != matching}
     return CompareReport(
         sup=max(per_column.values()), per_column=per_column, overlap=(float(lo), float(hi)), n_points=len(grid),

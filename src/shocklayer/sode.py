@@ -27,6 +27,9 @@ bookkeeping the source and mode can use. A step evaluates the six new
 stages inline and writes out every stage point, the new state, the
 error estimate and the error norm component by component; the state and
 the first-same-as-last stage stay in locals from one step to the next.
+An accepted step packs t, its signed step, the new state and stages
+2..7 into the run's record, 7d + 2 doubles: its stage 1 is the stage 7
+of the step before, or the start's, which `_run` puts back.
 Every right-hand side is an `RhsSource` that every stage runs inline,
 its constants passed to the kernel. When F and zeta are the pair built
 from one source (the package's own right-hand sides), that source runs,
@@ -46,9 +49,9 @@ list, a called ``stop_when`` gets each accepted endpoint as fresh lists
 are arrays. Every stage combination, the error estimate and the error
 norm are summed left to right in tableau order, one rounded multiply and
 add at a time (CPython never fuses them), and the dense output is an
-elementwise sum over the seven stages. So a trajectory does not depend
-on the BLAS kernel or on the machine's fused multiply-add, and identical
-inputs reproduce it bit for bit wherever F and zeta do.
+elementwise sum over the seven stages in order. So a trajectory does not
+depend on the BLAS kernel or on the machine's fused multiply-add, and
+identical inputs reproduce it bit for bit wherever F and zeta do.
 
 The module renders nothing: a trajectory holds arrays of any dimension,
 and the command line (`cli`) alone decides how a profile is written.
@@ -118,6 +121,7 @@ class TrajectoryStats:
 
 
 _MAX_INVERT_ITER = 60  # bisection alone shrinks [0, 1] to round-off in 53 rounds
+_INVERT_TOL = 4.0 * float(np.finfo(float).eps)  # times sup |y_j|: a value leaves the inversion at this residual
 
 
 def _positive_finite(**tolerances) -> None:
@@ -132,13 +136,44 @@ def _outside(t: np.ndarray, lo: float, hi: float) -> bool:
     return not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12))
 
 
-def _quartic(q1, q2, q3, q4, theta):
-    """q1 theta + q2 theta^2 + q3 theta^3 + q4 theta^4 and its theta-derivative.
+def _quartic_value(q1, q2, q3, q4, theta):
+    """q1 theta + q2 theta^2 + q3 theta^3 + q4 theta^4; theta broadcasts against the coefficient arrays."""
+    return theta * (q1 + theta * (q2 + theta * (q3 + theta * q4)))
 
-    theta broadcasts against the coefficient arrays.
+
+def _quartic(q1, q2, q3, q4, theta):
+    """`_quartic_value` and its theta-derivative."""
+    return _quartic_value(q1, q2, q3, q4, theta), q1 + theta * (2.0 * q2 + theta * (3.0 * q3 + theta * 4.0 * q4))
+
+
+def _newton(theta, c, y0, h, q1, q2, q3, q4, sgn: float, tol: float):
+    """The fractions where y0 + h quartic(theta) = c, one per value, from the starting fractions theta.
+
+    Newton's method on f(theta) = sgn (y0 + h quartic(theta) - c), which
+    increases along each step, falls back to bisection of the bracket
+    [a, b], starting at [0, 1], whenever an iterate leaves it. A value
+    leaves the iteration once |f| <= tol, keeping its iterate; a NaN f
+    keeps iterating. sgn (+1 or -1) picks the comparisons rather than
+    multiplying: f is the residual r = y0 + h quartic(theta) - c or its
+    exact negation, so |f| = |r|, and the Newton step theta - f / (sgn h
+    dp) is bit for bit theta - r / (h dp). The derivative's coefficients
+    2 q2 and 3 q3 are taken once.
     """
-    value = theta * (q1 + theta * (q2 + theta * (q3 + theta * q4)))
-    return value, q1 + theta * (2.0 * q2 + theta * (3.0 * q3 + theta * 4.0 * q4))
+    a, b = np.zeros_like(theta), np.ones_like(theta)
+    d2, d3 = 2.0 * q2, 3.0 * q3
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero dp sends newton out of the bracket
+        for _ in range(_MAX_INVERT_ITER):
+            r = y0 + h * _quartic_value(q1, q2, q3, q4, theta) - c
+            going = ~(np.abs(r) <= tol)  # a NaN residual keeps iterating
+            if not going.any():
+                break
+            below, above = (r < 0.0, r > 0.0) if sgn > 0.0 else (r > 0.0, r < 0.0)
+            a = np.where(below, theta, a)
+            b = np.where(above, theta, b)
+            newton = theta - r / (h * (q1 + theta * (d2 + theta * (d3 + theta * 4.0 * q4))))
+            inside = (newton > a) & (newton < b)
+            theta = np.where(going, np.where(inside, newton, 0.5 * (a + b)), theta)
+    return theta
 
 
 @dataclass
@@ -225,12 +260,15 @@ class Trajectory:
         Component j must be strictly monotone over the samples. Each value
         is bracketed between two samples, and the t inside that step where
         the quartic takes the value is found by Newton's method, falling
-        back to bisection whenever a Newton iterate leaves the bracket. A
-        mask marks the values still iterating, and a value leaves it once
-        its residual is at round-off level, keeping its iterate; a NaN
-        residual keeps iterating. Returns an array of shape values.shape +
-        (d,). A value outside the covered range, NaN included, is a
-        DomainError.
+        back to bisection whenever a Newton iterate leaves the bracket
+        (`_newton`). Newton runs only on the values off the samples: a
+        value whose starting fraction is exactly 0 (one equal to a sample,
+        or one short of the first sample within the range's 1e-12 slack)
+        keeps that fraction, signed zero included, as the iteration would
+        over a finite dense output. Returns an array of shape values.shape
+        + (d,), each row the dense output at the fraction found, computed
+        by one expression for every value, values only. A value outside
+        the covered range, NaN included, is a DomainError.
         """
         c = np.asarray(values, dtype=float)
         s = self.ys[:, j]
@@ -240,27 +278,27 @@ class Trajectory:
         lo, hi = sorted((s[0], s[-1]))
         if _outside(c, lo, hi):
             raise DomainError(f"value outside the covered range [{lo}, {hi}]")
-        # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step
-        sgn = 1.0 if d[0] > 0 else -1.0
-        i = np.clip(np.searchsorted(sgn * s, sgn * c, side="right") - 1, 0, d.size - 1)
-        tol = 4.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
-        theta = np.clip((c - s[i]) / d[i], 0.0, 1.0)
-        y0, h = self.y0s[i, j], self.hs[i]
-        q1, q2, q3, q4 = np.moveaxis(self.Q[i, j], -1, 0)
-        a, b = np.zeros_like(theta), np.ones_like(theta)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero dp sends newton out of the bracket
-            for _ in range(_MAX_INVERT_ITER):
-                p, dp = _quartic(q1, q2, q3, q4, theta)
-                f = sgn * (y0 + h * p - c)
-                going = ~(np.abs(f) <= tol)  # a NaN residual keeps iterating
-                if not going.any():
-                    break
-                a = np.where(f < 0.0, theta, a)
-                b = np.where(f > 0.0, theta, b)
-                newton = theta - f / (sgn * h * dp)
-                inside = (newton > a) & (newton < b)
-                theta = np.where(going, np.where(inside, newton, 0.5 * (a + b)), theta)
-        return self.step_eval(i, theta)[0]
+        return self._invert(j, c, s, d)
+
+    def _invert(self, j: int, c: np.ndarray, s: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """`eval_where` on a checked column: s = ys[:, j] strictly monotone, d = diff(s), c inside its range."""
+        flat = c.reshape(-1)
+        # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step; the step of a
+        # value is the last one starting at or below it, the first and the last step taking the rest
+        if d[0] > 0:
+            sgn, i = 1.0, np.searchsorted(s[1:-1], flat, side="right")
+        else:
+            sgn, i = -1.0, np.searchsorted(-s[1:-1], -flat, side="right")
+        theta = np.clip((flat - s.take(i)) / d.take(i), 0.0, 1.0)
+        go = np.flatnonzero(theta)  # the values off the samples
+        if go.size:
+            k = i.take(go)
+            theta[go] = _newton(
+                theta.take(go), flat.take(go), s.take(k), self.hs.take(k), *self.Q[:, j].take(k, axis=0).T, sgn,
+                _INVERT_TOL * float(np.max(np.abs(s))),
+            )
+        p = _quartic_value(*self.Q.take(i, axis=0).transpose(2, 0, 1), theta[:, None])
+        return (self.ys.take(i, axis=0) + self.hs.take(i)[:, None] * p).reshape(c.shape + self.ys.shape[1:])
 
 
 def _rms(v: list[float], scale: list[float]) -> float:
@@ -404,6 +442,11 @@ def _rule_source(V: list[str], x: str) -> tuple[list[str], str]:
     return unpack, " or ".join(f"({test})" for test in (f"{x} <= x_floor", within("g", "capture"), far))
 
 
+def _record_width(d: int) -> int:
+    """Doubles the run packs per accepted step of a d-dimensional state: t, the signed step, y_new, stages 2..7."""
+    return 7 * d + 2
+
+
 def _row_sum(row, i: int) -> str:
     """Component i of a tableau row's stage sum, left to right."""
     return " + ".join(f"{c!r} * k{s}_{i}" for c, s in row)
@@ -423,10 +466,13 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     first stage k1 and zeta z already known and the starting step h. It
     returns (store, termination, accepted, rejected, evaluations, min
     |zeta|, zeta sign changes, final h), with store the packed records of
-    the accepted steps: t, the signed step, y_new and the seven stages. The state,
-    the first-same-as-last stage and the counters stay in locals from
-    step to step. stop says how stop_when is tested: None tests nothing,
-    "stop_when" calls it after each accepted step, and "rule" writes a
+    the accepted steps, `_record_width(d)` = 7d + 2 doubles each: t, the
+    signed step, y_new and stages 2..7. Stage 1 is not packed: it is
+    the stage 7 of the step before (first same as last), and the first
+    step's is k1. The state, the first-same-as-last stage and the
+    counters stay in locals from step to step. stop says how stop_when
+    is tested: None tests nothing, "stop_when" calls it after each
+    accepted step, and "rule" writes a
     `_StopRule`'s tests inline (`_rule_source`), the rule's points, radii
     and floor unpacked once per run. So no Python function is called per
     attempt but the source's own calls (the callbacks of the call
@@ -449,12 +495,12 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     ks = [[f"k{s}_{i}" for i in range(d)] for s in range(8)]
     first = _stage_lines(rhs, mode, ks[0], "return None, z", True)
     new = [f"n_{i}" for i in range(d)]
-    record = ", ".join(["t", "dh"] + new + [k for stage in ks[1:] for k in stage])
+    record = ", ".join(["t", "dh"] + new + [k for stage in ks[2:] for k in stage])
     unpack, stopping = _rule_source(new[:m], "t" if direct else new[-1]) if stop == "rule" else ([], "")
     out = [
         f"def make(tol, {', '.join(rhs.consts)}):",
         "    rtol = max(tol, REL_FLOOR)",
-        f"    pack = struct.Struct('{8 * d + 2}d').pack",
+        f"    pack = struct.Struct('{_record_width(d)}d').pack",
         "",
         "    def stage(y):",
         f"        z = {'1.0' if regular else 'None'}",
@@ -613,7 +659,11 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     tested inline, and any other callable is called. Here the run takes
     the first stage, checks the start and picks the first step; the
     kernel's run does every step and its bookkeeping, and the trajectory
-    is assembled from its records. Every stage is one
+    is assembled from its records (t, the signed step, y_new and stages
+    2..7 of each accepted step). The stages go into the dense output Q in
+    tableau order, P's zero row included, stage 1 rebuilt as the first
+    stage at y0 followed by each step's stage 7 but the last; so Q has
+    the bits of a sum over seven packed stages. Every stage is one
     evaluation, the first one at y0 included. A step is rejected (and
     halved) when a stage is unusable or not finite, which covers a
     non-finite (F, zeta) pair at its end.
@@ -654,14 +704,15 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
         t0, t_end, direction, y0, h, k0, z, stop_when,
     )
 
-    records = np.frombuffer(store, dtype=float).reshape(-1, 8 * d + 2)  # t, dh, y_new, the seven stages
+    records = np.frombuffer(store, dtype=float).reshape(-1, _record_width(d))  # t, dh, y_new, stages 2..7
     ys = np.concatenate([np.array([y0]), records[:, 2:2 + d]])
-    # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order: each
-    # stage is a contiguous (n, d) slab, scaled by P's row as (4, 1, 1) and added in place
-    K = records[:, 2 + d:].reshape(-1, 7, d).transpose(1, 0, 2).copy()
-    Q = K[0] * _P[0, :, None, None]  # (4, n, d)
+    # dense output of every accepted step, Q[i] = K[i]^T P, summed over the stages in order, P's zero
+    # row included: each stage is a contiguous (n, d) slab, scaled by P's row as (4, 1, 1) and added
+    # in place. Stage 1 is the start's, then the stage 7 of the step before (first same as last)
+    K = records[:, 2 + d:].reshape(-1, 6, d).transpose(1, 0, 2).copy()  # stages 2..7
+    Q = np.concatenate([np.array([k0]), K[5, :-1]])[:len(records)] * _P[0, :, None, None]  # (4, n, d)
     for j in range(1, 7):
-        Q += K[j] * _P[j, :, None, None]
+        Q += K[j - 1] * _P[j, :, None, None]
     Q = Q.transpose(1, 2, 0).copy()
     stats = TrajectoryStats(
         n_accepted=n_acc, n_rejected=n_rej, n_fevals=2 + n_fev,  # the first stage and the starting-step probe
@@ -809,7 +860,7 @@ def linearize(ode: SingularODE, V0: np.ndarray) -> LinearizationReport:
         lam, vecs = _lifted(cols, rest, pairs, -1.0 if ode.zeta_eval(V) < 0.0 else 1.0)
     else:  # the general branch: a block larger than 2x2, an eigenvalue 0 of it, or a non-finite entry
         lam, vecs = np.linalg.eig(J)
-    center = tuple(i for i in range(d) if abs(lam[i].real) <= CENTER_THRESHOLD)
+    center = tuple(i for i, x in enumerate(lam.tolist()) if abs(x.real) <= CENTER_THRESHOLD)
     return LinearizationReport(J=J, eigenvalues=lam, eigenvectors=vecs, center=center)
 
 

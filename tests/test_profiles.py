@@ -8,6 +8,7 @@ across the four velocity regimes of the limit state.
 """
 
 import contextlib
+import inspect
 import math
 import re
 import warnings
@@ -27,6 +28,7 @@ from shocklayer import (
     PowerLaw,
     Profile,
     RHPair,
+    SingularODE,
     State,
     boundary_layer,
     char_speed,
@@ -44,7 +46,7 @@ from shocklayer import (
     steady_singular_ode,
     tw_singular_ode,
 )
-from shocklayer import profiles, sode
+from shocklayer import profiles, reduction, sode
 from shocklayer.gas import internal_energy, pressure
 from shocklayer.profiles import CompareReport, _flux_form, _flux_integrals, _relative_residual, _sup
 
@@ -794,6 +796,139 @@ def _raised(prof, column, delta):
     return replace(prof, trajectory=replace(traj, ys=ys))
 
 
+# (rho, v, theta, z1, z2) under the mirror (x, v) -> (-x, -v): theta_x = z2 changes sign, v_x = z1 keeps it
+MIRROR = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+# the mirror's bound in units of the default tol where solve_rh builds the mirrored pair, whose endpoints
+# and speed then differ from the exact mirror by round-off: the worst of 52 shocks (the default and the
+# power-law gas, and 40 drawn gases, at strengths 0.05 to 2) read 4.3e-14, 4.3e-4 tol
+MIRROR_C = 0.01
+
+
+def mirror_state(state):
+    return State(state.rho, -state.v, state.theta)
+
+
+def mirrored_pair(gas, pair, exact):
+    """The family-3 pair from mirror(U+) at -sigma that mirrors the family-1 pair.
+
+    exact builds it from the mirrored endpoints and speed; otherwise solve_rh
+    solves it at the strength that puts its speed at -sigma up to round-off.
+    """
+    left = mirror_state(pair.right)
+    strength = char_speed(gas, left, 3) + pair.sigma
+    if exact:
+        return RHPair(left=left, right=mirror_state(pair.left), sigma=-pair.sigma, family=3, strength=strength)
+    return solve_rh(gas, left, 3, strength)
+
+
+def mirrored(prof):
+    """prof under the mirror (x, v) -> (-x, -v): samples, steps and dense output."""
+    t = prof.trajectory
+    traj = replace(t, ts=-t.ts, ys=t.ys * MIRROR, hs=-t.hs, Q=t.Q * -MIRROR[:, None])
+    return Profile(
+        sigma=-prof.sigma, left=prof.right * MIRROR, right=prof.left * MIRROR, trajectory=traj, diagnostics={},
+    )
+
+
+def mirror_shocks(gas, pair, exact):
+    """The family-1 profile of pair and the mirror image of its family-3 counterpart's profile."""
+    one = shock_profile(gas, pair)
+    try:
+        three = shock_profile(gas, mirrored_pair(gas, pair, exact))
+    except NoConnectionError as exc:
+        raise AssertionError(
+            f"mirror (x, v) -> (-x, -v): the family-1 shock at strength {pair.strength:g} connects, "
+            f"the family-3 shock from mirror(U+) at -sigma does not: {exc}"
+        ) from None
+    return one, mirrored(three)
+
+
+def zero_blind_bits(a):
+    """The bytes of a with -0.0 read as 0.0: the mirror keeps every value, not the sign of a zero."""
+    return (a + 0.0).tobytes()
+
+
+def assert_mirror_bits(gas, pair):
+    one, image = mirror_shocks(gas, pair, exact=True)
+    a, b = one.trajectory, image.trajectory
+    fields = ("ts", "ys", "hs", "Q")
+    same = [f for f in fields if zero_blind_bits(getattr(a, f)) == zero_blind_bits(getattr(b, f))] if a.n == b.n else []
+    assert same == list(fields) and a.stats == b.stats, (
+        f"mirror (x, v) -> (-x, -v): at strength {pair.strength:g} the family-3 profile is not the family-1 profile "
+        f"mirrored bit for bit ({a.n} and {b.n} samples, equal fields {same})"
+    )
+
+
+def assert_mirror_within(gas, pair, bound):
+    one, image = mirror_shocks(gas, pair, exact=False)
+    dev = compare_profiles(one, image, matching="v").sup
+    assert dev <= bound, (
+        f"mirror (x, v) -> (-x, -v): at strength {pair.strength:g} the family-3 profile deviates {dev:.3e} "
+        f"from the family-1 profile mirrored, past {bound:.1e}"
+    )
+
+
+def planted_tw_ode(edit):
+    """tw_singular_ode on a copy of TW_RHS with one (old, new) line edit; new None keeps the line."""
+    old, new = edit
+    lines = list(reduction.TW_RHS.lines)
+    lines[lines.index(old)] = old if new is None else new
+    # kernels and callbacks are compiled once per source name, so each copy has a name of its own
+    name = "travelling-wave copy" if new is None else f"travelling-wave planted {new}"
+    planted = replace(reduction.TW_RHS, name=name, lines=tuple(lines))
+
+    def build(gas, sigma):
+        F, zeta = reduction.rhs_functions(planted, (*reduction._gas_constants(gas), float(sigma)))
+        return SingularODE(F_eval=F, zeta_eval=zeta)
+
+    return build
+
+
+class TestMirror:
+    """A family-1 shock from U- at sigma and the family-3 shock from mirror(U+) at -sigma are one profile.
+
+    The mirror (x, v) -> (-x, -v) maps one onto the other. Every step of
+    the pipeline is odd or even in v and sigma, and negation is exact, so
+    where the mirrored endpoints are exact the two shots agree bit for bit,
+    the sign of a zero aside; where solve_rh builds the mirrored pair, within
+    MIRROR_C x the default tol.
+    """
+
+    @pytest.mark.parametrize("strength", [0.05, 0.2, 0.5, 2.0])
+    def test_bit_for_bit_from_exact_endpoints(self, gasm, strength):
+        assert_mirror_bits(gasm, solve_rh(gasm, State(1.0, 0.0, 1.0), 1, strength))
+
+    @pytest.mark.parametrize("strength", [0.05, 0.2, 0.5, 2.0])
+    def test_power_law_gas_within_c_tol(self, strength):
+        gas = GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3))
+        assert_mirror_within(gas, solve_rh(gas, State(1.0, 0.0, 1.0), 1, strength), MIRROR_C * sode.DEFAULT_TOL)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        strength=st.floats(0.05, 2.0),
+    )
+    def test_generated_gases_within_c_tol(self, gamma, nu, k, strength):
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        assert_mirror_within(gas, solve_rh(gas, State(1.0, 0.0, 1.0), 1, strength), MIRROR_C * sode.DEFAULT_TOL)
+
+    @pytest.mark.parametrize("new", [None, "M12 = p_theta * abs(s) / theta"], ids=["copy", "planted"])
+    def test_a_planted_odd_in_v_slip_breaks_it(self, gasm, monkeypatch, new):
+        # |s| for s in one line of a copy of TW_RHS: family 1, where s = v - sigma > 0, keeps its profile
+        monkeypatch.setattr(profiles, "tw_singular_ode", planted_tw_ode(("M12 = p_theta * s / theta", new)))
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), 1, 0.5)
+        bound = MIRROR_C * sode.DEFAULT_TOL
+        checks = (lambda: assert_mirror_bits(gasm, pair), lambda: assert_mirror_within(gasm, pair, bound))
+        for check in checks:
+            if new is None:  # the copy as it stands keeps the mirror
+                check()
+            else:
+                with pytest.raises(AssertionError, match=r"^mirror \(x, v\) -> \(-x, -v\): "):
+                    check()
+
+
 class TestGeneratedGases:
     """Profile invariants over generated gases, transport laws, families and strengths."""
 
@@ -997,20 +1132,41 @@ def report_bits(rep):
     )
 
 
-def assert_grid_matches_unique(monkeypatch, a, b, matching="v"):
-    """compare_profiles evaluates both profiles on np.unique's grid, bit for bit, and reports as it did."""
+def inverted_grids(compare, a, b, matching="v"):
+    """compare(a, b, matching) and the grids it hands to the inversion of each profile, in order.
+
+    Only the inversions made inside that one call are recorded.
+    """
     grids = []
-    eval_where = sode.Trajectory.eval_where
+    invert = sode.Trajectory._invert
 
-    def spy(traj, j, values):
+    def spy(traj, j, values, s, d):
         grids.append(np.asarray(values).tobytes())
-        return eval_where(traj, j, values)
+        return invert(traj, j, values, s, d)
 
-    monkeypatch.setattr(sode.Trajectory, "eval_where", spy)
-    rep = compare_profiles(a, b, matching=matching)
-    grid, ref = unique_grid_compare(a, b, matching)
-    assert grids[:2] == [grid.tobytes()] * 2
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sode.Trajectory, "_invert", spy)
+        rep = compare(a, b, matching=matching)
+    return rep, grids
+
+
+def assert_grid_matches_unique(a, b, matching="v", compare=compare_profiles):
+    """compare_profiles inverts each profile once on np.unique's grid, bit for bit, and reports as it did."""
+    rep, grids = inverted_grids(compare, a, b, matching)
+    grid, ref = unique_grid_compare(a, b, matching)  # after the spy is gone: its own inversions are not counted
+    assert grids == [grid.tobytes()] * 2
     assert report_bits(rep) == report_bits(ref)
+
+
+def compare_copy(*edits):
+    """A copy of compare_profiles compiled from its source with each (old, new) text edit made."""
+    source = inspect.getsource(profiles.compare_profiles)
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, dict(vars(profiles)), namespace)
+    return namespace["compare_profiles"]
 
 
 def polyline_profile(v):
@@ -1047,9 +1203,8 @@ class TestCompareGrid:
         bound = sound_speed(gas, left) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
         pair = solve_rh(gas, left, family, frac * (bound if family == 3 else 2.0))
         prof, oracle = shock_profile(gas, pair), gilbarg_oracle(gas, pair)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            assert_grid_matches_unique(monkeypatch, prof, oracle)
-            assert_grid_matches_unique(monkeypatch, oracle, prof, matching="theta")
+        assert_grid_matches_unique(prof, oracle)
+        assert_grid_matches_unique(oracle, prof, matching="theta")
 
     @pytest.mark.parametrize("va,vb", [
         # shared samples, and both overlap ends on samples of both profiles
@@ -1065,13 +1220,29 @@ class TestCompareGrid:
         # a decreasing matching column against an increasing one
         ([1.0, 0.5, 0.0, -0.5], [-1.0, -0.0, 0.5, 0.75]),
     ])
-    def test_hand_made_samples(self, monkeypatch, va, vb):
+    def test_hand_made_samples(self, va, vb):
         a, b = polyline_profile(va), polyline_profile(vb)
-        assert_grid_matches_unique(monkeypatch, a, b)
+        assert_grid_matches_unique(a, b)
         rep = compare_profiles(a, b)
         lo, hi = rep.overlap
         assert rep.n_points == len({x for x in va + vb if lo <= x <= hi})  # a set holds one of -0.0 and 0.0
         assert rep.sup > 0.0
+
+    @pytest.mark.parametrize("edit", [
+        # the grid leaves out the overlap's ends, and the report counts what is left
+        ("ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),",
+         "ma[(ma > lo) & (ma < hi)], mb[(mb > lo) & (mb < hi)],"),
+        # the inversions leave out the grid's ends, and the report still counts them
+        ("obj.trajectory._invert(j, grid, s, d)", "obj.trajectory._invert(j, grid[1:-1], s, d)"),
+    ], ids=["grid", "inverted-grid"])
+    def test_a_grid_without_the_overlap_ends_fails(self, prof_f1, oracle_f1, edit):
+        # the check above can fail: a compare_profiles that drops the overlap's ends
+        planted = compare_copy(edit)
+        hand_made = polyline_profile([0.0, 0.2, 0.4, 0.8]), polyline_profile([0.1, 0.3, 0.4, 0.9])
+        for a, b in (hand_made, (prof_f1, oracle_f1)):
+            assert_grid_matches_unique(a, b, compare=compare_copy())  # the copy as it stands passes
+            with pytest.raises(AssertionError):
+                assert_grid_matches_unique(a, b, compare=planted)
 
 
 class TestMaxExtendedResidual:

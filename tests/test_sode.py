@@ -269,6 +269,12 @@ class TestDenseOutput:
             traj.eval_where(-1, [0.1])
 
 
+def compare_grid(a, b):
+    """compare_profiles' grid on the matching columns a and b: their samples in the overlap and its ends, once each."""
+    lo, hi = max(a.min(), b.min()), min(a.max(), b.max())
+    return np.unique(np.concatenate([a[(a >= lo) & (a <= hi)], b[(b >= lo) & (b <= hi)], [lo, hi]]))
+
+
 def ref_eval_where(traj, j, values):
     """The Newton-bisection inversion of Trajectory.eval_where iterating on every value each round.
 
@@ -305,6 +311,31 @@ def ref_eval_where(traj, j, values):
     return traj.y0s[i] + traj.hs[i][..., None] * p
 
 
+def polyline(v):
+    """Direct-mode trajectory through samples with column 1 at v, joined linearly (columns 0, 2: 1 + v/2, sin v)."""
+    v = np.asarray(v, dtype=float)
+    ys = np.column_stack([1.0 + 0.5 * v, v, np.sin(v)])
+    Q = np.zeros((v.size - 1, 3, 4))
+    Q[:, :, 0] = np.diff(ys, axis=0)
+    return Trajectory(
+        mode="direct", ts=np.arange(v.size, dtype=float), ys=ys, termination=TERM_REACHED_END,
+        stats=TrajectoryStats(v.size - 1, 0, 0, 1.0, 0, 1.0), hs=np.ones(v.size - 1), Q=Q,
+    )
+
+
+def newton_values(monkeypatch):
+    """The values each call of sode._newton iterates on, recorded as lists."""
+    seen = []
+    newton = sode._newton
+
+    def spy(theta, c, *args):
+        seen.append(c.tolist())
+        return newton(theta, c, *args)
+
+    monkeypatch.setattr(sode, "_newton", spy)
+    return seen
+
+
 class TestEvalWhereMatchesReference:
     """eval_where iterates under a mask that values leave as they converge; every result keeps its bits."""
 
@@ -312,6 +343,38 @@ class TestEvalWhereMatchesReference:
         new, ref = traj.eval_where(j, values), ref_eval_where(traj, j, values)
         assert new.shape == ref.shape
         assert new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("v,values", [
+        # samples with -0.0 and values at +0.0, -0.0 and off the samples, either way round
+        ([-1.0, -0.0, 0.5, 1.0], [-0.5, 0.0, -0.0, 0.3, 0.5, -1.0, 1.0]),
+        ([-1.0, 0.0, 0.5, 1.0], [-0.0, 0.0, 0.3, 0.75, 1.0]),
+        # a signed zero as the first sample
+        ([-0.0, 0.4, 1.0], [0.0, -0.0, 0.4, 0.7]),
+        ([0.0, 0.4, 1.0], [-0.0, 0.0, 0.7, 1.0]),
+        # a decreasing column
+        ([1.0, 0.5, 0.0, -0.5], [-0.0, 0.0, 0.25, 0.5, -0.5, 1.0, 0.75]),
+        ([0.5, -0.0, -1.0], [0.0, -0.0, -0.5, -1.0]),
+    ])
+    def test_values_at_samples_skip_newton(self, monkeypatch, v, values):
+        # a value equal to a step's first sample starts at the fraction 0 and keeps it, signed zero included;
+        # the last sample starts at 1, where the quartic need not take it exactly
+        seen = newton_values(monkeypatch)
+        self.assert_same(polyline(v), 1, values)
+        off = [c for c in values if c not in v[:-1]]  # -0.0 == 0.0: a signed zero is a sample either way
+        assert seen == ([off] if off else [])
+
+    @pytest.mark.parametrize("family,strength", [(1, 0.2), (3, 0.4)])
+    def test_a_shock_sends_newton_only_the_values_off_its_samples(self, power_gas, monkeypatch, family, strength):
+        pair = shocklayer.solve_rh(power_gas, shocklayer.State(1.0, 0.0, 1.0), family, strength)
+        prof = shocklayer.shock_profile(power_gas, pair)
+        oracle = shocklayer.gilbarg_oracle(power_gas, pair)
+        seen = newton_values(monkeypatch)
+        for traj, j in ((prof.trajectory, 1), (oracle.trajectory, 0)):
+            grid = compare_grid(prof.trajectory.Vs[:, 1], oracle.trajectory.Vs[:, 0])
+            self.assert_same(traj, j, grid)
+            samples = set(traj.y0s[:, j].tolist())
+            off = [c for c in grid.tolist() if c not in samples]
+            assert 0 < len(off) < grid.size and seen.pop() == off
 
     def test_scalar_odes(self):
         up = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 2.0), tol=1e-10)
@@ -329,9 +392,7 @@ class TestEvalWhereMatchesReference:
         pair = shocklayer.solve_rh(power_gas, shocklayer.State(1.0, 0.0, 1.0), family, strength)
         prof = shocklayer.shock_profile(power_gas, pair)
         oracle = shocklayer.gilbarg_oracle(power_gas, pair)
-        a, b = prof.trajectory.Vs[:, 1], oracle.trajectory.Vs[:, 0]
-        lo, hi = max(a.min(), b.min()), min(a.max(), b.max())
-        grid = np.unique(np.concatenate([a[(a >= lo) & (a <= hi)], b[(b >= lo) & (b <= hi)], [lo, hi]]))
+        grid = compare_grid(prof.trajectory.Vs[:, 1], oracle.trajectory.Vs[:, 0])
         self.assert_same(prof.trajectory, 1, grid)
         self.assert_same(oracle.trajectory, 0, grid)
         self.assert_same(prof.trajectory, 2, prof.trajectory.Vs[3:-3, 2])
@@ -801,12 +862,24 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
         h *= 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
     else:
         raise StepFailureError(f"step budget {max_steps} exhausted")
-    K = np.array(Ks).reshape(-1, 7, y0.size, 1)
-    Q = K[:, 0] * REF_P[0]
-    for j in range(1, 7):
-        Q = Q + K[:, j] * REF_P[j]
     stats = TrajectoryStats(n_acc, n_rej, n_fev, min_zeta, sign_changes, h)
-    return dict(ts=np.array(ts), ys=np.array(ys), termination=termination, stats=stats, hs=np.array(hs), Q=Q)
+    return dict(
+        ts=np.array(ts), ys=np.array(ys), termination=termination, stats=stats, hs=np.array(hs),
+        Q=ref_dense_output(np.array(Ks).reshape(-1, 7, y0.size)),
+    )
+
+
+def ref_dense_output(K):
+    """Q from all seven stages of every step, K of shape (n, 7, d), summed as the run did when it packed all seven.
+
+    The stages are copied to seven contiguous (n, d) slabs; each is scaled
+    by its row of P as (4, 1, 1) and added in place, in tableau order.
+    """
+    K = K.transpose(1, 0, 2).copy()
+    Q = K[0] * REF_P[0, :, None, None]
+    for j in range(1, 7):
+        Q += K[j] * REF_P[j, :, None, None]
+    return Q.transpose(1, 2, 0).copy()
 
 
 def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, stop_when=None):
@@ -1089,6 +1162,91 @@ class TestFloatStepperMatchesReference:
         assert sode._bound(ode, 5)[0].name == "call"
         U0 = np.array([rho_theta[0], v, rho_theta[1], *z])
         self.assert_same(mode, ode, U0, (0.0, 0.25), tol)
+
+
+def recorded_runs(monkeypatch, module, name):
+    """Record (args, kwargs, trajectory) of every call to module.name, the integrator it imported."""
+    calls = []
+    integrate = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, integrate(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestDenseOutputFromPackedStages:
+    """The run packs stages 2..7 and puts stage 1 back: Q keeps the bytes of the sum over seven packed stages."""
+
+    def assert_q_bits(self, mode, traj, ode, V0, span, **kwargs):
+        ref = REFERENCES[mode](ode, V0, span, **kwargs)
+        assert traj.Q.shape == ref.Q.shape and traj.Q.tobytes() == ref.Q.tobytes()
+        ran = run_outcome(lambda *args, **kw: traj, ode, V0, span, **kwargs)
+        assert ran == run_outcome(REFERENCES[mode], ode, V0, span, **kwargs)
+        return traj
+
+    @pytest.mark.parametrize("family,strength", [
+        (1, 0.05), (1, 0.2), (1, 0.8), (1, 2.0), (1, 5.0), (3, 0.05), (3, 0.2), (3, 0.4), (3, 0.5),
+    ])
+    def test_the_nine_case_sweep(self, gas, monkeypatch, family, strength):
+        # the shot and the oracle's shot of each shock, with their stop rules
+        runs = recorded_runs(monkeypatch, profiles, "integrate_direct")
+        pair = shocklayer.solve_rh(gas, State(1.0, 0.0, 1.0), family, strength)
+        shocklayer.shock_profile(gas, pair)
+        shocklayer.gilbarg_oracle(gas, pair)
+        assert len(runs) == 2
+        for (ode, V0, span), kwargs, traj in runs:
+            assert isinstance(kwargs["stop_when"], sode._StopRule)
+            self.assert_q_bits("direct", traj, ode, V0, span, **kwargs)
+
+    def test_the_readme_layer(self, gas, monkeypatch):
+        runs = recorded_runs(monkeypatch, profiles, "integrate_rescaled")
+        shocklayer.boundary_layer(gas, State(1.0, -0.3, 1.0))
+        [((ode, V0, span), kwargs, traj)] = runs
+        self.assert_q_bits("rescaled", traj, ode, V0, span, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_a_call_source_run(self, mode):
+        ode = SingularODE(F_eval=spiral, zeta_eval=lambda V: 1.0 + 0.1 * V[0] * V[0])
+        V0, span = np.array([1.0, 0.0]), (0.0, 10.0)
+        assert sode._bound(ode, 2)[0].name == "call"
+        traj = self.assert_q_bits(mode, INTEGRATORS[mode](ode, V0, span, tol=1e-10), ode, V0, span, tol=1e-10)
+        assert traj.stats.n_accepted > 50
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    @pytest.mark.parametrize("span,accepted", [((0.0, 1e-300), 0), ((0.0, 1e-9), 1)])
+    def test_runs_of_zero_and_one_step(self, mode, span, accepted):
+        # a span at the round-off floor fails before its first step; a short one is covered in one
+        ode, V0 = (exp_ode(), np.array([1.0])) if mode == "direct" else (affine_zeta_ode(), np.array([-0.5]))
+        traj = self.assert_q_bits(mode, INTEGRATORS[mode](ode, V0, span, tol=1e-10), ode, V0, span, tol=1e-10)
+        assert traj.stats.n_accepted == accepted and traj.Q.shape == (accepted, V0.size + (mode == "rescaled"), 4)
+
+    def test_the_zero_row_of_p_keeps_its_bits(self):
+        # stage 1 at -0.0 and stage 2 at +0.0, every other stage -0.0: P's zero row adds 0.0 * (+0.0) to the
+        # -0.0 of stage 1, which makes Q's coefficient of theta +0.0; a sum that skipped the row would keep -0.0
+        def scripted():
+            calls = []
+
+            def F(V):  # stage 1, the starting-step probe, then stages 2..7 of each step
+                calls.append(None)
+                return [0.0 if len(calls) > 2 and (len(calls) - 3) % 6 == 0 else -0.0]
+
+            return SingularODE(F_eval=F, zeta_eval=lambda V: 1.0)
+
+        traj = integrate_direct(scripted(), np.array([1.0]), (0.0, 1.0), tol=1e-10)
+        self.assert_q_bits("direct", traj, scripted(), np.array([1.0]), (0.0, 1.0), tol=1e-10)
+        assert traj.stats.n_accepted > 1 and not np.signbit(traj.Q[:, 0, 0]).any()
+
+    @pytest.mark.parametrize("d,mode,rhs,width", [
+        (5, "direct", reduction.TW_RHS, 37),
+        (2, "direct", profiles.FLUX_RHS, 16),
+        (6, "rescaled", reduction.TW_RHS, 44),
+    ], ids=["shot", "oracle", "layer"])
+    def test_records_pack_seven_d_plus_two_doubles(self, d, mode, rhs, width):
+        assert sode._record_width(d) == width
+        assert f"struct.Struct('{width}d')" in sode._kernel_source(d, mode, rhs, "rule")
 
 
 def profiled_calls(fn, *args, **kwargs):
