@@ -163,17 +163,20 @@ def sound_speed(gas: GasModel, state: State) -> float:
     c^2 = p_rho + theta * p_theta^2 / (rho^2 * e_theta), which collapses
     to sqrt(gamma R theta) for the ideal polytropic law. Where rho^2 e_theta
     is subnormal or 0 (rho below about 1e-154), both it and
-    theta p_theta^2 have lost digits, so c^2 is read as
-    p_rho + theta (p_theta / rho)^2 / e_theta, which keeps its scale.
+    theta p_theta^2 have lost digits, and where rho^2 or p_theta^2
+    overflows (rho above about 1.3e154 / max(1, R)) neither is a float; in
+    both cases c^2 is read as p_rho + theta (p_theta / rho)^2 / e_theta,
+    which keeps its scale.
     """
     p, p_rho, p_theta = pressure(gas, state.rho, state.theta)
     _, e_theta = internal_energy(gas, state.theta)
-    rho2_e = state.rho ** 2 * e_theta
-    if rho2_e < sys.float_info.min:
-        c2 = p_rho + state.theta * (p_theta / state.rho) ** 2 / e_theta
-    else:
-        c2 = p_rho + state.theta * p_theta ** 2 / rho2_e
-    return float(np.sqrt(c2))
+    try:
+        rho2_e = state.rho ** 2 * e_theta
+        if rho2_e >= sys.float_info.min:
+            return float(np.sqrt(p_rho + state.theta * p_theta ** 2 / rho2_e))
+    except OverflowError:
+        pass
+    return float(np.sqrt(p_rho + state.theta * (p_theta / state.rho) ** 2 / e_theta))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,10 @@ class RhsSource:
     (`_pow_each`). ``reject`` is the statement an inadmissible state
     runs in the callbacks `rhs_functions` builds, a division by zero in
     ``pre`` included, and ``overflow`` the message of the DomainError an
-    OverflowError of ``lines`` becomes there; ``{V}`` names the state. A
+    OverflowError of ``lines`` becomes there, and a ZeroDivisionError of
+    ``lines`` too (a divisor that underflowed to 0, where the quotient
+    overflows); ``{V}`` names the state. A divisor in ``lines`` is written
+    as a name or a literal, so the column rendering can test it. A
     source that is never built into callbacks leaves both empty. The
     step kernels of `sode` splice the same statements into every stage,
     with an unusable stage in place of both errors, so the source must
@@ -98,6 +101,14 @@ class RhsSource:
 
 
 _POWER = re.compile(r"(\w+) \*\* (\w+)")
+_DIVISOR = re.compile(r"/ (\w+)")
+
+
+def _nonzero(x):
+    """x, unless an entry of it is 0: then ZeroDivisionError, as a float division by that entry raises."""
+    if not np.all(x):
+        raise ZeroDivisionError("division by zero")
+    return x
 
 
 def _closure_source(rhs: RhsSource) -> str:
@@ -105,6 +116,9 @@ def _closure_source(rhs: RhsSource) -> str:
 
     A division by zero in ``pre`` fails the admissibility test, on
     columns as the FloatingPointError numpy raises in place of a warning.
+    On columns every divisor of ``lines`` that the test does not keep
+    positive goes through `_nonzero`, so a column call raises exactly
+    where the float call at one of its samples raises.
     """
     unpack = f"        {', '.join(rhs.state)}, = V"
 
@@ -114,11 +128,15 @@ def _closure_source(rhs: RhsSource) -> str:
             f"except {division}:", "    ok = False",
             "if not ok:", f"    {rhs.reject}",
             "try:", *("    " + line for line in lines),
-            "except OverflowError:", f"    raise DomainError(f{rhs.overflow!r}) from None",
+            "except (OverflowError, ZeroDivisionError):", f"    raise DomainError(f{rhs.overflow!r}) from None",
         ]
 
+    def divisor(match):
+        name = match.group(1)
+        return match.group(0) if name in rhs.positive else f"/ _nonzero({name})"
+
     def columns(lines):
-        return [_POWER.sub(r"_pow_each(\1, \2)", line) for line in lines]
+        return [_DIVISOR.sub(divisor, _POWER.sub(r"_pow_each(\1, \2)", line)) for line in lines]
 
     floats = body(rhs.pre, rhs.admissible(), rhs.lines, "ZeroDivisionError")
     positive = " and ".join(f"np.all({name} > 0.0)" for name in rhs.positive)
@@ -234,8 +252,8 @@ def tw_singular_ode(gas: GasModel, sigma: float) -> SingularODE:
     it against an independent assembly from the blocks.
 
     F and zeta take a state or column arrays (see `SingularODE`). A state
-    whose transport laws or theta^2 overflow a float is a DomainError
-    that names it.
+    whose transport laws or theta^2 overflow a float, or underflow to 0
+    (theta below about 1.6e-162), is a DomainError that names it.
     """
     sig = float(sigma)
     F, zeta = rhs_functions(TW_RHS, (*_gas_constants(gas), sig))

@@ -13,16 +13,16 @@ Two modes share one embedded Dormand-Prince 5(4) stepper:
 Both modes run through one adaptive loop, which records step statistics
 and keeps a dense interpolant so trajectories can be resampled at
 arbitrary points of the independent variable without re-integration. A
-run ends when its span is covered, when its stop test fires, or when its
+run ends when its span is covered, when its stop rule fires, or when its
 step budget is exhausted or a step fails (and, in direct mode, at the
 singular set). It never halts at a rest point: a shot that starts next
 to one, where |F| is only as large as its perturbation, runs on.
 
 The whole run is straight-line Python generated per state dimension,
-mode, right-hand side and stop test (`_kernel_source`) and compiled once
-per process on first use (`_kernels`): `_run` checks the start and picks
+mode and right-hand side (`_kernel_source`) and compiled once per
+process on first use (`_kernels`): `_run` checks the start and picks
 the first step, and the kernel does every step, its step-size control,
-its stop test and its bookkeeping in one function, keeping only the
+its stop rule and its bookkeeping in one function, keeping only the
 bookkeeping the source and mode can use. A step evaluates the six new
 stages inline and writes out every stage point, the new state, the
 error estimate and the error norm component by component; the state and
@@ -37,21 +37,20 @@ and a step builds no list. A source whose zeta is the literal 1.0 (the
 flux form) is regular: its direct stages neither test zeta nor divide
 by it. Any other pair of callbacks runs as the call source
 (`_call_source`), which hands them the stage point as a list once per
-stage; the two give the same bits. A stop rule (`_StopRule`: capture
-near a target, divergence from an origin and the target, an x floor),
-which the shots and the layers use, is tested inline too. So a step calls no
-Python function but the callbacks of the call source, once per stage,
-and a ``stop_when`` that is not a rule, once per accepted step. The loop
-steps on Python floats, with no numpy or BLAS call between two
-right-hand side evaluations: called F and zeta get the stage point as a
-list, a called ``stop_when`` gets each accepted endpoint as fresh lists
-(see `SingularODE`), and only the start V0 and the finished trajectory
-are arrays. Every stage combination, the error estimate and the error
-norm are summed left to right in tableau order, one rounded multiply and
-add at a time (CPython never fuses them), and the dense output is an
-elementwise sum over the seven stages in order. So a trajectory does not
-depend on the BLAS kernel or on the machine's fused multiply-add, and
-identical inputs reproduce it bit for bit wherever F and zeta do.
+stage; the two give the same bits. Every run has a stop rule
+(`_StopRule`: capture near a target, divergence from an origin and the
+target, an x floor), tested inline; a run given none gets one that never
+fires. So a step calls no Python function but the callbacks of the call
+source, once per stage. The loop steps on Python floats, with no numpy
+or BLAS call between two right-hand side evaluations: called F and zeta
+get the stage point as a list (see `SingularODE`), and only the start V0
+and the finished trajectory are arrays. Every stage combination, the
+error estimate and the error norm are summed left to right in tableau
+order, one rounded multiply and add at a time (CPython never fuses
+them), and the dense output is an elementwise sum over the seven stages
+in order. So a trajectory does not depend on the BLAS kernel or on the
+machine's fused multiply-add, and identical inputs reproduce it bit for
+bit wherever F and zeta do.
 
 The module renders nothing: a trajectory holds arrays of any dimension,
 and the command line (`cli`) alone decides how a profile is written.
@@ -391,17 +390,17 @@ def _call_source(m: int) -> RhsSource:
 
 @dataclass(frozen=True)
 class _StopRule:
-    """A stop_when that the step kernels test inline, with no call per step.
+    """The stop test of a run, written inline into the step kernel.
 
     The run stops at an accepted endpoint whose V lies within capture of
     target, or farther than radius from origin and from target, or whose
-    x is at or below x_floor (x is the first argument in direct mode and
-    the third in rescaled mode). capture = -inf captures nothing, and
-    x_floor = -inf never stops a run; a rule with no target of its own
-    passes its origin again. Distances are sup norms, and "sup |V - p| <=
-    r" is tested as -r <= V_i - p_i <= r for every i, its verdict
-    wherever V and p are finite, as at every accepted endpoint. Calling
-    the rule gives the kernel's verdict.
+    x is at or below x_floor (x is t in direct mode, the last integrated
+    component in rescaled mode). capture = -inf captures nothing, radius
+    = inf diverges nowhere, and x_floor = -inf never stops a run; a rule
+    with no target of its own passes its origin again. Distances are sup
+    norms, and "sup |V - p| <= r" is tested as -r <= V_i - p_i <= r for
+    every i, its verdict wherever V and p are finite, as at every
+    accepted endpoint.
     """
 
     origin: tuple[float, ...]
@@ -409,16 +408,6 @@ class _StopRule:
     target: tuple[float, ...]
     capture: float
     x_floor: float
-
-    def __call__(self, t: float, V: list[float], x: float | None = None) -> bool:
-        def within(p, r):
-            return all(-r <= a - b <= r for a, b in zip(V, p))
-
-        x = t if x is None else x
-        return (
-            x <= self.x_floor or within(self.target, self.capture)
-            or not (within(self.origin, self.radius) or within(self.target, self.radius))
-        )
 
 
 def _rule_source(V: list[str], x: str) -> tuple[list[str], str]:
@@ -452,8 +441,8 @@ def _row_sum(row, i: int) -> str:
     return " + ".join(f"{c!r} * k{s}_{i}" for c, s in row)
 
 
-def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
-    """Source of make(tol, *consts) -> (stage, run) for dimension d, mode, right-hand side and stop test.
+def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
+    """Source of make(tol, *consts) -> (stage, run) for dimension d, mode and right-hand side.
 
     consts are the constants of rhs, and every stage runs its source
     inline (see `_stage_lines`): one kernel serves every gas and speed,
@@ -470,13 +459,11 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     signed step, y_new and stages 2..7. Stage 1 is not packed: it is
     the stage 7 of the step before (first same as last), and the first
     step's is k1. The state, the first-same-as-last stage and the
-    counters stay in locals from step to step. stop says how stop_when
-    is tested: None tests nothing, "stop_when" calls it after each
-    accepted step, and "rule" writes a
-    `_StopRule`'s tests inline (`_rule_source`), the rule's points, radii
-    and floor unpacked once per run. So no Python function is called per
-    attempt but the source's own calls (the callbacks of the call
-    source) and, after an accepted step, a stop_when that is not a rule.
+    counters stay in locals from step to step. stop_when is a
+    `_StopRule`, whose tests are written inline after each accepted step
+    (`_rule_source`), its points, radii and floor unpacked once per run.
+    So no Python function is called per attempt but the source's own
+    calls (the callbacks of the call source).
 
     A stage that fails counts the evaluations made so far and halves h.
     In rescaled mode the last component is x, which no stage reads, so
@@ -496,7 +483,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     first = _stage_lines(rhs, mode, ks[0], "return None, z", True)
     new = [f"n_{i}" for i in range(d)]
     record = ", ".join(["t", "dh"] + new + [k for stage in ks[2:] for k in stage])
-    unpack, stopping = _rule_source(new[:m], "t" if direct else new[-1]) if stop == "rule" else ([], "")
+    unpack, stopping = _rule_source(new[:m], "t" if direct else new[-1])
     out = [
         f"def make(tol, {', '.join(rhs.consts)}):",
         "    rtol = max(tol, REL_FLOOR)",
@@ -597,11 +584,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
                 "                    sign_changes += 1",
                 "                last_positive = z > 0.0",
             ]
-    if stop == "stop_when":
-        seen = f"t, [{', '.join(new)}]" if direct else f"t, [{', '.join(new[:-1])}], {new[-1]}"
-        out += [f"            if stop_when({seen}):", "                termination = TERM_STOPPED", "                break"]
-    elif stop == "rule":
-        out += [f"            if {stopping}:", "                termination = TERM_STOPPED", "                break"]
+    out += [f"            if {stopping}:", "                termination = TERM_STOPPED", "                break"]
     zeta_stats = "1.0, 0" if regular else "min_zeta, 0" if direct else "min_zeta, sign_changes"
     out += [
         "            a = t if t >= 0.0 else -t",
@@ -621,17 +604,17 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource, stop: str | None) -> str:
     return "\n".join(out) + "\n"
 
 
-_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name, stop test) -> make, compiled on first use
+_KERNELS: dict[tuple, Callable] = {}  # (d, mode, rhs name) -> make, compiled on first use
 
 
-def _kernels(d: int, mode: str, rhs: RhsSource, stop: str | None):
-    """make(tol, *consts) -> (stage, run) for dimension d, mode, right-hand side and stop test.
+def _kernels(d: int, mode: str, rhs: RhsSource):
+    """make(tol, *consts) -> (stage, run) for dimension d, mode and right-hand side.
 
-    The source is compiled once per process and (d, mode, rhs name,
-    stop test), as a file named after them (see `_compiled`).
+    The source is compiled once per process and (d, mode, rhs name), as
+    a file named after them (see `_compiled`).
     """
-    filename = f"<sode step d={d} {mode} {rhs.name}{'' if stop is None else ' ' + stop}>"
-    return _compiled(_KERNELS, (d, mode, rhs.name, stop), filename, lambda: _kernel_source(d, mode, rhs, stop), globals())
+    filename = f"<sode step d={d} {mode} {rhs.name}>"
+    return _compiled(_KERNELS, (d, mode, rhs.name), filename, lambda: _kernel_source(d, mode, rhs), globals())
 
 
 def _bound(ode: SingularODE, m: int) -> tuple[RhsSource, tuple]:
@@ -654,9 +637,10 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     The stages and the stepping loop come from the generated kernel of
     `_kernels` for the source of ode's right-hand side, found once here
     (see `_bound`): the `RhsSource` ode's callbacks were built from, or
-    else the call source of ode.F_eval and ode.zeta_eval. The kernel also
-    depends on stop_when: a `_StopRule`, recognized by its type, is
-    tested inline, and any other callable is called. Here the run takes
+    else the call source of ode.F_eval and ode.zeta_eval. Every kernel
+    tests a `_StopRule` inline: stop_when, or for None a rule that never
+    fires (origin and target the start's V, radius inf, capture and
+    x_floor -inf). Here the run takes
     the first stage, checks the start and picks the first step; the
     kernel's run does every step and its bookkeeping, and the trajectory
     is assembled from its records (t, the signed step, y_new and stages
@@ -674,23 +658,29 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     with ``singularity_approached`` at the first accepted endpoint with
     |zeta| <= DELTA. In both modes the run records min |zeta| and the
     sign changes of zeta over the accepted endpoints. Otherwise a run
-    ends ``reached_end`` once its span is covered, ``stopped`` when
-    stop_when holds, or ``step_failure`` when the step falls below the
-    round-off of t; a rest point does not end it. stop_when, if given,
-    sees each accepted endpoint as fresh lists: (x, V) in direct mode,
-    (tau, V, x) in rescaled mode. A run still going after MAX_STEPS step
-    attempts is a StepFailureError. tol must be positive and finite, else
-    the run is a DomainError.
+    ends ``reached_end`` once its span is covered, ``stopped`` when its
+    rule fires at an accepted endpoint, or ``step_failure`` when the step
+    falls below the round-off of t; a rest point does not end it. A run
+    still going after MAX_STEPS step attempts is a StepFailureError.
+    Before any stage runs, a tol that is not positive and finite, a span
+    endpoint that is not finite, and a stop_when that is neither None nor
+    a `_StopRule` are each a DomainError.
 
     Returns every `Trajectory` field but the mode as a dict.
     """
     _positive_finite(tol=tol)
+    if not (isfinite(t0) and isfinite(t_end)):
+        raise DomainError(f"integration span ({t0!r}, {t_end!r}) is not finite")
     direct = mode == "direct"
     d = len(y0)
     m = d if direct else d - 1  # the components of V
+    if stop_when is None:
+        start = tuple(y0[:m])
+        stop_when = _StopRule(origin=start, radius=inf, target=start, capture=-inf, x_floor=-inf)
+    elif not isinstance(stop_when, _StopRule):
+        raise DomainError(f"stop_when must be None or a stop rule (sode._StopRule), got {type(stop_when).__name__}")
     rhs, consts = _bound(ode, m)
-    stop = None if stop_when is None else "rule" if isinstance(stop_when, _StopRule) else "stop_when"
-    stage, run = _kernels(d, mode, rhs, stop)(tol, *consts)
+    stage, run = _kernels(d, mode, rhs)(tol, *consts)
     k0, z = stage(y0)
     if direct and z is not None and abs(z) <= DELTA:
         raise SingularityError(f"initial point has |zeta| = {abs(z):.3e} <= delta = {DELTA:g}")
@@ -727,7 +717,7 @@ def integrate_direct(
     V0: np.ndarray,
     x_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    stop_when: Callable[[float, list[float]], bool] | None = None,
+    stop_when: _StopRule | None = None,
 ) -> Trajectory:
     """Integrate dV/dx = F(V)/zeta(V) over x_span.
 
@@ -736,11 +726,10 @@ def integrate_direct(
     |zeta| <= DELTA; steps that would change the sign of zeta are
     rejected, so the singular set is approached from one side only.
     Otherwise the run ends as `_run` says: a rest point does not end it,
-    so a run that starts on one covers its span. V0 is array-like; F,
-    zeta and ``stop_when`` receive V as a list of floats, which they must
-    not modify, ``stop_when`` as (x, V) after each accepted step.
-    ``stop_when`` may be a `_StopRule`, which the step kernel tests
-    inline instead of calling it.
+    so a run that starts on one covers its span. V0 is array-like; F and
+    zeta receive V as a list of floats, which they must not modify.
+    ``stop_when`` is None or a `_StopRule`, whose x is the x of each
+    accepted endpoint; the step kernel tests it inline.
     """
     return Trajectory(mode="direct", **_run(
         ode, "direct", float(x_span[0]), np.asarray(V0, dtype=float).tolist(), float(x_span[1]), tol, stop_when,
@@ -752,7 +741,7 @@ def integrate_rescaled(
     V0: np.ndarray,
     tau_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    stop_when: Callable[[float, list[float], float], bool] | None = None,
+    stop_when: _StopRule | None = None,
 ) -> Trajectory:
     """Integrate the desingularized system dV/dtau = F, dx/dtau = zeta.
 
@@ -760,10 +749,9 @@ def integrate_rescaled(
     singularity to guard, so the trajectory may approach or touch the
     sonic set; sign changes of zeta along the samples are counted in the
     stats. The run ends as `_run` says, never at a rest point. V0 is
-    array-like; F, zeta and ``stop_when`` receive V as a list of floats.
-    ``stop_when`` receives (tau, V, x), one argument more than in direct
-    mode, since x is itself integrated here. It may be a `_StopRule`,
-    which the step kernel tests inline instead of calling it.
+    array-like; F and zeta receive V as a list of floats. ``stop_when``
+    is None or a `_StopRule`, whose x is the integrated x, not tau; the
+    step kernel tests it inline.
     """
     return Trajectory(mode="rescaled", **_run(
         ode, "rescaled", float(tau_span[0]), np.asarray(V0, dtype=float).tolist() + [0.0], float(tau_span[1]),

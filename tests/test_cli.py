@@ -531,6 +531,28 @@ class TestLayer:
         assert max(xs) - min(xs) > 0.0
 
 
+class TestStatesPastTheFloatRange:
+    """Finite config states whose squares leave the float range are validation errors, never a traceback."""
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        # theta^2 underflows to 0 and F divides by it
+        ("reduce-info", "reduce.U", [1.0, 0.0, 1e-300, 0.1, 0.0],
+         "F overflows a float at the extended state [1.0, 0.0, 1e-300, 0.1, 0.0]"),
+        ("shock", "rh.U_minus", [1.0, 0.0, 1e-300], "F overflows a float at the extended state"),
+        ("layer", "layer.limit_state", [1.0, -0.3, 1e-300], "F overflows a float at the extended state"),
+        # rho^2 overflows in the sound speed, which reads it scaled; the shot's start is then not finite
+        ("shock", "rh.U_minus", [1e200, 0.0, 1.0], "right-hand side not finite at the initial point"),
+    ], ids=["reduce-info-theta", "shock-theta", "layer-theta", "shock-rho"])
+    def test_exits_2(self, tmp_path, outdir, capsys, command, key, value, message):
+        cfg = base_config(outdir)
+        set_key(cfg, key, value)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"kind=validation exit=2 msg={message}" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+
 class TestPlotScript:
     @pytest.mark.parametrize("command", ["shock", "layer"])
     def test_names_its_own_file(self, config_path, outdir, command):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ def test_sound_speed_keeps_the_unscaled_bits_above_the_underflow(gas_model):
             _, e_theta = internal_energy(gas_model, theta)
             expected = float(np.sqrt(p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)))
             assert sound_speed(gas_model, State(rho, 0.0, theta)) == expected, (rho, theta)
+
+
+@pytest.mark.parametrize("gas_model", [GasModel(), GasModel(R=2.0), GasModel(R=0.287, gamma=5 / 3)])
+def test_sound_speed_where_rho_squared_overflows(gas_model):
+    # rho^2 (or p_theta^2 = (R rho)^2) is past the float range; the scaled form still gives
+    # sqrt(gamma R theta) wherever p_theta = R rho is a float
+    for rho in (1.35e154 / max(1.0, gas_model.R), 1e200, 1e300, 0.5 * sys.float_info.max):
+        for theta in (0.37, 1.0, 4.5):
+            exact = math.sqrt(gas_model.gamma * gas_model.R * theta)
+            c = sound_speed(gas_model, State(rho, 0.0, theta))
+            assert abs(c - exact) <= 1e-15 * exact, (rho, theta, c, exact)
+
+
+def test_sound_speed_keeps_its_bits_wherever_it_gave_a_value():
+    # up to the densities where rho^2 e_theta (e_theta = 2.5) overflows, the general expression is read as before
+    gas_model = GasModel()
+    for rho in np.logspace(3, math.log10(8e153), 200).tolist():
+        _, p_rho, p_theta = pressure(gas_model, rho, 1.0)
+        _, e_theta = internal_energy(gas_model, 1.0)
+        expected = float(np.sqrt(p_rho + p_theta ** 2 / (rho ** 2 * e_theta)))
+        assert sound_speed(gas_model, State(rho, 0.0, 1.0)) == expected, rho
 
 
 @pytest.mark.parametrize("rho,theta,message", [

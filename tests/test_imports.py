@@ -24,8 +24,8 @@ library's `ast`:
 
 The generated source is every right-hand-side closure `reduction` builds
 and every step kernel `sode` compiles: the kernel of each `RhsSource`,
-the call source of foreign callbacks included, in both modes, with no
-stop test, a stop_when called per step, and the inline stop rules.
+the call source of foreign callbacks included, in both modes, each
+with the inline stop rule.
 """
 
 import ast
@@ -41,10 +41,9 @@ SOURCES = (reduction.TW_RHS, profiles.FLUX_RHS)
 GENERATED = {
     "reduction.py": [reduction._closure_source(rhs) for rhs in SOURCES],
     "sode.py": [
-        sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, stop)
+        sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs)
         for mode in ("direct", "rescaled")
         for rhs in (sode._call_source(2), *SOURCES)
-        for stop in (None, "stop_when", "rule")
     ],
 }
 

@@ -929,6 +929,94 @@ class TestMirror:
                     check()
 
 
+# the boost's bound in units of the default tol times the jump: over both families, the default and the
+# power-law gas, strengths 0.05 to 2 and boosts -0.6, 0.75 and 3, the worst read 46.5 (family 1 at 0.05 on
+# the power-law gas), and it falls like 1 / strength: the step control resolves a weak shock relative to |U|
+BOOST_C = 100.0
+POWER_LAW_GAS = GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3))
+
+
+def unboosted(prof, V):
+    """prof with V taken off its v column, its endpoints and its speed; the dense output's steps are unchanged."""
+    shift = np.array([0.0, V, 0.0, 0.0, 0.0])
+    t = prof.trajectory
+    traj = replace(t, ys=t.ys - shift)
+    return Profile(
+        sigma=prof.sigma - V, left=prof.left - shift, right=prof.right - shift, trajectory=traj, diagnostics={},
+    )
+
+
+def assert_boost_within(gas, left, family, strength, V, bound_c=BOOST_C):
+    """The shock from (rho, v + V, theta), matched on rho with V off its v, is the shock from left within C tol jump."""
+    pair = solve_rh(gas, left, family, strength)
+    moved = solve_rh(gas, State(left.rho, left.v + V, left.theta), family, strength)
+    name = f"Galilean boost (v, sigma) -> (v + V, sigma + V) by V = {V:g}"
+    assert abs(moved.sigma - (pair.sigma + V)) <= 4e-16 * (1.0 + abs(V) + abs(pair.sigma)), (
+        f"{name}: the boosted speed {moved.sigma!r} is not sigma + V = {pair.sigma + V!r}"
+    )
+    one = shock_profile(gas, pair)
+    try:
+        image = unboosted(shock_profile(gas, moved), V)
+    except NoConnectionError as exc:
+        raise AssertionError(
+            f"{name}: the family-{family} shock at strength {strength:g} connects, the boosted one does not: {exc}"
+        ) from None
+    jump = _sup(one.left - one.right)
+    dev = compare_profiles(one, image, matching="rho").sup
+    assert dev <= bound_c * sode.DEFAULT_TOL * jump, (
+        f"{name}: at strength {strength:g} the boosted family-{family} profile deviates {dev:.3e} from the "
+        f"unboosted one, past {bound_c:g} x tol x the jump {jump:.3e}"
+    )
+
+
+class TestGalileanBoost:
+    """The boost (v, sigma) -> (v + V, sigma + V) maps a shock onto the shock from the boosted left state.
+
+    The travelling-wave field reads v only through s = v - sigma, and the
+    jump conditions only through v - sigma, so the two profiles agree with
+    V taken off v, within BOOST_C x the default tol x the jump.
+    """
+
+    @pytest.mark.parametrize("gas", [GasModel(), POWER_LAW_GAS], ids=["default", "power-law"])
+    @pytest.mark.parametrize("family,strength", [
+        (1, 0.05), (1, 0.2), (1, 0.5), (1, 2.0), (3, 0.05), (3, 0.2), (3, 0.5),
+    ])
+    def test_within_c_tol_of_the_jump(self, gas, family, strength):
+        assert_boost_within(gas, State(1.0, 0.0, 1.0), family, strength, 0.75)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        gamma=st.floats(1.2, 5.0 / 3.0),
+        nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+        family=st.sampled_from([1, 3]),
+        frac=st.floats(0.0, 1.0),
+        V=st.floats(-1.0, 3.0),
+    )
+    def test_generated_gases_and_boosts(self, gamma, nu, k, family, frac, V):
+        # family 1: strength log-uniform in [0.05, 2]; family 3: 0.1 to 0.7 of the admissible bound
+        gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
+        left = State(1.0, 0.0, 1.0)
+        if family == 1:
+            strength = 0.05 * (2.0 / 0.05) ** frac
+        else:
+            strength = (0.1 + 0.6 * frac) * sound_speed(gas, left) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
+        assert_boost_within(gas, left, family, strength, V)
+
+    @pytest.mark.parametrize("new", [None, "M12 = p_theta * v / theta"], ids=["copy", "planted"])
+    def test_a_planted_v_for_s_breaks_it(self, gasm, monkeypatch, new):
+        # v where s = v - sigma is meant, in one line of a copy of TW_RHS: the standing shock (sigma = 0 up to
+        # round-off, so s is v) keeps its profile, and the boost by 0.75 moves it off
+        monkeypatch.setattr(profiles, "tw_singular_ode", planted_tw_ode(("M12 = p_theta * s / theta", new)))
+        standing = State(1.0, C0 + 0.5, 1.0)
+        assert abs(solve_rh(gasm, standing, 1, 0.5).sigma) <= 1e-15
+        if new is None:
+            assert_boost_within(gasm, standing, 1, 0.5, 0.75)
+        else:
+            with pytest.raises(AssertionError, match=r"^Galilean boost \(v, sigma\) -> \(v \+ V, sigma \+ V\) by V = 0.75: "):
+                assert_boost_within(gasm, standing, 1, 0.5, 0.75)
+
+
 class TestGeneratedGases:
     """Profile invariants over generated gases, transport laws, families and strengths."""
 
@@ -1536,12 +1624,9 @@ class TestChecksEvaluateOnce:
 
 def direct_reference(gas, prof, tol=sode.DEFAULT_TOL):
     """The layer swept in x by `integrate_direct` from the same start, to the same cap and length, as a Profile."""
-    limit = prof.right.tolist()
+    limit = tuple(prof.right.tolist())
     cap = profiles.LAYER_GROW_CAP * max(1.0, _sup(prof.right))
-
-    def stop(x, V):
-        return max(abs(a - b) for a, b in zip(V, limit)) > cap
-
+    stop = sode._StopRule(origin=limit, radius=cap, target=limit, capture=-math.inf, x_floor=-math.inf)  # V past the cap
     start, L = prof.trajectory.Vs[0], prof.diagnostics["length_requested"]
     traj = integrate_direct(steady_singular_ode(gas), start, (L, 0.0), tol=tol, stop_when=stop)
     assert traj.mode == "direct" and traj.termination in (sode.TERM_STOPPED, sode.TERM_REACHED_END)

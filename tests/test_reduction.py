@@ -5,6 +5,8 @@ independent assembly of the block equations from `system.blocks`, and
 probed for its exact polynomial structure in the gradient variables.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,14 @@ class TestFrozenValues:
             with pytest.raises(DomainError, match=r"overflows a float at the extended state \[1e\+300"):
                 tw_singular_ode(g, 1.0).F_eval(U)
 
+    def test_a_divisor_that_underflows_is_a_domain_error_naming_the_state(self, gas):
+        # theta^2 (theta below about 1.6e-162) or nu = rho^2 underflows to 0, and F divides by it: F overflows,
+        # and the ZeroDivisionError becomes the same DomainError as an OverflowError
+        steep = GasModel(nu_law=PowerLaw(1.0, 2.0))
+        for g, U in ((gas, [1.0, 0.0, 1e-300, 0.1, 0.0]), (steep, [1e-200, 0.5, 1.0, 0.1, 0.0])):
+            with pytest.raises(DomainError, match=r"^F overflows a float at the extended state \[1"):
+                tw_singular_ode(g, 1.0).F_eval(U)
+
 
 class TestColumnArrays:
     """F and zeta over column arrays give, entry by entry, the bits of the float calls."""
@@ -101,6 +111,46 @@ class TestColumnArrays:
         U[17, column] = value
         with pytest.raises(DomainError, match="rho > 0 and theta > 0"):
             tw_singular_ode(power_gas, 0.0).F_eval(list(U.T))
+
+    def test_columns_raise_exactly_where_a_float_call_raises(self, gas, rng):
+        # theta^2 or nu = rho^2 underflows to 0 at some samples: a column call raises the float call's
+        # DomainError where one of its samples raises, divides by no zero, and keeps the bits elsewhere.
+        # A product past the float range is inf, and inf - inf NaN, in a float call too, so only those
+        # two warnings are silenced
+        steep = GasModel(nu_law=PowerLaw(1.0, 2.0), k_law=PowerLaw(1.0, -0.5))
+        U = admissible_extended(rng, 300)
+        U[:, 0] = 10.0 ** rng.uniform(-200.0, 0.0, 300)
+        U[:, 2] = 10.0 ** rng.uniform(-200.0, 0.0, 300)
+        for g in (gas, steep):
+            ode = tw_singular_ode(g, -0.4)
+            raises = []
+            for row in U.tolist():
+                try:
+                    ode.F_eval(row)
+                except DomainError as exc:
+                    assert str(exc).startswith("F overflows a float at the extended state")
+                    raises.append(True)
+                else:
+                    raises.append(False)
+            raises = np.array(raises)
+            assert 20 < raises.sum() < 280
+            ok = U[~raises]
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
+                F = np.array(ode.F_eval(list(ok.T)))
+                assert F.tobytes() == np.array([ode.F_eval(row) for row in ok.tolist()]).T.tobytes()
+                for i in np.flatnonzero(raises)[:10]:
+                    with pytest.raises(DomainError, match="^F overflows a float at the extended state"):
+                        ode.F_eval(list(np.vstack([ok[:40], U[i], ok[40:]]).T))
+
+    @pytest.mark.parametrize("U", [[1.0, 0.0, 1e-300, 0.1, 0.0], [1.0, -0.3, 1e-300, 0.0, 0.0]])
+    def test_an_underflowing_theta_squared_raises_with_no_warning(self, gas, rng, U):
+        # the float call divides by theta^2 = 0: the column call raises its error, and warns of no division
+        cols = np.vstack([admissible_extended(rng, 20), U]).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^F overflows a float at the extended state"):
+                steady_singular_ode(gas).F_eval(list(cols))
 
 
 class TestBlockConsistency:

@@ -12,6 +12,7 @@ import platform
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from pathlib import Path
 
@@ -487,24 +488,58 @@ class TestRestPoints:
         assert abs(traj.final_V[0] - 1e-5) <= 1e-12
 
 
+def stop_rule(origin, radius=math.inf, target=None, capture=-math.inf, x_floor=-math.inf):
+    """A `_StopRule` from float sequences; with no target of its own it passes its origin again."""
+    origin = tuple(map(float, origin))
+    return sode._StopRule(origin, radius, origin if target is None else tuple(map(float, target)), capture, x_floor)
+
+
 class TestStopAndFailure:
-    def test_stop_when_direct(self):
-        traj = integrate_direct(
-            exp_ode(), np.array([1.0]), (0.0, 5.0),
-            stop_when=lambda x, V: V[0] >= 2.0,
-        )
+    def test_stop_rule_direct(self):
+        # farther than 1 from the start V = 1: V > 2
+        traj = integrate_direct(exp_ode(), np.array([1.0]), (0.0, 5.0), stop_when=stop_rule([1.0], 1.0))
         assert traj.termination == TERM_STOPPED
-        assert traj.final_V[0] >= 2.0
+        assert traj.final_V[0] > 2.0 and traj.Vs[-2, 0] <= 2.0
         assert np.log(2.0) <= traj.xs[-1] <= np.log(2.0) + 0.5
 
-    def test_stop_when_rescaled_sees_x(self):
+    def test_stop_rule_rescaled_reads_x(self):
+        # from V = -1, x = -tau + tau^2 / 2 falls to -0.25 at tau = 1 - sqrt(1/2); tau itself never falls
         traj = integrate_rescaled(
-            affine_zeta_ode(), np.array([1.0]), (0.0, 5.0),
-            stop_when=lambda tau, V, x: x >= 1.0,
+            affine_zeta_ode(), np.array([-1.0]), (0.0, 5.0), stop_when=stop_rule([-1.0], x_floor=-0.25),
         )
         assert traj.termination == TERM_STOPPED
-        assert traj.xs[-1] >= 1.0
-        assert traj.xs[-2] < 1.0 + 0.75  # stopped promptly after the crossing
+        assert traj.xs[-1] <= -0.25 < traj.xs[-2]
+        assert 1.0 - math.sqrt(0.5) <= traj.taus[-1] <= 1.0
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_a_called_stop_when_is_refused(self, mode):
+        # the only stop is the inline rule: a callable is a DomainError that names its type, before any F call
+        ode, calls = counted_ode(exp_ode())
+        for stop, name in ((lambda *args: False, "function"), (np.float64(1.0), "float64")):
+            with pytest.raises(DomainError, match=f"stop_when must be None or a stop rule .*, got {name}$"):
+                INTEGRATORS[mode](ode, np.array([1.0]), (0.0, 1.0), stop_when=stop)
+        assert calls == [0, 0]
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    @pytest.mark.parametrize("span", [
+        (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (math.nan, math.nan),
+    ])
+    def test_a_span_that_is_not_finite_is_refused(self, mode, span):
+        # an infinite end is no end test's scale, and a NaN end points no direction: refused before any F call
+        ode, calls = counted_ode(SingularODE(F_eval=lambda V: [-V[0]], zeta_eval=lambda V: 1.0))
+        with pytest.raises(DomainError, match=r"integration span \(.*\) is not finite"):
+            INTEGRATORS[mode](ode, np.array([1.0]), span, tol=1e-10)
+        assert calls == [0, 0]
+
+    @pytest.mark.parametrize("mode", ["direct", "rescaled"])
+    def test_no_stop_is_a_rule_that_never_fires(self, gas, mode):
+        # stop_when=None runs the rule at the start's V with radius inf, capture and floor -inf: the same bits
+        U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
+        ode = steady_singular_ode(gas)
+        never = stop_rule(U0)
+        none = run_outcome(INTEGRATORS[mode], ode, U0, (0.0, 0.25), tol=1e-8)
+        assert none == run_outcome(INTEGRATORS[mode], ode, U0, (0.0, 0.25), tol=1e-8, stop_when=never)
+        assert none[1] == TERM_REACHED_END
 
     def test_step_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(sode, "MAX_STEPS", 5)
@@ -652,12 +687,12 @@ def is_float_list(V, n):
 
 
 class TestCallbackContract:
-    """F, zeta and stop_when receive V as a list of Python floats, in both modes."""
+    """F and zeta receive V as a list of Python floats, in both modes."""
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     def test_callbacks_receive_float_lists(self, gas, mode):
         ode = steady_singular_ode(gas)
-        seen = {"F": [], "zeta": [], "stop": []}
+        seen = {"F": [], "zeta": []}
 
         def F(V):
             seen["F"].append(V)
@@ -667,17 +702,11 @@ class TestCallbackContract:
             seen["zeta"].append(V)
             return ode.zeta_eval(V)
 
-        def stop(t, V, *x):
-            seen["stop"].append(V)
-            assert all(type(c) is float for c in (t, *x))
-            return False
-
         recording = SingularODE(F_eval=F, zeta_eval=zeta)
         U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
-        traj = INTEGRATORS[mode](recording, U0, (0.0, 0.25), tol=1e-8, stop_when=stop)
+        traj = INTEGRATORS[mode](recording, U0, (0.0, 0.25), tol=1e-8)
         assert traj.termination == TERM_REACHED_END
         assert len(seen["F"]) == traj.stats.n_fevals
-        assert len(seen["stop"]) == traj.stats.n_accepted
         for name, calls in seen.items():
             assert calls and all(is_float_list(V, 5) for V in calls), name
 
@@ -793,6 +822,26 @@ def ref_dp54_step(stage, y, h, k0):
     return yi, err, K, r[1]
 
 
+def ref_verdict(rule, t, V, x=None):
+    """Whether the `_StopRule` rule stops a run at an accepted endpoint (t, V, x): the kernel's inline test.
+
+    x is t in direct mode. Each sup distance is tested as -r <= V_i - p_i <= r.
+    """
+    def within(p, r):
+        return all(-r <= a - b <= r for a, b in zip(V, p))
+
+    x = t if x is None else x
+    return (
+        x <= rule.x_floor or within(rule.target, rule.capture)
+        or not (within(rule.origin, rule.radius) or within(rule.target, rule.radius))
+    )
+
+
+def ref_stop(stop_when):
+    """The reference's stop test of stop_when, called as (t, V) or (tau, V, x): a rule's verdict, or the callable."""
+    return partial(ref_verdict, stop_when) if isinstance(stop_when, sode._StopRule) else stop_when
+
+
 def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
     m = y0.size if guard_sign is not None else y0.size - 1  # the norms weigh V, not the rescaled mode's x
     if t_end == t0:
@@ -898,7 +947,7 @@ def ref_integrate_direct(ode, V0, x_span, tol=DEFAULT_TOL, stop_when=None):
             return None
 
     return Trajectory(mode="direct", **ref_run(
-        rhs, float(x_span[0]), V0, float(x_span[1]), tol, sode.MAX_STEPS, stop_when, 1.0 if z0 > 0 else -1.0,
+        rhs, float(x_span[0]), V0, float(x_span[1]), tol, sode.MAX_STEPS, ref_stop(stop_when), 1.0 if z0 > 0 else -1.0,
     ))
 
 
@@ -915,7 +964,7 @@ def ref_integrate_rescaled(ode, V0, tau_span, tol=DEFAULT_TOL, x0=0.0, stop_when
             return None
 
     def stop(tau, y):
-        return bool(stop_when(tau, y[:-1], float(y[-1])))
+        return bool(ref_stop(stop_when)(tau, y[:-1], float(y[-1])))
 
     return Trajectory(mode="rescaled", **ref_run(
         rhs, float(tau_span[0]), np.append(V0, float(x0)), float(tau_span[1]), tol, sode.MAX_STEPS,
@@ -1015,10 +1064,11 @@ class TestFloatStepperMatchesReference:
         U0 = np.array([1.0, 0.5, 1.0, 0.01, -0.01])
         _, _, stats, _ = self.assert_same("direct", steady_singular_ode(gas), U0, (0.0, 10.0), 1e-10)
         assert stats.n_rejected > 10
-        self.assert_same("direct", exp_ode(), np.array([1.0]), (0.0, 5.0), 1e-10, stop_when=lambda x, V: V[0] >= 2.0)
-        self.assert_same(
-            "rescaled", affine_zeta_ode(), np.array([1.0]), (0.0, 5.0), 1e-10, stop_when=lambda tau, V, x: x >= 1.0,
-        )
+        for mode, ode, V0, stop in (
+            ("direct", exp_ode(), 1.0, stop_rule([1.0], 1.0)),
+            ("rescaled", affine_zeta_ode(), -1.0, stop_rule([-1.0], x_floor=-0.25)),
+        ):
+            assert self.assert_same(mode, ode, np.array([V0]), (0.0, 5.0), 1e-10, stop_when=stop)[1] == TERM_STOPPED
         self.assert_same("rescaled", decay_to_zero_ode(), np.array([1.0]), (0.0, 1.5), 1e-10)
         self.assert_same("direct", steady_singular_ode(gas), np.array([1.2, 0.7, 0.9, 0.0, 0.0]), (0.0, 50.0), 1e-10)
 
@@ -1101,7 +1151,8 @@ class TestFloatStepperMatchesReference:
         tol=st.sampled_from([1e-8, 1e-10]),
     )
     def test_generated_stop_rules(self, gamma, nu, k, rho_theta, v, zeta0, below, z, branch, mode, tol):
-        # the stop rule, tested inside the kernel, against the closures profiles once passed as stop_when:
+        # the stop rule, tested inside the kernel, against the closures profiles once passed as stop_when, run
+        # by the reference loop:
         # a shot's (capture within capture of the target, or divergence farther than R from both the
         # start and the target, either of which can decide it) and a layer's (x at or below the floor,
         # or V past the cap from the limit)
@@ -1142,8 +1193,7 @@ class TestFloatStepperMatchesReference:
 
         inline = run_outcome(INTEGRATORS[mode], ode, U0, span, tol=tol, stop_when=rule)
         assert inline == run_outcome(REFERENCES[mode], ode, U0, span, tol=tol, stop_when=stop)
-        assert inline == run_outcome(INTEGRATORS[mode], ode, U0, span, tol=tol, stop_when=stop)
-        assert inline == run_outcome(REFERENCES[mode], ode, U0, span, tol=tol, stop_when=rule)  # the rule called
+        assert inline == run_outcome(REFERENCES[mode], ode, U0, span, tol=tol, stop_when=rule)  # ref_verdict
         if full.termination == TERM_REACHED_END and full.n > 2 and rule.radius > 0.0:
             assert inline[1] == TERM_STOPPED
 
@@ -1246,7 +1296,7 @@ class TestDenseOutputFromPackedStages:
     ], ids=["shot", "oracle", "layer"])
     def test_records_pack_seven_d_plus_two_doubles(self, d, mode, rhs, width):
         assert sode._record_width(d) == width
-        assert f"struct.Struct('{width}d')" in sode._kernel_source(d, mode, rhs, "rule")
+        assert f"struct.Struct('{width}d')" in sode._kernel_source(d, mode, rhs)
 
 
 def profiled_calls(fn, *args, **kwargs):
@@ -1265,9 +1315,6 @@ def profiled_calls(fn, *args, **kwargs):
     return counts, result
 
 
-STOP_KINDS = (None, "stop_when", "rule")
-
-
 class TestKernels:
     def test_one_compile_per_dimension_and_mode(self, monkeypatch):
         # a 64-operation sweep makes about 120 runs; each must reuse its kernel
@@ -1280,28 +1327,21 @@ class TestKernels:
 
         monkeypatch.setattr(reduction, "compile", counting, raising=False)
         integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0))
-        first = sode._KERNELS[(1, "direct", "call", None)]
+        first = sode._KERNELS[(1, "direct", "call")]
         integrate_direct(exp_ode(), np.array([2.0]), (0.0, -1.0))
-        assert sode._KERNELS[(1, "direct", "call", None)] is first
+        assert sode._KERNELS[(1, "direct", "call")] is first
         for _ in range(2):
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0))
-        # the stop test is part of the key: a called stop_when, and a rule, whatever its points and
-        # whichever of its tests can fire
+        # no rule and every rule, whatever its points and whichever of its tests can fire, share the kernel
         for far in (3.0, 4.0):
-            integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=lambda x, V: V[0] > far)
             for target, capture, x_floor in (((1.0,), -math.inf, -math.inf), ((2.0,), 1e-6 * far, -far)):
                 rule = sode._StopRule((1.0,), far, target, capture, x_floor)
                 integrate_direct(exp_ode(), np.array([1.0]), (0.0, 1.0), stop_when=rule)
             rule = sode._StopRule((-0.5,), far, (-0.5,), -math.inf, -far)
             integrate_rescaled(affine_zeta_ode(), np.array([-0.5]), (0.0, 1.0), stop_when=rule)
-        assert compiled == [
-            "<sode step d=1 direct call>", "<sode step d=2 rescaled call>", "<sode step d=1 direct call stop_when>",
-            "<sode step d=1 direct call rule>", "<sode step d=2 rescaled call rule>",
-        ]
-        assert sorted(sode._KERNELS, key=str) == sorted([
-            (1, "direct", "call", None), (2, "rescaled", "call", None), (1, "direct", "call", "stop_when"),
-            (1, "direct", "call", "rule"), (2, "rescaled", "call", "rule"),
-        ], key=str)
+        assert sode._KERNELS[(1, "direct", "call")] is first
+        assert compiled == ["<sode step d=1 direct call>", "<sode step d=2 rescaled call>"]
+        assert sorted(sode._KERNELS) == [(1, "direct", "call"), (2, "rescaled", "call")]
 
     def test_one_compile_per_right_hand_side(self, monkeypatch):
         # the constants are arguments of make: no gas and no speed compiles a kernel of its own.
@@ -1329,9 +1369,19 @@ class TestKernels:
             "<sode step d=2 direct flux-form>", "<sode step d=3 rescaled flux-form>",
         ])
         assert sorted(sode._KERNELS) == sorted([
-            (5, "direct", "travelling-wave", None), (6, "rescaled", "travelling-wave", None),
-            (2, "direct", "flux-form", None), (3, "rescaled", "flux-form", None),
+            (5, "direct", "travelling-wave"), (6, "rescaled", "travelling-wave"),
+            (2, "direct", "flux-form"), (3, "rescaled", "flux-form"),
         ])
+
+    def test_the_program_compiles_three_kernels(self, gas, monkeypatch):
+        # the shot, the oracle's shot and the layer sweep: every run the package makes has a stop rule
+        monkeypatch.setattr(sode, "_KERNELS", {})
+        pair = shocklayer.solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.2)
+        shocklayer.compare_profiles(shocklayer.shock_profile(gas, pair), shocklayer.gilbarg_oracle(gas, pair))
+        shocklayer.boundary_layer(gas, State(1.0, -0.3, 1.0))
+        assert sorted(sode._KERNELS) == [
+            (2, "direct", "flux-form"), (5, "direct", "travelling-wave"), (6, "rescaled", "travelling-wave"),
+        ]
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     @pytest.mark.parametrize(
@@ -1349,25 +1399,23 @@ class TestKernels:
         d = m + (mode == "rescaled")
         # the kernel's own names: those of kernels around sources whose every name is marked, one with
         # the regular zeta 1.0 and one whose zeta is a name, which keeps the zeta test and the division
-        # with every stop test
         own = set()
         for zeta in ("1.0", "blank_0"):
             blank = reduction.RhsSource(
                 name="blank", state=tuple(f"blank_{i}" for i in range(m)), consts=(), pre=(), positive=(),
                 lines=(), F=tuple(f"blank_{i}" for i in range(m)), zeta=zeta,
             )
-            for stop in STOP_KINDS:
-                own |= names(sode._kernel_source(d, mode, blank, stop)) - spliced(blank)
+            own |= names(sode._kernel_source(d, mode, blank)) - spliced(blank)
         assert {"h", "z", "y", "y_0", f"k7_{d - 1}", "t", "dh", "n_fev", "stop_when", "o_0", "capture_lo"} <= own
         assert spliced(rhs) & own == set()
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     def test_regular_sources_drop_the_zeta_test(self, mode):
         # the flux form's zeta is the literal 1.0: its direct stages neither test nor divide by it
-        source = sode._kernel_source(2 + (mode == "rescaled"), mode, profiles.FLUX_RHS, None)
+        source = sode._kernel_source(2 + (mode == "rescaled"), mode, profiles.FLUX_RHS)
         test = "if z == 0.0 or not z - z == 0.0:"
         assert test not in source and "/ z" not in source
-        tw = sode._kernel_source(5 + (mode == "rescaled"), mode, reduction.TW_RHS, None)
+        tw = sode._kernel_source(5 + (mode == "rescaled"), mode, reduction.TW_RHS)
         assert (test in tw) is (mode == "direct") and ("/ z" in tw) is (mode == "direct")
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
@@ -1377,7 +1425,7 @@ class TestKernels:
     def test_kernels_keep_only_the_bookkeeping_they_use(self, rhs, mode):
         # a regular source tracks no zeta, direct mode counts no sign changes (it rejects them), and
         # no stage names its F: every stage writes k straight from F's expressions
-        source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, None)
+        source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs)
         run = next(f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef) and f.name == "run")
         used = {n.id for n in ast.walk(run) if isinstance(n, ast.Name)}
         zeta = {"z", "az", "min_zeta", "sign0", "DELTA", "last_positive", "sign_changes"}
@@ -1391,41 +1439,37 @@ class TestKernels:
         assert not any(name.startswith("f") and name[1:].isdigit() for name in used)
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
-    def test_stop_tests_are_written_only_where_asked(self, mode):
-        d = 5 + (mode == "rescaled")
-        kernels = {stop: sode._kernel_source(d, mode, reduction.TW_RHS, stop) for stop in STOP_KINDS}
-        calls = {stop: "stop_when(t, " in source for stop, source in kernels.items()}
-        assert calls == {stop: stop == "stop_when" for stop in STOP_KINDS}
-        assert "TERM_STOPPED" not in kernels[None]
-        rule = {"x_floor", "g_0", "o_0", "capture_lo", "radius_lo"}
-        assert {stop for stop, source in kernels.items() if all(name in source for name in rule)} == {"rule"}
-        assert not any(name in kernels[stop] for stop in (None, "stop_when") for name in rule)
+    @pytest.mark.parametrize(
+        "rhs", [reduction.TW_RHS, profiles.FLUX_RHS, sode._call_source(3)], ids=lambda rhs: rhs.name,
+    )
+    def test_every_kernel_tests_the_rule_inline(self, rhs, mode):
+        # the rule's points, radii and floor are unpacked once per run, and stop_when is never called
+        source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs)
+        calls = {n.func.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "stop_when" not in calls and "stop_when(" not in source
+        assert source.count("TERM_STOPPED") == 1
+        for name in ("x_floor", "g_0", "o_0", "capture_lo", "radius_lo"):
+            assert name in source
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     @pytest.mark.parametrize(
         "rhs", [reduction.TW_RHS, profiles.FLUX_RHS, sode._call_source(3)], ids=lambda rhs: rhs.name,
     )
     def test_no_kernel_halts_at_a_rest_point(self, rhs, mode):
-        # a run ends by its span, its stop test or its step budget: no kernel counts endpoints near F = 0
-        for stop in STOP_KINDS:
-            source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs, stop)
-            assert "dwell" not in source and "EQUILIBRIUM" not in source
+        # a run ends by its span, its stop rule or its step budget: no kernel counts endpoints near F = 0
+        source = sode._kernel_source(len(rhs.state) + (mode == "rescaled"), mode, rhs)
+        assert "dwell" not in source and "EQUILIBRIUM" not in source
 
     def test_one_python_call_per_run_not_per_step(self, gas):
-        # under a profiler, a run makes the same calls whatever its length, a called stop_when aside
+        # under a profiler, a run with no stop rule of its own makes the same calls whatever its length
         pair = shocklayer.solve_rh(gas, State(1.0, 0.0, 1.0), 1, 0.5)
         ode = tw_singular_ode(gas, pair.sigma)
         V0 = shocklayer.shock_profile(gas, pair).trajectory.Vs[0]
 
-        def never(x, V):
-            return False
-
         def calls(L):
-            counts, traj = profiled_calls(integrate_direct, ode, V0, (0.0, -L), stop_when=never)
-            assert counts.pop(never.__code__) == traj.stats.n_accepted
+            counts, traj = profiled_calls(integrate_direct, ode, V0, (0.0, -L))
             return counts, traj.stats.n_accepted + traj.stats.n_rejected
 
-        calls(1.0)  # compiles the kernel that calls stop_when
         short, n_short = calls(10.5)
         long, n_long = calls(60.0)
         assert 40 <= n_short <= 60 and 200 <= n_long <= 300
