@@ -161,22 +161,31 @@ def sound_speed(gas: GasModel, state: State) -> float:
 
     Evaluated through the general expression
     c^2 = p_rho + theta * p_theta^2 / (rho^2 * e_theta), which collapses
-    to sqrt(gamma R theta) for the ideal polytropic law. Where rho^2 e_theta
-    is subnormal or 0 (rho below about 1e-154), both it and
-    theta p_theta^2 have lost digits, and where rho^2 or p_theta^2
-    overflows (rho above about 1.3e154 / max(1, R)) neither is a float; in
-    both cases c^2 is read as p_rho + theta (p_theta / rho)^2 / e_theta,
-    which keeps its scale.
+    to sqrt(gamma R theta) for the ideal polytropic law. That value is
+    read wherever rho^2 e_theta and theta p_theta^2 are normal floats and
+    c^2 is finite. Elsewhere a term has lost digits as a subnormal (rho
+    below about 1e-154) or left the float range (rho above about 1e154,
+    or theta p_theta^2 with a large theta), and c^2 is read as
+    p_rho + theta (p_theta / rho)^2 / e_theta, which keeps its scale. A
+    state where that is not finite either (p_theta = R rho past the float
+    range) is a DomainError naming the state.
     """
-    p, p_rho, p_theta = pressure(gas, state.rho, state.theta)
-    _, e_theta = internal_energy(gas, state.theta)
+    rho, theta = state.rho, state.theta
+    _, p_rho, p_theta = pressure(gas, rho, theta)
+    _, e_theta = internal_energy(gas, theta)
     try:
-        rho2_e = state.rho ** 2 * e_theta
-        if rho2_e >= sys.float_info.min:
-            return float(np.sqrt(p_rho + state.theta * p_theta ** 2 / rho2_e))
+        rho2_e, num = rho ** 2 * e_theta, theta * p_theta ** 2
+        c2 = p_rho + num / rho2_e if min(rho2_e, num) >= sys.float_info.min and rho2_e < math.inf else math.inf
     except OverflowError:
-        pass
-    return float(np.sqrt(p_rho + state.theta * (p_theta / state.rho) ** 2 / e_theta))
+        c2 = math.inf
+    if not c2 < math.inf:
+        try:
+            c2 = p_rho + theta * (p_theta / rho) ** 2 / e_theta
+        except OverflowError:
+            c2 = math.inf
+    if not c2 < math.inf:
+        raise DomainError(f"the sound speed is not a finite number at rho={rho!r}, theta={theta!r}")
+    return float(np.sqrt(c2))
 
 
 @dataclass(frozen=True)

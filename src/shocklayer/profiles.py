@@ -23,12 +23,7 @@ from operator import mul, sub
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoConnectionError,
-    NoDecayingDirectionError,
-    NonMonotoneError,
-)
+from .errors import DomainError, NoConnectionError, NoDecayingDirectionError
 from .gas import GasModel, State, _integer, internal_energy, pressure, sound_speed
 from .reduction import (
     TW_RHS,
@@ -47,7 +42,6 @@ from .sode import (
     LinearizationReport,
     Trajectory,
     _positive_finite,
-    _quartic,
     _StopRule,
     integrate_direct,
     integrate_rescaled,
@@ -276,7 +270,8 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, fl
     """Worst residual zeta U' - F at the step midpoints, U' from the dense output.
 
     U and U' are the dense output and its derivative halfway through each
-    step (in rescaled mode U' = (dV/dtau) / (dx/dtau)). At the step ends
+    step, read by `Trajectory.step_eval` over every step at once (in
+    rescaled mode U' = (dV/dtau) / (dx/dtau)). At the step ends
     the derivative would be the stage value F/zeta itself, so the check
     could not fail there. Every midpoint is checked: the residual is
     regular wherever F is, the sonic set zeta = 0 included. Returns the
@@ -287,8 +282,7 @@ def max_extended_residual(ode: SingularODE, traj: Trajectory) -> tuple[float, fl
     (see `SingularODE`); every value is the one a per-midpoint float
     evaluation gives. A NaN residual propagates into the result.
     """
-    p, dU = _quartic(*traj.Q.transpose(2, 0, 1), 0.5)  # every step at once, with no copy of Q
-    U = traj.y0s + traj.hs[:, None] * p
+    U, dU = traj.step_eval(slice(None), 0.5)  # a slice reads views, with no copy of Q
     if traj.mode == "rescaled":
         U, dU = U[:, :-1], dU[:, :-1] / dU[:, -1:]
     z = ode.zeta_eval(list(U.T))
@@ -632,35 +626,27 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
     """Reparametrize two profiles by a shared monotone component.
 
     Each profile (a `Profile` or an `OracleTrajectory`) is evaluated
-    through the dense output of its integration at the points where the
-    matching component takes the grid values: the samples of both
-    profiles inside the overlap of their ranges, plus the overlap's ends,
-    sorted, with each value once (see `Trajectory.eval_where`). Repeats
-    are dropped by comparing sorted neighbours, not by np.unique, which
-    under numpy >= 2 imports numpy.ma. The matching component must be
-    one the profile integrates (rho, v, theta, z1, z2 for a Profile; v,
-    theta for the oracle, whose rho, z1 and z2 follow from the flux
-    form). Each matching column is checked for monotonicity once, here,
-    and handed with its differences to the inversion, which does not
-    check it again; the grid lies in both ranges by construction. A grid
-    value that is a sample of a profile is read there without Newton
-    iterations, so about half the grid is. The sup deviation of the
-    remaining components is returned. x never participates: profiles are
-    translation invariant.
+    through the dense output of its integration, by
+    `Trajectory.eval_where`, at the points where the matching component
+    takes the grid values: the samples of both profiles inside the
+    overlap of their ranges, plus the overlap's ends, sorted, with each
+    value once. Repeats are dropped by comparing sorted neighbours, not by
+    np.unique, which under numpy >= 2 imports numpy.ma. The matching
+    component must be one the profile integrates (rho, v, theta, z1, z2
+    for a Profile; v, theta for the oracle, whose rho, z1 and z2 follow
+    from the flux form). Ranges that do not overlap are a DomainError,
+    checked first; a matching column that is not strictly monotone is
+    then `eval_where`'s NonMonotoneError. A grid value that is a sample of
+    a profile is read there without Newton iterations, so about half the
+    grid is. The sup deviation of the remaining components is returned. x
+    never participates: profiles are translation invariant.
     """
     names = [_integrated_columns(obj) for obj in (a, b)]
     for obj, cols in zip((a, b), names):
         if matching not in cols:
             raise DomainError(f"matching column {matching!r} missing from {type(obj).__name__}")
-    columns = []
-    for obj, cols in zip((a, b), names):
-        j = cols.index(matching)
-        s = obj.trajectory.ys[:, j]
-        d = np.diff(s)
-        if len(s) < 2 or not (np.all(d > 0) or np.all(d < 0)):
-            raise NonMonotoneError(f"matching column {matching!r} is not strictly monotone")
-        columns.append((obj, j, s, d))
-    ma, mb = (s for _, _, s, _ in columns)
+    idx = [cols.index(matching) for cols in names]
+    ma, mb = (obj.trajectory.ys[:, j] for obj, j in zip((a, b), idx))
     lo = max(ma.min(), mb.min())
     hi = min(ma.max(), mb.max())
     if not (lo < hi):
@@ -669,7 +655,7 @@ def compare_profiles(a, b, matching: str = "v") -> CompareReport:
         ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),
     ]))
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    ca, cb = (_columns_at(obj, obj.trajectory._invert(j, grid, s, d)) for obj, j, s, d in columns)
+    ca, cb = (_columns_at(obj, obj.trajectory.eval_where(j, grid)) for obj, j in zip((a, b), idx))
     per_column = {c: float(np.max(np.abs(ca[c] - cb[c]))) for c in _COLUMNS if c != matching}
     return CompareReport(
         sup=max(per_column.values()), per_column=per_column, overlap=(float(lo), float(hi)), n_points=len(grid),

@@ -118,7 +118,10 @@ def _closure_source(rhs: RhsSource) -> str:
     columns as the FloatingPointError numpy raises in place of a warning.
     On columns every divisor of ``lines`` that the test does not keep
     positive goes through `_nonzero`, so a column call raises exactly
-    where the float call at one of its samples raises.
+    where the float call at one of its samples raises. A float product
+    past the float range is inf, and inf - inf NaN, with no warning, so
+    the columns of ``lines`` and F run under ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
     unpack = f"        {', '.join(rhs.state)}, = V"
 
@@ -141,7 +144,9 @@ def _closure_source(rhs: RhsSource) -> str:
     floats = body(rhs.pre, rhs.admissible(), rhs.lines, "ZeroDivisionError")
     positive = " and ".join(f"np.all({name} > 0.0)" for name in rhs.positive)
     raising = ['with np.errstate(divide="raise", invalid="raise"):', *("    " + line for line in columns(rhs.pre))]
-    cols = body(raising if rhs.pre else [], positive, columns(rhs.lines), "FloatingPointError")
+    silent = ['with np.errstate(over="ignore", invalid="ignore"):', *("    " + line for line in columns(rhs.lines))]
+    silent.append(f"    return [{', '.join(rhs.F)}]")
+    cols = body(raising if rhs.pre else [], positive, silent, "FloatingPointError")
     out = [
         f"def bind({', '.join(rhs.consts)}):",
         "    def F(V):",
@@ -150,7 +155,6 @@ def _closure_source(rhs: RhsSource) -> str:
         *("            " + line for line in floats),
         f"            return [{', '.join(rhs.F)}]",
         *("        " + line for line in cols),
-        f"        return [{', '.join(rhs.F)}]",
         "",
         "    def zeta(V):",
         unpack,

@@ -256,18 +256,19 @@ class Trajectory:
     def eval_where(self, j: int, values) -> np.ndarray:
         """Dense-output integrated vectors where component j equals each value.
 
-        Component j must be strictly monotone over the samples. Each value
-        is bracketed between two samples, and the t inside that step where
-        the quartic takes the value is found by Newton's method, falling
-        back to bisection whenever a Newton iterate leaves the bracket
-        (`_newton`). Newton runs only on the values off the samples: a
-        value whose starting fraction is exactly 0 (one equal to a sample,
-        or one short of the first sample within the range's 1e-12 slack)
-        keeps that fraction, signed zero included, as the iteration would
-        over a finite dense output. Returns an array of shape values.shape
-        + (d,), each row the dense output at the fraction found, computed
-        by one expression for every value, values only. A value outside
-        the covered range, NaN included, is a DomainError.
+        Component j must be strictly monotone over the samples, else a
+        NonMonotoneError. Each value is bracketed between two samples, and
+        the t inside that step where the quartic takes the value is found
+        by Newton's method, falling back to bisection whenever a Newton
+        iterate leaves the bracket (`_newton`). Newton runs only on the
+        values off the samples: a value whose starting fraction is exactly
+        0 (one equal to a sample, or one short of the first sample within
+        the range's 1e-12 slack) keeps that fraction, signed zero included,
+        as the iteration would over a finite dense output. Returns an array
+        of shape values.shape + (d,), each row the dense output at the
+        fraction found, computed by one expression for every value, values
+        only. A value outside the covered range, NaN included, is a
+        DomainError.
         """
         c = np.asarray(values, dtype=float)
         s = self.ys[:, j]
@@ -277,10 +278,6 @@ class Trajectory:
         lo, hi = sorted((s[0], s[-1]))
         if _outside(c, lo, hi):
             raise DomainError(f"value outside the covered range [{lo}, {hi}]")
-        return self._invert(j, c, s, d)
-
-    def _invert(self, j: int, c: np.ndarray, s: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """`eval_where` on a checked column: s = ys[:, j] strictly monotone, d = diff(s), c inside its range."""
         flat = c.reshape(-1)
         # orient so that f(theta) = sgn (y_j(theta) - c) increases along each step; the step of a
         # value is the last one starting at or below it, the first and the last step taking the rest

@@ -552,6 +552,28 @@ class TestStatesPastTheFloatRange:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    def test_a_sound_speed_past_the_float_range_exits_2(self, tmp_path, outdir, capsys):
+        # p_theta = R rho is inf at R = 2, rho = 1e308: the error names the sound speed, not lambda(U-) = -inf
+        cfg = base_config(outdir)
+        set_key(cfg, "gas.R", 2.0)
+        set_key(cfg, "rh.U_minus", [1e308, 0.0, 1.0])
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2 msg=the sound speed is not a finite number at rho=1e+308, theta=1.0\n" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_a_dense_left_state_is_no_lax_violation(self, tmp_path, outdir, capsys):
+        # rho^2 e_theta overflows at rho = 1e154 where rho^2 does not: the sound speed is sqrt(1.4), not 1.0, so
+        # the pair keeps the Lax inequalities, and the shot is what fails, as a numerical error
+        cfg = base_config(outdir)
+        set_key(cfg, "rh.U_minus", [1e154, 0.0, 1.0])
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=numerical exit=3 msg=no connection (travelling sigma=-1.38322)" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 class TestPlotScript:
     @pytest.mark.parametrize("command", ["shock", "layer"])

@@ -88,6 +88,27 @@ def test_sound_speed_where_rho_squared_overflows(gas_model):
             assert abs(c - exact) <= 1e-15 * exact, (rho, theta, c, exact)
 
 
+@pytest.mark.parametrize("rho,theta", [
+    # rho^2 is a float but rho^2 e_theta (e_theta = 2.5) is not: the unscaled quotient was finite / inf
+    (9e153, 1.0), (1e154, 1.0), (1.3e154, 1.0),
+    # theta p_theta^2 overflows, with rho^2 a float
+    (1e150, 1e100), (1e100, 1e150),
+    # theta p_theta^2 is subnormal while rho^2 e_theta is normal
+    (3e-150, 1e-12),
+])
+def test_sound_speed_where_one_term_is_not_a_normal_float(rho, theta):
+    gas_model = GasModel(c_rho=1e-310)
+    exact = math.sqrt(gas_model.gamma * gas_model.R * theta)
+    c = sound_speed(gas_model, State(rho, 0.0, theta))
+    assert abs(c - exact) <= 1e-15 * exact, (rho, theta, c, exact)
+
+
+def test_sound_speed_that_is_not_a_float_is_a_domain_error():
+    # p_theta = R rho is inf, so neither form of c^2 is finite
+    with pytest.raises(DomainError, match=r"^the sound speed is not a finite number at rho=1e\+308, theta=1.0$"):
+        sound_speed(GasModel(R=2.0), State(1e308, 0.0, 1.0))
+
+
 def test_sound_speed_keeps_its_bits_wherever_it_gave_a_value():
     # up to the densities where rho^2 e_theta (e_theta = 2.5) overflows, the general expression is read as before
     gas_model = GasModel()

@@ -1,5 +1,7 @@
 """No package module imports an unused name, defines a dead private name, calls LAPACK off its two sites or does I/O outside `cli`.
 
+Nor does any module but `sode` read the dense output's layout.
+
 No linter ships with the toolchain, so these are rules in the standard
 library's `ast`:
 
@@ -21,6 +23,11 @@ library's `ast`:
   attribute or an import, so the shock and layer path stays free of it.
 - I/O in one module: no module but `cli` imports `json`, `os` or
   `pathlib`, so files and serialized formats stay in the command line.
+- the dense output's layout in one module: no module but `sode` names
+  `Q`, `_invert`, `_quartic`, `_quartic_value` or `_newton` as an
+  attribute or an import, so every other module reads a dense output
+  through `Trajectory`'s public methods (`eval`, `eval_where`,
+  `step_eval`), and the layout can change in `sode` alone.
 
 The generated source is every right-hand-side closure `reduction` builds
 and every step kernel `sode` compiles: the kernel of each `RhsSource`,
@@ -192,6 +199,50 @@ def test_rule_catches_io_imports():
     )
     assert io_imports(source) == ["json", "os", "pathlib"]
     assert io_imports("from .cli import main\nimport numpy as np\nfrom dataclasses import field\n") == []
+
+
+DENSE_OUTPUT_LAYOUT = {"Q", "_invert", "_quartic", "_quartic_value", "_newton"}
+
+
+def dense_output_reads(source: str) -> list[str]:
+    """The names of DENSE_OUTPUT_LAYOUT that source names as an attribute (traj.Q) or imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in DENSE_OUTPUT_LAYOUT:
+            found.append(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend(alias.name for alias in node.names if alias.name in DENSE_OUTPUT_LAYOUT)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sode.py"], ids=lambda p: p.name)
+def test_only_sode_reads_the_dense_output_layout(path):
+    assert dense_output_reads(path.read_text()) == []
+
+
+def test_rule_catches_dense_output_reads():
+    source = (
+        "from .sode import Trajectory, _quartic\nfrom shocklayer.sode import _newton as newton\n"
+        "def f(traj, c, s, d):\n    def g():\n        return sode._quartic_value(1.0, 2.0, 3.0, 4.0, 0.5)\n"
+        "    return traj.Q, traj.hs, g(), traj._invert(0, c, s, d)\n"
+    )
+    assert dense_output_reads(source) == ["Q", "_invert", "_newton", "_quartic", "_quartic_value"]
+    # a bare local named Q is no read of the layout, and the public methods pass
+    source = "def f(traj):\n    Q, dQ = traj.step_eval(slice(None), 0.5)\n    return traj.eval_where(0, Q[:, 0])\n"
+    assert dense_output_reads(source) == []
+
+
+def test_rule_catches_the_hand_evaluated_midpoints():
+    # profiles with max_extended_residual evaluating the quartic by hand, as it once did, fails the rule
+    source = Path(profiles.__file__).read_text()
+    read = "    U, dU = traj.step_eval(slice(None), 0.5)"
+    assert read in source
+    by_hand = source.replace(
+        read, "    p, dU = _quartic(*traj.Q.transpose(2, 0, 1), 0.5)\n    U = traj.y0s + traj.hs[:, None] * p",
+    )
+    by_hand = by_hand.replace("    _positive_finite,\n", "    _positive_finite,\n    _quartic,\n", 1)
+    assert dense_output_reads(source) == []
+    assert dense_output_reads(by_hand) == ["Q", "_quartic"]
 
 
 def defined_private_names(tree: ast.Module) -> set[str]:

@@ -868,13 +868,14 @@ def assert_mirror_within(gas, pair, bound):
     )
 
 
-def planted_tw_ode(edit):
-    """tw_singular_ode on a copy of TW_RHS with one (old, new) line edit; new None keeps the line."""
-    old, new = edit
+def planted_tw_ode(*edits):
+    """tw_singular_ode on a copy of TW_RHS with each (old, new) line edit made; new None keeps the line."""
     lines = list(reduction.TW_RHS.lines)
-    lines[lines.index(old)] = old if new is None else new
+    for old, new in edits:
+        lines[lines.index(old)] = old if new is None else new
     # kernels and callbacks are compiled once per source name, so each copy has a name of its own
-    name = "travelling-wave copy" if new is None else f"travelling-wave planted {new}"
+    changed = [new for _, new in edits if new is not None]
+    name = f"travelling-wave planted {'; '.join(changed)}" if changed else "travelling-wave copy"
     planted = replace(reduction.TW_RHS, name=name, lines=tuple(lines))
 
     def build(gas, sigma):
@@ -969,6 +970,13 @@ def assert_boost_within(gas, left, family, strength, V, bound_c=BOOST_C):
     )
 
 
+def drawn_strength(gas, left, family, frac):
+    """Family 1: log-uniform in [0.05, 2] as frac runs over [0, 1]; family 3: 0.1 to 0.7 of the admissible bound."""
+    if family == 1:
+        return 0.05 * (2.0 / 0.05) ** frac
+    return (0.1 + 0.6 * frac) * sound_speed(gas, left) * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
+
+
 class TestGalileanBoost:
     """The boost (v, sigma) -> (v + V, sigma + V) maps a shock onto the shock from the boosted left state.
 
@@ -994,14 +1002,9 @@ class TestGalileanBoost:
         V=st.floats(-1.0, 3.0),
     )
     def test_generated_gases_and_boosts(self, gamma, nu, k, family, frac, V):
-        # family 1: strength log-uniform in [0.05, 2]; family 3: 0.1 to 0.7 of the admissible bound
         gas = GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k))
         left = State(1.0, 0.0, 1.0)
-        if family == 1:
-            strength = 0.05 * (2.0 / 0.05) ** frac
-        else:
-            strength = (0.1 + 0.6 * frac) * sound_speed(gas, left) * (1.0 - np.sqrt((gamma - 1.0) / (2.0 * gamma)))
-        assert_boost_within(gas, left, family, strength, V)
+        assert_boost_within(gas, left, family, drawn_strength(gas, left, family, frac), V)
 
     @pytest.mark.parametrize("new", [None, "M12 = p_theta * v / theta"], ids=["copy", "planted"])
     def test_a_planted_v_for_s_breaks_it(self, gasm, monkeypatch, new):
@@ -1015,6 +1018,161 @@ class TestGalileanBoost:
         else:
             with pytest.raises(AssertionError, match=r"^Galilean boost \(v, sigma\) -> \(v \+ V, sigma \+ V\) by V = 0.75: "):
                 assert_boost_within(gasm, standing, 1, 0.5, 0.75)
+
+
+# the dilation's and the density scaling's bounds in units of the default tol times the jump. Measured over
+# both families, the default and power-law gases at strengths 0.05 to 2 (lam = 2, a = 4), and 300 drawn gases,
+# strengths, lam in [0.5, 2] and a in [0.25, 4]: the worst read 72.1 and 55.7 (family 1 at 0.05), falling like
+# 1 / strength as the boost's does
+DILATION_C = 150.0
+DENSITY_C = 120.0
+
+
+def transport_scaled(gas, factor, **changes):
+    """gas with each transport coefficient c rho^e replaced by factor(e) c rho^e, and any other field changed."""
+    nu, k = gas.nu_law, gas.k_law
+    return replace(
+        gas, nu_law=PowerLaw(factor(nu.exponent) * nu.coeff, nu.exponent),
+        k_law=PowerLaw(factor(k.exponent) * k.coeff, k.exponent), **changes,
+    )
+
+
+def rescaled(prof, scale):
+    """prof with each column of its samples, endpoints and dense output times scale; x is left as it is."""
+    scale = np.asarray(scale, dtype=float)
+    t = prof.trajectory
+    traj = replace(t, ys=t.ys * scale, Q=t.Q * scale[:, None])
+    return Profile(
+        sigma=prof.sigma, left=prof.left * scale, right=prof.right * scale, trajectory=traj, diagnostics={},
+    )
+
+
+def assert_image_within(name, gas, pair, image_gas, image_pair, back, bound_c):
+    """The shock of image_pair in image_gas, with its columns times back, is the shock of pair within C tol jump.
+
+    compare_profiles reads no x, but z = (v_x, theta_x) carries the scale of x.
+    """
+    one = shock_profile(gas, pair)
+    try:
+        image = rescaled(shock_profile(image_gas, image_pair), back)
+    except NoConnectionError as exc:
+        raise AssertionError(
+            f"{name}: the family-{pair.family} shock at strength {pair.strength:g} connects, its image does not: {exc}"
+        ) from None
+    jump = _sup(one.left - one.right)
+    dev = compare_profiles(one, image, matching="v").sup
+    assert dev <= bound_c * sode.DEFAULT_TOL * jump, (
+        f"{name}: at strength {pair.strength:g} the family-{pair.family} image deviates {dev:.3e} from the "
+        f"shock it maps onto, past {bound_c:g} x tol x the jump {jump:.3e}"
+    )
+
+
+def assert_dilation_within(gas, left, family, strength, lam):
+    """(nu, k) -> lam (nu, k): the same pair connects with x times lam and z = (v_x, theta_x) over lam."""
+    pair = solve_rh(gas, left, family, strength)
+    assert_image_within(
+        f"dilation (nu, k) -> lam (nu, k) by lam = {lam:g}", gas, pair, transport_scaled(gas, lambda e: lam), pair,
+        [1.0, 1.0, 1.0, lam, lam], DILATION_C,
+    )
+
+
+def assert_density_scaling_within(gas, left, family, strength, a):
+    """(rho, nu, k) -> a (rho, nu, k): the shock from (a rho, v, theta) is the shock from left with rho times a.
+
+    A law c rho^e that gives a nu at a rho has the coefficient c a^(1 - e),
+    and the vacuum bound scales with rho.
+    """
+    name = f"density scaling (rho, nu, k) -> a (rho, nu, k) by a = {a:g}"
+    dense = transport_scaled(gas, lambda e: a ** (1.0 - e), c_rho=a * gas.c_rho)
+    pair = solve_rh(gas, left, family, strength)
+    moved = solve_rh(dense, State(a * left.rho, left.v, left.theta), family, strength)
+    assert abs(moved.sigma - pair.sigma) <= 4e-16 * (1.0 + abs(pair.sigma)), (
+        f"{name}: the scaled speed {moved.sigma!r} is not sigma = {pair.sigma!r}"
+    )
+    assert_image_within(name, gas, pair, dense, moved, [1.0 / a, 1.0, 1.0, 1.0, 1.0], DENSITY_C)
+
+
+DRAWN_GASES = st.builds(
+    lambda gamma, nu, k: GasModel(gamma=gamma, nu_law=PowerLaw(*nu), k_law=PowerLaw(*k)),
+    gamma=st.floats(1.2, 5.0 / 3.0),
+    nu=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+    k=st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 1.0)),
+)
+
+
+class TestDilation:
+    """The dilation (nu, k) -> lam (nu, k) maps each shock onto itself with x -> lam x and z -> z / lam.
+
+    The jump conditions hold no transport coefficient, so the pair is the
+    same; the profile with z times lam equals the unscaled one within
+    DILATION_C x the default tol x the jump.
+    """
+
+    @pytest.mark.parametrize("gas", [GasModel(), POWER_LAW_GAS], ids=["default", "power-law"])
+    @pytest.mark.parametrize("family,strength", [
+        (1, 0.05), (1, 0.2), (1, 0.5), (1, 2.0), (3, 0.05), (3, 0.2), (3, 0.5),
+    ])
+    def test_within_c_tol_of_the_jump(self, gas, family, strength):
+        assert_dilation_within(gas, State(1.0, 0.0, 1.0), family, strength, 2.0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(gas=DRAWN_GASES, family=st.sampled_from([1, 3]), frac=st.floats(0.0, 1.0), lam=st.floats(0.5, 2.0))
+    def test_generated_gases_and_factors(self, gas, family, frac, lam):
+        left = State(1.0, 0.0, 1.0)
+        assert_dilation_within(gas, left, family, drawn_strength(gas, left, family, frac), lam)
+
+    @pytest.mark.parametrize(
+        "new", [None, "Fz2 = (theta_sq / k ** 2) * (M21 * z1 + M22 * z2)"], ids=["copy", "planted"],
+    )
+    def test_a_planted_k_squared_breaks_it(self, gasm, monkeypatch, new):
+        # k^2 where k is meant, in one line of a copy of TW_RHS: at the default gas's k = 1 the shock keeps its
+        # profile bit for bit, and the dilation by 2 reads 4 for 2
+        line = "Fz2 = (theta_sq / k) * (M21 * z1 + M22 * z2)"
+        monkeypatch.setattr(profiles, "tw_singular_ode", planted_tw_ode((line, new)))
+        if new is None:
+            assert_dilation_within(gasm, State(1.0, 0.0, 1.0), 1, 0.5, 2.0)
+        else:
+            with pytest.raises(AssertionError, match=r"^dilation \(nu, k\) -> lam \(nu, k\) by lam = 2: "):
+                assert_dilation_within(gasm, State(1.0, 0.0, 1.0), 1, 0.5, 2.0)
+
+
+class TestDensityScaling:
+    """The scaling (rho, nu, k) -> a (rho, nu, k) maps each shock onto the shock from (a rho, v, theta), x unchanged.
+
+    Mass, momentum and energy fluxes are homogeneous of degree one in rho,
+    p and the transport coefficients, and the sound speed does not read
+    rho, so the speed is the same within round-off and the profile with
+    rho over a equals the unscaled one within DENSITY_C x the default tol
+    x the jump.
+    """
+
+    @pytest.mark.parametrize("gas", [GasModel(), POWER_LAW_GAS], ids=["default", "power-law"])
+    @pytest.mark.parametrize("family,strength", [
+        (1, 0.05), (1, 0.2), (1, 0.5), (1, 2.0), (3, 0.05), (3, 0.2), (3, 0.5),
+    ])
+    def test_within_c_tol_of_the_jump(self, gas, family, strength):
+        assert_density_scaling_within(gas, State(1.0, 0.0, 1.0), family, strength, 4.0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(gas=DRAWN_GASES, family=st.sampled_from([1, 3]), frac=st.floats(0.0, 1.0), a=st.floats(0.25, 4.0))
+    def test_generated_gases_and_factors(self, gas, family, frac, a):
+        left = State(1.0, 0.0, 1.0)
+        assert_density_scaling_within(gas, left, family, drawn_strength(gas, left, family, frac), a)
+
+    @pytest.mark.parametrize("new", [
+        (None, None),
+        ("k = k_c if k_e == 0.0 else k_c * (1.0 + rho) ** k_e", "dk = 0.0 if k_e == 0.0 else k_e * k / (1.0 + rho)"),
+    ], ids=["copy", "planted"])
+    def test_a_law_at_the_wrong_density_breaks_it(self, monkeypatch, new):
+        # k read at 1 + rho where rho is meant, with its derivative, in a copy of TW_RHS: a law of its own, whose
+        # shock connects, but not c rho^e, so scaling its coefficient by a^(1 - e) does not scale k by a
+        lines = ("k = k_c if k_e == 0.0 else k_c * rho ** k_e", "dk = 0.0 if k_e == 0.0 else k_e * k / rho")
+        monkeypatch.setattr(profiles, "tw_singular_ode", planted_tw_ode(*zip(lines, new)))
+        if new[0] is None:
+            assert_density_scaling_within(POWER_LAW_GAS, State(1.0, 0.0, 1.0), 1, 0.5, 4.0)
+        else:
+            with pytest.raises(AssertionError, match=r"^density scaling \(rho, nu, k\) -> a \(rho, nu, k\) by a = 4: "):
+                assert_density_scaling_within(POWER_LAW_GAS, State(1.0, 0.0, 1.0), 1, 0.5, 4.0)
 
 
 class TestGeneratedGases:
@@ -1179,9 +1337,14 @@ class TestCompareProfiles:
             compare_profiles(prof_f1, oracle_f1, matching="z1")
 
     def test_non_monotone_matching_rejected(self, prof_f1):
-        # z1 = v_x rises from 0 to its peak and falls back across the shock
-        with pytest.raises(NonMonotoneError):
+        # z1 = v_x rises from 0 to its peak and falls back across the shock; eval_where names its index
+        with pytest.raises(NonMonotoneError, match="^component 3 is not strictly monotone along the trajectory$"):
             compare_profiles(prof_f1, prof_f1, matching="z1")
+
+    def test_the_overlap_is_checked_before_monotonicity(self, prof_f1):
+        # z1 is not monotone, but ranges that do not overlap are refused first
+        with pytest.raises(DomainError, match="^profiles do not overlap in the matching component$"):
+            compare_profiles(prof_f1, _raised(prof_f1, 3, 100.0), matching="z1")
 
     def test_disjoint_ranges_rejected(self, prof_f1):
         with pytest.raises(DomainError):
@@ -1226,14 +1389,14 @@ def inverted_grids(compare, a, b, matching="v"):
     Only the inversions made inside that one call are recorded.
     """
     grids = []
-    invert = sode.Trajectory._invert
+    eval_where = sode.Trajectory.eval_where
 
-    def spy(traj, j, values, s, d):
+    def spy(traj, j, values):
         grids.append(np.asarray(values).tobytes())
-        return invert(traj, j, values, s, d)
+        return eval_where(traj, j, values)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(sode.Trajectory, "_invert", spy)
+        monkeypatch.setattr(sode.Trajectory, "eval_where", spy)
         rep = compare(a, b, matching=matching)
     return rep, grids
 
@@ -1321,7 +1484,7 @@ class TestCompareGrid:
         ("ma[(ma >= lo) & (ma <= hi)], mb[(mb >= lo) & (mb <= hi)], np.array([lo, hi]),",
          "ma[(ma > lo) & (ma < hi)], mb[(mb > lo) & (mb < hi)],"),
         # the inversions leave out the grid's ends, and the report still counts them
-        ("obj.trajectory._invert(j, grid, s, d)", "obj.trajectory._invert(j, grid[1:-1], s, d)"),
+        ("obj.trajectory.eval_where(j, grid)", "obj.trajectory.eval_where(j, grid[1:-1])"),
     ], ids=["grid", "inverted-grid"])
     def test_a_grid_without_the_overlap_ends_fails(self, prof_f1, oracle_f1, edit):
         # the check above can fail: a compare_profiles that drops the overlap's ends

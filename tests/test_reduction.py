@@ -115,8 +115,7 @@ class TestColumnArrays:
     def test_columns_raise_exactly_where_a_float_call_raises(self, gas, rng):
         # theta^2 or nu = rho^2 underflows to 0 at some samples: a column call raises the float call's
         # DomainError where one of its samples raises, divides by no zero, and keeps the bits elsewhere.
-        # A product past the float range is inf, and inf - inf NaN, in a float call too, so only those
-        # two warnings are silenced
+        # A product past the float range is inf, and inf - inf NaN, in a float call too, and neither warns
         steep = GasModel(nu_law=PowerLaw(1.0, 2.0), k_law=PowerLaw(1.0, -0.5))
         U = admissible_extended(rng, 300)
         U[:, 0] = 10.0 ** rng.uniform(-200.0, 0.0, 300)
@@ -135,13 +134,25 @@ class TestColumnArrays:
             raises = np.array(raises)
             assert 20 < raises.sum() < 280
             ok = U[~raises]
-            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 F = np.array(ode.F_eval(list(ok.T)))
                 assert F.tobytes() == np.array([ode.F_eval(row) for row in ok.tolist()]).T.tobytes()
                 for i in np.flatnonzero(raises)[:10]:
                     with pytest.raises(DomainError, match="^F overflows a float at the extended state"):
                         ode.F_eval(list(np.vstack([ok[:40], U[i], ok[40:]]).T))
+
+    def test_a_value_past_the_float_range_is_silent_on_columns_too(self, gas):
+        # s z1 and rho s s overflow to inf, and inf - inf is NaN: the float call gives them with no warning, and
+        # the column call gives the same bits with none either, in the lines and in F's own products
+        U = np.array([[1.0, 1e200, 1.0, 1e200, 0.0], [1.0, 0.3, 1.0, 0.1, 0.2]])
+        ode = tw_singular_ode(gas, -0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = np.array(ode.F_eval(list(U.T)))
+            ref = np.array([ode.F_eval(row) for row in U.tolist()]).T
+        assert np.isinf(F[1, 0]) and np.isnan(F[4, 0])
+        assert F.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("U", [[1.0, 0.0, 1e-300, 0.1, 0.0], [1.0, -0.3, 1e-300, 0.0, 0.0]])
     def test_an_underflowing_theta_squared_raises_with_no_warning(self, gas, rng, U):
