@@ -28,8 +28,9 @@ and the box are read at load; rh, layer and reduce by their command.
 
 Exit codes: 0 success, 2 configuration or domain validation error (a
 missing, unknown or mistyped key, a non-finite config number, a
-tolerance pair `ShootOpts` refuses, and a non-finite F, zeta or w in
-`reduce-info` included),
+tolerance pair `ShootOpts` refuses, a non-finite F, zeta or w in
+`reduce-info` and an output directory that cannot be created or
+written included),
 3 any other package error, a numerical failure (no connection, step
 failure, ...), 4 structural hypotheses failed in `check`. A degeneracy
 verdict of "violated" is a reported finding, not a failure.
@@ -454,7 +455,11 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         artifacts, text, code = _COMMANDS[args.command][0](config, args)
-        written = _write_artifacts(config.out_dir if args.out is None else Path(args.out), artifacts)
+        out_dir = config.out_dir if args.out is None else Path(args.out)
+        try:
+            written = _write_artifacts(out_dir, artifacts)
+        except OSError as exc:  # such as a path that is a file, or lies under one
+            raise ConfigError(f"cannot write the artifacts to {out_dir}: {exc}") from exc
     except _VALIDATION_ERRORS as exc:
         return _fail("validation", 2, exc)
     except ShockLayerError as exc:

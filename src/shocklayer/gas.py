@@ -3,7 +3,8 @@
 Pressure law p = R rho theta, internal energy e = R theta / (gamma - 1).
 Viscosity and heat conduction are either constants or power laws in the
 density. All thermodynamic helpers return the value together with the
-partial derivatives the rest of the package needs.
+partial derivatives the rest of the package needs. The sound speed is
+sqrt(gamma R theta): the density cancels from c^2 (see `sound_speed`).
 `PowerLaw`, `pressure` and `internal_energy` also take arrays of samples
 and give every entry the bits of the float call (see `_pow_each`).
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -157,35 +157,18 @@ def internal_energy(gas: GasModel, theta: float) -> tuple[float, float]:
 
 
 def sound_speed(gas: GasModel, state: State) -> float:
-    """Adiabatic sound speed.
+    """Adiabatic sound speed c = sqrt(gamma R theta).
 
-    Evaluated through the general expression
-    c^2 = p_rho + theta * p_theta^2 / (rho^2 * e_theta), which collapses
-    to sqrt(gamma R theta) for the ideal polytropic law. That value is
-    read wherever rho^2 e_theta and theta p_theta^2 are normal floats and
-    c^2 is finite. Elsewhere a term has lost digits as a subnormal (rho
-    below about 1e-154) or left the float range (rho above about 1e154,
-    or theta p_theta^2 with a large theta), and c^2 is read as
-    p_rho + theta (p_theta / rho)^2 / e_theta, which keeps its scale. A
-    state where that is not finite either (p_theta = R rho past the float
-    range) is a DomainError naming the state.
+    For a polytropic ideal gas the general c^2 = p_rho + theta p_theta^2 /
+    (rho^2 e_theta) is R theta + R theta (gamma - 1) = gamma R theta
+    exactly: the density cancels, so c depends on theta alone. A state
+    where gamma R theta is not a finite number is a DomainError naming
+    the state.
     """
-    rho, theta = state.rho, state.theta
-    _, p_rho, p_theta = pressure(gas, rho, theta)
-    _, e_theta = internal_energy(gas, theta)
-    try:
-        rho2_e, num = rho ** 2 * e_theta, theta * p_theta ** 2
-        c2 = p_rho + num / rho2_e if min(rho2_e, num) >= sys.float_info.min and rho2_e < math.inf else math.inf
-    except OverflowError:
-        c2 = math.inf
+    c2 = gas.gamma * gas.R * state.theta
     if not c2 < math.inf:
-        try:
-            c2 = p_rho + theta * (p_theta / rho) ** 2 / e_theta
-        except OverflowError:
-            c2 = math.inf
-    if not c2 < math.inf:
-        raise DomainError(f"the sound speed is not a finite number at rho={rho!r}, theta={theta!r}")
-    return float(np.sqrt(c2))
+        raise DomainError(f"the sound speed is not a finite number at rho={state.rho!r}, theta={state.theta!r}")
+    return math.sqrt(c2)
 
 
 @dataclass(frozen=True)

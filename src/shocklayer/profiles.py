@@ -134,7 +134,7 @@ def _family3_strength_bound(gas: GasModel, U_minus: State) -> float:
     gas as the strength grows to this bound.
     """
     c = sound_speed(gas, U_minus)
-    return c * (1.0 - np.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
+    return c * (1.0 - math.sqrt((gas.gamma - 1.0) / (2.0 * gas.gamma)))
 
 
 def solve_rh(gas: GasModel, U_minus: State, family: int, strength: float) -> RHPair:

@@ -540,7 +540,7 @@ class TestStatesPastTheFloatRange:
          "F overflows a float at the extended state [1.0, 0.0, 1e-300, 0.1, 0.0]"),
         ("shock", "rh.U_minus", [1.0, 0.0, 1e-300], "F overflows a float at the extended state"),
         ("layer", "layer.limit_state", [1.0, -0.3, 1e-300], "F overflows a float at the extended state"),
-        # rho^2 overflows in the sound speed, which reads it scaled; the shot's start is then not finite
+        # the sound speed does not read rho, but the shot's start is not finite at rho = 1e200
         ("shock", "rh.U_minus", [1e200, 0.0, 1.0], "right-hand side not finite at the initial point"),
     ], ids=["reduce-info-theta", "shock-theta", "layer-theta", "shock-rho"])
     def test_exits_2(self, tmp_path, outdir, capsys, command, key, value, message):
@@ -552,20 +552,25 @@ class TestStatesPastTheFloatRange:
         assert "Traceback" not in err
         assert not outdir.exists()
 
-    def test_a_sound_speed_past_the_float_range_exits_2(self, tmp_path, outdir, capsys):
-        # p_theta = R rho is inf at R = 2, rho = 1e308: the error names the sound speed, not lambda(U-) = -inf
+    @pytest.mark.parametrize("R,U_minus,message", [
+        # gamma R theta overflows: the error names the sound speed, not lambda(U-) = -inf
+        (1e200, [1.0, 0.0, 1e200], "the sound speed is not a finite number at rho=1.0, theta=1e+200"),
+        # c = sqrt(2.8) does not depend on rho, but the mass flux m = rho (v - sigma) overflows
+        (2.0, [1e308, 0.0, 1.0], "the strength overflows the jump conditions: m = inf, P = m u + p = inf"),
+    ], ids=["sound-speed", "jump-conditions"])
+    def test_a_state_past_the_float_range_exits_2(self, tmp_path, outdir, capsys, R, U_minus, message):
         cfg = base_config(outdir)
-        set_key(cfg, "gas.R", 2.0)
-        set_key(cfg, "rh.U_minus", [1e308, 0.0, 1.0])
+        set_key(cfg, "gas.R", R)
+        set_key(cfg, "rh.U_minus", U_minus)
         assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert "kind=validation exit=2 msg=the sound speed is not a finite number at rho=1e+308, theta=1.0\n" in err
+        assert f"kind=validation exit=2 msg={message}\n" in err
         assert "Traceback" not in err
         assert not outdir.exists()
 
     def test_a_dense_left_state_is_no_lax_violation(self, tmp_path, outdir, capsys):
-        # rho^2 e_theta overflows at rho = 1e154 where rho^2 does not: the sound speed is sqrt(1.4), not 1.0, so
-        # the pair keeps the Lax inequalities, and the shot is what fails, as a numerical error
+        # the sound speed is sqrt(1.4) at every density, so at rho = 1e154 the pair keeps the Lax inequalities,
+        # and the shot is what fails, as a numerical error
         cfg = base_config(outdir)
         set_key(cfg, "rh.U_minus", [1e154, 0.0, 1.0])
         assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 3
@@ -699,6 +704,18 @@ class TestOutDirResolution:
     def test_config_out_dir_is_fallback(self, config_path, outdir):
         assert main(["reduce-info", "--config", config_path]) == 0
         assert (outdir / "reduce_info.json").exists()
+
+    @pytest.mark.parametrize("under", [None, "sub"], ids=["a-file", "under-a-file"])
+    def test_a_directory_that_cannot_be_created_exits_2(self, config_path, tmp_path, capsys, under):
+        # mkdir raises FileExistsError on an existing file and NotADirectoryError below one
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker if under is None else blocker / under
+        assert main(["check", "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"kind=validation exit=2 msg=cannot write the artifacts to {out}: " in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
 
 
 class TestRunIsItsConfig:

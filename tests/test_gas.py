@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shocklayer import (
     Box,
@@ -47,7 +49,7 @@ def test_sound_speed_general_formula_matches_ideal(gas, box, rng):
 
 @pytest.mark.parametrize("rho", [1e-162, 1e-300])
 def test_sound_speed_where_rho_squared_underflows(rho):
-    # rho^2 e_theta is 0 here; the scaled form still gives sqrt(gamma R theta)
+    # rho^2 is 0 here; c does not read rho and is still sqrt(gamma R theta)
     assert sound_speed(GasModel(c_rho=1e-310), State(rho, 0.0, 1.0)) == 1.1832159566199232
 
 
@@ -56,8 +58,8 @@ TINY_DENSITY_GASES = [GasModel(c_rho=1e-310), GasModel(R=0.287, gamma=5 / 3, c_r
 
 @pytest.mark.parametrize("gas_model", TINY_DENSITY_GASES)
 def test_sound_speed_where_rho_squared_is_subnormal(gas_model):
-    # rho^2 e_theta and theta p_theta^2 lose digits as subnormals long
-    # before they reach 0; the scaled form keeps sqrt(gamma R theta)
+    # rho^2 loses digits as a subnormal long before it reaches 0; c does
+    # not read rho and keeps sqrt(gamma R theta)
     for rho in np.logspace(-162, -150, 2000).tolist():
         for theta in (0.37, 1.0, 4.5):
             exact = math.sqrt(gas_model.gamma * gas_model.R * theta)
@@ -66,21 +68,18 @@ def test_sound_speed_where_rho_squared_is_subnormal(gas_model):
 
 
 @pytest.mark.parametrize("gas_model", TINY_DENSITY_GASES)
-def test_sound_speed_keeps_the_unscaled_bits_above_the_underflow(gas_model):
-    # every density where rho^2 e_theta is a normal float reads the general
-    # expression as before, so no shock speed moves a bit
+def test_sound_speed_is_the_closed_form_at_every_density(gas_model):
+    # bit for bit sqrt(gamma R theta), whatever the density
     for rho in np.logspace(-153, 3, 313).tolist():
         for theta in (0.37, 1.0, 4.5):
-            _, p_rho, p_theta = pressure(gas_model, rho, theta)
-            _, e_theta = internal_energy(gas_model, theta)
-            expected = float(np.sqrt(p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)))
+            expected = math.sqrt(gas_model.gamma * gas_model.R * theta)
             assert sound_speed(gas_model, State(rho, 0.0, theta)) == expected, (rho, theta)
 
 
 @pytest.mark.parametrize("gas_model", [GasModel(), GasModel(R=2.0), GasModel(R=0.287, gamma=5 / 3)])
 def test_sound_speed_where_rho_squared_overflows(gas_model):
-    # rho^2 (or p_theta^2 = (R rho)^2) is past the float range; the scaled form still gives
-    # sqrt(gamma R theta) wherever p_theta = R rho is a float
+    # rho^2 (or p_theta^2 = (R rho)^2) is past the float range; c does not read rho and is
+    # still sqrt(gamma R theta), at R = 2 and rho = 0.5 * float_info.max too
     for rho in (1.35e154 / max(1.0, gas_model.R), 1e200, 1e300, 0.5 * sys.float_info.max):
         for theta in (0.37, 1.0, 4.5):
             exact = math.sqrt(gas_model.gamma * gas_model.R * theta)
@@ -104,13 +103,37 @@ def test_sound_speed_where_one_term_is_not_a_normal_float(rho, theta):
 
 
 def test_sound_speed_that_is_not_a_float_is_a_domain_error():
-    # p_theta = R rho is inf, so neither form of c^2 is finite
-    with pytest.raises(DomainError, match=r"^the sound speed is not a finite number at rho=1e\+308, theta=1.0$"):
-        sound_speed(GasModel(R=2.0), State(1e308, 0.0, 1.0))
+    # gamma R theta = 1.4e400 is past the float range
+    with pytest.raises(DomainError, match=r"^the sound speed is not a finite number at rho=1.0, theta=1e\+200$"):
+        sound_speed(GasModel(R=1e200), State(1.0, 0.0, 1e200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    log_R=st.floats(-3.0, 200.0),
+    gamma=st.floats(1.0, 3.0, exclude_min=True),
+    log_rho=st.floats(-300.0, 308.0),
+    log_theta=st.floats(-300.0, 300.0),
+)
+@example(log_R=200.0, gamma=1.4, log_rho=0.0, log_theta=0.0)  # R rho and R^2 overflow, c = 1.18e100 does not
+@example(log_R=math.log10(2.0), gamma=1.4, log_rho=308.0, log_theta=0.0)  # p_theta = R rho overflows
+@example(log_R=200.0, gamma=1.4, log_rho=0.0, log_theta=200.0)  # gamma R theta overflows
+def test_sound_speed_is_sqrt_gamma_R_theta_bit_for_bit(log_R, gamma, log_rho, log_theta):
+    # over generated gases and states: the closed form where gamma R theta is a float, else a DomainError
+    gas_model = GasModel(R=10.0 ** log_R, gamma=gamma, c_rho=1e-310)
+    state = State(10.0 ** log_rho, 0.0, 10.0 ** log_theta)
+    c2 = gas_model.gamma * gas_model.R * state.theta
+    if math.isfinite(c2):
+        assert sound_speed(gas_model, state) == math.sqrt(c2)
+    else:
+        message = f"the sound speed is not a finite number at rho={state.rho!r}, theta={state.theta!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sound_speed(gas_model, state)
 
 
 def test_sound_speed_keeps_its_bits_wherever_it_gave_a_value():
-    # up to the densities where rho^2 e_theta (e_theta = 2.5) overflows, the general expression is read as before
+    # up to the densities where rho^2 e_theta (e_theta = 2.5) overflows, c has the bits the general
+    # expression gives at theta = 1
     gas_model = GasModel()
     for rho in np.logspace(3, math.log10(8e153), 200).tolist():
         _, p_rho, p_theta = pressure(gas_model, rho, 1.0)

@@ -778,6 +778,20 @@ class TestGilbargOracle:
         assert flux_constants(gasm, prof).drift <= 1e-6
         assert prof.diagnostics["extended_residual_rel"] <= 1e-6
 
+    @pytest.mark.parametrize("strength", [0.03, 0.02])
+    @pytest.mark.parametrize("family", [1, 3])
+    @pytest.mark.parametrize("gas", [
+        GasModel(),
+        GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3)),
+        GasModel(gamma=5 / 3, nu_law=PowerLaw(0.3), k_law=PowerLaw(2.0)),
+    ], ids=["default", "power-law", "gamma-5/3"])
+    def test_weak_shocks_match_the_oracle(self, gas, family, strength):
+        # measured at the default ShootOpts: 4.4e-10 to 1.2e-9 absolute, at most 3.3e-8 of the jump
+        pair = solve_rh(gas, State(1.0, 0.0, 1.0), family=family, strength=strength)
+        prof = shock_profile(gas, pair)
+        rep = compare_profiles(prof, gilbarg_oracle(gas, pair), matching="v")
+        assert rep.sup <= 1e-7 * _sup(prof.left - prof.right)
+
 
 def assert_dense_x_matches_samples(traj):
     """The x column of the dense output at both ends of each step is the x samples."""
