@@ -6,9 +6,10 @@ adds the matrices at the box midpoint to stdout; no environment
 variable is read. Each subcommand is a `cmd_*(config, args)` listed in
 `_COMMANDS` with its help and flags; it computes and returns its
 artifacts, its stdout text and its exit code, and writes nothing. `main`
-alone runs it, writes the artifacts atomically (temp file, then rename)
-to the output directory and prints, so a failing run leaves no partial
-files. With a fixed config, reruns produce byte-identical artifacts.
+alone runs it, writes the artifacts to the output directory, staged
+(`_write_artifacts`: every temp file before any rename) and prints, so
+a run that fails before the renames leaves no partial files. With a
+fixed config, reruns produce byte-identical artifacts.
 
 This module decides every artifact format but one: the JSON reports
 (`_dump_json`), the profile CSV (`_CSV_HEADER`, `_profile_csv`), the
@@ -29,8 +30,8 @@ and the box are read at load; rh, layer and reduce by their command.
 Exit codes: 0 success, 2 configuration or domain validation error (a
 missing, unknown or mistyped key, a non-finite config number, a
 tolerance pair `ShootOpts` refuses, a non-finite F, zeta or w in
-`reduce-info` and an output directory that cannot be created or
-written included),
+`reduce-info`, an output directory that cannot be created or written
+and an artifact path that exists and is not a regular file included),
 3 any other package error, a numerical failure (no connection, step
 failure, ...), 4 structural hypotheses failed in `check`. A degeneracy
 verdict of "violated" is a reported finding, not a failure.
@@ -76,20 +77,31 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_artifacts(out_dir: Path, artifacts: list[tuple[str, str]]) -> list[Path]:
+    """The (name, text) artifacts written to out_dir: every target checked, every name.tmp written, then renamed.
+
+    An OSError removes the temp files this call wrote and propagates; the
+    renames are not one transaction, so one that fails keeps those before.
+    """
+    paths = [out_dir / name for name, _ in artifacts]
+    for path in paths:
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write the artifacts to {out_dir}: {path} exists and is not a regular file")
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in artifacts:
-        path = out_dir / name
-        _atomic_write(path, text)
-        written.append(path)
-    return written
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    written = []  # the temp files this call opened; a renamed one is gone
+    try:
+        for tmp, (_, text) in zip(tmps, artifacts):
+            with tmp.open("w") as f:
+                written.append(tmp)
+                f.write(text)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except OSError:
+        for tmp in written:
+            tmp.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 @dataclass

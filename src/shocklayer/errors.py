@@ -34,13 +34,13 @@ class NoConnectionError(ShockLayerError):
 
     Shooting makes one shot, with the one sign that heads toward the far
     end state and a perturbation no smaller than the step control's
-    noise. ``attempts`` holds it, as a {sign, eps, termination,
-    mismatch, n_steps} dict; it is empty when no shot was made.
+    noise. ``shot`` is its record, the {sign, eps, termination,
+    endpoint_mismatch, n_steps} dict, or None if no shot was fired.
     """
 
-    def __init__(self, message: str, attempts: list[dict] | None = None):
+    def __init__(self, message: str, shot: dict | None = None):
         super().__init__(message)
-        self.attempts = list(attempts or [])
+        self.shot = shot
 
 
 class NoDecayingDirectionError(ShockLayerError):

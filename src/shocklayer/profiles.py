@@ -18,7 +18,7 @@ endpoint linearization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import mul, sub
 
 import numpy as np
@@ -426,27 +426,24 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     max(opts.tol, REL_FLOOR) (1 + sup |start|)), never below the step
     control's error scale at the start. The shot spans min(400 / slowest
     rate, 1e6). It stops within half of opts.end_tol of the target, or
-    once it is farther than max(10 x the endpoint distance, 0.5) from both
-    endpoints, tested inside the step kernel (`_StopRule`). It connects
+    once it is farther than max(10 x the endpoint distance, 0.5) from the
+    target, tested inside the step kernel (`_StopRule`). It connects
     when it ends within opts.end_tol of the target, stopped so or at the
     end of its span, not at the sonic set or by step failure. Nothing
     halts it near the start, where |F| is only as large as the
     perturbation.
 
     Returns the connecting trajectory and the shot's record {sign, eps,
-    termination, mismatch, n_steps}, n_steps counting accepted and
-    rejected steps; raises NoConnectionError, carrying the record as its
-    one attempt, otherwise.
+    termination, endpoint_mismatch, n_steps}, n_steps counting accepted
+    and rejected steps; raises NoConnectionError, carrying the record as
+    its shot, otherwise.
     """
     s_meas = _sup(plan.target - plan.start)
-    target, start = plan.target.tolist(), plan.start.tolist()
+    target, start = tuple(plan.target.tolist()), plan.start.tolist()
     eps = max(SHOOT_EPS_REL * s_meas, SHOOT_EPS_NOISE * max(opts.tol, REL_FLOOR) * (1.0 + _sup(plan.start)))
     rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
     L = min(400.0 / rate_floor, 1e6)
-    stop = _StopRule(
-        origin=tuple(start), radius=max(10.0 * s_meas, 0.5), target=tuple(target), capture=0.5 * opts.end_tol,
-        x_floor=-math.inf,
-    )
+    stop = _StopRule(target=target, radius=max(10.0 * s_meas, 0.5), capture=0.5 * opts.end_tol, x_floor=-math.inf)
     # xi . (target - start) as a correctly rounded sum of the products, not a BLAS
     # dot, whose summation order depends on the kernel
     sgn = 1.0 if math.fsum(map(mul, plan.xi.tolist(), map(sub, target, start))) >= 0.0 else -1.0
@@ -457,15 +454,15 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
         "sign": sgn,
         "eps": eps,
         "termination": traj.termination,
-        "mismatch": _sup(traj.final_V - plan.target),
+        "endpoint_mismatch": _sup(traj.final_V - plan.target),
         "n_steps": traj.stats.n_accepted + traj.stats.n_rejected,
     }
-    if shot["mismatch"] <= opts.end_tol and traj.termination in (TERM_STOPPED, TERM_REACHED_END):
+    if shot["endpoint_mismatch"] <= opts.end_tol and traj.termination in (TERM_STOPPED, TERM_REACHED_END):
         return traj, shot
     raise NoConnectionError(
         f"no connection ({ode.label}); the shot (sign, eps, termination, mismatch): "
-        f"({sgn:+g}, {eps:.1e}, {traj.termination}, {shot['mismatch']:.2e})",
-        [shot],
+        f"({sgn:+g}, {eps:.1e}, {traj.termination}, {shot['endpoint_mismatch']:.2e})",
+        shot,
     )
 
 
@@ -478,8 +475,8 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
     endpoint, never by less than the step control's noise (see `_shoot`).
     Acoustic profiles stay away from the sonic set, so direct integration
     applies throughout. Accepts the shot if it comes within opts.end_tol
-    of the far endpoint, as the one entry of diagnostics["attempts"];
-    raises NoConnectionError otherwise.
+    of the far endpoint, its record merged into the diagnostics; raises
+    NoConnectionError, carrying that record, otherwise.
     """
     U_minus = np.array([pair.left.rho, pair.left.v, pair.left.theta, 0.0, 0.0])
     U_plus = np.array([pair.right.rho, pair.right.v, pair.right.theta, 0.0, 0.0])
@@ -490,15 +487,11 @@ def shock_profile(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) ->
         "strength": pair.strength,
         "family": pair.family,
         "shoot_from": "left" if plan.direction > 0 else "right",
-        "sign": shot["sign"],
-        "eps": shot["eps"],
-        "endpoint_mismatch": shot["mismatch"],
-        "termination": traj.termination,
+        **shot,
         "rate": plan.rate,
         "rates_start": plan.rates_start,
         "rates_target": plan.rates_target,
         "lax": lax_inequalities(gas, pair)["satisfied"],
-        "attempts": [shot],
         "rh_residual_max": _sup(rh_residual(gas, pair)),
     }
     return _checked_profile(gas, ode, pair.sigma, U_minus, U_plus, traj, diagnostics)
@@ -553,7 +546,7 @@ class OracleTrajectory:
     (`_columns`). That right-hand side comes from the gas model and these
     constants alone, never from the symmetrized matrices or the reduced
     singular ODE; only the stepper and the shooting are shared with
-    `shock_profile`. ``attempts`` holds the one shot.
+    `shock_profile`. ``shot`` is the shot's record (see `_shoot`).
     """
 
     gas: GasModel
@@ -562,7 +555,7 @@ class OracleTrajectory:
     Pi: float
     Eflux: float
     trajectory: Trajectory
-    attempts: list[dict] = field(default_factory=list)  # the one shot, as in Profile diagnostics
+    shot: dict
 
     def _columns(self, V: np.ndarray) -> dict[str, np.ndarray]:
         """Columns rho, v, theta, z1, z2 at (v, theta) states, z from the flux form."""
@@ -580,7 +573,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     check on the singular-ODE profile. The (v, theta) connection is found
     by the same shooting as `shock_profile`, with the same controls: one
     shot toward the far state, perturbed never below the step control's
-    noise (see `_shoot`), recorded as the one entry of ``attempts``.
+    noise (see `_shoot`), whose record is ``shot``.
     """
     U_m = pair.left
     sigma = pair.sigma
@@ -592,7 +585,7 @@ def gilbarg_oracle(gas: GasModel, pair: RHPair, opts: ShootOpts = ShootOpts()) -
     left = np.array([U_m.v, U_m.theta])
     right = np.array([pair.right.v, pair.right.theta])
     traj, shot = _shoot(ode2, _connection_plan(ode2, left, right), opts)
-    return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, attempts=[shot])
+    return OracleTrajectory(gas=gas, sigma=sigma, m=m, Pi=Pi, Eflux=Eflux, trajectory=traj, shot=shot)
 
 
 _COLUMNS = TW_RHS.state
@@ -741,8 +734,7 @@ def boundary_layer(
     tau_span = max(10.0 * L / abs(limit_state.v), 100.0)
     tau_end = -tau_span if ode.zeta_eval(start.tolist()) > 0 else tau_span
     # x <= -L, or V past the growth cap from the limit, tested inside the step kernel
-    limit = tuple(U_star.tolist())
-    stop = _StopRule(origin=limit, radius=cap, target=limit, capture=-math.inf, x_floor=-float(L))
+    stop = _StopRule(target=tuple(U_star.tolist()), radius=cap, capture=-math.inf, x_floor=-float(L))
 
     def checked_sweep(tol: float) -> Profile:
         traj = integrate_rescaled(ode, start, (0.0, tau_end), tol=tol, stop_when=stop)

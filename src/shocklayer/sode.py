@@ -38,10 +38,10 @@ flux form) is regular: its direct stages neither test zeta nor divide
 by it. Any other pair of callbacks runs as the call source
 (`_call_source`), which hands them the stage point as a list once per
 stage; the two give the same bits. Every run has a stop rule
-(`_StopRule`: capture near a target, divergence from an origin and the
-target, an x floor), tested inline; a run given none gets one that never
-fires. So a step calls no Python function but the callbacks of the call
-source, once per stage. The loop steps on Python floats, with no numpy
+(`_StopRule`: capture near a target, divergence from that target, an x
+floor), tested inline; a run given none gets one that never fires. So
+a step calls no Python function but the callbacks of the call source,
+once per stage. The loop steps on Python floats, with no numpy
 or BLAS call between two right-hand side evaluations: called F and zeta
 get the stage point as a list (see `SingularODE`), and only the start V0
 and the finished trajectory are arrays. Every stage combination, the
@@ -76,7 +76,7 @@ TERM_STOPPED = "stopped"
 DEFAULT_TOL = 1e-10
 REL_FLOOR = 1e-12  # the error tolerance, absolute and relative, is max(tol, REL_FLOOR)
 DELTA = 1e-6  # direct mode halts once |zeta| <= DELTA at an accepted endpoint
-MAX_STEPS = 500_000  # step attempts per run, read when a run starts
+MAX_STEPS = 500_000  # steps tried per run, accepted or rejected; read when a run starts
 
 # Dormand-Prince 5(4) tableau, unrolled as in DOPRI5 (Hairer, Norsett &
 # Wanner, Solving ODEs I, II.5). The fields are autonomous, so the nodes c
@@ -389,20 +389,18 @@ def _call_source(m: int) -> RhsSource:
 class _StopRule:
     """The stop test of a run, written inline into the step kernel.
 
-    The run stops at an accepted endpoint whose V lies within capture of
-    target, or farther than radius from origin and from target, or whose
-    x is at or below x_floor (x is t in direct mode, the last integrated
-    component in rescaled mode). capture = -inf captures nothing, radius
-    = inf diverges nowhere, and x_floor = -inf never stops a run; a rule
-    with no target of its own passes its origin again. Distances are sup
-    norms, and "sup |V - p| <= r" is tested as -r <= V_i - p_i <= r for
-    every i, its verdict wherever V and p are finite, as at every
-    accepted endpoint.
+    The rule has one centre, target. The run stops at an accepted
+    endpoint whose x is at or below x_floor (x is t in direct mode, the
+    last integrated component in rescaled mode), or whose V lies within
+    capture of target, or farther than radius from it. capture = -inf
+    captures nothing, radius = inf diverges nowhere, and x_floor = -inf
+    never stops a run. Distances are sup norms, and "sup |V - target| <=
+    r" is tested as -r <= V_i - target_i <= r for every i, its verdict
+    wherever V and target are finite, as at every accepted endpoint.
     """
 
-    origin: tuple[float, ...]
-    radius: float
     target: tuple[float, ...]
+    radius: float
     capture: float
     x_floor: float
 
@@ -410,22 +408,20 @@ class _StopRule:
 def _rule_source(V: list[str], x: str) -> tuple[list[str], str]:
     """The run's unpacking of a `_StopRule`, and its stop test on the names V and x of an endpoint.
 
-    "sup |V - p| <= r" is written as the chain r_lo <= V_0 - p_0 <= r_hi
-    and ..., with r_lo = -r_hi taken once per run.
+    "sup |V - target| <= r" is written as the chain r_lo <= V_0 - g_0 <= r_hi
+    and ..., with the target's components g_i and r_lo = -r_hi taken once per run.
     """
-    def point(p: str, name: str) -> str:
-        return f"{', '.join(f'{p}_{i}' for i in range(len(V)))}, = stop_when.{name}"
-
-    def within(p: str, r: str) -> str:
-        return " and ".join(f"{r}_lo <= {v} - {p}_{i} <= {r}_hi" for i, v in enumerate(V))
+    def within(r: str) -> str:
+        return " and ".join(f"{r}_lo <= {v} - g_{i} <= {r}_hi" for i, v in enumerate(V))
 
     unpack = [
-        point("o", "origin"), "radius_hi = stop_when.radius", "radius_lo = -radius_hi",
-        point("g", "target"), "capture_hi = stop_when.capture", "capture_lo = -capture_hi",
+        f"{', '.join(f'g_{i}' for i in range(len(V)))}, = stop_when.target",
+        "radius_hi = stop_when.radius", "radius_lo = -radius_hi",
+        "capture_hi = stop_when.capture", "capture_lo = -capture_hi",
         "x_floor = stop_when.x_floor",
     ]
-    far = f"not ({within('o', 'radius')}) and not ({within('g', 'radius')})"
-    return unpack, " or ".join(f"({test})" for test in (f"{x} <= x_floor", within("g", "capture"), far))
+    tests = (f"{x} <= x_floor", within("capture"), f"not ({within('radius')})")
+    return unpack, " or ".join(f"({test})" for test in tests)
 
 
 def _record_width(d: int) -> int:
@@ -458,7 +454,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
     step's is k1. The state, the first-same-as-last stage and the
     counters stay in locals from step to step. stop_when is a
     `_StopRule`, whose tests are written inline after each accepted step
-    (`_rule_source`), its points, radii and floor unpacked once per run.
+    (`_rule_source`), its target, radii and floor unpacked once per run.
     So no Python function is called per attempt but the source's own
     calls (the callbacks of the call source).
 
@@ -636,18 +632,17 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     (see `_bound`): the `RhsSource` ode's callbacks were built from, or
     else the call source of ode.F_eval and ode.zeta_eval. Every kernel
     tests a `_StopRule` inline: stop_when, or for None a rule that never
-    fires (origin and target the start's V, radius inf, capture and
-    x_floor -inf). Here the run takes
-    the first stage, checks the start and picks the first step; the
-    kernel's run does every step and its bookkeeping, and the trajectory
-    is assembled from its records (t, the signed step, y_new and stages
-    2..7 of each accepted step). The stages go into the dense output Q in
-    tableau order, P's zero row included, stage 1 rebuilt as the first
-    stage at y0 followed by each step's stage 7 but the last; so Q has
-    the bits of a sum over seven packed stages. Every stage is one
-    evaluation, the first one at y0 included. A step is rejected (and
-    halved) when a stage is unusable or not finite, which covers a
-    non-finite (F, zeta) pair at its end.
+    fires (target the start's V, radius inf, capture and x_floor -inf).
+    Here the run takes the first stage, checks the start and picks the
+    first step; the kernel's run does every step and its bookkeeping,
+    and the trajectory is assembled from its records (t, the signed
+    step, y_new and stages 2..7 of each accepted step). The stages go
+    into the dense output Q in tableau order, P's zero row included,
+    stage 1 rebuilt as the first stage at y0 followed by each step's
+    stage 7 but the last; so Q has the bits of a sum over seven packed
+    stages. Every stage is one evaluation, the first one at y0 included.
+    A step is rejected (and halved) when a stage is unusable or not
+    finite, which covers a non-finite (F, zeta) pair at its end.
 
     Direct mode is guarded. There a start with |zeta| <= DELTA, zeta = 0
     included, is a SingularityError; a step whose end has zeta of the
@@ -658,7 +653,7 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     ends ``reached_end`` once its span is covered, ``stopped`` when its
     rule fires at an accepted endpoint, or ``step_failure`` when the step
     falls below the round-off of t; a rest point does not end it. A run
-    still going after MAX_STEPS step attempts is a StepFailureError.
+    still going after MAX_STEPS steps tried is a StepFailureError.
     Before any stage runs, a tol that is not positive and finite, a span
     endpoint that is not finite, and a stop_when that is neither None nor
     a `_StopRule` are each a DomainError.
@@ -672,8 +667,7 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     d = len(y0)
     m = d if direct else d - 1  # the components of V
     if stop_when is None:
-        start = tuple(y0[:m])
-        stop_when = _StopRule(origin=start, radius=inf, target=start, capture=-inf, x_floor=-inf)
+        stop_when = _StopRule(target=tuple(y0[:m]), radius=inf, capture=-inf, x_floor=-inf)
     elif not isinstance(stop_when, _StopRule):
         raise DomainError(f"stop_when must be None or a stop rule (sode._StopRule), got {type(stop_when).__name__}")
     rhs, consts = _bound(ode, m)

@@ -447,12 +447,12 @@ class TestShock:
         assert "Traceback" not in err
         assert not outdir.exists()
 
-    def test_records_attempts_and_evaluations(self, config_path, outdir):
+    def test_records_the_shot_and_evaluations(self, config_path, outdir):
         assert main(["shock", "--config", config_path]) == 0
         side = json.loads((outdir / "shock_diagnostics.json").read_text())
-        [shot] = side["details"]["attempts"]
-        assert set(shot) == {"sign", "eps", "termination", "mismatch", "n_steps"}
-        assert shot["sign"] == side["details"]["sign"]
+        details = side["details"]
+        assert {"sign", "eps", "termination", "endpoint_mismatch", "n_steps"} <= set(details)
+        assert "attempts" not in details and details["n_steps"] > 0
         stats = side["trajectory"]["stats"]
         assert 0 < stats["n_fevals"] <= 2 + 6 * (stats["n_accepted"] + stats["n_rejected"])
 
@@ -716,6 +716,51 @@ class TestOutDirResolution:
         assert f"kind=validation exit=2 msg=cannot write the artifacts to {out}: " in err
         assert "Traceback" not in err
         assert blocker.read_text() == "kept\n"
+
+    def test_a_target_that_is_a_directory_is_refused_before_any_write(self, config_path, tmp_path, capsys):
+        # check writes structure_report.json and then structure_report.txt; the second is a directory here
+        out = tmp_path / "out"
+        target = out / "structure_report.txt"
+        target.mkdir(parents=True)
+        assert main(["check", "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        message = f"cannot write the artifacts to {out}: {target} exists and is not a regular file"
+        assert f"kind=validation exit=2 msg={message}" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["structure_report.txt"]
+        assert list(target.iterdir()) == []
+
+    def test_a_failed_temp_write_removes_the_temp_files(self, config_path, tmp_path, capsys):
+        # the second temp file cannot be written: the first one is removed, and nothing was renamed
+        out = tmp_path / "out"
+        (out / "structure_report.txt.tmp").mkdir(parents=True)
+        assert main(["check", "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"kind=validation exit=2 msg=cannot write the artifacts to {out}: " in err
+        assert [p.name for p in out.iterdir()] == ["structure_report.txt.tmp"]
+
+    def test_a_failed_temp_write_keeps_a_temp_file_it_did_not_write(self, config_path, tmp_path, capsys):
+        # the first temp file cannot be written; the second is a leftover this run never opened
+        out = tmp_path / "out"
+        (out / "structure_report.json.tmp").mkdir(parents=True)
+        (out / "structure_report.txt.tmp").write_text("left over\n")
+        assert main(["check", "--config", config_path, "--out", str(out)]) == 2
+        assert "kind=validation exit=2" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["structure_report.json.tmp", "structure_report.txt.tmp"]
+        assert (out / "structure_report.txt.tmp").read_text() == "left over\n"
+
+    def test_a_failed_rename_keeps_the_ones_before_it_and_no_temp_file(self, config_path, tmp_path, monkeypatch):
+        # the renames are not one transaction: the first stays, the second's temp file is removed
+        replace = os.replace
+
+        def second_fails(src, dst):
+            if Path(dst).name == "structure_report.txt":
+                raise PermissionError(13, "refused", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", second_fails)
+        out = tmp_path / "out"
+        assert main(["check", "--config", config_path, "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["structure_report.json"]
 
 
 class TestRunIsItsConfig:
@@ -1003,7 +1048,7 @@ class TestToleranceCoupling:
         for pair in self.sweep(gas):
             drho, dv, dtheta = (abs(getattr(pair.right, c) - getattr(pair.left, c)) for c in ("rho", "v", "theta"))
             assert shock_profile(gas, pair).diagnostics["eps"] == SHOOT_EPS_REL * max(drho, dv, dtheta)
-            assert gilbarg_oracle(gas, pair).attempts[0]["eps"] == SHOOT_EPS_REL * max(dv, dtheta)
+            assert gilbarg_oracle(gas, pair).shot["eps"] == SHOOT_EPS_REL * max(dv, dtheta)
 
     @pytest.mark.parametrize("gas_name,family,strength,tol,ratio", [
         # the sweep's worst case: family 3 at 0.8 of its bound needs 10.6 x ode_tol

@@ -452,7 +452,7 @@ class TestShockProfile:
         assert not np.shares_memory(prof.left, prof.right)
 
 
-ATTEMPT_KEYS = {"sign", "eps", "termination", "mismatch", "n_steps"}
+SHOT_KEYS = {"sign", "eps", "termination", "endpoint_mismatch", "n_steps"}
 
 
 class TestShooting:
@@ -463,13 +463,8 @@ class TestShooting:
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=family, strength=strength)
         prof = shock_profile(gasm, pair)
         orc = gilbarg_oracle(gasm, pair)
-        for attempts in (prof.diagnostics["attempts"], orc.attempts):
-            assert len(attempts) == 1
-            [shot] = attempts
-            assert set(shot) == ATTEMPT_KEYS
-            assert shot["mismatch"] <= 1e-6 and shot["n_steps"] > 0
-        shot = prof.diagnostics["attempts"][0]
-        assert (shot["sign"], shot["eps"]) == (prof.diagnostics["sign"], prof.diagnostics["eps"])
+        for shot in (prof.diagnostics, orc.shot):
+            assert shot["endpoint_mismatch"] <= 1e-6 and shot["n_steps"] > 0
 
     @pytest.mark.parametrize("route,gas,left,tol,end_tol", [
         (shock_profile, GasModel(), (1.0, 0.0, 1.0), 1e-12, 1e-8),
@@ -490,18 +485,16 @@ class TestShooting:
         # the branch the shot leaves on, whatever its sign
         pair = solve_rh(gas, State(*left), family=1, strength=1e-3)
         result = route(gas, pair, profiles.ShootOpts(tol=tol, end_tol=end_tol))
-        [shot] = result.diagnostics["attempts"] if route is shock_profile else result.attempts
+        shot = result.diagnostics if route is shock_profile else result.shot
         assert shot["termination"] == sode.TERM_STOPPED and shot["n_steps"] > 1000
-        assert shot["mismatch"] <= end_tol
+        assert shot["endpoint_mismatch"] <= end_tol
         assert shot["eps"] >= profiles.SHOOT_EPS_NOISE * max(tol, sode.REL_FLOOR)
-        if route is shock_profile:
-            assert result.diagnostics["endpoint_mismatch"] == shot["mismatch"]
 
-    def test_failure_carries_the_attempts(self, gasm, monkeypatch):
+    def test_failure_carries_the_shot(self, gasm, monkeypatch):
         import shocklayer.profiles as profiles
 
         pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.5)
-        connecting = [shock_profile(gasm, pair).diagnostics["attempts"][0], gilbarg_oracle(gasm, pair).attempts[0]]
+        connecting = [shock_profile(gasm, pair).diagnostics, gilbarg_oracle(gasm, pair).shot]
         real = profiles.integrate_direct
         monkeypatch.setattr(
             profiles, "integrate_direct",
@@ -511,10 +504,10 @@ class TestShooting:
             with pytest.raises(NoConnectionError, match=r"^no connection \(.*\); the shot \(sign, eps, ") as info:
                 route(gasm, pair)
             # one shot, no second sign and no smaller perturbation: the cut shot starts as the connecting one
-            [shot] = info.value.attempts
-            assert set(shot) == ATTEMPT_KEYS
+            shot = info.value.shot
+            assert set(shot) == SHOT_KEYS
             assert (shot["sign"], shot["eps"]) == (good["sign"], good["eps"])
-            assert shot["termination"] == sode.TERM_REACHED_END and shot["mismatch"] > 1e-6
+            assert shot["termination"] == sode.TERM_REACHED_END and shot["endpoint_mismatch"] > 1e-6
 
     @pytest.mark.parametrize("route", [shock_profile, gilbarg_oracle], ids=lambda f: f.__name__)
     def test_coinciding_endpoints_are_refused(self, gasm, route):
@@ -535,6 +528,95 @@ class TestShooting:
         for ends in ((sonic, other), (other, sonic)):
             with pytest.raises(NoConnectionError, match="sonic set"):
                 profiles._connection_plan(ode, *ends)
+
+
+class TestShotRecord:
+    """A connection is one shot, whose record {sign, eps, termination, endpoint_mismatch, n_steps} is held once."""
+
+    def test_the_oracle_and_the_diagnostics_carry_the_same_record(self, gasm, monkeypatch):
+        records = []
+        shoot = profiles._shoot
+
+        def spy(*args):
+            records.append(shoot(*args))
+            return records[-1]
+
+        monkeypatch.setattr(profiles, "_shoot", spy)
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.2)
+        prof, orc = shock_profile(gasm, pair), gilbarg_oracle(gasm, pair)
+        [(traj, shot), (orc_traj, orc_shot)] = records
+        assert set(shot) == set(orc_shot) == SHOT_KEYS and orc.shot is orc_shot
+        assert {key: prof.diagnostics[key] for key in SHOT_KEYS} == shot and "attempts" not in prof.diagnostics
+        for t, record in ((traj, shot), (orc_traj, orc_shot)):
+            assert record["termination"] == t.termination
+            assert record["n_steps"] == t.stats.n_accepted + t.stats.n_rejected
+
+    def test_a_refusal_before_any_shot_carries_none(self, gasm):
+        # _connection_plan refuses an endpoint on the sonic set, so no shot is fired
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.5)
+        sonic = RHPair(left=pair.left, right=pair.right, sigma=pair.left.v, family=1, strength=0.5)
+        with pytest.raises(NoConnectionError, match="sonic set") as info:
+            shock_profile(gasm, sonic)
+        assert info.value.shot is None
+        assert NoConnectionError("no shot").shot is None
+
+    @pytest.mark.parametrize("route", [shock_profile, gilbarg_oracle], ids=lambda f: f.__name__)
+    def test_a_shot_that_misses_carries_its_record(self, gasm, route):
+        # the pair reversed is an expansion: its one shot leaves the saddle and never reaches the far state
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.5)
+        reversed_pair = RHPair(left=pair.right, right=pair.left, sigma=pair.sigma, family=1, strength=0.5)
+        with pytest.raises(NoConnectionError, match=r"^no connection \(.*\); the shot ") as info:
+            route(gasm, reversed_pair)
+        shot = info.value.shot
+        assert set(shot) == SHOT_KEYS and shot["n_steps"] > 0
+        assert shot["endpoint_mismatch"] > profiles.ShootOpts().end_tol
+        assert f"{shot['endpoint_mismatch']:.2e})" in str(info.value)
+
+
+ONE_CENTRE_GASES = {
+    "default": GasModel(),
+    "power-law": GasModel(nu_law=PowerLaw(1.2, 0.5), k_law=PowerLaw(0.9, -0.3)),
+    "gamma-5/3": GasModel(gamma=5 / 3, nu_law=PowerLaw(0.3), k_law=PowerLaw(2.0)),
+    "gamma-1.01": GasModel(gamma=1.01),
+}
+
+
+class TestOneCentre:
+    """A shot's stop rule tests divergence about its target alone.
+
+    A shot starts within the endpoint distance s of its target, and its
+    radius is max(10 s, 0.5), so a connecting shot never comes near the
+    radius: the divergence test about the start that the rule once made
+    as well could not have stopped it.
+    """
+
+    @pytest.mark.parametrize("gas_name", sorted(ONE_CENTRE_GASES))
+    def test_connecting_shots_stay_within_half_their_radius(self, gas_name, monkeypatch):
+        gas = ONE_CENTRE_GASES[gas_name]
+        runs = []
+        integrate = profiles.integrate_direct
+
+        def spy(*args, **kwargs):
+            runs.append((kwargs["stop_when"], integrate(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(profiles, "integrate_direct", spy)
+        connected = 0
+        for left in ((1.0, 0.0, 1.0), (0.5, 0.3, 2.0), (2.0, -1.0, 0.5)):
+            bound = profiles._family3_strength_bound(gas, State(*left))
+            for family, strength in [(1, 1e-2), (1, 0.2), (1, 3.0), *((3, f * bound) for f in (0.1, 0.5, 0.9))]:
+                try:
+                    pair = solve_rh(gas, State(*left), family, strength)
+                except DomainError:  # past the vacuum bound at gamma 1.01
+                    continue
+                for route in (shock_profile, gilbarg_oracle):
+                    runs.clear()
+                    route(gas, pair)
+                    [(rule, traj)] = runs
+                    worst = _sup(traj.Vs - np.array(rule.target))
+                    assert worst <= 0.5 * rule.radius, (left, family, strength, route.__name__, worst / rule.radius)
+                    connected += 1
+        assert connected == (30 if gas_name == "gamma-1.01" else 36)  # gamma 1.01 refuses three pairs
 
 
 class TestBaselineCounters:
@@ -1803,7 +1885,7 @@ def direct_reference(gas, prof, tol=sode.DEFAULT_TOL):
     """The layer swept in x by `integrate_direct` from the same start, to the same cap and length, as a Profile."""
     limit = tuple(prof.right.tolist())
     cap = profiles.LAYER_GROW_CAP * max(1.0, _sup(prof.right))
-    stop = sode._StopRule(origin=limit, radius=cap, target=limit, capture=-math.inf, x_floor=-math.inf)  # V past the cap
+    stop = sode._StopRule(target=limit, radius=cap, capture=-math.inf, x_floor=-math.inf)  # V past the cap
     start, L = prof.trajectory.Vs[0], prof.diagnostics["length_requested"]
     traj = integrate_direct(steady_singular_ode(gas), start, (L, 0.0), tol=tol, stop_when=stop)
     assert traj.mode == "direct" and traj.termination in (sode.TERM_STOPPED, sode.TERM_REACHED_END)
