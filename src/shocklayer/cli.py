@@ -19,7 +19,8 @@ printout of `check --verbose` (`_format_matrix`). The exception is the
 `check` report, whose text and JSON layout `StructureReport.to_text`
 and `to_json_dict` give in `structure`; they stay there because the
 benchmark hashes `to_json_dict()`. Beyond that report, no other module
-renders anything.
+renders anything. A profile's diagnostics JSON holds each fact once
+(`_profile_artifacts`).
 
 Every config value goes through one checked read (`_need`, `_floats`,
 `_section`): a number is a finite JSON number (an int, not a bool), the
@@ -60,7 +61,7 @@ from .profiles import (
     shock_profile,
     solve_rh,
 )
-from .reduction import tw_singular_ode
+from .reduction import TW_RHS, tw_singular_ode
 from .structure import (
     _assemble,
     check_block_linear_degeneracy,
@@ -241,8 +242,8 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-# every profile the commands write is 5-D: x, tau (empty in direct mode), then rho, v, theta, z1, z2
-_CSV_HEADER = "x,tau,rho,v,theta,z1,z2"
+# every profile the commands write is 5-D: x, tau (empty in direct mode), then the state rho, v, theta, z1, z2
+_CSV_HEADER = ",".join(("x", "tau", *TW_RHS.state))
 
 
 def _profile_csv(traj) -> str:
@@ -293,16 +294,10 @@ def _plot_script(gp_name: str, csv_name: str, png_name: str, title: str) -> str:
 def _profile_artifacts(stem: str, title: str, profile, sidecar: dict, tol: float) -> list[tuple[str, str]]:
     """CSV, diagnostics JSON and gnuplot script of a shock or layer profile.
 
-    sidecar holds the command's own keys; the keys every profile shares
-    (flux_drift, termination, details, trajectory) are added here.
+    sidecar holds what the command adds; details (the profile's diagnostics) and
+    trajectory (the run, `_run_metadata`) are added here, so each fact is written once.
     """
-    sidecar = {
-        **sidecar,
-        "flux_drift": profile.diagnostics["flux_drift"],
-        "termination": profile.trajectory.termination,
-        "details": profile.diagnostics,
-        "trajectory": _run_metadata(profile.trajectory, tol=tol),
-    }
+    sidecar = {**sidecar, "details": profile.diagnostics, "trajectory": _run_metadata(profile.trajectory, tol=tol)}
     csv_name, gp_name = f"{stem}_profile.csv", f"{stem}_plot.gp"
     return [
         (csv_name, _profile_csv(profile.trajectory)),
@@ -384,17 +379,14 @@ def cmd_shock(config: RunConfig, args: argparse.Namespace) -> _Result:
     pair = solve_rh(config.gas, U_minus, family, strength)
     profile = shock_profile(config.gas, pair, config.tol)
     oracle_deviation = compare_profiles(profile, gilbarg_oracle(config.gas, pair, config.tol), matching="v").sup
-    res = rh_residual(config.gas, pair)
+    # family, strength and the residual's sup are in details (see `shock_profile`)
     sidecar = {
         "sigma": profile.sigma,
-        "family": pair.family,
-        "strength": pair.strength,
         "endpoints": {
             "left": profile.left.tolist(),
             "right": profile.right.tolist(),
         },
-        "rh_residual": float(np.max(np.abs(res))),
-        "rh_residual_components": res.tolist(),
+        "rh_residual_components": rh_residual(config.gas, pair).tolist(),
         "oracle_deviation": oracle_deviation,
     }
     text = (

@@ -109,7 +109,7 @@ def _conjugate_state(gas: GasModel, U_minus: State, sigma: float) -> tuple[float
     u_m = U_minus.v - sigma
     m = U_minus.rho * u_m
     if m == 0.0:
-        raise DomainError("left state moves with the wave, no conjugate state")
+        raise DomainError(f"mass flux rho (v - sigma) = {U_minus.rho!r} x {u_m!r} is zero, no conjugate state")
     p_m, _, _ = pressure(gas, U_minus.rho, U_minus.theta)
     P = m * u_m + p_m
     u_p = 2.0 * gas.gamma * P / ((gas.gamma + 1.0) * m) - u_m
@@ -232,10 +232,11 @@ class ShootOpts:
     """Controls for the shooting of `shock_profile` and `gilbarg_oracle`.
 
     tol is the integrator's tolerance and end_tol the largest distance
-    from the target at which a shot connects; both must be positive and
-    finite, and end_tol at least MIN_END_TOL_RATIO x max(tol, REL_FLOOR)
-    (DomainError otherwise): the step control's relative tolerance never
-    falls below REL_FLOOR, so neither does a shot's integration error.
+    from the target at which a shot connects, below the endpoint distance
+    (`_shoot`); both must be positive and finite, and end_tol at least
+    MIN_END_TOL_RATIO x max(tol, REL_FLOOR) (DomainError otherwise): the
+    step control's relative tolerance never falls below REL_FLOOR, so
+    neither does a shot's integration error.
     """
 
     tol: float = DEFAULT_TOL
@@ -420,8 +421,10 @@ def _connection_plan(ode: SingularODE, U_left: np.ndarray, U_right: np.ndarray) 
 def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Trajectory, dict]:
     """One shot out of plan.start along plan.xi, accepted if it lands on plan.target.
 
-    The perturbation takes the sign with xi . (target - start) >= 0, since
-    along it a monotone profile heads toward the target, and the size
+    An opts.end_tol at or above the endpoint distance, where the start
+    itself connects, is a DomainError. The perturbation takes the sign
+    with xi . (target - start) >= 0, since along it a monotone profile
+    heads toward the target, and the size
     eps = max(SHOOT_EPS_REL x the endpoint distance, SHOOT_EPS_NOISE x
     max(opts.tol, REL_FLOOR) (1 + sup |start|)), never below the step
     control's error scale at the start. The shot spans min(400 / slowest
@@ -439,6 +442,8 @@ def _shoot(ode: SingularODE, plan: _ShootPlan, opts: ShootOpts) -> tuple[Traject
     its shot, otherwise.
     """
     s_meas = _sup(plan.target - plan.start)
+    if opts.end_tol >= s_meas:
+        raise DomainError(f"end_tol {opts.end_tol!r} is at or above the endpoint distance {s_meas!r}, so the start connects")
     target, start = tuple(plan.target.tolist()), plan.start.tolist()
     eps = max(SHOOT_EPS_REL * s_meas, SHOOT_EPS_NOISE * max(opts.tol, REL_FLOOR) * (1.0 + _sup(plan.start)))
     rate_floor = min(abs(m) for m in plan.rates_start + plan.rates_target)
@@ -605,7 +610,7 @@ def _integrated_columns(obj) -> tuple[str, ...]:
     if isinstance(obj, Profile):
         return _COLUMNS
     if isinstance(obj, OracleTrajectory):
-        return ("v", "theta")
+        return FLUX_RHS.state
     raise TypeError(f"cannot compare {type(obj).__name__}; expected a Profile or an OracleTrajectory")
 
 
@@ -676,9 +681,9 @@ def boundary_layer(
     perturbation and lies on the flux level set of the limit state: rho
     from its mass flux, z from the flux form of its three fluxes (see
     `_flux_form`), so the reported flux drift is integration error alone.
-    Steady flow keeps its mass flux rho v, so a
-    limit with v = 0 keeps v = 0: like a limit without a decaying
-    direction, it has no layer (NoDecayingDirectionError). Every layer is
+    Steady flow keeps its mass flux rho v, so a limit with v = 0 keeps
+    v = 0: like a limit without a decaying direction, it has no layer
+    (NoDecayingDirectionError). Every layer is
     one sweep of the desingularized system (`integrate_rescaled`), regular
     on the sonic set: it runs from x = 0 down to x <= -L, or until V
     strays past the growth cap from the limit, and the window is then
@@ -686,7 +691,9 @@ def boundary_layer(
     A layer whose extended_residual_rel exceeds LAYER_RESIDUAL_BOUND is
     swept once more at tol / 10, which diagnostics["refined_tol"]
     records; its checks are then those of the second sweep, whatever
-    they read.
+    they read. The run's termination and min |zeta| are prof.trajectory's.
+    L takes its log from math.log: numpy's SIMD log can differ in the
+    last bit by machine.
     An amplitude that is zero (the limit state itself, no layer) or not
     finite is one DomainError that names it, and so is one at or past
     the growth cap, checked before the start is built. tol is the
@@ -719,7 +726,7 @@ def boundary_layer(
     cap = LAYER_GROW_CAP * max(1.0, _sup(U_star))
     if abs(amplitude) >= cap:
         raise DomainError(f"amplitude {amplitude:g} exceeds the growth cap {cap:g}")
-    L = min(np.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
+    L = min(math.log(max(LAYER_GROW_CAP, 10 * abs(amplitude)) / abs(amplitude)) / abs(rate) * 1.5, 1e4)
     m, Pi, Eflux = _flux_integrals(gas, 0.0, limit_state.rho, limit_state.v, limit_state.theta, 0.0, 0.0)
     v, theta = (U_star + amplitude * xi)[1:3].tolist()
     start = np.array([m / v, v, theta, *_flux_form(gas, 0.0, m, Pi, Eflux).F_eval([v, theta])])
@@ -728,13 +735,13 @@ def boundary_layer(
         "direction_index": direction_index,
         "rate": rate,
         "decaying_rates": [m for _, m in stable],
-        "length_requested": float(L),
+        "length_requested": L,
     }
     # tau runs the way that moves x down; at the limit dx/dtau = zeta = v, so the span is ten times L / |v|
     tau_span = max(10.0 * L / abs(limit_state.v), 100.0)
     tau_end = -tau_span if ode.zeta_eval(start.tolist()) > 0 else tau_span
     # x <= -L, or V past the growth cap from the limit, tested inside the step kernel
-    stop = _StopRule(target=tuple(U_star.tolist()), radius=cap, capture=-math.inf, x_floor=-float(L))
+    stop = _StopRule(target=tuple(U_star.tolist()), radius=cap, capture=-math.inf, x_floor=-L)
 
     def checked_sweep(tol: float) -> Profile:
         traj = integrate_rescaled(ode, start, (0.0, tau_end), tol=tol, stop_when=stop)
@@ -743,7 +750,6 @@ def boundary_layer(
         ys[:, -1] -= np.min(ys[:, -1])
         traj = replace(traj, ys=ys)
         d = {**diagnostics, "mode": "rescaled", "length_produced": float(np.max(traj.xs))}
-        d.update(termination=traj.termination, min_abs_zeta=traj.stats.min_abs_zeta)
         return _checked_profile(gas, ode, 0.0, traj.final_V, U_star, traj, d)
 
     prof = checked_sweep(tol)

@@ -109,14 +109,13 @@ _ORDER_EXP = 0.2  # 1/5 for the embedded pair
 
 @dataclass(frozen=True)
 class TrajectoryStats:
-    """Bookkeeping of one integration run."""
+    """The counters of one run (see `_run`); the run itself, its last step hs[-1] included, is the `Trajectory`."""
 
     n_accepted: int
     n_rejected: int
     n_fevals: int
     min_abs_zeta: float
     zeta_sign_changes: int
-    h_final: float
 
 
 _MAX_INVERT_ITER = 60  # bisection alone shrinks [0, 1] to round-off in 53 rounds
@@ -447,7 +446,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
     a run and its bookkeeping (see `_run`), from the start y with its
     first stage k1 and zeta z already known and the starting step h. It
     returns (store, termination, accepted, rejected, evaluations, min
-    |zeta|, zeta sign changes, final h), with store the packed records of
+    |zeta|, zeta sign changes), with store the packed records of
     the accepted steps, `_record_width(d)` = 7d + 2 doubles each: t, the
     signed step, y_new and stages 2..7. Stage 1 is not packed: it is
     the stage 7 of the step before (first same as last), and the first
@@ -590,7 +589,7 @@ def _kernel_source(d: int, mode: str, rhs: RhsSource) -> str:
         "                h *= _FAC_MAX if fac >= _FAC_MAX else fac if fac > _FAC_MIN else _FAC_MIN",
         "        else:",
         '            raise StepFailureError(f"step budget {max_steps} exhausted")',
-        f"        return store, termination, n_acc, n_rej, n_fev, {zeta_stats}, h",
+        f"        return store, termination, n_acc, n_rej, n_fev, {zeta_stats}",
         "",
         "    return stage, run",
     ]
@@ -656,7 +655,8 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     still going after MAX_STEPS steps tried is a StepFailureError.
     Before any stage runs, a tol that is not positive and finite, a span
     endpoint that is not finite, and a stop_when that is neither None nor
-    a `_StopRule` are each a DomainError.
+    a `_StopRule` are each a DomainError, and so is a first stage that
+    is unusable or not finite, the message naming y0.
 
     Returns every `Trajectory` field but the mode as a dict.
     """
@@ -678,10 +678,10 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     if t_end == t0:
         raise DomainError("integration span is empty")
     if k0 is None or not all(map(isfinite, k0)):
-        raise DomainError("right-hand side not finite at the initial point")
+        raise DomainError(f"right-hand side not finite at the initial point {y0}")
     direction = 1.0 if t_end > t0 else -1.0
     h = _initial_step(stage, y0, k0, direction, abs(t_end - t0), tol, m)
-    store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes, h = run(
+    store, termination, n_acc, n_rej, n_fev, min_zeta, sign_changes = run(
         t0, t_end, direction, y0, h, k0, z, stop_when,
     )
 
@@ -697,7 +697,7 @@ def _run(ode: SingularODE, mode: str, t0: float, y0: list[float], t_end: float, 
     Q = Q.transpose(1, 2, 0).copy()
     stats = TrajectoryStats(
         n_accepted=n_acc, n_rejected=n_rej, n_fevals=2 + n_fev,  # the first stage and the starting-step probe
-        min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes, h_final=h,
+        min_abs_zeta=min_zeta, zeta_sign_changes=sign_changes,
     )
     ts = np.concatenate([[t0], records[:, 0]])
     return dict(ts=ts, ys=ys, termination=termination, stats=stats, hs=records[:, 1].copy(), Q=Q)

@@ -396,13 +396,16 @@ class TestShock:
     def test_full_run(self, config_path, outdir, capsys):
         assert main(["shock", "--config", config_path]) == 0
         side = json.loads((outdir / "shock_diagnostics.json").read_text())
+        # each fact once: the command's own keys at the top, the profile's in details, the run's in trajectory
+        assert set(side) == {"sigma", "endpoints", "rh_residual_components", "oracle_deviation", "details", "trajectory"}
         assert side["sigma"] == pytest.approx(-1.3832159566199231, rel=1e-10)
-        assert side["family"] == 1 and side["strength"] == 0.2
-        assert side["rh_residual"] <= 1e-12
-        assert side["flux_drift"] <= 1e-6
+        details = side["details"]
+        assert details["family"] == 1 and details["strength"] == 0.2
+        assert details["rh_residual_max"] == max(map(abs, side["rh_residual_components"])) <= 1e-12
+        assert details["flux_drift"] <= 1e-6
         assert side["oracle_deviation"] <= 1e-5
         assert side["endpoints"]["left"] == [1.0, 0.0, 1.0, 0.0, 0.0]
-        assert side["details"]["endpoint_mismatch"] <= 1e-6
+        assert details["endpoint_mismatch"] <= 1e-6
         csv = (outdir / "shock_profile.csv").read_text()
         assert csv.startswith("x,tau,rho,v,theta,z1,z2\n")
         assert len(csv.strip().split("\n")) == side["trajectory"]["n_samples"] + 1
@@ -418,6 +421,16 @@ class TestShock:
         err = capsys.readouterr().err
         assert "kind=validation exit=2 msg=strength 0 is below the round-off of lambda(U-)" in err
         assert "zero-strength pair" in err and "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_end_tol_covering_the_jump_exits_2(self, tmp_path, outdir, capsys):
+        # the jump (5.0e-7) lies within the default end_tol 1e-6, so the shot's start would already connect
+        cfg = base_config(outdir)
+        cfg["rh"]["strength"] = 3e-7
+        assert main(["shock", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=validation exit=2 msg=end_tol 1e-06 is at or above the endpoint distance 4.99999936565132e-07" in err
+        assert "Traceback" not in err
         assert not outdir.exists()
 
     def test_negative_strength_rejected(self, tmp_path, outdir, capsys):
@@ -477,8 +490,11 @@ class TestLayer:
         side = json.loads((outdir / "layer_diagnostics.json").read_text())
         assert side["sigma"] == 0.0
         assert side["endpoints"]["limit"] == [1.0, -0.3, 1.0, 0.0, 0.0]
+        assert set(side) == {"sigma", "endpoints", "details", "trajectory"}
         assert side["details"]["mode"] == side["trajectory"]["mode"] == "rescaled"
-        assert side["flux_drift"] <= 1e-5
+        assert side["details"]["flux_drift"] <= 1e-5
+        assert side["trajectory"]["termination"] == "stopped"
+        assert side["trajectory"]["stats"]["min_abs_zeta"] > 0.0
         assert (outdir / "layer_profile.csv").exists()
         assert (outdir / "layer_plot.gp").exists()
         assert "layer: limit (1, -0.3, 1)" in capsys.readouterr().out
@@ -540,8 +556,9 @@ class TestStatesPastTheFloatRange:
          "F overflows a float at the extended state [1.0, 0.0, 1e-300, 0.1, 0.0]"),
         ("shock", "rh.U_minus", [1.0, 0.0, 1e-300], "F overflows a float at the extended state"),
         ("layer", "layer.limit_state", [1.0, -0.3, 1e-300], "F overflows a float at the extended state"),
-        # the sound speed does not read rho, but the shot's start is not finite at rho = 1e200
-        ("shock", "rh.U_minus", [1e200, 0.0, 1.0], "right-hand side not finite at the initial point"),
+        # the sound speed does not read rho, but the shot's start is not finite at rho = 1e200; the message
+        # names that start, the right end at rho = 1.29e200 perturbed
+        ("shock", "rh.U_minus", [1e200, 0.0, 1.0], "right-hand side not finite at the initial point [1.287933267555865e+200, "),
     ], ids=["reduce-info-theta", "shock-theta", "layer-theta", "shock-rho"])
     def test_exits_2(self, tmp_path, outdir, capsys, command, key, value, message):
         cfg = base_config(outdir)
@@ -816,6 +833,13 @@ class TestConfigValidation:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["check", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("root", ["[]", "1", "null", '"config"'])
+    def test_root_that_is_not_an_object(self, tmp_path, capsys, root):
+        path = tmp_path / "root.json"
+        path.write_text(root)
+        assert main(["check", "--config", str(path)]) == 2
+        assert "kind=validation exit=2 msg=config root must be a JSON object\n" in capsys.readouterr().err
 
     def test_missing_seed(self, tmp_path, outdir):
         cfg = base_config(outdir)

@@ -298,6 +298,13 @@ class TestSolveRH:
         assert "zero-strength pair" in str(info.value)
         assert "Lax" not in str(info.value)
 
+    def test_mass_flux_underflowing_to_zero(self, gasm):
+        # rho (v - sigma) = 1e-300 x 1.2e-150 is below the least subnormal: no conjugate state, and the
+        # message names both factors, not a left state moving with the wave
+        message = r"^mass flux rho \(v - sigma\) = 1e-300 x 1\.18\d*e-150 is zero, no conjugate state$"
+        with pytest.raises(DomainError, match=message):
+            solve_rh(gasm, State(1e-300, 0.0, 1e-300), family=1, strength=1e-160)
+
     def test_strength_just_above_round_off_of_lambda_solves(self):
         gas = GasModel(gamma=1.0000001)
         left = State(1e3, 50.0, 1e3)
@@ -518,6 +525,32 @@ class TestShooting:
         state = "[1.0, 0.3, 1.0, 0.0, 0.0]" if route is shock_profile else "[0.3, 1.0]"
         with pytest.raises(DomainError, match=re.escape(f"the endpoints coincide at {state}")):
             route(gasm, pair)
+
+    @pytest.mark.parametrize("route", [shock_profile, gilbarg_oracle], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("strength,opts", [
+        (3e-7, profiles.ShootOpts()),
+        (0.2, profiles.ShootOpts(1e-3, 0.7)),
+    ], ids=["weak-shock", "loose-end-tol"])
+    def test_end_tol_covering_the_jump_is_refused(self, gasm, route, strength, opts):
+        # the start lies within end_tol of the target, so such a shot once "connected" after one step, as a
+        # 2-sample profile whose endpoint_mismatch was the whole jump (5.0e-7 and 0.31 here)
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=strength)
+        columns = ("rho", "v", "theta") if route is shock_profile else ("v", "theta")
+        distance = max(abs(getattr(pair.right, c) - getattr(pair.left, c)) for c in columns)
+        assert distance <= opts.end_tol
+        named = f"end_tol {opts.end_tol!r} is at or above the endpoint distance {distance!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(named)}, so the start connects$"):
+            route(gasm, pair, opts)
+
+    @pytest.mark.parametrize("route", [shock_profile, gilbarg_oracle], ids=lambda f: f.__name__)
+    def test_end_tol_just_below_the_jump_leaves_the_start(self, gasm, route):
+        pair = solve_rh(gasm, State(1.0, 0.0, 1.0), family=1, strength=0.2)
+        distance = max(abs(getattr(pair.right, c) - getattr(pair.left, c)) for c in ("v", "theta"))
+        opts = profiles.ShootOpts(1e-3, math.nextafter(distance, 0.0))
+        result = route(gasm, pair, opts)
+        shot = result.diagnostics if route is shock_profile else result.shot
+        assert shot["termination"] == sode.TERM_STOPPED and shot["n_steps"] > 1
+        assert shot["endpoint_mismatch"] <= opts.end_tol
 
     def test_endpoint_on_the_sonic_set_is_no_connection(self, gasm):
         import shocklayer.profiles as profiles
@@ -1528,7 +1561,7 @@ def polyline_profile(v):
     Q[:, :, 0] = np.diff(ys, axis=0)
     traj = sode.Trajectory(
         mode="direct", ts=np.arange(v.size, dtype=float), ys=ys, termination=sode.TERM_REACHED_END,
-        stats=sode.TrajectoryStats(v.size - 1, 0, 0, 1.0, 0, 1.0), hs=np.ones(v.size - 1), Q=Q,
+        stats=sode.TrajectoryStats(v.size - 1, 0, 0, 1.0, 0), hs=np.ones(v.size - 1), Q=Q,
     )
     return Profile(sigma=0.0, left=ys[0].copy(), right=ys[-1].copy(), trajectory=traj, diagnostics={})
 
@@ -1900,7 +1933,7 @@ def assert_same_extent(prof, ref):
     step of either.
     """
     d, cap = prof.diagnostics, profiles.LAYER_GROW_CAP * max(1.0, _sup(prof.right))
-    assert d["termination"] == sode.TERM_STOPPED
+    assert prof.trajectory.termination == sode.TERM_STOPPED
     at_cap = _sup(prof.left - prof.right) > cap
     assert at_cap == (ref.trajectory.termination == sode.TERM_STOPPED)
     xs = prof.trajectory.xs
@@ -1981,6 +2014,14 @@ class TestBoundaryLayer:
         trace = prof.left
         assert np.abs(trace - U_star).max() > 1e-2
 
+    def test_length_is_the_math_log_formula(self, gasm):
+        # numpy's SIMD log differs from libm's in the last bit at this amplitude on some machines, which
+        # would move the layer's x floor with the machine: numpy read 15.34562985815551 on an AVX-512 host
+        amplitude = 1.8390901547657737e-05
+        d = boundary_layer(gasm, State(1.0, -0.3, 1.0), amplitude=amplitude).diagnostics
+        log = math.log(max(profiles.LAYER_GROW_CAP, 10 * amplitude) / amplitude)
+        assert d["length_requested"] == min(log / abs(d["rate"]) * 1.5, 1e4)
+
     def test_subsonic_outflow(self, gasm):
         prof = boundary_layer(gasm, State(1.0, 0.4, 1.0), amplitude=1e-3)
         assert prof.diagnostics["mode"] == "rescaled"
@@ -2054,8 +2095,8 @@ class TestBoundaryLayer:
             prof = boundary_layer(gasm, State(*limit), amplitude=amplitude)
             d = prof.diagnostics
             assert list(d) == list(subsonic.diagnostics)
-            assert d["mode"] == "rescaled" and d["termination"] == sode.TERM_STOPPED
-            assert 0.0 < d["min_abs_zeta"] <= 1e-6
+            assert d["mode"] == "rescaled" and prof.trajectory.termination == sode.TERM_STOPPED
+            assert 0.0 < prof.trajectory.stats.min_abs_zeta <= 1e-6
             assert prof.trajectory.xs[0] == d["length_produced"] > 0.0
             assert float(np.min(prof.trajectory.xs)) == 0.0
 

@@ -9,6 +9,7 @@ import ast
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -320,7 +321,7 @@ def polyline(v):
     Q[:, :, 0] = np.diff(ys, axis=0)
     return Trajectory(
         mode="direct", ts=np.arange(v.size, dtype=float), ys=ys, termination=TERM_REACHED_END,
-        stats=TrajectoryStats(v.size - 1, 0, 0, 1.0, 0, 1.0), hs=np.ones(v.size - 1), Q=Q,
+        stats=TrajectoryStats(v.size - 1, 0, 0, 1.0, 0), hs=np.ones(v.size - 1), Q=Q,
     )
 
 
@@ -529,6 +530,13 @@ class TestStopAndFailure:
         with pytest.raises(DomainError, match=r"integration span \(.*\) is not finite"):
             INTEGRATORS[mode](ode, np.array([1.0]), span, tol=1e-10)
         assert calls == [0, 0]
+
+    @pytest.mark.parametrize("mode,start", [("direct", "[2.0, 0.5]"), ("rescaled", "[2.0, 0.5, 0.0]")])
+    def test_a_start_that_is_not_finite_names_the_state(self, mode, start):
+        # the message gives the initial point the first stage was taken at: V, and x in rescaled mode
+        ode = SingularODE(F_eval=lambda V: [math.inf, V[1]], zeta_eval=lambda V: 1.0)
+        with pytest.raises(DomainError, match=f"^right-hand side not finite at the initial point {re.escape(start)}$"):
+            INTEGRATORS[mode](ode, np.array([2.0, 0.5]), (0.0, 1.0))
 
     @pytest.mark.parametrize("mode", ["direct", "rescaled"])
     def test_no_stop_is_a_rule_that_never_fires(self, gas, mode):
@@ -853,7 +861,7 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
 
     first = stage(y0)
     if first is None or not np.all(np.isfinite(first[0])):
-        raise DomainError("right-hand side not finite at the initial point")
+        raise DomainError(f"right-hand side not finite at the initial point {y0.tolist()}")
     k0, z = first
     h = ref_initial_step(stage, y0, k0, direction, span, tol, m)
     min_zeta = abs(z)
@@ -907,7 +915,7 @@ def ref_run(rhs, t0, y0, t_end, tol, max_steps, stop_when, guard_sign):
         h *= 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
     else:
         raise StepFailureError(f"step budget {max_steps} exhausted")
-    stats = TrajectoryStats(n_acc, n_rej, n_fev, min_zeta, sign_changes, h)
+    stats = TrajectoryStats(n_acc, n_rej, n_fev, min_zeta, sign_changes)
     return dict(
         ts=np.array(ts), ys=np.array(ys), termination=termination, stats=stats, hs=np.array(hs),
         Q=ref_dense_output(np.array(Ks).reshape(-1, 7, y0.size)),
